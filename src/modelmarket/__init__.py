@@ -33,6 +33,7 @@ from .game import (
     decomposed_utility,
     deviation_advantage,
     deviation_advantage_soft,
+    deviation_values,
     platform_utilities,
 )
 from .equilibrium import (

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -27,18 +28,17 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MarketGameError
+from .errors import BudgetExceededError, ConfigError, MarketGameError
 from .game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 from .equilibrium import DynamicsOutcome, enumerate_pne, run_dynamics
 from .metrics import coverage_value, market_shares, social_optimum, welfare_figures
-from .fixtures import builtin_instance, fixture_names, verify_fixture
-from .synthetic import (
-    GmmComponent,
-    GmmPopulationSpec,
-    RbfKernel,
-    RbfModelSpec,
-    gmm_population,
-    rbf_scores,
+from .fixtures import (
+    builtin_instance,
+    choice_from_block,
+    fixture_names,
+    rbf_gmm_instance,
+    require,
+    verify_fixture,
 )
 from . import entry as entry_mod
 
@@ -64,59 +64,22 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing {key!r} in the {where} block")
-    return cfg[key]
-
-
 # ---------------------------------------------------------------------------
 # instance construction
 # ---------------------------------------------------------------------------
 
 def _spec_from_file_block(block: dict) -> GameSpec:
-    scores = ScoreMatrix(_require(block, "scores", "instance"), block.get("model_labels"))
-    weights = _require(block, "weights", "instance")
+    scores = ScoreMatrix(require(block, "scores", "instance"), block.get("model_labels"))
+    weights = require(block, "weights", "instance")
     labels = block.get("type_labels") or [f"t{i + 1}" for i in range(len(weights))]
     population = UserPopulation(labels, weights)
-    choice = _choice_from_block(block.get("choice")) or ChoiceRule.hardmax()
-    return GameSpec(scores, population, int(_require(block, "n_platforms", "instance")), choice)
+    choice = choice_from_block(block.get("choice")) or ChoiceRule.hardmax()
+    return GameSpec(scores, population, int(require(block, "n_platforms", "instance")), choice)
 
 
 def _spec_from_synthetic_block(block: dict) -> GameSpec:
-    models = []
-    for m in _require(block, "models", "synthetic"):
-        kernels = [
-            RbfKernel(tuple(k["center"]), float(k["amplitude"]), float(k["width"]))
-            for k in _require(m, "kernels", "synthetic model")
-        ]
-        models.append(RbfModelSpec(float(m.get("bias", 0.0)), kernels))
-    g = _require(block, "gmm", "synthetic")
-    components = [
-        GmmComponent(float(c["weight"]), tuple(c["mean"]), c["covariance"])
-        for c in _require(g, "components", "gmm")
-    ]
-    gmm = GmmPopulationSpec(
-        components,
-        k_types=int(_require(g, "k_types", "gmm")),
-        dx=float(g.get("dx", 0.0)),
-        seed=int(g.get("seed", 0)),
-        sample_size=int(g.get("sample_size", 10_000)),
-    )
-    population, anchors = gmm_population(gmm)
-    scores = rbf_scores(models, anchors)
-    return GameSpec(scores, population, int(_require(block, "n_platforms", "synthetic")))
-
-
-def _choice_from_block(block: dict | None) -> ChoiceRule | None:
-    if block is None:
-        return None
-    kind = _require(block, "kind", "choice")
-    if kind == "hardmax":
-        return ChoiceRule.hardmax()
-    if kind == "softmax":
-        return ChoiceRule.softmax(float(_require(block, "tau", "choice")))
-    raise ConfigError(f"unknown choice kind {kind!r}")
+    population, scores = rbf_gmm_instance(block, "synthetic")
+    return GameSpec(scores, population, int(require(block, "n_platforms", "synthetic")))
 
 
 def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, str, str]:
@@ -124,7 +87,7 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
 
     Instance file paths resolve relative to the config file's directory.
     """
-    block = _require(cfg, "instance", "top-level")
+    block = require(cfg, "instance", "top-level")
     sources = [k for k in ("builtin", "file", "synthetic") if k in block]
     if len(sources) != 1:
         raise ConfigError("instance block needs exactly one of: builtin, file, synthetic")
@@ -136,7 +99,7 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
         spec, name, notes = _spec_from_file_block(_load_config(str(path))), path.stem, ""
     else:
         spec, name, notes = _spec_from_synthetic_block(block["synthetic"]), "synthetic", ""
-    override = _choice_from_block(cfg.get("choice"))
+    override = choice_from_block(cfg.get("choice"))
     if override is not None:
         spec = spec.with_choice(override)
     return spec, name, notes
@@ -186,7 +149,6 @@ def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed
 
 def _summarize(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed: int,
                instance_name: str, pne_budget: int = 1_000_000) -> dict:
-    opt = social_optimum(spec)
     summary: dict[str, Any] = {
         "run_id": run_id,
         "instance": instance_name,
@@ -196,9 +158,15 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed: int,
         "choice": {"kind": spec.choice.kind, "tau": spec.choice.tau},
         "start": list(spec.profile_labels(outcome.start)),
         "outcome_kind": outcome.kind,
-        "social_optimum": opt.value,
-        "social_optimum_profile": list(spec.profile_labels(opt.profile)),
     }
+    try:
+        opt = social_optimum(spec)
+        summary["social_optimum"] = opt.value
+        summary["social_optimum_profile"] = list(spec.profile_labels(opt.profile))
+    except BudgetExceededError as exc:
+        opt = None
+        summary["social_optimum"] = None
+        summary["social_optimum_note"] = str(exc)
     try:
         pne = enumerate_pne(spec, budget=pne_budget)
         summary["pne"] = [list(spec.profile_labels(p.choices)) for p, _ in pne]
@@ -210,7 +178,7 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed: int,
         summary["welfare"] = None
         return summary
     figures = welfare_figures(spec, outcome)
-    assert figures.value <= opt.value + 1e-12, "welfare exceeded the social optimum"
+    assert opt is None or figures.value <= opt.value + 1e-12, "welfare exceeded the social optimum"
     summary["welfare"] = figures.value
     summary["welfare_state_average"] = figures.state_average
     summary["welfare_multiset_average"] = figures.multiset_average
@@ -277,11 +245,11 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_cells(cfg: dict, seed_override: int | None = None) -> list[dict]:
-    sweep = _require(cfg, "sweep", "top-level")
-    axis = _require(sweep, "axis", "sweep")
+    sweep = require(cfg, "sweep", "top-level")
+    axis = require(sweep, "axis", "sweep")
     if axis not in ("models", "platforms", "population"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    values = _require(sweep, "values", "sweep")
+    values = require(sweep, "values", "sweep")
     reps = int(sweep.get("repetitions", 1))
     if reps < 1:
         raise ConfigError("sweep.repetitions must be at least 1")
@@ -360,13 +328,13 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _training_payload(cfg: dict) -> dict:
-    block = _require(cfg, "training", "top-level")
-    outcomes = _require(block, "outcomes", "training")
-    rewards = entry_mod.RewardTable(_require(block, "rewards", "training"))
-    ds = _require(block, "dataset", "training")
+    block = require(cfg, "training", "top-level")
+    outcomes = require(block, "outcomes", "training")
+    rewards = entry_mod.RewardTable(require(block, "rewards", "training"))
+    ds = require(block, "dataset", "training")
     dataset = entry_mod.EntryDataset(
         outcomes,
-        _require(ds, "counts", "training.dataset"),
+        require(ds, "counts", "training.dataset"),
         attributes=ds.get("attributes"),
         attribute_labels=tuple(ds.get("attribute_labels", ())),
         type_attribute_prefs=ds.get("type_preferences"),
@@ -374,6 +342,10 @@ def _training_payload(cfg: dict) -> dict:
     params = block.get("params", {})
     rename = {"lambda": "lam"}
     kwargs = {rename.get(k, k): v for k, v in params.items()}
+    known = {f.name for f in dataclasses.fields(entry_mod.TrainingConfig)}
+    for key in params:
+        if rename.get(key, key) not in known:
+            raise ConfigError(f"unknown key {key!r} in the training.params block")
     config = entry_mod.TrainingConfig(**kwargs)
     return {
         "method": block.get("method", "both"),
@@ -531,6 +503,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be at least 1 (got {args.jobs})")
         return args.func(args)
     except MarketGameError as exc:
         print(f"error: {exc}", file=sys.stderr)

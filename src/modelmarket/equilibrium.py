@@ -9,6 +9,7 @@ is within the threshold of the best alternative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ __all__ = [
 
 IMPROVEMENT_EPS = 1e-12
 DEFAULT_PROFILE_BUDGET = 10_000_000
-_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +164,17 @@ class CentralizationResult:
 def verify_pne(spec: GameSpec, profile) -> PneCheck:
     """Check that no platform can gain more than the threshold by switching model.
 
-    On failure the returned witness names one profitable deviation.
+    On failure the returned witness names one profitable deviation: the first
+    such platform and its lowest-index profitable model.
     """
     prof = as_profile(spec, profile)
-    base = game.platform_utilities(spec, prof)
     for i in range(spec.n_platforms):
-        for g in range(spec.n_models):
-            if g == prof[i]:
-                continue
-            dev = prof[:i] + (g,) + prof[i + 1:]
-            gain = float(game.platform_utilities(spec, dev)[i] - base[i])
-            if gain > IMPROVEMENT_EPS:
-                return PneCheck(False, Deviation(i, g, gain))
+        values = game.deviation_values(spec, prof[:i] + prof[i + 1:])
+        gains = values - values[prof[i]]
+        better = np.flatnonzero(gains > IMPROVEMENT_EPS)
+        if better.size:
+            g = int(better[0])
+            return PneCheck(False, Deviation(i, g, float(gains[g])))
     return PneCheck(True)
 
 
@@ -191,37 +190,17 @@ def classify_profile(spec: GameSpec, profile) -> EquilibriumClassification:
     return EquilibriumClassification(distinct, label)
 
 
-def _decode_profiles(m: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Lexicographic profile block: index -> digit vector, leftmost most significant."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((idx.shape[0], n), dtype=np.int64)
-    for pos in range(n - 1, -1, -1):
-        out[:, pos] = idx % m
-        idx = idx // m
-    return out
-
-
-def _batch_utilities(spec: GameSpec, profs: np.ndarray) -> np.ndarray:
-    """Utilities for a (B, N) block of profiles, returned as (B, N)."""
-    s = spec.scores.scores
-    w = spec.population.weights
-    chosen = s[profs]  # (B, N, K)
-    if spec.choice.kind == "hardmax":
-        top = chosen.max(axis=1, keepdims=True)
-        winners = chosen == top
-        p = winners / winners.sum(axis=1, keepdims=True)
-    else:
-        z = chosen / spec.choice.tau
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=1, keepdims=True)
-    return (p * chosen) @ w
-
-
 def enumerate_pne(
     spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET
 ) -> list[tuple[StrategyProfile, EquilibriumClassification]]:
-    """All pure Nash equilibria of the instance, in lexicographic profile order."""
+    """All pure Nash equilibria of the instance, in lexicographic profile order.
+
+    Platforms are interchangeable, so a profile is an equilibrium exactly when
+    its model multiset is.  Each multiset is tested once, one distinct model at
+    a time against the other N-1 models, and every stable multiset is expanded
+    to its distinct orderings.  ``budget`` bounds the M^N profiles, which is
+    also how many entries the result can hold when scores tie.
+    """
     m, n = spec.n_models, spec.n_platforms
     total = m ** n
     if total > budget:
@@ -230,23 +209,33 @@ def enumerate_pne(
             required=total,
             budget=budget,
         )
-    found: list[tuple[StrategyProfile, EquilibriumClassification]] = []
-    for start in range(0, total, _CHUNK):
-        profs = _decode_profiles(m, n, start, min(start + _CHUNK, total))
-        base = _batch_utilities(spec, profs)
-        stable = np.ones(profs.shape[0], dtype=bool)
-        for i in range(n):
-            for g in range(m):
-                dev = profs.copy()
-                dev[:, i] = g
-                gain = _batch_utilities(spec, dev)[:, i] - base[:, i]
-                np.logical_and(stable, gain <= IMPROVEMENT_EPS, out=stable)
-            if not stable.any():
-                break
-        for row in profs[stable]:
-            prof = StrategyProfile(row)
-            found.append((prof, classify_profile(spec, prof)))
-    return found
+    # stable[others][g]: model g is a best response to the rival multiset others
+    stable = {}
+    for others in combinations_with_replacement(range(m), n - 1):
+        values = game.deviation_values(spec, others)
+        stable[others] = values.max() - values <= IMPROVEMENT_EPS
+    found: list[tuple[int, ...]] = []
+    for multiset in combinations_with_replacement(range(m), n):
+        if all(stable[multiset[:k] + multiset[k + 1:]][g]
+               for g, k in _first_positions(multiset)):
+            found.extend(_orderings(multiset))
+    found.sort()
+    return [(StrategyProfile(p), classify_profile(spec, p)) for p in found]
+
+
+def _first_positions(multiset: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(model, position of its first copy) for each distinct model of a sorted multiset."""
+    return [(g, k) for k, g in enumerate(multiset) if k == 0 or multiset[k - 1] != g]
+
+
+def _orderings(multiset: tuple[int, ...]):
+    """Distinct orderings of a sorted multiset, in lexicographic order."""
+    if not multiset:
+        yield ()
+        return
+    for g, k in _first_positions(multiset):
+        for rest in _orderings(multiset[:k] + multiset[k + 1:]):
+            yield (g,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +249,7 @@ def best_response(spec: GameSpec, profile, platform: int) -> int:
     best alternative; otherwise returns the lowest-index maximizer.
     """
     prof = as_profile(spec, profile)
-    values = np.empty(spec.n_models)
-    for g in range(spec.n_models):
-        dev = prof[:platform] + (g,) + prof[platform + 1:]
-        values[g] = game.platform_utilities(spec, dev)[platform]
+    values = game.deviation_values(spec, prof[:platform] + prof[platform + 1:])
     best = float(values.max())
     if values[prof[platform]] >= best - IMPROVEMENT_EPS:
         return prof[platform]

@@ -92,10 +92,50 @@ def _load_record(name: str) -> dict:
         return json.load(handle)
 
 
-def _choice_from(block: dict | None) -> ChoiceRule:
-    if not block or block.get("kind", "hardmax") == "hardmax":
+def require(block: dict, key: str, where: str):
+    """``block[key]``, or a ConfigError naming the block that lacks it."""
+    if key not in block:
+        raise ConfigError(f"missing {key!r} in the {where} block")
+    return block[key]
+
+
+def choice_from_block(block: dict | None) -> ChoiceRule | None:
+    """The choice rule a ``choice`` block names, or None when there is no block."""
+    if block is None:
+        return None
+    kind = require(block, "kind", "choice")
+    if kind == "hardmax":
         return ChoiceRule.hardmax()
-    return ChoiceRule.softmax(float(block["tau"]))
+    if kind == "softmax":
+        return ChoiceRule.softmax(float(require(block, "tau", "choice")))
+    raise ConfigError(f"unknown choice kind {kind!r}")
+
+
+def rbf_gmm_instance(block: dict, where: str,
+                     model_labels: list[str] | None = None) -> tuple[UserPopulation, ScoreMatrix]:
+    """Population and scores of an RBF-model / GMM-population block."""
+    models = [
+        RbfModelSpec(
+            float(m.get("bias", 0.0)),
+            [RbfKernel(tuple(require(k, "center", "kernel")), float(require(k, "amplitude", "kernel")),
+                       float(require(k, "width", "kernel")))
+             for k in require(m, "kernels", f"{where} model")],
+        )
+        for m in require(block, "models", where)
+    ]
+    g = require(block, "gmm", where)
+    gmm = GmmPopulationSpec(
+        [GmmComponent(float(require(c, "weight", "gmm component")),
+                      tuple(require(c, "mean", "gmm component")),
+                      require(c, "covariance", "gmm component"))
+         for c in require(g, "components", "gmm")],
+        k_types=int(require(g, "k_types", "gmm")),
+        dx=float(g.get("dx", 0.0)),
+        seed=int(g.get("seed", 0)),
+        sample_size=int(g.get("sample_size", 10_000)),
+    )
+    population, anchors = gmm_population(gmm)
+    return population, rbf_scores(models, anchors, model_labels=model_labels)
 
 
 def _spec_from_record(record: dict) -> GameSpec:
@@ -121,30 +161,13 @@ def _spec_from_record(record: dict) -> GameSpec:
             model_labels=scores_block.get("model_labels"),
         )
     elif kind == "rbf_gmm":
-        models = [
-            RbfModelSpec(
-                float(m.get("bias", 0.0)),
-                [RbfKernel(tuple(k["center"]), float(k["amplitude"]), float(k["width"]))
-                 for k in m["kernels"]],
-            )
-            for m in scores_block["models"]
-        ]
-        g = scores_block["gmm"]
-        gmm = GmmPopulationSpec(
-            [GmmComponent(float(c["weight"]), tuple(c["mean"]), c["covariance"])
-             for c in g["components"]],
-            k_types=int(g["k_types"]),
-            dx=float(g.get("dx", 0.0)),
-            seed=int(g.get("seed", 0)),
-            sample_size=int(g.get("sample_size", 10_000)),
-        )
-        population, anchors = gmm_population(gmm)
-        scores = rbf_scores(models, anchors, model_labels=scores_block.get("model_labels"))
+        population, scores = rbf_gmm_instance(scores_block, "scores", scores_block.get("model_labels"))
     else:
         raise ConfigError(f"unknown fixture score derivation {kind!r}")
     if population is None:
         raise ConfigError("fixture record has no population")
-    return GameSpec(scores, population, int(record["n_platforms"]), _choice_from(record.get("choice")))
+    choice = choice_from_block(record.get("choice")) or ChoiceRule.hardmax()
+    return GameSpec(scores, population, int(record["n_platforms"]), choice)
 
 
 def builtin_instance(name: str) -> Fixture:

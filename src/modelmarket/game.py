@@ -4,8 +4,9 @@ A game instance is a score matrix (one expected-quality row per model, one
 column per user type), a weighted finite user population, a platform count N,
 and a user choice rule (hardmax or softmax).  Given a strategy profile -- the
 vector of model indices chosen by the N platforms -- this module computes user
-allocations, platform utilities, per-model average scores, and the deviation
-advantage terms that decompose utility as U_i = (T + delta) / N.
+allocations, platform utilities, per-model average scores, the deviation
+advantage terms that decompose utility as U_i = (T + delta) / N, and the
+utility of every model for one platform against fixed rivals.
 
 Everything here is a pure function of immutable inputs.  Score arrays are
 frozen on construction, so values can be shared freely across threads.
@@ -32,6 +33,7 @@ __all__ = [
     "allocate_softmax",
     "allocate",
     "platform_utilities",
+    "deviation_values",
     "average_scores",
     "deviation_advantage",
     "deviation_advantage_soft",
@@ -197,11 +199,13 @@ class StrategyProfile:
 
 def as_profile(spec: GameSpec, profile) -> tuple[int, ...]:
     """Normalize a profile-like input to a validated tuple of model indices."""
+    return _model_indices(spec, profile, spec.n_platforms)
+
+
+def _model_indices(spec: GameSpec, profile, n: int) -> tuple[int, ...]:
     choices = tuple(int(c) for c in (profile.choices if isinstance(profile, StrategyProfile) else profile))
-    if len(choices) != spec.n_platforms:
-        raise InvalidProfileError(
-            f"profile has {len(choices)} entries for {spec.n_platforms} platforms"
-        )
+    if len(choices) != n:
+        raise InvalidProfileError(f"profile has {len(choices)} entries for {n} platforms")
     for c in choices:
         if not 0 <= c < spec.n_models:
             raise InvalidProfileError(f"model index {c} out of range [0, {spec.n_models})")
@@ -271,6 +275,33 @@ def platform_utilities(spec: GameSpec, profile) -> np.ndarray:
     chosen = _chosen_scores(spec, prof)
     p = allocate(spec, prof).p
     return (p * chosen) @ spec.population.weights
+
+
+def deviation_values(spec: GameSpec, others) -> np.ndarray:
+    """Utility of every model (shape (M,)) for one platform facing the N-1 rivals ``others``.
+
+    Entry g equals ``platform_utilities(spec, (g,) + others)[0]`` up to float
+    rounding.  The rivals enter only through one summary per user type: under
+    hardmax their best score and how many of them tie on it (a model beating
+    it takes the type, a tying one an equal share); under softmax the sum of
+    their exponentials, shifted per model by max(S_g, rivals' max) / tau so
+    that no share underflows to 0/0 at small tau.
+    """
+    s = spec.scores.scores
+    rivals = s[list(_model_indices(spec, others, spec.n_platforms - 1))]
+    if spec.choice.kind == "hardmax":
+        top = rivals.max(axis=0, initial=-np.inf)
+        ties = (rivals == top).sum(axis=0)
+        share = np.where(s > top, 1.0, np.where(s == top, 1.0 / (ties + 1), 0.0))
+    else:
+        z = s / spec.choice.tau
+        rival_z = rivals / spec.choice.tau
+        rival_max = rival_z.max(axis=0, initial=-np.inf)
+        shift = np.maximum(z, rival_max)
+        own = np.exp(z - shift)
+        rest = np.exp(rival_z - rival_max).sum(axis=0) * np.exp(rival_max - shift)
+        share = own / (own + rest)
+    return (share * s) @ spec.population.weights
 
 
 def average_scores(spec: GameSpec) -> np.ndarray:

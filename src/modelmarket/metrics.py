@@ -211,32 +211,9 @@ def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -
         raise InvalidInstanceError("base profile is not a pure Nash equilibrium")
     extended_spec = spec.with_platforms(spec.n_platforms + 1)
     extended = prof + (int(entrant_model),)
-    entrant_idx = spec.n_platforms
-
-    base_util = game.platform_utilities(extended_spec, extended)
-    entrant_is_best = True
-    for g in range(spec.n_models):
-        if g == entrant_model:
-            continue
-        alt = prof + (g,)
-        if game.platform_utilities(extended_spec, alt)[entrant_idx] > base_util[entrant_idx] + IMPROVEMENT_EPS:
-            entrant_is_best = False
-            break
-    incumbents_stable = True
-    for i in range(spec.n_platforms):
-        for g in range(spec.n_models):
-            if g == extended[i]:
-                continue
-            dev = extended[:i] + (g,) + extended[i + 1:]
-            if game.platform_utilities(extended_spec, dev)[i] > base_util[i] + IMPROVEMENT_EPS:
-                incumbents_stable = False
-                break
-        if not incumbents_stable:
-            break
-
+    is_eq = verify_pne(extended_spec, extended).is_pne
     welfare_delta = coverage_value(extended_spec, extended) - coverage_value(spec, prof)
     support_delta = len(set(extended)) - len(set(prof))
-    is_eq = entrant_is_best and incumbents_stable
     if is_eq:
         assert welfare_delta >= -IMPROVEMENT_EPS, "entry lowered welfare at an equilibrium"
         assert support_delta >= 0, "entry lowered support"

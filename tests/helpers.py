@@ -8,7 +8,24 @@ import itertools
 import numpy as np
 
 from modelmarket.entry import EntryDataset, OpponentPool, RewardTable
-from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
+from modelmarket.equilibrium import (
+    DEFAULT_PROFILE_BUDGET,
+    IMPROVEMENT_EPS,
+    Deviation,
+    EquilibriumClassification,
+    PneCheck,
+    classify_profile,
+)
+from modelmarket.errors import BudgetExceededError
+from modelmarket.game import (
+    ChoiceRule,
+    GameSpec,
+    ScoreMatrix,
+    StrategyProfile,
+    UserPopulation,
+    as_profile,
+    platform_utilities,
+)
 
 
 def random_spec(rng: np.random.Generator, max_models: int = 6, max_platforms: int = 4,
@@ -51,6 +68,101 @@ def brute_force_social_optimum(spec: GameSpec) -> float:
     for prof in itertools.product(range(spec.n_models), repeat=spec.n_platforms):
         best = max(best, brute_force_coverage(spec, prof))
     return float(best)
+
+
+# ---------------------------------------------------------------------------
+# profile-by-profile reference solvers: every profile and every deviation is
+# evaluated with full per-profile utilities, independently of
+# ``game.deviation_values`` and of the multiset reduction
+# ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 15
+
+
+def _decode_profiles(m: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Lexicographic profile block: index -> digit vector, leftmost most significant."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((idx.shape[0], n), dtype=np.int64)
+    for pos in range(n - 1, -1, -1):
+        out[:, pos] = idx % m
+        idx = idx // m
+    return out
+
+
+def _batch_utilities(spec: GameSpec, profs: np.ndarray) -> np.ndarray:
+    """Utilities for a (B, N) block of profiles, returned as (B, N)."""
+    s = spec.scores.scores
+    w = spec.population.weights
+    chosen = s[profs]  # (B, N, K)
+    if spec.choice.kind == "hardmax":
+        top = chosen.max(axis=1, keepdims=True)
+        winners = chosen == top
+        p = winners / winners.sum(axis=1, keepdims=True)
+    else:
+        z = chosen / spec.choice.tau
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=1, keepdims=True)
+    return (p * chosen) @ w
+
+
+def reference_enumerate_pne(
+    spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET
+) -> list[tuple[StrategyProfile, EquilibriumClassification]]:
+    """All pure Nash equilibria of the instance, in lexicographic profile order."""
+    m, n = spec.n_models, spec.n_platforms
+    total = m ** n
+    if total > budget:
+        raise BudgetExceededError(
+            f"enumeration needs {total} profiles but the budget is {budget}",
+            required=total,
+            budget=budget,
+        )
+    found: list[tuple[StrategyProfile, EquilibriumClassification]] = []
+    for start in range(0, total, _CHUNK):
+        profs = _decode_profiles(m, n, start, min(start + _CHUNK, total))
+        base = _batch_utilities(spec, profs)
+        stable = np.ones(profs.shape[0], dtype=bool)
+        for i in range(n):
+            for g in range(m):
+                dev = profs.copy()
+                dev[:, i] = g
+                gain = _batch_utilities(spec, dev)[:, i] - base[:, i]
+                np.logical_and(stable, gain <= IMPROVEMENT_EPS, out=stable)
+            if not stable.any():
+                break
+        for row in profs[stable]:
+            prof = StrategyProfile(row)
+            found.append((prof, classify_profile(spec, prof)))
+    return found
+
+
+def reference_verify_pne(spec: GameSpec, profile) -> PneCheck:
+    """PNE check with one full utility evaluation per unilateral deviation."""
+    prof = as_profile(spec, profile)
+    base = platform_utilities(spec, prof)
+    for i in range(spec.n_platforms):
+        for g in range(spec.n_models):
+            if g == prof[i]:
+                continue
+            dev = prof[:i] + (g,) + prof[i + 1:]
+            gain = float(platform_utilities(spec, dev)[i] - base[i])
+            if gain > IMPROVEMENT_EPS:
+                return PneCheck(False, Deviation(i, g, gain))
+    return PneCheck(True)
+
+
+def reference_best_response(spec: GameSpec, profile, platform: int) -> int:
+    """Best response with one full utility evaluation per candidate model."""
+    prof = as_profile(spec, profile)
+    values = np.empty(spec.n_models)
+    for g in range(spec.n_models):
+        dev = prof[:platform] + (g,) + prof[platform + 1:]
+        values[g] = platform_utilities(spec, dev)[platform]
+    best = float(values.max())
+    if values[prof[platform]] >= best - IMPROVEMENT_EPS:
+        return prof[platform]
+    return int(np.argmax(values >= best - IMPROVEMENT_EPS))
 
 
 @dataclass(frozen=True)

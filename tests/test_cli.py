@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 import json
 
+import numpy as np
 import pytest
 
 from modelmarket.cli import main
@@ -93,6 +94,26 @@ class TestRun:
         monkeypatch.setenv("MODELMARKET_OUT", str(tmp_path / "via_env"))
         assert main(["run", "--config", cfg]) == 0
         assert (tmp_path / "via_env" / "envd_summary.json").exists()
+
+    def test_optimum_over_budget_still_writes_the_summary(self, tmp_path):
+        # C(50 + 10 - 1, 10) multisets exceed the optimum's budget of 10^7
+        rng = np.random.default_rng(4)
+        instance = _write_config(tmp_path, {
+            "scores": rng.uniform(0.0, 1.0, size=(50, 4)).tolist(),
+            "weights": [0.25, 0.25, 0.25, 0.25],
+            "n_platforms": 10,
+        }, name="wide.json")
+        cfg = _write_config(tmp_path, {
+            "instance": {"file": instance},
+            "dynamics": {"seed": 2, "max_steps": 200},
+            "output": {"prefix": "wide"},
+        })
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = _read_json(tmp_path / "wide_summary.json")
+        assert summary["social_optimum"] is None
+        assert "62828356305 multisets" in summary["social_optimum_note"]
+        assert summary["pne"] is None
+        assert (tmp_path / "wide_steps.csv").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path, {
@@ -310,6 +331,42 @@ class TestConfigValidation:
         })
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "unknown sweep axis" in capsys.readouterr().err
+
+    def test_missing_kernel_key_names_its_block(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {
+            "instance": {"synthetic": {
+                "models": [{"kernels": [{"center": [0.5, 0.5], "amplitude": 0.5}]}],
+                "gmm": {"components": [{"weight": 1.0, "mean": [0.5, 0.5],
+                                        "covariance": [[0.01, 0.0], [0.0, 0.01]]}],
+                        "k_types": 2, "sample_size": 50},
+                "n_platforms": 2,
+            }},
+        })
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "missing 'width' in the kernel block" in capsys.readouterr().err
+
+    def test_unknown_training_param_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {
+            "instance": {"builtin": "fig2_a"},
+            "training": {
+                "outcomes": ["x0", "x1"],
+                "rewards": [[0.5, 0.5], [0.2, 0.8]],
+                "dataset": {"counts": [1, 1]},
+                "params": {"betta": 2.0},
+            },
+        })
+        assert main(["entry", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "unknown key 'betta' in the training.params block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_rejected(self, tmp_path, capsys, jobs):
+        cfg = _write_config(tmp_path, {
+            "instance": {"builtin": "fig3_b"},
+            "sweep": {"axis": "models", "values": [2], "repetitions": 1},
+        })
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_entry_rewards_must_match_population(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {

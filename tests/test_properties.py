@@ -3,6 +3,9 @@
 ``run_property_suite`` draws seeded random instances (scores in [0, 1],
 M <= 6, N <= 4, K <= 6) and checks every structural identity on each one;
 the acceptance tests run it at full width, the tests here at a smaller count.
+The solvers are also checked against the profile-by-profile reference
+solvers in ``helpers``, on instances with exact ties, M=1, N=1, and softmax
+at temperatures where the exponentials underflow or flatten.
 """
 
 import numpy as np
@@ -19,10 +22,21 @@ from modelmarket.game import (
     deviation_advantage_soft,
     platform_utilities,
 )
-from modelmarket.equilibrium import enumerate_pne, pair_delta, run_dynamics, verify_pne
+from modelmarket.equilibrium import (
+    best_response,
+    enumerate_pne,
+    pair_delta,
+    run_dynamics,
+    verify_pne,
+)
 from modelmarket.metrics import coverage_value, social_optimum, user_welfare
 
-from helpers import random_spec
+from helpers import (
+    random_spec,
+    reference_best_response,
+    reference_enumerate_pne,
+    reference_verify_pne,
+)
 
 
 def run_property_suite(n_instances: int, seed: int = 2024) -> int:
@@ -86,3 +100,49 @@ def test_property_suite_small():
 def test_property_suite_catches_seed_variation():
     # different seeds explore different instances but the suite stays green
     assert run_property_suite(50, seed=7) == 50
+
+
+ORACLE_CHOICES = (ChoiceRule.hardmax(), ChoiceRule.softmax(1e-4), ChoiceRule.softmax(0.05),
+                  ChoiceRule.softmax(1e3))
+ORACLE_SHAPES = ("plain", "duplicated_rows", "one_model", "one_platform")
+
+
+def oracle_instance(rng: np.random.Generator, index: int) -> tuple[GameSpec, str]:
+    """Every choice rule meets every shape once per 16 consecutive indices."""
+    spec = random_spec(rng, max_models=6, max_platforms=4, max_types=6,
+                       choice=ORACLE_CHOICES[index % 4])
+    shape = ORACLE_SHAPES[(index // 4) % 4]
+    if shape == "duplicated_rows":
+        scores = np.array(spec.scores.scores)
+        if spec.n_models == 1:
+            scores = np.vstack([scores, scores])
+        src, dst = rng.choice(scores.shape[0], size=2, replace=False)
+        scores[dst] = scores[src]  # exact ties between two models on every type
+        spec = GameSpec(ScoreMatrix(scores), spec.population, spec.n_platforms, spec.choice)
+    elif shape == "one_model":
+        spec = spec.with_models(1)
+    elif shape == "one_platform":
+        spec = spec.with_platforms(1)
+    return spec, shape
+
+
+def test_solvers_match_the_profile_by_profile_reference():
+    rng = np.random.default_rng(31)
+    seen = set()
+    for index in range(320):
+        spec, shape = oracle_instance(rng, index)
+        seen.add((shape, spec.choice.tau))
+        pne = enumerate_pne(spec)
+        assert pne == reference_enumerate_pne(spec), index
+        starts = [tuple(int(x) for x in rng.integers(0, spec.n_models, spec.n_platforms))
+                  for _ in range(3)]
+        for prof in starts + [p.choices for p, _ in pne[:2]]:
+            for i in range(spec.n_platforms):
+                assert best_response(spec, prof, i) == reference_best_response(spec, prof, i), index
+            got, want = verify_pne(spec, prof), reference_verify_pne(spec, prof)
+            assert got.is_pne == want.is_pne, index
+            if not want.is_pne:
+                assert (got.witness.platform, got.witness.model) == (
+                    want.witness.platform, want.witness.model), index
+                assert abs(got.witness.gain - want.witness.gain) < 1e-12, index
+    assert seen == {(shape, c.tau) for shape in ORACLE_SHAPES for c in ORACLE_CHOICES}
