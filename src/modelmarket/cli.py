@@ -24,7 +24,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
@@ -62,6 +62,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+
+
+def _check_keys(block, known: Collection[str], name: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"the {name} block must be a JSON object")
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in the {name} block")
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +124,7 @@ def _draw_start(spec: GameSpec, seed: int) -> tuple[int, ...]:
 
 def _dynamics_params(cfg: dict, seed_override: int | None) -> tuple[Any, Any, int, int]:
     block = cfg.get("dynamics", {})
+    _check_keys(block, ("start", "order", "max_steps", "seed"), "dynamics")
     max_steps = int(block.get("max_steps", 1000))
     if max_steps < 1:
         raise ConfigError("dynamics.max_steps must be at least 1")
@@ -126,9 +135,20 @@ def _dynamics_params(cfg: dict, seed_override: int | None) -> tuple[Any, Any, in
 
 def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed: int,
                      sweep_axis: str = "", sweep_value: str = "", repetition: int = 0) -> list[dict]:
+    # dynamics revisit profiles (every silent turn repeats one), so each
+    # distinct profile is scored once
+    scored: dict[tuple[int, ...], dict] = {}
     rows = []
     for step in outcome.trajectory:
-        shares = market_shares(spec, step.profile_after)
+        profile = step.profile_after
+        if profile not in scored:
+            shares = market_shares(spec, profile)
+            scored[profile] = {
+                "profile": "|".join(spec.profile_labels(profile)),
+                "coverage": _fmt(coverage_value(spec, profile)),
+                "hhi": _fmt(shares.hhi),
+                "support": shares.support,
+            }
         rows.append({
             "run_id": run_id,
             "seed": seed,
@@ -138,11 +158,8 @@ def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed
             "step": step.index,
             "mover": step.mover + 1,
             "changed": int(step.changed),
-            "profile": "|".join(spec.profile_labels(step.profile_after)),
             "utilities": "|".join(_fmt(u) for u in step.utilities),
-            "coverage": _fmt(coverage_value(spec, step.profile_after)),
-            "hhi": _fmt(shares.hhi),
-            "support": shares.support,
+            **scored[profile],
         })
     return rows
 
@@ -244,8 +261,9 @@ def cmd_run(args) -> int:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_cells(cfg: dict, seed_override: int | None = None) -> list[dict]:
+def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
     sweep = require(cfg, "sweep", "top-level")
+    _check_keys(sweep, ("axis", "values", "repetitions", "seeds"), "sweep")
     axis = require(sweep, "axis", "sweep")
     if axis not in ("models", "platforms", "population"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -256,8 +274,6 @@ def _sweep_cells(cfg: dict, seed_override: int | None = None) -> list[dict]:
     seeds = sweep.get("seeds")
     if seeds is not None and len(seeds) != reps:
         raise ConfigError("sweep.seeds must list one seed per repetition")
-    base_seed = int(seed_override if seed_override is not None
-                    else cfg.get("dynamics", {}).get("seed", 0))
     cells = []
     for vi, value in enumerate(values):
         for rep in range(reps):
@@ -282,13 +298,8 @@ def _apply_axis(spec: GameSpec, axis: str, value) -> GameSpec:
     return GameSpec(spec.scores, population, spec.n_platforms, spec.choice)
 
 
-def _run_sweep_cell(payload: tuple[str, dict, dict]) -> tuple[list[dict], dict]:
-    config_path, cfg, cell = payload
-    spec, instance_name, _ = _build_instance(cfg, Path(config_path).parent)
-    spec = _apply_axis(spec, cell["axis"], cell["value"])
-    block = cfg.get("dynamics", {})
-    max_steps = int(block.get("max_steps", 1000))
-    order = block.get("order", "round_robin")
+def _run_sweep_cell(payload: tuple[GameSpec, str, Any, int, dict]) -> tuple[list[dict], dict]:
+    spec, instance_name, order, max_steps, cell = payload
     start = _draw_start(spec, cell["seed"])
     outcome = run_dynamics(spec, start, order=order, max_steps=max_steps)
     run_id = f"{instance_name}_{cell['axis']}_{cell['value_index']}_r{cell['repetition']}"
@@ -304,17 +315,21 @@ def _run_sweep_cell(payload: tuple[str, dict, dict]) -> tuple[list[dict], dict]:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    cells = _sweep_cells(cfg, args.seed)
-    payloads = [(args.config, cfg, cell) for cell in cells]
+    _, order, max_steps, seed = _dynamics_params(cfg, args.seed)
+    cells = _sweep_cells(cfg, seed)
+    # one instance build per sweep; every cell's spec is derived, and so
+    # validated, here before any cell runs
+    spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
+    payloads = [(_apply_axis(spec, cell["axis"], cell["value"]), instance_name, order,
+                 max_steps, cell) for cell in cells]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_sweep_cell, payloads))
     else:
         results = [_run_sweep_cell(p) for p in payloads]
-    # deterministic order regardless of executor scheduling
-    order = sorted(range(len(cells)), key=lambda i: (cells[i]["value_index"], cells[i]["repetition"]))
-    rows = [row for i in order for row in results[i][0]]
-    summaries = [results[i][1] for i in order]
+    # map keeps cell order, (value_index, repetition), with or without workers
+    rows = [row for cell_rows, _ in results for row in cell_rows]
+    summaries = [summary for _, summary in results]
     prefix = cfg.get("output", {}).get("prefix", "sweep")
     out = _out_dir(args, cfg)
     _write_csv(out / f"{prefix}_long.csv", STEP_COLUMNS, rows)
@@ -341,11 +356,9 @@ def _training_payload(cfg: dict) -> dict:
     )
     params = block.get("params", {})
     rename = {"lambda": "lam"}
-    kwargs = {rename.get(k, k): v for k, v in params.items()}
     known = {f.name for f in dataclasses.fields(entry_mod.TrainingConfig)}
-    for key in params:
-        if rename.get(key, key) not in known:
-            raise ConfigError(f"unknown key {key!r} in the training.params block")
+    _check_keys(params, known | set(rename), "training.params")
+    kwargs = {rename.get(k, k): v for k, v in params.items()}
     config = entry_mod.TrainingConfig(**kwargs)
     return {
         "method": block.get("method", "both"),
@@ -477,7 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the dynamics seed")
         p.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel sweep workers (only sweep uses it; run and entry ignore it)")
 
     p_run = sub.add_parser("run", help="run dynamics and metrics on one instance")
     add_common(p_run, True)

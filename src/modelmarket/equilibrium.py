@@ -249,6 +249,7 @@ def best_response(spec: GameSpec, profile, platform: int) -> int:
     best alternative; otherwise returns the lowest-index maximizer.
     """
     prof = as_profile(spec, profile)
+    game._check_platform(spec, platform)
     values = game.deviation_values(spec, prof[:platform] + prof[platform + 1:])
     best = float(values.max())
     if values[prof[platform]] >= best - IMPROVEMENT_EPS:

@@ -72,6 +72,10 @@ class UserPopulation:
         object.__setattr__(self, "type_labels", labels)
         object.__setattr__(self, "weights", w)
 
+    def __reduce__(self):
+        # rebuild through __init__ so the unpickled weights are frozen again
+        return UserPopulation, (self.type_labels, self.weights)
+
     @property
     def n_types(self) -> int:
         return len(self.type_labels)
@@ -109,6 +113,10 @@ class ScoreMatrix:
             raise InvalidInstanceError("model labels must be unique")
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "model_labels", labels)
+
+    def __reduce__(self):
+        # rebuild through __init__ so the unpickled scores are frozen again
+        return ScoreMatrix, (self.scores, self.model_labels)
 
     @property
     def n_models(self) -> int:

@@ -109,16 +109,21 @@ def coverage_value(spec: GameSpec, profile) -> float:
     """Population-weighted best available score under the profile.
 
     Cross-checked against the (1/N) * sum(T + delta) closed form on every
-    call; the two routes agreeing is a structural invariant.
+    call; the two routes agreeing is a structural invariant.  The hardmax
+    deltas of all N platforms come from one pass over the chosen rows: a
+    platform among the A tied per-type maximizers earns ((N - A) / A) * S,
+    any other -S.
     """
-    prof = as_profile(spec, profile)
-    best = spec.scores.scores[list(prof)].max(axis=0)
-    value = float(best @ spec.population.weights)
-    t = game.average_scores(spec)
-    decomposed = sum(
-        float(t[prof[i]]) + game.deviation_advantage(spec, prof, i)
-        for i in range(spec.n_platforms)
-    ) / spec.n_platforms
+    prof = list(as_profile(spec, profile))
+    chosen = spec.scores.scores[prof]
+    w = spec.population.weights
+    top = chosen.max(axis=0)
+    value = float(top @ w)
+    n = spec.n_platforms
+    winners = chosen == top
+    ties = winners.sum(axis=0)
+    z = np.where(winners, (n - ties) / ties * chosen, -chosen)
+    decomposed = float((game.average_scores(spec)[prof] + z @ w).sum()) / n
     if abs(value - decomposed) > _IDENTITY_TOL:
         raise AssertionError(
             f"coverage decomposition mismatch: {value!r} vs {decomposed!r}"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from modelmarket.cli import main
+import modelmarket.cli as cli_mod
 import modelmarket.fixtures as fixtures_mod
 
 
@@ -26,6 +27,18 @@ def _read_json(path):
 def _read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def _synthetic_block(n_models=3):
+    return {
+        "models": [{"bias": 0.1 * j,
+                    "kernels": [{"center": [0.2 + 0.3 * j, 0.5], "amplitude": 0.6, "width": 0.3}]}
+                   for j in range(n_models)],
+        "gmm": {"components": [{"weight": 1.0, "mean": [0.5, 0.5],
+                                "covariance": [[0.05, 0.0], [0.0, 0.05]]}],
+                "k_types": 4, "seed": 3, "sample_size": 200},
+        "n_platforms": 3,
+    }
 
 
 class TestRun:
@@ -187,6 +200,41 @@ class TestSweep:
         starts = {s["start"][0] + s["start"][1]
                   for s in _read_json(tmp_path / "serial" / "par_summary.json")}
         assert len(starts) > 1  # different seeds draw different start profiles
+
+    def test_instance_is_built_once_and_jobs_match_serial(self, tmp_path, monkeypatch):
+        builds = []
+        build = fixtures_mod.gmm_population
+        monkeypatch.setattr(fixtures_mod, "gmm_population",
+                            lambda spec: builds.append(1) or build(spec))
+        cfg = _write_config(tmp_path, {
+            "instance": {"synthetic": _synthetic_block()},
+            "dynamics": {"max_steps": 200, "seed": 4},
+            "sweep": {"axis": "models", "values": [1, 2, 3], "repetitions": 2},
+            "output": {"prefix": "syn"},
+        })
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        assert len(builds) == 1
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "jobs"), "--jobs", "2"]) == 0
+        for name in ("syn_long.csv", "syn_summary.json"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "jobs" / name).read_bytes()
+        assert [s["sweep_value"] for s in _read_json(tmp_path / "serial" / "syn_summary.json")] \
+            == [1, 1, 2, 2, 3, 3]
+
+    def test_every_cell_is_validated_before_any_runs(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        run = cli_mod.run_dynamics
+        monkeypatch.setattr(cli_mod, "run_dynamics",
+                            lambda *a, **k: runs.append(1) or run(*a, **k))
+        cfg = _write_config(tmp_path, {
+            "instance": {"builtin": "fig3_b"},
+            "sweep": {"axis": "models", "values": [2, 3, 9]},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "model-pool size 9 out of range" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
 
     def test_population_axis(self, tmp_path):
         cfg = _write_config(tmp_path, {
@@ -357,6 +405,32 @@ class TestConfigValidation:
         })
         assert main(["entry", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "unknown key 'betta' in the training.params block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, block, key", [
+        ("run", "dynamics", "max_step"),
+        ("sweep", "dynamics", "sed"),
+        ("sweep", "sweep", "repetition"),
+    ])
+    def test_unknown_block_key_rejected(self, tmp_path, capsys, command, block, key):
+        payload = {
+            "instance": {"builtin": "fig3_b"},
+            "dynamics": {"max_steps": 50},
+            "sweep": {"axis": "models", "values": [2]},
+        }
+        payload[block][key] = 1
+        cfg = _write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: unknown key {key!r} in the {block} block" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_block_that_is_not_an_object_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {
+            "instance": {"builtin": "fig3_b"},
+            "sweep": ["models", [2]],
+        })
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "the sweep block must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_rejected(self, tmp_path, capsys, jobs):

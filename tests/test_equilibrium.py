@@ -5,7 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from modelmarket.errors import BudgetExceededError, InvalidInstanceError, InvalidParameterError
+from modelmarket.errors import (
+    BudgetExceededError,
+    InvalidInstanceError,
+    InvalidParameterError,
+    InvalidProfileError,
+)
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 from modelmarket.equilibrium import (
@@ -122,6 +127,11 @@ class TestBestResponse:
     def test_tie_keeps_current_model(self):
         spec = GameSpec(ScoreMatrix([[0.5, 0.5], [0.5, 0.5]]), UserPopulation.uniform(2), 2)
         assert best_response(spec, (1, 0), 0) == 1
+
+    @pytest.mark.parametrize("platform", [2, -1, 5])
+    def test_platform_out_of_range_rejected(self, fig2a, platform):
+        with pytest.raises(InvalidProfileError, match=f"platform index {platform} out of range"):
+            best_response(fig2a, (0, 1), platform)
 
 
 class TestRunDynamics:

@@ -1,5 +1,7 @@
 """Allocation, utility, and decomposition checks against hand-worked values."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,15 @@ class TestValidation:
     def test_profile_wrong_length(self, c1):
         with pytest.raises(InvalidProfileError):
             platform_utilities(c1, (0, 1, 2))
+
+    def test_unpickled_spec_stays_frozen(self, c1):
+        copy = pickle.loads(pickle.dumps(c1))
+        assert not copy.scores.scores.flags.writeable
+        assert not copy.population.weights.flags.writeable
+        assert np.array_equal(copy.scores.scores, c1.scores.scores)
+        assert np.array_equal(copy.population.weights, c1.population.weights)
+        assert copy.scores.model_labels == c1.scores.model_labels
+        assert copy.population.type_labels == c1.population.type_labels
 
     def test_softmax_needs_positive_tau(self):
         with pytest.raises(InvalidParameterError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from modelmarket import game
 from modelmarket.errors import InvalidInstanceError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation, platform_utilities
@@ -62,6 +63,12 @@ class TestCoverage:
 
     def test_permutation_invariance(self, c7):
         assert coverage_value(c7, (1, 2)) == coverage_value(c7, (2, 1))
+
+    def test_decomposition_check_fires_on_a_perturbed_route(self, c7, monkeypatch):
+        exact = game.average_scores
+        monkeypatch.setattr(game, "average_scores", lambda spec: exact(spec) + 1e-9)
+        with pytest.raises(AssertionError, match="coverage decomposition mismatch"):
+            coverage_value(c7, (0, 1))
 
 
 class TestMarketShares:
