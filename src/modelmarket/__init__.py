@@ -24,15 +24,10 @@ from .game import (
     ChoiceRule,
     GameSpec,
     ScoreMatrix,
-    StrategyProfile,
     UserPopulation,
     allocate,
-    allocate_hardmax,
-    allocate_softmax,
     average_scores,
-    decomposed_utility,
     deviation_advantage,
-    deviation_advantage_soft,
     deviation_values,
     platform_utilities,
 )

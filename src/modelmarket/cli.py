@@ -24,7 +24,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Collection, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .equilibrium import DynamicsOutcome, enumerate_pne, run_dynamics
 from .metrics import coverage_value, market_shares, social_optimum, welfare_figures
 from .fixtures import (
     builtin_instance,
+    check_keys,
     choice_from_block,
     fixture_names,
     rbf_gmm_instance,
@@ -64,12 +65,12 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
-def _check_keys(block, known: Collection[str], name: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"the {name} block must be a JSON object")
-    for key in block:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in the {name} block")
+def _load_run_config(path: str) -> dict:
+    """A run configuration whose top level and ``output`` block are checked."""
+    cfg = _load_config(path)
+    check_keys(cfg, ("instance", "choice", "dynamics", "sweep", "training", "output"), "top-level")
+    check_keys(cfg.get("output", {}), ("dir", "prefix"), "output")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +97,7 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
     Instance file paths resolve relative to the config file's directory.
     """
     block = require(cfg, "instance", "top-level")
+    check_keys(block, ("builtin", "file", "synthetic"), "instance")
     sources = [k for k in ("builtin", "file", "synthetic") if k in block]
     if len(sources) != 1:
         raise ConfigError("instance block needs exactly one of: builtin, file, synthetic")
@@ -124,7 +126,7 @@ def _draw_start(spec: GameSpec, seed: int) -> tuple[int, ...]:
 
 def _dynamics_params(cfg: dict, seed_override: int | None) -> tuple[Any, Any, int, int]:
     block = cfg.get("dynamics", {})
-    _check_keys(block, ("start", "order", "max_steps", "seed"), "dynamics")
+    check_keys(block, ("start", "order", "max_steps", "seed"), "dynamics")
     max_steps = int(block.get("max_steps", 1000))
     if max_steps < 1:
         raise ConfigError("dynamics.max_steps must be at least 1")
@@ -186,7 +188,7 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed: int,
         summary["social_optimum_note"] = str(exc)
     try:
         pne = enumerate_pne(spec, budget=pne_budget)
-        summary["pne"] = [list(spec.profile_labels(p.choices)) for p, _ in pne]
+        summary["pne"] = [list(spec.profile_labels(p)) for p in pne]
         summary["pne_count"] = len(pne)
     except MarketGameError as exc:
         summary["pne"] = None
@@ -239,7 +241,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_run_config(args.config)
     spec, instance_name, notes = _build_instance(cfg, Path(args.config).parent)
     start_cfg, order, max_steps, seed = _dynamics_params(cfg, args.seed)
     start = tuple(start_cfg) if start_cfg is not None else _draw_start(spec, seed)
@@ -263,7 +265,7 @@ def cmd_run(args) -> int:
 
 def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
     sweep = require(cfg, "sweep", "top-level")
-    _check_keys(sweep, ("axis", "values", "repetitions", "seeds"), "sweep")
+    check_keys(sweep, ("axis", "values", "repetitions", "seeds"), "sweep")
     axis = require(sweep, "axis", "sweep")
     if axis not in ("models", "platforms", "population"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -314,7 +316,7 @@ def _run_sweep_cell(payload: tuple[GameSpec, str, Any, int, dict]) -> tuple[list
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_run_config(args.config)
     _, order, max_steps, seed = _dynamics_params(cfg, args.seed)
     cells = _sweep_cells(cfg, seed)
     # one instance build per sweep; every cell's spec is derived, and so
@@ -344,9 +346,13 @@ def cmd_sweep(args) -> int:
 
 def _training_payload(cfg: dict) -> dict:
     block = require(cfg, "training", "top-level")
+    check_keys(block, ("method", "estimator", "outcomes", "rewards", "dataset", "params",
+                       "n_platforms"), "training")
     outcomes = require(block, "outcomes", "training")
     rewards = entry_mod.RewardTable(require(block, "rewards", "training"))
     ds = require(block, "dataset", "training")
+    check_keys(ds, ("counts", "attributes", "attribute_labels", "type_preferences"),
+               "training.dataset")
     dataset = entry_mod.EntryDataset(
         outcomes,
         require(ds, "counts", "training.dataset"),
@@ -357,7 +363,7 @@ def _training_payload(cfg: dict) -> dict:
     params = block.get("params", {})
     rename = {"lambda": "lam"}
     known = {f.name for f in dataclasses.fields(entry_mod.TrainingConfig)}
-    _check_keys(params, known | set(rename), "training.params")
+    check_keys(params, known | set(rename), "training.params")
     kwargs = {rename.get(k, k): v for k, v in params.items()}
     config = entry_mod.TrainingConfig(**kwargs)
     return {
@@ -384,7 +390,7 @@ def _entry_market_section(report: entry_mod.EntrantReport) -> dict:
 
 
 def cmd_entry(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_run_config(args.config)
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
     payload = _training_payload(cfg)
     if spec.population.n_types != payload["rewards"].n_types:
@@ -403,7 +409,7 @@ def cmd_entry(args) -> int:
             "beta", "gamma", "lam", "outer_rounds", "inner_epochs", "eval_budget",
             "learning_rate", "baseline_decay", "blend", "seed")},
         "pre_entry": {
-            "pne": [list(base_spec.profile_labels(p.choices)) for p, _ in base_pne],
+            "pne": [list(base_spec.profile_labels(p)) for p in base_pne],
             "social_optimum": social_optimum(base_spec).value,
         },
     }

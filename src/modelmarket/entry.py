@@ -45,7 +45,6 @@ __all__ = [
     "grad_s_exact",
     "grad_f_exact",
     "grad_s_reinforce",
-    "grad_s_pathwise",
     "resample_weights",
     "train_resampling",
     "train_direct_gradient",
@@ -335,18 +334,6 @@ def grad_s_reinforce(gen: ToyGenerator, rewards: RewardTable, type_index: int,
     return grad
 
 
-def grad_s_pathwise(gen: ToyGenerator, rewards: RewardTable, type_index: int) -> np.ndarray:
-    """Reparameterized score gradient for the finite-outcome generator.
-
-    With a finite outcome set the distribution itself is the differentiable
-    object, so pushing gradients through a reparameterized sampler coincides
-    with the exact expectation gradient; this is a documented alias of
-    ``grad_s_exact``.  Differentiating through continuous samplers (e.g.
-    image generators) is out of scope.
-    """
-    return grad_s_exact(gen, rewards, type_index)
-
-
 # ---------------------------------------------------------------------------
 # resampling scheme
 # ---------------------------------------------------------------------------
@@ -572,7 +559,7 @@ def evaluate_entrant(entrant: ToyGenerator, rewards: RewardTable, population: Us
     )
     spec = GameSpec(stacked, population, n_platforms, choice or ChoiceRule.hardmax())
     entrant_index = incumbents.n_models
-    pne = tuple(p.choices for p, _ in enumerate_pne(spec))
+    pne = tuple(enumerate_pne(spec))
     outcome = run_dynamics(spec, tuple(start) if start is not None else (0,) * n_platforms,
                            max_steps=max_steps)
     adopted = any(entrant_index in p for p in pne)

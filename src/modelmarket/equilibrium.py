@@ -8,15 +8,21 @@ is within the threshold of the best alternative.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInstanceError, InvalidParameterError
+from .errors import (
+    BudgetExceededError,
+    InvalidInstanceError,
+    InvalidParameterError,
+    InvalidProfileError,
+)
 from . import game
-from .game import GameSpec, StrategyProfile, as_profile
+from .game import GameSpec, as_profile
 
 __all__ = [
     "IMPROVEMENT_EPS",
@@ -190,10 +196,8 @@ def classify_profile(spec: GameSpec, profile) -> EquilibriumClassification:
     return EquilibriumClassification(distinct, label)
 
 
-def enumerate_pne(
-    spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET
-) -> list[tuple[StrategyProfile, EquilibriumClassification]]:
-    """All pure Nash equilibria of the instance, in lexicographic profile order.
+def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[tuple[int, ...]]:
+    """All pure Nash equilibrium profiles of the instance, in lexicographic order.
 
     Platforms are interchangeable, so a profile is an equilibrium exactly when
     its model multiset is.  Each multiset is tested once, one distinct model at
@@ -220,7 +224,7 @@ def enumerate_pne(
                for g, k in _first_positions(multiset)):
             found.extend(_orderings(multiset))
     found.sort()
-    return [(StrategyProfile(p), classify_profile(spec, p)) for p in found]
+    return found
 
 
 def _first_positions(multiset: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -249,7 +253,8 @@ def best_response(spec: GameSpec, profile, platform: int) -> int:
     best alternative; otherwise returns the lowest-index maximizer.
     """
     prof = as_profile(spec, profile)
-    game._check_platform(spec, platform)
+    if not 0 <= platform < spec.n_platforms:
+        raise InvalidProfileError(f"platform index {platform} out of range [0, {spec.n_platforms})")
     values = game.deviation_values(spec, prof[:platform] + prof[platform + 1:])
     best = float(values.max())
     if values[prof[platform]] >= best - IMPROVEMENT_EPS:
@@ -274,10 +279,19 @@ def run_dynamics(
     if max_steps < 1:
         raise InvalidParameterError("max_steps must be at least 1")
     start_prof = as_profile(spec, start)
-    if order == "round_robin":
+    if isinstance(order, str):
+        if order != "round_robin":
+            raise InvalidParameterError(
+                f"unknown mover order {order!r}: give 'round_robin' or a list of platform indices"
+            )
         mover_order: tuple[int, ...] = tuple(range(spec.n_platforms))
     else:
-        mover_order = tuple(int(i) for i in order)
+        try:
+            mover_order = tuple(operator.index(i) for i in order)
+        except TypeError:
+            raise InvalidParameterError(
+                f"mover order must be a list of platform indices (got {order!r})"
+            ) from None
         for i in mover_order:
             if not 0 <= i < spec.n_platforms:
                 raise InvalidParameterError(f"mover index {i} out of range")
@@ -374,17 +388,17 @@ def check_differentiated_condition(spec: GameSpec, profile) -> ConditionReport:
     if spec.n_models < spec.n_platforms:
         raise InvalidInstanceError("needs at least as many models as platforms")
     t = game.average_scores(spec)
+    d_cur = game.deviation_advantage(spec, prof)
     rows = []
     holds = True
     for i in range(spec.n_platforms):
-        d_cur = game.deviation_advantage(spec, prof, i)
         for g in range(spec.n_models):
             if g == prof[i]:
                 continue
             dev = prof[:i] + (g,) + prof[i + 1:]
-            d_alt = game.deviation_advantage(spec, dev, i)
+            d_alt = game.deviation_advantage(spec, dev)[i]
             lhs = float(t[prof[i]] - t[g])
-            rhs = float(d_alt - d_cur)
+            rhs = float(d_alt - d_cur[i])
             rows.append(ConditionRow(i, prof[i], g, lhs, rhs))
             if lhs < rhs - IMPROVEMENT_EPS:
                 holds = False
@@ -404,7 +418,7 @@ def check_homogeneous_condition(spec: GameSpec, model: int) -> ConditionReport:
         if g == model:
             continue
         dev = (g,) + prof[1:]
-        d_alt = game.deviation_advantage(spec, dev, 0)
+        d_alt = game.deviation_advantage(spec, dev)[0]
         lhs = float(t[model] - t[g])
         rhs = float(d_alt)  # the homogeneous profile's own deviation advantage is 0
         rows.append(ConditionRow(0, model, g, lhs, rhs))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Collection
 
 from .errors import ConfigError
 from .game import (
@@ -99,10 +99,20 @@ def require(block: dict, key: str, where: str):
     return block[key]
 
 
+def check_keys(block, known: Collection[str], name: str) -> None:
+    """ConfigError unless ``block`` is a JSON object whose keys are all in ``known``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"the {name} block must be a JSON object")
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in the {name} block")
+
+
 def choice_from_block(block: dict | None) -> ChoiceRule | None:
     """The choice rule a ``choice`` block names, or None when there is no block."""
     if block is None:
         return None
+    check_keys(block, ("kind", "tau"), "choice")
     kind = require(block, "kind", "choice")
     if kind == "hardmax":
         return ChoiceRule.hardmax()
@@ -202,7 +212,7 @@ def verify_fixture(fixture: Fixture | str) -> list[Check]:
 
     if "pne" in expected:
         want = [tuple(p) for p in expected["pne"]]
-        got = [p.choices for p, _ in eq.enumerate_pne(spec)]
+        got = eq.enumerate_pne(spec)
         add("pne_set", got == want, want, got)
 
     for prof, want_u, tol in expected.get("payoffs", []):

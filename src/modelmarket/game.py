@@ -27,17 +27,12 @@ __all__ = [
     "ScoreMatrix",
     "ChoiceRule",
     "GameSpec",
-    "StrategyProfile",
     "AllocationMatrix",
-    "allocate_hardmax",
-    "allocate_softmax",
     "allocate",
     "platform_utilities",
     "deviation_values",
     "average_scores",
     "deviation_advantage",
-    "deviation_advantage_soft",
-    "decomposed_utility",
 ]
 
 WEIGHT_TOL = 1e-9
@@ -189,29 +184,13 @@ class GameSpec:
         return tuple(self.scores.model_labels[i] for i in as_profile(self, profile))
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
-    """The vector of model indices chosen by the N platforms (0-based)."""
-
-    choices: tuple[int, ...]
-
-    def __init__(self, choices: Iterable[int]):
-        object.__setattr__(self, "choices", tuple(int(c) for c in choices))
-
-    def __len__(self) -> int:
-        return len(self.choices)
-
-    def __iter__(self):
-        return iter(self.choices)
-
-
 def as_profile(spec: GameSpec, profile) -> tuple[int, ...]:
     """Normalize a profile-like input to a validated tuple of model indices."""
     return _model_indices(spec, profile, spec.n_platforms)
 
 
 def _model_indices(spec: GameSpec, profile, n: int) -> tuple[int, ...]:
-    choices = tuple(int(c) for c in (profile.choices if isinstance(profile, StrategyProfile) else profile))
+    choices = tuple(int(c) for c in profile)
     if len(choices) != n:
         raise InvalidProfileError(f"profile has {len(choices)} entries for {n} platforms")
     for c in choices:
@@ -242,39 +221,21 @@ def _chosen_scores(spec: GameSpec, profile: tuple[int, ...]) -> np.ndarray:
     return spec.scores.scores[list(profile)]
 
 
-def allocate_hardmax(spec: GameSpec, profile) -> AllocationMatrix:
-    """Winner-take-type allocation; per-type ties split evenly.
+def allocate(spec: GameSpec, profile) -> AllocationMatrix:
+    """Per-platform, per-type user shares under the instance's choice rule.
 
-    Tie detection uses exact equality of the stored score values.
+    Hardmax gives each type to the platforms with its top score and splits
+    exact ties (equality of the stored score values) evenly; softmax shares
+    each type in proportion to exp(score / tau), stabilized per type.
     """
     prof = as_profile(spec, profile)
     chosen = _chosen_scores(spec, prof)
-    top = chosen.max(axis=0)
-    winners = chosen == top
-    return AllocationMatrix(winners / winners.sum(axis=0))
-
-
-def allocate_softmax(spec: GameSpec, profile, tau: float | None = None) -> AllocationMatrix:
-    """Share of each type proportional to exp(score / tau), stabilized per type."""
-    if tau is None:
-        if spec.choice.kind != "softmax":
-            raise InvalidParameterError("allocate_softmax needs a softmax choice rule or an explicit tau")
-        tau = spec.choice.tau
-    if tau is None or tau <= 0:
-        raise InvalidParameterError("tau must be > 0")
-    prof = as_profile(spec, profile)
-    chosen = _chosen_scores(spec, prof)
-    z = chosen / tau
-    z = z - z.max(axis=0)
-    e = np.exp(z)
-    return AllocationMatrix(e / e.sum(axis=0))
-
-
-def allocate(spec: GameSpec, profile) -> AllocationMatrix:
-    """Allocation under the instance's own choice rule."""
     if spec.choice.kind == "hardmax":
-        return allocate_hardmax(spec, profile)
-    return allocate_softmax(spec, profile)
+        winners = chosen == chosen.max(axis=0)
+        return AllocationMatrix(winners / winners.sum(axis=0))
+    z = chosen / spec.choice.tau
+    e = np.exp(z - z.max(axis=0))
+    return AllocationMatrix(e / e.sum(axis=0))
 
 
 def platform_utilities(spec: GameSpec, profile) -> np.ndarray:
@@ -317,60 +278,26 @@ def average_scores(spec: GameSpec) -> np.ndarray:
     return spec.scores.scores @ spec.population.weights
 
 
-def deviation_advantage(spec: GameSpec, profile, platform: int) -> float:
-    """Tie-aware competitive term for one platform under hardmax semantics.
+def deviation_advantage(spec: GameSpec, profile) -> np.ndarray:
+    """Competitive term of every platform (shape (N,)): U_i = (T_{f_i} + delta_i) / N.
 
-    Per type, the platform's model earns ((N - A) / A) * S when it is among
-    the A tied per-type maximizers and -S otherwise; the result is the
-    population-weighted sum.
+    Per type, under hardmax a platform among the A tied per-type maximizers
+    earns ((N - A) / A) * S and any other -S; under softmax, with stabilized
+    exponentials e and their sum E, a platform earns
+    ((N - 1) * e_i - (E - e_i)) / E * S.  Each delta is the population-weighted
+    sum over types.
     """
     prof = as_profile(spec, profile)
-    _check_platform(spec, platform)
     chosen = _chosen_scores(spec, prof)
-    top = chosen.max(axis=0)
-    ties = (chosen == top).sum(axis=0)
-    s_i = chosen[platform]
     n = spec.n_platforms
-    z = np.where(s_i == top, (n - ties) / ties * s_i, -s_i)
-    return float(z @ spec.population.weights)
-
-
-def deviation_advantage_soft(spec: GameSpec, profile, platform: int, tau: float | None = None) -> float:
-    """Softmax analogue of the deviation advantage, with stabilized exponentials."""
-    if tau is None:
-        if spec.choice.kind != "softmax":
-            raise InvalidParameterError("deviation_advantage_soft needs a softmax rule or an explicit tau")
-        tau = spec.choice.tau
-    if tau is None or tau <= 0:
-        raise InvalidParameterError("tau must be > 0")
-    prof = as_profile(spec, profile)
-    _check_platform(spec, platform)
-    chosen = _chosen_scores(spec, prof)
-    z = chosen / tau
-    z = z - z.max(axis=0)
-    e = np.exp(z)
-    total = e.sum(axis=0)
-    n = spec.n_platforms
-    coeff = ((n - 1) * e[platform] - (total - e[platform])) / total
-    return float((coeff * chosen[platform]) @ spec.population.weights)
-
-
-def decomposed_utility(spec: GameSpec, profile, platform: int) -> float:
-    """(T_{f_i} + delta_{f_i}) / N with the delta matching the choice rule.
-
-    Identical to ``platform_utilities(spec, profile)[platform]``; kept as a
-    separate route so the identity can be cross-checked.
-    """
-    prof = as_profile(spec, profile)
-    _check_platform(spec, platform)
-    t = float(average_scores(spec)[prof[platform]])
     if spec.choice.kind == "hardmax":
-        d = deviation_advantage(spec, prof, platform)
+        top = chosen.max(axis=0)
+        winners = chosen == top
+        ties = winners.sum(axis=0)
+        z = np.where(winners, (n - ties) / ties * chosen, -chosen)
     else:
-        d = deviation_advantage_soft(spec, prof, platform)
-    return (t + d) / spec.n_platforms
-
-
-def _check_platform(spec: GameSpec, platform: int) -> None:
-    if not 0 <= platform < spec.n_platforms:
-        raise InvalidProfileError(f"platform index {platform} out of range [0, {spec.n_platforms})")
+        scaled = chosen / spec.choice.tau
+        e = np.exp(scaled - scaled.max(axis=0))
+        total = e.sum(axis=0)
+        z = ((n - 1) * e - (total - e)) / total * chosen
+    return z @ spec.population.weights

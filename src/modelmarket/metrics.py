@@ -11,7 +11,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidInstanceError
 from . import game
 from .equilibrium import DynamicsOutcome, IMPROVEMENT_EPS, verify_pne
-from .game import GameSpec, as_profile
+from .game import ChoiceRule, GameSpec, as_profile
 
 __all__ = [
     "MarketShares",
@@ -27,7 +27,6 @@ __all__ = [
     "welfare_figures",
     "welfare_bound_check",
     "platform_entry_check",
-    "profile_metrics",
     "outcome_metrics",
 ]
 
@@ -109,21 +108,14 @@ def coverage_value(spec: GameSpec, profile) -> float:
     """Population-weighted best available score under the profile.
 
     Cross-checked against the (1/N) * sum(T + delta) closed form on every
-    call; the two routes agreeing is a structural invariant.  The hardmax
-    deltas of all N platforms come from one pass over the chosen rows: a
-    platform among the A tied per-type maximizers earns ((N - A) / A) * S,
-    any other -S.
+    call, with the hardmax deltas; the two routes agreeing is a structural
+    invariant.
     """
     prof = list(as_profile(spec, profile))
-    chosen = spec.scores.scores[prof]
-    w = spec.population.weights
-    top = chosen.max(axis=0)
-    value = float(top @ w)
-    n = spec.n_platforms
-    winners = chosen == top
-    ties = winners.sum(axis=0)
-    z = np.where(winners, (n - ties) / ties * chosen, -chosen)
-    decomposed = float((game.average_scores(spec)[prof] + z @ w).sum()) / n
+    value = float(spec.scores.scores[prof].max(axis=0) @ spec.population.weights)
+    hardmax = spec if spec.choice.kind == "hardmax" else spec.with_choice(ChoiceRule.hardmax())
+    delta = game.deviation_advantage(hardmax, prof)
+    decomposed = float((game.average_scores(spec)[prof] + delta).sum()) / spec.n_platforms
     if abs(value - decomposed) > _IDENTITY_TOL:
         raise AssertionError(
             f"coverage decomposition mismatch: {value!r} vs {decomposed!r}"
@@ -223,22 +215,6 @@ def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -
         assert welfare_delta >= -IMPROVEMENT_EPS, "entry lowered welfare at an equilibrium"
         assert support_delta >= 0, "entry lowered support"
     return EntryCheck(is_eq, float(welfare_delta), int(support_delta), extended)
-
-
-def profile_metrics(spec: GameSpec, profile, social_opt: float | None = None) -> MetricsRecord:
-    """Metrics of a single profile, treating its coverage as the welfare figure."""
-    prof = as_profile(spec, profile)
-    v = coverage_value(spec, prof)
-    shares = market_shares(spec, prof)
-    opt = social_optimum(spec).value if social_opt is None else social_opt
-    return MetricsRecord(
-        coverage=v,
-        welfare=v,
-        social_optimum=float(opt),
-        hhi=shares.hhi,
-        support=shares.support,
-        shares=shares.shares,
-    )
 
 
 def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome) -> MetricsRecord:

@@ -17,17 +17,15 @@ __all__ = ["PreferenceTable", "scores_from_preferences"]
 class PreferenceTable:
     """Per-type non-negative weights over a shared list of criteria.
 
-    ``normalized`` records the table's normalization policy: weight vectors
-    are used exactly as stored, and this flag documents whether they were
-    normalized to sum to 1 when the table was built.
+    Weight vectors are used exactly as stored; ``scores_from_preferences``
+    can normalize them.
     """
 
     criteria: tuple[str, ...]
     type_labels: tuple[str, ...]
     weights: np.ndarray  # K x C
-    normalized: bool = False
 
-    def __init__(self, criteria: Iterable[str], type_labels: Iterable[str], weights, normalized: bool = False):
+    def __init__(self, criteria: Iterable[str], type_labels: Iterable[str], weights):
         crit = tuple(str(c) for c in criteria)
         labels = tuple(str(t) for t in type_labels)
         w = _frozen_array(weights)
@@ -38,7 +36,6 @@ class PreferenceTable:
         object.__setattr__(self, "criteria", crit)
         object.__setattr__(self, "type_labels", labels)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "normalized", bool(normalized))
 
 
 def scores_from_preferences(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import math
 
 import numpy as np
 
@@ -12,16 +13,13 @@ from modelmarket.equilibrium import (
     DEFAULT_PROFILE_BUDGET,
     IMPROVEMENT_EPS,
     Deviation,
-    EquilibriumClassification,
     PneCheck,
-    classify_profile,
 )
 from modelmarket.errors import BudgetExceededError
 from modelmarket.game import (
     ChoiceRule,
     GameSpec,
     ScoreMatrix,
-    StrategyProfile,
     UserPopulation,
     as_profile,
     platform_utilities,
@@ -52,6 +50,30 @@ def brute_force_utilities(spec: GameSpec, profile) -> np.ndarray:
         winners = [i for i, v in enumerate(col) if v == top]
         for i in winners:
             out[i] += w[k] * col[i] / len(winners)
+    return out
+
+
+def brute_force_deviation_advantage(spec: GameSpec, profile) -> np.ndarray:
+    """Per-platform delta via an explicit per-type loop, either choice rule.
+
+    Per type, a platform with share p of the users and score S earns
+    (N * p - 1) * S: ((N - A) / A) * S among A tied hardmax winners, -S
+    otherwise.
+    """
+    s = spec.scores.scores
+    w = spec.population.weights
+    n = spec.n_platforms
+    out = np.zeros(n)
+    for k in range(spec.population.n_types):
+        col = [float(s[g, k]) for g in profile]
+        top = max(col)
+        if spec.choice.kind == "hardmax":
+            shares = [1.0 / col.count(top) if v == top else 0.0 for v in col]
+        else:
+            e = [math.exp((v - top) / spec.choice.tau) for v in col]
+            shares = [x / sum(e) for x in e]
+        for i in range(n):
+            out[i] += w[k] * (n * shares[i] - 1.0) * col[i]
     return out
 
 
@@ -108,8 +130,8 @@ def _batch_utilities(spec: GameSpec, profs: np.ndarray) -> np.ndarray:
 
 def reference_enumerate_pne(
     spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET
-) -> list[tuple[StrategyProfile, EquilibriumClassification]]:
-    """All pure Nash equilibria of the instance, in lexicographic profile order."""
+) -> list[tuple[int, ...]]:
+    """All pure Nash equilibrium profiles of the instance, in lexicographic order."""
     m, n = spec.n_models, spec.n_platforms
     total = m ** n
     if total > budget:
@@ -118,7 +140,7 @@ def reference_enumerate_pne(
             required=total,
             budget=budget,
         )
-    found: list[tuple[StrategyProfile, EquilibriumClassification]] = []
+    found: list[tuple[int, ...]] = []
     for start in range(0, total, _CHUNK):
         profs = _decode_profiles(m, n, start, min(start + _CHUNK, total))
         base = _batch_utilities(spec, profs)
@@ -131,9 +153,7 @@ def reference_enumerate_pne(
                 np.logical_and(stable, gain <= IMPROVEMENT_EPS, out=stable)
             if not stable.any():
                 break
-        for row in profs[stable]:
-            prof = StrategyProfile(row)
-            found.append((prof, classify_profile(spec, prof)))
+        found.extend(tuple(int(c) for c in row) for row in profs[stable])
     return found
 
 

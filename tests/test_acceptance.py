@@ -87,10 +87,10 @@ def test_criterion_02_differentiated_vs_homogeneous():
                    (1, 0): (0.40, 0.45), (1, 1): (0.4125, 0.4125)}
         for prof, want in payoffs.items():
             assert np.allclose(platform_utilities(a, prof), want, atol=1e-9)
-        assert [p.choices for p, _ in enumerate_pne(a)] == [(0, 1), (1, 0)]
+        assert enumerate_pne(a) == [(0, 1), (1, 0)]
 
         b = builtin_instance("fig2_b").spec
-        assert [p.choices for p, _ in enumerate_pne(b)] == [(1, 1)]
+        assert enumerate_pne(b) == [(1, 1)]
 
         report_a = check_differentiated_condition(a, (0, 1))
         report_b = check_differentiated_condition(b, (0, 1))
@@ -103,7 +103,7 @@ def test_criterion_03_model_pool_expansion_lowers_welfare():
     with criterion(3, "adding a strong third model homogenizes and drops welfare"):
         before = builtin_instance("fig2_a").spec
         after = builtin_instance("fig3_b").spec
-        assert [p.choices for p, _ in enumerate_pne(after)] == [(2, 2)]
+        assert enumerate_pne(after) == [(2, 2)]
         w_before = coverage_value(before, (0, 1))
         w_after = coverage_value(after, (2, 2))
         assert abs(w_before - 0.85) < 1e-9
@@ -125,7 +125,7 @@ def test_criterion_04_welfare_gap_instance():
 def test_criterion_05_platform_entry_counterexample():
     with criterion(5, "six-model platform-entry instance: equilibrium, cycle, welfare"):
         two = builtin_instance("c8_players_2").spec
-        assert [p.choices for p, _ in enumerate_pne(two)] == [(2, 5), (5, 2)]
+        assert enumerate_pne(two) == [(2, 5), (5, 2)]
         w_two = coverage_value(two, (2, 5))
 
         three = builtin_instance("c8_players_3").spec
@@ -178,14 +178,14 @@ def test_criterion_06_softmax_instance():
 def test_criterion_07_benchmark_table_pools():
     with criterion(7, "benchmark-derived pools: equilibria, support, HHI, welfare"):
         pool1 = builtin_instance("llm_pool1").spec
-        assert [p.choices for p, _ in enumerate_pne(pool1)] == [(3, 3, 3)]
+        assert enumerate_pne(pool1) == [(3, 3, 3)]
         shares1 = market_shares(pool1, (3, 3, 3))
         assert shares1.support == 1
         assert abs(shares1.hhi - 1 / 3) < 1e-4
         assert abs(coverage_value(pool1, (3, 3, 3)) - 0.65945) < 1e-4
 
         pool2 = builtin_instance("llm_pool2").spec
-        found = {p.choices for p, _ in enumerate_pne(pool2)}
+        found = set(enumerate_pne(pool2))
         assert found == {(3, 2, 2), (2, 3, 2), (2, 2, 3)}
         shares2 = market_shares(pool2, (3, 2, 2))
         assert abs(shares2.hhi - 0.375) < 1e-4

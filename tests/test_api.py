@@ -1,0 +1,77 @@
+"""The names other code binds: every module's ``__all__``, and the functions
+that ``benchmarks/tracer.py`` wraps together with the arguments its hooks read.
+
+The tracer is read as source, never imported, so a deletion or a renamed
+parameter in the package fails here instead of breaking a traced benchmark
+run.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import modelmarket
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+EXPORTING = [name for name in (f"modelmarket.{m.name}" for m in pkgutil.iter_modules(modelmarket.__path__))
+             if hasattr(importlib.import_module(name), "__all__")]
+
+
+def _assigned(tree: ast.Module, name: str) -> ast.expr:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise LookupError(f"{TRACER} assigns no {name}")
+
+
+def traced_functions() -> list[tuple[str, str, frozenset[str]]]:
+    """(layer, function, argument names its hook reads) for every entry of ``LAYERS``."""
+    tree = ast.parse(TRACER.read_text())
+    layers = ast.literal_eval(_assigned(tree, "LAYERS"))
+    hooks = _assigned(tree, "HOOKS")
+    hook_of = {ast.literal_eval(k): v.id for k, v in zip(hooks.keys, hooks.values)}
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    out = []
+    for layer, functions in layers.items():
+        for fname in functions:
+            reads = set()
+            hook = hook_of.get(f"{layer}.{fname}")
+            if hook is not None:
+                # hooks are called as hook(counts, bound_arguments, result, exc)
+                arguments = defs[hook].args.args[1].arg
+                for node in ast.walk(defs[hook]):
+                    if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                            and node.value.id == arguments):
+                        reads.add(ast.literal_eval(node.slice))
+            out.append((layer, fname, frozenset(reads)))
+    return out
+
+
+TRACED = traced_functions()
+
+
+@pytest.mark.parametrize("module_name", EXPORTING)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("layer, fname, reads", TRACED,
+                         ids=[f"{layer}.{fname}" for layer, fname, _ in TRACED])
+def test_traced_function_exists_with_the_arguments_its_hook_reads(layer, fname, reads):
+    function = getattr(importlib.import_module(f"modelmarket.{layer}"), fname, None)
+    assert callable(function), f"modelmarket.{layer}.{fname} is gone"
+    assert reads <= set(inspect.signature(function).parameters)
+
+
+def test_tracer_hooks_are_found():
+    # guards the source reading above: an empty parse would pass every case
+    reads = set().union(*(r for _, _, r in TRACED))
+    assert {"spec", "profile", "platform", "n_samples"} <= reads
+    assert ("game", "deviation_advantage") in {(layer, f) for layer, f, _ in TRACED}

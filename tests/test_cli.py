@@ -406,31 +406,78 @@ class TestConfigValidation:
         assert main(["entry", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "unknown key 'betta' in the training.params block" in capsys.readouterr().err
 
+    @staticmethod
+    def _every_block():
+        return {
+            "instance": {"builtin": "fig2_a"},
+            "choice": {"kind": "hardmax"},
+            "dynamics": {"max_steps": 50},
+            "sweep": {"axis": "models", "values": [2]},
+            "training": {
+                "outcomes": ["x0", "x1"],
+                "rewards": [[0.5, 0.5], [0.2, 0.8]],
+                "dataset": {"counts": [1, 1]},
+            },
+            "output": {"prefix": "p"},
+        }
+
     @pytest.mark.parametrize("command, block, key", [
         ("run", "dynamics", "max_step"),
         ("sweep", "dynamics", "sed"),
         ("sweep", "sweep", "repetition"),
+        ("run", "top-level", "choise"),
+        ("run", "instance", "buildin"),
+        ("run", "choice", "temperature"),
+        ("entry", "training", "estimater"),
+        ("entry", "training.dataset", "count"),
+        ("run", "output", "prefx"),
     ])
     def test_unknown_block_key_rejected(self, tmp_path, capsys, command, block, key):
-        payload = {
-            "instance": {"builtin": "fig3_b"},
-            "dynamics": {"max_steps": 50},
-            "sweep": {"axis": "models", "values": [2]},
-        }
-        payload[block][key] = 1
+        payload = self._every_block()
+        target = payload
+        for part in block.split(".") if block != "top-level" else ():
+            target = target[part]
+        target[key] = 1
         cfg = _write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"error: unknown key {key!r} in the {block} block" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_block_that_is_not_an_object_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, block, value", [
+        pytest.param("sweep", "sweep", ["models", [2]], id="sweep"),
+        pytest.param("run", "output", "runs", id="output"),
+        pytest.param("run", "instance", "fig2_a", id="instance"),
+        pytest.param("run", "choice", "softmax", id="choice"),
+        pytest.param("entry", "training", [], id="training"),
+        pytest.param("entry", "training.dataset", [1, 1], id="training.dataset"),
+        pytest.param("run", "top-level", [{"instance": {"builtin": "fig2_a"}}], id="top-level"),
+    ])
+    def test_block_that_is_not_an_object_rejected(self, tmp_path, capsys, command, block, value):
+        payload = self._every_block()
+        if block == "top-level":
+            payload = value
+        else:
+            *path, last = block.split(".")
+            parent = payload
+            for part in path:
+                parent = parent[part]
+            parent[last] = value
+        cfg = _write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: the {block} block must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_mover_order_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
-            "instance": {"builtin": "fig3_b"},
-            "sweep": ["models", [2]],
+            "instance": {"builtin": "c1_rps"},
+            "dynamics": {"order": "reverse"},
         })
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "the sweep block must be a JSON object" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: unknown mover order 'reverse'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_rejected(self, tmp_path, capsys, jobs):

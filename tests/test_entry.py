@@ -18,7 +18,6 @@ from modelmarket.entry import (
     evaluate_entrant,
     grad_f_exact,
     grad_s_exact,
-    grad_s_pathwise,
     grad_s_reinforce,
     objective_f,
     resample_weights,
@@ -191,14 +190,6 @@ class TestReinforceEstimator:
         assert baseline.values[0] == pytest.approx(0.1, abs=1e-12)  # 0.9*0 + 0.1*1
 
 
-class TestPathwiseAlias:
-    def test_identical_to_exact_gradient(self):
-        rng = np.random.default_rng(57)
-        labels, gen, rewards, population, pool = _random_setup(rng)
-        for k in range(3):
-            assert np.array_equal(grad_s_pathwise(gen, rewards, k), grad_s_exact(gen, rewards, k))
-
-
 class TestResampleWeights:
     def test_gate_disabled_at_zero_gamma(self, toy):
         s_lo = np.array([0.0, 0.0, 0.0])
@@ -364,7 +355,7 @@ class TestEvaluateEntrant:
         oracle_spec = GameSpec(
             ScoreMatrix(np.vstack([incumbents.scores, incumbents.scores[1]])),
             population, 2)
-        oracle_pne = {p.choices for p, _ in enumerate_pne(oracle_spec)}
+        oracle_pne = set(enumerate_pne(oracle_spec))
         assert set(report.pne) == oracle_pne
         # substituting the duplicate for the original leaves utilities unchanged
         for prof in report.pne:

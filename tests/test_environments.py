@@ -209,7 +209,7 @@ class TestFixtureRegistry:
         from modelmarket.equilibrium import enumerate_pne, verify_pne
         for name in fixture_names():
             spec = builtin_instance(name).spec
-            found = {p.choices for p, _ in enumerate_pne(spec)}
+            found = set(enumerate_pne(spec))
             brute = {
                 prof
                 for prof in itertools.product(range(spec.n_models), repeat=spec.n_platforms)

@@ -19,6 +19,7 @@ from modelmarket.equilibrium import (
     centralization_check,
     check_differentiated_condition,
     check_homogeneous_condition,
+    classify_profile,
     enumerate_pne,
     run_dynamics,
     softmax_pne_scan,
@@ -74,20 +75,19 @@ class TestVerifyPne:
 
 class TestEnumeratePne:
     def test_homogeneous_scenario(self, fig2b):
-        assert [p.choices for p, _ in enumerate_pne(fig2b)] == [(1, 1)]
-        label = enumerate_pne(fig2b)[0][1].label
-        assert label == "homogeneous"
+        assert enumerate_pne(fig2b) == [(1, 1)]
+        assert classify_profile(fig2b, (1, 1)).label == "homogeneous"
 
     def test_counterexample_is_empty(self, c1):
         assert enumerate_pne(c1) == []
 
     def test_three_model_extension(self, fig3b):
-        assert [p.choices for p, _ in enumerate_pne(fig3b)] == [(2, 2)]
+        assert enumerate_pne(fig3b) == [(2, 2)]
 
     def test_classification_of_differentiated_pair(self, fig2a):
         found = enumerate_pne(fig2a)
-        assert [p.choices for p, _ in found] == [(0, 1), (1, 0)]
-        assert all(c.label == "fully_differentiated" for _, c in found)
+        assert found == [(0, 1), (1, 0)]
+        assert all(classify_profile(fig2a, p).label == "fully_differentiated" for p in found)
 
     def test_budget_refusal_names_required_count(self, c1):
         with pytest.raises(BudgetExceededError) as err:
@@ -98,7 +98,7 @@ class TestEnumeratePne:
         rng = np.random.default_rng(20)
         for _ in range(25):
             spec = random_spec(rng, max_models=4, max_platforms=3, min_platforms=2)
-            found = {p.choices for p, _ in enumerate_pne(spec)}
+            found = set(enumerate_pne(spec))
             brute = {
                 prof
                 for prof in itertools.product(range(spec.n_models), repeat=spec.n_platforms)
@@ -110,7 +110,7 @@ class TestEnumeratePne:
         rng = np.random.default_rng(21)
         for _ in range(20):
             spec = random_spec(rng, max_platforms=3, min_platforms=2)
-            found = {p.choices for p, _ in enumerate_pne(spec)}
+            found = set(enumerate_pne(spec))
             for prof in found:
                 for perm in itertools.permutations(prof):
                     assert perm in found
@@ -178,6 +178,14 @@ class TestRunDynamics:
     def test_mover_order_must_cover_every_platform(self, c1):
         with pytest.raises(InvalidParameterError, match="cover every platform"):
             run_dynamics(c1, (0, 0), order=[0])
+
+    @pytest.mark.parametrize("order", ["10", "reverse", [0, "1"], [0.0, 1.0], 3],
+                             ids=["digit-string", "reverse", "string-mover", "float-movers",
+                                  "not-a-list"])
+    def test_mover_order_must_list_platform_indices(self, c1, order):
+        # "10" must not run as the movers (1, 0)
+        with pytest.raises(InvalidParameterError, match="mover order"):
+            run_dynamics(c1, (0, 0), order=order)
 
 
 class TestConditionCheckers:

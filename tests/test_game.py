@@ -12,16 +12,18 @@ from modelmarket.game import (
     GameSpec,
     ScoreMatrix,
     UserPopulation,
-    allocate_hardmax,
-    allocate_softmax,
+    allocate,
     average_scores,
-    decomposed_utility,
     deviation_advantage,
-    deviation_advantage_soft,
     platform_utilities,
 )
 
-from helpers import brute_force_utilities, random_spec
+from helpers import brute_force_deviation_advantage, brute_force_utilities, random_spec
+
+
+def decomposed_utility(spec, profile):
+    """(T_{f_i} + delta_i) / N for every platform: the second route to U."""
+    return (average_scores(spec)[list(profile)] + deviation_advantage(spec, profile)) / spec.n_platforms
 
 
 @pytest.fixture
@@ -82,25 +84,21 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             ChoiceRule.softmax(0.0)
 
-    def test_allocate_softmax_rejects_bad_tau(self, c1):
-        with pytest.raises(InvalidParameterError):
-            allocate_softmax(c1, (0, 1), tau=-1.0)
-
 
 class TestHardmaxAllocation:
     def test_counterexample_type_a_goes_to_model_1(self, c1):
         # theta_A scores 0.2 vs 0.1, so platform 1 takes the whole type
-        p = allocate_hardmax(c1, (0, 1)).p
+        p = allocate(c1, (0, 1)).p
         assert p[0, 0] == 1.0 and p[1, 0] == 0.0
 
     def test_single_platform_takes_everything(self, rng=np.random.default_rng(1)):
         spec = random_spec(rng, min_platforms=1, max_platforms=1)
-        p = allocate_hardmax(spec, [0]).p
+        p = allocate(spec, [0]).p
         assert np.array_equal(p, np.ones((1, spec.population.n_types)))
 
     def test_full_tie_splits_three_ways(self, c1):
         spec = c1.with_platforms(3)
-        p = allocate_hardmax(spec, (1, 1, 1)).p
+        p = allocate(spec, (1, 1, 1)).p
         assert np.allclose(p, 1 / 3)
 
     def test_columns_sum_to_one(self):
@@ -108,7 +106,7 @@ class TestHardmaxAllocation:
         for _ in range(50):
             spec = random_spec(rng, min_platforms=2)
             prof = rng.integers(0, spec.n_models, spec.n_platforms)
-            p = allocate_hardmax(spec, prof).p
+            p = allocate(spec, prof).p
             assert np.allclose(p.sum(axis=0), 1.0, atol=1e-9)
             assert np.all((p >= 0) & (p <= 1))
 
@@ -119,15 +117,14 @@ class TestHardmaxAllocation:
             scaled = GameSpec(ScoreMatrix(spec.scores.scores * c), spec.population,
                               spec.n_platforms, spec.choice)
             prof = rng.integers(0, spec.n_models, spec.n_platforms)
-            assert np.array_equal(allocate_hardmax(spec, prof).p,
-                                  allocate_hardmax(scaled, prof).p)
+            assert np.array_equal(allocate(spec, prof).p, allocate(scaled, prof).p)
 
 
 class TestSoftmaxAllocation:
     def test_equal_scores_split_evenly(self):
         spec = GameSpec(ScoreMatrix([[0.4, 0.7]]), UserPopulation(["a", "b"], [0.5, 0.5]),
                         2, ChoiceRule.softmax(0.3))
-        p = allocate_softmax(spec, (0, 0)).p
+        p = allocate(spec, (0, 0)).p
         assert np.allclose(p, 0.5)
 
     def test_small_tau_matches_hardmax_on_tie_free_instances(self):
@@ -138,15 +135,15 @@ class TestSoftmaxAllocation:
                 if spec.n_models >= spec.n_platforms else None
             if prof is None:
                 continue
-            hard = allocate_hardmax(spec, prof).p
-            soft = allocate_softmax(spec, prof, tau=1e-6).p
+            hard = allocate(spec, prof).p
+            soft = allocate(spec.with_choice(ChoiceRule.softmax(1e-6)), prof).p
             assert np.allclose(hard, soft, atol=1e-6)
 
     def test_large_tau_is_uniform(self):
         rng = np.random.default_rng(5)
         spec = random_spec(rng, min_platforms=3, max_platforms=3)
         prof = rng.integers(0, spec.n_models, 3)
-        p = allocate_softmax(spec, prof, tau=1e6).p
+        p = allocate(spec.with_choice(ChoiceRule.softmax(1e6)), prof).p
         assert np.allclose(p, 1 / 3, atol=1e-6)
 
     def test_homogeneous_softmax_utilities_halve_the_average_score(self, c9):
@@ -154,7 +151,7 @@ class TestSoftmaxAllocation:
         assert np.allclose(u, 0.39175, atol=1e-9)
 
     def test_no_overflow_at_tiny_tau(self, c9):
-        p = allocate_softmax(c9, (0, 2), tau=0.001).p
+        p = allocate(c9.with_choice(ChoiceRule.softmax(0.001)), (0, 2)).p
         assert np.all(np.isfinite(p))
 
 
@@ -198,18 +195,28 @@ class TestAverageScores:
 
 class TestDeviationAdvantage:
     def test_differentiated_instance_values(self, fig2a):
-        assert abs(deviation_advantage(fig2a, (0, 1), 0) - 0.275) < 1e-9
-        assert abs(deviation_advantage(fig2a, (0, 1), 1) - (-0.025)) < 1e-9
+        assert np.allclose(deviation_advantage(fig2a, (0, 1)), [0.275, -0.025], atol=1e-9)
 
     def test_worked_three_model_value(self, c7):
-        assert abs(deviation_advantage(c7, (0, 1), 0) - (-0.0372)) < 1e-9
+        assert abs(deviation_advantage(c7, (0, 1))[0] - (-0.0372)) < 1e-9
 
     def test_homogeneous_profile_is_zero(self):
         rng = np.random.default_rng(8)
         spec = random_spec(rng, min_platforms=3, max_platforms=3)
         m = int(rng.integers(spec.n_models))
-        for i in range(3):
-            assert deviation_advantage(spec, [m, m, m], i) == 0.0
+        assert np.array_equal(deviation_advantage(spec, [m, m, m]), np.zeros(3))
+
+    @pytest.mark.parametrize("choice", [ChoiceRule.hardmax(), ChoiceRule.softmax(0.05)])
+    def test_matches_per_type_loop(self, choice):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            spec = random_spec(rng, min_platforms=2, choice=choice)
+            scores = np.array(spec.scores.scores)
+            scores[-1] = scores[0]  # exact ties whenever both models are chosen
+            spec = GameSpec(ScoreMatrix(scores), spec.population, spec.n_platforms, choice)
+            prof = tuple(int(x) for x in rng.integers(0, spec.n_models, spec.n_platforms))
+            assert np.allclose(deviation_advantage(spec, prof),
+                               brute_force_deviation_advantage(spec, prof), rtol=0, atol=1e-12)
 
     def test_two_player_identity(self):
         # delta_ij + delta_ji equals the weighted absolute score gap
@@ -219,8 +226,7 @@ class TestDeviationAdvantage:
             if spec.n_models < 2:
                 continue
             i, j = rng.choice(spec.n_models, size=2, replace=False)
-            d_ij = deviation_advantage(spec, (int(i), int(j)), 0)
-            d_ji = deviation_advantage(spec, (int(i), int(j)), 1)
+            d_ij, d_ji = deviation_advantage(spec, (int(i), int(j)))
             gap = float(np.abs(spec.scores.scores[i] - spec.scores.scores[j])
                         @ spec.population.weights)
             assert abs(d_ij + d_ji - gap) < 1e-12
@@ -228,12 +234,11 @@ class TestDeviationAdvantage:
 
 class TestSoftDeviationAdvantage:
     def test_homogeneous_profile_is_zero(self, c9):
-        for i in range(2):
-            assert abs(deviation_advantage_soft(c9, (1, 1), i)) < 1e-15
+        assert np.all(np.abs(deviation_advantage(c9, (1, 1))) < 1e-15)
 
     def test_reproduces_reference_payoff(self, c9):
         t = average_scores(c9)
-        delta = deviation_advantage_soft(c9, (0, 1), 0)
+        delta = deviation_advantage(c9, (0, 1))[0]
         u = (t[0] + delta) / 2
         assert abs(u - 0.47634) < 5e-5
 
@@ -243,18 +248,16 @@ class TestSoftDeviationAdvantage:
             spec = random_spec(rng, min_platforms=2, choice=ChoiceRule.softmax(0.2))
             prof = tuple(rng.integers(0, spec.n_models, spec.n_platforms))
             u = platform_utilities(spec, prof)
-            t = average_scores(spec)
-            for i in range(spec.n_platforms):
-                lhs = spec.n_platforms * u[i] - t[prof[i]]
-                assert abs(lhs - deviation_advantage_soft(spec, prof, i)) < 1e-12
+            lhs = spec.n_platforms * u - average_scores(spec)[list(prof)]
+            assert np.all(np.abs(lhs - deviation_advantage(spec, prof)) < 1e-12)
 
 
 class TestDecomposedUtility:
     def test_counterexample_value(self, c1):
-        assert abs(decomposed_utility(c1, (1, 0), 0) - 0.2 / 3) < 1e-12
+        assert abs(decomposed_utility(c1, (1, 0))[0] - 0.2 / 3) < 1e-12
 
     def test_homogeneous_is_average_over_platforms(self, fig2a):
-        assert abs(decomposed_utility(fig2a, (1, 1), 0) - 0.825 / 2) < 1e-12
+        assert np.allclose(decomposed_utility(fig2a, (1, 1)), 0.825 / 2, atol=1e-12)
 
     @pytest.mark.parametrize("choice", [ChoiceRule.hardmax(), ChoiceRule.softmax(0.15)])
     def test_matches_direct_utilities(self, choice):
@@ -264,8 +267,7 @@ class TestDecomposedUtility:
             spec = random_spec(rng, min_platforms=2, choice=choice)
             prof = tuple(rng.integers(0, spec.n_models, spec.n_platforms))
             direct = platform_utilities(spec, prof)
-            for i in range(spec.n_platforms):
-                worst = max(worst, abs(decomposed_utility(spec, prof, i) - direct[i]))
+            worst = max(worst, float(np.abs(decomposed_utility(spec, prof) - direct).max()))
         assert worst < 1e-12
 
     def test_rescaling_scales_utilities(self):

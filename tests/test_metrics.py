@@ -214,7 +214,7 @@ class TestPlatformEntry:
             pnes = enumerate_pne(spec)
             if not pnes:
                 continue
-            base = pnes[0][0].choices
+            base = pnes[0]
             entrant = int(rng.integers(spec.n_models))
             check = platform_entry_check(spec, base, entrant)
             if check.is_equilibrium:
