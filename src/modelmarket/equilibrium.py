@@ -429,9 +429,9 @@ def check_homogeneous_condition(spec: GameSpec, model: int) -> ConditionReport:
 
 def pair_delta(spec: GameSpec, i: int, j: int) -> float:
     """Two-platform deviation advantage of model i against model j."""
-    s = spec.scores.scores
-    z = np.where(s[i] > s[j], s[i], np.where(s[i] < s[j], -s[i], 0.0))
-    return float(z @ spec.population.weights)
+    chosen = spec.scores.scores[[i, j]]
+    return float(game._deviation_advantage(game.ChoiceRule.hardmax(), chosen,
+                                           spec.population.weights)[0])
 
 
 def two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions:

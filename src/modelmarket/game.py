@@ -221,6 +221,21 @@ def _chosen_scores(spec: GameSpec, profile: tuple[int, ...]) -> np.ndarray:
     return spec.scores.scores[list(profile)]
 
 
+def _shares(choice: ChoiceRule, chosen: np.ndarray) -> np.ndarray:
+    """Raw N x K user shares of the chosen score rows under ``choice``."""
+    if choice.kind == "hardmax":
+        winners = chosen == chosen.max(axis=0)
+        return winners / winners.sum(axis=0)
+    z = chosen / choice.tau
+    e = np.exp(z - z.max(axis=0))
+    return e / e.sum(axis=0)
+
+
+def _deviation_advantage(choice: ChoiceRule, chosen: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per type a platform with share p and score S earns (N * p - 1) * S."""
+    return ((len(chosen) * _shares(choice, chosen) - 1.0) * chosen) @ weights
+
+
 def allocate(spec: GameSpec, profile) -> AllocationMatrix:
     """Per-platform, per-type user shares under the instance's choice rule.
 
@@ -228,22 +243,13 @@ def allocate(spec: GameSpec, profile) -> AllocationMatrix:
     exact ties (equality of the stored score values) evenly; softmax shares
     each type in proportion to exp(score / tau), stabilized per type.
     """
-    prof = as_profile(spec, profile)
-    chosen = _chosen_scores(spec, prof)
-    if spec.choice.kind == "hardmax":
-        winners = chosen == chosen.max(axis=0)
-        return AllocationMatrix(winners / winners.sum(axis=0))
-    z = chosen / spec.choice.tau
-    e = np.exp(z - z.max(axis=0))
-    return AllocationMatrix(e / e.sum(axis=0))
+    return AllocationMatrix(_shares(spec.choice, _chosen_scores(spec, as_profile(spec, profile))))
 
 
 def platform_utilities(spec: GameSpec, profile) -> np.ndarray:
     """U_i = sum_theta pi_theta * p_i(theta) * S_{f_i}(theta) for each platform."""
-    prof = as_profile(spec, profile)
-    chosen = _chosen_scores(spec, prof)
-    p = allocate(spec, prof).p
-    return (p * chosen) @ spec.population.weights
+    chosen = _chosen_scores(spec, as_profile(spec, profile))
+    return (_shares(spec.choice, chosen) * chosen) @ spec.population.weights
 
 
 def deviation_values(spec: GameSpec, others) -> np.ndarray:
@@ -281,23 +287,10 @@ def average_scores(spec: GameSpec) -> np.ndarray:
 def deviation_advantage(spec: GameSpec, profile) -> np.ndarray:
     """Competitive term of every platform (shape (N,)): U_i = (T_{f_i} + delta_i) / N.
 
-    Per type, under hardmax a platform among the A tied per-type maximizers
-    earns ((N - A) / A) * S and any other -S; under softmax, with stabilized
-    exponentials e and their sum E, a platform earns
-    ((N - 1) * e_i - (E - e_i)) / E * S.  Each delta is the population-weighted
-    sum over types.
+    With p_i(theta) the platform's share of type theta under the instance's
+    choice rule, delta_i = sum_theta pi_theta * (N * p_i(theta) - 1) * S_{f_i}(theta):
+    under hardmax ((N - A) / A) * S for each of A tied maximizers and -S for
+    any other platform.
     """
-    prof = as_profile(spec, profile)
-    chosen = _chosen_scores(spec, prof)
-    n = spec.n_platforms
-    if spec.choice.kind == "hardmax":
-        top = chosen.max(axis=0)
-        winners = chosen == top
-        ties = winners.sum(axis=0)
-        z = np.where(winners, (n - ties) / ties * chosen, -chosen)
-    else:
-        scaled = chosen / spec.choice.tau
-        e = np.exp(scaled - scaled.max(axis=0))
-        total = e.sum(axis=0)
-        z = ((n - 1) * e - (total - e)) / total * chosen
-    return z @ spec.population.weights
+    chosen = _chosen_scores(spec, as_profile(spec, profile))
+    return _deviation_advantage(spec.choice, chosen, spec.population.weights)

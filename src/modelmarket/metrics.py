@@ -112,9 +112,10 @@ def coverage_value(spec: GameSpec, profile) -> float:
     invariant.
     """
     prof = list(as_profile(spec, profile))
-    value = float(spec.scores.scores[prof].max(axis=0) @ spec.population.weights)
-    hardmax = spec if spec.choice.kind == "hardmax" else spec.with_choice(ChoiceRule.hardmax())
-    delta = game.deviation_advantage(hardmax, prof)
+    chosen = spec.scores.scores[prof]
+    weights = spec.population.weights
+    value = float(chosen.max(axis=0) @ weights)
+    delta = game._deviation_advantage(ChoiceRule.hardmax(), chosen, weights)
     decomposed = float((game.average_scores(spec)[prof] + delta).sum()) / spec.n_platforms
     if abs(value - decomposed) > _IDENTITY_TOL:
         raise AssertionError(

@@ -195,7 +195,7 @@ class TestAverageScores:
 
 class TestDeviationAdvantage:
     def test_differentiated_instance_values(self, fig2a):
-        assert np.allclose(deviation_advantage(fig2a, (0, 1)), [0.275, -0.025], atol=1e-9)
+        assert np.allclose(deviation_advantage(fig2a, (0, 1)), [0.275, -0.025], rtol=0, atol=1e-9)
 
     def test_worked_three_model_value(self, c7):
         assert abs(deviation_advantage(c7, (0, 1))[0] - (-0.0372)) < 1e-9
@@ -257,7 +257,7 @@ class TestDecomposedUtility:
         assert abs(decomposed_utility(c1, (1, 0))[0] - 0.2 / 3) < 1e-12
 
     def test_homogeneous_is_average_over_platforms(self, fig2a):
-        assert np.allclose(decomposed_utility(fig2a, (1, 1)), 0.825 / 2, atol=1e-12)
+        assert np.allclose(decomposed_utility(fig2a, (1, 1)), 0.825 / 2, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("choice", [ChoiceRule.hardmax(), ChoiceRule.softmax(0.15)])
     def test_matches_direct_utilities(self, choice):
