@@ -78,6 +78,8 @@ def _load_run_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _spec_from_file_block(block: dict) -> GameSpec:
+    check_keys(block, ("scores", "weights", "n_platforms", "model_labels", "type_labels", "choice"),
+               "instance file")
     scores = ScoreMatrix(require(block, "scores", "instance"), block.get("model_labels"))
     weights = require(block, "weights", "instance")
     labels = block.get("type_labels") or [f"t{i + 1}" for i in range(len(weights))]
@@ -87,6 +89,7 @@ def _spec_from_file_block(block: dict) -> GameSpec:
 
 
 def _spec_from_synthetic_block(block: dict) -> GameSpec:
+    check_keys(block, ("models", "gmm", "n_platforms"), "synthetic")
     population, scores = rbf_gmm_instance(block, "synthetic")
     return GameSpec(scores, population, int(require(block, "n_platforms", "synthetic")))
 

@@ -123,22 +123,32 @@ def choice_from_block(block: dict | None) -> ChoiceRule | None:
 
 def rbf_gmm_instance(block: dict, where: str,
                      model_labels: list[str] | None = None) -> tuple[UserPopulation, ScoreMatrix]:
-    """Population and scores of an RBF-model / GMM-population block."""
-    models = [
-        RbfModelSpec(
-            float(m.get("bias", 0.0)),
-            [RbfKernel(tuple(require(k, "center", "kernel")), float(require(k, "amplitude", "kernel")),
-                       float(require(k, "width", "kernel")))
-             for k in require(m, "kernels", f"{where} model")],
-        )
-        for m in require(block, "models", where)
-    ]
+    """Population and scores of an RBF-model / GMM-population block.
+
+    The caller checks the keys of ``block`` itself; the blocks nested in it
+    (models, kernels, ``gmm`` and its components) are checked here.
+    """
+    def model(m: dict) -> RbfModelSpec:
+        check_keys(m, ("bias", "kernels"), f"{where} model")
+        return RbfModelSpec(float(m.get("bias", 0.0)),
+                            [kernel(k) for k in require(m, "kernels", f"{where} model")])
+
+    def kernel(k: dict) -> RbfKernel:
+        check_keys(k, ("center", "amplitude", "width"), "kernel")
+        return RbfKernel(tuple(require(k, "center", "kernel")), float(require(k, "amplitude", "kernel")),
+                         float(require(k, "width", "kernel")))
+
+    def component(c: dict) -> GmmComponent:
+        check_keys(c, ("weight", "mean", "covariance"), "gmm component")
+        return GmmComponent(float(require(c, "weight", "gmm component")),
+                            tuple(require(c, "mean", "gmm component")),
+                            require(c, "covariance", "gmm component"))
+
+    models = [model(m) for m in require(block, "models", where)]
     g = require(block, "gmm", where)
+    check_keys(g, ("components", "k_types", "dx", "seed", "sample_size"), "gmm")
     gmm = GmmPopulationSpec(
-        [GmmComponent(float(require(c, "weight", "gmm component")),
-                      tuple(require(c, "mean", "gmm component")),
-                      require(c, "covariance", "gmm component"))
-         for c in require(g, "components", "gmm")],
+        [component(c) for c in require(g, "components", "gmm")],
         k_types=int(require(g, "k_types", "gmm")),
         dx=float(g.get("dx", 0.0)),
         seed=int(g.get("seed", 0)),

@@ -15,6 +15,7 @@ frozen on construction, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -190,7 +191,12 @@ def as_profile(spec: GameSpec, profile) -> tuple[int, ...]:
 
 
 def _model_indices(spec: GameSpec, profile, n: int) -> tuple[int, ...]:
-    choices = tuple(int(c) for c in profile)
+    try:
+        choices = tuple(operator.index(c) for c in profile)
+    except TypeError:
+        raise InvalidProfileError(
+            f"a profile must be a list of model indices (got {profile!r})"
+        ) from None
     if len(choices) != n:
         raise InvalidProfileError(f"profile has {len(choices)} entries for {n} platforms")
     for c in choices:

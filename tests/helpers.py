@@ -185,6 +185,38 @@ def reference_best_response(spec: GameSpec, profile, platform: int) -> int:
     return int(np.argmax(values >= best - IMPROVEMENT_EPS))
 
 
+def reference_seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
+                            iterations: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Plain Lloyd iterations with distance-weighted seeding, fixed iteration count.
+
+    Returns (centers, assignments).  Deterministic given the generator state.
+    """
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0:
+            centers[j] = points[int(rng.integers(n))]
+        else:
+            centers[j] = points[int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    assignments = np.zeros(n, dtype=np.int64)
+    for _ in range(iterations):
+        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assignments = dists.argmin(axis=1)
+        for j in range(k):
+            mask = assignments == j
+            if mask.any():
+                centers[j] = points[mask].mean(axis=0)
+            else:
+                # re-seed an empty cluster at the point farthest from its center
+                farthest = int(dists[np.arange(n), assignments].argmax())
+                centers[j] = points[farthest]
+    return centers, assignments
+
+
 @dataclass(frozen=True)
 class EntryToy:
     """A small market where the heaviest user type is under-served by incumbents."""

@@ -431,13 +431,38 @@ class TestConfigValidation:
         ("entry", "training", "estimater"),
         ("entry", "training.dataset", "count"),
         ("run", "output", "prefx"),
+        pytest.param("run", "synthetic", "n_platform", id="run-synthetic-n_platform"),
+        pytest.param("run", "gmm", "sample_sise", id="run-gmm-sample_sise"),
+        pytest.param("run", "gmm component", "weigth", id="run-gmm_component-weigth"),
+        pytest.param("run", "synthetic model", "biass", id="run-synthetic_model-biass"),
+        pytest.param("run", "kernel", "centre", id="run-kernel-centre"),
+        pytest.param("sweep", "gmm", "sed", id="sweep-gmm-sed"),
+        pytest.param("run", "instance file", "model_label", id="run-instance_file-model_label"),
     ])
     def test_unknown_block_key_rejected(self, tmp_path, capsys, command, block, key):
         payload = self._every_block()
-        target = payload
-        for part in block.split(".") if block != "top-level" else ():
-            target = target[part]
+        synthetic_paths = {
+            "synthetic": (),
+            "gmm": ("gmm",),
+            "gmm component": ("gmm", "components", 0),
+            "synthetic model": ("models", 0),
+            "kernel": ("models", 0, "kernels", 0),
+        }
+        if block == "instance file":
+            payload["instance"] = {"file": "inst.json"}
+            target = {"scores": [[0.5, 0.2]], "weights": [0.5, 0.5], "n_platforms": 1}
+        elif block in synthetic_paths:
+            payload["instance"] = {"synthetic": _synthetic_block()}
+            target = payload["instance"]["synthetic"]
+            for part in synthetic_paths[block]:
+                target = target[part]
+        else:
+            target = payload
+            for part in block.split(".") if block != "top-level" else ():
+                target = target[part]
         target[key] = 1
+        if block == "instance file":
+            _write_config(tmp_path, target, name="inst.json")
         cfg = _write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -477,6 +502,17 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert "error: unknown mover order 'reverse'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start", [[1.7, 0], ["1", 0]])
+    def test_start_entries_must_be_model_indices(self, tmp_path, capsys, start):
+        cfg = _write_config(tmp_path, {
+            "instance": {"builtin": "c1_rps"},
+            "dynamics": {"start": start},
+        })
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: a profile must be a list of model indices" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

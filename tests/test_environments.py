@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modelmarket.errors import ConfigError, InvalidInstanceError
+from modelmarket.errors import ConfigError, InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance, fixture_names, verify_all, verify_fixture
 from modelmarket.preferences import PreferenceTable, scores_from_preferences
 from modelmarket.synthetic import (
@@ -12,8 +12,12 @@ from modelmarket.synthetic import (
     RbfKernel,
     RbfModelSpec,
     gmm_population,
+    _squared_distances,
     rbf_scores,
+    seeded_kmeans,
 )
+
+from helpers import reference_seeded_kmeans
 
 
 class TestScoresFromPreferences:
@@ -150,6 +154,67 @@ class TestGmmPopulation:
     def test_component_weights_must_sum_to_one(self):
         with pytest.raises(InvalidInstanceError):
             GmmPopulationSpec([GmmComponent(0.5, (0.0,), [[1.0]])], k_types=1)
+
+
+def _kmeans_cloud(case: int) -> tuple[np.ndarray, int, int]:
+    """Points, cluster count and iteration count of one differential k-means case.
+
+    The case number cycles the dimension through (1, 2, 3, 7, 8), the cloud
+    through plain, rounded to a 0.1-scale grid (exact distance ties) and half
+    duplicated, and k through 1, n and two draws from [1, min(n, 12)].
+    """
+    rng = np.random.default_rng(case)
+    d = (1, 2, 3, 7, 8)[case % 5]
+    n = int(rng.integers(2, 41))
+    scale = 10.0 ** rng.uniform(-4, 4)
+    points = (rng.standard_normal((n, d)) + rng.uniform(-5, 5, size=d)) * scale
+    form = case // 5 % 3
+    if form == 1:
+        points = np.round(points / scale, 1) * scale
+    elif form == 2:
+        points[n // 2:] = points[:n - n // 2]
+    k = {0: 1, 1: n}.get(case // 15 % 4, int(rng.integers(1, min(n, 12) + 1)))
+    return points, k, 0 if case % 11 == 0 else 20
+
+
+class TestSeededKmeans:
+    def test_bit_identical_to_masked_lloyd(self):
+        reseeded = 0
+        for case in range(420):
+            points, k, iterations = _kmeans_cloud(case)
+            centers, labels = seeded_kmeans(points, k, np.random.default_rng(case), iterations)
+            want_c, want_l = reference_seeded_kmeans(points, k, np.random.default_rng(case), iterations)
+            assert centers.tobytes() == want_c.tobytes(), case
+            assert labels.dtype == want_l.dtype and labels.tobytes() == want_l.tobytes(), case
+            # fewer distinct points than clusters: the seeding repeats a point,
+            # so the first iteration leaves a cluster empty
+            reseeded += iterations > 0 and len(np.unique(points, axis=0)) < k
+        assert reseeded >= 40
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
+    def test_distances_match_numpy_sum_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-4, 4, size=d)
+        centers = rng.standard_normal((6, d))
+        want = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        got = _squared_distances(points, centers, np.empty((40, 6)), np.empty((40, 6)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_more_clusters_than_points_still_runs(self):
+        points = np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 1.0]])
+        got = seeded_kmeans(points, 5, np.random.default_rng(2))
+        want = reference_seeded_kmeans(points, 5, np.random.default_rng(2))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("points, k, iterations, match", [
+        (np.zeros((4, 2)), 0, 20, r"k must be at least 1 \(got 0\)"),
+        (np.zeros((0, 2)), 2, 20, r"shape \(0, 2\)"),
+        (np.arange(5.0), 2, 20, r"shape \(5,\)"),
+        (np.zeros((4, 2)), 2, -1, r"iterations must be >= 0 \(got -1\)"),
+    ], ids=["k=0", "no-points", "1-d-points", "negative-iterations"])
+    def test_bad_input_rejected(self, points, k, iterations, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            seeded_kmeans(points, k, np.random.default_rng(0), iterations)
 
 
 class TestFixtureRegistry:

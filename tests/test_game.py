@@ -13,6 +13,7 @@ from modelmarket.game import (
     ScoreMatrix,
     UserPopulation,
     allocate,
+    as_profile,
     average_scores,
     deviation_advantage,
     platform_utilities,
@@ -70,6 +71,16 @@ class TestValidation:
     def test_profile_wrong_length(self, c1):
         with pytest.raises(InvalidProfileError):
             platform_utilities(c1, (0, 1, 2))
+
+    @pytest.mark.parametrize("profile", [[1.7, 0], ["1", 0], [np.float64(1.0), 0], [None, 0]])
+    def test_profile_entries_must_be_integers(self, c1, profile):
+        # 1.7 and "1" must not run as the model index 1
+        with pytest.raises(InvalidProfileError, match="model indices"):
+            as_profile(c1, profile)
+
+    def test_numpy_integer_profile_entries_accepted(self, c1):
+        assert as_profile(c1, np.array([1, 0])) == (1, 0)
+        assert as_profile(c1, [np.int32(2), np.uint8(0)]) == (2, 0)
 
     def test_unpickled_spec_stays_frozen(self, c1):
         copy = pickle.loads(pickle.dumps(c1))
