@@ -54,7 +54,6 @@ from .metrics import (
     outcome_metrics,
     platform_entry_check,
     social_optimum,
-    user_welfare,
     welfare_bound_check,
     welfare_figures,
 )

@@ -28,14 +28,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, MarketGameError
-from .game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
+from .errors import ConfigError, MarketGameError
+from .game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
 from .equilibrium import DynamicsOutcome, enumerate_pne, run_dynamics
-from .metrics import coverage_value, market_shares, social_optimum, welfare_figures
+from .metrics import MetricsRecord, outcome_metrics, social_optimum
 from .fixtures import (
     builtin_instance,
     check_keys,
     choice_from_block,
+    config_int,
     fixture_names,
     rbf_gmm_instance,
     require,
@@ -85,13 +86,15 @@ def _spec_from_file_block(block: dict) -> GameSpec:
     labels = block.get("type_labels") or [f"t{i + 1}" for i in range(len(weights))]
     population = UserPopulation(labels, weights)
     choice = choice_from_block(block.get("choice")) or ChoiceRule.hardmax()
-    return GameSpec(scores, population, int(require(block, "n_platforms", "instance")), choice)
+    n_platforms = config_int(require(block, "n_platforms", "instance"), "instance.n_platforms")
+    return GameSpec(scores, population, n_platforms, choice)
 
 
 def _spec_from_synthetic_block(block: dict) -> GameSpec:
     check_keys(block, ("models", "gmm", "n_platforms"), "synthetic")
     population, scores = rbf_gmm_instance(block, "synthetic")
-    return GameSpec(scores, population, int(require(block, "n_platforms", "synthetic")))
+    return GameSpec(scores, population,
+                    config_int(require(block, "n_platforms", "synthetic"), "synthetic.n_platforms"))
 
 
 def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, str, str]:
@@ -130,47 +133,33 @@ def _draw_start(spec: GameSpec, seed: int) -> tuple[int, ...]:
 def _dynamics_params(cfg: dict, seed_override: int | None) -> tuple[Any, Any, int, int]:
     block = cfg.get("dynamics", {})
     check_keys(block, ("start", "order", "max_steps", "seed"), "dynamics")
-    max_steps = int(block.get("max_steps", 1000))
+    max_steps = config_int(block.get("max_steps", 1000), "dynamics.max_steps")
     if max_steps < 1:
         raise ConfigError("dynamics.max_steps must be at least 1")
     order = block.get("order", "round_robin")
-    seed = int(seed_override if seed_override is not None else block.get("seed", 0))
+    seed = config_int(seed_override if seed_override is not None else block.get("seed", 0),
+                      "dynamics.seed")
     return block.get("start"), order, max_steps, seed
 
 
-def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed: int,
-                     sweep_axis: str = "", sweep_value: str = "", repetition: int = 0) -> list[dict]:
+def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, run_id: str,
+                     seed: int, sweep_axis: str = "", sweep_value: str = "",
+                     repetition: int = 0) -> list[dict]:
     # dynamics revisit profiles (every silent turn repeats one), so each
-    # distinct profile is scored once
-    scored: dict[tuple[int, ...], dict] = {}
-    rows = []
-    for step in outcome.trajectory:
-        profile = step.profile_after
-        if profile not in scored:
-            shares = market_shares(spec, profile)
-            scored[profile] = {
-                "profile": "|".join(spec.profile_labels(profile)),
-                "coverage": _fmt(coverage_value(spec, profile)),
-                "hhi": _fmt(shares.hhi),
-                "support": shares.support,
-            }
-        rows.append({
-            "run_id": run_id,
-            "seed": seed,
-            "sweep_axis": sweep_axis,
-            "sweep_value": sweep_value,
-            "repetition": repetition,
-            "step": step.index,
-            "mover": step.mover + 1,
-            "changed": int(step.changed),
-            "utilities": "|".join(_fmt(u) for u in step.utilities),
-            **scored[profile],
-        })
-    return rows
+    # distinct profile is formatted once
+    cells = {profile: {"profile": "|".join(spec.profile_labels(profile)),
+                       "utilities": "|".join(_fmt(u) for u in score.utilities),
+                       "coverage": _fmt(score.coverage), "hhi": _fmt(score.hhi),
+                       "support": score.support}
+             for profile, score in record.scores.items()}
+    run = {"run_id": run_id, "seed": seed, "sweep_axis": sweep_axis, "sweep_value": sweep_value,
+           "repetition": repetition}
+    return [{**run, "step": step.index, "mover": step.mover + 1, "changed": int(step.changed),
+             **cells[step.profile_after]} for step in outcome.trajectory]
 
 
-def _summarize(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed: int,
-               instance_name: str, pne_budget: int = 1_000_000) -> dict:
+def _summarize(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, run_id: str,
+               seed: int, instance_name: str, pne_budget: int = 1_000_000) -> dict:
     summary: dict[str, Any] = {
         "run_id": run_id,
         "instance": instance_name,
@@ -181,14 +170,11 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed: int,
         "start": list(spec.profile_labels(outcome.start)),
         "outcome_kind": outcome.kind,
     }
-    try:
-        opt = social_optimum(spec)
-        summary["social_optimum"] = opt.value
-        summary["social_optimum_profile"] = list(spec.profile_labels(opt.profile))
-    except BudgetExceededError as exc:
-        opt = None
-        summary["social_optimum"] = None
-        summary["social_optimum_note"] = str(exc)
+    if record.optimum is None:
+        summary.update(social_optimum=None, social_optimum_note=record.optimum_note)
+    else:
+        summary.update(social_optimum=record.optimum.value,
+                       social_optimum_profile=list(spec.profile_labels(record.optimum.profile)))
     try:
         pne = enumerate_pne(spec, budget=pne_budget)
         summary["pne"] = [list(spec.profile_labels(p)) for p in pne]
@@ -196,25 +182,18 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, run_id: str, seed: int,
     except MarketGameError as exc:
         summary["pne"] = None
         summary["pne_note"] = str(exc)
-    if outcome.kind == "timeout":
+    if record.welfare is None:
         summary["welfare"] = None
         return summary
-    figures = welfare_figures(spec, outcome)
-    assert opt is None or figures.value <= opt.value + 1e-12, "welfare exceeded the social optimum"
-    summary["welfare"] = figures.value
-    summary["welfare_state_average"] = figures.state_average
-    summary["welfare_multiset_average"] = figures.multiset_average
+    summary.update(welfare=record.welfare.value, welfare_state_average=record.welfare.state_average,
+                   welfare_multiset_average=record.welfare.multiset_average)
     if outcome.kind == "equilibrium":
-        profile = outcome.equilibrium_profile
-        summary["equilibrium_profile"] = list(spec.profile_labels(profile))
+        summary["equilibrium_profile"] = list(spec.profile_labels(record.anchor))
     else:
         summary["cycle_profiles"] = [list(spec.profile_labels(p)) for p in outcome.cycle_profiles]
-        profile = outcome.cycle_profiles[0]
-    shares = market_shares(spec, profile)
-    summary["hhi"] = shares.hhi
-    summary["support"] = shares.support
-    summary["shares"] = list(shares.shares)
-    summary["final_utilities"] = [float(u) for u in platform_utilities(spec, profile)]
+    anchor = record.scores[record.anchor]
+    summary.update(hhi=anchor.hhi, support=anchor.support, shares=list(anchor.shares),
+                   final_utilities=list(anchor.utilities))
     return summary
 
 
@@ -251,8 +230,9 @@ def cmd_run(args) -> int:
     outcome = run_dynamics(spec, start, order=order, max_steps=max_steps)
     prefix = cfg.get("output", {}).get("prefix", f"run_{instance_name}")
     out = _out_dir(args, cfg)
-    rows = _trajectory_rows(spec, outcome, prefix, seed)
-    summary = _summarize(spec, outcome, prefix, seed, instance_name)
+    record = outcome_metrics(spec, outcome, [s.profile_after for s in outcome.trajectory])
+    rows = _trajectory_rows(spec, outcome, record, prefix, seed)
+    summary = _summarize(spec, outcome, record, prefix, seed, instance_name)
     if notes:
         summary["fixture_notes"] = notes
     _write_csv(out / f"{prefix}_steps.csv", STEP_COLUMNS, rows)
@@ -273,7 +253,7 @@ def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
     if axis not in ("models", "platforms", "population"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     values = require(sweep, "values", "sweep")
-    reps = int(sweep.get("repetitions", 1))
+    reps = config_int(sweep.get("repetitions", 1), "sweep.repetitions")
     if reps < 1:
         raise ConfigError("sweep.repetitions must be at least 1")
     seeds = sweep.get("seeds")
@@ -282,7 +262,8 @@ def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
     cells = []
     for vi, value in enumerate(values):
         for rep in range(reps):
-            seed = int(seeds[rep]) if seeds is not None else base_seed + 1000 * vi + rep
+            seed = (config_int(seeds[rep], "sweep.seeds") if seeds is not None
+                    else base_seed + 1000 * vi + rep)
             cells.append({"axis": axis, "value_index": vi, "value": value,
                           "repetition": rep, "seed": seed})
     return cells
@@ -290,12 +271,12 @@ def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
 
 def _apply_axis(spec: GameSpec, axis: str, value) -> GameSpec:
     if axis == "models":
-        m = int(value)
+        m = config_int(value, "a models sweep value")
         if not 1 <= m <= spec.n_models:
             raise ConfigError(f"model-pool size {m} out of range [1, {spec.n_models}]")
         return spec.with_models(m)
     if axis == "platforms":
-        n = int(value)
+        n = config_int(value, "a platforms sweep value")
         if n < 1:
             raise ConfigError("platform count must be at least 1")
         return spec.with_platforms(n)
@@ -309,9 +290,10 @@ def _run_sweep_cell(payload: tuple[GameSpec, str, Any, int, dict]) -> tuple[list
     outcome = run_dynamics(spec, start, order=order, max_steps=max_steps)
     run_id = f"{instance_name}_{cell['axis']}_{cell['value_index']}_r{cell['repetition']}"
     value_str = json.dumps(cell["value"]) if isinstance(cell["value"], list) else str(cell["value"])
-    rows = _trajectory_rows(spec, outcome, run_id, cell["seed"], cell["axis"],
+    record = outcome_metrics(spec, outcome, [s.profile_after for s in outcome.trajectory])
+    rows = _trajectory_rows(spec, outcome, record, run_id, cell["seed"], cell["axis"],
                             value_str, cell["repetition"])
-    summary = _summarize(spec, outcome, run_id, cell["seed"], instance_name)
+    summary = _summarize(spec, outcome, record, run_id, cell["seed"], instance_name)
     summary["sweep_axis"] = cell["axis"]
     summary["sweep_value"] = cell["value"]
     summary["repetition"] = cell["repetition"]
@@ -375,20 +357,22 @@ def _training_payload(cfg: dict) -> dict:
         "rewards": rewards,
         "dataset": dataset,
         "config": config,
-        "n_platforms": int(block.get("n_platforms", 3)),
+        "n_platforms": config_int(block.get("n_platforms", 3), "training.n_platforms"),
     }
 
 
 def _entry_market_section(report: entry_mod.EntrantReport) -> dict:
+    record = report.metrics
+    anchor = record.scores.get(record.anchor)
     return {
         "adopted": report.adopted,
         "entrant_scores": list(report.entrant_score_row),
         "pne": [list(report.spec.profile_labels(p)) for p in report.pne],
         "outcome_kind": report.outcome.kind,
-        "welfare": report.metrics.welfare,
-        "social_optimum": report.metrics.social_optimum,
-        "hhi": report.metrics.hhi,
-        "support": report.metrics.support,
+        "welfare": None if record.welfare is None else record.welfare.value,
+        "social_optimum": None if record.optimum is None else record.optimum.value,
+        "hhi": None if anchor is None else anchor.hhi,
+        "support": None if anchor is None else anchor.support,
     }
 
 

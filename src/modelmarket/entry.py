@@ -16,6 +16,8 @@ score-function estimator.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -167,6 +169,17 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("outer_rounds", "inner_epochs", "eval_budget", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidParameterError(
+                    f"{name} must be an integer (got {getattr(self, name)!r})") from None
+        for name, value in (("beta", self.beta), ("gamma", self.gamma), ("lambda", self.lam),
+                            ("learning_rate", self.learning_rate),
+                            ("baseline_decay", self.baseline_decay), ("blend", self.blend)):
+            if not isinstance(value, numbers.Real):
+                raise InvalidParameterError(f"{name} must be a number (got {value!r})")
         if not self.beta > 0:
             raise InvalidParameterError("beta must be > 0")
         if self.gamma < 0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .game import ChoiceRule, GameSpec, as_profile
 __all__ = [
     "MarketShares",
     "MetricsRecord",
+    "ProfileScore",
     "SocialOptimum",
     "WelfareFigures",
     "BoundCheck",
@@ -23,7 +25,6 @@ __all__ = [
     "coverage_value",
     "market_shares",
     "social_optimum",
-    "user_welfare",
     "welfare_figures",
     "welfare_bound_check",
     "platform_entry_check",
@@ -38,33 +39,6 @@ class MarketShares:
     shares: tuple[float, ...]
     hhi: float
     support: int
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Coverage, welfare, optimum, and concentration figures for one outcome.
-
-    For cycle outcomes, ``coverage``, ``shares``, ``hhi``, and ``support``
-    describe the first profile of the repeating segment, while ``welfare``
-    is the cycle average; for equilibria all fields describe the equilibrium
-    profile.
-    """
-
-    coverage: float
-    welfare: float
-    social_optimum: float
-    hhi: float
-    support: int
-    shares: tuple[float, ...]
-
-    def __post_init__(self):
-        total = sum(self.shares)
-        if abs(total - 1.0) > game.WEIGHT_TOL:
-            raise InvalidInstanceError("market shares must sum to 1")
-        if abs(self.hhi - sum(m * m for m in self.shares)) > 1e-12:
-            raise InvalidInstanceError("hhi must equal the sum of squared shares")
-        if self.welfare > self.social_optimum + IMPROVEMENT_EPS:
-            raise InvalidInstanceError("welfare cannot exceed the social optimum")
 
 
 @dataclass(frozen=True)
@@ -88,6 +62,45 @@ class WelfareFigures:
     state_average: float
     multiset_average: float
     kind: str
+
+
+@dataclass(frozen=True)
+class ProfileScore:
+    """Coverage V(A), user mass per platform, HHI, distinct models and utilities of a profile."""
+
+    coverage: float
+    shares: tuple[float, ...]
+    hhi: float
+    support: int
+    utilities: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class MetricsRecord:
+    """Every figure of one dynamics outcome, each distinct profile scored once.
+
+    ``anchor`` is the equilibrium profile, or the first profile of a cycle's
+    repeating segment; ``scores`` holds its ProfileScore and those of the
+    extra profiles the caller asked for.  ``welfare`` averages coverage over
+    the whole cycle (the anchor's figures describe one state of it).  Both
+    are None for a timeout.  ``optimum`` is None when ``social_optimum``
+    refuses its budget, and ``optimum_note`` then says why.
+    """
+
+    scores: dict[tuple[int, ...], ProfileScore]
+    anchor: tuple[int, ...] | None
+    welfare: WelfareFigures | None
+    optimum: SocialOptimum | None
+    optimum_note: str | None = None
+
+    def __post_init__(self):
+        for score in self.scores.values():
+            if abs(sum(score.shares) - 1.0) > game.WEIGHT_TOL:
+                raise InvalidInstanceError("market shares must sum to 1")
+            if abs(score.hhi - sum(m * m for m in score.shares)) > _IDENTITY_TOL:
+                raise InvalidInstanceError("hhi must equal the sum of squared shares")
+        if self.welfare and self.optimum and self.welfare.value > self.optimum.value + IMPROVEMENT_EPS:
+            raise InvalidInstanceError("welfare cannot exceed the social optimum")
 
 
 @dataclass(frozen=True)
@@ -163,13 +176,13 @@ def social_optimum(spec: GameSpec, budget: int = 10_000_000) -> SocialOptimum:
     return SocialOptimum(best_value, best_profile)
 
 
-def welfare_figures(spec: GameSpec, outcome: DynamicsOutcome) -> WelfareFigures:
-    """User welfare of a dynamics outcome under both cycle conventions."""
+def _welfare(outcome: DynamicsOutcome, coverage: Callable[[tuple[int, ...]], float]) -> WelfareFigures:
+    """Welfare of an outcome from the coverage of its profiles."""
     if outcome.kind == "equilibrium":
-        v = coverage_value(spec, outcome.equilibrium_profile)
+        v = coverage(outcome.equilibrium_profile)
         return WelfareFigures(v, v, v, "equilibrium")
     if outcome.kind == "cycle":
-        values = [coverage_value(spec, p) for p in outcome.cycle_profiles]
+        values = [coverage(p) for p in outcome.cycle_profiles]
         state_avg = float(np.mean(values))
         by_multiset: dict[tuple[int, ...], float] = {}
         for p, v in zip(outcome.cycle_profiles, values):
@@ -179,14 +192,14 @@ def welfare_figures(spec: GameSpec, outcome: DynamicsOutcome) -> WelfareFigures:
     raise InvalidInstanceError(f"welfare is undefined for outcome kind {outcome.kind!r}")
 
 
-def user_welfare(spec: GameSpec, outcome: DynamicsOutcome) -> float:
-    """Coverage at equilibrium, or average coverage over the repeating cycle."""
-    return welfare_figures(spec, outcome).value
+def welfare_figures(spec: GameSpec, outcome: DynamicsOutcome) -> WelfareFigures:
+    """User welfare of a dynamics outcome under both cycle conventions."""
+    return _welfare(outcome, lambda p: coverage_value(spec, p))
 
 
 def welfare_bound_check(spec: GameSpec, outcome: DynamicsOutcome, budget: int = 10_000_000) -> BoundCheck:
     """Slack of the welfare-below-optimum bound for this outcome."""
-    w = user_welfare(spec, outcome)
+    w = welfare_figures(spec, outcome).value
     opt = social_optimum(spec, budget=budget).value
     slack = opt - w
     return BoundCheck(ok=slack >= -IMPROVEMENT_EPS, slack=float(slack))
@@ -218,20 +231,28 @@ def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -
     return EntryCheck(is_eq, float(welfare_delta), int(support_delta), extended)
 
 
-def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome) -> MetricsRecord:
-    """Metrics of a dynamics outcome (see MetricsRecord for cycle semantics)."""
-    figures = welfare_figures(spec, outcome)
-    anchor = (
-        outcome.equilibrium_profile
-        if outcome.kind == "equilibrium"
-        else outcome.cycle_profiles[0]
-    )
-    shares = market_shares(spec, anchor)
-    return MetricsRecord(
-        coverage=coverage_value(spec, anchor),
-        welfare=figures.value,
-        social_optimum=social_optimum(spec).value,
-        hhi=shares.hhi,
-        support=shares.support,
-        shares=shares.shares,
-    )
+def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, profiles: Iterable = ()) -> MetricsRecord:
+    """The figures of a dynamics outcome (see MetricsRecord).
+
+    The anchor and each of ``profiles``, which must be trajectory profiles,
+    are scored once with ``coverage_value`` and ``market_shares`` and keep
+    the utilities the trajectory recorded.  A cycle profile outside them is
+    scored for its coverage alone, which is all its welfare average needs.
+    """
+    anchor = outcome.cycle_profiles[0] if outcome.kind == "cycle" else outcome.equilibrium_profile
+    utilities = {step.profile_after: step.utilities for step in outcome.trajectory}
+    scores: dict[tuple[int, ...], ProfileScore] = {}
+    for profile in ([] if anchor is None else [anchor]) + list(profiles):
+        if profile not in scores:
+            shares = market_shares(spec, profile)
+            scores[profile] = ProfileScore(coverage_value(spec, profile), shares.shares, shares.hhi,
+                                           shares.support, utilities[profile])
+    coverage = {p: score.coverage for p, score in scores.items()}
+    for p in set(outcome.cycle_profiles) - coverage.keys():
+        coverage[p] = coverage_value(spec, p)
+    welfare = None if anchor is None else _welfare(outcome, coverage.__getitem__)
+    try:
+        optimum, note = social_optimum(spec), None
+    except BudgetExceededError as exc:
+        optimum, note = None, str(exc)
+    return MetricsRecord(scores, anchor, welfare, optimum, note)

@@ -11,6 +11,12 @@ import pytest
 from modelmarket.cli import main
 import modelmarket.cli as cli_mod
 import modelmarket.fixtures as fixtures_mod
+from modelmarket.equilibrium import run_dynamics
+from modelmarket.fixtures import builtin_instance
+from modelmarket.game import platform_utilities
+from modelmarket.metrics import market_shares, welfare_figures
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -52,6 +58,26 @@ class TestRun:
         summary = _read_json(tmp_path / "c1_summary.json")
         assert summary["outcome_kind"] == "cycle"
         assert summary["pne_count"] == 0
+
+    def test_cycle_summary_equals_the_single_figure_functions(self, tmp_path):
+        spec = builtin_instance("c8_players_3").spec
+        cfg = _write_config(tmp_path, {
+            "instance": {"builtin": "c8_players_3"},
+            "dynamics": {"start": [2, 2, 0]},
+            "output": {"prefix": "c8"},
+        })
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = _read_json(tmp_path / "c8_summary.json")
+        outcome = run_dynamics(spec, (2, 2, 0))
+        assert summary["outcome_kind"] == outcome.kind == "cycle"
+        anchor = outcome.cycle_profiles[0]
+        shares = market_shares(spec, anchor)
+        figures = welfare_figures(spec, outcome)
+        assert summary["final_utilities"] == [float(u) for u in platform_utilities(spec, anchor)]
+        assert (summary["hhi"], summary["shares"]) == (shares.hhi, list(shares.shares))
+        assert (summary["welfare"], summary["welfare_state_average"],
+                summary["welfare_multiset_average"]) == (
+            figures.value, figures.state_average, figures.multiset_average)
 
     def test_differentiated_instance_converges(self, tmp_path):
         cfg = _write_config(tmp_path, {
@@ -405,6 +431,56 @@ class TestConfigValidation:
         })
         assert main(["entry", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "unknown key 'betta' in the training.params block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("outer_rounds", 2.5), ("inner_epochs", 3.5), ("eval_budget", 100.5), ("seed", "3"),
+        ("seed", 3.7), ("beta", "4"), ("lambda", None),
+    ])
+    def test_training_param_of_the_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        payload = _read_json(CONFIGS / "entry_underserved_type.json")
+        payload["instance"]["file"] = str(CONFIGS / payload["instance"]["file"])
+        payload["training"]["params"][key] = value
+        out = tmp_path / "out"
+        assert main(["entry", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        kind = "a number" if key in ("beta", "lambda") else "an integer"
+        assert f"error: {key} must be {kind} (got {value!r})" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("run", "instance.n_platforms", 2.7),
+        ("run", "synthetic.n_platforms", "2"),
+        ("run", "gmm.k_types", 2.7),
+        ("run", "gmm.seed", 3.5),
+        ("run", "gmm.sample_size", "200"),
+        ("run", "dynamics.max_steps", 50.9),
+        ("run", "dynamics.seed", 1.5),
+        ("sweep", "sweep.repetitions", 1.5),
+        ("sweep", "sweep.seeds", 4.5),
+        pytest.param("sweep", "a models sweep value", 2.9, id="sweep-models_value-2.9"),
+        pytest.param("sweep", "a platforms sweep value", "3", id="sweep-platforms_value-3"),
+        ("entry", "training.n_platforms", 2.5),
+    ])
+    def test_integer_config_field_must_be_an_integer(self, tmp_path, capsys, command, field, value):
+        payload = self._every_block()
+        block, _, key = field.rpartition(".")
+        if block == "instance":
+            payload["instance"] = {"file": _write_config(tmp_path, {
+                "scores": [[0.5, 0.2], [0.3, 0.6]], "weights": [0.5, 0.5], "n_platforms": value,
+            }, name="inst.json")}
+        elif block in ("synthetic", "gmm"):
+            payload["instance"] = {"synthetic": _synthetic_block()}
+            target = payload["instance"]["synthetic"]
+            (target["gmm"] if block == "gmm" else target)[key] = value
+        elif field == "sweep.seeds":
+            payload["sweep"].update(repetitions=1, seeds=[value])
+        elif field.endswith("sweep value"):
+            payload["sweep"] = {"axis": field.split()[1], "values": [value]}
+        else:
+            payload[block][key] = value
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert f"error: {field} must be an integer (got {value!r})" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def _every_block():

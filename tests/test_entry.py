@@ -386,3 +386,10 @@ class TestEvaluateEntrant:
         bad = RewardTable([[0.5, 0.5]])
         with pytest.raises(InvalidInstanceError):
             evaluate_entrant(gen, bad, toy.population, toy.incumbents, 2)
+
+    def test_timed_out_market_has_no_welfare(self, toy):
+        gen = ToyGenerator.uniform(toy.outcome_labels)
+        report = evaluate_entrant(gen, toy.rewards, toy.population, toy.incumbents, 2, max_steps=1)
+        assert report.outcome.kind == "timeout"
+        assert report.metrics.anchor is None and report.metrics.welfare is None
+        assert report.metrics.scores == {}

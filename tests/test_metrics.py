@@ -14,7 +14,6 @@ from modelmarket.metrics import (
     outcome_metrics,
     platform_entry_check,
     social_optimum,
-    user_welfare,
     welfare_bound_check,
     welfare_figures,
 )
@@ -133,14 +132,14 @@ class TestUserWelfare:
         spec = builtin_instance("fig2_a").spec
         out = run_dynamics(spec, (0, 0))
         assert out.kind == "equilibrium"
-        assert user_welfare(spec, out) == pytest.approx(0.85, abs=1e-9)
+        assert welfare_figures(spec, out).value == pytest.approx(0.85, abs=1e-9)
 
     def test_two_platform_entry_counterexample_welfare(self):
         # the (g3, g6) equilibrium's coverage, re-derived from the score matrix
         spec = builtin_instance("c8_players_2").spec
         out = run_dynamics(spec, (0, 0))
         assert out.kind == "equilibrium" and out.equilibrium_profile == (2, 5)
-        assert user_welfare(spec, out) == pytest.approx(0.19957646091, abs=1e-9)
+        assert welfare_figures(spec, out).value == pytest.approx(0.19957646091, abs=1e-9)
 
     def test_cycle_welfare_both_conventions(self):
         spec = builtin_instance("c8_players_3").spec
@@ -153,21 +152,22 @@ class TestUserWelfare:
         spec = builtin_instance("c1_rps").spec
         out = run_dynamics(spec, (0, 0), max_steps=2)
         with pytest.raises(InvalidInstanceError):
-            user_welfare(spec, out)
+            welfare_figures(spec, out).value
 
     def test_single_profile_cycle_equals_its_coverage(self):
         from modelmarket.equilibrium import DynamicsOutcome
         spec = builtin_instance("fig2_a").spec
         outcome = DynamicsOutcome(kind="cycle", trajectory=(), start=(0, 1),
                                   cycle_profiles=((0, 1),))
-        assert user_welfare(spec, outcome) == pytest.approx(
+        assert welfare_figures(spec, outcome).value == pytest.approx(
             coverage_value(spec, (0, 1)), abs=1e-12)
 
     def test_outcome_metrics_record_is_consistent(self):
         spec = builtin_instance("c8_players_3").spec
         record = outcome_metrics(spec, run_dynamics(spec, (2, 2, 0)))
-        assert record.welfare <= record.social_optimum + 1e-12
-        assert record.hhi == pytest.approx(sum(s * s for s in record.shares), abs=1e-12)
+        assert record.welfare.value <= record.optimum.value + 1e-12
+        anchor = record.scores[record.anchor]
+        assert anchor.hhi == pytest.approx(sum(s * s for s in anchor.shares), abs=1e-12)
 
 
 class TestWelfareBound:
@@ -189,7 +189,7 @@ class TestWelfareBound:
             out = run_dynamics(spec, tuple(rng.integers(0, spec.n_models, spec.n_platforms)))
             if out.kind == "timeout":
                 continue
-            assert user_welfare(spec, out) <= brute_force_social_optimum(spec) + 1e-12
+            assert welfare_figures(spec, out).value <= brute_force_social_optimum(spec) + 1e-12
 
 
 class TestPlatformEntry:

@@ -26,7 +26,14 @@ from modelmarket.equilibrium import (
     run_dynamics,
     verify_pne,
 )
-from modelmarket.metrics import coverage_value, social_optimum, user_welfare
+from modelmarket.fixtures import builtin_instance
+from modelmarket.metrics import (
+    coverage_value,
+    market_shares,
+    outcome_metrics,
+    social_optimum,
+    welfare_figures,
+)
 
 from helpers import (
     random_spec,
@@ -66,7 +73,7 @@ def run_property_suite(n_instances: int, seed: int = 2024) -> int:
         # welfare never beats the social optimum; converged outcomes verify
         out = run_dynamics(spec, prof, max_steps=2000)
         if out.kind != "timeout":
-            assert user_welfare(spec, out) <= social_optimum(spec).value + 1e-12, index
+            assert welfare_figures(spec, out).value <= social_optimum(spec).value + 1e-12, index
         if out.kind == "equilibrium":
             assert verify_pne(spec, out.equilibrium_profile).is_pne, index
 
@@ -139,3 +146,42 @@ def test_solvers_match_the_profile_by_profile_reference():
                     want.witness.platform, want.witness.model), index
                 assert abs(got.witness.gain - want.witness.gain) < 1e-12, index
     assert seen == {(shape, c.tau) for shape in ORACLE_SHAPES for c in ORACLE_CHOICES}
+
+
+def test_outcome_metrics_match_the_single_figure_functions():
+    """Every figure of the record is bit-equal to the function that computes it alone."""
+    rng = np.random.default_rng(47)
+    cycling = [builtin_instance(name).spec for name in ("c1_rps", "c8_players_3")]
+    kinds = []
+    for index in range(400):
+        if index % 10 == 9:  # the fixtures that cycle, run to the end
+            spec, max_steps = cycling[(index // 10) % 2], 1000
+        else:
+            spec, _ = oracle_instance(rng, index)
+            max_steps = int(rng.choice([1, 2, 3, 1000]))
+        start = tuple(int(x) for x in rng.integers(0, spec.n_models, spec.n_platforms))
+        outcome = run_dynamics(spec, start, max_steps=max_steps)
+        kinds.append(outcome.kind)
+        trajectory = [step.profile_after for step in outcome.trajectory]
+        full = outcome_metrics(spec, outcome, trajectory)
+        bare = outcome_metrics(spec, outcome)
+        assert set(full.scores) == set(trajectory), index
+        assert set(bare.scores) == ({full.anchor} if full.anchor is not None else set()), index
+        for record in (full, bare):
+            assert record.optimum == social_optimum(spec), index
+            for profile, score in record.scores.items():
+                shares = market_shares(spec, profile)
+                assert score.coverage == coverage_value(spec, profile), index
+                assert (score.shares, score.hhi, score.support) == (
+                    shares.shares, shares.hhi, shares.support), index
+                assert score.utilities == tuple(
+                    float(u) for u in platform_utilities(spec, profile)), index
+            if outcome.kind == "timeout":
+                assert record.anchor is None and record.welfare is None, index
+            else:
+                assert record.welfare == welfare_figures(spec, outcome), index
+        if outcome.kind == "equilibrium":
+            assert full.anchor == outcome.equilibrium_profile, index
+        elif outcome.kind == "cycle":
+            assert full.anchor == outcome.cycle_profiles[0], index
+    assert min(kinds.count(kind) for kind in ("equilibrium", "cycle", "timeout")) >= 20, kinds
