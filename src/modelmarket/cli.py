@@ -36,6 +36,7 @@ from .fixtures import (
     builtin_instance,
     check_keys,
     choice_from_block,
+    config_float,
     config_int,
     fixture_names,
     rbf_gmm_instance,
@@ -253,10 +254,14 @@ def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
     if axis not in ("models", "platforms", "population"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     values = require(sweep, "values", "sweep")
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep.values must be a list (got {values!r})")
     reps = config_int(sweep.get("repetitions", 1), "sweep.repetitions")
     if reps < 1:
         raise ConfigError("sweep.repetitions must be at least 1")
     seeds = sweep.get("seeds")
+    if seeds is not None and not isinstance(seeds, list):
+        raise ConfigError(f"sweep.seeds must be a list (got {seeds!r})")
     if seeds is not None and len(seeds) != reps:
         raise ConfigError("sweep.seeds must list one seed per repetition")
     cells = []
@@ -280,7 +285,10 @@ def _apply_axis(spec: GameSpec, axis: str, value) -> GameSpec:
         if n < 1:
             raise ConfigError("platform count must be at least 1")
         return spec.with_platforms(n)
-    population = UserPopulation(spec.population.type_labels, value)
+    if not isinstance(value, list):
+        raise ConfigError(f"a population sweep value must be a list of weights (got {value!r})")
+    weights = [config_float(x, "a population sweep weight") for x in value]
+    population = UserPopulation(spec.population.type_labels, weights)
     return GameSpec(spec.scores, population, spec.n_platforms, spec.choice)
 
 

@@ -200,10 +200,14 @@ def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[
     """All pure Nash equilibrium profiles of the instance, in lexicographic order.
 
     Platforms are interchangeable, so a profile is an equilibrium exactly when
-    its model multiset is.  Each multiset is tested once, one distinct model at
-    a time against the other N-1 models, and every stable multiset is expanded
-    to its distinct orderings.  ``budget`` bounds the M^N profiles, which is
-    also how many entries the result can hold when scores tie.
+    its model multiset is.  The best responses to every multiset R of N-1
+    rival models are tabulated, a block of rival multisets per kernel call.
+    The largest model g of a stable sorted multiset is a best response to the
+    other N-1, so the candidates are the multisets R + (g,) with g >= max(R)
+    and g in BR(R); each candidate's other distinct models are then looked up
+    in the table, and every stable multiset is expanded to its distinct
+    orderings.  ``budget`` bounds the M^N profiles, which is also how many
+    entries the result can hold when scores tie.
     """
     m, n = spec.n_models, spec.n_platforms
     total = m ** n
@@ -213,15 +217,21 @@ def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[
             required=total,
             budget=budget,
         )
-    # stable[others][g]: model g is a best response to the rival multiset others
-    stable = {}
-    for others in combinations_with_replacement(range(m), n - 1):
-        values = game.deviation_values(spec, others)
-        stable[others] = values.max() - values <= IMPROVEMENT_EPS
+    s = spec.scores.scores
+    rivals = list(combinations_with_replacement(range(m), n - 1))
+    # best[r, g]: model g is a best response to the rival multiset rivals[r]
+    blocks = []
+    for block in game._multiset_blocks(rivals, s.size):
+        values = game._deviation_block(spec, s[block])
+        blocks.append(values.max(axis=1, keepdims=True) - values <= IMPROVEMENT_EPS)
+    best = np.concatenate(blocks)
+    row = {r: i for i, r in enumerate(rivals)}
+    top = np.array([max(r, default=0) for r in rivals])
     found: list[tuple[int, ...]] = []
-    for multiset in combinations_with_replacement(range(m), n):
-        if all(stable[multiset[:k] + multiset[k + 1:]][g]
-               for g, k in _first_positions(multiset)):
+    for i, g in zip(*np.nonzero(best & (np.arange(m) >= top[:, None]))):
+        multiset = rivals[i] + (int(g),)
+        if all(best[row[multiset[:k] + multiset[k + 1:]], h]
+               for h, k in _first_positions(multiset) if h != g):
             found.extend(_orderings(multiset))
     found.sort()
     return found

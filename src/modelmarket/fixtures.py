@@ -109,6 +109,14 @@ def config_int(value, name: str) -> int:
         raise ConfigError(f"{name} must be an integer (got {value!r})") from None
 
 
+def config_float(value, name: str) -> float:
+    """``value`` as a float, or a ConfigError naming the field: only a JSON
+    number is read as a number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number (got {value!r})")
+    return float(value)
+
+
 def check_keys(block, known: Collection[str], name: str) -> None:
     """ConfigError unless ``block`` is a JSON object whose keys are all in ``known``."""
     if not isinstance(block, dict):
@@ -127,7 +135,7 @@ def choice_from_block(block: dict | None) -> ChoiceRule | None:
     if kind == "hardmax":
         return ChoiceRule.hardmax()
     if kind == "softmax":
-        return ChoiceRule.softmax(float(require(block, "tau", "choice")))
+        return ChoiceRule.softmax(config_float(require(block, "tau", "choice"), "choice.tau"))
     raise ConfigError(f"unknown choice kind {kind!r}")
 
 
@@ -140,17 +148,18 @@ def rbf_gmm_instance(block: dict, where: str,
     """
     def model(m: dict) -> RbfModelSpec:
         check_keys(m, ("bias", "kernels"), f"{where} model")
-        return RbfModelSpec(float(m.get("bias", 0.0)),
+        return RbfModelSpec(config_float(m.get("bias", 0.0), f"{where} model bias"),
                             [kernel(k) for k in require(m, "kernels", f"{where} model")])
 
     def kernel(k: dict) -> RbfKernel:
         check_keys(k, ("center", "amplitude", "width"), "kernel")
-        return RbfKernel(tuple(require(k, "center", "kernel")), float(require(k, "amplitude", "kernel")),
-                         float(require(k, "width", "kernel")))
+        return RbfKernel(tuple(require(k, "center", "kernel")),
+                         config_float(require(k, "amplitude", "kernel"), "kernel amplitude"),
+                         config_float(require(k, "width", "kernel"), "kernel width"))
 
     def component(c: dict) -> GmmComponent:
         check_keys(c, ("weight", "mean", "covariance"), "gmm component")
-        return GmmComponent(float(require(c, "weight", "gmm component")),
+        return GmmComponent(config_float(require(c, "weight", "gmm component"), "gmm component weight"),
                             tuple(require(c, "mean", "gmm component")),
                             require(c, "covariance", "gmm component"))
 
@@ -160,7 +169,7 @@ def rbf_gmm_instance(block: dict, where: str,
     gmm = GmmPopulationSpec(
         [component(c) for c in require(g, "components", "gmm")],
         k_types=config_int(require(g, "k_types", "gmm"), "gmm.k_types"),
-        dx=float(g.get("dx", 0.0)),
+        dx=config_float(g.get("dx", 0.0), "gmm.dx"),
         seed=config_int(g.get("seed", 0), "gmm.seed"),
         sample_size=config_int(g.get("sample_size", 10_000), "gmm.sample_size"),
     )
@@ -197,7 +206,7 @@ def _spec_from_record(record: dict) -> GameSpec:
     if population is None:
         raise ConfigError("fixture record has no population")
     choice = choice_from_block(record.get("choice")) or ChoiceRule.hardmax()
-    return GameSpec(scores, population, int(record["n_platforms"]), choice)
+    return GameSpec(scores, population, config_int(record["n_platforms"], "n_platforms"), choice)
 
 
 def builtin_instance(name: str) -> Fixture:

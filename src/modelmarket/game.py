@@ -15,8 +15,9 @@ frozen on construction, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-9
+# Floats per array in one block of the multiset kernels (128 KiB), so their
+# memory stays bounded at any M, N and K.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -161,9 +165,15 @@ class GameSpec:
                 f"score matrix has {self.scores.n_types} type columns but the "
                 f"population has {self.population.n_types} types"
             )
-        if int(self.n_platforms) < 1:
+        try:
+            n = operator.index(self.n_platforms)
+        except TypeError:
+            raise InvalidInstanceError(
+                f"n_platforms must be an integer (got {self.n_platforms!r})"
+            ) from None
+        if n < 1:
             raise InvalidInstanceError("n_platforms must be at least 1")
-        object.__setattr__(self, "n_platforms", int(self.n_platforms))
+        object.__setattr__(self, "n_platforms", n)
 
     @property
     def n_models(self) -> int:
@@ -268,21 +278,44 @@ def deviation_values(spec: GameSpec, others) -> np.ndarray:
     their exponentials, shifted per model by max(S_g, rivals' max) / tau so
     that no share underflows to 0/0 at small tau.
     """
+    rivals = spec.scores.scores[list(_model_indices(spec, others, spec.n_platforms - 1))]
+    return _deviation_block(spec, rivals)
+
+
+def _deviation_block(spec: GameSpec, rivals: np.ndarray) -> np.ndarray:
+    """``deviation_values`` against each of B rival stacks: (B, N-1, K) score rows -> (B, M).
+
+    One stack of shape (N-1, K) gives shape (M,), which is ``deviation_values``.
+    Row b of a block is bit-equal to the one-stack call on ``rivals[b]``: the
+    final (B, M, K) @ w runs one gemv per stack, as the (M, K) @ w of one
+    stack does.
+    """
     s = spec.scores.scores
-    rivals = s[list(_model_indices(spec, others, spec.n_platforms - 1))]
     if spec.choice.kind == "hardmax":
-        top = rivals.max(axis=0, initial=-np.inf)
-        ties = (rivals == top).sum(axis=0)
+        top = rivals.max(axis=-2, keepdims=True, initial=-np.inf)
+        ties = (rivals == top).sum(axis=-2, keepdims=True)
         share = np.where(s > top, 1.0, np.where(s == top, 1.0 / (ties + 1), 0.0))
     else:
         z = s / spec.choice.tau
         rival_z = rivals / spec.choice.tau
-        rival_max = rival_z.max(axis=0, initial=-np.inf)
+        rival_max = rival_z.max(axis=-2, keepdims=True, initial=-np.inf)
         shift = np.maximum(z, rival_max)
         own = np.exp(z - shift)
-        rest = np.exp(rival_z - rival_max).sum(axis=0) * np.exp(rival_max - shift)
+        rest = np.exp(rival_z - rival_max).sum(axis=-2, keepdims=True) * np.exp(rival_max - shift)
         share = own / (own + rest)
     return (share * s) @ spec.population.weights
+
+
+def _multiset_blocks(multisets: Iterable[tuple[int, ...]], row_elements: int) -> Iterator[np.ndarray]:
+    """Consecutive equal-size multisets as (B, size) index arrays.
+
+    B is chosen so that a block's per-row intermediates of ``row_elements``
+    floats hold at most ``_BLOCK_ELEMENTS`` in all, whatever M, N and K are.
+    """
+    it = iter(multisets)
+    rows = max(1, _BLOCK_ELEMENTS // row_elements)
+    while batch := list(islice(it, rows)):
+        yield np.array(batch, dtype=np.intp)
 
 
 def average_scores(spec: GameSpec) -> np.ndarray:

@@ -153,7 +153,8 @@ def social_optimum(spec: GameSpec, budget: int = 10_000_000) -> SocialOptimum:
     """Highest coverage over all model multisets of size N.
 
     Coverage depends only on the multiset of chosen models, so the search
-    space is C(M + N - 1, N) rather than M^N.
+    space is C(M + N - 1, N) rather than M^N.  The multisets are scored a
+    block at a time, and the first maximiser in enumeration order is kept.
     """
     m, n = spec.n_models, spec.n_platforms
     count = math.comb(m + n - 1, n)
@@ -167,11 +168,16 @@ def social_optimum(spec: GameSpec, budget: int = 10_000_000) -> SocialOptimum:
     w = spec.population.weights
     best_value = -np.inf
     best_profile: tuple[int, ...] | None = None
-    for combo in combinations_with_replacement(range(m), n):
-        value = float(s[list(combo)].max(axis=0) @ w)
-        if value > best_value:
-            best_value = value
-            best_profile = combo
+    multisets = combinations_with_replacement(range(m), n)
+    for block in game._multiset_blocks(multisets, n * s.shape[1]):
+        # (B, 1, K) @ w is one dot per multiset, bit-equal to the 1-D dot of
+        # one multiset; a (B, K) @ w gemv is not
+        values = (s[block].max(axis=1)[:, None, :] @ w)[:, 0]
+        # the first maximiser in the block, and a later block only by strict >
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value = float(values[i])
+            best_profile = tuple(int(g) for g in block[i])
     assert best_profile is not None
     return SocialOptimum(best_value, best_profile)
 

@@ -16,6 +16,7 @@ from modelmarket.equilibrium import (
     PneCheck,
 )
 from modelmarket.errors import BudgetExceededError
+from modelmarket.metrics import SocialOptimum
 from modelmarket.game import (
     ChoiceRule,
     GameSpec,
@@ -155,6 +156,33 @@ def reference_enumerate_pne(
                 break
         found.extend(tuple(int(c) for c in row) for row in profs[stable])
     return found
+
+
+def reference_social_optimum(spec: GameSpec, budget: int = 10_000_000) -> SocialOptimum:
+    """Highest coverage over all model multisets of size N, one multiset at a time.
+
+    Coverage depends only on the multiset of chosen models, so the search
+    space is C(M + N - 1, N) rather than M^N.
+    """
+    m, n = spec.n_models, spec.n_platforms
+    count = math.comb(m + n - 1, n)
+    if count > budget:
+        raise BudgetExceededError(
+            f"social optimum needs {count} multisets but the budget is {budget}",
+            required=count,
+            budget=budget,
+        )
+    s = spec.scores.scores
+    w = spec.population.weights
+    best_value = -np.inf
+    best_profile: tuple[int, ...] | None = None
+    for combo in itertools.combinations_with_replacement(range(m), n):
+        value = float(s[list(combo)].max(axis=0) @ w)
+        if value > best_value:
+            best_value = value
+            best_profile = combo
+    assert best_profile is not None
+    return SocialOptimum(best_value, best_profile)
 
 
 def reference_verify_pne(spec: GameSpec, profile) -> PneCheck:

@@ -482,6 +482,50 @@ class TestConfigValidation:
         assert f"error: {field} must be an integer (got {value!r})" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("run", "choice.tau", "0.05"),
+        ("run", "synthetic model bias", "0.1"),
+        ("run", "kernel amplitude", "0.6"),
+        ("run", "kernel width", True),
+        ("run", "gmm.dx", "0.1"),
+        ("run", "gmm component weight", "1.0"),
+        ("sweep", "a population sweep weight", "0.5"),
+    ])
+    def test_float_config_field_must_be_a_number(self, tmp_path, capsys, command, field, value):
+        payload = self._every_block()
+        payload["instance"] = {"synthetic": _synthetic_block()}
+        synthetic = payload["instance"]["synthetic"]
+        if field == "choice.tau":
+            payload["choice"] = {"kind": "softmax", "tau": value}
+        elif field == "synthetic model bias":
+            synthetic["models"][0]["bias"] = value
+        elif field.startswith("kernel"):
+            synthetic["models"][0]["kernels"][0][field.split()[1]] = value
+        elif field == "gmm.dx":
+            synthetic["gmm"]["dx"] = value
+        elif field == "gmm component weight":
+            synthetic["gmm"]["components"][0]["weight"] = value
+        else:
+            payload["sweep"] = {"axis": "population", "values": [[value, 0.5, 0.0, 0.0]]}
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert f"error: {field} must be a number (got {value!r})" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep, message", [
+        ({"axis": "models", "values": [2], "seeds": 5}, "sweep.seeds must be a list (got 5)"),
+        ({"axis": "models", "values": 5}, "sweep.values must be a list (got 5)"),
+        ({"axis": "population", "values": [0.5]},
+         "a population sweep value must be a list of weights (got 0.5)"),
+    ])
+    def test_sweep_lists_must_be_lists(self, tmp_path, capsys, sweep, message):
+        payload = self._every_block()
+        payload["sweep"] = sweep
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def _every_block():
         return {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from modelmarket import fixtures as fixtures_mod
 from modelmarket.errors import ConfigError, InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance, fixture_names, verify_all, verify_fixture
 from modelmarket.preferences import PreferenceTable, scores_from_preferences
@@ -228,6 +229,13 @@ class TestFixtureRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown fixture"):
             builtin_instance("nope")
+
+    @pytest.mark.parametrize("n", [2.0, "2"])
+    def test_record_n_platforms_must_be_an_integer(self, monkeypatch, n):
+        record = fixtures_mod._load_record("fig2_a")
+        monkeypatch.setattr(fixtures_mod, "_load_record", lambda name: {**record, "n_platforms": n})
+        with pytest.raises(ConfigError, match="n_platforms must be an integer"):
+            builtin_instance("fig2_a")
 
     def test_counterexample_scores(self):
         spec = builtin_instance("c1_rps").spec

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from modelmarket import game
 from modelmarket.errors import InvalidInstanceError, InvalidParameterError, InvalidProfileError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import (
@@ -16,6 +17,7 @@ from modelmarket.game import (
     as_profile,
     average_scores,
     deviation_advantage,
+    deviation_values,
     platform_utilities,
 )
 
@@ -90,6 +92,16 @@ class TestValidation:
         assert np.array_equal(copy.population.weights, c1.population.weights)
         assert copy.scores.model_labels == c1.scores.model_labels
         assert copy.population.type_labels == c1.population.type_labels
+
+    @pytest.mark.parametrize("n", [2.7, "2", None])
+    def test_n_platforms_must_be_an_integer(self, c1, n):
+        # 2.7 and "2" must not run as two platforms
+        with pytest.raises(InvalidInstanceError, match="n_platforms must be an integer"):
+            c1.with_platforms(n)
+
+    def test_numpy_integer_n_platforms_accepted(self, c1):
+        spec = c1.with_platforms(np.int64(3))
+        assert spec.n_platforms == 3 and type(spec.n_platforms) is int
 
     def test_softmax_needs_positive_tau(self):
         with pytest.raises(InvalidParameterError):
@@ -291,3 +303,20 @@ class TestDecomposedUtility:
             assert np.allclose(platform_utilities(scaled, prof),
                                c * platform_utilities(spec, prof), atol=1e-12)
             assert np.allclose(average_scores(scaled), c * average_scores(spec), atol=1e-12)
+
+
+class TestDeviationBlock:
+    @pytest.mark.parametrize("choice", [ChoiceRule.hardmax(), ChoiceRule.softmax(1e-4),
+                                        ChoiceRule.softmax(0.05), ChoiceRule.softmax(1e3)])
+    def test_each_row_is_bit_equal_to_deviation_values(self, choice):
+        rng = np.random.default_rng(17)
+        for index in range(60):
+            spec = random_spec(rng, max_models=8, max_platforms=5, max_types=40, choice=choice)
+            if index % 2:  # exact ties on a coarse score grid
+                scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=spec.scores.scores.shape)
+                spec = GameSpec(ScoreMatrix(scores), spec.population, spec.n_platforms, choice)
+            stacks = rng.integers(0, spec.n_models, size=(int(rng.integers(2, 9)), spec.n_platforms - 1))
+            block = game._deviation_block(spec, spec.scores.scores[stacks])
+            assert block.shape == (len(stacks), spec.n_models), index
+            for row, others in zip(block, stacks):
+                assert row.tobytes() == deviation_values(spec, others).tobytes(), index

@@ -5,15 +5,20 @@ M <= 6, N <= 4, K <= 6) and checks every structural identity on each one;
 the acceptance tests run it at full width, the tests here at a smaller count.
 The solvers are also checked against the profile-by-profile reference
 solvers in ``helpers``, on instances with exact ties, M=1, N=1, and softmax
-at temperatures where the exponentials underflow or flatten.
+at temperatures where the exponentials underflow or flatten, and on
+instances with more multisets than one block of the blocked kernels.
 """
+
+import math
 
 import numpy as np
 
+from modelmarket import game
 from modelmarket.game import (
     ChoiceRule,
     GameSpec,
     ScoreMatrix,
+    UserPopulation,
     allocate,
     average_scores,
     deviation_advantage,
@@ -39,6 +44,7 @@ from helpers import (
     random_spec,
     reference_best_response,
     reference_enumerate_pne,
+    reference_social_optimum,
     reference_verify_pne,
 )
 
@@ -146,6 +152,33 @@ def test_solvers_match_the_profile_by_profile_reference():
                     want.witness.platform, want.witness.model), index
                 assert abs(got.witness.gain - want.witness.gain) < 1e-12, index
     assert seen == {(shape, c.tau) for shape in ORACLE_SHAPES for c in ORACLE_CHOICES}
+    # rival multisets that fill more than one block of the best-response table
+    for choice in (ChoiceRule.hardmax(), ChoiceRule.softmax(0.05)):
+        for scores in (rng.uniform(0.0, 1.0, size=(8, 40)),
+                       rng.choice([0.0, 0.25, 0.5, 1.0], size=(8, 40))):
+            spec = GameSpec(ScoreMatrix(scores), UserPopulation.uniform(40), 4, choice)
+            assert math.comb(8 + 4 - 2, 4 - 1) > game._BLOCK_ELEMENTS // scores.size
+            assert enumerate_pne(spec) == reference_enumerate_pne(spec), choice
+
+
+def test_social_optimum_matches_the_per_multiset_reference():
+    """The blocked optimum keeps the reference's value bit for bit and its first maximiser."""
+    rng = np.random.default_rng(53)
+    specs = [oracle_instance(rng, index)[0] for index in range(400)]
+    for _ in range(40):  # exact ties on a coarse score grid, and N > M
+        m, n, k = int(rng.integers(1, 4)), int(rng.integers(4, 7)), int(rng.integers(1, 7))
+        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, k))
+        specs.append(GameSpec(ScoreMatrix(scores), UserPopulation.uniform(k), n))
+    for index in range(20):  # M=12, N=5: 4,368 multisets, more than one block
+        k = int(rng.integers(2, 9))
+        scores = (rng.choice([0.0, 0.25, 0.5, 1.0], size=(12, k)) if index % 2
+                  else rng.uniform(0.0, 1.0, size=(12, k)))
+        specs.append(GameSpec(ScoreMatrix(scores), UserPopulation.uniform(k), 5))
+        assert math.comb(12 + 5 - 1, 5) > game._BLOCK_ELEMENTS // (5 * k)
+    for index, spec in enumerate(specs):
+        got, want = social_optimum(spec), reference_social_optimum(spec)
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes(), index
+        assert got.profile == want.profile, index
 
 
 def test_outcome_metrics_match_the_single_figure_functions():
