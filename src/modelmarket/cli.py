@@ -38,6 +38,7 @@ from .fixtures import (
     choice_from_block,
     config_float,
     config_int,
+    config_list,
     fixture_names,
     rbf_gmm_instance,
     require,
@@ -46,6 +47,9 @@ from .fixtures import (
 from . import entry as entry_mod
 
 OUT_DIR_ENV = "MODELMARKET_OUT"
+
+# the PNE list's budget, in profiles, in run and sweep summaries
+PNE_BUDGET = 1_000_000
 
 STEP_COLUMNS = [
     "run_id", "seed", "sweep_axis", "sweep_value", "repetition", "step",
@@ -75,6 +79,12 @@ def _load_run_config(path: str) -> dict:
     return cfg
 
 
+def _optional_list(block: dict, key: str, where: str) -> list | None:
+    """``block[key]``, checked to be a list, or None when it is absent or null."""
+    value = block.get(key)
+    return None if value is None else config_list(value, f"{where}.{key}")
+
+
 # ---------------------------------------------------------------------------
 # instance construction
 # ---------------------------------------------------------------------------
@@ -82,9 +92,11 @@ def _load_run_config(path: str) -> dict:
 def _spec_from_file_block(block: dict) -> GameSpec:
     check_keys(block, ("scores", "weights", "n_platforms", "model_labels", "type_labels", "choice"),
                "instance file")
-    scores = ScoreMatrix(require(block, "scores", "instance"), block.get("model_labels"))
-    weights = require(block, "weights", "instance")
-    labels = block.get("type_labels") or [f"t{i + 1}" for i in range(len(weights))]
+    scores = ScoreMatrix(config_list(require(block, "scores", "instance"), "instance.scores"),
+                         _optional_list(block, "model_labels", "instance"))
+    weights = config_list(require(block, "weights", "instance"), "instance.weights")
+    labels = (_optional_list(block, "type_labels", "instance")
+              or [f"t{i + 1}" for i in range(len(weights))])
     population = UserPopulation(labels, weights)
     choice = choice_from_block(block.get("choice")) or ChoiceRule.hardmax()
     n_platforms = config_int(require(block, "n_platforms", "instance"), "instance.n_platforms")
@@ -140,7 +152,7 @@ def _dynamics_params(cfg: dict, seed_override: int | None) -> tuple[Any, Any, in
     order = block.get("order", "round_robin")
     seed = config_int(seed_override if seed_override is not None else block.get("seed", 0),
                       "dynamics.seed")
-    return block.get("start"), order, max_steps, seed
+    return _optional_list(block, "start", "dynamics"), order, max_steps, seed
 
 
 def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, run_id: str,
@@ -160,7 +172,7 @@ def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRe
 
 
 def _summarize(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, run_id: str,
-               seed: int, instance_name: str, pne_budget: int = 1_000_000) -> dict:
+               seed: int, instance_name: str) -> dict:
     summary: dict[str, Any] = {
         "run_id": run_id,
         "instance": instance_name,
@@ -177,7 +189,7 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, 
         summary.update(social_optimum=record.optimum.value,
                        social_optimum_profile=list(spec.profile_labels(record.optimum.profile)))
     try:
-        pne = enumerate_pne(spec, budget=pne_budget)
+        pne = enumerate_pne(spec, budget=PNE_BUDGET)
         summary["pne"] = [list(spec.profile_labels(p)) for p in pne]
         summary["pne_count"] = len(pne)
     except MarketGameError as exc:
@@ -253,15 +265,11 @@ def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
     axis = require(sweep, "axis", "sweep")
     if axis not in ("models", "platforms", "population"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    values = require(sweep, "values", "sweep")
-    if not isinstance(values, list):
-        raise ConfigError(f"sweep.values must be a list (got {values!r})")
+    values = config_list(require(sweep, "values", "sweep"), "sweep.values")
     reps = config_int(sweep.get("repetitions", 1), "sweep.repetitions")
     if reps < 1:
         raise ConfigError("sweep.repetitions must be at least 1")
-    seeds = sweep.get("seeds")
-    if seeds is not None and not isinstance(seeds, list):
-        raise ConfigError(f"sweep.seeds must be a list (got {seeds!r})")
+    seeds = _optional_list(sweep, "seeds", "sweep")
     if seeds is not None and len(seeds) != reps:
         raise ConfigError("sweep.seeds must list one seed per repetition")
     cells = []
@@ -341,17 +349,21 @@ def _training_payload(cfg: dict) -> dict:
     block = require(cfg, "training", "top-level")
     check_keys(block, ("method", "estimator", "outcomes", "rewards", "dataset", "params",
                        "n_platforms"), "training")
-    outcomes = require(block, "outcomes", "training")
-    rewards = entry_mod.RewardTable(require(block, "rewards", "training"))
+    method = block.get("method", "both")
+    if method not in ("resampling", "direct", "both"):
+        raise ConfigError(f"unknown training method {method!r}")
+    outcomes = config_list(require(block, "outcomes", "training"), "training.outcomes")
+    rewards = entry_mod.RewardTable(
+        config_list(require(block, "rewards", "training"), "training.rewards"))
     ds = require(block, "dataset", "training")
     check_keys(ds, ("counts", "attributes", "attribute_labels", "type_preferences"),
                "training.dataset")
     dataset = entry_mod.EntryDataset(
         outcomes,
-        require(ds, "counts", "training.dataset"),
-        attributes=ds.get("attributes"),
-        attribute_labels=tuple(ds.get("attribute_labels", ())),
-        type_attribute_prefs=ds.get("type_preferences"),
+        config_list(require(ds, "counts", "training.dataset"), "training.dataset.counts"),
+        attributes=_optional_list(ds, "attributes", "training.dataset"),
+        attribute_labels=_optional_list(ds, "attribute_labels", "training.dataset") or (),
+        type_attribute_prefs=_optional_list(ds, "type_preferences", "training.dataset"),
     )
     params = block.get("params", {})
     rename = {"lambda": "lam"}
@@ -360,7 +372,7 @@ def _training_payload(cfg: dict) -> dict:
     kwargs = {rename.get(k, k): v for k, v in params.items()}
     config = entry_mod.TrainingConfig(**kwargs)
     return {
-        "method": block.get("method", "both"),
+        "methods": ["resampling", "direct"] if method == "both" else [method],
         "estimator": block.get("estimator", "exact"),
         "rewards": rewards,
         "dataset": dataset,
@@ -384,64 +396,56 @@ def _entry_market_section(report: entry_mod.EntrantReport) -> dict:
     }
 
 
+def _trace_csv(trace: list[dict], type_labels: Sequence[str]) -> tuple[list[str], list[dict]]:
+    """Columns and rows of a training trace: each row's scalar entries in its
+    dict order, ints as they are and floats through ``_fmt``, then one
+    ``score_<type>`` column per user type."""
+    rows = [{**{k: _fmt(v) if isinstance(v, float) else v for k, v in r.items() if k != "scores"},
+             **{f"score_{t}": _fmt(s) for t, s in zip(type_labels, r["scores"])}}
+            for r in trace]
+    return list(rows[0]), rows
+
+
 def cmd_entry(args) -> int:
     cfg = _load_run_config(args.config)
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
     payload = _training_payload(cfg)
     if spec.population.n_types != payload["rewards"].n_types:
         raise ConfigError("training rewards and instance population disagree on user types")
-    pool = entry_mod.OpponentPool.from_matrix(spec.scores)
-    population = spec.population
     config: entry_mod.TrainingConfig = payload["config"]
-    n_platforms = payload["n_platforms"]
-
-    base_spec = spec.with_platforms(n_platforms)
-    base_pne = enumerate_pne(base_spec)
+    base_spec = spec.with_platforms(payload["n_platforms"])
     report_json: dict[str, Any] = {
         "instance": instance_name,
-        "n_platforms": n_platforms,
+        "n_platforms": base_spec.n_platforms,
         "config": {k: getattr(config, k) for k in (
             "beta", "gamma", "lam", "outer_rounds", "inner_epochs", "eval_budget",
             "learning_rate", "baseline_decay", "blend", "seed")},
         "pre_entry": {
-            "pne": [list(base_spec.profile_labels(p)) for p in base_pne],
+            "pne": [list(base_spec.profile_labels(p)) for p in enumerate_pne(base_spec)],
             "social_optimum": social_optimum(base_spec).value,
         },
     }
+    # every method trains and is evaluated before any file is written, so a
+    # failing method leaves no partial output
+    traces = {}
+    for method in payload["methods"]:
+        if method == "resampling":
+            gen, traces[method] = entry_mod.train_resampling(
+                payload["dataset"], payload["rewards"], base_spec, config)
+        else:
+            gen, traces[method] = entry_mod.train_direct_gradient(
+                payload["dataset"], payload["rewards"], base_spec, config,
+                estimator=payload["estimator"])
+        report = entry_mod.evaluate_entrant(gen, payload["rewards"], base_spec,
+                                            entrant_label=f"entrant_{method}")
+        report_json[method] = _entry_market_section(report)
     out = _out_dir(args, cfg)
     prefix = cfg.get("output", {}).get("prefix", f"entry_{instance_name}")
-    methods = ["resampling", "direct"] if payload["method"] == "both" else [payload["method"]]
-    for method in methods:
-        if method == "resampling":
-            gen, trace = entry_mod.train_resampling(
-                payload["dataset"], payload["rewards"], population, pool, config)
-            columns = ["round", "objective"] + [f"score_{t}" for t in population.type_labels]
-            rows = [
-                {"round": r["round"], "objective": _fmt(r["objective"]),
-                 **{f"score_{t}": _fmt(s) for t, s in zip(population.type_labels, r["scores"])}}
-                for r in trace
-            ]
-        elif method == "direct":
-            gen, trace = entry_mod.train_direct_gradient(
-                payload["dataset"], payload["rewards"], population, pool, config,
-                estimator=payload["estimator"])
-            columns = ["epoch", "cross_entropy", "objective", "loss"] + [
-                f"score_{t}" for t in population.type_labels]
-            rows = [
-                {"epoch": r["epoch"], "cross_entropy": _fmt(r["cross_entropy"]),
-                 "objective": _fmt(r["objective"]), "loss": _fmt(r["loss"]),
-                 **{f"score_{t}": _fmt(s) for t, s in zip(population.type_labels, r["scores"])}}
-                for r in trace
-            ]
-        else:
-            raise ConfigError(f"unknown training method {method!r}")
-        report = entry_mod.evaluate_entrant(
-            gen, payload["rewards"], population, spec.scores, n_platforms,
-            choice=spec.choice, entrant_label=f"entrant_{method}")
-        _write_csv(out / f"{prefix}_trace_{method}.csv", columns, rows)
-        report_json[method] = _entry_market_section(report)
+    for method, trace in traces.items():
+        _write_csv(out / f"{prefix}_trace_{method}.csv",
+                   *_trace_csv(trace, base_spec.population.type_labels))
     _write_json(out / f"{prefix}_report.json", report_json)
-    print(f"{prefix}: trained {', '.join(methods)}; files in {out}")
+    print(f"{prefix}: trained {', '.join(traces)}; files in {out}")
     return 0
 
 
@@ -486,24 +490,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config: bool):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to the JSON run configuration")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the dynamics seed")
         p.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel sweep workers (only sweep uses it; run and entry ignore it)")
 
     p_run = sub.add_parser("run", help="run dynamics and metrics on one instance")
-    add_common(p_run, True)
+    add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep pool size, platform count, or population")
-    add_common(p_sweep, True)
+    add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_entry = sub.add_parser("entry", help="train an entrant and compare the market before/after")
-    add_common(p_entry, True)
+    add_common(p_entry)
     p_entry.set_defaults(func=cmd_entry)
 
     p_verify = sub.add_parser("verify-fixtures", help="re-derive every built-in expectation record")

@@ -6,6 +6,9 @@ averaged under the outcome distribution, the adoption-weighted objective and
 its gradient have closed forms, and the sampling-based scheme's Monte Carlo
 estimates can be verified against ground truth.
 
+The market an entrant enters is a ``GameSpec`` whose score matrix holds the
+incumbents.
+
 Two training schemes are provided.  ``train_resampling`` rebiases the
 training data toward strategically valuable user types and refits the
 generator to the resampled data (the loss is untouched).
@@ -17,7 +20,6 @@ score-function estimator.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,13 +32,12 @@ from .errors import (
     TrainingDivergedError,
 )
 from .equilibrium import DynamicsOutcome, enumerate_pne, run_dynamics
-from .game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, _frozen_array
+from .game import GameSpec, ScoreMatrix, _frozen_array
 from .metrics import MetricsRecord, outcome_metrics
 
 __all__ = [
     "ToyGenerator",
     "RewardTable",
-    "OpponentPool",
     "TrainingConfig",
     "EntryDataset",
     "RewardBaseline",
@@ -130,30 +131,6 @@ class RewardTable:
 
 
 @dataclass(frozen=True)
-class OpponentPool:
-    """Fixed incumbent score matrix; the best-opponent row is always recomputed."""
-
-    scores: np.ndarray  # M x K
-
-    def __init__(self, scores):
-        s = _frozen_array(scores)
-        if s.ndim != 2 or np.any(s < 0) or not np.all(np.isfinite(s)):
-            raise InvalidInstanceError("incumbent scores must be a non-negative M x K matrix")
-        object.__setattr__(self, "scores", s)
-
-    @staticmethod
-    def from_matrix(matrix: ScoreMatrix) -> "OpponentPool":
-        return OpponentPool(matrix.scores)
-
-    @property
-    def n_types(self) -> int:
-        return self.scores.shape[1]
-
-    def best_scores(self) -> np.ndarray:
-        return self.scores.max(axis=0)
-
-
-@dataclass(frozen=True)
 class TrainingConfig:
     """Hyperparameters shared by both entry-training schemes."""
 
@@ -169,16 +146,15 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a bool is an int to Python, but never a count or a weight here
         for name in ("outer_rounds", "inner_epochs", "eval_budget", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise InvalidParameterError(
-                    f"{name} must be an integer (got {getattr(self, name)!r})") from None
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer (got {value!r})")
         for name, value in (("beta", self.beta), ("gamma", self.gamma), ("lambda", self.lam),
                             ("learning_rate", self.learning_rate),
                             ("baseline_decay", self.baseline_decay), ("blend", self.blend)):
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidParameterError(f"{name} must be a number (got {value!r})")
         if not self.beta > 0:
             raise InvalidParameterError("beta must be > 0")
@@ -284,22 +260,21 @@ def entrant_scores(gen: ToyGenerator, rewards: RewardTable) -> np.ndarray:
     return rewards.rewards @ gen.probabilities()
 
 
-def adoption_gate(s_phi: np.ndarray, pool: OpponentPool, beta: float) -> np.ndarray:
-    """Sigmoid gate on the entrant's margin over the best incumbent, per type."""
+def adoption_gate(s_phi: np.ndarray, market: GameSpec, beta: float) -> np.ndarray:
+    """Sigmoid gate on the entrant's margin over the market's best incumbent, per type."""
     if not beta > 0:
         raise InvalidParameterError("beta must be > 0")
     s = np.asarray(s_phi, dtype=float)
-    if s.shape != (pool.n_types,):
+    if s.shape != (market.population.n_types,):
         raise InvalidInstanceError("s_phi must have one entry per user type")
-    return _sigmoid(beta * (s - pool.best_scores()))
+    return _sigmoid(beta * (s - market.scores.scores.max(axis=0)))
 
 
-def objective_f(gen: ToyGenerator, rewards: RewardTable, population: UserPopulation,
-                pool: OpponentPool, beta: float) -> float:
+def objective_f(gen: ToyGenerator, rewards: RewardTable, market: GameSpec, beta: float) -> float:
     """Adoption-weighted quality: sum over types of pi * gate * score."""
     s = entrant_scores(gen, rewards)
-    sigma = adoption_gate(s, pool, beta)
-    return float(population.weights @ (sigma * s))
+    sigma = adoption_gate(s, market, beta)
+    return float(market.population.weights @ (sigma * s))
 
 
 def grad_s_exact(gen: ToyGenerator, rewards: RewardTable, type_index: int) -> np.ndarray:
@@ -310,17 +285,19 @@ def grad_s_exact(gen: ToyGenerator, rewards: RewardTable, type_index: int) -> np
     return p * (r - s)
 
 
-def grad_f_exact(gen: ToyGenerator, rewards: RewardTable, population: UserPopulation,
-                 pool: OpponentPool, beta: float) -> np.ndarray:
-    """Exact logit-gradient of the adoption-weighted objective.
+def _gate_coefficients(s: np.ndarray, market: GameSpec, beta: float) -> np.ndarray:
+    """Each type's weight pi * (sigma + beta * sigma * (1 - sigma) * S) on dS/dphi
+    in the objective's gradient: the chain rule through the gate."""
+    sigma = adoption_gate(s, market, beta)
+    return market.population.weights * (sigma + beta * sigma * (1.0 - sigma) * s)
 
-    Chain rule through the gate: each type contributes
-    pi * (sigma + beta * sigma * (1 - sigma) * S) * dS/dphi.
-    """
+
+def grad_f_exact(gen: ToyGenerator, rewards: RewardTable, market: GameSpec,
+                 beta: float) -> np.ndarray:
+    """Exact logit-gradient of the adoption-weighted objective."""
     p = gen.probabilities()
     s = rewards.rewards @ p
-    sigma = adoption_gate(s, pool, beta)
-    coeff = population.weights * (sigma + beta * sigma * (1.0 - sigma) * s)
+    coeff = _gate_coefficients(s, market, beta)
     # sum_theta coeff * p * (r_theta - S_theta), vectorized over outcomes
     weighted = coeff @ (rewards.rewards - s[:, None])
     return p * weighted
@@ -351,8 +328,8 @@ def grad_s_reinforce(gen: ToyGenerator, rewards: RewardTable, type_index: int,
 # resampling scheme
 # ---------------------------------------------------------------------------
 
-def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, pool: OpponentPool,
-                     population: UserPopulation, beta: float, gamma: float,
+def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
+                     beta: float, gamma: float,
                      rewards: RewardTable | None = None) -> np.ndarray:
     """Per-item sampling probabilities that bias training toward valuable types.
 
@@ -364,8 +341,9 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, pool: OpponentPoo
     """
     if gamma < 0:
         raise InvalidParameterError("gamma must be >= 0")
-    sigma = adoption_gate(np.asarray(s_phi, dtype=float), pool, beta)
-    alpha = population.weights * np.power(sigma, gamma) * pool.best_scores()
+    population = market.population
+    sigma = adoption_gate(np.asarray(s_phi, dtype=float), market, beta)
+    alpha = population.weights * np.power(sigma, gamma) * market.scores.scores.max(axis=0)
     counts = dataset.counts
     present = counts > 0
 
@@ -415,8 +393,8 @@ def _initial_generator(dataset: EntryDataset, init: ToyGenerator | None) -> ToyG
     return ToyGenerator.from_distribution(dataset.outcome_labels, floored / floored.sum())
 
 
-def train_resampling(dataset: EntryDataset, rewards: RewardTable, population: UserPopulation,
-                     pool: OpponentPool, config: TrainingConfig,
+def train_resampling(dataset: EntryDataset, rewards: RewardTable, market: GameSpec,
+                     config: TrainingConfig,
                      init: ToyGenerator | None = None) -> tuple[ToyGenerator, list[dict]]:
     """Outer resampling rounds around an inner maximum-likelihood refit.
 
@@ -424,6 +402,8 @@ def train_resampling(dataset: EntryDataset, rewards: RewardTable, population: Us
     seeded draws, computes resampling weights, redraws the dataset, and runs
     ``inner_epochs`` blended-frequency updates toward the resampled empirical
     distribution.  The trace records exact scores and objective per round.
+    The surrogate gate reads only the market's population and best-incumbent
+    row, not its platform count or choice rule.
     """
     rng = np.random.default_rng(config.seed)
     gen = _initial_generator(dataset, init)
@@ -434,14 +414,14 @@ def train_resampling(dataset: EntryDataset, rewards: RewardTable, population: Us
         return {
             "round": round_index,
             "scores": tuple(float(x) for x in s),
-            "objective": objective_f(gen, rewards, population, pool, config.beta),
+            "objective": objective_f(gen, rewards, market, config.beta),
         }
 
     trace = [trace_row(0)]
     for t in range(1, config.outer_rounds + 1):
         s_hat = _estimate_scores(gen, rewards, config.eval_budget, rng)
         weights = resample_weights(
-            dataset, s_hat, pool, population, config.beta, config.gamma, rewards=rewards
+            dataset, s_hat, market, config.beta, config.gamma, rewards=rewards
         )
         resampled = rng.multinomial(total, weights)
         target = resampled / total
@@ -468,8 +448,8 @@ def _cross_entropy(q_hat: np.ndarray, gen: ToyGenerator) -> float:
     return float(-(q_hat @ logp))
 
 
-def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, population: UserPopulation,
-                          pool: OpponentPool, config: TrainingConfig,
+def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, market: GameSpec,
+                          config: TrainingConfig,
                           estimator: str = "exact",
                           init: ToyGenerator | None = None) -> tuple[ToyGenerator, list[dict]]:
     """Gradient descent on cross-entropy-to-data minus lambda times the objective.
@@ -478,7 +458,9 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, populatio
     is halved whenever an epoch would increase the cross-entropy by more than
     1e-9, so the loss trace is monotone.  Gradients of the objective come
     from the exact formula or, with ``estimator="reinforce"``, from the
-    baselined score-function estimator on seeded draws.
+    baselined score-function estimator on seeded draws.  The surrogate gate
+    reads only the market's population and best-incumbent row, not its
+    platform count or choice rule.
     """
     if estimator not in ("exact", "reinforce"):
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
@@ -487,12 +469,13 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, populatio
     rng = np.random.default_rng(config.seed)
     gen = _initial_generator(dataset, init)
     q_hat = dataset.empirical_distribution()
-    baseline = RewardBaseline.zeros(population.n_types, config.baseline_decay)
+    n_types = market.population.n_types
+    baseline = RewardBaseline.zeros(n_types, config.baseline_decay)
     eta = config.learning_rate
 
     def trace_row(epoch: int) -> dict:
         ell = _cross_entropy(q_hat, gen)
-        f = objective_f(gen, rewards, population, pool, config.beta)
+        f = objective_f(gen, rewards, market, config.beta)
         return {"epoch": epoch, "cross_entropy": ell, "objective": f,
                 "loss": ell - config.lam * f,
                 "scores": tuple(float(x) for x in entrant_scores(gen, rewards))}
@@ -503,13 +486,11 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, populatio
         grad_ell = p - q_hat
         if config.lam > 0:
             if estimator == "exact":
-                grad_f = grad_f_exact(gen, rewards, population, pool, config.beta)
+                grad_f = grad_f_exact(gen, rewards, market, config.beta)
             else:
-                s = entrant_scores(gen, rewards)
-                sigma = adoption_gate(s, pool, config.beta)
-                coeff = population.weights * (sigma + config.beta * sigma * (1.0 - sigma) * s)
+                coeff = _gate_coefficients(entrant_scores(gen, rewards), market, config.beta)
                 grad_f = np.zeros(gen.n_outcomes)
-                for k in range(population.n_types):
+                for k in range(n_types):
                     grad_f += coeff[k] * grad_s_reinforce(
                         gen, rewards, k, config.eval_budget, baseline, rng
                     )
@@ -552,28 +533,29 @@ class EntrantReport:
     adopted: bool
 
 
-def evaluate_entrant(entrant: ToyGenerator, rewards: RewardTable, population: UserPopulation,
-                     incumbents: ScoreMatrix, n_platforms: int,
-                     choice: ChoiceRule | None = None,
+def evaluate_entrant(entrant: ToyGenerator, rewards: RewardTable, market: GameSpec,
                      entrant_label: str = "entrant",
                      start: Sequence[int] | None = None,
                      max_steps: int = 1000) -> EntrantReport:
-    """Append the entrant's exact score row and re-analyze the market game.
+    """Append the entrant's exact score row to the market and re-analyze the game.
 
-    The entrant counts as adopted when its model index appears in some pure
-    equilibrium or, failing convergence, in the detected cycle's profiles.
+    The post-entry game keeps the market's population, platform count and
+    choice rule.  The entrant counts as adopted when its model index appears
+    in some pure equilibrium or, failing convergence, in the detected cycle's
+    profiles.
     """
-    if incumbents.n_types != population.n_types or rewards.n_types != population.n_types:
-        raise InvalidInstanceError("incumbents, rewards, and population disagree on user types")
+    if rewards.n_types != market.population.n_types:
+        raise InvalidInstanceError("rewards and the market's population disagree on user types")
     row = entrant_scores(entrant, rewards)
+    incumbents = market.scores
     stacked = ScoreMatrix(
         np.vstack([incumbents.scores, np.clip(row, 0.0, None)]),
         model_labels=list(incumbents.model_labels) + [entrant_label],
     )
-    spec = GameSpec(stacked, population, n_platforms, choice or ChoiceRule.hardmax())
+    spec = GameSpec(stacked, market.population, market.n_platforms, market.choice)
     entrant_index = incumbents.n_models
     pne = tuple(enumerate_pne(spec))
-    outcome = run_dynamics(spec, tuple(start) if start is not None else (0,) * n_platforms,
+    outcome = run_dynamics(spec, tuple(start) if start is not None else (0,) * spec.n_platforms,
                            max_steps=max_steps)
     adopted = any(entrant_index in p for p in pne)
     if outcome.kind == "cycle":

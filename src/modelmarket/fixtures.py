@@ -101,12 +101,14 @@ def require(block: dict, key: str, where: str):
 
 
 def config_int(value, name: str) -> int:
-    """``value`` as an int, or a ConfigError naming the field: a float or a
-    string is not read as an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer (got {value!r})") from None
+    """``value`` as an int, or a ConfigError naming the field: a float, a
+    string or a bool is not read as an integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer (got {value!r})")
 
 
 def config_float(value, name: str) -> float:
@@ -115,6 +117,14 @@ def config_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number (got {value!r})")
     return float(value)
+
+
+def config_list(value, name: str) -> list:
+    """``value`` itself, or a ConfigError naming the field unless it is a JSON
+    list: a number or a string is not read as a list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list (got {value!r})")
+    return value
 
 
 def check_keys(block, known: Collection[str], name: str) -> None:
@@ -149,25 +159,28 @@ def rbf_gmm_instance(block: dict, where: str,
     def model(m: dict) -> RbfModelSpec:
         check_keys(m, ("bias", "kernels"), f"{where} model")
         return RbfModelSpec(config_float(m.get("bias", 0.0), f"{where} model bias"),
-                            [kernel(k) for k in require(m, "kernels", f"{where} model")])
+                            [kernel(k) for k in config_list(require(m, "kernels", f"{where} model"),
+                                                            f"{where} model kernels")])
 
     def kernel(k: dict) -> RbfKernel:
         check_keys(k, ("center", "amplitude", "width"), "kernel")
-        return RbfKernel(tuple(require(k, "center", "kernel")),
+        return RbfKernel(tuple(config_list(require(k, "center", "kernel"), "kernel center")),
                          config_float(require(k, "amplitude", "kernel"), "kernel amplitude"),
                          config_float(require(k, "width", "kernel"), "kernel width"))
 
     def component(c: dict) -> GmmComponent:
         check_keys(c, ("weight", "mean", "covariance"), "gmm component")
         return GmmComponent(config_float(require(c, "weight", "gmm component"), "gmm component weight"),
-                            tuple(require(c, "mean", "gmm component")),
-                            require(c, "covariance", "gmm component"))
+                            tuple(config_list(require(c, "mean", "gmm component"),
+                                              "gmm component mean")),
+                            config_list(require(c, "covariance", "gmm component"),
+                                        "gmm component covariance"))
 
-    models = [model(m) for m in require(block, "models", where)]
+    models = [model(m) for m in config_list(require(block, "models", where), f"{where}.models")]
     g = require(block, "gmm", where)
     check_keys(g, ("components", "k_types", "dx", "seed", "sample_size"), "gmm")
     gmm = GmmPopulationSpec(
-        [component(c) for c in require(g, "components", "gmm")],
+        [component(c) for c in config_list(require(g, "components", "gmm"), "gmm.components")],
         k_types=config_int(require(g, "k_types", "gmm"), "gmm.k_types"),
         dx=config_float(g.get("dx", 0.0), "gmm.dx"),
         seed=config_int(g.get("seed", 0), "gmm.seed"),

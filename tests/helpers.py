@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from modelmarket.entry import EntryDataset, OpponentPool, RewardTable
+from modelmarket.entry import EntryDataset, RewardTable
 from modelmarket.equilibrium import (
     DEFAULT_PROFILE_BUDGET,
     IMPROVEMENT_EPS,
@@ -251,9 +251,7 @@ class EntryToy:
 
     outcome_labels: tuple[str, ...]
     rewards: RewardTable
-    population: UserPopulation
-    incumbents: ScoreMatrix
-    pool: OpponentPool
+    market: GameSpec  # the incumbents' two-platform game
     dataset: EntryDataset
     target_type: int  # the under-served heavy type
 
@@ -274,5 +272,4 @@ def entry_toy() -> EntryToy:
         attribute_labels=["art", "math", "misc"],
         type_attribute_prefs=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     )
-    return EntryToy(labels, rewards, population, incumbents,
-                    OpponentPool.from_matrix(incumbents), dataset, target_type=1)
+    return EntryToy(labels, rewards, GameSpec(incumbents, population, 2), dataset, target_type=1)

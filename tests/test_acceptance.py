@@ -246,14 +246,14 @@ def test_criterion_10_entry_training():
         h = 1e-5
         for _ in range(10):
             gen = ToyGenerator(toy.outcome_labels, rng.normal(size=5))
-            grad = grad_f_exact(gen, toy.rewards, toy.population, toy.pool, 4.0)
+            grad = grad_f_exact(gen, toy.rewards, toy.market, 4.0)
             for i in range(5):
                 bump = np.zeros(5)
                 bump[i] = h
                 up = objective_f(ToyGenerator(toy.outcome_labels, gen.logits + bump),
-                                 toy.rewards, toy.population, toy.pool, 4.0)
+                                 toy.rewards, toy.market, 4.0)
                 dn = objective_f(ToyGenerator(toy.outcome_labels, gen.logits - bump),
-                                 toy.rewards, toy.population, toy.pool, 4.0)
+                                 toy.rewards, toy.market, 4.0)
                 fd = (up - dn) / (2 * h)
                 assert abs(grad[i] - fd) / max(abs(fd), 1e-6) < 1e-4
 
@@ -274,15 +274,14 @@ def test_criterion_10_entry_training():
         # entrant lands in a pure equilibrium of the post-entry game
         config = TrainingConfig(lam=2.0, learning_rate=0.5, inner_epochs=40, seed=3)
         gen_direct, trace = train_direct_gradient(
-            toy.dataset, toy.rewards, toy.population, toy.pool, config)
+            toy.dataset, toy.rewards, toy.market, config)
         assert trace[-1]["objective"] > trace[0]["objective"]
         from modelmarket.entry import evaluate_entrant
-        report = evaluate_entrant(gen_direct, toy.rewards, toy.population,
-                                  toy.incumbents, n_platforms=3)
+        report = evaluate_entrant(gen_direct, toy.rewards, toy.market.with_platforms(3))
         assert any(report.entrant_index in p for p in report.pne)
 
         # resampling training raises the under-served heavy type's score
         gen_samp, trace_samp = train_resampling(
-            toy.dataset, toy.rewards, toy.population, toy.pool, TrainingConfig(seed=3))
+            toy.dataset, toy.rewards, toy.market, TrainingConfig(seed=3))
         assert (trace_samp[-1]["scores"][toy.target_type]
                 > trace_samp[0]["scores"][toy.target_type])

@@ -321,6 +321,32 @@ class TestEntry:
         assert float(trace[-1]["objective"]) > float(trace[0]["objective"])
         assert len(_read_csv(tmp_path / "toy_trace_resampling.csv")) == 6  # init + 5 rounds
 
+    def test_trace_headers(self, tmp_path, entry_config):
+        assert main(["entry", "--config", entry_config, "--out", str(tmp_path)]) == 0
+        headers = {method: (tmp_path / f"toy_trace_{method}.csv").read_text().splitlines()[0]
+                   for method in ("resampling", "direct")}
+        assert headers == {
+            "resampling": "round,objective,score_a,score_b,score_c",
+            "direct": "epoch,cross_entropy,objective,loss,score_a,score_b,score_c",
+        }
+
+    @pytest.mark.parametrize("training, message", [
+        pytest.param({"estimator": "typo"}, "unknown estimator 'typo'", id="estimator"),
+        pytest.param({"params": {"inner_epochs": 0}},
+                     "direct-gradient training needs inner_epochs >= 1", id="inner_epochs"),
+        pytest.param({"method": "typo"}, "unknown training method 'typo'", id="method"),
+    ])
+    def test_failed_run_writes_no_file(self, tmp_path, capsys, training, message):
+        # with method both, resampling trains before direct fails
+        payload = _read_json(CONFIGS / "entry_underserved_type.json")
+        payload["instance"]["file"] = str(CONFIGS / payload["instance"]["file"])
+        payload["training"].update({"method": "both", **training})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["entry", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_lambda_zero_reproduces_the_data_distribution(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "instance": {
@@ -434,7 +460,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("outer_rounds", 2.5), ("inner_epochs", 3.5), ("eval_budget", 100.5), ("seed", "3"),
-        ("seed", 3.7), ("beta", "4"), ("lambda", None),
+        ("seed", 3.7), ("beta", "4"), ("lambda", None), ("outer_rounds", True), ("beta", True),
     ])
     def test_training_param_of_the_wrong_type_rejected(self, tmp_path, capsys, key, value):
         payload = _read_json(CONFIGS / "entry_underserved_type.json")
@@ -443,7 +469,7 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["entry", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
         kind = "a number" if key in ("beta", "lambda") else "an integer"
-        assert f"error: {key} must be {kind} (got {value!r})" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {key} must be {kind} (got {value!r})\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, field, value", [
@@ -454,6 +480,8 @@ class TestConfigValidation:
         ("run", "gmm.sample_size", "200"),
         ("run", "dynamics.max_steps", 50.9),
         ("run", "dynamics.seed", 1.5),
+        ("run", "dynamics.max_steps", True),
+        ("run", "dynamics.seed", False),
         ("sweep", "sweep.repetitions", 1.5),
         ("sweep", "sweep.seeds", 4.5),
         pytest.param("sweep", "a models sweep value", 2.9, id="sweep-models_value-2.9"),
@@ -479,7 +507,7 @@ class TestConfigValidation:
             payload[block][key] = value
         out = tmp_path / "out"
         assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
-        assert f"error: {field} must be an integer (got {value!r})" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {field} must be an integer (got {value!r})\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, field, value", [
@@ -524,6 +552,30 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["sweep", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("run", "dynamics.start", 3),
+        ("run", "instance.weights", 1),
+        ("run", "kernel center", 0.5),
+        ("entry", "training.dataset.attribute_labels", 5),
+    ])
+    def test_list_config_field_must_be_a_list(self, tmp_path, capsys, command, field, value):
+        payload = self._every_block()
+        if field == "instance.weights":
+            payload["instance"] = {"file": _write_config(tmp_path, {
+                "scores": [[0.5, 0.2], [0.3, 0.6]], "weights": value, "n_platforms": 2,
+            }, name="inst.json")}
+        elif field == "kernel center":
+            payload["instance"] = {"synthetic": _synthetic_block()}
+            payload["instance"]["synthetic"]["models"][0]["kernels"][0]["center"] = value
+        elif field == "dynamics.start":
+            payload["dynamics"]["start"] = value
+        else:
+            payload["training"]["dataset"]["attribute_labels"] = value
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be a list (got {value!r})\n"
         assert not out.exists()
 
     @staticmethod
