@@ -39,6 +39,8 @@ from .fixtures import (
     config_float,
     config_int,
     config_list,
+    config_numbers,
+    config_str,
     fixture_names,
     rbf_gmm_instance,
     require,
@@ -75,7 +77,10 @@ def _load_run_config(path: str) -> dict:
     """A run configuration whose top level and ``output`` block are checked."""
     cfg = _load_config(path)
     check_keys(cfg, ("instance", "choice", "dynamics", "sweep", "training", "output"), "top-level")
-    check_keys(cfg.get("output", {}), ("dir", "prefix"), "output")
+    output = cfg.get("output", {})
+    check_keys(output, ("dir", "prefix"), "output")
+    for key in output:
+        config_str(output[key], f"output.{key}")
     return cfg
 
 
@@ -92,9 +97,10 @@ def _optional_list(block: dict, key: str, where: str) -> list | None:
 def _spec_from_file_block(block: dict) -> GameSpec:
     check_keys(block, ("scores", "weights", "n_platforms", "model_labels", "type_labels", "choice"),
                "instance file")
-    scores = ScoreMatrix(config_list(require(block, "scores", "instance"), "instance.scores"),
+    scores = ScoreMatrix(config_numbers(require(block, "scores", "instance"), "instance.scores",
+                                        matrix=True),
                          _optional_list(block, "model_labels", "instance"))
-    weights = config_list(require(block, "weights", "instance"), "instance.weights")
+    weights = config_numbers(require(block, "weights", "instance"), "instance.weights")
     labels = (_optional_list(block, "type_labels", "instance")
               or [f"t{i + 1}" for i in range(len(weights))])
     population = UserPopulation(labels, weights)
@@ -124,7 +130,7 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
         fixture = builtin_instance(block["builtin"])
         spec, name, notes = fixture.spec, fixture.name, fixture.notes
     elif sources[0] == "file":
-        path = Path(base_dir) / block["file"]
+        path = Path(base_dir) / config_str(block["file"], "instance.file")
         spec, name, notes = _spec_from_file_block(_load_config(str(path))), path.stem, ""
     else:
         spec, name, notes = _spec_from_synthetic_block(block["synthetic"]), "synthetic", ""
@@ -150,9 +156,14 @@ def _dynamics_params(cfg: dict, seed_override: int | None) -> tuple[Any, Any, in
     if max_steps < 1:
         raise ConfigError("dynamics.max_steps must be at least 1")
     order = block.get("order", "round_robin")
+    if isinstance(order, list):
+        order = [config_int(i, "an entry of dynamics.order") for i in order]
+    start = _optional_list(block, "start", "dynamics")
+    if start is not None:
+        start = tuple(config_int(g, "an entry of dynamics.start") for g in start)
     seed = config_int(seed_override if seed_override is not None else block.get("seed", 0),
                       "dynamics.seed")
-    return _optional_list(block, "start", "dynamics"), order, max_steps, seed
+    return start, order, max_steps, seed
 
 
 def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, run_id: str,
@@ -239,7 +250,7 @@ def cmd_run(args) -> int:
     cfg = _load_run_config(args.config)
     spec, instance_name, notes = _build_instance(cfg, Path(args.config).parent)
     start_cfg, order, max_steps, seed = _dynamics_params(cfg, args.seed)
-    start = tuple(start_cfg) if start_cfg is not None else _draw_start(spec, seed)
+    start = start_cfg if start_cfg is not None else _draw_start(spec, seed)
     outcome = run_dynamics(spec, start, order=order, max_steps=max_steps)
     prefix = cfg.get("output", {}).get("prefix", f"run_{instance_name}")
     out = _out_dir(args, cfg)
@@ -352,18 +363,23 @@ def _training_payload(cfg: dict) -> dict:
     method = block.get("method", "both")
     if method not in ("resampling", "direct", "both"):
         raise ConfigError(f"unknown training method {method!r}")
+    estimator = block.get("estimator", "exact")
+    if estimator not in ("exact", "reinforce"):
+        raise ConfigError(f"unknown estimator {estimator!r}")
     outcomes = config_list(require(block, "outcomes", "training"), "training.outcomes")
     rewards = entry_mod.RewardTable(
-        config_list(require(block, "rewards", "training"), "training.rewards"))
+        config_numbers(require(block, "rewards", "training"), "training.rewards", matrix=True))
     ds = require(block, "dataset", "training")
     check_keys(ds, ("counts", "attributes", "attribute_labels", "type_preferences"),
                "training.dataset")
+    prefs = ds.get("type_preferences")
     dataset = entry_mod.EntryDataset(
         outcomes,
-        config_list(require(ds, "counts", "training.dataset"), "training.dataset.counts"),
+        config_numbers(require(ds, "counts", "training.dataset"), "training.dataset.counts"),
         attributes=_optional_list(ds, "attributes", "training.dataset"),
         attribute_labels=_optional_list(ds, "attribute_labels", "training.dataset") or (),
-        type_attribute_prefs=_optional_list(ds, "type_preferences", "training.dataset"),
+        type_attribute_prefs=None if prefs is None else config_numbers(
+            prefs, "training.dataset.type_preferences", matrix=True),
     )
     params = block.get("params", {})
     rename = {"lambda": "lam"}
@@ -373,7 +389,7 @@ def _training_payload(cfg: dict) -> dict:
     config = entry_mod.TrainingConfig(**kwargs)
     return {
         "methods": ["resampling", "direct"] if method == "both" else [method],
-        "estimator": block.get("estimator", "exact"),
+        "estimator": estimator,
         "rewards": rewards,
         "dataset": dataset,
         "config": config,
@@ -417,9 +433,7 @@ def cmd_entry(args) -> int:
     report_json: dict[str, Any] = {
         "instance": instance_name,
         "n_platforms": base_spec.n_platforms,
-        "config": {k: getattr(config, k) for k in (
-            "beta", "gamma", "lam", "outer_rounds", "inner_epochs", "eval_budget",
-            "learning_rate", "baseline_decay", "blend", "seed")},
+        "config": dataclasses.asdict(config),
         "pre_entry": {
             "pne": [list(base_spec.profile_labels(p)) for p in enumerate_pne(base_spec)],
             "social_optimum": social_optimum(base_spec).value,

@@ -170,18 +170,21 @@ class CentralizationResult:
 def verify_pne(spec: GameSpec, profile) -> PneCheck:
     """Check that no platform can gain more than the threshold by switching model.
 
-    On failure the returned witness names one profitable deviation: the first
-    such platform and its lowest-index profitable model.
+    Every platform's deviation values come from one kernel call over the N
+    rival stacks.  On failure the returned witness names one profitable
+    deviation: the first such platform and its lowest-index profitable model.
     """
-    prof = as_profile(spec, profile)
-    for i in range(spec.n_platforms):
-        values = game.deviation_values(spec, prof[:i] + prof[i + 1:])
-        gains = values - values[prof[i]]
-        better = np.flatnonzero(gains > IMPROVEMENT_EPS)
-        if better.size:
-            g = int(better[0])
-            return PneCheck(False, Deviation(i, g, float(gains[g])))
-    return PneCheck(True)
+    prof = np.array(as_profile(spec, profile))
+    n = spec.n_platforms
+    # row i: the profile without platform i
+    rivals = np.tile(prof, (n, 1))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    values = game._deviation_block(spec, spec.scores.scores[rivals])
+    gains = values - values[np.arange(n), prof][:, None]
+    better = np.argwhere(gains > IMPROVEMENT_EPS)  # row-major: platform, then model
+    if not better.size:
+        return PneCheck(True)
+    i, g = better[0].tolist()
+    return PneCheck(False, Deviation(i, g, float(gains[i, g])))
 
 
 def classify_profile(spec: GameSpec, profile) -> EquilibriumClassification:
@@ -382,6 +385,24 @@ def _hardmax_only(spec: GameSpec, what: str) -> None:
         raise InvalidInstanceError(f"{what} is defined for hardmax instances")
 
 
+def _condition_report(spec: GameSpec, prof: tuple[int, ...], movers: np.ndarray,
+                      base: np.ndarray) -> ConditionReport:
+    """Rows T_{f_i} - T_g >= delta_i(f with i->g) - base[i] for each platform i
+    of ``movers`` and each model g other than f_i, the deviations' advantages
+    from one kernel call over their stack."""
+    cur = np.array(prof)
+    r, alt = np.nonzero(np.arange(spec.n_models) != cur[movers, None])
+    mover = movers[r]
+    deviations = np.where(np.arange(len(cur)) == mover[:, None], alt[:, None], cur)
+    d_alt = game._deviation_advantage(spec.choice, spec.scores.scores[deviations],
+                                      spec.population.weights)[np.arange(len(r)), mover]
+    t = game.average_scores(spec)
+    lhs, rhs = t[cur[mover]] - t[alt], d_alt - base[mover]
+    rows = tuple(ConditionRow(int(i), prof[i], int(g), float(a), float(b))
+                 for i, g, a, b in zip(mover, alt, lhs, rhs))
+    return ConditionReport(not np.any(lhs < rhs - IMPROVEMENT_EPS), rows)
+
+
 def check_differentiated_condition(spec: GameSpec, profile) -> ConditionReport:
     """Margin test for a fully differentiated profile being a PNE.
 
@@ -397,44 +418,20 @@ def check_differentiated_condition(spec: GameSpec, profile) -> ConditionReport:
         raise InvalidInstanceError("profile must use distinct models on every platform")
     if spec.n_models < spec.n_platforms:
         raise InvalidInstanceError("needs at least as many models as platforms")
-    t = game.average_scores(spec)
-    d_cur = game.deviation_advantage(spec, prof)
-    rows = []
-    holds = True
-    for i in range(spec.n_platforms):
-        for g in range(spec.n_models):
-            if g == prof[i]:
-                continue
-            dev = prof[:i] + (g,) + prof[i + 1:]
-            d_alt = game.deviation_advantage(spec, dev)[i]
-            lhs = float(t[prof[i]] - t[g])
-            rhs = float(d_alt - d_cur[i])
-            rows.append(ConditionRow(i, prof[i], g, lhs, rhs))
-            if lhs < rhs - IMPROVEMENT_EPS:
-                holds = False
-    return ConditionReport(holds, tuple(rows))
+    return _condition_report(spec, prof, np.arange(spec.n_platforms),
+                             game.deviation_advantage(spec, prof))
 
 
 def check_homogeneous_condition(spec: GameSpec, model: int) -> ConditionReport:
-    """Margin test for the all-platforms-on-one-model profile being a PNE."""
+    """Margin test for the all-platforms-on-one-model profile being a PNE.
+
+    The rows are platform 0's deviations; the homogeneous profile's own
+    deviation advantage is 0, so each row's rhs is the deviator's delta.
+    """
     _hardmax_only(spec, "the homogeneous-equilibrium condition")
     if not 0 <= model < spec.n_models:
         raise InvalidInstanceError(f"model index {model} out of range")
-    prof = tuple([model] * spec.n_platforms)
-    t = game.average_scores(spec)
-    rows = []
-    holds = True
-    for g in range(spec.n_models):
-        if g == model:
-            continue
-        dev = (g,) + prof[1:]
-        d_alt = game.deviation_advantage(spec, dev)[0]
-        lhs = float(t[model] - t[g])
-        rhs = float(d_alt)  # the homogeneous profile's own deviation advantage is 0
-        rows.append(ConditionRow(0, model, g, lhs, rhs))
-        if lhs < rhs - IMPROVEMENT_EPS:
-            holds = False
-    return ConditionReport(holds, tuple(rows))
+    return _condition_report(spec, (model,) * spec.n_platforms, np.zeros(1, dtype=int), np.zeros(1))
 
 
 def pair_delta(spec: GameSpec, i: int, j: int) -> float:
@@ -445,7 +442,12 @@ def pair_delta(spec: GameSpec, i: int, j: int) -> float:
 
 
 def two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions:
-    """Closed-form equilibrium tests for the two-platform game on models i, j."""
+    """Closed-form equilibrium tests for the two-platform game on models i, j.
+
+    With D[k, c] = ``pair_delta(spec, k, c)``, model k earns (T_k + D[k, c]) / 2
+    against model c, so each test compares a profile's entries with the best
+    of their columns of T + D; one formula for every M.
+    """
     _hardmax_only(spec, "the two-player condition")
     if spec.n_platforms != 2:
         raise InvalidInstanceError("two_player_conditions requires exactly 2 platforms")
@@ -455,31 +457,16 @@ def two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions
         if not 0 <= k < spec.n_models:
             raise InvalidInstanceError(f"model index {k} out of range")
     t = game.average_scores(spec)
-    d_ij = pair_delta(spec, i, j)
-    d_ji = pair_delta(spec, j, i)
+    pairs = np.moveaxis(np.indices((spec.n_models, spec.n_models)), 0, -1)
+    d = game._deviation_advantage(game.ChoiceRule.hardmax(), spec.scores.scores[pairs],
+                                  spec.population.weights)[..., 0]
+    payoff = t[:, None] + d
     eps = IMPROVEMENT_EPS
-    if spec.n_models == 2:
-        differentiated = (-d_ij - eps <= t[i] - t[j] <= d_ji + eps)
-        homogeneous_i = t[i] - t[j] > d_ji - eps
-        homogeneous_j = t[j] - t[i] > d_ij - eps
-    else:
-        others_j = max(t[k] + pair_delta(spec, k, j) for k in range(spec.n_models) if k != j)
-        others_i = max(t[k] + pair_delta(spec, k, i) for k in range(spec.n_models) if k != i)
-        differentiated = (
-            t[i] + d_ij >= max(t[j], others_j) - eps
-            and t[j] + d_ji >= max(t[i], others_i) - eps
-        )
-        homogeneous_i = all(
-            t[i] - t[k] >= pair_delta(spec, k, i) - eps
-            for k in range(spec.n_models)
-            if k != i
-        )
-        homogeneous_j = all(
-            t[j] - t[k] >= pair_delta(spec, k, j) - eps
-            for k in range(spec.n_models)
-            if k != j
-        )
-    return TwoPlayerConditions(bool(differentiated), bool(homogeneous_i), bool(homogeneous_j))
+    return TwoPlayerConditions(
+        bool(payoff[i, j] >= payoff[:, j].max() - eps and payoff[j, i] >= payoff[:, i].max() - eps),
+        bool(np.all(t[i] - t >= d[:, i] - eps)),
+        bool(np.all(t[j] - t >= d[:, j] - eps)),
+    )
 
 
 def centralization_check(spec: GameSpec, params: CentralizationParams) -> CentralizationResult:
@@ -504,24 +491,24 @@ def centralization_check(spec: GameSpec, params: CentralizationParams) -> Centra
         raise InvalidInstanceError(
             f"pi_star {params.pi_star} does not match the dominant type's weight {w_star}"
         )
-    for j in range(spec.n_models):
-        if j == m:
-            continue
-        margin = float(s[m, k_star] - s[j, k_star])
-        if margin < params.rho - 1e-12:
+    margin = s[m, k_star] - s[:, k_star]
+    gap = np.abs(s - s[m])
+    low_margin = (margin < params.rho - 1e-12) & (np.arange(spec.n_models) != m)
+    wide_gap = (gap > params.gamma_cap + 1e-12) & (np.arange(spec.scores.n_types) != k_star)
+    violated = low_margin | wide_gap.any(axis=1)
+    if violated.any():
+        # the first rival with a violation, its margin before its gaps
+        j = int(violated.argmax())
+        if low_margin[j]:
             raise InvalidInstanceError(
                 f"dominant-type margin violated: model {j} is within "
-                f"{margin:.6g} < rho={params.rho:.6g} of the dominant model"
+                f"{float(margin[j]):.6g} < rho={params.rho:.6g} of the dominant model"
             )
-        for k in range(spec.scores.n_types):
-            if k == k_star:
-                continue
-            gap = abs(float(s[j, k] - s[m, k]))
-            if gap > params.gamma_cap + 1e-12:
-                raise InvalidInstanceError(
-                    f"off-dominant variation violated: |S_{j},{k} - S_{m},{k}| "
-                    f"= {gap:.6g} > gamma_cap={params.gamma_cap:.6g}"
-                )
+        k = int(wide_gap[j].argmax())
+        raise InvalidInstanceError(
+            f"off-dominant variation violated: |S_{j},{k} - S_{m},{k}| "
+            f"= {float(gap[j, k]):.6g} > gamma_cap={params.gamma_cap:.6g}"
+        )
     threshold = 1.0 - params.rho / (params.rho + 2.0 * params.gamma_cap) if params.gamma_cap > 0 else 0.0
     satisfied = params.pi_star >= threshold
     confirmed = verify_pne(spec, [m] * spec.n_platforms).is_pne

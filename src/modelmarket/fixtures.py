@@ -127,6 +127,27 @@ def config_list(value, name: str) -> list:
     return value
 
 
+def config_numbers(value, name: str, matrix: bool = False) -> list:
+    """``value`` itself, or a ConfigError naming the field unless it is a JSON
+    list of numbers, or with ``matrix`` a list of equal-length such lists: a
+    string or a bool entry is not read as a number."""
+    rows = ([config_list(row, f"a row of {name}") for row in config_list(value, name)]
+            if matrix else [config_list(value, name)])
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError(f"the rows of {name} must have equal lengths")
+    for row in rows:
+        for entry in row:
+            config_float(entry, f"an entry of {name}")
+    return value
+
+
+def config_str(value, name: str) -> str:
+    """``value`` itself, or a ConfigError naming the field unless it is a JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string (got {value!r})")
+    return value
+
+
 def check_keys(block, known: Collection[str], name: str) -> None:
     """ConfigError unless ``block`` is a JSON object whose keys are all in ``known``."""
     if not isinstance(block, dict):
@@ -164,17 +185,17 @@ def rbf_gmm_instance(block: dict, where: str,
 
     def kernel(k: dict) -> RbfKernel:
         check_keys(k, ("center", "amplitude", "width"), "kernel")
-        return RbfKernel(tuple(config_list(require(k, "center", "kernel"), "kernel center")),
+        return RbfKernel(tuple(config_numbers(require(k, "center", "kernel"), "kernel center")),
                          config_float(require(k, "amplitude", "kernel"), "kernel amplitude"),
                          config_float(require(k, "width", "kernel"), "kernel width"))
 
     def component(c: dict) -> GmmComponent:
         check_keys(c, ("weight", "mean", "covariance"), "gmm component")
         return GmmComponent(config_float(require(c, "weight", "gmm component"), "gmm component weight"),
-                            tuple(config_list(require(c, "mean", "gmm component"),
-                                              "gmm component mean")),
-                            config_list(require(c, "covariance", "gmm component"),
-                                        "gmm component covariance"))
+                            tuple(config_numbers(require(c, "mean", "gmm component"),
+                                                 "gmm component mean")),
+                            config_numbers(require(c, "covariance", "gmm component"),
+                                           "gmm component covariance", matrix=True))
 
     models = [model(m) for m in config_list(require(block, "models", where), f"{where}.models")]
     g = require(block, "gmm", where)

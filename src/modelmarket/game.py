@@ -209,9 +209,10 @@ def _model_indices(spec: GameSpec, profile, n: int) -> tuple[int, ...]:
         ) from None
     if len(choices) != n:
         raise InvalidProfileError(f"profile has {len(choices)} entries for {n} platforms")
+    m = spec.n_models
     for c in choices:
-        if not 0 <= c < spec.n_models:
-            raise InvalidProfileError(f"model index {c} out of range [0, {spec.n_models})")
+        if not 0 <= c < m:
+            raise InvalidProfileError(f"model index {c} out of range [0, {m})")
     return choices
 
 
@@ -238,18 +239,19 @@ def _chosen_scores(spec: GameSpec, profile: tuple[int, ...]) -> np.ndarray:
 
 
 def _shares(choice: ChoiceRule, chosen: np.ndarray) -> np.ndarray:
-    """Raw N x K user shares of the chosen score rows under ``choice``."""
+    """Raw user shares of the chosen score rows under ``choice``, platforms on axis -2:
+    a stack of profiles (..., N, K) is scored as each (N, K) profile alone, bit for bit."""
     if choice.kind == "hardmax":
-        winners = chosen == chosen.max(axis=0)
-        return winners / winners.sum(axis=0)
+        winners = chosen == chosen.max(axis=-2, keepdims=True)
+        return winners / winners.sum(axis=-2, keepdims=True)
     z = chosen / choice.tau
-    e = np.exp(z - z.max(axis=0))
-    return e / e.sum(axis=0)
+    e = np.exp(z - z.max(axis=-2, keepdims=True))
+    return e / e.sum(axis=-2, keepdims=True)
 
 
 def _deviation_advantage(choice: ChoiceRule, chosen: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per type a platform with share p and score S earns (N * p - 1) * S."""
-    return ((len(chosen) * _shares(choice, chosen) - 1.0) * chosen) @ weights
+    """Per type a platform with share p and score S earns (N * p - 1) * S; (..., N, K) -> (..., N)."""
+    return ((chosen.shape[-2] * _shares(choice, chosen) - 1.0) * chosen) @ weights
 
 
 def allocate(spec: GameSpec, profile) -> AllocationMatrix:

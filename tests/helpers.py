@@ -9,13 +9,20 @@ import math
 import numpy as np
 
 from modelmarket.entry import EntryDataset, RewardTable
+from modelmarket import game
 from modelmarket.equilibrium import (
     DEFAULT_PROFILE_BUDGET,
     IMPROVEMENT_EPS,
+    CentralizationParams,
+    CentralizationResult,
+    ConditionReport,
+    ConditionRow,
     Deviation,
     PneCheck,
+    TwoPlayerConditions,
+    pair_delta,
 )
-from modelmarket.errors import BudgetExceededError
+from modelmarket.errors import BudgetExceededError, InvalidInstanceError
 from modelmarket.metrics import SocialOptimum
 from modelmarket.game import (
     ChoiceRule,
@@ -211,6 +218,158 @@ def reference_best_response(spec: GameSpec, profile, platform: int) -> int:
     if values[prof[platform]] >= best - IMPROVEMENT_EPS:
         return prof[platform]
     return int(np.argmax(values >= best - IMPROVEMENT_EPS))
+
+
+# ---------------------------------------------------------------------------
+# loop forms of the equilibrium checks: one kernel call per platform, per
+# deviation profile or per model pair
+# ---------------------------------------------------------------------------
+
+def reference_verify_pne_by_platform(spec: GameSpec, profile) -> PneCheck:
+    """PNE check with one ``deviation_values`` call per platform."""
+    prof = as_profile(spec, profile)
+    for i in range(spec.n_platforms):
+        values = game.deviation_values(spec, prof[:i] + prof[i + 1:])
+        gains = values - values[prof[i]]
+        better = np.flatnonzero(gains > IMPROVEMENT_EPS)
+        if better.size:
+            g = int(better[0])
+            return PneCheck(False, Deviation(i, g, float(gains[g])))
+    return PneCheck(True)
+
+
+def _hardmax_only(spec: GameSpec, what: str) -> None:
+    if spec.choice.kind != "hardmax":
+        raise InvalidInstanceError(f"{what} is defined for hardmax instances")
+
+
+def reference_check_differentiated_condition(spec: GameSpec, profile) -> ConditionReport:
+    """Differentiated margin rows with one ``deviation_advantage`` call per deviation."""
+    _hardmax_only(spec, "the differentiated-equilibrium condition")
+    prof = as_profile(spec, profile)
+    if spec.n_platforms < 2:
+        raise InvalidInstanceError("the differentiated condition needs at least two platforms")
+    if len(set(prof)) != spec.n_platforms:
+        raise InvalidInstanceError("profile must use distinct models on every platform")
+    if spec.n_models < spec.n_platforms:
+        raise InvalidInstanceError("needs at least as many models as platforms")
+    t = game.average_scores(spec)
+    d_cur = game.deviation_advantage(spec, prof)
+    rows = []
+    holds = True
+    for i in range(spec.n_platforms):
+        for g in range(spec.n_models):
+            if g == prof[i]:
+                continue
+            dev = prof[:i] + (g,) + prof[i + 1:]
+            d_alt = game.deviation_advantage(spec, dev)[i]
+            lhs = float(t[prof[i]] - t[g])
+            rhs = float(d_alt - d_cur[i])
+            rows.append(ConditionRow(i, prof[i], g, lhs, rhs))
+            if lhs < rhs - IMPROVEMENT_EPS:
+                holds = False
+    return ConditionReport(holds, tuple(rows))
+
+
+def reference_check_homogeneous_condition(spec: GameSpec, model: int) -> ConditionReport:
+    """Homogeneous margin rows with one ``deviation_advantage`` call per deviation."""
+    _hardmax_only(spec, "the homogeneous-equilibrium condition")
+    if not 0 <= model < spec.n_models:
+        raise InvalidInstanceError(f"model index {model} out of range")
+    prof = tuple([model] * spec.n_platforms)
+    t = game.average_scores(spec)
+    rows = []
+    holds = True
+    for g in range(spec.n_models):
+        if g == model:
+            continue
+        dev = (g,) + prof[1:]
+        d_alt = game.deviation_advantage(spec, dev)[0]
+        lhs = float(t[model] - t[g])
+        rhs = float(d_alt)  # the homogeneous profile's own deviation advantage is 0
+        rows.append(ConditionRow(0, model, g, lhs, rhs))
+        if lhs < rhs - IMPROVEMENT_EPS:
+            holds = False
+    return ConditionReport(holds, tuple(rows))
+
+
+def reference_two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions:
+    """Two-platform tests with one ``pair_delta`` call per model pair, and a
+    separate formula for M = 2."""
+    _hardmax_only(spec, "the two-player condition")
+    if spec.n_platforms != 2:
+        raise InvalidInstanceError("two_player_conditions requires exactly 2 platforms")
+    if i == j:
+        raise InvalidInstanceError("models i and j must differ")
+    for k in (i, j):
+        if not 0 <= k < spec.n_models:
+            raise InvalidInstanceError(f"model index {k} out of range")
+    t = game.average_scores(spec)
+    d_ij = pair_delta(spec, i, j)
+    d_ji = pair_delta(spec, j, i)
+    eps = IMPROVEMENT_EPS
+    if spec.n_models == 2:
+        differentiated = (-d_ij - eps <= t[i] - t[j] <= d_ji + eps)
+        homogeneous_i = t[i] - t[j] > d_ji - eps
+        homogeneous_j = t[j] - t[i] > d_ij - eps
+    else:
+        others_j = max(t[k] + pair_delta(spec, k, j) for k in range(spec.n_models) if k != j)
+        others_i = max(t[k] + pair_delta(spec, k, i) for k in range(spec.n_models) if k != i)
+        differentiated = (
+            t[i] + d_ij >= max(t[j], others_j) - eps
+            and t[j] + d_ji >= max(t[i], others_i) - eps
+        )
+        homogeneous_i = all(
+            t[i] - t[k] >= pair_delta(spec, k, i) - eps
+            for k in range(spec.n_models)
+            if k != i
+        )
+        homogeneous_j = all(
+            t[j] - t[k] >= pair_delta(spec, k, j) - eps
+            for k in range(spec.n_models)
+            if k != j
+        )
+    return TwoPlayerConditions(bool(differentiated), bool(homogeneous_i), bool(homogeneous_j))
+
+
+def reference_centralization_check(spec: GameSpec,
+                                   params: CentralizationParams) -> CentralizationResult:
+    """Centralization test whose premises are checked rival by rival, type by type."""
+    _hardmax_only(spec, "the centralization check")
+    s = spec.scores.scores
+    k_star = params.dominant_type
+    m = params.dominant_model
+    if not 0 <= k_star < spec.scores.n_types:
+        raise InvalidInstanceError(f"dominant type index {k_star} out of range")
+    if not 0 <= m < spec.n_models:
+        raise InvalidInstanceError(f"dominant model index {m} out of range")
+    w_star = float(spec.population.weights[k_star])
+    if abs(w_star - params.pi_star) > 1e-9:
+        raise InvalidInstanceError(
+            f"pi_star {params.pi_star} does not match the dominant type's weight {w_star}"
+        )
+    for j in range(spec.n_models):
+        if j == m:
+            continue
+        margin = float(s[m, k_star] - s[j, k_star])
+        if margin < params.rho - 1e-12:
+            raise InvalidInstanceError(
+                f"dominant-type margin violated: model {j} is within "
+                f"{margin:.6g} < rho={params.rho:.6g} of the dominant model"
+            )
+        for k in range(spec.scores.n_types):
+            if k == k_star:
+                continue
+            gap = abs(float(s[j, k] - s[m, k]))
+            if gap > params.gamma_cap + 1e-12:
+                raise InvalidInstanceError(
+                    f"off-dominant variation violated: |S_{j},{k} - S_{m},{k}| "
+                    f"= {gap:.6g} > gamma_cap={params.gamma_cap:.6g}"
+                )
+    threshold = 1.0 - params.rho / (params.rho + 2.0 * params.gamma_cap) if params.gamma_cap > 0 else 0.0
+    satisfied = params.pi_star >= threshold
+    confirmed = reference_verify_pne_by_platform(spec, [m] * spec.n_platforms).is_pne
+    return CentralizationResult(threshold, bool(satisfied), confirmed)
 
 
 def reference_seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,

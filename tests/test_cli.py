@@ -332,6 +332,8 @@ class TestEntry:
 
     @pytest.mark.parametrize("training, message", [
         pytest.param({"estimator": "typo"}, "unknown estimator 'typo'", id="estimator"),
+        pytest.param({"method": "resampling", "estimator": "typo"}, "unknown estimator 'typo'",
+                     id="estimator-resampling"),
         pytest.param({"params": {"inner_epochs": 0}},
                      "direct-gradient training needs inner_epochs >= 1", id="inner_epochs"),
         pytest.param({"method": "typo"}, "unknown training method 'typo'", id="method"),
@@ -518,12 +520,44 @@ class TestConfigValidation:
         ("run", "gmm.dx", "0.1"),
         ("run", "gmm component weight", "1.0"),
         ("sweep", "a population sweep weight", "0.5"),
+        ("run", "an entry of instance.scores", "0.2"),
+        ("run", "an entry of instance.scores", True),
+        ("run", "an entry of instance.weights", "0.5"),
+        ("entry", "an entry of training.rewards", "0.8"),
+        ("entry", "an entry of training.dataset.counts", "1"),
+        ("entry", "an entry of training.dataset.type_preferences", True),
+        ("run", "an entry of kernel center", "0.5"),
+        ("run", "an entry of gmm component mean", "0.5"),
+        ("run", "an entry of gmm component covariance", "0.05"),
     ])
     def test_float_config_field_must_be_a_number(self, tmp_path, capsys, command, field, value):
         payload = self._every_block()
         payload["instance"] = {"synthetic": _synthetic_block()}
         synthetic = payload["instance"]["synthetic"]
-        if field == "choice.tau":
+        component = synthetic["gmm"]["components"][0]
+        training = payload["training"]
+        if field.startswith("an entry of instance"):
+            instance = {"scores": [[0.5, 0.2], [0.3, 0.6]], "weights": [0.5, 0.5], "n_platforms": 2}
+            if field.endswith("scores"):
+                instance["scores"][1][1] = value
+            else:
+                instance["weights"][1] = value
+            payload["instance"] = {"file": _write_config(tmp_path, instance, name="inst.json")}
+        elif field.startswith("an entry of training"):
+            payload["instance"] = {"builtin": "fig2_a"}
+            if field.endswith("rewards"):
+                training["rewards"][1][1] = value
+            elif field.endswith("counts"):
+                training["dataset"]["counts"] = [value, 1]
+            else:
+                training["dataset"]["type_preferences"] = [[1, 0], [0, value]]
+        elif field == "an entry of kernel center":
+            synthetic["models"][0]["kernels"][0]["center"][0] = value
+        elif field == "an entry of gmm component mean":
+            component["mean"][0] = value
+        elif field == "an entry of gmm component covariance":
+            component["covariance"][0][0] = value
+        elif field == "choice.tau":
             payload["choice"] = {"kind": "softmax", "tau": value}
         elif field == "synthetic model bias":
             synthetic["models"][0]["bias"] = value
@@ -532,12 +566,12 @@ class TestConfigValidation:
         elif field == "gmm.dx":
             synthetic["gmm"]["dx"] = value
         elif field == "gmm component weight":
-            synthetic["gmm"]["components"][0]["weight"] = value
+            component["weight"] = value
         else:
             payload["sweep"] = {"axis": "population", "values": [[value, 0.5, 0.0, 0.0]]}
         out = tmp_path / "out"
         assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
-        assert f"error: {field} must be a number (got {value!r})" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {field} must be a number (got {value!r})\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("sweep, message", [
@@ -559,6 +593,8 @@ class TestConfigValidation:
         ("run", "instance.weights", 1),
         ("run", "kernel center", 0.5),
         ("entry", "training.dataset.attribute_labels", 5),
+        ("run", "a row of instance.scores", 0.3),
+        ("entry", "a row of training.rewards", 0.2),
     ])
     def test_list_config_field_must_be_a_list(self, tmp_path, capsys, command, field, value):
         payload = self._every_block()
@@ -566,6 +602,12 @@ class TestConfigValidation:
             payload["instance"] = {"file": _write_config(tmp_path, {
                 "scores": [[0.5, 0.2], [0.3, 0.6]], "weights": value, "n_platforms": 2,
             }, name="inst.json")}
+        elif field == "a row of instance.scores":
+            payload["instance"] = {"file": _write_config(tmp_path, {
+                "scores": [[0.5, 0.2], value], "weights": [0.5, 0.5], "n_platforms": 2,
+            }, name="inst.json")}
+        elif field == "a row of training.rewards":
+            payload["training"]["rewards"][1] = value
         elif field == "kernel center":
             payload["instance"] = {"synthetic": _synthetic_block()}
             payload["instance"]["synthetic"]["models"][0]["kernels"][0]["center"] = value
@@ -676,7 +718,7 @@ class TestConfigValidation:
         assert "error: unknown mover order 'reverse'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("start", [[1.7, 0], ["1", 0]])
+    @pytest.mark.parametrize("start", [[1.7, 0], ["1", 0], [True, False]])
     def test_start_entries_must_be_model_indices(self, tmp_path, capsys, start):
         cfg = _write_config(tmp_path, {
             "instance": {"builtin": "c1_rps"},
@@ -684,7 +726,52 @@ class TestConfigValidation:
         })
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert "error: a profile must be a list of model indices" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: an entry of dynamics.start must be an integer (got {start[0]!r})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("order", [[True, False], [1, 0.0]])
+    def test_mover_order_entries_must_be_integers(self, tmp_path, capsys, command, order):
+        payload = self._every_block()
+        payload["dynamics"]["order"] = order
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        bad = next(i for i in order if isinstance(i, (bool, float)))
+        assert capsys.readouterr().err == (
+            f"error: an entry of dynamics.order must be an integer (got {bad!r})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("instance.file", 5), ("output.dir", 5), ("output.prefix", ["a"]), ("output.dir", None),
+    ])
+    def test_path_fields_must_be_strings(self, tmp_path, capsys, field, value):
+        payload = self._every_block()
+        block, _, key = field.partition(".")
+        payload[block] = {key: value}
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be a string (got {value!r})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, field", [
+        ("run", "instance.scores"), ("entry", "training.rewards"),
+        ("run", "gmm component covariance"),
+    ])
+    def test_matrix_rows_must_have_equal_lengths(self, tmp_path, capsys, command, field):
+        payload = self._every_block()
+        if field == "instance.scores":
+            payload["instance"] = {"file": _write_config(tmp_path, {
+                "scores": [[0.5, 0.2], [0.3]], "weights": [0.5, 0.5], "n_platforms": 2,
+            }, name="inst.json")}
+        elif field == "training.rewards":
+            payload["training"]["rewards"][1] = [0.2]
+        else:
+            payload["instance"] = {"synthetic": _synthetic_block()}
+            payload["instance"]["synthetic"]["gmm"]["components"][0]["covariance"][1] = [0.05]
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: the rows of {field} must have equal lengths\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -320,3 +320,22 @@ class TestDeviationBlock:
             assert block.shape == (len(stacks), spec.n_models), index
             for row, others in zip(block, stacks):
                 assert row.tobytes() == deviation_values(spec, others).tobytes(), index
+
+    @pytest.mark.parametrize("choice", [ChoiceRule.hardmax(), ChoiceRule.softmax(1e-4),
+                                        ChoiceRule.softmax(0.05), ChoiceRule.softmax(1e3)])
+    def test_stacked_shares_and_advantages_are_bit_equal_per_profile(self, choice):
+        rng = np.random.default_rng(23)
+        for index in range(60):
+            spec = random_spec(rng, max_models=8, max_platforms=10, max_types=40, choice=choice)
+            if index % 2:  # exact ties on a coarse score grid
+                scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=spec.scores.scores.shape)
+                spec = GameSpec(ScoreMatrix(scores), spec.population, spec.n_platforms, choice)
+            profiles = rng.integers(0, spec.n_models, size=(int(rng.integers(2, 9)), spec.n_platforms))
+            chosen = spec.scores.scores[profiles]
+            weights = spec.population.weights
+            shares = game._shares(choice, chosen)
+            delta = game._deviation_advantage(choice, chosen, weights)
+            assert delta.shape == profiles.shape, index
+            for b, prof in enumerate(profiles):
+                assert shares[b].tobytes() == allocate(spec, prof).p.tobytes(), index
+                assert delta[b].tobytes() == deviation_advantage(spec, prof).tobytes(), index

@@ -7,8 +7,11 @@ The solvers are also checked against the profile-by-profile reference
 solvers in ``helpers``, on instances with exact ties, M=1, N=1, and softmax
 at temperatures where the exponentials underflow or flatten, and on
 instances with more multisets than one block of the blocked kernels.
+``verify_pne`` and the closed-form checks are compared bit for bit with
+their loop forms in ``helpers``.
 """
 
+from collections import Counter
 import math
 
 import numpy as np
@@ -25,10 +28,15 @@ from modelmarket.game import (
     platform_utilities,
 )
 from modelmarket.equilibrium import (
+    CentralizationParams,
     best_response,
+    centralization_check,
+    check_differentiated_condition,
+    check_homogeneous_condition,
     enumerate_pne,
     pair_delta,
     run_dynamics,
+    two_player_conditions,
     verify_pne,
 )
 from modelmarket.fixtures import builtin_instance
@@ -43,9 +51,14 @@ from modelmarket.metrics import (
 from helpers import (
     random_spec,
     reference_best_response,
+    reference_centralization_check,
+    reference_check_differentiated_condition,
+    reference_check_homogeneous_condition,
     reference_enumerate_pne,
     reference_social_optimum,
+    reference_two_player_conditions,
     reference_verify_pne,
+    reference_verify_pne_by_platform,
 )
 
 
@@ -218,3 +231,114 @@ def test_outcome_metrics_match_the_single_figure_functions():
         elif outcome.kind == "cycle":
             assert full.anchor == outcome.cycle_profiles[0], index
     assert min(kinds.count(kind) for kind in ("equilibrium", "cycle", "timeout")) >= 20, kinds
+
+
+def _bits(value):
+    """A result record with every float as its hex string, so == is bit equality."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return (type(value).__name__,) + tuple(
+            _bits(getattr(value, f)) for f in value.__dataclass_fields__)
+    return value
+
+
+def _outcome(fn, *args):
+    """``fn``'s result in bits, or the type and message of what it raised."""
+    try:
+        return "ok", _bits(fn(*args))
+    except Exception as exc:  # the reference and the new form must raise alike
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _centralization_case(rng: np.random.Generator, index: int,
+                         spec: GameSpec) -> tuple[GameSpec, CentralizationParams]:
+    """Premises that hold (index % 3 == 0), that one rival breaks by a margin or
+    a gap (== 1), or a raw random instance, which mostly breaks them (== 2)."""
+    scores = np.array(spec.scores.scores)
+    m, k = scores.shape
+    k_star, dom = int(rng.integers(k)), int(rng.integers(m))
+    rho = float(rng.choice([0.05, 0.1, 0.3]))
+    gamma = float(rng.choice([0.0, 0.05, 0.2]))
+    if index % 3 < 2:
+        base = scores[dom].copy()
+        base[k_star] = 1.0 + rho
+        scores = np.clip(base + rng.uniform(-gamma, gamma, size=(m, k)), 0.0, None)
+        scores[:, k_star] = base[k_star] - rho - rng.uniform(0.0, 0.1, size=m)
+        scores[dom] = base
+        if index % 3 == 1 and m > 1:
+            j = int(rng.choice([r for r in range(m) if r != dom]))
+            if k > 1 and rng.random() < 0.5:
+                col = int(rng.choice([c for c in range(k) if c != k_star]))
+                scores[j, col] = base[col] + gamma + 0.01
+            else:
+                scores[j, k_star] = base[k_star] - rho / 2
+    weights = spec.population.weights
+    pi_star = float(weights[k_star]) if index % 10 else min(1.0, float(weights[k_star]) + 0.1)
+    central = GameSpec(ScoreMatrix(scores), spec.population, spec.n_platforms)
+    return central, CentralizationParams(k_star, dom, rho, gamma, pi_star)
+
+
+def test_equilibrium_checks_match_their_loop_forms():
+    """verify_pne, both margin reports, the two-player tests and the centralization
+    check equal the loop forms in ``helpers`` bit for bit, errors included."""
+    rng = np.random.default_rng(71)
+    seen = Counter()
+    for index in range(400):
+        shape = ("plain", "tied_grid", "duplicated_rows", "two_models")[index % 4]
+        m = 2 if shape == "two_models" else int(rng.integers(1, 7))
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        if shape == "tied_grid":
+            scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, k))
+            population = UserPopulation.uniform(k)
+        else:
+            scores = rng.uniform(0.0, 1.0, size=(m, k))
+            population = UserPopulation([f"t{i}" for i in range(k)], rng.dirichlet(np.ones(k)))
+        if shape == "duplicated_rows" and m > 1:
+            src, dst = rng.choice(m, size=2, replace=False)
+            scores[dst] = scores[src]
+        spec = GameSpec(ScoreMatrix(scores), population, n)
+        soft = spec.with_choice(ChoiceRule.softmax(float(rng.choice([1e-4, 0.05, 1e3]))))
+
+        for game_spec in (spec, soft):
+            profiles = [tuple(int(x) for x in rng.integers(0, m, n)) for _ in range(3)]
+            profiles += [(g,) * n for g in range(m)] + enumerate_pne(game_spec)[:2]
+            for prof in profiles:
+                got = _outcome(verify_pne, game_spec, prof)
+                assert got == _outcome(reference_verify_pne_by_platform, game_spec, prof), index
+                seen[game_spec.choice.kind, got[1][1]] += 1
+
+        for model in range(m):
+            got = _outcome(check_homogeneous_condition, spec, model)
+            assert got == _outcome(reference_check_homogeneous_condition, spec, model), index
+            seen["homogeneous", got[1][1]] += 1
+        distinct = tuple(int(x) for x in rng.permutation(m)[:n])
+        for prof in (distinct, tuple(int(x) for x in rng.integers(0, m, n))):
+            got = _outcome(check_differentiated_condition, spec, prof)
+            assert got == _outcome(reference_check_differentiated_condition, spec, prof), index
+            seen["differentiated", got[1][1] if got[0] == "ok" else got[0]] += 1
+
+        pair_spec = spec.with_platforms(2)
+        for i in range(m):
+            for j in range(m):
+                got = _outcome(two_player_conditions, pair_spec, i, j)
+                assert got == _outcome(reference_two_player_conditions, pair_spec, i, j), index
+                if got[0] == "ok":
+                    seen["two_player", m == 2, got[1][1:]] += 1
+
+        central, params = _centralization_case(rng, index, spec)
+        got = _outcome(centralization_check, central, params)
+        assert got == _outcome(reference_centralization_check, central, params), index
+        seen["centralization", got[0] if got[0] == "ok" else got[2].split()[0]] += 1
+
+    for kind in ("hardmax", "softmax"):
+        assert seen[kind, True] and seen[kind, False], seen
+    for key in (("homogeneous", True), ("homogeneous", False), ("differentiated", True),
+                ("differentiated", False), ("differentiated", "raised"),
+                ("centralization", "ok"), ("centralization", "dominant-type"),
+                ("centralization", "off-dominant"), ("centralization", "pi_star")):
+        assert seen[key], (key, seen)
+    two_model = {k[2] for k in seen if k[:2] == ("two_player", True)}
+    assert len(two_model) >= 3, two_model
