@@ -144,6 +144,14 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
 # single runs
 # ---------------------------------------------------------------------------
 
+def _config_seed(value, name: str) -> int:
+    """``value`` as a seed for numpy's generators: a non-negative integer."""
+    seed = config_int(value, name)
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0 (got {seed})")
+    return seed
+
+
 def _draw_start(spec: GameSpec, seed: int) -> tuple[int, ...]:
     rng = np.random.default_rng(seed)
     return tuple(int(x) for x in rng.integers(0, spec.n_models, size=spec.n_platforms))
@@ -161,8 +169,10 @@ def _dynamics_params(cfg: dict, seed_override: int | None) -> tuple[Any, Any, in
     start = _optional_list(block, "start", "dynamics")
     if start is not None:
         start = tuple(config_int(g, "an entry of dynamics.start") for g in start)
-    seed = config_int(seed_override if seed_override is not None else block.get("seed", 0),
-                      "dynamics.seed")
+    if seed_override is not None:
+        seed = _config_seed(seed_override, "--seed")
+    else:
+        seed = _config_seed(block.get("seed", 0), "dynamics.seed")
     return start, order, max_steps, seed
 
 
@@ -286,7 +296,7 @@ def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
     cells = []
     for vi, value in enumerate(values):
         for rep in range(reps):
-            seed = (config_int(seeds[rep], "sweep.seeds") if seeds is not None
+            seed = (_config_seed(seeds[rep], "sweep.seeds") if seeds is not None
                     else base_seed + 1000 * vi + rep)
             cells.append({"axis": axis, "value_index": vi, "value": value,
                           "repetition": rep, "seed": seed})
@@ -537,10 +547,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1 (got {args.jobs})")
-        return args.func(args)
+        status = args.func(args)
+        # a closed pipe shows up at the latest here, not at interpreter exit
+        sys.stdout.flush()
+        return status
     except MarketGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader stopped reading (`modelmarket list-fixtures | head -1`):
+        # point stdout at /dev/null so the exit-time flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .equilibrium import DynamicsOutcome, enumerate_pne, run_dynamics
-from .game import GameSpec, ScoreMatrix, _frozen_array
+from .game import _BLOCK_ELEMENTS, GameSpec, ScoreMatrix, _frozen_array
 from .metrics import MetricsRecord, outcome_metrics
 
 __all__ = [
@@ -82,17 +82,20 @@ class ToyGenerator:
             raise InvalidInstanceError("a generator needs at least two outcomes")
         object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "logits", phi)
-        if np.any(self.probabilities() <= 0.0):
+        e = np.exp(phi - phi.max())
+        p = _frozen_array(e / e.sum())
+        if np.any(p <= 0.0):
             raise InvalidInstanceError("logit spread too large: an outcome probability underflowed to 0")
+        # not a dataclass field: a function of the logits, computed once
+        object.__setattr__(self, "_probabilities", p)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.outcome_labels)
 
     def probabilities(self) -> np.ndarray:
-        z = self.logits - self.logits.max()
-        e = np.exp(z)
-        return e / e.sum()
+        """The outcome distribution (a read-only array)."""
+        return self._probabilities
 
     @staticmethod
     def uniform(outcome_labels: Iterable[str]) -> "ToyGenerator":
@@ -168,6 +171,8 @@ class TrainingConfig:
             raise InvalidParameterError("inner_epochs must be >= 0")
         if self.eval_budget < 1:
             raise InvalidParameterError("eval_budget must be >= 1")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0 (got {self.seed})")
         if not self.learning_rate > 0:
             raise InvalidParameterError("learning_rate must be > 0")
         if not 0 <= self.baseline_decay < 1:
@@ -245,7 +250,9 @@ class RewardBaseline:
     def zeros(n_types: int, decay: float) -> "RewardBaseline":
         return RewardBaseline(np.zeros(n_types), float(decay))
 
-    def update(self, type_index: int, mean_reward: float) -> None:
+    def update(self, type_index, mean_reward) -> None:
+        """Fold mean rewards into the averages: one type and a float, or an
+        array of distinct types and one mean each."""
         self.values[type_index] = self.decay * self.values[type_index] + (1.0 - self.decay) * mean_reward
 
 
@@ -303,6 +310,63 @@ def grad_f_exact(gen: ToyGenerator, rewards: RewardTable, market: GameSpec,
     return p * weighted
 
 
+def _outcome_cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``rng.choice`` inverts: running sums of
+    ``p``, scaled so the last is exactly 1."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_outcomes(cdf: np.ndarray, shape, rng: np.random.Generator) -> np.ndarray:
+    """Outcome indices for ``rng.random(shape)`` by inverse-CDF search.
+
+    These are bit for bit the indices ``rng.choice(len(p), size=shape, p=p)``
+    returns from the same stream, for ``cdf = _outcome_cdf(p)``, and a
+    ``(rows, n)`` block equals ``rows`` such calls of size ``n`` in turn.
+    """
+    return cdf.searchsorted(rng.random(shape), side="right")
+
+
+def _reinforce_gradients(gen: ToyGenerator, rewards: RewardTable, types: Sequence[int],
+                         n_samples: int, baseline: RewardBaseline,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Score-function estimates of the score gradients of distinct ``types``,
+    one row per type, from ``n_samples`` seeded draws each.
+
+    The draws are the uniforms of ``rng.random((len(types), n_samples))``,
+    row by row in list order: the stream of one ``rng.choice`` call per type
+    in turn.  They are taken in blocks of whole types, each of at most
+    ``_BLOCK_ELEMENTS`` draws unless one type needs more.  Each type's
+    estimate uses its baseline value from before the call (so the estimator
+    stays unbiased); the call then folds each type's mean reward into its
+    moving average.
+    """
+    if n_samples < 1:
+        raise InvalidParameterError("n_samples must be >= 1")
+    types = np.asarray(types, dtype=np.intp)
+    p = gen.probabilities()
+    n_outcomes = gen.n_outcomes
+    cdf = _outcome_cdf(p)
+    grads = np.empty((len(types), n_outcomes))
+    per_block = max(1, _BLOCK_ELEMENTS // n_samples)
+    for lo in range(0, len(types), per_block):
+        block = types[lo:lo + per_block]
+        rows = len(block)
+        draws = _draw_outcomes(cdf, (rows, n_samples), rng)
+        r = rewards.rewards[block[:, None], draws]
+        adv = r - baseline.values[block][:, None]
+        # one bincount over (row, outcome) cells sums each row's advantages
+        # in draw order, as a per-type bincount does
+        cells = draws + (np.arange(rows) * n_outcomes)[:, None]
+        grad = np.bincount(cells.ravel(), weights=adv.ravel(), minlength=rows * n_outcomes)
+        grad = grad.reshape(rows, n_outcomes) / n_samples
+        grad -= adv.mean(axis=1)[:, None] * p
+        grads[lo:lo + rows] = grad
+        baseline.update(block, r.mean(axis=1))
+    return grads
+
+
 def grad_s_reinforce(gen: ToyGenerator, rewards: RewardTable, type_index: int,
                      n_samples: int, baseline: RewardBaseline,
                      rng: np.random.Generator) -> np.ndarray:
@@ -311,17 +375,7 @@ def grad_s_reinforce(gen: ToyGenerator, rewards: RewardTable, type_index: int,
     Uses the baseline value from before this call (so the estimator stays
     unbiased) and then folds the batch's mean reward into the moving average.
     """
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be >= 1")
-    p = gen.probabilities()
-    draws = rng.choice(gen.n_outcomes, size=n_samples, p=p)
-    r = rewards.rewards[type_index][draws]
-    b = float(baseline.values[type_index])
-    adv = r - b
-    grad = np.bincount(draws, weights=adv, minlength=gen.n_outcomes) / n_samples
-    grad -= adv.mean() * p
-    baseline.update(type_index, float(r.mean()))
-    return grad
+    return _reinforce_gradients(gen, rewards, [type_index], n_samples, baseline, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +431,7 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
 
 def _estimate_scores(gen: ToyGenerator, rewards: RewardTable, budget: int,
                      rng: np.random.Generator) -> np.ndarray:
-    draws = rng.choice(gen.n_outcomes, size=budget, p=gen.probabilities())
+    draws = _draw_outcomes(_outcome_cdf(gen.probabilities()), budget, rng)
     freq = np.bincount(draws, minlength=gen.n_outcomes) / budget
     return rewards.rewards @ freq
 
@@ -489,11 +543,10 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, market: G
                 grad_f = grad_f_exact(gen, rewards, market, config.beta)
             else:
                 coeff = _gate_coefficients(entrant_scores(gen, rewards), market, config.beta)
-                grad_f = np.zeros(gen.n_outcomes)
-                for k in range(n_types):
-                    grad_f += coeff[k] * grad_s_reinforce(
-                        gen, rewards, k, config.eval_budget, baseline, rng
-                    )
+                grads = _reinforce_gradients(gen, rewards, range(n_types), config.eval_budget,
+                                             baseline, rng)
+                # adds the weighted rows in type order, as a running sum would
+                grad_f = (coeff[:, None] * grads).sum(axis=0)
         else:
             grad_f = np.zeros(gen.n_outcomes)
         step = grad_ell - config.lam * grad_f

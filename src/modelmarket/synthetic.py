@@ -118,6 +118,8 @@ class GmmPopulationSpec:
             raise InvalidParameterError("k_types must be at least 1")
         if sample_size < k_types:
             raise InvalidParameterError("sample_size must be at least k_types")
+        if seed < 0:
+            raise InvalidParameterError(f"the GMM seed must be >= 0 (got {seed})")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "k_types", int(k_types))
         object.__setattr__(self, "dx", float(dx))

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from modelmarket.entry import EntryDataset, RewardTable
+from modelmarket.entry import EntryDataset, RewardBaseline, RewardTable, ToyGenerator
 from modelmarket import game
 from modelmarket.equilibrium import (
     DEFAULT_PROFILE_BUDGET,
@@ -432,3 +432,27 @@ def entry_toy() -> EntryToy:
         type_attribute_prefs=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     )
     return EntryToy(labels, rewards, GameSpec(incumbents, population, 2), dataset, target_type=1)
+
+
+def loop_grad_s_reinforce(gen: ToyGenerator, rewards: RewardTable, type_index: int,
+                          n_samples: int, baseline: RewardBaseline,
+                          rng: np.random.Generator) -> np.ndarray:
+    """One type's score-function estimate from its own ``rng.choice`` draws:
+    the sequential form the batched REINFORCE epoch must reproduce bit for bit."""
+    p = gen.probabilities()
+    draws = rng.choice(gen.n_outcomes, size=n_samples, p=p)
+    r = rewards.rewards[type_index][draws]
+    b = float(baseline.values[type_index])
+    adv = r - b
+    grad = np.bincount(draws, weights=adv, minlength=gen.n_outcomes) / n_samples
+    grad -= adv.mean() * p
+    baseline.values[type_index] = (baseline.decay * baseline.values[type_index]
+                                   + (1.0 - baseline.decay) * float(r.mean()))
+    return grad
+
+
+def loop_reinforce_epoch(gen: ToyGenerator, rewards: RewardTable, n_samples: int,
+                         baseline: RewardBaseline, rng: np.random.Generator) -> np.ndarray:
+    """Every type's REINFORCE gradient, one ``rng.choice`` call per type in index order."""
+    return np.array([loop_grad_s_reinforce(gen, rewards, k, n_samples, baseline, rng)
+                     for k in range(rewards.n_types)])

@@ -1,7 +1,10 @@
 """End-to-end CLI checks: run, sweep, entry, verify-fixtures, list-fixtures."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 import json
 
@@ -797,6 +800,88 @@ class TestConfigValidation:
         assert "disagree on user types" in capsys.readouterr().err
 
 
+class TestNegativeSeeds:
+    """numpy's generators need seeds >= 0: every seed field says so in one line."""
+
+    @staticmethod
+    def _entry_payload():
+        payload = _read_json(CONFIGS / "entry_underserved_type.json")
+        payload["instance"]["file"] = str(CONFIGS / payload["instance"]["file"])
+        return payload
+
+    def _assert_one_error(self, argv, capsys, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_dynamics_seed(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "c1_rps"},
+                                       "dynamics": {"seed": -1}})
+        self._assert_one_error(["run", "--config", cfg, "--out", str(tmp_path)], capsys,
+                               "dynamics.seed must be >= 0 (got -1)")
+
+    def test_sweep_seeds(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {
+            "instance": {"builtin": "c1_rps"},
+            "sweep": {"axis": "models", "values": [2], "repetitions": 1, "seeds": [-3]},
+        })
+        self._assert_one_error(["sweep", "--config", cfg, "--out", str(tmp_path)], capsys,
+                               "sweep.seeds must be >= 0 (got -3)")
+
+    def test_seed_flag_without_a_start_profile(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "c1_rps"}})
+        self._assert_one_error(["run", "--config", cfg, "--seed", "-2", "--out", str(tmp_path)],
+                               capsys, "--seed must be >= 0 (got -2)")
+
+    def test_gmm_seed(self, tmp_path, capsys):
+        block = _synthetic_block()
+        block["gmm"]["seed"] = -4
+        cfg = _write_config(tmp_path, {"instance": {"synthetic": block}})
+        self._assert_one_error(["run", "--config", cfg, "--out", str(tmp_path)], capsys,
+                               "the GMM seed must be >= 0 (got -4)")
+
+    def test_training_seed(self, tmp_path, capsys):
+        payload = self._entry_payload()
+        payload["training"]["params"]["seed"] = -1
+        self._assert_one_error(["entry", "--config", _write_config(tmp_path, payload),
+                                "--out", str(tmp_path)], capsys, "seed must be >= 0 (got -1)")
+
+
+class TestAbnormalExits:
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(cli_mod.entry_mod, "train_resampling", exhausted)
+        payload = _read_json(CONFIGS / "entry_underserved_type.json")
+        payload["instance"]["file"] = str(CONFIGS / payload["instance"]["file"])
+        out = tmp_path / "out"
+        assert main(["entry", "--config", _write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 72.8 TiB for an array\n")
+
+    def test_closed_pipe_exits_quietly(self):
+        # the read end is closed before the command writes, so its first
+        # write to stdout meets a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                          os.environ.get("PYTHONPATH")]))}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from modelmarket.cli import main; sys.exit(main())",
+                 "list-fixtures"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1
+
+
 class TestShippedConfigs:
     """The example configs under configs/ stay runnable."""
 
@@ -819,6 +904,14 @@ class TestShippedConfigs:
                      "--out", str(tmp_path)]) == 0
         report = _read_json(tmp_path / "underserved_entry_report.json")
         assert report["direct"]["adopted"] is True
+
+    def test_entry_reinforce_example(self, tmp_path):
+        assert main(["entry", "--config", str(self.CONFIGS / "entry_underserved_reinforce.json"),
+                     "--out", str(tmp_path)]) == 0
+        report = _read_json(tmp_path / "underserved_reinforce_report.json")
+        assert "resampling" not in report
+        assert report["direct"]["adopted"] is True
+        assert report["direct"]["outcome_kind"] == "equilibrium"
 
 
 class TestFixtureCommands:

@@ -6,6 +6,8 @@ import pytest
 from modelmarket.errors import InvalidInstanceError, InvalidParameterError, MarketGameError
 from modelmarket.equilibrium import check_homogeneous_condition, enumerate_pne
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation
+from modelmarket import entry as entry_mod
+from modelmarket.game import _BLOCK_ELEMENTS
 from modelmarket.entry import (
     EntryDataset,
     RewardBaseline,
@@ -24,7 +26,7 @@ from modelmarket.entry import (
     train_resampling,
 )
 
-from helpers import entry_toy
+from helpers import entry_toy, loop_reinforce_epoch
 
 
 @pytest.fixture
@@ -329,6 +331,10 @@ class TestTrainDirectGradient:
                                            estimator="reinforce")
         assert trace[-1]["objective"] > trace[0]["objective"]
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            TrainingConfig(seed=-1)
+
     def test_unknown_estimator_rejected(self, toy):
         with pytest.raises(InvalidParameterError):
             train_direct_gradient(toy.dataset, toy.rewards, toy.market,
@@ -389,3 +395,228 @@ class TestEvaluateEntrant:
         assert report.outcome.kind == "timeout"
         assert report.metrics.anchor is None and report.metrics.welfare is None
         assert report.metrics.scores == {}
+
+
+# Traces, final logits and REINFORCE baselines of two seeded runs per scheme on
+# the entry toy, recorded from the sequential-draw implementation; any change to
+# the draw order or the summation order shows up here as a changed repr.
+_REINFORCE_GOLDEN = {
+    ("direct", 3): {
+        "trace": (
+            1.5444795210968603, 0.09517511136594507, 1.3541292983649702,
+            0.46499999999999997, 0.31000000000000005, 0.17,
+            1.5447688942806015, 0.09805468495079525, 1.348659524379011,
+            0.45627532091499307, 0.31961469351832594, 0.170445482199289,
+            1.5455178227941246, 0.10077769735864091, 1.3439624280768427,
+            0.448026781133459, 0.32838282545016295, 0.1711975510925939,
+            1.5469776900279852, 0.10411415243247546, 1.3387493851630343,
+            0.43906582387668575, 0.3386013423022118, 0.17138300121732708,
+            1.5489716556765731, 0.10750407238161225, 1.3339635109133487,
+            0.4301623315426458, 0.34859702430012157, 0.17170909881134444,
+            1.5515255737081353, 0.11100017778006879, 1.3295252181479977,
+            0.4213834964158433, 0.3585141653916975, 0.17203232778179794,
+            1.5540362727964787, 0.11396213452156982, 1.3261120037533392,
+            0.4143963403706965, 0.36664819834816365, 0.17191440155716206,
+        ),
+        "logits": (
+            -1.3303432593009323, -1.5207009781861616, -1.417275902065111,
+            -1.7787478381753359, -2.352342178032313,
+        ),
+        "baseline": (
+            0.2034760883333333, 0.16028391799999997, 0.07637484366666666,
+        ),
+    },
+    ("direct", 11): {
+        "trace": (
+            1.5444795210968603, 0.09517511136594507, 1.3541292983649702,
+            0.46499999999999997, 0.31000000000000005, 0.17,
+            1.5448104561712455, 0.09825136388320713, 1.3483077284048313,
+            0.4559279674785287, 0.3202009767634902, 0.17044323035723113,
+            1.5457070180846635, 0.10124196951613222, 1.3432230790523991,
+            0.44747846187852375, 0.32970327678522954, 0.1708238222002712,
+            1.5471672837264527, 0.10442789250142248, 1.3383114987236078,
+            0.4390811751233222, 0.3393898542171847, 0.1710618812744241,
+            1.5486646403326907, 0.10702919871322406, 1.3346062429062426,
+            0.43192759046121615, 0.34711850810140316, 0.17153697200832368,
+            1.550760319149102, 0.10999419664652256, 1.3307719258560569,
+            0.42454818014960966, 0.35559804314980603, 0.1715827409836305,
+            1.5526603923609639, 0.11239577661982963, 1.3278688391213045,
+            0.41853783729296307, 0.36228953439872574, 0.17191839051744037,
+        ),
+        "logits": (
+            -1.3157532804974597, -1.516233852507975, -1.4317504092860511,
+            -1.786775167787256, -2.3488974456811116,
+        ),
+        "baseline": (
+            0.20495363166666664, 0.150987405, 0.07561591233333333,
+        ),
+    },
+    ("resampling", 3): {
+        "trace": (
+            0.46499999999999997, 0.31000000000000005, 0.17,
+            0.09517511136594507, 0.222515625, 0.5459593749999999,
+            0.22791875, 0.19895864065153826, 0.1210634765625,
+            0.6484005859375, 0.24469179687500003, 0.2588768270288955,
+            0.08301646728515624, 0.6833219116210938, 0.2566713623046875,
+            0.2806743476963423,
+        ),
+        "logits": (
+            -3.3536670788652385, -3.5562249106530532, -0.8067287884741747,
+            -1.1016758143652894, -1.8459942256904214,
+        ),
+    },
+    ("resampling", 11): {
+        "trace": (
+            0.46499999999999997, 0.31000000000000005, 0.17,
+            0.09517511136594507, 0.26158125, 0.499,
+            0.22844375, 0.1738720646389035, 0.133611328125,
+            0.62385625, 0.25860898437499996, 0.2450297481847066,
+            0.08681945800781249, 0.683081640625, 0.2507911865234375,
+            0.28017629166810215,
+        ),
+        "logits": (
+            -3.249296020952137, -3.467150966029611, -0.8147138850472353,
+            -1.0878013095598638, -1.895320660630695,
+        ),
+    },
+}
+
+
+def _trace_floats(trace):
+    out = []
+    for row in trace:
+        for value in row.values():
+            if isinstance(value, tuple):
+                out.extend(value)
+            elif isinstance(value, float):
+                out.append(value)
+    return out
+
+
+def _reprs(values):
+    return [repr(float(x)) for x in values]
+
+
+class TestReinforceGolden:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_direct_gradient_reinforce_is_byte_stable(self, toy, seed, monkeypatch):
+        made = []
+        zeros = RewardBaseline.zeros
+
+        def spy(n_types, decay):
+            made.append(zeros(n_types, decay))
+            return made[-1]
+
+        monkeypatch.setattr(RewardBaseline, "zeros", staticmethod(spy))
+        config = TrainingConfig(lam=2.0, learning_rate=0.5, inner_epochs=6, eval_budget=300,
+                                seed=seed)
+        gen, trace = train_direct_gradient(toy.dataset, toy.rewards, toy.market, config,
+                                           estimator="reinforce")
+        golden = _REINFORCE_GOLDEN[("direct", seed)]
+        assert _reprs(_trace_floats(trace)) == _reprs(golden["trace"])
+        assert _reprs(gen.logits) == _reprs(golden["logits"])
+        assert len(made) == 1
+        assert _reprs(made[0].values) == _reprs(golden["baseline"])
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_resampling_is_byte_stable(self, toy, seed):
+        config = TrainingConfig(outer_rounds=3, inner_epochs=4, eval_budget=300, seed=seed)
+        gen, trace = train_resampling(toy.dataset, toy.rewards, toy.market, config)
+        golden = _REINFORCE_GOLDEN[("resampling", seed)]
+        assert _reprs(_trace_floats(trace)) == _reprs(golden["trace"])
+        assert _reprs(gen.logits) == _reprs(golden["logits"])
+
+
+def _epoch_case(rng, n_types, n_outcomes, floor=False):
+    """A generator, a reward table and a part-warmed baseline for one epoch."""
+    labels = [f"x{i}" for i in range(n_outcomes)]
+    if floor:
+        # all but one or two outcomes pinned at the 1e-12 floor
+        p = np.full(n_outcomes, 1e-12)
+        p[rng.integers(n_outcomes, size=2)] = 1.0
+        gen = ToyGenerator.from_distribution(labels, p / p.sum())
+    else:
+        gen = ToyGenerator(labels, rng.normal(scale=2.0, size=n_outcomes))
+    rewards = RewardTable(rng.uniform(size=(n_types, n_outcomes)))
+    values = rng.uniform(size=n_types) * (rng.uniform(size=n_types) < 0.7)
+    return gen, rewards, values, float(rng.uniform(0.0, 0.99))
+
+
+def test_generator_probabilities_are_computed_once_and_read_only():
+    logits = np.array([0.3, -1.2, 2.0, 0.0])
+    gen = ToyGenerator(["a", "b", "c", "d"], logits)
+    e = np.exp(logits - logits.max())
+    assert gen.probabilities() is gen.probabilities()
+    assert gen.probabilities().tobytes() == (e / e.sum()).tobytes()
+    with pytest.raises(ValueError):
+        gen.probabilities()[0] = 1.0
+
+
+class TestBatchedReinforceEpoch:
+    """One uniform block per epoch reproduces one ``rng.choice`` per type."""
+
+    def _assert_matches_loop(self, gen, rewards, values, decay, n_samples, seed):
+        batched_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        batched = RewardBaseline(values.copy(), decay)
+        looped = RewardBaseline(values.copy(), decay)
+        got = entry_mod._reinforce_gradients(gen, rewards, range(rewards.n_types), n_samples,
+                                             batched, batched_rng)
+        want = loop_reinforce_epoch(gen, rewards, n_samples, looped, loop_rng)
+        assert got.tobytes() == want.tobytes()
+        assert batched.values.tobytes() == looped.values.tobytes()
+        assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_random_cases_match_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for case in range(400):
+            n_types = int(rng.integers(1, 9))
+            n_outcomes = int(rng.integers(2, 41))
+            n_samples = int(rng.integers(1, 400))
+            gen, rewards, values, decay = _epoch_case(rng, n_types, n_outcomes,
+                                                      floor=case % 5 == 0)
+            self._assert_matches_loop(gen, rewards, values, decay, n_samples, seed=case)
+
+    def test_smallest_epoch(self):
+        rng = np.random.default_rng(7)
+        gen, rewards, values, decay = _epoch_case(rng, 1, 2)
+        self._assert_matches_loop(gen, rewards, values, decay, 1, seed=7)
+
+    def test_types_split_across_blocks(self):
+        rng = np.random.default_rng(8)
+        n_samples = 3000  # five types per block, so 13 types take three blocks
+        assert 13 * n_samples > _BLOCK_ELEMENTS
+        gen, rewards, values, decay = _epoch_case(rng, 13, 7)
+        self._assert_matches_loop(gen, rewards, values, decay, n_samples, seed=8)
+
+    def test_small_blocks_split_at_every_size(self, monkeypatch):
+        monkeypatch.setattr(entry_mod, "_BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(9)
+        for case in range(40):
+            gen, rewards, values, decay = _epoch_case(rng, int(rng.integers(1, 12)),
+                                                      int(rng.integers(2, 9)))
+            self._assert_matches_loop(gen, rewards, values, decay,
+                                      int(rng.integers(1, 100)), seed=case)
+
+    def test_one_type_draw_larger_than_a_block(self):
+        rng = np.random.default_rng(10)
+        gen, rewards, values, decay = _epoch_case(rng, 3, 5)
+        self._assert_matches_loop(gen, rewards, values, decay, _BLOCK_ELEMENTS + 1001, seed=10)
+
+    def test_near_floor_probabilities(self):
+        rng = np.random.default_rng(11)
+        for case in range(20):
+            gen, rewards, values, decay = _epoch_case(rng, 4, 30, floor=True)
+            assert gen.probabilities().min() < 1e-11
+            self._assert_matches_loop(gen, rewards, values, decay, 500, seed=case)
+
+    def test_single_type_call_is_the_one_row_case(self):
+        rng = np.random.default_rng(12)
+        gen, rewards, values, decay = _epoch_case(rng, 3, 6)
+        one = RewardBaseline(values.copy(), decay)
+        rows = RewardBaseline(values.copy(), decay)
+        got = grad_s_reinforce(gen, rewards, 2, 250, one, np.random.default_rng(5))
+        want = entry_mod._reinforce_gradients(gen, rewards, [2], 250, rows,
+                                              np.random.default_rng(5))
+        assert got.tobytes() == want[0].tobytes()
+        assert one.values.tobytes() == rows.values.tobytes()

@@ -156,6 +156,10 @@ class TestGmmPopulation:
         with pytest.raises(InvalidInstanceError):
             GmmPopulationSpec([GmmComponent(0.5, (0.0,), [[1.0]])], k_types=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            GmmPopulationSpec([GmmComponent(1.0, (0.0,), [[1.0]])], k_types=1, seed=-1)
+
 
 def _kmeans_cloud(case: int) -> tuple[np.ndarray, int, int]:
     """Points, cluster count and iteration count of one differential k-means case.
