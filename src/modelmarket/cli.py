@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -507,6 +508,7 @@ def cmd_list_fixtures(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache  # parsing leaves the parser as it was; build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modelmarket",

@@ -56,12 +56,9 @@ __all__ = [
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; minimum(x, -x) is -|x| that keeps a NaN's sign
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -292,11 +289,17 @@ def grad_s_exact(gen: ToyGenerator, rewards: RewardTable, type_index: int) -> np
     return p * (r - s)
 
 
-def _gate_coefficients(s: np.ndarray, market: GameSpec, beta: float) -> np.ndarray:
+def _gate_coefficients(s: np.ndarray, sigma: np.ndarray, weights: np.ndarray,
+                       beta: float) -> np.ndarray:
     """Each type's weight pi * (sigma + beta * sigma * (1 - sigma) * S) on dS/dphi
     in the objective's gradient: the chain rule through the gate."""
-    sigma = adoption_gate(s, market, beta)
-    return market.population.weights * (sigma + beta * sigma * (1.0 - sigma) * s)
+    return weights * (sigma + beta * sigma * (1.0 - sigma) * s)
+
+
+def _exact_gradient(p: np.ndarray, rewards: RewardTable, s: np.ndarray,
+                    coeff: np.ndarray) -> np.ndarray:
+    # sum_theta coeff * p * (r_theta - S_theta), vectorized over outcomes
+    return p * (coeff @ (rewards.rewards - s[:, None]))
 
 
 def grad_f_exact(gen: ToyGenerator, rewards: RewardTable, market: GameSpec,
@@ -304,10 +307,9 @@ def grad_f_exact(gen: ToyGenerator, rewards: RewardTable, market: GameSpec,
     """Exact logit-gradient of the adoption-weighted objective."""
     p = gen.probabilities()
     s = rewards.rewards @ p
-    coeff = _gate_coefficients(s, market, beta)
-    # sum_theta coeff * p * (r_theta - S_theta), vectorized over outcomes
-    weighted = coeff @ (rewards.rewards - s[:, None])
-    return p * weighted
+    sigma = adoption_gate(s, market, beta)
+    coeff = _gate_coefficients(s, sigma, market.population.weights, beta)
+    return _exact_gradient(p, rewards, s, coeff)
 
 
 def _outcome_cdf(p: np.ndarray) -> np.ndarray:
@@ -318,6 +320,25 @@ def _outcome_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _outcome_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for uniforms ``u`` in [0, 1), by a
+    guide table (Chen & Asau 1974): ``guide[j]`` is the answer at ``j / g``, so
+    a draw in bucket ``j = floor(u * g)`` (exact for a power of two ``g``) has
+    its answer in ``[guide[j], guide[j + 1]]``.  One comparison settles a
+    bracket of width at most one; draws in wider brackets are searched."""
+    g = 1 << (4 * len(cdf) - 1).bit_length()  # the power of two >= 4 |X|
+    guide = cdf.searchsorted(np.arange(g + 1) / g, side="right")
+    j = (u * g).astype(np.intp)
+    index = guide[j]
+    # u < 1 = cdf[-1], so guide[j] is a valid index
+    index += cdf[index] <= u
+    wide = np.diff(guide) > 1
+    if wide.any():
+        slow = wide[j]
+        index[slow] = cdf.searchsorted(u[slow], side="right")
+    return index
+
+
 def _draw_outcomes(cdf: np.ndarray, shape, rng: np.random.Generator) -> np.ndarray:
     """Outcome indices for ``rng.random(shape)`` by inverse-CDF search.
 
@@ -325,7 +346,7 @@ def _draw_outcomes(cdf: np.ndarray, shape, rng: np.random.Generator) -> np.ndarr
     returns from the same stream, for ``cdf = _outcome_cdf(p)``, and a
     ``(rows, n)`` block equals ``rows`` such calls of size ``n`` in turn.
     """
-    return cdf.searchsorted(rng.random(shape), side="right")
+    return _outcome_index(cdf, rng.random(shape))
 
 
 def _reinforce_gradients(gen: ToyGenerator, rewards: RewardTable, types: Sequence[int],
@@ -354,16 +375,17 @@ def _reinforce_gradients(gen: ToyGenerator, rewards: RewardTable, types: Sequenc
         block = types[lo:lo + per_block]
         rows = len(block)
         draws = _draw_outcomes(cdf, (rows, n_samples), rng)
-        r = rewards.rewards[block[:, None], draws]
+        cells = draws + (np.arange(rows) * n_outcomes)[:, None]
+        r = rewards.rewards[block].take(cells)
         adv = r - baseline.values[block][:, None]
         # one bincount over (row, outcome) cells sums each row's advantages
         # in draw order, as a per-type bincount does
-        cells = draws + (np.arange(rows) * n_outcomes)[:, None]
         grad = np.bincount(cells.ravel(), weights=adv.ravel(), minlength=rows * n_outcomes)
         grad = grad.reshape(rows, n_outcomes) / n_samples
-        grad -= adv.mean(axis=1)[:, None] * p
+        # sum / n is what np.mean computes
+        grad -= (adv.sum(axis=1) / n_samples)[:, None] * p
         grads[lo:lo + rows] = grad
-        baseline.update(block, r.mean(axis=1))
+        baseline.update(block, r.sum(axis=1) / n_samples)
     return grads
 
 
@@ -479,9 +501,11 @@ def train_resampling(dataset: EntryDataset, rewards: RewardTable, market: GameSp
         )
         resampled = rng.multinomial(total, weights)
         target = resampled / total
-        p = gen.probabilities()
+        p = gen.probabilities().copy()
+        pull = config.blend * target
         for _ in range(config.inner_epochs):
-            p = (1.0 - config.blend) * p + config.blend * target
+            p *= 1.0 - config.blend
+            p += pull
         if np.any(p <= 0):
             # blend=1 with a zero-count resample would kill an outcome; keep
             # the all-outcomes-possible invariant with a vanishing floor
@@ -524,25 +548,30 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, market: G
     gen = _initial_generator(dataset, init)
     q_hat = dataset.empirical_distribution()
     n_types = market.population.n_types
+    weights = market.population.weights
+    best = market.scores.scores.max(axis=0)
     baseline = RewardBaseline.zeros(n_types, config.baseline_decay)
     eta = config.learning_rate
+    # each generator is scored once, for its trace row and the next gradient;
+    # these calls make the outcome, beta and type-count checks once per run
+    s = entrant_scores(gen, rewards)
+    sigma = adoption_gate(s, market, config.beta)
 
     def trace_row(epoch: int) -> dict:
         ell = _cross_entropy(q_hat, gen)
-        f = objective_f(gen, rewards, market, config.beta)
+        f = float(weights @ (sigma * s))  # objective_f
         return {"epoch": epoch, "cross_entropy": ell, "objective": f,
-                "loss": ell - config.lam * f,
-                "scores": tuple(float(x) for x in entrant_scores(gen, rewards))}
+                "loss": ell - config.lam * f, "scores": tuple(s.tolist())}
 
     trace = [trace_row(0)]
     for epoch in range(1, config.inner_epochs + 1):
         p = gen.probabilities()
         grad_ell = p - q_hat
         if config.lam > 0:
+            coeff = _gate_coefficients(s, sigma, weights, config.beta)
             if estimator == "exact":
-                grad_f = grad_f_exact(gen, rewards, market, config.beta)
+                grad_f = _exact_gradient(p, rewards, s, coeff)
             else:
-                coeff = _gate_coefficients(entrant_scores(gen, rewards), market, config.beta)
                 grads = _reinforce_gradients(gen, rewards, range(n_types), config.eval_budget,
                                              baseline, rng)
                 # adds the weighted rows in type order, as a running sum would
@@ -564,6 +593,8 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, market: G
             break
 
         gen = candidate
+        s = rewards.rewards @ gen.probabilities()
+        sigma = _sigmoid(config.beta * (s - best))
         row = trace_row(epoch)
         if not all(np.isfinite(v) for v in (row["cross_entropy"], row["objective"], row["loss"])):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", trace)

@@ -14,6 +14,7 @@ else, so common-random-number comparisons across shift values are exact.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -114,6 +115,10 @@ class GmmPopulationSpec:
         dims = {len(c.mean) for c in comps}
         if len(dims) != 1:
             raise InvalidInstanceError("all component means must share one dimension")
+        # a bool is an int to Python, but never a count or a seed here
+        for name, value in (("k_types", k_types), ("seed", seed), ("sample_size", sample_size)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer (got {value!r})")
         if k_types < 1:
             raise InvalidParameterError("k_types must be at least 1")
         if sample_size < k_types:

@@ -8,7 +8,18 @@ import math
 
 import numpy as np
 
-from modelmarket.entry import EntryDataset, RewardBaseline, RewardTable, ToyGenerator
+from modelmarket.entry import (
+    EntryDataset,
+    RewardBaseline,
+    RewardTable,
+    ToyGenerator,
+    TrainingConfig,
+    _cross_entropy,
+    adoption_gate,
+    entrant_scores,
+    grad_f_exact,
+    objective_f,
+)
 from modelmarket import game
 from modelmarket.equilibrium import (
     DEFAULT_PROFILE_BUDGET,
@@ -456,3 +467,58 @@ def loop_reinforce_epoch(gen: ToyGenerator, rewards: RewardTable, n_samples: int
     """Every type's REINFORCE gradient, one ``rng.choice`` call per type in index order."""
     return np.array([loop_grad_s_reinforce(gen, rewards, k, n_samples, baseline, rng)
                      for k in range(rewards.n_types)])
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function by boolean masks, one stable formula per sign:
+    the form the entry module's branch-free sigmoid must reproduce bit for bit."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_train_direct_gradient(dataset: EntryDataset, rewards: RewardTable,
+                                    market: GameSpec, config: TrainingConfig,
+                                    estimator: str) -> tuple[ToyGenerator, list[dict]]:
+    """Direct-gradient training that scores the generator through the public
+    functions at every use and draws REINFORCE outcomes with one ``rng.choice``
+    call per type: the loop the one-scoring-per-generator epoch must
+    reproduce bit for bit (default initial generator)."""
+    rng = np.random.default_rng(config.seed)
+    q_hat = dataset.empirical_distribution()
+    floored = np.maximum(q_hat, 1e-12)
+    gen = ToyGenerator.from_distribution(dataset.outcome_labels, floored / floored.sum())
+    baseline = RewardBaseline.zeros(market.population.n_types, config.baseline_decay)
+    beta, eta = config.beta, config.learning_rate
+
+    def row(epoch):
+        ell = _cross_entropy(q_hat, gen)
+        f = objective_f(gen, rewards, market, beta)
+        return {"epoch": epoch, "cross_entropy": ell, "objective": f,
+                "loss": ell - config.lam * f,
+                "scores": tuple(float(x) for x in entrant_scores(gen, rewards))}
+
+    trace = [row(0)]
+    for epoch in range(1, config.inner_epochs + 1):
+        p = gen.probabilities()
+        grad_f = np.zeros(gen.n_outcomes)
+        if config.lam > 0 and estimator == "exact":
+            grad_f = grad_f_exact(gen, rewards, market, beta)
+        elif config.lam > 0:
+            s = entrant_scores(gen, rewards)
+            sigma = adoption_gate(s, market, beta)
+            coeff = market.population.weights * (sigma + beta * sigma * (1.0 - sigma) * s)
+            grads = loop_reinforce_epoch(gen, rewards, config.eval_budget, baseline, rng)
+            grad_f = (coeff[:, None] * grads).sum(axis=0)
+        step = (p - q_hat) - config.lam * grad_f
+        candidate = ToyGenerator(dataset.outcome_labels, gen.logits - eta * step)
+        while config.lam == 0 and \
+                _cross_entropy(q_hat, candidate) > _cross_entropy(q_hat, gen) + 1e-9:
+            eta *= 0.5
+            candidate = ToyGenerator(dataset.outcome_labels, gen.logits - eta * step)
+        gen = candidate
+        trace.append(row(epoch))
+    return gen, trace

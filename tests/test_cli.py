@@ -913,6 +913,30 @@ class TestShippedConfigs:
         assert report["direct"]["adopted"] is True
         assert report["direct"]["outcome_kind"] == "equilibrium"
 
+    def test_one_process_repeats_its_runs_around_a_failure(self, tmp_path, capsys):
+        # main() reuses one parser per process: a failed run in between must
+        # leave later runs as they were
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"instance": {"file": 5}}')
+        commands = [("run", "run_reference_cycle"), ("sweep", "sweep_pool_growth"),
+                    ("entry", "entry_underserved_type"), ("entry", "entry_underserved_reinforce")]
+
+        def one_round(out):
+            return [main([cmd, "--config", str(self.CONFIGS / f"{name}.json"), "--out", str(out)])
+                    for cmd, name in commands]
+
+        assert one_round(tmp_path / "first") == [0, 0, 0, 0]
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert one_round(tmp_path / "second") == [0, 0, 0, 0]
+        first = sorted(p.name for p in (tmp_path / "first").iterdir())
+        assert first == sorted(p.name for p in (tmp_path / "second").iterdir())
+        for name in first:
+            assert (tmp_path / "first" / name).read_bytes() == \
+                (tmp_path / "second" / name).read_bytes()
+
 
 class TestFixtureCommands:
     def test_verify_fixtures_passes(self, capsys):

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from modelmarket.errors import InvalidInstanceError, InvalidParameterError, MarketGameError
+from modelmarket.errors import (
+    InvalidInstanceError,
+    InvalidParameterError,
+    MarketGameError,
+    TrainingDivergedError,
+)
 from modelmarket.equilibrium import check_homogeneous_condition, enumerate_pne
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation
 from modelmarket import entry as entry_mod
@@ -26,7 +31,12 @@ from modelmarket.entry import (
     train_resampling,
 )
 
-from helpers import entry_toy, loop_reinforce_epoch
+from helpers import (
+    entry_toy,
+    loop_reinforce_epoch,
+    masked_sigmoid,
+    reference_train_direct_gradient,
+)
 
 
 @pytest.fixture
@@ -620,3 +630,148 @@ class TestBatchedReinforceEpoch:
                                               np.random.default_rng(5))
         assert got.tobytes() == want[0].tobytes()
         assert one.values.tobytes() == rows.values.tobytes()
+
+
+def _guide_distribution(rng, family, n_outcomes):
+    if family == "dirichlet1":
+        p = rng.dirichlet(np.ones(n_outcomes))
+    elif family == "dirichlet005":
+        p = rng.dirichlet(np.full(n_outcomes, 0.05))
+    else:
+        # one spike over a 1e-12 floor: the CDF crowds into the first and last buckets
+        p = np.full(n_outcomes, 1e-12)
+        p[rng.integers(n_outcomes)] = 1.0
+    p = np.maximum(p, 1e-300)  # Dirichlet(0.05) can underflow an entry to 0
+    return p / p.sum()
+
+
+class TestGuideTableSampler:
+    """The uniform-to-outcome step equals ``cdf.searchsorted(u, side="right")``."""
+
+    # every bucket edge j / g of a power-of-two table of up to 8192 buckets,
+    # which covers any g between 4 |X| and 8 |X| for |X| <= 1000
+    EDGES = np.arange(8192) / 8192
+
+    @pytest.mark.parametrize("family", ["dirichlet1", "dirichlet005", "spike"])
+    @pytest.mark.parametrize("n_outcomes", [2, 3, 40, 41, 1000])
+    def test_equals_searchsorted_at_every_edge(self, family, n_outcomes):
+        rng = np.random.default_rng([n_outcomes, len(family)])
+        for _ in range(70):
+            cdf = entry_mod._outcome_cdf(_guide_distribution(rng, family, n_outcomes))
+            below = np.nextafter(cdf, 0.0)
+            u = np.concatenate([self.EDGES, cdf, below, [0.0, np.nextafter(1.0, 0.0)],
+                                rng.random(500)])
+            u = u[u < 1.0]
+            want = cdf.searchsorted(u, side="right")
+            assert np.array_equal(entry_mod._outcome_index(cdf, u), want)
+
+    def test_two_dimensional_blocks(self):
+        rng = np.random.default_rng(5)
+        for family in ("dirichlet1", "dirichlet005", "spike"):
+            cdf = entry_mod._outcome_cdf(_guide_distribution(rng, family, 41))
+            u = rng.random((7, 300))
+            got = entry_mod._outcome_index(cdf, u)
+            assert got.shape == u.shape
+            assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    def test_draws_equal_rng_choice(self):
+        rng = np.random.default_rng(6)
+        for family in ("dirichlet1", "dirichlet005", "spike"):
+            p = _guide_distribution(rng, family, 40)
+            want = np.random.default_rng(9).choice(40, size=(3, 200), p=p)
+            got = entry_mod._draw_outcomes(entry_mod._outcome_cdf(p), (3, 200),
+                                           np.random.default_rng(9))
+            assert np.array_equal(got, want)
+
+
+def test_sigmoid_equals_the_masked_form_bit_for_bit():
+    rng = np.random.default_rng(13)
+    nan = np.float64(np.nan)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, nan, -nan, 5e-324, -5e-324,
+                        1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0, 746.0, -746.0])
+    for x in (special, rng.normal(size=5000), rng.normal(size=5000) * 40.0,
+              rng.normal(size=5000) * 1e-9, special.reshape(4, 4), np.array(-3.5)):
+        got = entry_mod._sigmoid(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == masked_sigmoid(x).tobytes()
+
+
+class TestTrainingChecksOncePerRun:
+    """The epoch loop's once-per-run checks raise what every scoring raised."""
+
+    def _mismatched(self, toy, rewards):
+        return [
+            lambda: train_direct_gradient(toy.dataset, rewards, toy.market,
+                                          TrainingConfig(inner_epochs=2), estimator="exact"),
+            lambda: train_direct_gradient(toy.dataset, rewards, toy.market,
+                                          TrainingConfig(inner_epochs=2, eval_budget=10),
+                                          estimator="reinforce"),
+            lambda: train_direct_gradient(toy.dataset, rewards, toy.market,
+                                          TrainingConfig(inner_epochs=2, lam=0.0)),
+            lambda: train_resampling(toy.dataset, rewards, toy.market,
+                                     TrainingConfig(outer_rounds=1, inner_epochs=2)),
+        ]
+
+    def test_reward_table_with_other_outcomes(self, toy):
+        rewards = RewardTable(np.hstack([toy.rewards.rewards, toy.rewards.rewards[:, :1]]))
+        for run in self._mismatched(toy, rewards):
+            with pytest.raises(InvalidInstanceError,
+                               match="^reward table and generator disagree on outcomes$"):
+                run()
+
+    def test_reward_table_with_other_types(self, toy):
+        rewards = RewardTable(toy.rewards.rewards[:2])
+        for run in self._mismatched(toy, rewards):
+            with pytest.raises(InvalidInstanceError,
+                               match="^s_phi must have one entry per user type$"):
+                run()
+
+
+    @pytest.mark.parametrize("estimator", ["exact", "reinforce"])
+    def test_a_step_that_underflows_an_outcome_is_refused(self, toy, estimator):
+        config = TrainingConfig(lam=2.0, learning_rate=1e6, inner_epochs=3, eval_budget=50)
+        with pytest.raises(InvalidInstanceError, match="^logit spread too large"):
+            train_direct_gradient(toy.dataset, toy.rewards, toy.market, config,
+                                  estimator=estimator)
+
+    def test_non_finite_loss_is_reported_with_the_trace_so_far(self):
+        # an infinitely sharp gate on a zero margin is inf * 0: a NaN objective
+        dataset = EntryDataset(["x1", "x2"], [3, 1])
+        rewards = RewardTable([[0.0, 0.0], [1.0, 0.5]])
+        market = _market([[0.0, 0.4]])
+        config = TrainingConfig(beta=float("inf"), lam=0.0, inner_epochs=3)
+        with pytest.raises(TrainingDivergedError, match="^non-finite loss at epoch 1$") as info, \
+                np.errstate(invalid="ignore"):
+            train_direct_gradient(dataset, rewards, market, config)
+        assert [row["epoch"] for row in info.value.trace] == [0]
+
+    def test_generator_logits_are_checked(self):
+        with pytest.raises(InvalidInstanceError, match="^logits must be finite$"):
+            ToyGenerator(["a", "b"], [0.0, np.inf])
+        with pytest.raises(InvalidInstanceError, match="^logit spread too large"):
+            ToyGenerator(["a", "b"], [0.0, -1e4])
+
+
+class TestOneScoringPerGenerator:
+    """Training equals the loop that scores through the public functions at every use."""
+
+    @pytest.mark.parametrize("estimator", ["exact", "reinforce"])
+    def test_random_runs_match_the_reference_loop(self, estimator):
+        rng = np.random.default_rng(21)
+        for case in range(12):
+            n_outcomes, n_types = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+            _, _, rewards, market = _random_setup(rng, n_outcomes, n_types)
+            dataset = EntryDataset([f"x{i}" for i in range(n_outcomes)],
+                                   rng.integers(0, 50, size=n_outcomes) + (case % 3 != 0))
+            config = TrainingConfig(beta=float(rng.uniform(0.5, 20.0)),
+                                    lam=0.0 if case % 4 == 0 else float(rng.uniform(0.1, 3.0)),
+                                    inner_epochs=int(rng.integers(1, 8)),
+                                    eval_budget=int(rng.integers(1, 300)),
+                                    learning_rate=float(rng.uniform(0.05, 2.0)), seed=case)
+            gen, trace = train_direct_gradient(dataset, rewards, market, config,
+                                               estimator=estimator)
+            want_gen, want_trace = reference_train_direct_gradient(dataset, rewards, market,
+                                                                   config, estimator)
+            assert _reprs(_trace_floats(trace)) == _reprs(_trace_floats(want_trace))
+            assert [row["epoch"] for row in trace] == [row["epoch"] for row in want_trace]
+            assert gen.logits.tobytes() == want_gen.logits.tobytes()

@@ -160,6 +160,22 @@ class TestGmmPopulation:
         with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
             GmmPopulationSpec([GmmComponent(1.0, (0.0,), [[1.0]])], k_types=1, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_types", 2.7), ("k_types", "3"), ("k_types", True), ("k_types", np.float64(2.0)),
+        ("seed", True), ("seed", 1.0), ("seed", None),
+        ("sample_size", 50.9), ("sample_size", False), ("sample_size", "50"),
+    ])
+    def test_non_integer_counts_and_seed_rejected(self, field, value):
+        kwargs = {"k_types": 2, "seed": 0, "sample_size": 50, field: value}
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer"):
+            GmmPopulationSpec([GmmComponent(1.0, (0.0,), [[1.0]])], **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        spec = GmmPopulationSpec([GmmComponent(1.0, (0.0,), [[1.0]])], k_types=np.int64(2),
+                                 seed=np.uint32(5), sample_size=np.int32(50))
+        assert (spec.k_types, spec.seed, spec.sample_size) == (2, 5, 50)
+        assert all(type(v) is int for v in (spec.k_types, spec.seed, spec.sample_size))
+
 
 def _kmeans_cloud(case: int) -> tuple[np.ndarray, int, int]:
     """Points, cluster count and iteration count of one differential k-means case.
