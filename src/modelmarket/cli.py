@@ -35,18 +35,12 @@ from .equilibrium import DynamicsOutcome, enumerate_pne, run_dynamics
 from .metrics import MetricsRecord, outcome_metrics, social_optimum
 from .fixtures import (
     builtin_instance,
-    check_keys,
     choice_from_block,
-    config_float,
-    config_int,
-    config_list,
-    config_numbers,
-    config_str,
     fixture_names,
     rbf_gmm_instance,
-    require,
     verify_fixture,
 )
+from . import config as config_mod
 from . import entry as entry_mod
 
 OUT_DIR_ENV = "MODELMARKET_OUT"
@@ -64,57 +58,16 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-
-
-def _load_run_config(path: str) -> dict:
-    """A run configuration whose top level and ``output`` block are checked."""
-    cfg = _load_config(path)
-    check_keys(cfg, ("instance", "choice", "dynamics", "sweep", "training", "output"), "top-level")
-    output = cfg.get("output", {})
-    check_keys(output, ("dir", "prefix"), "output")
-    for key in output:
-        config_str(output[key], f"output.{key}")
-    return cfg
-
-
-def _optional_list(block: dict, key: str, where: str) -> list | None:
-    """``block[key]``, checked to be a list, or None when it is absent or null."""
-    value = block.get(key)
-    return None if value is None else config_list(value, f"{where}.{key}")
-
-
 # ---------------------------------------------------------------------------
 # instance construction
 # ---------------------------------------------------------------------------
 
-def _spec_from_file_block(block: dict) -> GameSpec:
-    check_keys(block, ("scores", "weights", "n_platforms", "model_labels", "type_labels", "choice"),
-               "instance file")
-    scores = ScoreMatrix(config_numbers(require(block, "scores", "instance"), "instance.scores",
-                                        matrix=True),
-                         _optional_list(block, "model_labels", "instance"))
-    weights = config_numbers(require(block, "weights", "instance"), "instance.weights")
-    labels = (_optional_list(block, "type_labels", "instance")
-              or [f"t{i + 1}" for i in range(len(weights))])
-    population = UserPopulation(labels, weights)
-    choice = choice_from_block(block.get("choice")) or ChoiceRule.hardmax()
-    n_platforms = config_int(require(block, "n_platforms", "instance"), "instance.n_platforms")
-    return GameSpec(scores, population, n_platforms, choice)
-
-
-def _spec_from_synthetic_block(block: dict) -> GameSpec:
-    check_keys(block, ("models", "gmm", "n_platforms"), "synthetic")
-    population, scores = rbf_gmm_instance(block, "synthetic")
-    return GameSpec(scores, population,
-                    config_int(require(block, "n_platforms", "synthetic"), "synthetic.n_platforms"))
+def _spec_from_file(path: Path) -> GameSpec:
+    block = config_mod.load(path, config_mod.INSTANCE_FILE, "instance", "instance file")
+    labels = block["type_labels"] or [f"t{i + 1}" for i in range(len(block["weights"]))]
+    return GameSpec(ScoreMatrix(block["scores"], block["model_labels"]),
+                    UserPopulation(labels, block["weights"]), block["n_platforms"],
+                    choice_from_block(block["choice"]) or ChoiceRule.hardmax())
 
 
 def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, str, str]:
@@ -122,20 +75,18 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
 
     Instance file paths resolve relative to the config file's directory.
     """
-    block = require(cfg, "instance", "top-level")
-    check_keys(block, ("builtin", "file", "synthetic"), "instance")
-    sources = [k for k in ("builtin", "file", "synthetic") if k in block]
-    if len(sources) != 1:
-        raise ConfigError("instance block needs exactly one of: builtin, file, synthetic")
-    if sources[0] == "builtin":
+    block = cfg["instance"]
+    if "builtin" in block:
         fixture = builtin_instance(block["builtin"])
         spec, name, notes = fixture.spec, fixture.name, fixture.notes
-    elif sources[0] == "file":
-        path = Path(base_dir) / config_str(block["file"], "instance.file")
-        spec, name, notes = _spec_from_file_block(_load_config(str(path))), path.stem, ""
+    elif "file" in block:
+        path = Path(base_dir) / block["file"]
+        spec, name, notes = _spec_from_file(path), path.stem, ""
     else:
-        spec, name, notes = _spec_from_synthetic_block(block["synthetic"]), "synthetic", ""
-    override = choice_from_block(cfg.get("choice"))
+        population, scores = rbf_gmm_instance(block["synthetic"])
+        spec = GameSpec(scores, population, block["synthetic"]["n_platforms"])
+        name, notes = "synthetic", ""
+    override = choice_from_block(cfg["choice"])
     if override is not None:
         spec = spec.with_choice(override)
     return spec, name, notes
@@ -145,36 +96,17 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
 # single runs
 # ---------------------------------------------------------------------------
 
-def _config_seed(value, name: str) -> int:
-    """``value`` as a seed for numpy's generators: a non-negative integer."""
-    seed = config_int(value, name)
-    if seed < 0:
-        raise ConfigError(f"{name} must be >= 0 (got {seed})")
-    return seed
-
-
 def _draw_start(spec: GameSpec, seed: int) -> tuple[int, ...]:
     rng = np.random.default_rng(seed)
     return tuple(int(x) for x in rng.integers(0, spec.n_models, size=spec.n_platforms))
 
 
-def _dynamics_params(cfg: dict, seed_override: int | None) -> tuple[Any, Any, int, int]:
-    block = cfg.get("dynamics", {})
-    check_keys(block, ("start", "order", "max_steps", "seed"), "dynamics")
-    max_steps = config_int(block.get("max_steps", 1000), "dynamics.max_steps")
-    if max_steps < 1:
-        raise ConfigError("dynamics.max_steps must be at least 1")
-    order = block.get("order", "round_robin")
-    if isinstance(order, list):
-        order = [config_int(i, "an entry of dynamics.order") for i in order]
-    start = _optional_list(block, "start", "dynamics")
-    if start is not None:
-        start = tuple(config_int(g, "an entry of dynamics.start") for g in start)
-    if seed_override is not None:
-        seed = _config_seed(seed_override, "--seed")
-    else:
-        seed = _config_seed(block.get("seed", 0), "dynamics.seed")
-    return start, order, max_steps, seed
+def _dynamics_seed(cfg: dict, seed_override: int | None) -> int:
+    """``dynamics.seed``, or ``--seed`` checked as that field is."""
+    if seed_override is None:
+        return cfg["dynamics"]["seed"]
+    seed_field = config_mod.RUN_CONFIG["dynamics"].table["seed"]
+    return config_mod.check(seed_override, seed_field, "--seed")
 
 
 def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, run_id: str,
@@ -233,13 +165,7 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, 
 
 
 def _out_dir(args, cfg: dict) -> Path:
-    if args.out:
-        base = args.out
-    elif cfg.get("output", {}).get("dir"):
-        base = cfg["output"]["dir"]
-    else:
-        base = os.environ.get(OUT_DIR_ENV, "out")
-    path = Path(base)
+    path = Path(args.out or cfg["output"].get("dir") or os.environ.get(OUT_DIR_ENV, "out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -258,12 +184,13 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_run_config(args.config)
+    cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     spec, instance_name, notes = _build_instance(cfg, Path(args.config).parent)
-    start_cfg, order, max_steps, seed = _dynamics_params(cfg, args.seed)
-    start = start_cfg if start_cfg is not None else _draw_start(spec, seed)
-    outcome = run_dynamics(spec, start, order=order, max_steps=max_steps)
-    prefix = cfg.get("output", {}).get("prefix", f"run_{instance_name}")
+    dynamics = cfg["dynamics"]
+    seed = _dynamics_seed(cfg, args.seed)
+    start = tuple(dynamics["start"]) if dynamics["start"] is not None else _draw_start(spec, seed)
+    outcome = run_dynamics(spec, start, order=dynamics["order"], max_steps=dynamics["max_steps"])
+    prefix = cfg["output"].get("prefix", f"run_{instance_name}")
     out = _out_dir(args, cfg)
     record = outcome_metrics(spec, outcome, [s.profile_after for s in outcome.trajectory])
     rows = _trajectory_rows(spec, outcome, record, prefix, seed)
@@ -282,23 +209,15 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
-    sweep = require(cfg, "sweep", "top-level")
-    check_keys(sweep, ("axis", "values", "repetitions", "seeds"), "sweep")
-    axis = require(sweep, "axis", "sweep")
-    if axis not in ("models", "platforms", "population"):
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    values = config_list(require(sweep, "values", "sweep"), "sweep.values")
-    reps = config_int(sweep.get("repetitions", 1), "sweep.repetitions")
-    if reps < 1:
-        raise ConfigError("sweep.repetitions must be at least 1")
-    seeds = _optional_list(sweep, "seeds", "sweep")
+    sweep = cfg["sweep"]
+    axis, reps, seeds = sweep["axis"], sweep["repetitions"], sweep["seeds"]
     if seeds is not None and len(seeds) != reps:
         raise ConfigError("sweep.seeds must list one seed per repetition")
     cells = []
-    for vi, value in enumerate(values):
+    for vi, value in enumerate(sweep["values"]):
+        config_mod.check(value, config_mod.SWEEP_VALUES[axis], f"sweep.values[{vi}]")
         for rep in range(reps):
-            seed = (_config_seed(seeds[rep], "sweep.seeds") if seeds is not None
-                    else base_seed + 1000 * vi + rep)
+            seed = seeds[rep] if seeds is not None else base_seed + 1000 * vi + rep
             cells.append({"axis": axis, "value_index": vi, "value": value,
                           "repetition": rep, "seed": seed})
     return cells
@@ -306,19 +225,12 @@ def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
 
 def _apply_axis(spec: GameSpec, axis: str, value) -> GameSpec:
     if axis == "models":
-        m = config_int(value, "a models sweep value")
-        if not 1 <= m <= spec.n_models:
-            raise ConfigError(f"model-pool size {m} out of range [1, {spec.n_models}]")
-        return spec.with_models(m)
+        if not 1 <= value <= spec.n_models:
+            raise ConfigError(f"model-pool size {value} out of range [1, {spec.n_models}]")
+        return spec.with_models(value)
     if axis == "platforms":
-        n = config_int(value, "a platforms sweep value")
-        if n < 1:
-            raise ConfigError("platform count must be at least 1")
-        return spec.with_platforms(n)
-    if not isinstance(value, list):
-        raise ConfigError(f"a population sweep value must be a list of weights (got {value!r})")
-    weights = [config_float(x, "a population sweep weight") for x in value]
-    population = UserPopulation(spec.population.type_labels, weights)
+        return spec.with_platforms(value)
+    population = UserPopulation(spec.population.type_labels, value)
     return GameSpec(spec.scores, population, spec.n_platforms, spec.choice)
 
 
@@ -339,23 +251,25 @@ def _run_sweep_cell(payload: tuple[GameSpec, str, Any, int, dict]) -> tuple[list
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_run_config(args.config)
-    _, order, max_steps, seed = _dynamics_params(cfg, args.seed)
-    cells = _sweep_cells(cfg, seed)
+    cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
+    cells = _sweep_cells(cfg, _dynamics_seed(cfg, args.seed))
     # one instance build per sweep; every cell's spec is derived, and so
     # validated, here before any cell runs
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
-    payloads = [(_apply_axis(spec, cell["axis"], cell["value"]), instance_name, order,
-                 max_steps, cell) for cell in cells]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    dynamics = cfg["dynamics"]
+    payloads = [(_apply_axis(spec, cell["axis"], cell["value"]), instance_name, dynamics["order"],
+                 dynamics["max_steps"], cell) for cell in cells]
+    # a worker per cell at most: a fork-based pool starts every worker it may use
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_cell, payloads))
     else:
         results = [_run_sweep_cell(p) for p in payloads]
     # map keeps cell order, (value_index, repetition), with or without workers
     rows = [row for cell_rows, _ in results for row in cell_rows]
     summaries = [summary for _, summary in results]
-    prefix = cfg.get("output", {}).get("prefix", "sweep")
+    prefix = cfg["output"].get("prefix", "sweep")
     out = _out_dir(args, cfg)
     _write_csv(out / f"{prefix}_long.csv", STEP_COLUMNS, rows)
     _write_json(out / f"{prefix}_summary.json", summaries)
@@ -368,43 +282,20 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _training_payload(cfg: dict) -> dict:
-    block = require(cfg, "training", "top-level")
-    check_keys(block, ("method", "estimator", "outcomes", "rewards", "dataset", "params",
-                       "n_platforms"), "training")
-    method = block.get("method", "both")
-    if method not in ("resampling", "direct", "both"):
-        raise ConfigError(f"unknown training method {method!r}")
-    estimator = block.get("estimator", "exact")
-    if estimator not in ("exact", "reinforce"):
-        raise ConfigError(f"unknown estimator {estimator!r}")
-    outcomes = config_list(require(block, "outcomes", "training"), "training.outcomes")
-    rewards = entry_mod.RewardTable(
-        config_numbers(require(block, "rewards", "training"), "training.rewards", matrix=True))
-    ds = require(block, "dataset", "training")
-    check_keys(ds, ("counts", "attributes", "attribute_labels", "type_preferences"),
-               "training.dataset")
-    prefs = ds.get("type_preferences")
-    dataset = entry_mod.EntryDataset(
-        outcomes,
-        config_numbers(require(ds, "counts", "training.dataset"), "training.dataset.counts"),
-        attributes=_optional_list(ds, "attributes", "training.dataset"),
-        attribute_labels=_optional_list(ds, "attribute_labels", "training.dataset") or (),
-        type_attribute_prefs=None if prefs is None else config_numbers(
-            prefs, "training.dataset.type_preferences", matrix=True),
-    )
-    params = block.get("params", {})
-    rename = {"lambda": "lam"}
-    known = {f.name for f in dataclasses.fields(entry_mod.TrainingConfig)}
-    check_keys(params, known | set(rename), "training.params")
-    kwargs = {rename.get(k, k): v for k, v in params.items()}
-    config = entry_mod.TrainingConfig(**kwargs)
+    block = cfg["training"]
+    ds = block["dataset"]
+    dataset = entry_mod.EntryDataset(block["outcomes"], ds["counts"], attributes=ds["attributes"],
+                                     attribute_labels=ds["attribute_labels"] or (),
+                                     type_attribute_prefs=ds["type_preferences"])
+    params = {config_mod.RENAMED.get(k, k): v for k, v in block["params"].items()}
+    method = block["method"]
     return {
         "methods": ["resampling", "direct"] if method == "both" else [method],
-        "estimator": estimator,
-        "rewards": rewards,
+        "estimator": block["estimator"],
+        "rewards": entry_mod.RewardTable(block["rewards"]),
         "dataset": dataset,
-        "config": config,
-        "n_platforms": config_int(block.get("n_platforms", 3), "training.n_platforms"),
+        "config": entry_mod.TrainingConfig(**params),
+        "n_platforms": block["n_platforms"],
     }
 
 
@@ -434,7 +325,7 @@ def _trace_csv(trace: list[dict], type_labels: Sequence[str]) -> tuple[list[str]
 
 
 def cmd_entry(args) -> int:
-    cfg = _load_run_config(args.config)
+    cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
     payload = _training_payload(cfg)
     if spec.population.n_types != payload["rewards"].n_types:
@@ -465,7 +356,7 @@ def cmd_entry(args) -> int:
                                             entrant_label=f"entrant_{method}")
         report_json[method] = _entry_market_section(report)
     out = _out_dir(args, cfg)
-    prefix = cfg.get("output", {}).get("prefix", f"entry_{instance_name}")
+    prefix = cfg["output"].get("prefix", f"entry_{instance_name}")
     for method, trace in traces.items():
         _write_csv(out / f"{prefix}_trace_{method}.csv",
                    *_trace_csv(trace, base_spec.population.type_labels))

@@ -556,9 +556,9 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, market: G
     # these calls make the outcome, beta and type-count checks once per run
     s = entrant_scores(gen, rewards)
     sigma = adoption_gate(s, market, config.beta)
+    ell = _cross_entropy(q_hat, gen)
 
     def trace_row(epoch: int) -> dict:
-        ell = _cross_entropy(q_hat, gen)
         f = float(weights @ (sigma * s))  # objective_f
         return {"epoch": epoch, "cross_entropy": ell, "objective": f,
                 "loss": ell - config.lam * f, "scores": tuple(s.tolist())}
@@ -580,19 +580,19 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, market: G
             grad_f = np.zeros(gen.n_outcomes)
         step = grad_ell - config.lam * grad_f
 
+        # each candidate's cross-entropy is taken once: it is the backtracking
+        # test with lam == 0 and the accepted one's trace row
         while True:
             candidate = ToyGenerator(dataset.outcome_labels, gen.logits - eta * step)
-            if config.lam == 0:
-                before = _cross_entropy(q_hat, gen)
-                after = _cross_entropy(q_hat, candidate)
-                if after > before + 1e-9:
-                    eta *= 0.5
-                    if eta < 1e-18:
-                        raise TrainingDivergedError("step size collapsed during backtracking", trace)
-                    continue
+            candidate_ell = _cross_entropy(q_hat, candidate)
+            if config.lam == 0 and candidate_ell > ell + 1e-9:
+                eta *= 0.5
+                if eta < 1e-18:
+                    raise TrainingDivergedError("step size collapsed during backtracking", trace)
+                continue
             break
 
-        gen = candidate
+        gen, ell = candidate, candidate_ell
         s = rewards.rewards @ gen.probabilities()
         sigma = _sigmoid(config.beta * (s - best))
         row = trace_row(epoch)

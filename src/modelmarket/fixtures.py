@@ -16,11 +16,11 @@ implied by the stored inputs.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Collection
+from typing import Any
 
+from .config import INSTANCE_FILE, RBF_GMM_RECORD, check, walk
 from .errors import ConfigError
 from .game import (
     ChoiceRule,
@@ -93,120 +93,27 @@ def _load_record(name: str) -> dict:
         return json.load(handle)
 
 
-def require(block: dict, key: str, where: str):
-    """``block[key]``, or a ConfigError naming the block that lacks it."""
-    if key not in block:
-        raise ConfigError(f"missing {key!r} in the {where} block")
-    return block[key]
-
-
-def config_int(value, name: str) -> int:
-    """``value`` as an int, or a ConfigError naming the field: a float, a
-    string or a bool is not read as an integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"{name} must be an integer (got {value!r})")
-
-
-def config_float(value, name: str) -> float:
-    """``value`` as a float, or a ConfigError naming the field: only a JSON
-    number is read as a number, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number (got {value!r})")
-    return float(value)
-
-
-def config_list(value, name: str) -> list:
-    """``value`` itself, or a ConfigError naming the field unless it is a JSON
-    list: a number or a string is not read as a list."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list (got {value!r})")
-    return value
-
-
-def config_numbers(value, name: str, matrix: bool = False) -> list:
-    """``value`` itself, or a ConfigError naming the field unless it is a JSON
-    list of numbers, or with ``matrix`` a list of equal-length such lists: a
-    string or a bool entry is not read as a number."""
-    rows = ([config_list(row, f"a row of {name}") for row in config_list(value, name)]
-            if matrix else [config_list(value, name)])
-    if len({len(row) for row in rows}) > 1:
-        raise ConfigError(f"the rows of {name} must have equal lengths")
-    for row in rows:
-        for entry in row:
-            config_float(entry, f"an entry of {name}")
-    return value
-
-
-def config_str(value, name: str) -> str:
-    """``value`` itself, or a ConfigError naming the field unless it is a JSON string."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string (got {value!r})")
-    return value
-
-
-def check_keys(block, known: Collection[str], name: str) -> None:
-    """ConfigError unless ``block`` is a JSON object whose keys are all in ``known``."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"the {name} block must be a JSON object")
-    for key in block:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in the {name} block")
-
-
 def choice_from_block(block: dict | None) -> ChoiceRule | None:
-    """The choice rule a ``choice`` block names, or None when there is no block."""
+    """The choice rule a checked ``choice`` block names, or None when there is no block."""
     if block is None:
         return None
-    check_keys(block, ("kind", "tau"), "choice")
-    kind = require(block, "kind", "choice")
-    if kind == "hardmax":
+    if block["kind"] == "hardmax":
         return ChoiceRule.hardmax()
-    if kind == "softmax":
-        return ChoiceRule.softmax(config_float(require(block, "tau", "choice"), "choice.tau"))
-    raise ConfigError(f"unknown choice kind {kind!r}")
+    if "tau" not in block:
+        raise ConfigError("missing 'tau' in a softmax choice block")
+    return ChoiceRule.softmax(block["tau"])
 
 
-def rbf_gmm_instance(block: dict, where: str,
+def rbf_gmm_instance(block: dict,
                      model_labels: list[str] | None = None) -> tuple[UserPopulation, ScoreMatrix]:
-    """Population and scores of an RBF-model / GMM-population block.
-
-    The caller checks the keys of ``block`` itself; the blocks nested in it
-    (models, kernels, ``gmm`` and its components) are checked here.
-    """
-    def model(m: dict) -> RbfModelSpec:
-        check_keys(m, ("bias", "kernels"), f"{where} model")
-        return RbfModelSpec(config_float(m.get("bias", 0.0), f"{where} model bias"),
-                            [kernel(k) for k in config_list(require(m, "kernels", f"{where} model"),
-                                                            f"{where} model kernels")])
-
-    def kernel(k: dict) -> RbfKernel:
-        check_keys(k, ("center", "amplitude", "width"), "kernel")
-        return RbfKernel(tuple(config_numbers(require(k, "center", "kernel"), "kernel center")),
-                         config_float(require(k, "amplitude", "kernel"), "kernel amplitude"),
-                         config_float(require(k, "width", "kernel"), "kernel width"))
-
-    def component(c: dict) -> GmmComponent:
-        check_keys(c, ("weight", "mean", "covariance"), "gmm component")
-        return GmmComponent(config_float(require(c, "weight", "gmm component"), "gmm component weight"),
-                            tuple(config_numbers(require(c, "mean", "gmm component"),
-                                                 "gmm component mean")),
-                            config_numbers(require(c, "covariance", "gmm component"),
-                                           "gmm component covariance", matrix=True))
-
-    models = [model(m) for m in config_list(require(block, "models", where), f"{where}.models")]
-    g = require(block, "gmm", where)
-    check_keys(g, ("components", "k_types", "dx", "seed", "sample_size"), "gmm")
+    """Population and scores of a checked RBF-model / GMM-population block."""
+    models = [RbfModelSpec(m["bias"], [RbfKernel(tuple(k["center"]), k["amplitude"], k["width"])
+                                       for k in m["kernels"]])
+              for m in block["models"]]
+    g = block["gmm"]
     gmm = GmmPopulationSpec(
-        [component(c) for c in config_list(require(g, "components", "gmm"), "gmm.components")],
-        k_types=config_int(require(g, "k_types", "gmm"), "gmm.k_types"),
-        dx=config_float(g.get("dx", 0.0), "gmm.dx"),
-        seed=config_int(g.get("seed", 0), "gmm.seed"),
-        sample_size=config_int(g.get("sample_size", 10_000), "gmm.sample_size"),
-    )
+        [GmmComponent(c["weight"], tuple(c["mean"]), c["covariance"]) for c in g["components"]],
+        k_types=g["k_types"], dx=g["dx"], seed=g["seed"], sample_size=g["sample_size"])
     population, anchors = gmm_population(gmm)
     return population, rbf_scores(models, anchors, model_labels=model_labels)
 
@@ -234,13 +141,16 @@ def _spec_from_record(record: dict) -> GameSpec:
             model_labels=scores_block.get("model_labels"),
         )
     elif kind == "rbf_gmm":
-        population, scores = rbf_gmm_instance(scores_block, "scores", scores_block.get("model_labels"))
+        block = walk(scores_block, RBF_GMM_RECORD, "scores")
+        population, scores = rbf_gmm_instance(block, block["model_labels"])
     else:
         raise ConfigError(f"unknown fixture score derivation {kind!r}")
     if population is None:
         raise ConfigError("fixture record has no population")
-    choice = choice_from_block(record.get("choice")) or ChoiceRule.hardmax()
-    return GameSpec(scores, population, config_int(record["n_platforms"], "n_platforms"), choice)
+    choice = (choice_from_block(check(record.get("choice"), INSTANCE_FILE["choice"], "choice"))
+              or ChoiceRule.hardmax())
+    n_platforms = check(record["n_platforms"], INSTANCE_FILE["n_platforms"], "n_platforms")
+    return GameSpec(scores, population, n_platforms, choice)
 
 
 def builtin_instance(name: str) -> Fixture:

@@ -13,6 +13,7 @@ import pytest
 
 from modelmarket.cli import main
 import modelmarket.cli as cli_mod
+import modelmarket.config as config_mod
 import modelmarket.fixtures as fixtures_mod
 from modelmarket.equilibrium import run_dynamics
 from modelmarket.fixtures import builtin_instance
@@ -250,6 +251,50 @@ class TestSweep:
         assert [s["sweep_value"] for s in _read_json(tmp_path / "serial" / "syn_summary.json")] \
             == [1, 1, 2, 2, 3, 3]
 
+    def test_workers_are_capped_at_the_cell_count(self, tmp_path, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records its worker count and maps in process: starts no worker."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        cfg = _write_config(tmp_path, {
+            "instance": {"builtin": "fig3_b"},
+            "dynamics": {"max_steps": 200, "seed": 1},
+            "sweep": {"axis": "models", "values": [2, 3], "repetitions": 3},
+            "output": {"prefix": "cap"},
+        })
+        one_cell = _write_config(tmp_path, {
+            "instance": {"builtin": "fig3_b"},
+            "sweep": {"axis": "models", "values": [2]},
+            "output": {"prefix": "one"},
+        }, name="one.json")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        assert main(["sweep", "--config", one_cell, "--out", str(tmp_path / "serial")]) == 0
+        assert pools == []
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "jobs"),
+                     "--jobs", "4096"]) == 0
+        assert pools == [6]
+        # one cell runs in process, whatever --jobs says
+        assert main(["sweep", "--config", one_cell, "--out", str(tmp_path / "jobs"),
+                     "--jobs", "8"]) == 0
+        assert pools == [6]
+        for name in ("cap_long.csv", "cap_summary.json", "one_long.csv", "one_summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "jobs" / name).read_bytes()
+
     def test_every_cell_is_validated_before_any_runs(self, tmp_path, capsys, monkeypatch):
         runs = []
         run = cli_mod.run_dynamics
@@ -334,12 +379,16 @@ class TestEntry:
         }
 
     @pytest.mark.parametrize("training, message", [
-        pytest.param({"estimator": "typo"}, "unknown estimator 'typo'", id="estimator"),
-        pytest.param({"method": "resampling", "estimator": "typo"}, "unknown estimator 'typo'",
+        pytest.param({"estimator": "typo"},
+                     "training.estimator must be one of 'exact', 'reinforce' (got 'typo')",
+                     id="estimator"),
+        pytest.param({"method": "resampling", "estimator": "typo"},
+                     "training.estimator must be one of 'exact', 'reinforce' (got 'typo')",
                      id="estimator-resampling"),
         pytest.param({"params": {"inner_epochs": 0}},
                      "direct-gradient training needs inner_epochs >= 1", id="inner_epochs"),
-        pytest.param({"method": "typo"}, "unknown training method 'typo'", id="method"),
+        pytest.param({"method": "typo"}, "training.method must be one of 'resampling', "
+                     "'direct', 'both' (got 'typo')", id="method"),
     ])
     def test_failed_run_writes_no_file(self, tmp_path, capsys, training, message):
         # with method both, resampling trains before direct fails
@@ -413,6 +462,35 @@ class TestEntry:
         assert report["resampling"]["entrant_scores"] == pytest.approx(expected, abs=1e-9)
 
 
+# the dotted path an error names, by the short name a test case uses
+_MODEL, _COMPONENT = "instance.synthetic.models[0]", "instance.synthetic.gmm.components[0]"
+_PATHS = {
+    "synthetic": "instance.synthetic",
+    "synthetic.n_platforms": "instance.synthetic.n_platforms",
+    "gmm": "instance.synthetic.gmm",
+    "gmm.k_types": "instance.synthetic.gmm.k_types",
+    "gmm.seed": "instance.synthetic.gmm.seed",
+    "gmm.sample_size": "instance.synthetic.gmm.sample_size",
+    "gmm.dx": "instance.synthetic.gmm.dx",
+    "sweep.seeds": "an entry of sweep.seeds",
+    "a models sweep value": "sweep.values[0]",
+    "a platforms sweep value": "sweep.values[0]",
+    "a population sweep weight": "an entry of sweep.values[0]",
+    "synthetic model": _MODEL,
+    "synthetic model bias": f"{_MODEL}.bias",
+    "kernel": f"{_MODEL}.kernels[0]",
+    "kernel center": f"{_MODEL}.kernels[0].center",
+    "an entry of kernel center": f"an entry of {_MODEL}.kernels[0].center",
+    "kernel amplitude": f"{_MODEL}.kernels[0].amplitude",
+    "kernel width": f"{_MODEL}.kernels[0].width",
+    "gmm component": _COMPONENT,
+    "gmm component weight": f"{_COMPONENT}.weight",
+    "an entry of gmm component mean": f"an entry of {_COMPONENT}.mean",
+    "an entry of gmm component covariance": f"an entry of {_COMPONENT}.covariance",
+    "gmm component covariance": f"{_COMPONENT}.covariance",
+}
+
+
 class TestConfigValidation:
     def test_two_instance_sources_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
@@ -427,7 +505,8 @@ class TestConfigValidation:
             "choice": {"kind": "argmax"},
         })
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "unknown choice kind" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: choice.kind must be one of 'hardmax', 'softmax' (got 'argmax')\n")
 
     def test_unknown_sweep_axis_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
@@ -435,7 +514,8 @@ class TestConfigValidation:
             "sweep": {"axis": "temperature", "values": [1]},
         })
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "unknown sweep axis" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: sweep.axis must be one of 'models', "
+                                           "'platforms', 'population' (got 'temperature')\n")
 
     def test_missing_kernel_key_names_its_block(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
@@ -448,7 +528,8 @@ class TestConfigValidation:
             }},
         })
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "missing 'width' in the kernel block" in capsys.readouterr().err
+        assert ("missing 'width' in the instance.synthetic.models[0].kernels[0] block"
+                in capsys.readouterr().err)
 
     def test_unknown_training_param_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
@@ -512,7 +593,8 @@ class TestConfigValidation:
             payload[block][key] = value
         out = tmp_path / "out"
         assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {field} must be an integer (got {value!r})\n"
+        assert capsys.readouterr().err == (
+            f"error: {_PATHS.get(field, field)} must be an integer (got {value!r})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, field, value", [
@@ -574,14 +656,14 @@ class TestConfigValidation:
             payload["sweep"] = {"axis": "population", "values": [[value, 0.5, 0.0, 0.0]]}
         out = tmp_path / "out"
         assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {field} must be a number (got {value!r})\n"
+        assert capsys.readouterr().err == (
+            f"error: {_PATHS.get(field, field)} must be a number (got {value!r})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("sweep, message", [
         ({"axis": "models", "values": [2], "seeds": 5}, "sweep.seeds must be a list (got 5)"),
         ({"axis": "models", "values": 5}, "sweep.values must be a list (got 5)"),
-        ({"axis": "population", "values": [0.5]},
-         "a population sweep value must be a list of weights (got 0.5)"),
+        ({"axis": "population", "values": [0.5]}, "sweep.values[0] must be a list (got 0.5)"),
     ])
     def test_sweep_lists_must_be_lists(self, tmp_path, capsys, sweep, message):
         payload = self._every_block()
@@ -620,7 +702,8 @@ class TestConfigValidation:
             payload["training"]["dataset"]["attribute_labels"] = value
         out = tmp_path / "out"
         assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {field} must be a list (got {value!r})\n"
+        assert capsys.readouterr().err == (
+            f"error: {_PATHS.get(field, field)} must be a list (got {value!r})\n")
         assert not out.exists()
 
     @staticmethod
@@ -683,7 +766,8 @@ class TestConfigValidation:
         cfg = _write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert f"error: unknown key {key!r} in the {block} block" in capsys.readouterr().err
+        assert (f"error: unknown key {key!r} in the {_PATHS.get(block, block)} block"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command, block, value", [
@@ -718,7 +802,8 @@ class TestConfigValidation:
         })
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert "error: unknown mover order 'reverse'" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: dynamics.order must be one of 'round_robin' "
+                                           "or a list of integers (got 'reverse')\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("start", [[1.7, 0], ["1", 0], [True, False]])
@@ -774,7 +859,8 @@ class TestConfigValidation:
             payload["instance"]["synthetic"]["gmm"]["components"][0]["covariance"][1] = [0.05]
         out = tmp_path / "out"
         assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: the rows of {field} must have equal lengths\n"
+        assert capsys.readouterr().err == (
+            f"error: the rows of {_PATHS.get(field, field)} must have equal lengths\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -826,7 +912,7 @@ class TestNegativeSeeds:
             "sweep": {"axis": "models", "values": [2], "repetitions": 1, "seeds": [-3]},
         })
         self._assert_one_error(["sweep", "--config", cfg, "--out", str(tmp_path)], capsys,
-                               "sweep.seeds must be >= 0 (got -3)")
+                               "an entry of sweep.seeds must be >= 0 (got -3)")
 
     def test_seed_flag_without_a_start_profile(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"instance": {"builtin": "c1_rps"}})
@@ -838,13 +924,147 @@ class TestNegativeSeeds:
         block["gmm"]["seed"] = -4
         cfg = _write_config(tmp_path, {"instance": {"synthetic": block}})
         self._assert_one_error(["run", "--config", cfg, "--out", str(tmp_path)], capsys,
-                               "the GMM seed must be >= 0 (got -4)")
+                               "instance.synthetic.gmm.seed must be >= 0 (got -4)")
 
     def test_training_seed(self, tmp_path, capsys):
         payload = self._entry_payload()
         payload["training"]["params"]["seed"] = -1
         self._assert_one_error(["entry", "--config", _write_config(tmp_path, payload),
                                 "--out", str(tmp_path)], capsys, "seed must be >= 0 (got -1)")
+
+
+def _table_fields(table, keys=(), name=""):
+    """(keys to the field, its dotted path, the field) for every field of a
+    config table, nested ones included; a list of blocks is entered at [0]."""
+    for key, field in table.items():
+        path = f"{name}.{key}" if name else key
+        yield keys + (key,), path, field
+        if field.kind == config_mod.BLOCK:
+            yield from _table_fields(field.table, keys + (key,), path)
+        elif field.kind == config_mod.BLOCKS:
+            yield from _table_fields(field.table, keys + (key, 0), f"{path}[0]")
+
+
+# values of a wrong kind for a field of each kind; None is left out where a
+# field takes null for its default
+_WRONG = {
+    config_mod.INT: [True, 2.5, "x", None, {}, [1]],
+    config_mod.NUMBER: [True, "x", None, {}, [1]],
+    config_mod.STRING: [True, 3, None, {}, ["x"]],
+    config_mod.ENUM: [True, 3, "x", None, {}, [1]],
+    config_mod.ENUM_OR_INTS: [True, 3, "x", None, {}, [True], [2.5]],
+    config_mod.NUMBERS: [3, "x", None, {}, [True], ["x"], [None], [[1]]],
+    config_mod.MATRIX: [3, "x", None, {}, [1], [[True]], [["x"]]],
+    config_mod.STRINGS: [3, "x", None, {}, [1], [True], [None], [["x"]]],
+    config_mod.INTS: [3, "x", None, {}, [True], [2.5], ["x"]],
+    config_mod.LIST: [3, "x", None, {}],
+    config_mod.BLOCK: [True, 3, "x", None, [1], {"unknown": 1}],
+    config_mod.BLOCKS: [3, "x", None, {}, [3], [{"unknown": 1}]],
+    config_mod.ANY: [],  # training.params values: TrainingConfig checks them
+}
+
+
+def _wrong_values(field):
+    wrong = [v for v in _WRONG[field.kind] if v is not None or field.default is not None]
+    if field.minimum is not None:
+        below = field.minimum - 1
+        wrong.append([below] if field.kind == config_mod.INTS else below)
+    return wrong
+
+
+def _full_config(source):
+    """A run config that sets every field of the table, taking its instance
+    from ``source``: builtin, file (``inst.json``) or synthetic."""
+    synthetic = _synthetic_block(2)
+    synthetic["n_platforms"] = synthetic["gmm"]["k_types"] = 2
+    instance = {"builtin": {"builtin": "fig2_a"}, "file": {"file": "inst.json"},
+                "synthetic": {"synthetic": synthetic}}[source]
+    return {
+        "instance": instance,
+        "choice": {"kind": "softmax", "tau": 0.5},
+        "dynamics": {"start": [0, 1], "order": [1, 0], "max_steps": 20, "seed": 1},
+        "sweep": {"axis": "models", "values": [2], "repetitions": 1, "seeds": [3]},
+        "training": {
+            "method": "direct", "estimator": "exact", "outcomes": ["x0", "x1"],
+            "rewards": [[0.5, 0.5], [0.2, 0.8]],
+            "dataset": {"counts": [1, 1], "attributes": ["a", "b"], "attribute_labels": ["a", "b"],
+                        "type_preferences": [[1, 0], [0, 1]]},
+            "params": {"inner_epochs": 1},
+            "n_platforms": 2,
+        },
+        "output": {"dir": "out", "prefix": "p"},
+    }
+
+
+_INSTANCE_FILE = {"scores": [[0.5, 0.2], [0.3, 0.6]], "weights": [0.5, 0.5], "n_platforms": 2,
+                  "model_labels": ["g1", "g2"], "type_labels": ["a", "b"],
+                  "choice": {"kind": "hardmax"}}
+
+_CASES = ([("config", *case) for case in _table_fields(config_mod.RUN_CONFIG)]
+          + [("file", *case) for case in _table_fields(config_mod.INSTANCE_FILE, (), "instance")])
+
+
+class TestConfigTable:
+    """Every field of the config table, fed every wrong kind, fails in one
+    line that names it; README's reference names exactly the table's fields."""
+
+    @pytest.mark.parametrize("document, keys, path, field",
+                             [pytest.param(*case, id=f"{case[0]}:{case[2]}") for case in _CASES
+                              if _wrong_values(case[3])])
+    def test_every_wrong_kind_is_one_error_naming_the_field(self, tmp_path, capsys, document,
+                                                            keys, path, field):
+        source = "file" if document == "file" else next(
+            (k for k in ("synthetic", "file") if keys[:2] == ("instance", k)), "builtin")
+        for value in _wrong_values(field):
+            payload = _full_config(source)
+            instance_file = json.loads(json.dumps(_INSTANCE_FILE))
+            target = instance_file if document == "file" else payload
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+            _write_config(tmp_path, instance_file, name="inst.json")
+            out = tmp_path / "out"
+            argv = ["run", "--config", _write_config(tmp_path, payload), "--out", str(out)]
+            assert main(argv) == 2, value
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (value, err)
+            assert path in err, (value, err)
+            assert not out.exists()
+
+    def test_a_full_config_runs(self, tmp_path):
+        for source in ("builtin", "file", "synthetic"):
+            _write_config(tmp_path, _INSTANCE_FILE, name="inst.json")
+            cfg = _write_config(tmp_path, _full_config(source))
+            for command in ("run", "sweep", "entry"):
+                assert main([command, "--config", cfg, "--out", str(tmp_path / source)]) == 0
+
+    @pytest.mark.parametrize("document, key, value, message", [
+        ("file", "model_labels", [1, True],
+         "an entry of instance.model_labels must be a string (got 1)"),
+        ("file", "type_labels", [None, 2.5],
+         "an entry of instance.type_labels must be a string (got None)"),
+        ("config", "outcomes", [1, 2], "an entry of training.outcomes must be a string (got 1)"),
+    ])
+    def test_labels_must_be_strings(self, tmp_path, capsys, document, key, value, message):
+        payload = _full_config("file")
+        instance_file = dict(_INSTANCE_FILE)
+        (instance_file if document == "file" else payload["training"])[key] = value
+        _write_config(tmp_path, instance_file, name="inst.json")
+        command = "run" if document == "file" else "entry"
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_readme_reference_names_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config reference", 1)[1]
+        table = section.split("| field | kind | default | bound |", 1)[1].split("\n\n", 1)[0]
+        documented = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+        fields = {path.replace("[0]", "[]") for _, _, path, _ in _CASES}
+        assert len(documented) == len(set(documented))
+        assert set(documented) == fields
 
 
 class TestAbnormalExits:

@@ -296,6 +296,40 @@ class TestTrainDirectGradient:
         _, trace = train_direct_gradient(toy.dataset, toy.rewards, toy.market, config)
         assert trace[1]["loss"] < trace[0]["loss"]
 
+    # (cross_entropy, objective, scores) per epoch of the backtracking run
+    # below, as the loop that took each cross-entropy again per halving wrote it
+    BACKTRACKING_TRACE = [
+        (1.6094379124341, 0.11199909421418083, (0.36, 0.3600000000000001, 0.26)),
+        (1.5971016458251504, 0.07917707861995495,
+         (0.5793873238401277, 0.22424220391088107, 0.12997509953098593)),
+        (1.5529397275286831, 0.099855624905642,
+         (0.45133988581506235, 0.327259645870781, 0.15213303767881897)),
+        (1.5457209798757883, 0.09529758457163687,
+         (0.4738578532523847, 0.3086211778405562, 0.16356603076615406)),
+        (1.5447053333294036, 0.09611471673492393,
+         (0.46243649317639707, 0.3134833416621436, 0.16668709145398752)),
+        (1.5445185119752367, 0.09528793291015737,
+         (0.46631189698157083, 0.3100933044260588, 0.16865882814347208)),
+        (1.5444864472633346, 0.0953456861495287,
+         (0.46462746943744665, 0.3106180285015908, 0.16933707398259681)),
+    ]
+
+    def test_pure_mle_takes_each_cross_entropy_once(self, toy, monkeypatch):
+        scored = []
+        cross_entropy = entry_mod._cross_entropy
+        monkeypatch.setattr(entry_mod, "_cross_entropy",
+                            lambda q, gen: scored.append(gen.logits.tobytes())
+                            or cross_entropy(q, gen))
+        # a step of 20 from the uniform generator overshoots twice, so the
+        # run halves its step and scores rejected candidates too
+        config = TrainingConfig(lam=0.0, inner_epochs=6, learning_rate=20.0, seed=1)
+        _, trace = train_direct_gradient(toy.dataset, toy.rewards, toy.market, config,
+                                         init=ToyGenerator.uniform(toy.dataset.outcome_labels))
+        assert len(scored) == len(set(scored)) == len(trace) + 2
+        assert [(r["cross_entropy"], r["objective"], r["scores"]) for r in trace] \
+            == self.BACKTRACKING_TRACE
+        assert all(r["loss"] == r["cross_entropy"] for r in trace)
+
     def test_competitive_pressure_shifts_mass_to_heavy_type(self, toy):
         config = TrainingConfig(lam=2.0, learning_rate=0.5, inner_epochs=40, seed=3)
         gen, trace = train_direct_gradient(toy.dataset, toy.rewards, toy.market, config)
