@@ -30,14 +30,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ConfigError, MarketGameError
-from .game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
+from .game import GameSpec, UserPopulation
 from .equilibrium import DynamicsOutcome, enumerate_pne, run_dynamics
 from .metrics import MetricsRecord, outcome_metrics, social_optimum
 from .fixtures import (
     builtin_instance,
     choice_from_block,
     fixture_names,
-    rbf_gmm_instance,
+    game_spec,
     verify_fixture,
 )
 from . import config as config_mod
@@ -62,14 +62,6 @@ def _fmt(x: float) -> str:
 # instance construction
 # ---------------------------------------------------------------------------
 
-def _spec_from_file(path: Path) -> GameSpec:
-    block = config_mod.load(path, config_mod.INSTANCE_FILE, "instance", "instance file")
-    labels = block["type_labels"] or [f"t{i + 1}" for i in range(len(block["weights"]))]
-    return GameSpec(ScoreMatrix(block["scores"], block["model_labels"]),
-                    UserPopulation(labels, block["weights"]), block["n_platforms"],
-                    choice_from_block(block["choice"]) or ChoiceRule.hardmax())
-
-
 def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, str, str]:
     """Returns (spec, instance_name, fixture_notes).
 
@@ -81,11 +73,10 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
         spec, name, notes = fixture.spec, fixture.name, fixture.notes
     elif "file" in block:
         path = Path(base_dir) / block["file"]
-        spec, name, notes = _spec_from_file(path), path.stem, ""
+        explicit = config_mod.load(path, config_mod.INSTANCE_FILE, "instance", "instance file")
+        spec, name, notes = game_spec("explicit", explicit), path.stem, ""
     else:
-        population, scores = rbf_gmm_instance(block["synthetic"])
-        spec = GameSpec(scores, population, block["synthetic"]["n_platforms"])
-        name, notes = "synthetic", ""
+        spec, name, notes = game_spec("synthetic", block["synthetic"]), "synthetic", ""
     override = choice_from_block(cfg["choice"])
     if override is not None:
         spec = spec.with_choice(override)
@@ -259,8 +250,9 @@ def cmd_sweep(args) -> int:
     dynamics = cfg["dynamics"]
     payloads = [(_apply_axis(spec, cell["axis"], cell["value"]), instance_name, dynamics["order"],
                  dynamics["max_steps"], cell) for cell in cells]
-    # a worker per cell at most: a fork-based pool starts every worker it may use
-    workers = min(args.jobs, len(payloads))
+    # a worker per cell and per CPU at most: a fork-based pool starts every
+    # worker it may use
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_cell, payloads))

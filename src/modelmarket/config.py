@@ -1,4 +1,4 @@
-"""The run-config format: one table of every block and field, and one walker.
+"""The run-config and fixture-record tables of every block and field, and one walker.
 
 Each table maps the keys of a block to a ``Field``: its kind, its default (or
 ``REQUIRED``) and its lower bound.  ``walk`` checks a block against its table
@@ -54,14 +54,26 @@ RBF_GMM = {
         "dx": Field(NUMBER, 0.0), "seed": Field(INT, 0, minimum=0),
         "sample_size": Field(INT, 10_000)}),
 }
-# the ``scores`` block of an ``rbf_gmm`` fixture record
-RBF_GMM_RECORD = {"kind": Field(STRING), "model_labels": Field(STRINGS, None), **RBF_GMM}
+# instance.synthetic, and the synthetic game of a fixture record
+SYNTHETIC = Field(BLOCK, ONE_OF, table={**RBF_GMM, "n_platforms": Field(INT)})
 
 # the file ``instance.file`` names; its fields are named instance.<key>
 INSTANCE_FILE = {
     "scores": Field(MATRIX), "weights": Field(NUMBERS), "n_platforms": Field(INT),
     "model_labels": Field(STRINGS, None), "type_labels": Field(STRINGS, None),
     "choice": Field(BLOCK, None, table=CHOICE),
+}
+
+# a fixture record under data/: its game as an instance file, a synthetic
+# block, or scores derived from per-criterion performance and preferences
+FIXTURE_RECORD = {
+    "description": Field(STRING, ""), "notes": Field(STRING, ""), "expected": Field(ANY),
+    "explicit": Field(BLOCK, ONE_OF, table=INSTANCE_FILE),
+    "synthetic": SYNTHETIC,
+    "preferences": Field(BLOCK, ONE_OF, table={
+        **{key: field for key, field in INSTANCE_FILE.items() if key != "scores"},
+        "performance": Field(MATRIX), "criteria": Field(STRINGS),
+        "preference_weights": Field(MATRIX)}),
 }
 
 # the kind of a sweep value, by axis
@@ -77,7 +89,7 @@ RUN_CONFIG = {
     "instance": Field(BLOCK, table={
         "builtin": Field(STRING, ONE_OF),
         "file": Field(STRING, ONE_OF),
-        "synthetic": Field(BLOCK, ONE_OF, table={**RBF_GMM, "n_platforms": Field(INT)}),
+        "synthetic": SYNTHETIC,
     }),
     "choice": Field(BLOCK, None, table=CHOICE),
     "dynamics": Field(BLOCK, {}, table={

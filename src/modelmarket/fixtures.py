@@ -2,8 +2,11 @@
 
 Each fixture lives in ``data/<name>.json``: the exact inputs of a reference
 instance plus an expectation record -- the values an independent re-derivation
-through the equilibrium and metrics modules must reproduce.  The JSON schema
-is documented in the README next to the CLI reference; ``verify_fixture``
+through the equilibrium and metrics modules must reproduce.  A record is
+checked against ``config.FIXTURE_RECORD``; its game is an ``explicit``,
+``synthetic`` or ``preferences`` block, which ``game_spec`` builds as it
+builds a run config's ``instance.file`` and ``instance.synthetic``.  The
+README documents the format next to the CLI reference; ``verify_fixture``
 performs the re-derivation and the ``verify-fixtures`` CLI command runs it
 for the whole registry.
 
@@ -15,12 +18,11 @@ implied by the stored inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .config import INSTANCE_FILE, RBF_GMM_RECORD, check, walk
+from . import config as config_mod
 from .errors import ConfigError
 from .game import (
     ChoiceRule,
@@ -85,14 +87,6 @@ def fixture_names() -> list[str]:
     return list(_FIXTURE_NAMES)
 
 
-def _load_record(name: str) -> dict:
-    path = DATA_DIR / f"{name}.json"
-    if not path.exists():
-        raise ConfigError(f"fixture record missing: {path}")
-    with open(path) as handle:
-        return json.load(handle)
-
-
 def choice_from_block(block: dict | None) -> ChoiceRule | None:
     """The choice rule a checked ``choice`` block names, or None when there is no block."""
     if block is None:
@@ -104,8 +98,7 @@ def choice_from_block(block: dict | None) -> ChoiceRule | None:
     return ChoiceRule.softmax(block["tau"])
 
 
-def rbf_gmm_instance(block: dict,
-                     model_labels: list[str] | None = None) -> tuple[UserPopulation, ScoreMatrix]:
+def rbf_gmm_instance(block: dict) -> tuple[UserPopulation, ScoreMatrix]:
     """Population and scores of a checked RBF-model / GMM-population block."""
     models = [RbfModelSpec(m["bias"], [RbfKernel(tuple(k["center"]), k["amplitude"], k["width"])
                                        for k in m["kernels"]])
@@ -115,42 +108,24 @@ def rbf_gmm_instance(block: dict,
         [GmmComponent(c["weight"], tuple(c["mean"]), c["covariance"]) for c in g["components"]],
         k_types=g["k_types"], dx=g["dx"], seed=g["seed"], sample_size=g["sample_size"])
     population, anchors = gmm_population(gmm)
-    return population, rbf_scores(models, anchors, model_labels=model_labels)
+    return population, rbf_scores(models, anchors)
 
 
-def _spec_from_record(record: dict) -> GameSpec:
-    scores_block = record["scores"]
-    kind = scores_block["kind"]
-    population = None
-    if "population" in record:
-        population = UserPopulation(
-            record["population"]["type_labels"], record["population"]["weights"]
-        )
-    if kind == "explicit":
-        scores = ScoreMatrix(scores_block["values"], scores_block.get("model_labels"))
-    elif kind == "preferences":
-        prefs = PreferenceTable(
-            criteria=scores_block["criteria"],
-            type_labels=record["population"]["type_labels"],
-            weights=scores_block["preference_weights"],
-        )
-        scores = scores_from_preferences(
-            scores_block["performance"],
-            prefs,
-            normalize=bool(scores_block.get("normalize", False)),
-            model_labels=scores_block.get("model_labels"),
-        )
-    elif kind == "rbf_gmm":
-        block = walk(scores_block, RBF_GMM_RECORD, "scores")
-        population, scores = rbf_gmm_instance(block, block["model_labels"])
+def game_spec(kind: str, block: dict) -> GameSpec:
+    """The game of a checked instance block of ``kind``: ``explicit`` (an
+    instance file), ``synthetic`` or ``preferences`` (see ``config``)."""
+    if kind == "synthetic":
+        population, scores = rbf_gmm_instance(block)
+        return GameSpec(scores, population, block["n_platforms"])
+    labels = block["type_labels"] or [f"t{i + 1}" for i in range(len(block["weights"]))]
+    if kind == "preferences":
+        prefs = PreferenceTable(block["criteria"], labels, block["preference_weights"])
+        scores = scores_from_preferences(block["performance"], prefs,
+                                         model_labels=block["model_labels"])
     else:
-        raise ConfigError(f"unknown fixture score derivation {kind!r}")
-    if population is None:
-        raise ConfigError("fixture record has no population")
-    choice = (choice_from_block(check(record.get("choice"), INSTANCE_FILE["choice"], "choice"))
-              or ChoiceRule.hardmax())
-    n_platforms = check(record["n_platforms"], INSTANCE_FILE["n_platforms"], "n_platforms")
-    return GameSpec(scores, population, n_platforms, choice)
+        scores = ScoreMatrix(block["scores"], block["model_labels"])
+    return GameSpec(scores, UserPopulation(labels, block["weights"]), block["n_platforms"],
+                    choice_from_block(block["choice"]) or ChoiceRule.hardmax())
 
 
 def builtin_instance(name: str) -> Fixture:
@@ -158,14 +133,12 @@ def builtin_instance(name: str) -> Fixture:
     if name not in _FIXTURE_NAMES:
         known = ", ".join(sorted(_FIXTURE_NAMES))
         raise ConfigError(f"unknown fixture {name!r}; known fixtures: {known}")
-    record = _load_record(name)
-    return Fixture(
-        name=name,
-        description=record.get("description", ""),
-        spec=_spec_from_record(record),
-        expected=record.get("expected", {}),
-        notes=record.get("notes", ""),
-    )
+    # fields are named <name>.<key>, as fig2_a.explicit.scores
+    record = config_mod.load(DATA_DIR / f"{name}.json", config_mod.FIXTURE_RECORD, name,
+                             f"fixture record {name}")
+    kind = next(key for key in ("explicit", "synthetic", "preferences") if key in record)
+    return Fixture(name, record["description"], game_spec(kind, record[kind]),
+                   record["expected"], record["notes"])
 
 
 # ---------------------------------------------------------------------------

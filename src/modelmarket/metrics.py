@@ -140,8 +140,7 @@ def coverage_value(spec: GameSpec, profile) -> float:
 def market_shares(spec: GameSpec, profile) -> MarketShares:
     """Per-platform user mass, its concentration (HHI), and distinct-model count."""
     prof = as_profile(spec, profile)
-    alloc = game.allocate(spec, prof).p
-    mu = alloc @ spec.population.weights
+    mu = game._shares(spec.choice, game._chosen_scores(spec, prof)) @ spec.population.weights
     return MarketShares(
         shares=tuple(float(x) for x in mu),
         hhi=float(mu @ mu),

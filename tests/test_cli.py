@@ -16,6 +16,7 @@ import modelmarket.cli as cli_mod
 import modelmarket.config as config_mod
 import modelmarket.fixtures as fixtures_mod
 from modelmarket.equilibrium import run_dynamics
+from modelmarket.errors import ConfigError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import platform_utilities
 from modelmarket.metrics import market_shares, welfare_figures
@@ -269,7 +270,9 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
+        cpus = [64]
         monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus[0])
         cfg = _write_config(tmp_path, {
             "instance": {"builtin": "fig3_b"},
             "dynamics": {"max_steps": 200, "seed": 1},
@@ -291,9 +294,21 @@ class TestSweep:
         assert main(["sweep", "--config", one_cell, "--out", str(tmp_path / "jobs"),
                      "--jobs", "8"]) == 0
         assert pools == [6]
+        # and at the CPU count; an unknown count means one CPU, so in process
+        cpus[0] = 4
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "cpus"),
+                     "--jobs", "4096"]) == 0
+        assert pools == [6, 4]
+        cpus[0] = None
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "cpus"),
+                     "--jobs", "4096"]) == 0
+        assert pools == [6, 4]
         for name in ("cap_long.csv", "cap_summary.json", "one_long.csv", "one_summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "jobs" / name).read_bytes()
+        for name in ("cap_long.csv", "cap_summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "cpus" / name).read_bytes()
 
     def test_every_cell_is_validated_before_any_runs(self, tmp_path, capsys, monkeypatch):
         runs = []
@@ -1065,6 +1080,48 @@ class TestConfigTable:
         fields = {path.replace("[0]", "[]") for _, _, path, _ in _CASES}
         assert len(documented) == len(set(documented))
         assert set(documented) == fields
+
+
+# the shipped record each game block's cases start from
+_RECORD_BASES = {"explicit": "fig2_a", "synthetic": "simu_appendix_d", "preferences": "llm_pool1"}
+
+
+class TestFixtureRecordTable:
+    """Every field of a fixture record, fed every wrong kind, fails in one
+    ConfigError that names the record and the field's dotted path."""
+
+    @staticmethod
+    def _load(tmp_path, monkeypatch, name, record):
+        monkeypatch.setattr(fixtures_mod, "DATA_DIR", tmp_path)
+        (tmp_path / f"{name}.json").write_text(json.dumps(record))
+        return builtin_instance(name)
+
+    @pytest.mark.parametrize("keys, path, field",
+                             [pytest.param(*case, id=case[1])
+                              for case in _table_fields(config_mod.FIXTURE_RECORD)
+                              if _wrong_values(case[2])])
+    def test_every_wrong_kind_is_one_error_naming_the_field(self, tmp_path, monkeypatch,
+                                                            keys, path, field):
+        name = _RECORD_BASES.get(keys[0], "fig2_a")
+        shipped = (fixtures_mod.DATA_DIR / f"{name}.json").read_text()
+        for value in _wrong_values(field):
+            record = target = json.loads(shipped)
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+            with pytest.raises(ConfigError) as info:
+                self._load(tmp_path, monkeypatch, name, record)
+            assert f"{name}.{path}" in str(info.value), value
+
+    @pytest.mark.parametrize("games", [(), ("explicit", "preferences")])
+    def test_a_record_has_exactly_one_game(self, tmp_path, monkeypatch, games):
+        record = {"expected": {}}
+        for game in games:
+            record[game] = json.loads(
+                (fixtures_mod.DATA_DIR / f"{_RECORD_BASES[game]}.json").read_text())[game]
+        with pytest.raises(ConfigError, match="^fixture record fig2_a block needs exactly one "
+                                              "of: explicit, synthetic, preferences$"):
+            self._load(tmp_path, monkeypatch, "fig2_a", record)
 
 
 class TestAbnormalExits:

@@ -1,9 +1,13 @@
 """Preference-derived scores, RBF/GMM generators, and the fixture registry."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from modelmarket import fixtures as fixtures_mod
+from modelmarket.config import FIXTURE_RECORD, walk
 from modelmarket.errors import ConfigError, InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance, fixture_names, verify_all, verify_fixture
 from modelmarket.preferences import PreferenceTable, scores_from_preferences
@@ -19,6 +23,22 @@ from modelmarket.synthetic import (
 )
 
 from helpers import reference_seeded_kmeans
+
+# sha256 over each fixture spec's score and weight bytes, labels, N and choice
+_SPEC_DIGESTS = {
+    "c1_rps": "2fd808be7e85a04c58fcd61153ea683c44447504b9a7cf6b44bb63c0f067ece6",
+    "fig2_a": "3df747d9d823462b5cbcc1d25a925ff4187c49d3ea099a58f6a6f9c364d5226b",
+    "fig2_b": "86e0334a597ec642c857fb8b55d968ef6d0b38f201ebf97b166d847d6c3e0967",
+    "fig3_b": "f9b4748eea798c7547aa09f0ba3e87a5fcc947ba8a9f146d49f62de98d3e6c9d",
+    "c7_welfare_gap": "a913677663b0b0fee9a98aafdc2e2953634f678d142023b7587e08a52abad05b",
+    "c8_players_2": "efdaf6d4d5f91408405885aefe08bd354f0e1ed98abaaae03c033837e5ebd852",
+    "c8_players_3": "42fb733d9c48143e54df6c7f09829317bbbf43c32926de5687be1b3ab9d24918",
+    "c9_softmax": "eabda32d0817ef71dc61b149936bec94cc9715023f63a536714671b7610a3326",
+    "llm_pool1": "92446a569c5adb66a343263c0cd74d196ff490f9574735b2b41a0bfc87ca7181",
+    "llm_pool2": "fae6d8d1263cbb75c65179bc9384883c3b1fd753c8869823f992f7f8b3e21c45",
+    "llm_pool3": "254fc350eb99ec25b730a39eb948d0785954c1bfd9a4dd9572fcb0147fe3e8df",
+    "simu_appendix_d": "692becb60d4aeb382e655fbc2fa59a7e60bae96e93207a821879142bd996fdd7",
+}
 
 
 class TestScoresFromPreferences:
@@ -251,10 +271,12 @@ class TestFixtureRegistry:
             builtin_instance("nope")
 
     @pytest.mark.parametrize("n", [2.0, "2"])
-    def test_record_n_platforms_must_be_an_integer(self, monkeypatch, n):
-        record = fixtures_mod._load_record("fig2_a")
-        monkeypatch.setattr(fixtures_mod, "_load_record", lambda name: {**record, "n_platforms": n})
-        with pytest.raises(ConfigError, match="n_platforms must be an integer"):
+    def test_record_n_platforms_must_be_an_integer(self, tmp_path, monkeypatch, n):
+        record = json.loads((fixtures_mod.DATA_DIR / "fig2_a.json").read_text())
+        record["explicit"]["n_platforms"] = n
+        (tmp_path / "fig2_a.json").write_text(json.dumps(record))
+        monkeypatch.setattr(fixtures_mod, "DATA_DIR", tmp_path)
+        with pytest.raises(ConfigError, match=r"^fig2_a\.explicit\.n_platforms must be an integer"):
             builtin_instance("fig2_a")
 
     def test_counterexample_scores(self):
@@ -288,14 +310,31 @@ class TestFixtureRegistry:
         assert all(c.passed for c in verify_all())
 
     def test_expectation_records_are_serialized_json(self):
-        import json
-        from modelmarket.fixtures import DATA_DIR
         for name in fixture_names():
-            path = DATA_DIR / f"{name}.json"
+            path = fixtures_mod.DATA_DIR / f"{name}.json"
             assert path.exists()
             record = json.loads(path.read_text())
-            assert "expected" in record and "scores" in record
-            assert record["scores"]["kind"] in ("explicit", "preferences", "rbf_gmm")
+            assert "expected" in record
+            walk(record, FIXTURE_RECORD, name)
+
+    def test_specs_match_the_pinned_digests(self):
+        """Each fixture's GameSpec, float for float: ``verify-fixtures`` compares
+        within 1e-9 and cannot see a changed last bit.  The derived records
+        (``llm_pool*``, ``simu_appendix_d``) go through numpy's matmul and exp,
+        so their digests hold for IEEE-754 doubles as numpy computes them here."""
+        shipped = sorted(path.stem for path in fixtures_mod.DATA_DIR.glob("*.json"))
+        assert shipped == sorted(fixture_names())  # an unregistered record is never verified
+        for name in fixture_names():
+            spec = builtin_instance(name).spec
+            digest = hashlib.sha256()
+            for part in (spec.scores.scores.astype("<f8").tobytes(),
+                         spec.population.weights.astype("<f8").tobytes(),
+                         "\x1f".join(spec.scores.model_labels).encode(),
+                         "\x1f".join(spec.population.type_labels).encode(),
+                         repr((spec.n_platforms, spec.choice.kind, spec.choice.tau)).encode()):
+                digest.update(len(part).to_bytes(8, "little"))
+                digest.update(part)
+            assert digest.hexdigest() == _SPEC_DIGESTS[name], name
 
     def test_enumeration_matches_per_profile_verification_on_every_fixture(self):
         import itertools
