@@ -48,7 +48,9 @@ from .equilibrium import (
     verify_pne,
 )
 from .metrics import (
+    GameAnalysis,
     MetricsRecord,
+    analyze,
     coverage_value,
     market_shares,
     outcome_metrics,

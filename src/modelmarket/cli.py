@@ -17,6 +17,7 @@ are byte-for-byte identical; there are no timestamps in any output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -31,8 +32,8 @@ import numpy as np
 
 from .errors import ConfigError, MarketGameError
 from .game import GameSpec, UserPopulation
-from .equilibrium import DynamicsOutcome, enumerate_pne, run_dynamics
-from .metrics import MetricsRecord, outcome_metrics, social_optimum
+from .equilibrium import DynamicsOutcome, run_dynamics
+from .metrics import GameAnalysis, MetricsRecord, analyze, outcome_metrics
 from .fixtures import (
     builtin_instance,
     choice_from_block,
@@ -44,9 +45,6 @@ from . import config as config_mod
 from . import entry as entry_mod
 
 OUT_DIR_ENV = "MODELMARKET_OUT"
-
-# the PNE list's budget, in profiles, in run and sweep summaries
-PNE_BUDGET = 1_000_000
 
 STEP_COLUMNS = [
     "run_id", "seed", "sweep_axis", "sweep_value", "repetition", "step",
@@ -116,6 +114,17 @@ def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRe
              **cells[step.profile_after]} for step in outcome.trajectory]
 
 
+def _analysis_fields(spec: GameSpec, analysis: GameAnalysis) -> dict:
+    """The PNE list and the optimum's value; one a budget refused is None with a note."""
+    if analysis.pne is None:
+        fields: dict[str, Any] = {"pne": None, "pne_note": analysis.pne_note}
+    else:
+        fields = {"pne": [list(spec.profile_labels(p)) for p in analysis.pne]}
+    if analysis.optimum is None:
+        return {**fields, "social_optimum": None, "social_optimum_note": analysis.optimum_note}
+    return {**fields, "social_optimum": analysis.optimum.value}
+
+
 def _summarize(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, run_id: str,
                seed: int, instance_name: str) -> dict:
     summary: dict[str, Any] = {
@@ -127,19 +136,12 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, 
         "choice": {"kind": spec.choice.kind, "tau": spec.choice.tau},
         "start": list(spec.profile_labels(outcome.start)),
         "outcome_kind": outcome.kind,
+        **_analysis_fields(spec, record.analysis),
     }
-    if record.optimum is None:
-        summary.update(social_optimum=None, social_optimum_note=record.optimum_note)
-    else:
-        summary.update(social_optimum=record.optimum.value,
-                       social_optimum_profile=list(spec.profile_labels(record.optimum.profile)))
-    try:
-        pne = enumerate_pne(spec, budget=PNE_BUDGET)
-        summary["pne"] = [list(spec.profile_labels(p)) for p in pne]
-        summary["pne_count"] = len(pne)
-    except MarketGameError as exc:
-        summary["pne"] = None
-        summary["pne_note"] = str(exc)
+    if record.analysis.optimum is not None:
+        summary["social_optimum_profile"] = list(spec.profile_labels(record.analysis.optimum.profile))
+    if record.analysis.pne is not None:
+        summary["pne_count"] = len(record.analysis.pne)
     if record.welfare is None:
         summary["welfare"] = None
         return summary
@@ -183,7 +185,7 @@ def cmd_run(args) -> int:
     outcome = run_dynamics(spec, start, order=dynamics["order"], max_steps=dynamics["max_steps"])
     prefix = cfg["output"].get("prefix", f"run_{instance_name}")
     out = _out_dir(args, cfg)
-    record = outcome_metrics(spec, outcome, [s.profile_after for s in outcome.trajectory])
+    record = outcome_metrics(spec, outcome, analyze(spec), [s.profile_after for s in outcome.trajectory])
     rows = _trajectory_rows(spec, outcome, record, prefix, seed)
     summary = _summarize(spec, outcome, record, prefix, seed, instance_name)
     if notes:
@@ -225,13 +227,13 @@ def _apply_axis(spec: GameSpec, axis: str, value) -> GameSpec:
     return GameSpec(spec.scores, population, spec.n_platforms, spec.choice)
 
 
-def _run_sweep_cell(payload: tuple[GameSpec, str, Any, int, dict]) -> tuple[list[dict], dict]:
-    spec, instance_name, order, max_steps, cell = payload
+def _run_sweep_cell(payload: tuple) -> tuple[list[dict], dict]:
+    spec, analysis, instance_name, order, max_steps, cell = payload
     start = _draw_start(spec, cell["seed"])
     outcome = run_dynamics(spec, start, order=order, max_steps=max_steps)
     run_id = f"{instance_name}_{cell['axis']}_{cell['value_index']}_r{cell['repetition']}"
     value_str = json.dumps(cell["value"]) if isinstance(cell["value"], list) else str(cell["value"])
-    record = outcome_metrics(spec, outcome, [s.profile_after for s in outcome.trajectory])
+    record = outcome_metrics(spec, outcome, analysis, [s.profile_after for s in outcome.trajectory])
     rows = _trajectory_rows(spec, outcome, record, run_id, cell["seed"], cell["axis"],
                             value_str, cell["repetition"])
     summary = _summarize(spec, outcome, record, run_id, cell["seed"], instance_name)
@@ -244,20 +246,22 @@ def _run_sweep_cell(payload: tuple[GameSpec, str, Any, int, dict]) -> tuple[list
 def cmd_sweep(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     cells = _sweep_cells(cfg, _dynamics_seed(cfg, args.seed))
-    # one instance build per sweep; every cell's spec is derived, and so
-    # validated, here before any cell runs
+    # one instance build per sweep; every value's spec is derived, and so
+    # validated, here before any game is solved
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
     dynamics = cfg["dynamics"]
-    payloads = [(_apply_axis(spec, cell["axis"], cell["value"]), instance_name, dynamics["order"],
-                 dynamics["max_steps"], cell) for cell in cells]
+    specs = [_apply_axis(spec, cfg["sweep"]["axis"], value) for value in cfg["sweep"]["values"]]
     # a worker per cell and per CPU at most: a fork-based pool starts every
     # worker it may use
-    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_cell, payloads))
-    else:
-        results = [_run_sweep_cell(p) for p in payloads]
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        pool_map = pool.map if pool else map
+        # every repetition of a value plays the same game, solved once
+        analyses = list(pool_map(analyze, specs))
+        payloads = [(specs[cell["value_index"]], analyses[cell["value_index"]], instance_name,
+                     dynamics["order"], dynamics["max_steps"], cell) for cell in cells]
+        results = list(pool_map(_run_sweep_cell, payloads))
     # map keeps cell order, (value_index, repetition), with or without workers
     rows = [row for cell_rows, _ in results for row in cell_rows]
     summaries = [summary for _, summary in results]
@@ -297,10 +301,9 @@ def _entry_market_section(report: entry_mod.EntrantReport) -> dict:
     return {
         "adopted": report.adopted,
         "entrant_scores": list(report.entrant_score_row),
-        "pne": [list(report.spec.profile_labels(p)) for p in report.pne],
+        **_analysis_fields(report.spec, record.analysis),
         "outcome_kind": report.outcome.kind,
         "welfare": None if record.welfare is None else record.welfare.value,
-        "social_optimum": None if record.optimum is None else record.optimum.value,
         "hhi": None if anchor is None else anchor.hhi,
         "support": None if anchor is None else anchor.support,
     }
@@ -328,10 +331,7 @@ def cmd_entry(args) -> int:
         "instance": instance_name,
         "n_platforms": base_spec.n_platforms,
         "config": dataclasses.asdict(config),
-        "pre_entry": {
-            "pne": [list(base_spec.profile_labels(p)) for p in enumerate_pne(base_spec)],
-            "social_optimum": social_optimum(base_spec).value,
-        },
+        "pre_entry": _analysis_fields(base_spec, analyze(base_spec)),
     }
     # every method trains and is evaluated before any file is written, so a
     # failing method leaves no partial output

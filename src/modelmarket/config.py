@@ -199,12 +199,12 @@ def walk(block, table: dict, path: str = "", name: str | None = None) -> dict:
 
 
 def load(path, table: dict, prefix: str = "", name: str | None = None) -> dict:
-    """The JSON file at ``path``, walked against ``table``."""
+    """The JSON file ``name`` (a config file by default) at ``path``, walked against ``table``."""
     try:
         with open(path) as handle:
             data = json.load(handle)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"{name or 'config file'} not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     return walk(data, table, prefix, name)

@@ -31,9 +31,9 @@ from .errors import (
     MarketGameError,
     TrainingDivergedError,
 )
-from .equilibrium import DynamicsOutcome, enumerate_pne, run_dynamics
+from .equilibrium import DynamicsOutcome, run_dynamics
 from .game import _BLOCK_ELEMENTS, GameSpec, ScoreMatrix, _frozen_array
-from .metrics import MetricsRecord, outcome_metrics
+from .metrics import MetricsRecord, analyze, outcome_metrics
 
 __all__ = [
     "ToyGenerator",
@@ -611,7 +611,6 @@ class EntrantReport:
     spec: GameSpec
     entrant_index: int
     entrant_score_row: tuple[float, ...]
-    pne: tuple[tuple[int, ...], ...]
     outcome: DynamicsOutcome
     metrics: MetricsRecord
     adopted: bool
@@ -626,7 +625,8 @@ def evaluate_entrant(entrant: ToyGenerator, rewards: RewardTable, market: GameSp
     The post-entry game keeps the market's population, platform count and
     choice rule.  The entrant counts as adopted when its model index appears
     in some pure equilibrium or, failing convergence, in the detected cycle's
-    profiles.
+    profiles.  When the PNE list is over its budget, adoption is read off the
+    dynamics outcome alone: its equilibrium profile or its cycle.
     """
     if rewards.n_types != market.population.n_types:
         raise InvalidInstanceError("rewards and the market's population disagree on user types")
@@ -638,18 +638,17 @@ def evaluate_entrant(entrant: ToyGenerator, rewards: RewardTable, market: GameSp
     )
     spec = GameSpec(stacked, market.population, market.n_platforms, market.choice)
     entrant_index = incumbents.n_models
-    pne = tuple(enumerate_pne(spec))
+    analysis = analyze(spec)
     outcome = run_dynamics(spec, tuple(start) if start is not None else (0,) * spec.n_platforms,
                            max_steps=max_steps)
-    adopted = any(entrant_index in p for p in pne)
-    if outcome.kind == "cycle":
-        adopted = adopted or any(entrant_index in p for p in outcome.cycle_profiles)
+    profiles = (analysis.pne or ()) + outcome.cycle_profiles
+    if analysis.pne is None and outcome.kind == "equilibrium":
+        profiles = (outcome.equilibrium_profile,)
     return EntrantReport(
         spec=spec,
         entrant_index=entrant_index,
         entrant_score_row=tuple(float(x) for x in row),
-        pne=pne,
         outcome=outcome,
-        metrics=outcome_metrics(spec, outcome),
-        adopted=adopted,
+        metrics=outcome_metrics(spec, outcome, analysis),
+        adopted=any(entrant_index in p for p in profiles),
     )

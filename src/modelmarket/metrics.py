@@ -11,10 +11,11 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidInstanceError
 from . import game
-from .equilibrium import DynamicsOutcome, IMPROVEMENT_EPS, verify_pne
+from .equilibrium import DynamicsOutcome, IMPROVEMENT_EPS, enumerate_pne, verify_pne
 from .game import ChoiceRule, GameSpec, as_profile
 
 __all__ = [
+    "GameAnalysis",
     "MarketShares",
     "MetricsRecord",
     "ProfileScore",
@@ -29,9 +30,13 @@ __all__ = [
     "welfare_bound_check",
     "platform_entry_check",
     "outcome_metrics",
+    "analyze",
 ]
 
 _IDENTITY_TOL = 1e-12
+
+PNE_BUDGET = 1_000_000  # profiles, for the PNE list of analyze
+OPTIMUM_BUDGET = 10_000_000  # multisets, for the social optimum
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,16 @@ class MarketShares:
 class SocialOptimum:
     value: float
     profile: tuple[int, ...]  # canonical sorted maximizer
+
+
+@dataclass(frozen=True)
+class GameAnalysis:
+    """A game's PNE list and social optimum; each None, with a note, when its budget refuses."""
+
+    pne: tuple[tuple[int, ...], ...] | None
+    pne_note: str | None
+    optimum: SocialOptimum | None
+    optimum_note: str | None
 
 
 @dataclass(frozen=True)
@@ -83,15 +98,13 @@ class MetricsRecord:
     repeating segment; ``scores`` holds its ProfileScore and those of the
     extra profiles the caller asked for.  ``welfare`` averages coverage over
     the whole cycle (the anchor's figures describe one state of it).  Both
-    are None for a timeout.  ``optimum`` is None when ``social_optimum``
-    refuses its budget, and ``optimum_note`` then says why.
+    are None for a timeout.  ``analysis`` answers for the game itself.
     """
 
     scores: dict[tuple[int, ...], ProfileScore]
     anchor: tuple[int, ...] | None
     welfare: WelfareFigures | None
-    optimum: SocialOptimum | None
-    optimum_note: str | None = None
+    analysis: GameAnalysis
 
     def __post_init__(self):
         for score in self.scores.values():
@@ -99,7 +112,8 @@ class MetricsRecord:
                 raise InvalidInstanceError("market shares must sum to 1")
             if abs(score.hhi - sum(m * m for m in score.shares)) > _IDENTITY_TOL:
                 raise InvalidInstanceError("hhi must equal the sum of squared shares")
-        if self.welfare and self.optimum and self.welfare.value > self.optimum.value + IMPROVEMENT_EPS:
+        optimum = self.analysis.optimum
+        if self.welfare and optimum and self.welfare.value > optimum.value + IMPROVEMENT_EPS:
             raise InvalidInstanceError("welfare cannot exceed the social optimum")
 
 
@@ -148,7 +162,7 @@ def market_shares(spec: GameSpec, profile) -> MarketShares:
     )
 
 
-def social_optimum(spec: GameSpec, budget: int = 10_000_000) -> SocialOptimum:
+def social_optimum(spec: GameSpec, budget: int = OPTIMUM_BUDGET) -> SocialOptimum:
     """Highest coverage over all model multisets of size N.
 
     Coverage depends only on the multiset of chosen models, so the search
@@ -202,7 +216,8 @@ def welfare_figures(spec: GameSpec, outcome: DynamicsOutcome) -> WelfareFigures:
     return _welfare(outcome, lambda p: coverage_value(spec, p))
 
 
-def welfare_bound_check(spec: GameSpec, outcome: DynamicsOutcome, budget: int = 10_000_000) -> BoundCheck:
+def welfare_bound_check(spec: GameSpec, outcome: DynamicsOutcome,
+                        budget: int = OPTIMUM_BUDGET) -> BoundCheck:
     """Slack of the welfare-below-optimum bound for this outcome."""
     w = welfare_figures(spec, outcome).value
     opt = social_optimum(spec, budget=budget).value
@@ -236,7 +251,20 @@ def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -
     return EntryCheck(is_eq, float(welfare_delta), int(support_delta), extended)
 
 
-def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, profiles: Iterable = ()) -> MetricsRecord:
+def analyze(spec: GameSpec) -> GameAnalysis:
+    """The PNE list and the optimum within their budgets; a refusal gives None and its message."""
+    answers = []
+    for solve, budget in ((enumerate_pne, PNE_BUDGET), (social_optimum, OPTIMUM_BUDGET)):
+        try:
+            answers.append((solve(spec, budget=budget), None))
+        except BudgetExceededError as exc:
+            answers.append((None, str(exc)))
+    (pne, pne_note), (optimum, optimum_note) = answers
+    return GameAnalysis(None if pne is None else tuple(pne), pne_note, optimum, optimum_note)
+
+
+def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, analysis: GameAnalysis,
+                    profiles: Iterable = ()) -> MetricsRecord:
     """The figures of a dynamics outcome (see MetricsRecord).
 
     The anchor and each of ``profiles``, which must be trajectory profiles,
@@ -256,8 +284,4 @@ def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, profiles: Iterable
     for p in set(outcome.cycle_profiles) - coverage.keys():
         coverage[p] = coverage_value(spec, p)
     welfare = None if anchor is None else _welfare(outcome, coverage.__getitem__)
-    try:
-        optimum, note = social_optimum(spec), None
-    except BudgetExceededError as exc:
-        optimum, note = None, str(exc)
-    return MetricsRecord(scores, anchor, welfare, optimum, note)
+    return MetricsRecord(scores, anchor, welfare, analysis)

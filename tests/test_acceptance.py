@@ -278,7 +278,7 @@ def test_criterion_10_entry_training():
         assert trace[-1]["objective"] > trace[0]["objective"]
         from modelmarket.entry import evaluate_entrant
         report = evaluate_entrant(gen_direct, toy.rewards, toy.market.with_platforms(3))
-        assert any(report.entrant_index in p for p in report.pne)
+        assert any(report.entrant_index in p for p in report.metrics.analysis.pne)
 
         # resampling training raises the under-served heavy type's score
         gen_samp, trace_samp = train_resampling(

@@ -14,7 +14,9 @@ import pytest
 from modelmarket.cli import main
 import modelmarket.cli as cli_mod
 import modelmarket.config as config_mod
+import modelmarket.entry as entry_mod
 import modelmarket.fixtures as fixtures_mod
+import modelmarket.metrics as metrics_mod
 from modelmarket.equilibrium import run_dynamics
 from modelmarket.errors import ConfigError
 from modelmarket.fixtures import builtin_instance
@@ -172,6 +174,32 @@ class TestRun:
 
 
 class TestSweep:
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """Stands in for ProcessPoolExecutor and starts no worker: records each
+        pool's worker count in ``pools`` and each map's function and item
+        count in ``maps``, and maps in process."""
+
+        class SerialPool:
+            pools, maps = [], []
+
+            def __init__(self, max_workers):
+                self.pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                self.maps.append((fn, len(items)))
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        return SerialPool
+
     def test_model_pool_sweep_reproduces_welfare_drop(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "instance": {"builtin": "fig3_b"},
@@ -252,26 +280,9 @@ class TestSweep:
         assert [s["sweep_value"] for s in _read_json(tmp_path / "serial" / "syn_summary.json")] \
             == [1, 1, 2, 2, 3, 3]
 
-    def test_workers_are_capped_at_the_cell_count(self, tmp_path, monkeypatch):
-        pools = []
-
-        class SerialPool:
-            """Records its worker count and maps in process: starts no worker."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_workers_are_capped_at_the_cell_count(self, tmp_path, monkeypatch, serial_pool):
+        pools = serial_pool.pools
         cpus = [64]
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus[0])
         cfg = _write_config(tmp_path, {
             "instance": {"builtin": "fig3_b"},
@@ -309,6 +320,29 @@ class TestSweep:
         for name in ("cap_long.csv", "cap_summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "cpus" / name).read_bytes()
+
+    def test_each_value_is_solved_once(self, tmp_path, monkeypatch, serial_pool):
+        # the shipped sweep: 2 values x 3 repetitions, so 2 games and 6 cells
+        solves, maps = [], serial_pool.maps
+        for name in ("enumerate_pne", "social_optimum"):
+            solve = getattr(metrics_mod, name)
+            monkeypatch.setattr(metrics_mod, name, lambda *a, _name=name, _solve=solve, **k:
+                                solves.append(_name) or _solve(*a, **k))
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
+        cfg = str(CONFIGS / "sweep_pool_growth.json")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        assert sorted(solves) == ["enumerate_pne"] * 2 + ["social_optimum"] * 2
+        assert maps == []
+        solves.clear()
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "jobs"), "--jobs", "2"]) == 0
+        assert sorted(solves) == ["enumerate_pne"] * 2 + ["social_optimum"] * 2
+        assert maps == [(metrics_mod.analyze, 2), (cli_mod._run_sweep_cell, 6)]
+        for name in ("pool_growth_long.csv", "pool_growth_summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "jobs" / name).read_bytes()
+        summaries = _read_json(tmp_path / "serial" / "pool_growth_summary.json")
+        # every repetition carries its value's answers
+        assert [s["pne_count"] for s in summaries] == [2, 2, 2, 1, 1, 1]
 
     def test_every_cell_is_validated_before_any_runs(self, tmp_path, capsys, monkeypatch):
         runs = []
@@ -383,6 +417,49 @@ class TestEntry:
         trace = _read_csv(tmp_path / "toy_trace_direct.csv")
         assert float(trace[-1]["objective"]) > float(trace[0]["objective"])
         assert len(_read_csv(tmp_path / "toy_trace_resampling.csv")) == 6  # init + 5 rounds
+
+    def test_past_both_budgets_writes_null_and_notes(self, tmp_path, monkeypatch):
+        # M^N = 50^10 profiles and C(59, 10) multisets exceed both budgets
+        rng = np.random.default_rng(4)
+        instance = _write_config(tmp_path, {
+            "scores": rng.uniform(0.0, 1.0, size=(50, 4)).tolist(),
+            "weights": [0.25, 0.25, 0.25, 0.25],
+            "n_platforms": 10,
+        }, name="wide.json")
+        cfg = _write_config(tmp_path, {
+            "instance": {"file": instance},
+            "training": {
+                "method": "both",
+                "estimator": "exact",
+                "outcomes": ["x1", "x2", "x3"],
+                # every outcome earns 1.0 on the first type, which no incumbent reaches
+                "rewards": [[1.0, 1.0, 1.0], [0.1, 0.9, 0.3], [0.2, 0.3, 0.9], [0.5, 0.5, 0.5]],
+                "dataset": {"counts": [300, 200, 100]},
+                "params": {"outer_rounds": 1, "inner_epochs": 5, "seed": 3},
+                "n_platforms": 10,
+            },
+            "output": {"prefix": "wide"},
+        })
+        reports = []
+        evaluate = entry_mod.evaluate_entrant
+        monkeypatch.setattr(entry_mod, "evaluate_entrant",
+                            lambda *a, **k: reports.append(evaluate(*a, **k)) or reports[-1])
+        assert main(["entry", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = _read_json(tmp_path / "wide_report.json")
+        for section in (report["pre_entry"], report["resampling"], report["direct"]):
+            assert section["pne"] is None and section["social_optimum"] is None
+            assert "profiles but the budget is 1000000" in section["pne_note"]
+            assert "multisets but the budget is 10000000" in section["social_optimum_note"]
+        assert "97656250000000000 profiles" in report["pre_entry"]["pne_note"]
+        assert "62828356305 multisets" in report["pre_entry"]["social_optimum_note"]
+        # without the PNE list, adoption is read off the dynamics outcome
+        assert len(reports) == 2
+        for method, entrant in zip(("resampling", "direct"), reports):
+            assert entrant.metrics.analysis.pne is None
+            outcome = entrant.outcome
+            assert report[method]["outcome_kind"] == outcome.kind == "equilibrium"
+            assert entrant.entrant_index in outcome.equilibrium_profile
+            assert report[method]["adopted"] is True
 
     def test_trace_headers(self, tmp_path, entry_config):
         assert main(["entry", "--config", entry_config, "--out", str(tmp_path)]) == 0
@@ -877,6 +954,21 @@ class TestConfigValidation:
         assert capsys.readouterr().err == (
             f"error: the rows of {_PATHS.get(field, field)} must have equal lengths\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["config file", "instance file", "fixture record fig2_a"])
+    def test_a_missing_file_is_named_by_its_kind(self, tmp_path, capsys, monkeypatch, kind):
+        missing = tmp_path / "missing.json"
+        cfg = str(missing)
+        if kind == "instance file":
+            cfg = _write_config(tmp_path, {"instance": {"file": "missing.json"}})
+        elif kind.startswith("fixture record"):
+            monkeypatch.setattr(fixtures_mod, "DATA_DIR", tmp_path / "records")
+            missing = tmp_path / "records" / "fig2_a.json"
+            cfg = _write_config(tmp_path, {"instance": {"builtin": "fig2_a"}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {kind} not found: {missing}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_rejected(self, tmp_path, capsys, jobs):

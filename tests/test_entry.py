@@ -402,9 +402,9 @@ class TestEvaluateEntrant:
             ScoreMatrix(np.vstack([incumbents.scores, incumbents.scores[1]])),
             market.population, 2)
         oracle_pne = set(enumerate_pne(oracle_spec))
-        assert set(report.pne) == oracle_pne
+        assert set(report.metrics.analysis.pne) == oracle_pne
         # substituting the duplicate for the original leaves utilities unchanged
-        for prof in report.pne:
+        for prof in report.metrics.analysis.pne:
             swapped = tuple(1 if i == report.entrant_index else i for i in prof)
             assert swapped in oracle_pne
             assert np.array_equal(platform_utilities(report.spec, prof),
@@ -418,13 +418,13 @@ class TestEvaluateEntrant:
         row = entrant_scores(strong, big_rewards)
         if np.all(row > toy.market.scores.scores.max(axis=0)):
             assert check_homogeneous_condition(report.spec, report.entrant_index).holds
-            assert any(set(p) == {report.entrant_index} for p in report.pne)
+            assert any(set(p) == {report.entrant_index} for p in report.metrics.analysis.pne)
 
     def test_dominated_entrant_is_never_adopted(self, toy):
         weak = ToyGenerator.uniform(toy.outcome_labels)
         tiny = RewardTable(toy.rewards.rewards * 0.05)
         report = evaluate_entrant(weak, tiny, toy.market)
-        assert not any(report.entrant_index in p for p in report.pne)
+        assert not any(report.entrant_index in p for p in report.metrics.analysis.pne)
         assert not report.adopted
 
     def test_dimension_mismatch_rejected(self, toy):

@@ -9,6 +9,7 @@ from modelmarket.fixtures import builtin_instance
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 from modelmarket.equilibrium import run_dynamics, verify_pne
 from modelmarket.metrics import (
+    analyze,
     coverage_value,
     market_shares,
     outcome_metrics,
@@ -164,8 +165,8 @@ class TestUserWelfare:
 
     def test_outcome_metrics_record_is_consistent(self):
         spec = builtin_instance("c8_players_3").spec
-        record = outcome_metrics(spec, run_dynamics(spec, (2, 2, 0)))
-        assert record.welfare.value <= record.optimum.value + 1e-12
+        record = outcome_metrics(spec, run_dynamics(spec, (2, 2, 0)), analyze(spec))
+        assert record.welfare.value <= record.analysis.optimum.value + 1e-12
         anchor = record.scores[record.anchor]
         assert anchor.hhi == pytest.approx(sum(s * s for s in anchor.shares), abs=1e-12)
 

@@ -41,6 +41,7 @@ from modelmarket.equilibrium import (
 )
 from modelmarket.fixtures import builtin_instance
 from modelmarket.metrics import (
+    analyze,
     coverage_value,
     market_shares,
     outcome_metrics,
@@ -209,12 +210,15 @@ def test_outcome_metrics_match_the_single_figure_functions():
         outcome = run_dynamics(spec, start, max_steps=max_steps)
         kinds.append(outcome.kind)
         trajectory = [step.profile_after for step in outcome.trajectory]
-        full = outcome_metrics(spec, outcome, trajectory)
-        bare = outcome_metrics(spec, outcome)
+        analysis = analyze(spec)
+        full = outcome_metrics(spec, outcome, analysis, trajectory)
+        bare = outcome_metrics(spec, outcome, analysis)
         assert set(full.scores) == set(trajectory), index
         assert set(bare.scores) == ({full.anchor} if full.anchor is not None else set()), index
+        assert analysis.optimum == social_optimum(spec), index
+        assert analysis.pne == tuple(enumerate_pne(spec)), index
         for record in (full, bare):
-            assert record.optimum == social_optimum(spec), index
+            assert record.analysis is analysis, index
             for profile, score in record.scores.items():
                 shares = market_shares(spec, profile)
                 assert score.coverage == coverage_value(spec, profile), index
