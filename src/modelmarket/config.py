@@ -64,10 +64,18 @@ INSTANCE_FILE = {
     "choice": Field(BLOCK, None, table=CHOICE),
 }
 
+# a fixture's expectation keys; fixtures.verify_fixture checks their values
+EXPECTED = {**dict.fromkeys(
+    "pne payoffs average_scores pair_deltas welfare canonical_pne social_optimum social_optimum_profile "
+    "hhi support differentiated_condition homogeneous_condition".split(), Field(ANY, OPTIONAL)),
+    "dynamics": Field(BLOCK, OPTIONAL, table={"start": Field(ANY), "kind": Field(ANY), **dict.fromkeys(
+        "cycle_profile_set cycle_multisets welfare_interval welfare_state_average "
+        "welfare_multiset_average".split(), Field(ANY, OPTIONAL))})}
+
 # a fixture record under data/: its game as an instance file, a synthetic
 # block, or scores derived from per-criterion performance and preferences
 FIXTURE_RECORD = {
-    "description": Field(STRING, ""), "notes": Field(STRING, ""), "expected": Field(ANY),
+    "description": Field(STRING, ""), "notes": Field(STRING, ""), "expected": Field(BLOCK, table=EXPECTED),
     "explicit": Field(BLOCK, ONE_OF, table=INSTANCE_FILE),
     "synthetic": SYNTHETIC,
     "preferences": Field(BLOCK, ONE_OF, table={

@@ -1,9 +1,9 @@
 """Pure Nash equilibrium search, best-response dynamics, and closed-form checks.
 
-The improvement threshold ``IMPROVEMENT_EPS`` absorbs float noise: a deviation
-only counts as profitable when it beats the current utility by more than the
-threshold, and best-response tie-breaking keeps the current model whenever it
-is within the threshold of the best alternative.
+The improvement threshold ``IMPROVEMENT_EPS`` absorbs float noise under one rule,
+``_exceeds``: a gain or a shortfall counts only when it exceeds the threshold.  Every
+threshold decision here and in ``metrics`` goes through it, so under hardmax a profile
+passes ``verify_pne`` exactly when ``enumerate_pne`` lists it and dynamics stop there.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ __all__ = [
 
 IMPROVEMENT_EPS = 1e-12
 DEFAULT_PROFILE_BUDGET = 10_000_000
+
+
+def _exceeds(difference):  # a gain or shortfall, or an array of them
+    return difference > IMPROVEMENT_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,7 @@ def verify_pne(spec: GameSpec, profile) -> PneCheck:
     rivals = np.tile(prof, (n, 1))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     values = game._deviation_block(spec, spec.scores.scores[rivals])
     gains = values - values[np.arange(n), prof][:, None]
-    better = np.argwhere(gains > IMPROVEMENT_EPS)  # row-major: platform, then model
+    better = np.argwhere(_exceeds(gains))  # row-major: platform, then model
     if not better.size:
         return PneCheck(True)
     i, g = better[0].tolist()
@@ -226,7 +230,7 @@ def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[
     blocks = []
     for block in game._multiset_blocks(rivals, s.size):
         values = game._deviation_block(spec, s[block])
-        blocks.append(values.max(axis=1, keepdims=True) - values <= IMPROVEMENT_EPS)
+        blocks.append(~_exceeds(values.max(axis=1, keepdims=True) - values))
     best = np.concatenate(blocks)
     row = {r: i for i, r in enumerate(rivals)}
     top = np.array([max(r, default=0) for r in rivals])
@@ -262,17 +266,17 @@ def _orderings(multiset: tuple[int, ...]):
 def best_response(spec: GameSpec, profile, platform: int) -> int:
     """The platform's utility-maximizing model against the others' fixed choices.
 
-    Keeps the current model when it is within the improvement threshold of the
-    best alternative; otherwise returns the lowest-index maximizer.
+    Keeps the current model unless its shortfall from the best value exceeds the
+    threshold, and otherwise returns the lowest-index model whose shortfall does not.
     """
     prof = as_profile(spec, profile)
     if not 0 <= platform < spec.n_platforms:
         raise InvalidProfileError(f"platform index {platform} out of range [0, {spec.n_platforms})")
     values = game.deviation_values(spec, prof[:platform] + prof[platform + 1:])
-    best = float(values.max())
-    if values[prof[platform]] >= best - IMPROVEMENT_EPS:
+    best = values.max()
+    if not _exceeds(best - values[prof[platform]]):
         return prof[platform]
-    return int(np.argmax(values >= best - IMPROVEMENT_EPS))
+    return int(np.argmin(_exceeds(best - values)))  # the first False
 
 
 def run_dynamics(
@@ -400,7 +404,7 @@ def _condition_report(spec: GameSpec, prof: tuple[int, ...], movers: np.ndarray,
     lhs, rhs = t[cur[mover]] - t[alt], d_alt - base[mover]
     rows = tuple(ConditionRow(int(i), prof[i], int(g), float(a), float(b))
                  for i, g, a, b in zip(mover, alt, lhs, rhs))
-    return ConditionReport(not np.any(lhs < rhs - IMPROVEMENT_EPS), rows)
+    return ConditionReport(not np.any(_exceeds(rhs - lhs)), rows)
 
 
 def check_differentiated_condition(spec: GameSpec, profile) -> ConditionReport:
@@ -461,11 +465,11 @@ def two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions
     d = game._deviation_advantage(game.ChoiceRule.hardmax(), spec.scores.scores[pairs],
                                   spec.population.weights)[..., 0]
     payoff = t[:, None] + d
-    eps = IMPROVEMENT_EPS
+    shortfall = payoff.max(axis=0) - payoff  # from the best of its column
     return TwoPlayerConditions(
-        bool(payoff[i, j] >= payoff[:, j].max() - eps and payoff[j, i] >= payoff[:, i].max() - eps),
-        bool(np.all(t[i] - t >= d[:, i] - eps)),
-        bool(np.all(t[j] - t >= d[:, j] - eps)),
+        not (_exceeds(shortfall[i, j]) or _exceeds(shortfall[j, i])),
+        not np.any(_exceeds(d[:, i] - (t[i] - t))),
+        not np.any(_exceeds(d[:, j] - (t[j] - t))),
     )
 
 
@@ -493,8 +497,8 @@ def centralization_check(spec: GameSpec, params: CentralizationParams) -> Centra
         )
     margin = s[m, k_star] - s[:, k_star]
     gap = np.abs(s - s[m])
-    low_margin = (margin < params.rho - 1e-12) & (np.arange(spec.n_models) != m)
-    wide_gap = (gap > params.gamma_cap + 1e-12) & (np.arange(spec.scores.n_types) != k_star)
+    low_margin = _exceeds(params.rho - margin) & (np.arange(spec.n_models) != m)
+    wide_gap = _exceeds(gap - params.gamma_cap) & (np.arange(spec.scores.n_types) != k_star)
     violated = low_margin | wide_gap.any(axis=1)
     if violated.any():
         # the first rival with a violation, its margin before its gaps

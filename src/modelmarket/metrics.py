@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidInstanceError
 from . import game
-from .equilibrium import DynamicsOutcome, IMPROVEMENT_EPS, enumerate_pne, verify_pne
+from .equilibrium import DynamicsOutcome, _exceeds, enumerate_pne, verify_pne
 from .game import ChoiceRule, GameSpec, as_profile
 
 __all__ = [
@@ -113,7 +113,7 @@ class MetricsRecord:
             if abs(score.hhi - sum(m * m for m in score.shares)) > _IDENTITY_TOL:
                 raise InvalidInstanceError("hhi must equal the sum of squared shares")
         optimum = self.analysis.optimum
-        if self.welfare and optimum and self.welfare.value > optimum.value + IMPROVEMENT_EPS:
+        if self.welfare and optimum and _exceeds(self.welfare.value - optimum.value):
             raise InvalidInstanceError("welfare cannot exceed the social optimum")
 
 
@@ -222,7 +222,7 @@ def welfare_bound_check(spec: GameSpec, outcome: DynamicsOutcome,
     w = welfare_figures(spec, outcome).value
     opt = social_optimum(spec, budget=budget).value
     slack = opt - w
-    return BoundCheck(ok=slack >= -IMPROVEMENT_EPS, slack=float(slack))
+    return BoundCheck(ok=not _exceeds(-slack), slack=float(slack))
 
 
 def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -> EntryCheck:
@@ -246,7 +246,7 @@ def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -
     welfare_delta = coverage_value(extended_spec, extended) - coverage_value(spec, prof)
     support_delta = len(set(extended)) - len(set(prof))
     if is_eq:
-        assert welfare_delta >= -IMPROVEMENT_EPS, "entry lowered welfare at an equilibrium"
+        assert not _exceeds(-welfare_delta), "entry lowered welfare at an equilibrium"
         assert support_delta >= 0, "entry lowered support"
     return EntryCheck(is_eq, float(welfare_delta), int(support_delta), extended)
 
@@ -271,8 +271,12 @@ def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, analysis: GameAnal
     are scored once with ``coverage_value`` and ``market_shares`` and keep
     the utilities the trajectory recorded.  A cycle profile outside them is
     scored for its coverage alone, which is all its welfare average needs.
+    Under hardmax an equilibrium missing from a PNE list raises (see equilibrium).
     """
     anchor = outcome.cycle_profiles[0] if outcome.kind == "cycle" else outcome.equilibrium_profile
+    if (spec.choice.kind == "hardmax" and outcome.kind == "equilibrium"
+            and analysis.pne is not None and anchor not in analysis.pne):
+        raise InvalidInstanceError("a dynamics equilibrium is missing from the PNE list")
     utilities = {step.profile_after: step.utilities for step in outcome.trajectory}
     scores: dict[tuple[int, ...], ProfileScore] = {}
     for profile in ([] if anchor is None else [anchor]) + list(profiles):

@@ -226,9 +226,12 @@ def reference_best_response(spec: GameSpec, profile, platform: int) -> int:
         dev = prof[:platform] + (g,) + prof[platform + 1:]
         values[g] = platform_utilities(spec, dev)[platform]
     best = float(values.max())
-    if values[prof[platform]] >= best - IMPROVEMENT_EPS:
+    if best - values[prof[platform]] <= IMPROVEMENT_EPS:
         return prof[platform]
-    return int(np.argmax(values >= best - IMPROVEMENT_EPS))
+    for g in range(spec.n_models):
+        if best - values[g] <= IMPROVEMENT_EPS:
+            return g
+    raise AssertionError("the maximizer's shortfall is 0")
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +280,7 @@ def reference_check_differentiated_condition(spec: GameSpec, profile) -> Conditi
             lhs = float(t[prof[i]] - t[g])
             rhs = float(d_alt - d_cur[i])
             rows.append(ConditionRow(i, prof[i], g, lhs, rhs))
-            if lhs < rhs - IMPROVEMENT_EPS:
+            if rhs - lhs > IMPROVEMENT_EPS:
                 holds = False
     return ConditionReport(holds, tuple(rows))
 
@@ -299,7 +302,7 @@ def reference_check_homogeneous_condition(spec: GameSpec, model: int) -> Conditi
         lhs = float(t[model] - t[g])
         rhs = float(d_alt)  # the homogeneous profile's own deviation advantage is 0
         rows.append(ConditionRow(0, model, g, lhs, rhs))
-        if lhs < rhs - IMPROVEMENT_EPS:
+        if rhs - lhs > IMPROVEMENT_EPS:
             holds = False
     return ConditionReport(holds, tuple(rows))
 
@@ -319,24 +322,25 @@ def reference_two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayer
     d_ij = pair_delta(spec, i, j)
     d_ji = pair_delta(spec, j, i)
     eps = IMPROVEMENT_EPS
+    # each test: no shortfall exceeds the threshold
     if spec.n_models == 2:
-        differentiated = (-d_ij - eps <= t[i] - t[j] <= d_ji + eps)
-        homogeneous_i = t[i] - t[j] > d_ji - eps
-        homogeneous_j = t[j] - t[i] > d_ij - eps
+        differentiated = -d_ij - (t[i] - t[j]) <= eps and (t[i] - t[j]) - d_ji <= eps
+        homogeneous_i = d_ji - (t[i] - t[j]) <= eps
+        homogeneous_j = d_ij - (t[j] - t[i]) <= eps
     else:
         others_j = max(t[k] + pair_delta(spec, k, j) for k in range(spec.n_models) if k != j)
         others_i = max(t[k] + pair_delta(spec, k, i) for k in range(spec.n_models) if k != i)
         differentiated = (
-            t[i] + d_ij >= max(t[j], others_j) - eps
-            and t[j] + d_ji >= max(t[i], others_i) - eps
+            max(t[j], others_j) - (t[i] + d_ij) <= eps
+            and max(t[i], others_i) - (t[j] + d_ji) <= eps
         )
         homogeneous_i = all(
-            t[i] - t[k] >= pair_delta(spec, k, i) - eps
+            pair_delta(spec, k, i) - (t[i] - t[k]) <= eps
             for k in range(spec.n_models)
             if k != i
         )
         homogeneous_j = all(
-            t[j] - t[k] >= pair_delta(spec, k, j) - eps
+            pair_delta(spec, k, j) - (t[j] - t[k]) <= eps
             for k in range(spec.n_models)
             if k != j
         )
@@ -363,7 +367,7 @@ def reference_centralization_check(spec: GameSpec,
         if j == m:
             continue
         margin = float(s[m, k_star] - s[j, k_star])
-        if margin < params.rho - 1e-12:
+        if params.rho - margin > IMPROVEMENT_EPS:
             raise InvalidInstanceError(
                 f"dominant-type margin violated: model {j} is within "
                 f"{margin:.6g} < rho={params.rho:.6g} of the dominant model"
@@ -372,7 +376,7 @@ def reference_centralization_check(spec: GameSpec,
             if k == k_star:
                 continue
             gap = abs(float(s[j, k] - s[m, k]))
-            if gap > params.gamma_cap + 1e-12:
+            if gap - params.gamma_cap > IMPROVEMENT_EPS:
                 raise InvalidInstanceError(
                     f"off-dominant variation violated: |S_{j},{k} - S_{m},{k}| "
                     f"= {gap:.6g} > gamma_cap={params.gamma_cap:.6g}"

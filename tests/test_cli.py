@@ -1205,6 +1205,21 @@ class TestFixtureRecordTable:
                 self._load(tmp_path, monkeypatch, name, record)
             assert f"{name}.{path}" in str(info.value), value
 
+    @pytest.mark.parametrize("block, key", [("expected", "pne"),
+                                            ("expected.dynamics", "welfare_interval")])
+    def test_a_misspelled_expectation_key_is_one_error(self, tmp_path, monkeypatch, capsys,
+                                                        block, key):
+        # a check whose key is misspelled would otherwise be skipped in silence
+        record = json.loads((fixtures_mod.DATA_DIR / "c8_players_3.json").read_text())
+        target = record["expected"] if block == "expected" else record["expected"]["dynamics"]
+        target[f"{key}_typo"] = target.pop(key)
+        (tmp_path / "c8_players_3.json").write_text(json.dumps(record))
+        monkeypatch.setattr(fixtures_mod, "DATA_DIR", tmp_path)
+        monkeypatch.setattr(fixtures_mod, "_FIXTURE_NAMES", ["c8_players_3"])
+        assert main(["verify-fixtures"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown key '{key}_typo' in the c8_players_3.{block} block\n")
+
     @pytest.mark.parametrize("games", [(), ("explicit", "preferences")])
     def test_a_record_has_exactly_one_game(self, tmp_path, monkeypatch, games):
         record = {"expected": {}}
@@ -1305,6 +1320,22 @@ class TestShippedConfigs:
         for name in first:
             assert (tmp_path / "first" / name).read_bytes() == \
                 (tmp_path / "second" / name).read_bytes()
+
+
+class TestOneThresholdRule:
+    def test_run_equilibrium_is_in_its_pne_list(self, tmp_path):
+        # an instance whose two values differ by just over the threshold
+        instance = {"scores": [[0.1317770745302126], [0.1317770745312126]],
+                    "weights": [1.0], "n_platforms": 1}
+        (tmp_path / "boundary.json").write_text(json.dumps(instance))
+        cfg = _write_config(tmp_path, {"instance": {"file": "boundary.json"},
+                                       "dynamics": {"start": [0]},
+                                       "output": {"prefix": "boundary"}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = _read_json(tmp_path / "out" / "boundary_summary.json")
+        assert summary["outcome_kind"] == "equilibrium"
+        assert summary["equilibrium_profile"] == ["g2"]
+        assert summary["pne"] == [["g2"]]
 
 
 class TestFixtureCommands:

@@ -8,8 +8,10 @@ import pytest
 
 from modelmarket import fixtures as fixtures_mod
 from modelmarket.config import FIXTURE_RECORD, walk
+from modelmarket.equilibrium import DEFAULT_PROFILE_BUDGET
 from modelmarket.errors import ConfigError, InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance, fixture_names, verify_all, verify_fixture
+from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation
 from modelmarket.preferences import PreferenceTable, scores_from_preferences
 from modelmarket.synthetic import (
     GmmComponent,
@@ -308,6 +310,34 @@ class TestFixtureRegistry:
 
     def test_verify_all_is_green(self):
         assert all(c.passed for c in verify_all())
+
+    def test_a_refused_pne_list_is_a_failed_check(self):
+        # 4^10 profiles: past the PNE budget of every report, within enumerate_pne's own
+        rng = np.random.default_rng(5)
+        spec = GameSpec(ScoreMatrix(rng.uniform(size=(4, 3))), UserPopulation.uniform(3), 10)
+        assert 10**6 < 4**10 <= DEFAULT_PROFILE_BUDGET
+        fixture = fixtures_mod.Fixture("big", "", spec, {"pne": [[0] * 10]})
+        (check,) = verify_fixture(fixture)
+        assert (check.name, check.passed) == ("pne_set", False)
+        assert check.actual == "enumeration needs 1048576 profiles but the budget is 1000000"
+
+    def test_a_refused_optimum_is_a_failed_check(self):
+        spec = GameSpec(ScoreMatrix(np.linspace(0.1, 0.9, 50)[:, None]), UserPopulation.uniform(1), 10)
+        fixture = fixtures_mod.Fixture("wide", "", spec, {"social_optimum": [0.9, 1e-9],
+                                                          "social_optimum_profile": [49] * 10})
+        (check,) = verify_fixture(fixture)
+        assert (check.name, check.passed, check.expected) == ("social_optimum", False, 0.9)
+        assert check.actual.startswith("social optimum needs 62828356305 multisets")
+
+    def test_welfare_averages_are_checked_without_an_interval(self):
+        fixture = builtin_instance("c8_players_3")
+        dynamics = {k: v for k, v in fixture.expected["dynamics"].items() if k != "welfare_interval"}
+        dynamics["welfare_multiset_average"] = [0.5, 1e-9]
+        fixture = fixtures_mod.Fixture(fixture.name, "", fixture.spec, {"dynamics": dynamics})
+        checks = {c.name: c for c in verify_fixture(fixture)}
+        assert "cycle_welfare_interval" not in checks
+        assert checks["welfare_state_average"].passed
+        assert not checks["welfare_multiset_average"].passed
 
     def test_expectation_records_are_serialized_json(self):
         for name in fixture_names():

@@ -345,3 +345,34 @@ class TestSoftmaxScan:
     def test_huge_tau_recovers_an_equilibrium(self, c1):
         (_, count), = softmax_pne_scan(c1, [1e9])
         assert count >= 1
+
+
+# one platform, two models whose values differ by just over the threshold in
+# one float form and just under it in another
+BOUNDARY_SCORES = [[0.1317770745302126], [0.1317770745312126]]
+
+
+class TestOneThresholdRule:
+    """Dynamics, verification and enumeration decide with one threshold rule."""
+
+    @pytest.fixture
+    def boundary(self):
+        return GameSpec(ScoreMatrix(BOUNDARY_SCORES), UserPopulation(["t1"], [1.0]), 1)
+
+    def test_boundary_instance_agrees_everywhere(self, boundary):
+        witness = verify_pne(boundary, (0,)).witness
+        assert (witness.platform, witness.model) == (0, 1) and witness.gain > 1e-12
+        assert verify_pne(boundary, (1,))
+        assert enumerate_pne(boundary) == [(1,)]
+        assert best_response(boundary, (0,), 0) == 1
+        assert best_response(boundary, (1,), 0) == 1
+        outcome = run_dynamics(boundary, (0,))
+        assert outcome.kind == "equilibrium" and outcome.equilibrium_profile == (1,)
+
+    def test_best_response_takes_the_lowest_index_model_within_the_threshold(self):
+        # model 0 is 0.5e-12 below the best, model 1 the best, model 2 far below
+        scores = [[0.5 - 0.5e-12], [0.5], [0.1]]
+        spec = GameSpec(ScoreMatrix(scores), UserPopulation(["t1"], [1.0]), 1)
+        assert best_response(spec, (2,), 0) == 0
+        assert best_response(spec, (1,), 0) == 1
+        assert enumerate_pne(spec) == [(0,), (1,)]

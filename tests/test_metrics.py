@@ -1,12 +1,14 @@
 """Coverage, welfare, social optimum, concentration, and platform-entry checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from modelmarket import game
 from modelmarket.errors import InvalidInstanceError
 from modelmarket.fixtures import builtin_instance
-from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation, platform_utilities
+from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 from modelmarket.equilibrium import run_dynamics, verify_pne
 from modelmarket.metrics import (
     analyze,
@@ -169,6 +171,23 @@ class TestUserWelfare:
         assert record.welfare.value <= record.analysis.optimum.value + 1e-12
         anchor = record.scores[record.anchor]
         assert anchor.hhi == pytest.approx(sum(s * s for s in anchor.shares), abs=1e-12)
+
+    def test_a_hardmax_equilibrium_missing_from_the_pne_list_raises(self):
+        spec = builtin_instance("fig2_a").spec
+        outcome = run_dynamics(spec, (0, 1))
+        assert outcome.kind == "equilibrium"
+        analysis = analyze(spec)
+        assert outcome.equilibrium_profile in analysis.pne
+        outcome_metrics(spec, outcome, analysis)
+        missing = dataclasses.replace(analysis, pne=())
+        with pytest.raises(InvalidInstanceError, match="missing from the PNE list"):
+            outcome_metrics(spec, outcome, missing)
+        # a refused list, or a softmax game, is not checked
+        outcome_metrics(spec, outcome, dataclasses.replace(analysis, pne=None, pne_note="refused"))
+        soft = spec.with_choice(ChoiceRule.softmax(0.1))
+        soft_outcome = run_dynamics(soft, (0, 1))
+        assert soft_outcome.kind == "equilibrium"
+        outcome_metrics(soft, soft_outcome, dataclasses.replace(analyze(soft), pne=()))
 
 
 class TestWelfareBound:

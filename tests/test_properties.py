@@ -12,6 +12,7 @@ their loop forms in ``helpers``.
 """
 
 from collections import Counter
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from modelmarket.game import (
     platform_utilities,
 )
 from modelmarket.equilibrium import (
+    IMPROVEMENT_EPS,
     CentralizationParams,
     best_response,
     centralization_check,
@@ -346,3 +348,54 @@ def test_equilibrium_checks_match_their_loop_forms():
         assert seen[key], (key, seen)
     two_model = {k[2] for k in seen if k[:2] == ("two_player", True)}
     assert len(two_model) >= 3, two_model
+
+
+def _straddling_instance(rng: np.random.Generator, n: int) -> tuple[GameSpec, bool]:
+    """A hardmax instance, found by search, in which model 1's shortfall from
+    model 2 against rival model 0 lies within 0.1% of the threshold; and
+    whether it exceeds it.  Model 0 scores below both on every type, so
+    models 1 and 2 win every type they play and their values differ by about
+    ``delta``; with one platform there is no rival."""
+    while True:
+        k = int(rng.integers(1, 4))
+        high = rng.uniform(0.1, 1.0, size=k)
+        delta = IMPROVEMENT_EPS * (1 + rng.uniform(-2e-4, 2e-4))
+        scores = [high * rng.uniform(0.0, 0.9, size=k), high, high + delta]
+        population = UserPopulation([f"t{i}" for i in range(k)], rng.dirichlet(np.ones(k)))
+        spec = GameSpec(ScoreMatrix(scores), population, n)
+        values = game.deviation_values(spec, (0,) * (n - 1))
+        shortfall = values.max() - values[1]
+        if abs(shortfall - IMPROVEMENT_EPS) < 1e-3 * IMPROVEMENT_EPS and shortfall != IMPROVEMENT_EPS:
+            return spec, bool(shortfall > IMPROVEMENT_EPS)
+
+
+def test_dynamics_verification_and_enumeration_agree_under_hardmax():
+    """Every dynamics equilibrium verifies and is listed, and best responses
+    keep every listed profile, on random hardmax instances and on instances
+    whose deviation values straddle the threshold."""
+    rng = np.random.default_rng(83)
+    instances = [random_spec(rng) for _ in range(400)]
+    sides = Counter()
+    for index in range(160):
+        n = 1 + index % 2
+        spec, above = _straddling_instance(rng, n)
+        instances.append(spec)
+        sides[n, above] += 1
+    assert {key: count > 10 for key, count in sides.items()} == {
+        (n, above): True for n in (1, 2) for above in (False, True)}, sides
+    for index, spec in enumerate(instances):
+        m, n = spec.n_models, spec.n_platforms
+        listed = set(enumerate_pne(spec))
+        for prof in listed:
+            assert verify_pne(spec, prof), index
+            assert all(best_response(spec, prof, i) == prof[i] for i in range(n)), index
+        profiles = list(itertools.product(range(m), repeat=n))
+        if len(profiles) <= 64:
+            assert {p for p in profiles if verify_pne(spec, p)} == listed, index
+        else:
+            profiles = [tuple(int(x) for x in rng.integers(0, m, n)) for _ in range(8)]
+        for start in profiles[:16]:
+            outcome = run_dynamics(spec, start)
+            if outcome.kind == "equilibrium":
+                assert verify_pne(spec, outcome.equilibrium_profile), index
+                assert outcome.equilibrium_profile in listed, index
