@@ -277,24 +277,6 @@ def cmd_sweep(args) -> int:
 # entry training
 # ---------------------------------------------------------------------------
 
-def _training_payload(cfg: dict) -> dict:
-    block = cfg["training"]
-    ds = block["dataset"]
-    dataset = entry_mod.EntryDataset(block["outcomes"], ds["counts"], attributes=ds["attributes"],
-                                     attribute_labels=ds["attribute_labels"] or (),
-                                     type_attribute_prefs=ds["type_preferences"])
-    params = {config_mod.RENAMED.get(k, k): v for k, v in block["params"].items()}
-    method = block["method"]
-    return {
-        "methods": ["resampling", "direct"] if method == "both" else [method],
-        "estimator": block["estimator"],
-        "rewards": entry_mod.RewardTable(block["rewards"]),
-        "dataset": dataset,
-        "config": entry_mod.TrainingConfig(**params),
-        "n_platforms": block["n_platforms"],
-    }
-
-
 def _entry_market_section(report: entry_mod.EntrantReport) -> dict:
     record = report.metrics
     anchor = record.scores.get(record.anchor)
@@ -322,11 +304,17 @@ def _trace_csv(trace: list[dict], type_labels: Sequence[str]) -> tuple[list[str]
 def cmd_entry(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
-    payload = _training_payload(cfg)
-    if spec.population.n_types != payload["rewards"].n_types:
+    block = cfg["training"]
+    ds = block["dataset"]
+    dataset = entry_mod.EntryDataset(block["outcomes"], ds["counts"], attributes=ds["attributes"],
+                                     attribute_labels=ds["attribute_labels"] or (),
+                                     type_attribute_prefs=ds["type_preferences"])
+    rewards = entry_mod.RewardTable(block["rewards"])
+    config = entry_mod.TrainingConfig(**{config_mod.RENAMED.get(k, k): v
+                                         for k, v in block["params"].items()})
+    if spec.population.n_types != rewards.n_types:
         raise ConfigError("training rewards and instance population disagree on user types")
-    config: entry_mod.TrainingConfig = payload["config"]
-    base_spec = spec.with_platforms(payload["n_platforms"])
+    base_spec = spec.with_platforms(block["n_platforms"])
     report_json: dict[str, Any] = {
         "instance": instance_name,
         "n_platforms": base_spec.n_platforms,
@@ -336,15 +324,14 @@ def cmd_entry(args) -> int:
     # every method trains and is evaluated before any file is written, so a
     # failing method leaves no partial output
     traces = {}
-    for method in payload["methods"]:
+    methods = ["resampling", "direct"] if block["method"] == "both" else [block["method"]]
+    for method in methods:
         if method == "resampling":
-            gen, traces[method] = entry_mod.train_resampling(
-                payload["dataset"], payload["rewards"], base_spec, config)
+            gen, traces[method] = entry_mod.train_resampling(dataset, rewards, base_spec, config)
         else:
             gen, traces[method] = entry_mod.train_direct_gradient(
-                payload["dataset"], payload["rewards"], base_spec, config,
-                estimator=payload["estimator"])
-        report = entry_mod.evaluate_entrant(gen, payload["rewards"], base_spec,
+                dataset, rewards, base_spec, config, estimator=block["estimator"])
+        report = entry_mod.evaluate_entrant(gen, rewards, base_spec,
                                             entrant_label=f"entrant_{method}")
         report_json[method] = _entry_market_section(report)
     out = _out_dir(args, cfg)
@@ -399,24 +386,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, func, about in (
+            ("run", cmd_run, "run dynamics and metrics on one instance"),
+            ("sweep", cmd_sweep, "sweep pool size, platform count, or population"),
+            ("entry", cmd_entry, "train an entrant and compare the market before/after")):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the dynamics seed")
+        if name != "entry":  # entry runs no seeded dynamics
+            p.add_argument("--seed", type=int, default=None, help="override the dynamics seed")
         p.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel sweep workers (only sweep uses it; run and entry ignore it)")
-
-    p_run = sub.add_parser("run", help="run dynamics and metrics on one instance")
-    add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="sweep pool size, platform count, or population")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_entry = sub.add_parser("entry", help="train an entrant and compare the market before/after")
-    add_common(p_entry)
-    p_entry.set_defaults(func=cmd_entry)
+        p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify-fixtures", help="re-derive every built-in expectation record")
     p_verify.set_defaults(func=cmd_verify_fixtures)

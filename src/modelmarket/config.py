@@ -88,10 +88,10 @@ FIXTURE_RECORD = {
 SWEEP_VALUES = {"models": Field(INT), "platforms": Field(INT, minimum=1),
                 "population": Field(NUMBERS)}
 
-# the keys of training.params: TrainingConfig's fields, and lambda for lam
+# the keys of training.params: TrainingConfig's fields, with lambda in place of lam
 RENAMED = {"lambda": "lam"}
-PARAMS = {name: Field(ANY, OPTIONAL)
-          for name in [f.name for f in dataclasses.fields(TrainingConfig)] + list(RENAMED)}
+PARAMS = {name: Field(ANY, OPTIONAL) for name in list(RENAMED) + [
+    f.name for f in dataclasses.fields(TrainingConfig) if f.name not in RENAMED.values()]}
 
 RUN_CONFIG = {
     "instance": Field(BLOCK, table={

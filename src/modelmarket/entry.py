@@ -325,7 +325,10 @@ def _outcome_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     guide table (Chen & Asau 1974): ``guide[j]`` is the answer at ``j / g``, so
     a draw in bucket ``j = floor(u * g)`` (exact for a power of two ``g``) has
     its answer in ``[guide[j], guide[j + 1]]``.  One comparison settles a
-    bracket of width at most one; draws in wider brackets are searched."""
+    bracket of width at most one; draws in wider brackets are searched.  For
+    ``u = rng.random(shape)`` and ``cdf = _outcome_cdf(p)`` the result is bit
+    for bit ``rng.choice(len(p), size=shape, p=p)`` from the same stream, and a
+    ``(rows, n)`` block equals ``rows`` such calls of size ``n`` in turn."""
     g = 1 << (4 * len(cdf) - 1).bit_length()  # the power of two >= 4 |X|
     guide = cdf.searchsorted(np.arange(g + 1) / g, side="right")
     j = (u * g).astype(np.intp)
@@ -337,16 +340,6 @@ def _outcome_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
         slow = wide[j]
         index[slow] = cdf.searchsorted(u[slow], side="right")
     return index
-
-
-def _draw_outcomes(cdf: np.ndarray, shape, rng: np.random.Generator) -> np.ndarray:
-    """Outcome indices for ``rng.random(shape)`` by inverse-CDF search.
-
-    These are bit for bit the indices ``rng.choice(len(p), size=shape, p=p)``
-    returns from the same stream, for ``cdf = _outcome_cdf(p)``, and a
-    ``(rows, n)`` block equals ``rows`` such calls of size ``n`` in turn.
-    """
-    return _outcome_index(cdf, rng.random(shape))
 
 
 def _reinforce_gradients(gen: ToyGenerator, rewards: RewardTable, types: Sequence[int],
@@ -374,7 +367,7 @@ def _reinforce_gradients(gen: ToyGenerator, rewards: RewardTable, types: Sequenc
     for lo in range(0, len(types), per_block):
         block = types[lo:lo + per_block]
         rows = len(block)
-        draws = _draw_outcomes(cdf, (rows, n_samples), rng)
+        draws = _outcome_index(cdf, rng.random((rows, n_samples)))
         cells = draws + (np.arange(rows) * n_outcomes)[:, None]
         r = rewards.rewards[block].take(cells)
         adv = r - baseline.values[block][:, None]
@@ -453,7 +446,7 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
 
 def _estimate_scores(gen: ToyGenerator, rewards: RewardTable, budget: int,
                      rng: np.random.Generator) -> np.ndarray:
-    draws = _draw_outcomes(_outcome_cdf(gen.probabilities()), budget, rng)
+    draws = _outcome_index(_outcome_cdf(gen.probabilities()), rng.random(budget))
     freq = np.bincount(draws, minlength=gen.n_outcomes) / budget
     return rewards.rewards @ freq
 

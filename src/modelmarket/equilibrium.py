@@ -446,12 +446,9 @@ def pair_delta(spec: GameSpec, i: int, j: int) -> float:
 
 
 def two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions:
-    """Closed-form equilibrium tests for the two-platform game on models i, j.
-
-    With D[k, c] = ``pair_delta(spec, k, c)``, model k earns (T_k + D[k, c]) / 2
-    against model c, so each test compares a profile's entries with the best
-    of their columns of T + D; one formula for every M.
-    """
+    """Closed-form equilibrium tests for the two-platform game on models i, j:
+    the differentiated condition on (i, j) and the homogeneous condition on
+    each of i and j, as the N-platform checks state them at N = 2."""
     _hardmax_only(spec, "the two-player condition")
     if spec.n_platforms != 2:
         raise InvalidInstanceError("two_player_conditions requires exactly 2 platforms")
@@ -460,17 +457,9 @@ def two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions
     for k in (i, j):
         if not 0 <= k < spec.n_models:
             raise InvalidInstanceError(f"model index {k} out of range")
-    t = game.average_scores(spec)
-    pairs = np.moveaxis(np.indices((spec.n_models, spec.n_models)), 0, -1)
-    d = game._deviation_advantage(game.ChoiceRule.hardmax(), spec.scores.scores[pairs],
-                                  spec.population.weights)[..., 0]
-    payoff = t[:, None] + d
-    shortfall = payoff.max(axis=0) - payoff  # from the best of its column
-    return TwoPlayerConditions(
-        not (_exceeds(shortfall[i, j]) or _exceeds(shortfall[j, i])),
-        not np.any(_exceeds(d[:, i] - (t[i] - t))),
-        not np.any(_exceeds(d[:, j] - (t[j] - t))),
-    )
+    return TwoPlayerConditions(check_differentiated_condition(spec, (i, j)).holds,
+                               check_homogeneous_condition(spec, i).holds,
+                               check_homogeneous_condition(spec, j).holds)
 
 
 def centralization_check(spec: GameSpec, params: CentralizationParams) -> CentralizationResult:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import config as config_mod
 from .errors import ConfigError
 from .game import (
@@ -158,36 +160,34 @@ def verify_fixture(fixture: Fixture | str) -> list[Check]:
     def add(name: str, passed: bool, want, got, tol: float | None = None) -> None:
         checks.append(Check(fixture.name, name, bool(passed), want, got, tol))
 
+    def within(name: str, got, want, tol: float) -> None:
+        """Add a check that ``got``, a number or a list of them, has ``want``'s shape
+        and every entry within ``tol``; a refusal note or None (a timeout) fails."""
+        ok = got is not None and not isinstance(got, str) and np.shape(got) == np.shape(want)
+        add(name, ok and bool(np.all(np.abs(np.subtract(got, want)) <= tol)), want, got, tol)
+
     if "pne" in expected:
         want = [tuple(p) for p in expected["pne"]]
         got = analysis.pne_note if analysis.pne is None else list(analysis.pne)
         add("pne_set", got == want, want, got)
 
     for prof, want_u, tol in expected.get("payoffs", []):
-        got_u = [float(x) for x in platform_utilities(spec, prof)]
-        ok = all(abs(g - w) <= tol for g, w in zip(got_u, want_u))
-        add(f"payoff{tuple(prof)}", ok, want_u, got_u, tol)
+        within(f"payoff{tuple(prof)}", platform_utilities(spec, prof).tolist(), want_u, tol)
 
     if "average_scores" in expected:
-        want_t, tol = expected["average_scores"]
-        got_t = [float(x) for x in average_scores(spec)]
-        add("average_scores", all(abs(g - w) <= tol for g, w in zip(got_t, want_t)), want_t, got_t, tol)
+        within("average_scores", average_scores(spec).tolist(), *expected["average_scores"])
 
     for i, j, want_d, tol in expected.get("pair_deltas", []):
-        got_d = eq.pair_delta(spec, i, j)
-        add(f"delta({i},{j})", abs(got_d - want_d) <= tol, want_d, got_d, tol)
+        within(f"delta({i},{j})", eq.pair_delta(spec, i, j), want_d, tol)
 
     if "welfare" in expected:
-        want_w, tol = expected["welfare"]
         anchor = expected.get("canonical_pne") or expected["pne"][0]
-        got_w = mt.coverage_value(spec, anchor)
-        add("welfare", abs(got_w - want_w) <= tol, want_w, got_w, tol)
+        within("welfare", mt.coverage_value(spec, anchor), *expected["welfare"])
 
     if "social_optimum" in expected:
-        want_o, tol = expected["social_optimum"]
         opt = analysis.optimum
-        got_o = analysis.optimum_note if opt is None else opt.value
-        add("social_optimum", opt is not None and abs(got_o - want_o) <= tol, want_o, got_o, tol)
+        within("social_optimum", analysis.optimum_note if opt is None else opt.value,
+               *expected["social_optimum"])
         if opt is not None and "social_optimum_profile" in expected:
             want_p = tuple(expected["social_optimum_profile"])
             add("social_optimum_profile", opt.profile == want_p, want_p, opt.profile)
@@ -195,22 +195,20 @@ def verify_fixture(fixture: Fixture | str) -> list[Check]:
     if "hhi" in expected or "support" in expected:
         shares = mt.market_shares(spec, expected["canonical_pne"])
     if "hhi" in expected:
-        want_h, tol = expected["hhi"]
-        add("hhi", abs(shares.hhi - want_h) <= tol, want_h, shares.hhi, tol)
+        within("hhi", shares.hhi, *expected["hhi"])
     if "support" in expected:
         add("support", shares.support == expected["support"], expected["support"], shares.support)
 
-    if "differentiated_condition" in expected:
-        want = expected["differentiated_condition"]
-        report = eq.check_differentiated_condition(spec, want["profile"])
-        agree = report.holds == eq.verify_pne(spec, want["profile"]).is_pne
-        add("differentiated_condition", report.holds == want["holds"] and agree, want["holds"], report.holds)
-    if "homogeneous_condition" in expected:
-        want = expected["homogeneous_condition"]
-        report = eq.check_homogeneous_condition(spec, want["model"])
-        hom = [want["model"]] * spec.n_platforms
-        agree = report.holds == eq.verify_pne(spec, hom).is_pne
-        add("homogeneous_condition", report.holds == want["holds"] and agree, want["holds"], report.holds)
+    # each condition's verdict must match the record and verify_pne on its profile
+    for name, condition, key in (
+            ("differentiated_condition", eq.check_differentiated_condition, "profile"),
+            ("homogeneous_condition", eq.check_homogeneous_condition, "model")):
+        if name in expected:
+            want = expected[name]
+            report = condition(spec, want[key])
+            profile = want[key] if key == "profile" else [want[key]] * spec.n_platforms
+            agree = report.holds == eq.verify_pne(spec, profile).is_pne
+            add(name, report.holds == want["holds"] and agree, want["holds"], report.holds)
 
     if "dynamics" in expected:
         want = expected["dynamics"]
@@ -231,9 +229,7 @@ def verify_fixture(fixture: Fixture | str) -> list[Check]:
             add("cycle_welfare_interval", ok, [lo, hi], [figs.state_average, figs.multiset_average])
         for name in ("state_average", "multiset_average"):
             if f"welfare_{name}" in want:
-                w, tol = want[f"welfare_{name}"]
-                got = getattr(figs, name, None)
-                add(f"welfare_{name}", got is not None and abs(got - w) <= tol, w, got, tol)
+                within(f"welfare_{name}", getattr(figs, name, None), *want[f"welfare_{name}"])
 
     return checks
 

@@ -173,6 +173,20 @@ class TestRun:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+    def test_large_score_scale_runs(self, tmp_path, capsys):
+        # the coverage cross-check's routes differ by an ulp at this scale
+        instance = _write_config(tmp_path, {
+            "scores": [[592526.236, 635883.129], [322905.795, 720603.332]],
+            "weights": [0.03, 0.97], "n_platforms": 3}, name="scaled.json")
+        cfg = _write_config(tmp_path, {"instance": {"file": instance},
+                                       "dynamics": {"start": [0, 0, 0]},
+                                       "output": {"prefix": "scaled"}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = _read_json(tmp_path / "scaled_summary.json")
+        assert summary["equilibrium_profile"] in summary["pne"]
+        assert capsys.readouterr().err == ""
+
+
 class TestSweep:
     @pytest.fixture
     def serial_pool(self, monkeypatch):
@@ -635,6 +649,24 @@ class TestConfigValidation:
         })
         assert main(["entry", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "unknown key 'betta' in the training.params block" in capsys.readouterr().err
+
+    def test_lam_is_not_a_second_key_for_lambda(self, tmp_path, capsys):
+        payload = _read_json(CONFIGS / "entry_underserved_type.json")
+        payload["instance"]["file"] = str(CONFIGS / payload["instance"]["file"])
+        payload["training"]["params"].update({"lambda": 2.0, "lam": 0.0})
+        out = tmp_path / "out"
+        assert main(["entry", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'lam' in the training.params block\n"
+        assert not out.exists()
+
+    def test_entry_takes_no_seed_flag(self, tmp_path, capsys):
+        # entry runs no seeded dynamics; its training seed is training.params.seed
+        cfg = str(CONFIGS / "entry_underserved_type.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["entry", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("outer_rounds", 2.5), ("inner_epochs", 3.5), ("eval_budget", 100.5), ("seed", "3"),

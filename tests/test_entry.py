@@ -713,8 +713,8 @@ class TestGuideTableSampler:
         for family in ("dirichlet1", "dirichlet005", "spike"):
             p = _guide_distribution(rng, family, 40)
             want = np.random.default_rng(9).choice(40, size=(3, 200), p=p)
-            got = entry_mod._draw_outcomes(entry_mod._outcome_cdf(p), (3, 200),
-                                           np.random.default_rng(9))
+            got = entry_mod._outcome_index(entry_mod._outcome_cdf(p),
+                                           np.random.default_rng(9).random((3, 200)))
             assert np.array_equal(got, want)
 
 

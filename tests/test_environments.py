@@ -329,6 +329,17 @@ class TestFixtureRegistry:
         assert (check.name, check.passed, check.expected) == ("social_optimum", False, 0.9)
         assert check.actual.startswith("social optimum needs 62828356305 multisets")
 
+    @pytest.mark.parametrize("key, record, name", [
+        # fig2_a's true first entries, with the second value cut off
+        pytest.param("payoffs", [[[0, 1], [0.45], 1e-9]], "payoff(0, 1)", id="payoffs"),
+        pytest.param("average_scores", [[0.625], 1e-9], "average_scores", id="average_scores"),
+    ])
+    def test_a_shortened_expected_list_is_a_failed_check(self, key, record, name):
+        fixture = builtin_instance("fig2_a")
+        fixture = fixtures_mod.Fixture(fixture.name, "", fixture.spec, {key: record})
+        (check,) = verify_fixture(fixture)
+        assert (check.name, check.passed, len(check.actual)) == (name, False, 2)
+
     def test_welfare_averages_are_checked_without_an_interval(self):
         fixture = builtin_instance("c8_players_3")
         dynamics = {k: v for k, v in fixture.expected["dynamics"].items() if k != "welfare_interval"}

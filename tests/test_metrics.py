@@ -66,11 +66,26 @@ class TestCoverage:
     def test_permutation_invariance(self, c7):
         assert coverage_value(c7, (1, 2)) == coverage_value(c7, (2, 1))
 
-    def test_decomposition_check_fires_on_a_perturbed_route(self, c7, monkeypatch):
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_decomposition_check_fires_on_a_perturbed_route(self, c7, monkeypatch, scale):
+        # about 1e-9 off relative to the value, at either score scale
+        spec = GameSpec(ScoreMatrix(c7.scores.scores * scale), c7.population, c7.n_platforms)
         exact = game.average_scores
-        monkeypatch.setattr(game, "average_scores", lambda spec: exact(spec) + 1e-9)
+        monkeypatch.setattr(game, "average_scores", lambda spec: exact(spec) + 1e-9 * scale)
         with pytest.raises(AssertionError, match="coverage decomposition mismatch"):
-            coverage_value(c7, (0, 1))
+            coverage_value(spec, (0, 1))
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e9, 1e12])
+    def test_decomposition_check_holds_at_every_score_scale(self, scale):
+        # the two routes round apart by an ulp or so of the value, which an
+        # absolute tolerance of 1e-12 rejects once the value is large
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            spec = random_spec(rng)
+            spec = GameSpec(ScoreMatrix(spec.scores.scores * scale), spec.population, spec.n_platforms)
+            prof = tuple(rng.integers(0, spec.n_models, spec.n_platforms))
+            assert coverage_value(spec, prof) == pytest.approx(
+                spec.scores.scores[list(prof)].max(axis=0) @ spec.population.weights, rel=1e-15)
 
 
 class TestMarketShares:
