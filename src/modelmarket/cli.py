@@ -184,12 +184,12 @@ def cmd_run(args) -> int:
     start = tuple(dynamics["start"]) if dynamics["start"] is not None else _draw_start(spec, seed)
     outcome = run_dynamics(spec, start, order=dynamics["order"], max_steps=dynamics["max_steps"])
     prefix = cfg["output"].get("prefix", f"run_{instance_name}")
-    out = _out_dir(args, cfg)
     record = outcome_metrics(spec, outcome, analyze(spec), [s.profile_after for s in outcome.trajectory])
     rows = _trajectory_rows(spec, outcome, record, prefix, seed)
     summary = _summarize(spec, outcome, record, prefix, seed, instance_name)
     if notes:
         summary["fixture_notes"] = notes
+    out = _out_dir(args, cfg)
     _write_csv(out / f"{prefix}_steps.csv", STEP_COLUMNS, rows)
     _write_json(out / f"{prefix}_summary.json", summary)
     print(f"{prefix}: {outcome.kind} after {len(outcome.trajectory)} steps; "
@@ -395,8 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "entry":  # entry runs no seeded dynamics
             p.add_argument("--seed", type=int, default=None, help="override the dynamics seed")
         p.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel sweep workers (only sweep uses it; run and entry ignore it)")
+        if name != "run":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel sweep workers (only sweep uses it; entry ignores it)")
         p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify-fixtures", help="re-derive every built-in expectation record")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from typing import Any, NamedTuple
 
 from .entry import TrainingConfig
@@ -141,6 +142,9 @@ def _scalar(value, kind: str, minimum: int | None, name: str) -> None:
     # a bool is an int to Python, but never a count, a weight or a label here
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{name} must be {noun} (got {value!r})")
+    # json.load takes NaN, Infinity and ints too large for a float
+    if kind == NUMBER and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite (got {value!r})")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum} (got {value!r})")
 

@@ -32,7 +32,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .equilibrium import DynamicsOutcome, run_dynamics
-from .game import _BLOCK_ELEMENTS, GameSpec, ScoreMatrix, _frozen_array
+from .game import _BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, ScoreMatrix, _frozen_array
 from .metrics import MetricsRecord, analyze, outcome_metrics
 
 __all__ = [
@@ -81,7 +81,7 @@ class ToyGenerator:
         object.__setattr__(self, "logits", phi)
         e = np.exp(phi - phi.max())
         p = _frozen_array(e / e.sum())
-        if np.any(p <= 0.0):
+        if not np.all(p > 0.0):
             raise InvalidInstanceError("logit spread too large: an outcome probability underflowed to 0")
         # not a dataclass field: a function of the logits, computed once
         object.__setattr__(self, "_probabilities", p)
@@ -102,7 +102,7 @@ class ToyGenerator:
     @staticmethod
     def from_distribution(outcome_labels: Iterable[str], probabilities) -> "ToyGenerator":
         p = np.asarray(probabilities, dtype=float)
-        if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p > 0) and abs(p.sum() - 1.0) <= WEIGHT_TOL):
             raise InvalidInstanceError("distribution must be strictly positive and sum to 1")
         return ToyGenerator(outcome_labels, np.log(p))
 
@@ -158,9 +158,9 @@ class TrainingConfig:
                 raise InvalidParameterError(f"{name} must be a number (got {value!r})")
         if not self.beta > 0:
             raise InvalidParameterError("beta must be > 0")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise InvalidParameterError("gamma must be >= 0")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise InvalidParameterError("lambda must be >= 0")
         if self.outer_rounds < 1:
             raise InvalidParameterError("outer_rounds must be >= 1")
@@ -202,7 +202,7 @@ class EntryDataset:
             raise InvalidInstanceError("counts must be one value per outcome")
         if np.any(c < 0) or not np.all(np.isfinite(c)):
             raise InvalidInstanceError("counts must be finite and non-negative")
-        if float(c.sum()) <= 0:
+        if not float(c.sum()) > 0:
             raise InvalidInstanceError("dataset must contain at least one item")
         attrs = None
         attr_labels = tuple(str(u) for u in attribute_labels)
@@ -220,7 +220,7 @@ class EntryDataset:
             prefs = _frozen_array(type_attribute_prefs)
             if prefs.ndim != 2 or prefs.shape[1] != len(attr_labels):
                 raise InvalidInstanceError("type_attribute_prefs must be K x |attributes|")
-            if np.any(prefs < 0) or np.any(np.abs(prefs.sum(axis=1) - 1.0) > 1e-9):
+            if not (np.all(prefs >= 0) and np.all(np.abs(prefs.sum(axis=1) - 1.0) <= WEIGHT_TOL)):
                 raise InvalidInstanceError("each type's attribute preferences must sum to 1")
         object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "counts", c)
@@ -408,7 +408,7 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
     In the unstructured mode items are weighted by the types' sum-normalized
     rewards instead.  The result sums to 1 over items with non-zero counts.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise InvalidParameterError("gamma must be >= 0")
     population = market.population
     sigma = adoption_gate(np.asarray(s_phi, dtype=float), market, beta)
@@ -439,7 +439,7 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
         w = np.where(present, w, 0.0)
 
     total = float(w.sum())
-    if total <= 0:
+    if not total > 0:
         raise MarketGameError("resampling weights are all zero: no trainable signal")
     return w / total
 

@@ -154,7 +154,7 @@ class CentralizationParams:
     def __post_init__(self):
         if not self.rho > 0:
             raise InvalidParameterError("rho must be > 0")
-        if self.gamma_cap < 0:
+        if not self.gamma_cap >= 0:
             raise InvalidParameterError("gamma_cap must be >= 0")
         if not 0.0 <= self.pi_star <= 1.0:
             raise InvalidParameterError("pi_star must lie in [0, 1]")
@@ -480,7 +480,7 @@ def centralization_check(spec: GameSpec, params: CentralizationParams) -> Centra
     if not 0 <= m < spec.n_models:
         raise InvalidInstanceError(f"dominant model index {m} out of range")
     w_star = float(spec.population.weights[k_star])
-    if abs(w_star - params.pi_star) > 1e-9:
+    if not abs(w_star - params.pi_star) <= game.WEIGHT_TOL:
         raise InvalidInstanceError(
             f"pi_star {params.pi_star} does not match the dominant type's weight {w_star}"
         )

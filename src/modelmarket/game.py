@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+import math
 import operator
 from typing import Iterable, Iterator, Sequence
 
@@ -67,7 +68,7 @@ class UserPopulation:
             raise InvalidInstanceError("weights must be a vector matching type_labels")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise InvalidInstanceError("weights must be finite and non-negative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
+        if not abs(float(w.sum()) - 1.0) <= WEIGHT_TOL:
             raise InvalidInstanceError(f"weights must sum to 1 (got {float(w.sum())!r})")
         object.__setattr__(self, "type_labels", labels)
         object.__setattr__(self, "weights", w)
@@ -173,6 +174,10 @@ class GameSpec:
             ) from None
         if n < 1:
             raise InvalidInstanceError("n_platforms must be at least 1")
+        # in Python floats, whose division overflows to inf without a numpy warning
+        if self.choice.kind == "softmax" and not math.isfinite(
+                float(self.scores.scores.max()) / float(self.choice.tau)):
+            raise InvalidParameterError(f"softmax tau {self.choice.tau!r} is too small for the score scale")
         object.__setattr__(self, "n_platforms", n)
 
     @property
@@ -226,10 +231,9 @@ class AllocationMatrix:
         arr = _frozen_array(p)
         if arr.ndim != 2:
             raise InvalidInstanceError("allocation must be an N x K matrix")
-        if np.any(arr < -WEIGHT_TOL) or np.any(arr > 1 + WEIGHT_TOL):
+        if not np.all((arr >= -WEIGHT_TOL) & (arr <= 1 + WEIGHT_TOL)):
             raise InvalidInstanceError("allocation entries must lie in [0, 1]")
-        col = arr.sum(axis=0)
-        if np.any(np.abs(col - 1.0) > WEIGHT_TOL):
+        if not np.all(np.abs(arr.sum(axis=0) - 1.0) <= WEIGHT_TOL):
             raise InvalidInstanceError("allocation columns must sum to 1")
         object.__setattr__(self, "p", arr)
 

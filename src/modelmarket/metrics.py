@@ -108,9 +108,9 @@ class MetricsRecord:
 
     def __post_init__(self):
         for score in self.scores.values():
-            if abs(sum(score.shares) - 1.0) > game.WEIGHT_TOL:
+            if not abs(sum(score.shares) - 1.0) <= game.WEIGHT_TOL:
                 raise InvalidInstanceError("market shares must sum to 1")
-            if abs(score.hhi - sum(m * m for m in score.shares)) > _IDENTITY_TOL:
+            if not abs(score.hhi - sum(m * m for m in score.shares)) <= _IDENTITY_TOL:
                 raise InvalidInstanceError("hhi must equal the sum of squared shares")
         optimum = self.analysis.optimum
         if self.welfare and optimum and _exceeds(self.welfare.value - optimum.value):
@@ -144,10 +144,8 @@ def coverage_value(spec: GameSpec, profile) -> float:
     value = float(chosen.max(axis=0) @ weights)
     delta = game._deviation_advantage(ChoiceRule.hardmax(), chosen, weights)
     decomposed = float((game.average_scores(spec)[prof] + delta).sum()) / spec.n_platforms
-    if abs(value - decomposed) > _IDENTITY_TOL * max(1.0, abs(value)):
-        raise AssertionError(
-            f"coverage decomposition mismatch: {value!r} vs {decomposed!r}"
-        )
+    if not abs(value - decomposed) <= _IDENTITY_TOL * max(1.0, abs(value)):
+        raise InvalidInstanceError(f"coverage decomposition mismatch: {value!r} vs {decomposed!r}")
     return value
 
 
@@ -180,7 +178,7 @@ def social_optimum(spec: GameSpec, budget: int = OPTIMUM_BUDGET) -> SocialOptimu
     s = spec.scores.scores
     w = spec.population.weights
     best_value = -np.inf
-    best_profile: tuple[int, ...] | None = None
+    best_profile: tuple[int, ...] = ()
     multisets = combinations_with_replacement(range(m), n)
     for block in game._multiset_blocks(multisets, n * s.shape[1]):
         # (B, 1, K) @ w is one dot per multiset, bit-equal to the 1-D dot of
@@ -191,7 +189,6 @@ def social_optimum(spec: GameSpec, budget: int = OPTIMUM_BUDGET) -> SocialOptimu
         if values[i] > best_value:
             best_value = float(values[i])
             best_profile = tuple(int(g) for g in block[i])
-    assert best_profile is not None
     return SocialOptimum(best_value, best_profile)
 
 
@@ -233,7 +230,7 @@ def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -
     when (i) the entrant's model is a best response to the incumbents and
     (ii) no incumbent gains by deviating against the extended profile.  In
     that case welfare and distinct-model support cannot drop, which is
-    asserted.
+    checked.
     """
     prof = as_profile(spec, base_equilibrium)
     if not 0 <= int(entrant_model) < spec.n_models:
@@ -245,9 +242,10 @@ def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -
     is_eq = verify_pne(extended_spec, extended).is_pne
     welfare_delta = coverage_value(extended_spec, extended) - coverage_value(spec, prof)
     support_delta = len(set(extended)) - len(set(prof))
-    if is_eq:
-        assert not _exceeds(-welfare_delta), "entry lowered welfare at an equilibrium"
-        assert support_delta >= 0, "entry lowered support"
+    if is_eq and _exceeds(-welfare_delta):
+        raise InvalidInstanceError("entry lowered welfare at an equilibrium")
+    if is_eq and not support_delta >= 0:
+        raise InvalidInstanceError("entry lowered support")
     return EntryCheck(is_eq, float(welfare_delta), int(support_delta), extended)
 
 

@@ -60,7 +60,7 @@ def scores_from_preferences(
     theta = prefs.weights
     if normalize:
         totals = theta.sum(axis=1, keepdims=True)
-        if np.any(totals <= 0):
+        if not np.all(totals > 0):
             raise InvalidInstanceError("cannot normalize an all-zero preference vector")
         theta = theta / totals
     return ScoreMatrix(perf @ theta.T, model_labels=model_labels)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInstanceError, InvalidParameterError
-from .game import ScoreMatrix, UserPopulation, _frozen_array
+from .game import WEIGHT_TOL, ScoreMatrix, UserPopulation, _frozen_array
 
 __all__ = [
     "RbfKernel",
@@ -79,8 +79,10 @@ class GmmComponent:
     def __init__(self, weight: float, mean: Sequence[float], covariance):
         cov = np.asarray(covariance, dtype=float)
         mean_t = tuple(float(x) for x in mean)
-        if weight < 0:
+        if not weight >= 0:
             raise InvalidParameterError("component weight must be >= 0")
+        if not (np.all(np.isfinite(mean_t)) and np.all(np.isfinite(cov))):
+            raise InvalidInstanceError("component mean and covariance must be finite")
         if cov.shape != (len(mean_t), len(mean_t)):
             raise InvalidInstanceError("covariance shape must match the mean dimension")
         if not np.allclose(cov, cov.T):
@@ -110,7 +112,7 @@ class GmmPopulationSpec:
         if not comps:
             raise InvalidInstanceError("a GMM needs at least one component")
         total = sum(c.weight for c in comps)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise InvalidInstanceError(f"component weights must sum to 1 (got {total!r})")
         dims = {len(c.mean) for c in comps}
         if len(dims) != 1:

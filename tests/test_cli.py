@@ -16,6 +16,7 @@ import modelmarket.cli as cli_mod
 import modelmarket.config as config_mod
 import modelmarket.entry as entry_mod
 import modelmarket.fixtures as fixtures_mod
+import modelmarket.game as game_mod
 import modelmarket.metrics as metrics_mod
 from modelmarket.equilibrium import run_dynamics
 from modelmarket.errors import ConfigError
@@ -185,6 +186,34 @@ class TestRun:
         summary = _read_json(tmp_path / "scaled_summary.json")
         assert summary["equilibrium_profile"] in summary["pne"]
         assert capsys.readouterr().err == ""
+
+    def test_timeout_summary_has_no_welfare_and_no_outcome_profile(self, tmp_path):
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "c1_rps"},
+                                       "dynamics": {"start": [0, 0], "max_steps": 1},
+                                       "output": {"prefix": "c1"}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = _read_json(tmp_path / "c1_summary.json")
+        assert summary["outcome_kind"] == "timeout" and summary["welfare"] is None
+        assert "equilibrium_profile" not in summary and "cycle_profiles" not in summary
+
+    def test_softmax_tau_too_small_for_the_scores_is_one_error(self, tmp_path, capsys):
+        # the largest score / tau overflows, which wrote NaN utilities and shares
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "fig2_a"},
+                                       "choice": {"kind": "softmax", "tau": 1e-320}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: softmax tau 1e-320 is too small for the score scale\n"
+        assert not out.exists()
+
+    def test_failed_invariant_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        exact = game_mod.average_scores
+        monkeypatch.setattr(game_mod, "average_scores", lambda spec: exact(spec) + 1e-6)
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "fig2_a"}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: coverage decomposition mismatch")
+        assert not out.exists()
 
 
 class TestSweep:
@@ -668,6 +697,26 @@ class TestConfigValidation:
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_run_takes_no_jobs_flag(self, tmp_path, capsys):
+        # only sweep has workers
+        cfg = str(CONFIGS / "run_reference_cycle.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--jobs", "2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_seeds_must_match_the_repetitions(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "c1_rps"}, "sweep": {
+            "axis": "platforms", "values": [2], "repetitions": 2, "seeds": [1]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: sweep.seeds must list one seed per repetition\n"
+
+    def test_softmax_choice_block_needs_tau(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "fig2_a"}, "choice": {"kind": "softmax"}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: missing 'tau' in a softmax choice block\n"
+
     @pytest.mark.parametrize("key, value", [
         ("outer_rounds", 2.5), ("inner_epochs", 3.5), ("eval_budget", 100.5), ("seed", "3"),
         ("seed", 3.7), ("beta", "4"), ("lambda", None), ("outer_rounds", True), ("beta", True),
@@ -1084,16 +1133,18 @@ def _table_fields(table, keys=(), name=""):
             yield from _table_fields(field.table, keys + (key, 0), f"{path}[0]")
 
 
-# values of a wrong kind for a field of each kind; None is left out where a
-# field takes null for its default
+_NAN, _INF = float("nan"), float("inf")  # json.dump writes them as NaN and Infinity
+
+# values of a wrong kind for a field of each kind, and non-finite numbers;
+# None is left out where a field takes null for its default
 _WRONG = {
     config_mod.INT: [True, 2.5, "x", None, {}, [1]],
-    config_mod.NUMBER: [True, "x", None, {}, [1]],
+    config_mod.NUMBER: [True, "x", None, {}, [1], _NAN, _INF, -_INF],
     config_mod.STRING: [True, 3, None, {}, ["x"]],
     config_mod.ENUM: [True, 3, "x", None, {}, [1]],
     config_mod.ENUM_OR_INTS: [True, 3, "x", None, {}, [True], [2.5]],
-    config_mod.NUMBERS: [3, "x", None, {}, [True], ["x"], [None], [[1]]],
-    config_mod.MATRIX: [3, "x", None, {}, [1], [[True]], [["x"]]],
+    config_mod.NUMBERS: [3, "x", None, {}, [True], ["x"], [None], [[1]], [_NAN], [_INF]],
+    config_mod.MATRIX: [3, "x", None, {}, [1], [[True]], [["x"]], [[_NAN]], [[-_INF]]],
     config_mod.STRINGS: [3, "x", None, {}, [1], [True], [None], [["x"]]],
     config_mod.INTS: [3, "x", None, {}, [True], [2.5], ["x"]],
     config_mod.LIST: [3, "x", None, {}],
@@ -1378,7 +1429,6 @@ class TestFixtureCommands:
         assert out.count(": ok") == 12
 
     def test_corrupted_fixture_is_reported(self, capsys, monkeypatch):
-        import modelmarket.game as game_mod
         real = fixtures_mod.builtin_instance
 
         def corrupt(name):

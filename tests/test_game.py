@@ -107,6 +107,13 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             ChoiceRule.softmax(0.0)
 
+    def test_softmax_tau_must_keep_the_largest_score_over_tau_finite(self, c1):
+        with pytest.raises(InvalidParameterError, match="tau 1e-320 is too small for the score scale"):
+            c1.with_choice(ChoiceRule.softmax(1e-320))
+        spec = c1.with_choice(ChoiceRule.softmax(1e-300))
+        assert np.all(np.isfinite(allocate(spec, (0, 1)).p))
+        assert np.all(np.isfinite(deviation_values(spec, (1,))))
+
 
 class TestHardmaxAllocation:
     def test_counterexample_type_a_goes_to_model_1(self, c1):

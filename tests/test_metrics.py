@@ -72,7 +72,7 @@ class TestCoverage:
         spec = GameSpec(ScoreMatrix(c7.scores.scores * scale), c7.population, c7.n_platforms)
         exact = game.average_scores
         monkeypatch.setattr(game, "average_scores", lambda spec: exact(spec) + 1e-9 * scale)
-        with pytest.raises(AssertionError, match="coverage decomposition mismatch"):
+        with pytest.raises(InvalidInstanceError, match="coverage decomposition mismatch"):
             coverage_value(spec, (0, 1))
 
     @pytest.mark.parametrize("scale", [1e4, 1e6, 1e9, 1e12])
