@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 import math
 import operator
+import sys
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import InvalidInstanceError, InvalidParameterError, InvalidProfileE
 
 __all__ = [
     "WEIGHT_TOL",
+    "SCALE_LIMIT",
     "UserPopulation",
     "ScoreMatrix",
     "ChoiceRule",
@@ -39,6 +41,10 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-9
+# Bound on N times the largest score.  Utilities, deviation terms and their
+# sums over N platforms stay below N * max score (times a weight total within
+# WEIGHT_TOL of 1), so half the largest float leaves none of them overflowing.
+SCALE_LIMIT = sys.float_info.max / 2
 # Floats per array in one block of the multiset kernels (128 KiB), so their
 # memory stays bounded at any M, N and K.
 _BLOCK_ELEMENTS = 1 << 14
@@ -174,9 +180,13 @@ class GameSpec:
             ) from None
         if n < 1:
             raise InvalidInstanceError("n_platforms must be at least 1")
-        # in Python floats, whose division overflows to inf without a numpy warning
-        if self.choice.kind == "softmax" and not math.isfinite(
-                float(self.scores.scores.max()) / float(self.choice.tau)):
+        # in Python floats, whose arithmetic overflows to inf without a numpy
+        # warning; an int n above SCALE_LIMIT would not convert to a float
+        largest = float(self.scores.scores.max())
+        if not (n <= SCALE_LIMIT and n * largest <= SCALE_LIMIT):
+            raise InvalidInstanceError(
+                f"{n} platforms times the largest score {largest!r} exceeds {SCALE_LIMIT!r}")
+        if self.choice.kind == "softmax" and not math.isfinite(largest / float(self.choice.tau)):
             raise InvalidParameterError(f"softmax tau {self.choice.tau!r} is too small for the score scale")
         object.__setattr__(self, "n_platforms", n)
 

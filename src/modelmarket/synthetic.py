@@ -14,7 +14,9 @@ else, so common-random-number comparisons across shift values are exact.
 
 from __future__ import annotations
 
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -127,6 +129,8 @@ class GmmPopulationSpec:
             raise InvalidParameterError("sample_size must be at least k_types")
         if seed < 0:
             raise InvalidParameterError(f"the GMM seed must be >= 0 (got {seed})")
+        if not math.isfinite(float(dx)):
+            raise InvalidParameterError(f"dx must be finite (got {dx!r})")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "k_types", int(k_types))
         object.__setattr__(self, "dx", float(dx))
@@ -159,24 +163,23 @@ def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]],
     return ScoreMatrix(np.vstack(rows), model_labels=model_labels)
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray, out: np.ndarray,
-                       squares: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (n x k) with the squared distance of every point to every
-    center, and return it.
+def _distances_to(points: np.ndarray, columns: np.ndarray, center: np.ndarray,
+                  out: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (n,) with the squared distance of every point to ``center``,
+    and return it.
 
-    Equal bit for bit to
-    ``((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)``: numpy
-    sums fewer than 8 terms as one running sum, so for d < 8 the
-    per-dimension squares are added into ``out`` one at a time, through
-    ``squares`` (also n x k), with no (n, k, d) intermediate.  From 8 terms on
-    numpy's sum is pairwise, and that form is used as it is.  Reusing the two
-    buffers across iterations keeps the allocator from growing the heap.
+    Equal bit for bit to ``((points - center) ** 2).sum(axis=1)``, and so to
+    that center's column of the (n, k) distance matrix: numpy sums fewer than
+    8 terms as one running sum, so for d < 8 the per-dimension squares of
+    ``columns`` (``points.T``, contiguous) are added into ``out`` one at a
+    time, through ``squares`` (also n).  From 8 terms on numpy's sum is
+    pairwise, and that form is used as it is.
     """
     if points.shape[1] >= 8:
-        return np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2, out=out)
-    np.square(np.subtract(points[:, 0, None], centers[None, :, 0], out=out), out=out)
+        return np.sum(np.square(points - center), axis=1, out=out)
+    np.square(np.subtract(columns[0], center[0], out=out), out=out)
     for d in range(1, points.shape[1]):
-        np.square(np.subtract(points[:, d, None], centers[None, :, d], out=squares), out=squares)
+        np.square(np.subtract(columns[d], center[d], out=squares), out=squares)
         out += squares
     return out
 
@@ -189,18 +192,31 @@ def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     iteration, made before its center update.  Deterministic given the
     generator state, and exact in this sense:
 
+    * each seed after the first is ``rng.choice(n, p=d2 / total)``'s own
+      inverse-CDF draw (a cumulative sum, divided by its last entry, searched
+      at ``rng.random()``), so it and the generator's next draw are as that
+      call leaves them;
     * a squared distance is numpy's ``sum`` of the per-dimension squares: a
       running sum in dimension order for d < 8, pairwise from d = 8 on;
-    * a center is the sum of its cluster's points taken in point-index order,
-      by numpy's ``add.reduce`` over the cluster's rows (exactly what
-      ``points[mask].mean(axis=0)`` reduces), divided by the cluster size;
+    * a point goes to its nearest center, the first one on a tie, as
+      ``argmin`` over the (n, k) distance matrix would place it;
+    * a center is the sum of its cluster's points divided by the cluster
+      size, the sum being the one ``points[mask].mean(axis=0)`` reduces:
+      a sum in point-index order for d >= 2, and numpy's pairwise sum of the
+      cluster's slice for d = 1;
     * every cluster left empty by an iteration is re-seeded at the one point
       farthest from its assigned center.
 
-    One iteration costs O(n*k*d) for the distances plus a stable sort of the
-    n assignments.  ``gmm_population`` on its default 10,000-point sample in
-    two dimensions takes about 0.04 s at K=8 and 0.35 s at K=100 on one core
-    of a 2-vCPU x86-64 VM, nearly all of it here.
+    Points must be finite and no larger in absolute value than
+    sqrt(float max / (8 n d)), so that no squared distance, seeding total or
+    cluster sum overflows; others raise ``InvalidParameterError``.
+
+    No (n, k) array is formed: one iteration takes each center's distances
+    as an n-vector, keeps a running minimum over the centers, and sums the
+    clusters with one weighted ``bincount`` per dimension, O(n*k*d) in all.
+    ``gmm_population`` on its default 10,000-point sample in two dimensions
+    takes about 0.02 s at K=8 and 0.11 s at K=100 on one core of a 2-vCPU
+    x86-64 VM, nearly all of it here.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
@@ -210,37 +226,58 @@ def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         raise InvalidParameterError(f"k must be at least 1 (got {k!r})")
     if iterations < 0:
         raise InvalidParameterError(f"iterations must be >= 0 (got {iterations!r})")
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
+    n, dim = points.shape
+    # every center lies in the points' box, so a squared distance is at most
+    # 4 d bound^2 and the seeding total n times that: half the largest float
+    bound = math.sqrt(sys.float_info.max / (8 * n * dim))
+    largest = float(np.abs(points).max())
+    if not largest <= bound:
+        raise InvalidParameterError(
+            f"k-means points must be finite and at most {bound:.6g} in absolute value "
+            f"for {n} points in {dim} dimensions (got {largest!r})")
+    columns = np.ascontiguousarray(points.T)
+    nearest, dists, squares = np.empty(n), np.empty(n), np.empty(n)
+    centers = np.empty((k, dim))
     centers[0] = points[int(rng.integers(n))]
-    column, column_squares = np.empty((n, 1)), np.empty((n, 1))
-    d2 = _squared_distances(points, centers[:1], column, column_squares)[:, 0].copy()
+    _distances_to(points, columns, centers[0], nearest, squares)
     for j in range(1, k):
-        total = float(d2.sum())
+        total = float(nearest.sum())
         if total <= 0:
             centers[j] = points[int(rng.integers(n))]
         else:
-            centers[j] = points[int(rng.choice(n, p=d2 / total))]
-        np.minimum(d2, _squared_distances(points, centers[j:j + 1], column, column_squares)[:, 0],
-                   out=d2)
+            # rng.choice(n, p=nearest / total)'s own draw, without its per-call checks
+            cdf = np.cumsum(nearest / total)
+            cdf /= cdf[-1]
+            centers[j] = points[int(cdf.searchsorted(rng.random(), side="right"))]
+        np.minimum(nearest, _distances_to(points, columns, centers[j], dists, squares), out=nearest)
     assignments = np.zeros(n, dtype=np.int64)
-    # the narrowest label type makes the stable sort a radix sort when k <= 65,536
-    label_type = np.min_scalar_type(k - 1)
-    dists, squares = np.empty((n, k)), np.empty((n, k))
+    closer = np.empty(n, dtype=bool)
     for _ in range(iterations):
-        _squared_distances(points, centers, dists, squares)
-        assignments = dists.argmin(axis=1)
+        _distances_to(points, columns, centers[0], nearest, squares)
+        assignments.fill(0)
+        for j in range(1, k):
+            # a strict < keeps the first of equal distances, as argmin does
+            np.less(_distances_to(points, columns, centers[j], dists, squares), nearest, out=closer)
+            np.minimum(nearest, dists, out=nearest)
+            assignments[closer] = j
         counts = np.bincount(assignments, minlength=k)
-        # each cluster's points as one contiguous run, in point-index order
-        grouped = points[np.argsort(assignments.astype(label_type), kind="stable")]
-        ends = np.cumsum(counts)
         filled = counts > 0
-        sums = [np.add.reduce(grouped[end - count:end], axis=0)
-                for end, count in zip(ends[filled].tolist(), counts[filled].tolist())]
-        centers[filled] = np.array(sums) / counts[filled, None]
+        if dim == 1:
+            # each cluster's points as one contiguous run, in point-index order; the
+            # narrowest label type makes the stable sort a radix sort when k <= 65,536
+            labels = assignments.astype(np.min_scalar_type(k - 1))
+            grouped = columns[0][np.argsort(labels, kind="stable")]
+            ends = np.cumsum(counts)[filled].tolist()
+            sums = np.array([np.add.reduce(grouped[end - count:end])
+                             for end, count in zip(ends, counts[filled].tolist())])
+            centers[filled, 0] = sums / counts[filled]
+        else:
+            for d, column in enumerate(columns):
+                sums = np.bincount(assignments, weights=column, minlength=k)
+                centers[filled, d] = sums[filled] / counts[filled]
         if not filled.all():
             # re-seed every empty cluster at the point farthest from its center
-            centers[~filled] = points[int(dists[np.arange(n), assignments].argmax())]
+            centers[~filled] = points[int(nearest.argmax())]
     return centers, assignments
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +204,45 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: softmax tau 1e-320 is too small for the score scale\n"
+        assert not out.exists()
+
+    def test_platforms_times_scores_past_the_limit_is_one_error(self, tmp_path, capsys):
+        # N * S overflowed in the deviation terms, with a numpy warning first
+        instance = _write_config(tmp_path, {"scores": [[1e307, 5e306], [6e306, 9e306]],
+                                            "weights": [0.5, 0.5], "n_platforms": 20}, name="big.json")
+        cfg = _write_config(tmp_path, {"instance": {"file": instance}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 20 platforms times the largest score 1e+307 exceeds 8.988465674311579e+307\n")
+        assert not out.exists()
+
+    def test_largest_score_scale_within_the_limit_runs(self, tmp_path, capsys):
+        largest = game_mod.SCALE_LIMIT / 10
+        while 10 * largest > game_mod.SCALE_LIMIT:
+            largest = np.nextafter(largest, 0.0)
+        instance = _write_config(tmp_path, {
+            "scores": [[largest, 0.4 * largest], [0.55 * largest, 0.95 * largest], [largest, largest]],
+            "weights": [0.3, 0.7], "n_platforms": 10}, name="largest.json")
+        cfg = _write_config(tmp_path, {"instance": {"file": instance}, "output": {"prefix": "largest"}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = _read_json(tmp_path / "largest_summary.json")
+        assert summary["equilibrium_profile"] in summary["pne"]
+        assert math.isfinite(summary["welfare"]) and summary["welfare"] > 0.9 * largest
+        assert capsys.readouterr().err == ""
+
+    def test_gmm_too_large_for_kmeans_is_one_error(self, tmp_path, capsys):
+        # the draws' squared distances overflowed, and the run wrote welfare 0.0
+        cfg = _write_config(tmp_path, {"instance": {"synthetic": {
+            "models": [{"kernels": [{"center": [0, 0], "amplitude": 1, "width": 1}]}],
+            "n_platforms": 2,
+            "gmm": {"components": [{"weight": 1, "mean": [1e308, 0], "covariance": [[1e308, 0], [0, 1]]}],
+                    "k_types": 3, "sample_size": 50}}}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: k-means points must be finite and at most 4.74038e+152 ")
         assert not out.exists()
 
     def test_failed_invariant_writes_nothing(self, tmp_path, capsys, monkeypatch):

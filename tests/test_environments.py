@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from modelmarket.synthetic import (
     RbfKernel,
     RbfModelSpec,
     gmm_population,
-    _squared_distances,
+    _distances_to,
     rbf_scores,
     seeded_kmeans,
 )
@@ -182,6 +185,19 @@ class TestGmmPopulation:
         with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
             GmmPopulationSpec([GmmComponent(1.0, (0.0,), [[1.0]])], k_types=1, seed=-1)
 
+    @pytest.mark.parametrize("dx", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, dx):
+        with pytest.raises(InvalidParameterError, match=r"^dx must be finite \(got -?(nan|inf)\)"):
+            GmmPopulationSpec([GmmComponent(1.0, (0.0,), [[1.0]])], k_types=2, dx=dx, sample_size=50)
+
+    def test_sample_too_large_for_kmeans_rejected(self):
+        # finite draws near 1e308, whose squared distances overflow
+        spec = GmmPopulationSpec([GmmComponent(1.0, (1e308, 0.0), [[1e308, 0.0], [0.0, 1.0]])],
+                                 k_types=3, sample_size=50)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^k-means points must be finite and at most 4\.74038e\+152 "):
+            gmm_population(spec)
+
     @pytest.mark.parametrize("field, value", [
         ("k_types", 2.7), ("k_types", "3"), ("k_types", True), ("k_types", np.float64(2.0)),
         ("seed", True), ("seed", 1.0), ("seed", None),
@@ -225,10 +241,12 @@ class TestSeededKmeans:
         reseeded = 0
         for case in range(420):
             points, k, iterations = _kmeans_cloud(case)
-            centers, labels = seeded_kmeans(points, k, np.random.default_rng(case), iterations)
-            want_c, want_l = reference_seeded_kmeans(points, k, np.random.default_rng(case), iterations)
+            rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
+            centers, labels = seeded_kmeans(points, k, rng, iterations)
+            want_c, want_l = reference_seeded_kmeans(points, k, want_rng, iterations)
             assert centers.tobytes() == want_c.tobytes(), case
             assert labels.dtype == want_l.dtype and labels.tobytes() == want_l.tobytes(), case
+            assert rng.random() == want_rng.random(), case
             # fewer distinct points than clusters: the seeding repeats a point,
             # so the first iteration leaves a cluster empty
             reseeded += iterations > 0 and len(np.unique(points, axis=0)) < k
@@ -240,8 +258,51 @@ class TestSeededKmeans:
         points = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-4, 4, size=d)
         centers = rng.standard_normal((6, d))
         want = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        got = _squared_distances(points, centers, np.empty((40, 6)), np.empty((40, 6)))
+        columns = np.ascontiguousarray(points.T)
+        got = np.stack([_distances_to(points, columns, c, np.empty(40), np.empty(40))
+                        for c in centers], axis=1)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, k, d, form, at_bound", [
+        *[(800, 8, d, form, d % 2 == 0) for d in range(1, 11) for form in ("plain", "grid", "halved")],
+        (10_000, 100, 1, "plain", False),
+        (10_000, 100, 2, "plain", False),
+        (10_000, 100, 2, "halved", True),
+    ])
+    def test_bit_identical_at_benchmark_sizes(self, n, k, d, form, at_bound):
+        # the sweep-pool (800 points, K=8) and dynamics-large (10,000, K=100)
+        # instance sizes; "grid" rounds to a 0.1 grid (exact distance ties),
+        # "halved" repeats the first half of the points
+        rng = np.random.default_rng([n, d, len(form)])
+        points = rng.standard_normal((n, d)) + rng.uniform(-3, 3, size=(4, d))[rng.integers(4, size=n)]
+        if form == "grid":
+            points = np.round(points, 1)
+        elif form == "halved":
+            points[n // 2:] = points[:n - n // 2]
+        if at_bound:
+            bound = math.sqrt(sys.float_info.max / (8 * n * d))
+            points = np.clip(points * (bound / np.abs(points).max()), -bound, bound)
+            assert np.abs(points).max() == bound
+        seed = n + d
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers, labels = seeded_kmeans(points, k, got_rng)
+        want_c, want_l = reference_seeded_kmeans(points, k, want_rng)
+        assert centers.tobytes() == want_c.tobytes()
+        assert labels.tobytes() == want_l.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "above"])
+    def test_points_outside_the_bound_rejected(self, bad):
+        n, d = 30, 3
+        bound = math.sqrt(sys.float_info.max / (8 * n * d))
+        points = np.random.default_rng(0).standard_normal((n, d))
+        points[7, 1] = math.nextafter(bound, math.inf) if bad == "above" else bad
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"k-means points must be finite and at most {bound:.6g} "
+                                           "in absolute value for 30 points in 3 dimensions (got ")):
+            seeded_kmeans(points, 4, np.random.default_rng(0))
+        points[7, 1] = -bound
+        seeded_kmeans(points, 4, np.random.default_rng(0))
 
     def test_more_clusters_than_points_still_runs(self):
         points = np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 1.0]])

@@ -114,6 +114,25 @@ class TestValidation:
         assert np.all(np.isfinite(allocate(spec, (0, 1)).p))
         assert np.all(np.isfinite(deviation_values(spec, (1,))))
 
+    def test_platforms_times_the_largest_score_must_stay_within_the_limit(self):
+        # 16 is a power of two, so 16 * largest is SCALE_LIMIT exactly
+        largest = game.SCALE_LIMIT / 16
+        population = UserPopulation(["a", "b"], [0.25, 0.75])
+        spec = GameSpec(ScoreMatrix([[largest, 0.5 * largest], [0.25 * largest, largest]]), population, 16)
+        profile = (0,) * 8 + (1,) * 8
+        for value in (*platform_utilities(spec, profile), *deviation_advantage(spec, profile),
+                      *deviation_values(spec, profile[1:])):
+            assert np.isfinite(value)
+        with pytest.raises(InvalidInstanceError, match=(
+                r"^17 platforms times the largest score 5\.6177910464447366e\+306 "
+                r"exceeds 8\.988465674311579e\+307$")):
+            spec.with_platforms(17)
+        with pytest.raises(InvalidInstanceError, match="^16 platforms times the largest score"):
+            GameSpec(ScoreMatrix([[np.nextafter(largest, np.inf)]]), UserPopulation(["a"], [1.0]), 16)
+        # an N past the largest float was an OverflowError in the product
+        with pytest.raises(InvalidInstanceError, match=r"^10{400} platforms times the largest score"):
+            spec.with_platforms(10 ** 400)
+
 
 class TestHardmaxAllocation:
     def test_counterexample_type_a_goes_to_model_1(self, c1):
