@@ -35,7 +35,6 @@ from .equilibrium import (
     CentralizationParams,
     CentralizationResult,
     DynamicsOutcome,
-    EquilibriumClassification,
     PneCheck,
     best_response,
     centralization_check,
@@ -43,7 +42,6 @@ from .equilibrium import (
     check_homogeneous_condition,
     enumerate_pne,
     run_dynamics,
-    softmax_pne_scan,
     two_player_conditions,
     verify_pne,
 )
@@ -56,7 +54,6 @@ from .metrics import (
     outcome_metrics,
     platform_entry_check,
     social_optimum,
-    welfare_bound_check,
     welfare_figures,
 )
 from .preferences import PreferenceTable, scores_from_preferences
@@ -68,6 +65,6 @@ from .synthetic import (
     gmm_population,
     rbf_scores,
 )
-from .fixtures import builtin_instance, fixture_names, verify_all, verify_fixture
+from .fixtures import builtin_instance, fixture_names, verify_fixture
 
 __version__ = "0.1.0"

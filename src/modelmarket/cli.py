@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``             one instance: best-response dynamics plus metrics
-* ``sweep``           grid over pool size, platform count, or population
+* ``sweep``           grid over pool size, platform count, population, or softmax tau
 * ``entry``           entry training plus before/after market comparison
 * ``verify-fixtures`` re-derive every built-in expectation record
 * ``list-fixtures``   show the fixture registry
@@ -24,14 +24,13 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, MarketGameError
-from .game import GameSpec, UserPopulation
+from .game import ChoiceRule, GameSpec, UserPopulation
 from .equilibrium import DynamicsOutcome, run_dynamics
 from .metrics import GameAnalysis, MetricsRecord, analyze, outcome_metrics
 from .fixtures import (
@@ -223,6 +222,8 @@ def _apply_axis(spec: GameSpec, axis: str, value) -> GameSpec:
         return spec.with_models(value)
     if axis == "platforms":
         return spec.with_platforms(value)
+    if axis == "tau":
+        return spec.with_choice(ChoiceRule.softmax(value))
     population = UserPopulation(spec.population.type_labels, value)
     return GameSpec(spec.scores, population, spec.n_platforms, spec.choice)
 
@@ -254,6 +255,8 @@ def cmd_sweep(args) -> int:
     # a worker per cell and per CPU at most: a fork-based pool starts every
     # worker it may use
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:  # imported only for a pool, so that no other run loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         pool_map = pool.map if pool else map
@@ -388,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, func, about in (
             ("run", cmd_run, "run dynamics and metrics on one instance"),
-            ("sweep", cmd_sweep, "sweep pool size, platform count, or population"),
+            ("sweep", cmd_sweep, "sweep pool size, platform count, population, or softmax tau"),
             ("entry", cmd_entry, "train an entrant and compare the market before/after")):
         p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")

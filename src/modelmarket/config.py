@@ -39,6 +39,7 @@ class Field(NamedTuple):
     kind: str
     default: Any = REQUIRED
     minimum: int | None = None  # of the value, or of each entry of INTS
+    above: float | None = None  # an exclusive lower bound of a NUMBER
     table: dict | None = None  # the fields of a BLOCK, or of each of BLOCKS
     choices: tuple = ()  # the values of an ENUM
 
@@ -87,7 +88,7 @@ FIXTURE_RECORD = {
 
 # the kind of a sweep value, by axis
 SWEEP_VALUES = {"models": Field(INT), "platforms": Field(INT, minimum=1),
-                "population": Field(NUMBERS)}
+                "population": Field(NUMBERS), "tau": Field(NUMBER, above=0)}
 
 # the keys of training.params: TrainingConfig's fields, with lambda in place of lam
 RENAMED = {"lambda": "lam"}
@@ -137,7 +138,7 @@ COMMANDS = {"run": RUN_CONFIG, **{
     for command, block in (("sweep", "sweep"), ("entry", "training"))}}
 
 
-def _scalar(value, kind: str, minimum: int | None, name: str) -> None:
+def _scalar(value, kind: str, field: Field, name: str) -> None:
     types, noun = _SCALARS[kind]
     # a bool is an int to Python, but never a count, a weight or a label here
     if isinstance(value, bool) or not isinstance(value, types):
@@ -145,8 +146,10 @@ def _scalar(value, kind: str, minimum: int | None, name: str) -> None:
     # json.load takes NaN, Infinity and ints too large for a float
     if kind == NUMBER and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name} must be finite (got {value!r})")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum} (got {value!r})")
+    if field.minimum is not None and value < field.minimum:
+        raise ConfigError(f"{name} must be >= {field.minimum} (got {value!r})")
+    if field.above is not None and not value > field.above:
+        raise ConfigError(f"{name} must be > {field.above} (got {value!r})")
 
 
 def _list(value, name: str) -> list:
@@ -173,7 +176,7 @@ def check(value, field: Field, path: str):
             raise ConfigError(f"{path} must be one of {', '.join(map(repr, field.choices))}"
                               f"{also} (got {value!r})")
     elif kind in _SCALARS:
-        _scalar(value, kind, field.minimum, path)
+        _scalar(value, kind, field, path)
     else:
         rows = [_list(value, path)]
         if kind == MATRIX:
@@ -183,7 +186,7 @@ def check(value, field: Field, path: str):
         if kind != LIST:
             name = f"an entry of {path}"
             for entry in (entry for row in rows for entry in row):
-                _scalar(entry, _ENTRIES[kind], field.minimum, name)
+                _scalar(entry, _ENTRIES[kind], field, name)
     return value
 
 

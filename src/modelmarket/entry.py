@@ -45,7 +45,6 @@ __all__ = [
     "adoption_gate",
     "entrant_scores",
     "objective_f",
-    "grad_s_exact",
     "grad_f_exact",
     "grad_s_reinforce",
     "resample_weights",
@@ -279,14 +278,6 @@ def objective_f(gen: ToyGenerator, rewards: RewardTable, market: GameSpec, beta:
     s = entrant_scores(gen, rewards)
     sigma = adoption_gate(s, market, beta)
     return float(market.population.weights @ (sigma * s))
-
-
-def grad_s_exact(gen: ToyGenerator, rewards: RewardTable, type_index: int) -> np.ndarray:
-    """Exact logit-gradient of one type's score: p * (r - S)."""
-    p = gen.probabilities()
-    r = rewards.rewards[type_index]
-    s = float(r @ p)
-    return p * (r - s)
 
 
 def _gate_coefficients(s: np.ndarray, sigma: np.ndarray, weights: np.ndarray,

@@ -28,7 +28,6 @@ __all__ = [
     "IMPROVEMENT_EPS",
     "Deviation",
     "PneCheck",
-    "EquilibriumClassification",
     "DynamicsStep",
     "DynamicsOutcome",
     "ConditionRow",
@@ -44,9 +43,7 @@ __all__ = [
     "check_homogeneous_condition",
     "two_player_conditions",
     "centralization_check",
-    "softmax_pne_scan",
     "pair_delta",
-    "classify_profile",
 ]
 
 IMPROVEMENT_EPS = 1e-12
@@ -77,12 +74,6 @@ class PneCheck:
 
     def __bool__(self) -> bool:
         return self.is_pne
-
-
-@dataclass(frozen=True)
-class EquilibriumClassification:
-    distinct_count: int
-    label: str  # fully_differentiated | homogeneous | partial
 
 
 @dataclass(frozen=True)
@@ -189,18 +180,6 @@ def verify_pne(spec: GameSpec, profile) -> PneCheck:
         return PneCheck(True)
     i, g = better[0].tolist()
     return PneCheck(False, Deviation(i, g, float(gains[i, g])))
-
-
-def classify_profile(spec: GameSpec, profile) -> EquilibriumClassification:
-    prof = as_profile(spec, profile)
-    distinct = len(set(prof))
-    if distinct == 1:
-        label = "homogeneous"
-    elif distinct == spec.n_platforms:
-        label = "fully_differentiated"
-    else:
-        label = "partial"
-    return EquilibriumClassification(distinct, label)
 
 
 def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[tuple[int, ...]]:
@@ -506,14 +485,3 @@ def centralization_check(spec: GameSpec, params: CentralizationParams) -> Centra
     satisfied = params.pi_star >= threshold
     confirmed = verify_pne(spec, [m] * spec.n_platforms).is_pne
     return CentralizationResult(threshold, bool(satisfied), confirmed)
-
-
-def softmax_pne_scan(
-    spec: GameSpec, tau_grid: Sequence[float], budget: int = DEFAULT_PROFILE_BUDGET
-) -> list[tuple[float, int]]:
-    """Count pure equilibria of the softmax game at each temperature."""
-    results = []
-    for tau in tau_grid:
-        soft = spec.with_choice(game.ChoiceRule.softmax(float(tau)))
-        results.append((float(tau), len(enumerate_pne(soft, budget=budget))))
-    return results

@@ -46,7 +46,7 @@ from .synthetic import (
     rbf_scores,
 )
 
-__all__ = ["Fixture", "Check", "builtin_instance", "fixture_names", "verify_fixture", "verify_all"]
+__all__ = ["Fixture", "Check", "builtin_instance", "fixture_names", "verify_fixture"]
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -231,11 +231,4 @@ def verify_fixture(fixture: Fixture | str) -> list[Check]:
             if f"welfare_{name}" in want:
                 within(f"welfare_{name}", getattr(figs, name, None), *want[f"welfare_{name}"])
 
-    return checks
-
-
-def verify_all() -> list[Check]:
-    checks: list[Check] = []
-    for name in fixture_names():
-        checks.extend(verify_fixture(name))
     return checks

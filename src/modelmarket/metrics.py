@@ -21,13 +21,11 @@ __all__ = [
     "ProfileScore",
     "SocialOptimum",
     "WelfareFigures",
-    "BoundCheck",
     "EntryCheck",
     "coverage_value",
     "market_shares",
     "social_optimum",
     "welfare_figures",
-    "welfare_bound_check",
     "platform_entry_check",
     "outcome_metrics",
     "analyze",
@@ -99,28 +97,25 @@ class MetricsRecord:
     extra profiles the caller asked for.  ``welfare`` averages coverage over
     the whole cycle (the anchor's figures describe one state of it).  Both
     are None for a timeout.  ``analysis`` answers for the game itself.
+    ``weight_total`` is the population's weight sum, which the shares of
+    each profile split.
     """
 
     scores: dict[tuple[int, ...], ProfileScore]
     anchor: tuple[int, ...] | None
     welfare: WelfareFigures | None
     analysis: GameAnalysis
+    weight_total: float
 
     def __post_init__(self):
         for score in self.scores.values():
-            if not abs(sum(score.shares) - 1.0) <= game.WEIGHT_TOL:
-                raise InvalidInstanceError("market shares must sum to 1")
+            if not abs(sum(score.shares) - self.weight_total) <= game.WEIGHT_TOL:
+                raise InvalidInstanceError("market shares must sum to the population's weight total")
             if not abs(score.hhi - sum(m * m for m in score.shares)) <= _IDENTITY_TOL:
                 raise InvalidInstanceError("hhi must equal the sum of squared shares")
         optimum = self.analysis.optimum
         if self.welfare and optimum and _exceeds(self.welfare.value - optimum.value):
             raise InvalidInstanceError("welfare cannot exceed the social optimum")
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    ok: bool
-    slack: float
 
 
 @dataclass(frozen=True)
@@ -213,15 +208,6 @@ def welfare_figures(spec: GameSpec, outcome: DynamicsOutcome) -> WelfareFigures:
     return _welfare(outcome, lambda p: coverage_value(spec, p))
 
 
-def welfare_bound_check(spec: GameSpec, outcome: DynamicsOutcome,
-                        budget: int = OPTIMUM_BUDGET) -> BoundCheck:
-    """Slack of the welfare-below-optimum bound for this outcome."""
-    w = welfare_figures(spec, outcome).value
-    opt = social_optimum(spec, budget=budget).value
-    slack = opt - w
-    return BoundCheck(ok=not _exceeds(-slack), slack=float(slack))
-
-
 def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -> EntryCheck:
     """Effect of one additional platform joining with ``entrant_model``.
 
@@ -286,4 +272,4 @@ def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, analysis: GameAnal
     for p in set(outcome.cycle_profiles) - coverage.keys():
         coverage[p] = coverage_value(spec, p)
     welfare = None if anchor is None else _welfare(outcome, coverage.__getitem__)
-    return MetricsRecord(scores, anchor, welfare, analysis)
+    return MetricsRecord(scores, anchor, welfare, analysis, float(spec.population.weights.sum()))

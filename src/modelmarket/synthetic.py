@@ -146,19 +146,34 @@ def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]],
                model_labels: Iterable[str] | None = None) -> ScoreMatrix:
     """Evaluate every RBF model at every type point, clamping to [0, 1].
 
-    The clamp applies once, after the bias and all kernels are summed.
+    The clamp applies once, after the bias and all kernels are summed.  A
+    kernel whose 2 * width**2 is not a positive finite float, or whose
+    squared distance over it is not finite at some point, raises
+    ``InvalidParameterError`` naming the model and the kernel.
     """
     pts = np.asarray(types, dtype=float)
     if pts.ndim != 2:
         raise InvalidInstanceError("types must be a K x d array of coordinates")
     rows = []
-    for spec in models:
+    for i, spec in enumerate(models):
         if spec.dim != pts.shape[1]:
             raise InvalidInstanceError("model and type dimensions differ")
         value = np.full(pts.shape[0], spec.bias)
-        for k in spec.kernels:
-            d2 = ((pts - np.asarray(k.center)) ** 2).sum(axis=1)
-            value = value + k.amplitude * np.exp(-d2 / (2.0 * k.width ** 2))
+        for j, k in enumerate(spec.kernels):
+            name = f"models[{i}].kernels[{j}]"
+            try:
+                spread = 2.0 * k.width ** 2
+            except OverflowError:  # a Python float's square past the largest float
+                spread = math.inf
+            if not 0 < spread < math.inf:
+                raise InvalidParameterError(f"{name}: 2 * width**2 must be a positive finite float "
+                                            f"(got {spread!r} for width {k.width!r})")
+            with np.errstate(over="ignore"):
+                exponent = ((pts - np.asarray(k.center)) ** 2).sum(axis=1) / spread
+            if not np.isfinite(exponent).all():
+                raise InvalidParameterError(f"{name}: squared distance / (2 * width**2) must be "
+                                            f"finite at every type point (width {k.width!r})")
+            value = value + k.amplitude * np.exp(-exponent)
         rows.append(np.clip(value, 0.0, 1.0))
     return ScoreMatrix(np.vstack(rows), model_labels=model_labels)
 

@@ -449,6 +449,15 @@ def entry_toy() -> EntryToy:
     return EntryToy(labels, rewards, GameSpec(incumbents, population, 2), dataset, target_type=1)
 
 
+def grad_s_exact(gen: ToyGenerator, rewards: RewardTable, type_index: int) -> np.ndarray:
+    """Exact logit-gradient of one type's score, the paper's per-type formula
+    p * (r - S): the oracle the score-function estimates are checked against."""
+    p = gen.probabilities()
+    r = rewards.rewards[type_index]
+    s = float(r @ p)
+    return p * (r - s)
+
+
 def loop_grad_s_reinforce(gen: ToyGenerator, rewards: RewardTable, type_index: int,
                           n_samples: int, baseline: RewardBaseline,
                           rng: np.random.Generator) -> np.ndarray:

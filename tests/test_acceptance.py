@@ -41,14 +41,13 @@ from modelmarket.entry import (
     ToyGenerator,
     TrainingConfig,
     grad_f_exact,
-    grad_s_exact,
     grad_s_reinforce,
     objective_f,
     train_direct_gradient,
     train_resampling,
 )
 
-from helpers import entry_toy
+from helpers import entry_toy, grad_s_exact
 from test_properties import run_property_suite
 
 

@@ -37,7 +37,7 @@ def _market():
 
 def _record(shares, hhi):
     score = ProfileScore(0.5, shares, hhi, 1, (0.5,))
-    return MetricsRecord({(0,): score}, (0,), None, GameAnalysis(None, "", None, ""))
+    return MetricsRecord({(0,): score}, (0,), None, GameAnalysis(None, "", None, ""), 1.0)
 
 
 def _component_total_nan():
@@ -74,7 +74,7 @@ NON_FINITE_CASES = {
                                lambda mp: _component_total_nan()),
     "gamma_cap": (InvalidParameterError, "gamma_cap", lambda mp: CentralizationParams(
         dominant_type=0, dominant_model=0, rho=1.0, gamma_cap=NAN, pi_star=0.5)),
-    "share sum": (InvalidInstanceError, "shares must sum to 1", lambda mp: _record((NAN,), 1.0)),
+    "share sum": (InvalidInstanceError, "shares must sum to the population's weight total", lambda mp: _record((NAN,), 1.0)),
     "hhi identity": (InvalidInstanceError, "hhi must equal", lambda mp: _record((1.0,), NAN)),
     "coverage decomposition": (InvalidInstanceError, "coverage decomposition mismatch",
                                _coverage_with_nan_average_scores),

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: run, sweep, entry, verify-fixtures, list-fixtures."""
 
+import concurrent.futures
 import csv
 import os
 import re
@@ -19,7 +20,7 @@ import modelmarket.entry as entry_mod
 import modelmarket.fixtures as fixtures_mod
 import modelmarket.game as game_mod
 import modelmarket.metrics as metrics_mod
-from modelmarket.equilibrium import run_dynamics
+from modelmarket.equilibrium import enumerate_pne, run_dynamics
 from modelmarket.errors import ConfigError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import platform_utilities
@@ -245,6 +246,35 @@ class TestRun:
         assert err.startswith("error: k-means points must be finite and at most 4.74038e+152 ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1.0, 4.4e306])
+    def test_weights_within_tolerance_of_one_run(self, tmp_path, capsys, scale):
+        # the weights sum to 1 + 1e-9, which UserPopulation accepts; the share
+        # check compared the shares' sum with 1 and refused them
+        instance = _write_config(tmp_path, {
+            "scores": [[scale, 0.4 * scale], [0.55 * scale, 0.95 * scale], [scale, scale]],
+            "weights": [0.3, 0.7000000009999999], "n_platforms": 20}, name="weights.json")
+        cfg = _write_config(tmp_path, {"instance": {"file": instance}, "output": {"prefix": "w"}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = _read_json(tmp_path / "w_summary.json")
+        assert abs(sum(summary["shares"]) - (0.3 + 0.7000000009999999)) <= game_mod.WEIGHT_TOL
+
+    @pytest.mark.parametrize("center, width", [([1e308, 0], 1), ([1e154, 0], 0.3),
+                                               ([0, 0], 1e-200), ([0, 0], 1e200)],
+                             ids=["far-center", "mid-center", "tiny-width", "huge-width"])
+    def test_rbf_kernel_at_float_edges_is_one_error(self, tmp_path, capsys, center, width):
+        # overflow and divide-by-zero warnings with exit 0, or an OverflowError traceback
+        cfg = _write_config(tmp_path, {"instance": {"synthetic": {
+            "models": [{"kernels": [{"center": center, "amplitude": 1, "width": width}]}],
+            "n_platforms": 2,
+            "gmm": {"components": [{"weight": 1, "mean": [0, 0], "covariance": [[1, 0], [0, 1]]}],
+                    "k_types": 3, "sample_size": 50}}}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: models[0].kernels[0]: ")
+        assert not out.exists()
+
     def test_failed_invariant_writes_nothing(self, tmp_path, capsys, monkeypatch):
         exact = game_mod.average_scores
         monkeypatch.setattr(game_mod, "average_scores", lambda spec: exact(spec) + 1e-6)
@@ -280,7 +310,8 @@ class TestSweep:
                 self.maps.append((fn, len(items)))
                 return map(fn, items)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        # cmd_sweep imports the pool class when it needs one, so it finds this
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         return SerialPool
 
     def test_model_pool_sweep_reproduces_welfare_drop(self, tmp_path):
@@ -404,6 +435,22 @@ class TestSweep:
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "cpus" / name).read_bytes()
 
+    def test_only_a_sweep_with_workers_imports_the_process_pool(self, tmp_path):
+        # the pool pulls in multiprocessing, socket, logging and queue; a fresh
+        # process that imports the CLI and runs a serial sweep loads none of it
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        script = ("import sys, modelmarket.cli as cli\n"
+                  "pool = 'concurrent.futures.process'\n"
+                  "print(pool in sys.modules)\n"
+                  "cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                  "print(pool in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script, str(CONFIGS / "sweep_pool_growth.json"),
+                               str(tmp_path)], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0::2] == ["False", "False"]
+
     def test_each_value_is_solved_once(self, tmp_path, monkeypatch, serial_pool):
         # the shipped sweep: 2 values x 3 repetitions, so 2 games and 6 cells
         solves, maps = [], serial_pool.maps
@@ -440,6 +487,33 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert "model-pool size 9 out of range" in capsys.readouterr().err
         assert runs == []
+        assert not out.exists()
+
+    def test_tau_axis_reproduces_the_c8_players_3_row(self, tmp_path):
+        assert main(["sweep", "--config", str(CONFIGS / "sweep_tau.json"), "--out", str(tmp_path)]) == 0
+        summaries = _read_json(tmp_path / "tau_summary.json")
+        taus = [1e-4, 1e-3, 1e-2, 0.03, 0.1, 0.3, 1, 10, 1e3]
+        assert [s["sweep_value"] for s in summaries] == taus
+        assert [s["choice"] for s in summaries] == [{"kind": "softmax", "tau": float(t)} for t in taus]
+        assert [s["pne_count"] for s in summaries] == [3, 3, 3, 3, 3, 1, 1, 1, 1]
+        # the hardmax game has no PNE; softmax splits a type two scores 2.4e-5
+        # apart, and lists the orderings of (g1, g3, g3) up to tau = 0.1
+        assert enumerate_pne(builtin_instance("c8_players_3").spec) == []
+        assert summaries[4]["pne"] == [["g1", "g3", "g3"], ["g3", "g1", "g3"], ["g3", "g3", "g1"]]
+        assert [s["support"] for s in summaries] == [2] * 5 + [1] * 4
+
+    @pytest.mark.parametrize("value, message", [
+        (0, "sweep.values[1] must be > 0 (got 0)"),
+        (-0.5, "sweep.values[1] must be > 0 (got -0.5)"),
+        (True, "sweep.values[1] must be a number (got True)"),
+        (1e-320, "softmax tau 1e-320 is too small for the score scale"),
+    ], ids=["zero", "negative", "bool", "too-small"])
+    def test_tau_axis_refuses_a_bad_value_in_one_error_line(self, tmp_path, capsys, value, message):
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "c8_players_3"},
+                                       "sweep": {"axis": "tau", "values": [0.1, value]}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_population_axis(self, tmp_path):
@@ -690,7 +764,7 @@ class TestConfigValidation:
         })
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == ("error: sweep.axis must be one of 'models', "
-                                           "'platforms', 'population' (got 'temperature')\n")
+                                           "'platforms', 'population', 'tau' (got 'temperature')\n")
 
     def test_missing_kernel_key_names_its_block(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {

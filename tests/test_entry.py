@@ -23,7 +23,6 @@ from modelmarket.entry import (
     entrant_scores,
     evaluate_entrant,
     grad_f_exact,
-    grad_s_exact,
     grad_s_reinforce,
     objective_f,
     resample_weights,
@@ -33,6 +32,7 @@ from modelmarket.entry import (
 
 from helpers import (
     entry_toy,
+    grad_s_exact,
     loop_reinforce_epoch,
     masked_sigmoid,
     reference_train_direct_gradient,

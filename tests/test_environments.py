@@ -13,7 +13,7 @@ from modelmarket import fixtures as fixtures_mod
 from modelmarket.config import FIXTURE_RECORD, walk
 from modelmarket.equilibrium import DEFAULT_PROFILE_BUDGET
 from modelmarket.errors import ConfigError, InvalidInstanceError, InvalidParameterError
-from modelmarket.fixtures import builtin_instance, fixture_names, verify_all, verify_fixture
+from modelmarket.fixtures import builtin_instance, fixture_names, verify_fixture
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation
 from modelmarket.preferences import PreferenceTable, scores_from_preferences
 from modelmarket.synthetic import (
@@ -134,6 +134,39 @@ class TestRbfScores:
     def test_positive_width_required(self):
         with pytest.raises(Exception):
             RbfKernel((0.0,), 1.0, 0.0)
+
+    @pytest.mark.parametrize("center, width, message", [
+        ((1e308, 0.0), 1.0, "squared distance / (2 * width**2) must be finite"),  # overflow in square
+        ((1e154, 0.0), 0.3, "squared distance / (2 * width**2) must be finite"),  # overflow in divide
+        ((0.0, 0.0), 1e-160, "squared distance / (2 * width**2) must be finite"),
+        ((0.0, 0.0), 1e-200, "2 * width**2 must be a positive finite float (got 0.0"),
+        ((0.0, 0.0), 1e200, "2 * width**2 must be a positive finite float (got inf"),
+        ((0.0, 0.0), 10 ** 200, "2 * width**2 must be a positive finite float (got inf"),
+    ], ids=["far-center", "mid-center", "small-width", "tiny-width", "huge-width", "huge-int-width"])
+    def test_kernel_at_float_edges_is_refused(self, center, width, message):
+        # numpy warnings are errors here, so the refusal must come before any
+        models = [RbfModelSpec(0.0, [RbfKernel((0.5, 0.5), 1.0, 0.3)]),
+                  RbfModelSpec(0.0, [RbfKernel((0.5, 0.5), 1.0, 0.3), RbfKernel(center, 1.0, width)])]
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(f"models[1].kernels[1]: {message}")):
+            rbf_scores(models, [(0.0, 0.0), (1.0, 2.0)])
+
+    def test_scores_keep_the_bits_of_the_direct_formula(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            dim = int(rng.integers(1, 4))
+            models = [RbfModelSpec(rng.uniform(-0.5, 0.5), [
+                RbfKernel(tuple(rng.uniform(-3, 3, dim)), rng.uniform(-1, 2),
+                          int(rng.integers(1, 4)) if rng.random() < 0.3 else rng.uniform(1e-3, 5))
+                for _ in range(int(rng.integers(1, 4)))]) for _ in range(3)]
+            pts = rng.uniform(-3, 3, size=(int(rng.integers(1, 30)), dim))
+            want = []
+            for model in models:
+                value = np.full(len(pts), model.bias)
+                for k in model.kernels:
+                    d2 = ((pts - np.asarray(k.center)) ** 2).sum(axis=1)
+                    value = value + k.amplitude * np.exp(-d2 / (2.0 * k.width ** 2))
+                want.append(np.clip(value, 0.0, 1.0))
+            assert rbf_scores(models, pts).scores.tobytes() == np.vstack(want).tobytes()
 
 
 class TestGmmPopulation:
@@ -370,7 +403,7 @@ class TestFixtureRegistry:
         assert not failed, failed
 
     def test_verify_all_is_green(self):
-        assert all(c.passed for c in verify_all())
+        assert all(c.passed for name in fixture_names() for c in verify_fixture(name))
 
     def test_a_refused_pne_list_is_a_failed_check(self):
         # 4^10 profiles: past the PNE budget of every report, within enumerate_pne's own

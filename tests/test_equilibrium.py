@@ -12,20 +12,19 @@ from modelmarket.errors import (
     InvalidProfileError,
 )
 from modelmarket.fixtures import builtin_instance
-from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation, platform_utilities
+from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 from modelmarket.equilibrium import (
     CentralizationParams,
     best_response,
     centralization_check,
     check_differentiated_condition,
     check_homogeneous_condition,
-    classify_profile,
     enumerate_pne,
     run_dynamics,
-    softmax_pne_scan,
     two_player_conditions,
     verify_pne,
 )
+from modelmarket.metrics import market_shares
 
 from helpers import random_spec
 
@@ -76,7 +75,7 @@ class TestVerifyPne:
 class TestEnumeratePne:
     def test_homogeneous_scenario(self, fig2b):
         assert enumerate_pne(fig2b) == [(1, 1)]
-        assert classify_profile(fig2b, (1, 1)).label == "homogeneous"
+        assert market_shares(fig2b, (1, 1)).support == 1  # homogeneous
 
     def test_counterexample_is_empty(self, c1):
         assert enumerate_pne(c1) == []
@@ -87,7 +86,8 @@ class TestEnumeratePne:
     def test_classification_of_differentiated_pair(self, fig2a):
         found = enumerate_pne(fig2a)
         assert found == [(0, 1), (1, 0)]
-        assert all(classify_profile(fig2a, p).label == "fully_differentiated" for p in found)
+        # fully differentiated: a distinct model on every platform
+        assert all(market_shares(fig2a, p).support == fig2a.n_platforms for p in found)
 
     def test_budget_refusal_names_required_count(self, c1):
         with pytest.raises(BudgetExceededError) as err:
@@ -334,17 +334,20 @@ class TestCentralizationCheck:
             assert res.pne_confirmed
 
 
+def _softmax_pne(spec, tau):
+    return enumerate_pne(spec.with_choice(ChoiceRule.softmax(tau)))
+
+
 class TestSoftmaxScan:
     def test_reference_softmax_instance_has_no_pne(self):
         spec = builtin_instance("c9_softmax").spec
-        assert softmax_pne_scan(spec, [0.1]) == [(0.1, 0)]
+        assert _softmax_pne(spec, 0.1) == []
 
     def test_counterexample_stays_empty_at_small_tau(self, c1):
-        assert softmax_pne_scan(c1, [1e-3, 1e-2]) == [(1e-3, 0), (1e-2, 0)]
+        assert [_softmax_pne(c1, tau) for tau in (1e-3, 1e-2)] == [[], []]
 
     def test_huge_tau_recovers_an_equilibrium(self, c1):
-        (_, count), = softmax_pne_scan(c1, [1e9])
-        assert count >= 1
+        assert len(_softmax_pne(c1, 1e9)) >= 1
 
 
 # one platform, two models whose values differ by just over the threshold in
