@@ -93,8 +93,7 @@ def _dynamics_seed(cfg: dict, seed_override: int | None) -> int:
     """``dynamics.seed``, or ``--seed`` checked as that field is."""
     if seed_override is None:
         return cfg["dynamics"]["seed"]
-    seed_field = config_mod.RUN_CONFIG["dynamics"].table["seed"]
-    return config_mod.check(seed_override, seed_field, "--seed")
+    return config_mod.check(seed_override, config_mod.DYNAMICS["seed"], "--seed")
 
 
 def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, run_id: str,

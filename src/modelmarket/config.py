@@ -1,23 +1,23 @@
-"""The run-config and fixture-record tables of every block and field, and one walker.
+"""The tables of every parameter, run-config block and fixture-record field, and one walker.
 
 Each table maps the keys of a block to a ``Field``: its kind, its default (or
-``REQUIRED``) and its lower bound.  ``walk`` checks a block against its table
-and returns a copy with the defaults filled in.  It converts no value, so
+``REQUIRED``) and its bounds.  ``walk`` checks a block against its table and
+returns a copy with the defaults filled in.  It converts no value, so
 ``"beta": 4`` stays the int 4 in the outputs that echo it.  A failed check
-raises ``ConfigError`` naming the field by its dotted path.  Checks that
-depend on other fields or on the instance stay with the code that builds the
-objects and call ``check`` for any kind check; ``entry.TrainingConfig``
-checks the values of ``training.params``.
+raises ``ConfigError`` naming the field by its dotted path.  The library's
+records check their scalar parameters with the same fields through ``check``,
+in their own error class, so each bound is written once.  Checks that depend
+on other fields, on the instance or on whole arrays stay where the objects are built.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import numbers
+import operator
 import sys
 from typing import Any, NamedTuple
 
-from .entry import TrainingConfig
 from .errors import ConfigError
 
 # kinds; a LIST's entries and an ANY value are checked where they are used
@@ -30,7 +30,8 @@ BLOCK, BLOCKS = "block", "list of blocks"
 # null for it, and a block needs exactly one of its ONE_OF fields
 REQUIRED, OPTIONAL, ONE_OF = "required", "optional", "one of"
 
-_SCALARS = {INT: ((int,), "an integer"), NUMBER: ((int, float), "a number"),
+# numbers.* admit numpy scalars from library callers; JSON yields only int and float
+_SCALARS = {INT: ((numbers.Integral,), "an integer"), NUMBER: ((numbers.Real,), "a number"),
             STRING: ((str,), "a string")}
 _ENTRIES = {NUMBERS: NUMBER, MATRIX: NUMBER, STRINGS: STRING, INTS: INT}
 
@@ -38,30 +39,32 @@ _ENTRIES = {NUMBERS: NUMBER, MATRIX: NUMBER, STRINGS: STRING, INTS: INT}
 class Field(NamedTuple):
     kind: str
     default: Any = REQUIRED
-    minimum: int | None = None  # of the value, or of each entry of INTS
+    minimum: float | None = None  # of the value, or of each entry of INTS
     above: float | None = None  # an exclusive lower bound of a NUMBER
+    maximum: float | None = None  # an upper bound of a NUMBER
+    below: float | None = None  # an exclusive upper bound of a NUMBER
     table: dict | None = None  # the fields of a BLOCK, or of each of BLOCKS
     choices: tuple = ()  # the values of an ENUM
 
 
+N_PLATFORMS = Field(INT, minimum=1)  # GameSpec's; an instance's, a sweep's and training's
 CHOICE = {"kind": Field(ENUM, choices=("hardmax", "softmax")),
-          "tau": Field(NUMBER, OPTIONAL)}  # needed by softmax
-KERNEL = {"center": Field(NUMBERS), "amplitude": Field(NUMBER), "width": Field(NUMBER)}
-COMPONENT = {"weight": Field(NUMBER), "mean": Field(NUMBERS), "covariance": Field(MATRIX)}
+          "tau": Field(NUMBER, OPTIONAL, above=0)}  # needed by softmax
+KERNEL = {"center": Field(NUMBERS), "amplitude": Field(NUMBER), "width": Field(NUMBER, above=0)}
+COMPONENT = {"weight": Field(NUMBER, minimum=0), "mean": Field(NUMBERS), "covariance": Field(MATRIX)}
+GMM = {"components": Field(BLOCKS, table=COMPONENT), "k_types": Field(INT, minimum=1),
+       "dx": Field(NUMBER, 0.0), "seed": Field(INT, 0, minimum=0), "sample_size": Field(INT, 10_000)}
 RBF_GMM = {
     "models": Field(BLOCKS, table={"bias": Field(NUMBER, 0.0),
                                    "kernels": Field(BLOCKS, table=KERNEL)}),
-    "gmm": Field(BLOCK, table={
-        "components": Field(BLOCKS, table=COMPONENT), "k_types": Field(INT),
-        "dx": Field(NUMBER, 0.0), "seed": Field(INT, 0, minimum=0),
-        "sample_size": Field(INT, 10_000)}),
+    "gmm": Field(BLOCK, table=GMM),
 }
 # instance.synthetic, and the synthetic game of a fixture record
-SYNTHETIC = Field(BLOCK, ONE_OF, table={**RBF_GMM, "n_platforms": Field(INT)})
+SYNTHETIC = Field(BLOCK, ONE_OF, table={**RBF_GMM, "n_platforms": N_PLATFORMS})
 
 # the file ``instance.file`` names; its fields are named instance.<key>
 INSTANCE_FILE = {
-    "scores": Field(MATRIX), "weights": Field(NUMBERS), "n_platforms": Field(INT),
+    "scores": Field(MATRIX), "weights": Field(NUMBERS), "n_platforms": N_PLATFORMS,
     "model_labels": Field(STRINGS, None), "type_labels": Field(STRINGS, None),
     "choice": Field(BLOCK, None, table=CHOICE),
 }
@@ -87,13 +90,25 @@ FIXTURE_RECORD = {
 }
 
 # the kind of a sweep value, by axis
-SWEEP_VALUES = {"models": Field(INT), "platforms": Field(INT, minimum=1),
-                "population": Field(NUMBERS), "tau": Field(NUMBER, above=0)}
+SWEEP_VALUES = {"models": Field(INT), "platforms": N_PLATFORMS,
+                "population": Field(NUMBERS), "tau": CHOICE["tau"]}
 
-# the keys of training.params: TrainingConfig's fields, with lambda in place of lam
+# training.params: entry.TrainingConfig's fields, which default there; lambda is lam
 RENAMED = {"lambda": "lam"}
-PARAMS = {name: Field(ANY, OPTIONAL) for name in list(RENAMED) + [
-    f.name for f in dataclasses.fields(TrainingConfig) if f.name not in RENAMED.values()]}
+PARAMS = {"beta": Field(NUMBER, OPTIONAL, above=0), "gamma": Field(NUMBER, OPTIONAL, minimum=0),
+          "lambda": Field(NUMBER, OPTIONAL, minimum=0), "outer_rounds": Field(INT, OPTIONAL, minimum=1),
+          "inner_epochs": Field(INT, OPTIONAL, minimum=0), "eval_budget": Field(INT, OPTIONAL, minimum=1),
+          "learning_rate": Field(NUMBER, OPTIONAL, above=0),
+          "baseline_decay": Field(NUMBER, OPTIONAL, minimum=0, below=1),
+          "blend": Field(NUMBER, OPTIONAL, above=0, maximum=1), "seed": Field(INT, OPTIONAL, minimum=0)}
+
+DYNAMICS = {"start": Field(INTS, None),
+            "order": Field(ENUM_OR_INTS, "round_robin", choices=("round_robin",)),
+            "max_steps": Field(INT, 1000, minimum=1), "seed": Field(INT, 0, minimum=0)}
+
+# CentralizationParams' fields, which no config file sets
+CENTRALIZATION = {"rho": Field(NUMBER, above=0), "gamma_cap": Field(NUMBER, minimum=0),
+                  "pi_star": Field(NUMBER, minimum=0, maximum=1)}
 
 RUN_CONFIG = {
     "instance": Field(BLOCK, table={
@@ -102,12 +117,7 @@ RUN_CONFIG = {
         "synthetic": SYNTHETIC,
     }),
     "choice": Field(BLOCK, None, table=CHOICE),
-    "dynamics": Field(BLOCK, {}, table={
-        "start": Field(INTS, None),
-        "order": Field(ENUM_OR_INTS, "round_robin", choices=("round_robin",)),
-        "max_steps": Field(INT, 1000, minimum=1),
-        "seed": Field(INT, 0, minimum=0),
-    }),
+    "dynamics": Field(BLOCK, {}, table=DYNAMICS),
     "sweep": Field(BLOCK, OPTIONAL, table={
         "axis": Field(ENUM, choices=tuple(SWEEP_VALUES)),
         "values": Field(LIST),
@@ -126,7 +136,7 @@ RUN_CONFIG = {
             "type_preferences": Field(MATRIX, None),
         }),
         "params": Field(BLOCK, {}, table=PARAMS),
-        "n_platforms": Field(INT, 3),
+        "n_platforms": N_PLATFORMS._replace(default=3),
     }),
     "output": Field(BLOCK, {}, table={"dir": Field(STRING, OPTIONAL),
                                       "prefix": Field(STRING, OPTIONAL)}),
@@ -138,55 +148,61 @@ COMMANDS = {"run": RUN_CONFIG, **{
     for command, block in (("sweep", "sweep"), ("entry", "training"))}}
 
 
-def _scalar(value, kind: str, field: Field, name: str) -> None:
+# each bound as (its Field attribute, the test a value fails it by, the relation it states)
+_BOUNDS = (("minimum", operator.lt, ">="), ("above", operator.le, ">"),
+           ("maximum", operator.gt, "<="), ("below", operator.ge, "<"))
+
+
+def _scalar(value, kind: str, field: Field, name: str, error: type) -> None:
     types, noun = _SCALARS[kind]
     # a bool is an int to Python, but never a count, a weight or a label here
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{name} must be {noun} (got {value!r})")
-    # json.load takes NaN, Infinity and ints too large for a float
-    if kind == NUMBER and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{name} must be finite (got {value!r})")
-    if field.minimum is not None and value < field.minimum:
-        raise ConfigError(f"{name} must be >= {field.minimum} (got {value!r})")
-    if field.above is not None and not value > field.above:
-        raise ConfigError(f"{name} must be > {field.above} (got {value!r})")
+        raise error(f"{name} must be {noun} (got {value!r})")
+    # json.load takes NaN, Infinity and ints too large for a float; any other
+    # number is compared as a float, as numpy warns casting the bound to float32
+    if kind == NUMBER and not abs(value if isinstance(value, int) else float(value)) <= sys.float_info.max:
+        raise error(f"{name} must be finite (got {value!r})")
+    for attribute, fails, relation in _BOUNDS:
+        bound = getattr(field, attribute)
+        if bound is not None and fails(value, bound):
+            raise error(f"{name} must be {relation} {bound} (got {value!r})")
 
 
-def _list(value, name: str) -> list:
+def _list(value, name: str, error: type) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list (got {value!r})")
+        raise error(f"{name} must be a list (got {value!r})")
     return value
 
 
-def check(value, field: Field, path: str):
-    """``value`` once it has ``field``'s kind and bound, or a ConfigError
-    naming ``path``.  A block comes back walked; any other value as it is."""
+def check(value, field: Field, path: str, error: type = ConfigError):
+    """``value`` once it has ``field``'s kind and bounds, or an ``error`` naming
+    ``path``.  A block comes back walked; any other value as it is."""
     kind = field.kind
     if (value is None and field.default is None) or kind == ANY:
         return value
     if kind == BLOCK:
         return walk(value, field.table, path)
     if kind == BLOCKS:
-        return [walk(v, field.table, f"{path}[{i}]") for i, v in enumerate(_list(value, path))]
+        return [walk(v, field.table, f"{path}[{i}]") for i, v in enumerate(_list(value, path, error))]
     if kind == ENUM_OR_INTS and isinstance(value, list):
         kind = INTS
     if kind in (ENUM, ENUM_OR_INTS):
         if value not in field.choices:
             also = " or a list of integers" if kind == ENUM_OR_INTS else ""
-            raise ConfigError(f"{path} must be one of {', '.join(map(repr, field.choices))}"
-                              f"{also} (got {value!r})")
+            raise error(f"{path} must be one of {', '.join(map(repr, field.choices))}"
+                        f"{also} (got {value!r})")
     elif kind in _SCALARS:
-        _scalar(value, kind, field, path)
+        _scalar(value, kind, field, path, error)
     else:
-        rows = [_list(value, path)]
+        rows = [_list(value, path, error)]
         if kind == MATRIX:
-            rows = [_list(row, f"a row of {path}") for row in value]
+            rows = [_list(row, f"a row of {path}", error) for row in value]
             if len({len(row) for row in rows}) > 1:
-                raise ConfigError(f"the rows of {path} must have equal lengths")
+                raise error(f"the rows of {path} must have equal lengths")
         if kind != LIST:
             name = f"an entry of {path}"
             for entry in (entry for row in rows for entry in row):
-                _scalar(entry, _ENTRIES[kind], field, name)
+                _scalar(entry, _ENTRIES[kind], field, name, error)
     return value
 
 

@@ -19,12 +19,12 @@ score-function estimator.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import PARAMS, RENAMED, check
 from .errors import (
     InvalidInstanceError,
     InvalidParameterError,
@@ -32,7 +32,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .equilibrium import DynamicsOutcome, run_dynamics
-from .game import _BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, ScoreMatrix, _frozen_array
+from .game import _BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, ScoreMatrix, _frozen_array, _index
 from .metrics import MetricsRecord, analyze, outcome_metrics
 
 __all__ = [
@@ -145,36 +145,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a bool is an int to Python, but never a count or a weight here
-        for name in ("outer_rounds", "inner_epochs", "eval_budget", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer (got {value!r})")
-        for name, value in (("beta", self.beta), ("gamma", self.gamma), ("lambda", self.lam),
-                            ("learning_rate", self.learning_rate),
-                            ("baseline_decay", self.baseline_decay), ("blend", self.blend)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidParameterError(f"{name} must be a number (got {value!r})")
-        if not self.beta > 0:
-            raise InvalidParameterError("beta must be > 0")
-        if not self.gamma >= 0:
-            raise InvalidParameterError("gamma must be >= 0")
-        if not self.lam >= 0:
-            raise InvalidParameterError("lambda must be >= 0")
-        if self.outer_rounds < 1:
-            raise InvalidParameterError("outer_rounds must be >= 1")
-        if self.inner_epochs < 0:
-            raise InvalidParameterError("inner_epochs must be >= 0")
-        if self.eval_budget < 1:
-            raise InvalidParameterError("eval_budget must be >= 1")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0 (got {self.seed})")
-        if not self.learning_rate > 0:
-            raise InvalidParameterError("learning_rate must be > 0")
-        if not 0 <= self.baseline_decay < 1:
-            raise InvalidParameterError("baseline_decay must lie in [0, 1)")
-        if not 0 < self.blend <= 1:
-            raise InvalidParameterError("blend must lie in (0, 1]")
+        for key, field in PARAMS.items():  # training.params, each under its config key
+            check(getattr(self, RENAMED.get(key, key)), field, key, InvalidParameterError)
 
 
 @dataclass(frozen=True)
@@ -265,8 +237,7 @@ def entrant_scores(gen: ToyGenerator, rewards: RewardTable) -> np.ndarray:
 
 def adoption_gate(s_phi: np.ndarray, market: GameSpec, beta: float) -> np.ndarray:
     """Sigmoid gate on the entrant's margin over the market's best incumbent, per type."""
-    if not beta > 0:
-        raise InvalidParameterError("beta must be > 0")
+    check(beta, PARAMS["beta"], "beta", InvalidParameterError)
     s = np.asarray(s_phi, dtype=float)
     if s.shape != (market.population.n_types,):
         raise InvalidInstanceError("s_phi must have one entry per user type")
@@ -381,6 +352,7 @@ def grad_s_reinforce(gen: ToyGenerator, rewards: RewardTable, type_index: int,
     Uses the baseline value from before this call (so the estimator stays
     unbiased) and then folds the batch's mean reward into the moving average.
     """
+    type_index = _index(type_index, rewards.n_types, "type index", InvalidParameterError)
     return _reinforce_gradients(gen, rewards, [type_index], n_samples, baseline, rng)[0]
 
 
@@ -399,8 +371,7 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
     In the unstructured mode items are weighted by the types' sum-normalized
     rewards instead.  The result sums to 1 over items with non-zero counts.
     """
-    if not gamma >= 0:
-        raise InvalidParameterError("gamma must be >= 0")
+    check(gamma, PARAMS["gamma"], "gamma", InvalidParameterError)
     population = market.population
     sigma = adoption_gate(np.asarray(s_phi, dtype=float), market, beta)
     alpha = population.weights * np.power(sigma, gamma) * market.scores.scores.max(axis=0)

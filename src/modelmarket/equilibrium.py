@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import CENTRALIZATION, DYNAMICS, check
 from .errors import (
     BudgetExceededError,
     InvalidInstanceError,
@@ -114,10 +115,6 @@ class ConditionRow:
     lhs: float
     rhs: float
 
-    @property
-    def margin(self) -> float:
-        return self.lhs - self.rhs
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -143,12 +140,8 @@ class CentralizationParams:
     pi_star: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise InvalidParameterError("rho must be > 0")
-        if not self.gamma_cap >= 0:
-            raise InvalidParameterError("gamma_cap must be >= 0")
-        if not 0.0 <= self.pi_star <= 1.0:
-            raise InvalidParameterError("pi_star must lie in [0, 1]")
+        for name, field in CENTRALIZATION.items():
+            check(getattr(self, name), field, name, InvalidParameterError)
 
 
 @dataclass(frozen=True)
@@ -249,8 +242,7 @@ def best_response(spec: GameSpec, profile, platform: int) -> int:
     threshold, and otherwise returns the lowest-index model whose shortfall does not.
     """
     prof = as_profile(spec, profile)
-    if not 0 <= platform < spec.n_platforms:
-        raise InvalidProfileError(f"platform index {platform} out of range [0, {spec.n_platforms})")
+    platform = game._index(platform, spec.n_platforms, "platform index", InvalidProfileError)
     values = game.deviation_values(spec, prof[:platform] + prof[platform + 1:])
     best = values.max()
     if not _exceeds(best - values[prof[platform]]):
@@ -272,8 +264,7 @@ def run_dynamics(
     nothing, as ``cycle`` when a (profile, next-mover) state repeats, and as
     ``timeout`` when ``max_steps`` turns elapse first.
     """
-    if max_steps < 1:
-        raise InvalidParameterError("max_steps must be at least 1")
+    check(max_steps, DYNAMICS["max_steps"], "max_steps", InvalidParameterError)
     start_prof = as_profile(spec, start)
     if isinstance(order, str):
         if order != "round_robin":
@@ -289,8 +280,7 @@ def run_dynamics(
                 f"mover order must be a list of platform indices (got {order!r})"
             ) from None
         for i in mover_order:
-            if not 0 <= i < spec.n_platforms:
-                raise InvalidParameterError(f"mover index {i} out of range")
+            game._index(i, spec.n_platforms, "mover index", InvalidParameterError)
         if set(mover_order) != set(range(spec.n_platforms)):
             # a silent full pass certifies an equilibrium only if every
             # platform got a turn
@@ -412,14 +402,14 @@ def check_homogeneous_condition(spec: GameSpec, model: int) -> ConditionReport:
     deviation advantage is 0, so each row's rhs is the deviator's delta.
     """
     _hardmax_only(spec, "the homogeneous-equilibrium condition")
-    if not 0 <= model < spec.n_models:
-        raise InvalidInstanceError(f"model index {model} out of range")
+    model = game._index(model, spec.n_models, "model index", InvalidInstanceError)
     return _condition_report(spec, (model,) * spec.n_platforms, np.zeros(1, dtype=int), np.zeros(1))
 
 
 def pair_delta(spec: GameSpec, i: int, j: int) -> float:
     """Two-platform deviation advantage of model i against model j."""
-    chosen = spec.scores.scores[[i, j]]
+    chosen = spec.scores.scores[[game._index(g, spec.n_models, "model index", InvalidInstanceError)
+                                 for g in (i, j)]]
     return float(game._deviation_advantage(game.ChoiceRule.hardmax(), chosen,
                                            spec.population.weights)[0])
 
@@ -431,11 +421,9 @@ def two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions
     _hardmax_only(spec, "the two-player condition")
     if spec.n_platforms != 2:
         raise InvalidInstanceError("two_player_conditions requires exactly 2 platforms")
+    i, j = (game._index(g, spec.n_models, "model index", InvalidInstanceError) for g in (i, j))
     if i == j:
         raise InvalidInstanceError("models i and j must differ")
-    for k in (i, j):
-        if not 0 <= k < spec.n_models:
-            raise InvalidInstanceError(f"model index {k} out of range")
     return TwoPlayerConditions(check_differentiated_condition(spec, (i, j)).holds,
                                check_homogeneous_condition(spec, i).holds,
                                check_homogeneous_condition(spec, j).holds)
@@ -452,12 +440,9 @@ def centralization_check(spec: GameSpec, params: CentralizationParams) -> Centra
     """
     _hardmax_only(spec, "the centralization check")
     s = spec.scores.scores
-    k_star = params.dominant_type
-    m = params.dominant_model
-    if not 0 <= k_star < spec.scores.n_types:
-        raise InvalidInstanceError(f"dominant type index {k_star} out of range")
-    if not 0 <= m < spec.n_models:
-        raise InvalidInstanceError(f"dominant model index {m} out of range")
+    k_star = game._index(params.dominant_type, spec.scores.n_types, "dominant type index",
+                         InvalidInstanceError)
+    m = game._index(params.dominant_model, spec.n_models, "dominant model index", InvalidInstanceError)
     w_star = float(spec.population.weights[k_star])
     if not abs(w_star - params.pi_star) <= game.WEIGHT_TOL:
         raise InvalidInstanceError(

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .config import CHOICE, N_PLATFORMS, check
 from .errors import InvalidInstanceError, InvalidParameterError, InvalidProfileError
 
 __all__ = [
@@ -144,9 +145,9 @@ class ChoiceRule:
     def __post_init__(self):
         if self.kind not in ("hardmax", "softmax"):
             raise InvalidParameterError(f"unknown choice rule {self.kind!r}")
-        if self.kind == "softmax":
-            if self.tau is None or not np.isfinite(self.tau) or self.tau <= 0:
-                raise InvalidParameterError("softmax requires tau > 0")
+        if self.kind == "softmax":  # a float, so that outputs echo a tau of 1 as 1.0
+            object.__setattr__(self, "tau", float(check(self.tau, CHOICE["tau"], "tau",
+                                                        InvalidParameterError)))
 
     @staticmethod
     def hardmax() -> "ChoiceRule":
@@ -154,7 +155,7 @@ class ChoiceRule:
 
     @staticmethod
     def softmax(tau: float) -> "ChoiceRule":
-        return ChoiceRule("softmax", float(tau))
+        return ChoiceRule("softmax", tau)
 
 
 @dataclass(frozen=True)
@@ -172,21 +173,14 @@ class GameSpec:
                 f"score matrix has {self.scores.n_types} type columns but the "
                 f"population has {self.population.n_types} types"
             )
-        try:
-            n = operator.index(self.n_platforms)
-        except TypeError:
-            raise InvalidInstanceError(
-                f"n_platforms must be an integer (got {self.n_platforms!r})"
-            ) from None
-        if n < 1:
-            raise InvalidInstanceError("n_platforms must be at least 1")
+        n = operator.index(check(self.n_platforms, N_PLATFORMS, "n_platforms", InvalidInstanceError))
         # in Python floats, whose arithmetic overflows to inf without a numpy
         # warning; an int n above SCALE_LIMIT would not convert to a float
         largest = float(self.scores.scores.max())
         if not (n <= SCALE_LIMIT and n * largest <= SCALE_LIMIT):
             raise InvalidInstanceError(
                 f"{n} platforms times the largest score {largest!r} exceeds {SCALE_LIMIT!r}")
-        if self.choice.kind == "softmax" and not math.isfinite(largest / float(self.choice.tau)):
+        if self.choice.kind == "softmax" and not math.isfinite(largest / self.choice.tau):
             raise InvalidParameterError(f"softmax tau {self.choice.tau!r} is too small for the score scale")
         object.__setattr__(self, "n_platforms", n)
 
@@ -213,6 +207,17 @@ class GameSpec:
 def as_profile(spec: GameSpec, profile) -> tuple[int, ...]:
     """Normalize a profile-like input to a validated tuple of model indices."""
     return _model_indices(spec, profile, spec.n_platforms)
+
+
+def _index(value, n: int, name: str, error: type) -> int:
+    """``value`` as an index in [0, n), read as a profile entry is, or an ``error`` naming it."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer (got {value!r})") from None
+    if not 0 <= i < n:
+        raise error(f"{name} {i} out of range [0, {n})")
+    return i
 
 
 def _model_indices(spec: GameSpec, profile, n: int) -> tuple[int, ...]:

@@ -219,12 +219,11 @@ def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -
     checked.
     """
     prof = as_profile(spec, base_equilibrium)
-    if not 0 <= int(entrant_model) < spec.n_models:
-        raise InvalidInstanceError(f"entrant model index {entrant_model} out of range")
+    entrant = game._index(entrant_model, spec.n_models, "entrant model index", InvalidInstanceError)
     if not verify_pne(spec, prof).is_pne:
         raise InvalidInstanceError("base profile is not a pure Nash equilibrium")
     extended_spec = spec.with_platforms(spec.n_platforms + 1)
-    extended = prof + (int(entrant_model),)
+    extended = prof + (entrant,)
     is_eq = verify_pne(extended_spec, extended).is_pne
     welfare_delta = coverage_value(extended_spec, extended) - coverage_value(spec, prof)
     support_delta = len(set(extended)) - len(set(prof))

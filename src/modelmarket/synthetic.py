@@ -15,13 +15,13 @@ else, so common-random-number comparisons across shift values are exact.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import COMPONENT, GMM, KERNEL, check
 from .errors import InvalidInstanceError, InvalidParameterError
 from .game import WEIGHT_TOL, ScoreMatrix, UserPopulation, _frozen_array
 
@@ -35,7 +35,7 @@ __all__ = [
     "seeded_kmeans",
 ]
 
-DEFAULT_SAMPLE_SIZE = 10_000
+DEFAULT_SAMPLE_SIZE = GMM["sample_size"].default
 KMEANS_ITERATIONS = 20
 
 
@@ -46,8 +46,8 @@ class RbfKernel:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise InvalidParameterError("kernel width must be > 0")
+        for name in ("amplitude", "width"):
+            check(getattr(self, name), KERNEL[name], f"kernel {name}", InvalidParameterError)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ class GmmComponent:
     def __init__(self, weight: float, mean: Sequence[float], covariance):
         cov = np.asarray(covariance, dtype=float)
         mean_t = tuple(float(x) for x in mean)
-        if not weight >= 0:
-            raise InvalidParameterError("component weight must be >= 0")
+        check(weight, COMPONENT["weight"], "component weight", InvalidParameterError)
         if not (np.all(np.isfinite(mean_t)) and np.all(np.isfinite(cov))):
             raise InvalidInstanceError("component mean and covariance must be finite")
         if cov.shape != (len(mean_t), len(mean_t)):
@@ -119,18 +118,10 @@ class GmmPopulationSpec:
         dims = {len(c.mean) for c in comps}
         if len(dims) != 1:
             raise InvalidInstanceError("all component means must share one dimension")
-        # a bool is an int to Python, but never a count or a seed here
-        for name, value in (("k_types", k_types), ("seed", seed), ("sample_size", sample_size)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer (got {value!r})")
-        if k_types < 1:
-            raise InvalidParameterError("k_types must be at least 1")
+        for name, value in zip(("k_types", "dx", "seed", "sample_size"), (k_types, dx, seed, sample_size)):
+            check(value, GMM[name], name, InvalidParameterError)
         if sample_size < k_types:
             raise InvalidParameterError("sample_size must be at least k_types")
-        if seed < 0:
-            raise InvalidParameterError(f"the GMM seed must be >= 0 (got {seed})")
-        if not math.isfinite(float(dx)):
-            raise InvalidParameterError(f"dx must be finite (got {dx!r})")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "k_types", int(k_types))
         object.__setattr__(self, "dx", float(dx))
@@ -146,10 +137,11 @@ def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]],
                model_labels: Iterable[str] | None = None) -> ScoreMatrix:
     """Evaluate every RBF model at every type point, clamping to [0, 1].
 
-    The clamp applies once, after the bias and all kernels are summed.  A
-    kernel whose 2 * width**2 is not a positive finite float, or whose
-    squared distance over it is not finite at some point, raises
-    ``InvalidParameterError`` naming the model and the kernel.
+    The clamp applies once, after the bias and all kernels are summed.
+    Inputs that would overflow raise ``InvalidParameterError`` naming the
+    model: one whose |bias| plus its kernels' |amplitude|s passes the largest
+    float, and a kernel (named too) whose 2 * width**2 is not a positive
+    finite float or whose squared distance over it is not finite at some point.
     """
     pts = np.asarray(types, dtype=float)
     if pts.ndim != 2:
@@ -158,6 +150,9 @@ def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]],
     for i, spec in enumerate(models):
         if spec.dim != pts.shape[1]:
             raise InvalidInstanceError("model and type dimensions differ")
+        if not math.isfinite(sum((abs(k.amplitude) for k in spec.kernels), abs(spec.bias))):
+            raise InvalidParameterError(f"models[{i}]: |bias| + the sum of its kernels' |amplitude| "
+                                        f"must be finite (bias {spec.bias!r})")
         value = np.full(pts.shape[0], spec.bias)
         for j, k in enumerate(spec.kernels):
             name = f"models[{i}].kernels[{j}]"

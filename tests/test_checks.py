@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from modelmarket import game
-from modelmarket.entry import EntryDataset, RewardTable, TrainingConfig, resample_weights
-from modelmarket.equilibrium import CentralizationParams
+from modelmarket.entry import (EntryDataset, RewardTable, TrainingConfig, adoption_gate,
+                               resample_weights)
+from modelmarket.equilibrium import CentralizationParams, run_dynamics
 from modelmarket.errors import InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance
-from modelmarket.game import AllocationMatrix, GameSpec, ScoreMatrix, UserPopulation
+from modelmarket.game import AllocationMatrix, ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
 from modelmarket.metrics import GameAnalysis, MetricsRecord, ProfileScore, coverage_value
-from modelmarket.synthetic import GmmComponent, GmmPopulationSpec
+from modelmarket.synthetic import GmmComponent, GmmPopulationSpec, RbfKernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "modelmarket"
 NAN = float("nan")
@@ -86,3 +87,89 @@ def test_a_non_finite_value_fails_the_check(case, monkeypatch):
     error, message, call = NON_FINITE_CASES[case]
     with pytest.raises(error, match=message):
         call(monkeypatch)
+
+
+# the library's parameter checks that read a config.Field: the name each
+# message gives, and a call that feeds the parameter a value
+def _central(**values):
+    return CentralizationParams(**{"dominant_type": 0, "dominant_model": 0, "rho": 1.0,
+                                   "gamma_cap": 0.0, "pi_star": 0.5, **values})
+
+
+def _gmm(**values):
+    return GmmPopulationSpec([GmmComponent(1.0, [0.0], [[1.0]])], **{"k_types": 1, **values})
+
+
+NUMBER_PARAMETERS = {
+    **{f"TrainingConfig.{name}": (name, lambda v, key=key: TrainingConfig(**{key: v}))
+       for name, key in (("beta", "beta"), ("gamma", "gamma"), ("lambda", "lam"),
+                         ("learning_rate", "learning_rate"), ("baseline_decay", "baseline_decay"),
+                         ("blend", "blend"))},
+    "adoption_gate.beta": ("beta", lambda v: adoption_gate(np.zeros(2), _market(), v)),
+    "resample_weights.gamma": ("gamma", lambda v: resample_weights(
+        EntryDataset(["x1", "x2"], [1, 1]), np.zeros(2), _market(), 4.0, v,
+        RewardTable([[0.5, 0.5], [0.2, 0.8]]))),
+    "GmmPopulationSpec.dx": ("dx", lambda v: _gmm(dx=v)),
+    "GmmComponent.weight": ("component weight", lambda v: GmmComponent(v, [0.0], [[1.0]])),
+    "RbfKernel.width": ("kernel width", lambda v: RbfKernel((0.0,), 1.0, v)),
+    "RbfKernel.amplitude": ("kernel amplitude", lambda v: RbfKernel((0.0,), v, 1.0)),
+    "ChoiceRule.tau": ("tau", lambda v: ChoiceRule.softmax(v)),
+    **{f"CentralizationParams.{name}": (name, lambda v, name=name: _central(**{name: v}))
+       for name in ("rho", "gamma_cap", "pi_star")},
+}
+
+
+@pytest.mark.parametrize("value", [NAN, float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(NUMBER_PARAMETERS))
+def test_every_number_parameter_refuses_a_non_finite_value(case, value):
+    name, call = NUMBER_PARAMETERS[case]
+    with pytest.raises(InvalidParameterError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be finite (got {value!r})"
+
+
+# (error, message, a call that breaks one bound of a config.Field)
+BOUND_CASES = {
+    "beta": (InvalidParameterError, "beta must be > 0 (got 0)", lambda: TrainingConfig(beta=0)),
+    "baseline_decay": (InvalidParameterError, "baseline_decay must be < 1 (got 1)",
+                       lambda: TrainingConfig(baseline_decay=1)),
+    "blend": (InvalidParameterError, "blend must be <= 1 (got 1.5)", lambda: TrainingConfig(blend=1.5)),
+    "blend at 0": (InvalidParameterError, "blend must be > 0 (got 0.0)", lambda: TrainingConfig(blend=0.0)),
+    "pi_star": (InvalidParameterError, "pi_star must be <= 1 (got 1.5)", lambda: _central(pi_star=1.5)),
+    "k_types": (InvalidParameterError, "k_types must be >= 1 (got 0)", lambda: _gmm(k_types=0)),
+    "tau": (InvalidParameterError, "tau must be > 0 (got 0)", lambda: ChoiceRule.softmax(0)),
+    "tau missing": (InvalidParameterError, "tau must be a number (got None)",
+                    lambda: ChoiceRule("softmax")),
+    "n_platforms": (InvalidInstanceError, "n_platforms must be >= 1 (got 0)",
+                    lambda: _market().with_platforms(0)),
+    "n_platforms bool": (InvalidInstanceError, "n_platforms must be an integer (got True)",
+                         lambda: _market().with_platforms(True)),
+    "max_steps": (InvalidParameterError, "max_steps must be an integer (got 2.5)",
+                  lambda: run_dynamics(_market(), (0,), max_steps=2.5)),
+    "max_steps at 0": (InvalidParameterError, "max_steps must be >= 1 (got 0)",
+                       lambda: run_dynamics(_market(), (0,), max_steps=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUND_CASES))
+def test_a_library_bound_is_one_error_naming_the_parameter(case):
+    error, message, call = BOUND_CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_numpy_scalars_pass_the_checks():
+    config = TrainingConfig(beta=np.float64(2.0), outer_rounds=np.int64(2), blend=np.float32(0.5))
+    assert (config.beta, config.outer_rounds) == (2.0, 2)
+    spec = _market().with_platforms(np.int64(2))
+    assert spec.n_platforms == 2 and type(spec.n_platforms) is int
+    assert ChoiceRule.softmax(np.float64(0.5)).tau == 0.5 and type(ChoiceRule.softmax(1).tau) is float
+
+
+def test_config_imports_only_errors_from_the_package():
+    # the library's records import config's tables, so config imports none of them
+    tree = ast.parse((SRC / "config.py").read_text())
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert imported == ["errors"]

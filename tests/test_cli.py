@@ -275,6 +275,20 @@ class TestRun:
         assert len(err.splitlines()) == 1 and err.startswith("error: models[0].kernels[0]: ")
         assert not out.exists()
 
+    def test_rbf_bias_plus_amplitude_past_the_largest_float_is_one_error(self, tmp_path, capsys):
+        # an overflow warning in the sum, then exit 0 with welfare 1.0 from the clamp
+        cfg = _write_config(tmp_path, {"instance": {"synthetic": {
+            "models": [{"bias": 1e308, "kernels": [{"center": [0, 0], "amplitude": 1.7e308, "width": 1}]}],
+            "n_platforms": 2,
+            "gmm": {"components": [{"weight": 1, "mean": [0, 0], "covariance": [[1, 0], [0, 1]]}],
+                    "k_types": 3, "sample_size": 50}}}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: models[0]: |bias| + the sum of its kernels' |amplitude| must be finite "
+            "(bias 1e+308)\n")
+        assert not out.exists()
+
     def test_failed_invariant_writes_nothing(self, tmp_path, capsys, monkeypatch):
         exact = game_mod.average_scores
         monkeypatch.setattr(game_mod, "average_scores", lambda spec: exact(spec) + 1e-6)
@@ -842,7 +856,8 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["entry", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
         kind = "a number" if key in ("beta", "lambda") else "an integer"
-        assert capsys.readouterr().err == f"error: {key} must be {kind} (got {value!r})\n"
+        assert capsys.readouterr().err == (
+            f"error: training.params.{key} must be {kind} (got {value!r})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, field, value", [
@@ -1232,7 +1247,8 @@ class TestNegativeSeeds:
         payload = self._entry_payload()
         payload["training"]["params"]["seed"] = -1
         self._assert_one_error(["entry", "--config", _write_config(tmp_path, payload),
-                                "--out", str(tmp_path)], capsys, "seed must be >= 0 (got -1)")
+                                "--out", str(tmp_path)], capsys,
+                               "training.params.seed must be >= 0 (got -1)")
 
 
 def _table_fields(table, keys=(), name=""):
@@ -1264,15 +1280,19 @@ _WRONG = {
     config_mod.LIST: [3, "x", None, {}],
     config_mod.BLOCK: [True, 3, "x", None, [1], {"unknown": 1}],
     config_mod.BLOCKS: [3, "x", None, {}, [3], [{"unknown": 1}]],
-    config_mod.ANY: [],  # training.params values: TrainingConfig checks them
+    config_mod.ANY: [],  # fixture expectations: verify_fixture checks them
 }
 
 
 def _wrong_values(field):
+    """Values of a wrong kind for ``field``, and one past each of its bounds."""
     wrong = [v for v in _WRONG[field.kind] if v is not None or field.default is not None]
     if field.minimum is not None:
         below = field.minimum - 1
         wrong.append([below] if field.kind == config_mod.INTS else below)
+    wrong += [bound for bound in (field.above, field.below) if bound is not None]
+    if field.maximum is not None:
+        wrong.append(field.maximum + 0.5)
     return wrong
 
 
@@ -1369,6 +1389,113 @@ class TestConfigTable:
         fields = {path.replace("[0]", "[]") for _, _, path, _ in _CASES}
         assert len(documented) == len(set(documented))
         assert set(documented) == fields
+
+
+def _set(keys, value):
+    """A change to a full config: set the entry that ``keys`` lead to;
+    "file" leads into the instance file, "synthetic" into the synthetic block."""
+    def change(payload, instance_file):
+        target = {"file": instance_file,
+                  "synthetic": payload["instance"].get("synthetic")}.get(keys[0], payload)
+        path = keys[1:] if keys[0] in ("file", "synthetic") else keys
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return change
+
+
+# a full config's instance source, a change to it, and the error line it must
+# end in: the bounds of the table under their dotted paths, then the checks
+# that stay with the records, each reached from a config file
+_CHECKS = {
+    "params.beta": ("file", _set(("training", "params", "beta"), 0),
+                    "training.params.beta must be > 0 (got 0)"),
+    "params.blend": ("file", _set(("training", "params", "blend"), 1.5),
+                     "training.params.blend must be <= 1 (got 1.5)"),
+    "params.baseline_decay": ("file", _set(("training", "params", "baseline_decay"), 1),
+                              "training.params.baseline_decay must be < 1 (got 1)"),
+    "choice.tau": ("file", _set(("choice", "tau"), 0), "choice.tau must be > 0 (got 0)"),
+    "training.n_platforms": ("file", _set(("training", "n_platforms"), 0),
+                             "training.n_platforms must be >= 1 (got 0)"),
+    "instance.n_platforms": ("file", _set(("file", "n_platforms"), 0),
+                             "instance.n_platforms must be >= 1 (got 0)"),
+    "synthetic.n_platforms": ("synthetic", _set(("synthetic", "n_platforms"), 0),
+                              "instance.synthetic.n_platforms must be >= 1 (got 0)"),
+    "gmm.k_types": ("synthetic", _set(("synthetic", "gmm", "k_types"), 0),
+                    "instance.synthetic.gmm.k_types must be >= 1 (got 0)"),
+    "kernel width": ("synthetic", _set(("synthetic", "models", 0, "kernels", 0, "width"), 0),
+                     "instance.synthetic.models[0].kernels[0].width must be > 0 (got 0)"),
+    "component weight": ("synthetic", _set(("synthetic", "gmm", "components", 0, "weight"), -0.5),
+                         "instance.synthetic.gmm.components[0].weight must be >= 0 (got -0.5)"),
+    "counts length": ("file", _set(("training", "dataset", "counts"), [1, 1, 1]),
+                      "counts must be one value per outcome"),
+    "negative counts": ("file", _set(("training", "dataset", "counts"), [-1, 2]),
+                        "counts must be finite and non-negative"),
+    "empty dataset": ("file", _set(("training", "dataset", "counts"), [0, 0]),
+                      "dataset must contain at least one item"),
+    "attributes length": ("file", _set(("training", "dataset", "attributes"), ["a"]),
+                          "attributes must label every outcome"),
+    "unknown attribute": ("file", _set(("training", "dataset", "attributes"), ["a", "c"]),
+                          "attributes must come from attribute_labels"),
+    "attributes without preferences": ("file", _set(("training", "dataset", "type_preferences"), None),
+                                       "structured datasets need type_attribute_prefs"),
+    "preference shape": ("file", _set(("training", "dataset", "type_preferences"), [[1, 0, 0], [0, 1, 0]]),
+                         "type_attribute_prefs must be K x |attributes|"),
+    "preference rows": ("file", lambda payload, _: payload["training"].update(
+        method="resampling", dataset={**payload["training"]["dataset"],
+                                      "type_preferences": [[1, 0], [0, 1], [1, 0]]}),
+                        "type_attribute_prefs rows must match the population"),
+    "rewards shape": ("file", _set(("training", "rewards"), []), "rewards must be a K x |X| matrix"),
+    "rewards range": ("file", _set(("training", "rewards"), [[0.5, 1.5], [0.2, 0.8]]),
+                      "rewards must lie in [0, 1]"),
+    "no user types": ("file", lambda payload, instance: instance.update(weights=[], type_labels=[]),
+                      "population needs at least one user type"),
+    "repeated type labels": ("file", _set(("file", "type_labels"), ["a", "a"]),
+                             "user type labels must be unique"),
+    "type labels length": ("file", _set(("file", "type_labels"), ["a"]),
+                           "weights must be a vector matching type_labels"),
+    "empty scores": ("file", _set(("file", "scores"), [[]]), "scores must be a non-empty M x K matrix"),
+    "model labels length": ("file", _set(("file", "model_labels"), ["g1"]),
+                            "model_labels must match the number of score rows"),
+    "repeated model labels": ("file", _set(("file", "model_labels"), ["g", "g"]),
+                              "model labels must be unique"),
+    "no kernels": ("synthetic", _set(("synthetic", "models", 0, "kernels"), []),
+                   "an RBF model needs at least one kernel"),
+    "kernel dimensions": ("synthetic", _set(("synthetic", "models", 0, "kernels"), [
+        {"center": [0.5, 0.5], "amplitude": 0.6, "width": 0.3},
+        {"center": [0.5], "amplitude": 0.6, "width": 0.3}]), "all kernel centers must share one dimension"),
+    "covariance shape": ("synthetic", _set(("synthetic", "gmm", "components", 0, "covariance"), [[1]]),
+                         "covariance shape must match the mean dimension"),
+    "covariance symmetry": ("synthetic", _set(("synthetic", "gmm", "components", 0, "covariance"),
+                                              [[0.05, 0.01], [0.0, 0.05]]), "covariance must be symmetric"),
+    "no components": ("synthetic", _set(("synthetic", "gmm", "components"), []),
+                      "a GMM needs at least one component"),
+    "component dimensions": ("synthetic", _set(("synthetic", "gmm", "components"), [
+        {"weight": 0.5, "mean": [0.5, 0.5], "covariance": [[0.05, 0.0], [0.0, 0.05]]},
+        {"weight": 0.5, "mean": [0.5], "covariance": [[0.05]]}]),
+                             "all component means must share one dimension"),
+    "sample below k_types": ("synthetic", _set(("synthetic", "gmm", "sample_size"), 1),
+                             "sample_size must be at least k_types"),
+    "model and type dimensions": ("synthetic", _set(("synthetic", "models", 0, "kernels"), [
+        {"center": [0.5], "amplitude": 0.6, "width": 0.3}]), "model and type dimensions differ"),
+}
+
+
+class TestInputChecks:
+    """Each bound of the table names its dotted path, and each check a record
+    keeps is reached from a config file: one error line, nothing written."""
+
+    @pytest.mark.parametrize("case", list(_CHECKS))
+    def test_one_error_line_and_no_output(self, tmp_path, capsys, case):
+        source, change, message = _CHECKS[case]
+        payload = _full_config(source)
+        instance_file = json.loads(json.dumps(_INSTANCE_FILE))
+        change(payload, instance_file)
+        _write_config(tmp_path, instance_file, name="inst.json")
+        out = tmp_path / "out"
+        assert main(["entry", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 # the shipped record each game block's cases start from

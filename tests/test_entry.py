@@ -1,5 +1,7 @@
 """Entry-training: gates, objective, gradients, both training schemes, evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from modelmarket.errors import (
 )
 from modelmarket.equilibrium import check_homogeneous_condition, enumerate_pne
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation
+from modelmarket import config as config_mod
 from modelmarket import entry as entry_mod
 from modelmarket.game import _BLOCK_ELEMENTS
 from modelmarket.entry import (
@@ -149,6 +152,19 @@ class TestExactGradient:
 
 
 class TestReinforceEstimator:
+    @pytest.mark.parametrize("type_index, message", [
+        (-1, "type index -1 out of range [0, 2)"), (2, "type index 2 out of range [0, 2)"),
+        (1.0, "type index must be an integer (got 1.0)")])
+    def test_the_type_index_is_read_as_a_profile_entry(self, type_index, message):
+        # -1 would wrap to the last type and 1.0 index as 1
+        gen = ToyGenerator.uniform(["a", "b"])
+        baseline = RewardBaseline.zeros(2, 0.9)
+        with pytest.raises(InvalidParameterError) as info:
+            grad_s_reinforce(gen, RewardTable([[0.2, 0.4], [0.6, 0.8]]), type_index, 10, baseline,
+                             np.random.default_rng(0))
+        assert str(info.value) == message
+        assert np.array_equal(baseline.values, [0.0, 0.0])
+
     def test_constant_rewards_estimate_zero_in_expectation(self):
         rng = np.random.default_rng(53)
         gen = ToyGenerator.uniform(["a", "b", "c"])
@@ -280,6 +296,17 @@ class TestTrainResampling:
         config = TrainingConfig(outer_rounds=4, inner_epochs=5, seed=0)
         _, trace = train_resampling(toy.dataset, toy.rewards, toy.market, config)
         assert [r["round"] for r in trace] == [0, 1, 2, 3, 4]
+
+    def test_an_outcome_the_resample_empties_keeps_a_vanishing_floor(self):
+        # no type rewards x2, so the resample draws none of it, and blend = 1
+        # moves the generator onto the resample: x2 would get probability 0
+        dataset = EntryDataset(["x1", "x2"], [3, 1])
+        rewards = RewardTable([[1.0, 0.0], [0.5, 0.0]])
+        config = TrainingConfig(blend=1.0, outer_rounds=2, inner_epochs=1)
+        gen, trace = train_resampling(dataset, rewards, _market([[0.2, 0.4]]), config)
+        p = gen.probabilities()
+        assert 0 < p[1] == pytest.approx(1e-12, rel=1e-9)
+        assert all(np.isfinite(row["objective"]) for row in trace)
 
 
 class TestTrainDirectGradient:
@@ -730,6 +757,13 @@ def test_sigmoid_equals_the_masked_form_bit_for_bit():
         assert got.tobytes() == masked_sigmoid(x).tobytes()
 
 
+def test_the_params_table_lists_every_training_field():
+    # TrainingConfig checks each field with config.PARAMS; a field missing
+    # there would go unchecked, and a config file could not set it
+    fields = {f.name for f in dataclasses.fields(TrainingConfig)}
+    assert {config_mod.RENAMED.get(key, key) for key in config_mod.PARAMS} == fields
+
+
 class TestTrainingChecksOncePerRun:
     """The epoch loop's once-per-run checks raise what every scoring raised."""
 
@@ -768,14 +802,15 @@ class TestTrainingChecksOncePerRun:
             train_direct_gradient(toy.dataset, toy.rewards, toy.market, config,
                                   estimator=estimator)
 
-    def test_non_finite_loss_is_reported_with_the_trace_so_far(self):
-        # an infinitely sharp gate on a zero margin is inf * 0: a NaN objective
+    def test_non_finite_loss_is_reported_with_the_trace_so_far(self, monkeypatch):
+        # beta must be finite, so a NaN gate stands in for one that went wrong:
+        # the objective of the first trained generator is NaN
         dataset = EntryDataset(["x1", "x2"], [3, 1])
         rewards = RewardTable([[0.0, 0.0], [1.0, 0.5]])
         market = _market([[0.0, 0.4]])
-        config = TrainingConfig(beta=float("inf"), lam=0.0, inner_epochs=3)
-        with pytest.raises(TrainingDivergedError, match="^non-finite loss at epoch 1$") as info, \
-                np.errstate(invalid="ignore"):
+        config = TrainingConfig(lam=0.0, inner_epochs=3)
+        monkeypatch.setattr(entry_mod, "_sigmoid", lambda x: np.full_like(x, np.nan))
+        with pytest.raises(TrainingDivergedError, match="^non-finite loss at epoch 1$") as info:
             train_direct_gradient(dataset, rewards, market, config)
         assert [row["epoch"] for row in info.value.trace] == [0]
 

@@ -150,6 +150,24 @@ class TestRbfScores:
         with pytest.raises(InvalidParameterError, match="^" + re.escape(f"models[1].kernels[1]: {message}")):
             rbf_scores(models, [(0.0, 0.0), (1.0, 2.0)])
 
+    @pytest.mark.parametrize("bias, amplitudes", [
+        (1e308, [1.7e308]), (-1e308, [-1.7e308]), (0.0, [1e308, 1e308]), (1e308, [1.0, -1.7e308]),
+        (math.nan, [1.0]),
+    ], ids=["past-max", "past-min", "two-kernels", "opposite-signs", "nan-bias"])
+    def test_bias_and_amplitudes_past_the_largest_float_are_refused(self, bias, amplitudes):
+        # bias + amplitude overflowed with a warning, and the clamp took the inf
+        # to 1; numpy warnings are errors here, so the refusal must come first
+        models = [RbfModelSpec(0.0, [RbfKernel((0.5, 0.5), 1.0, 0.3)]),
+                  RbfModelSpec(bias, [RbfKernel((0.0, 0.0), a, 1.0) for a in amplitudes])]
+        with pytest.raises(InvalidParameterError,
+                           match="^" + re.escape("models[1]: |bias| + the sum of its kernels' |amplitude| "
+                                                 "must be finite (bias ")):
+            rbf_scores(models, [(0.0, 0.0), (1.0, 2.0)])
+
+    def test_bias_and_amplitudes_up_to_the_largest_float_are_scored(self):
+        model = RbfModelSpec(1e308, [RbfKernel((0.0, 0.0), 7e307, 1.0), RbfKernel((0.0, 0.0), -1e300, 1.0)])
+        assert rbf_scores([model], [(0.0, 0.0), (1.0, 2.0)]).scores.tolist() == [[1.0, 1.0]]
+
     def test_scores_keep_the_bits_of_the_direct_formula(self):
         rng = np.random.default_rng(42)
         for _ in range(50):

@@ -20,11 +20,12 @@ from modelmarket.equilibrium import (
     check_differentiated_condition,
     check_homogeneous_condition,
     enumerate_pne,
+    pair_delta,
     run_dynamics,
     two_player_conditions,
     verify_pne,
 )
-from modelmarket.metrics import market_shares
+from modelmarket.metrics import market_shares, platform_entry_check
 
 from helpers import random_spec
 
@@ -379,3 +380,50 @@ class TestOneThresholdRule:
         assert best_response(spec, (2,), 0) == 0
         assert best_response(spec, (1,), 0) == 1
         assert enumerate_pne(spec) == [(0,), (1,)]
+
+
+class TestIndexArguments:
+    """A model, platform, user-type or entrant index is read as a profile entry
+    is: through operator.index and its range, so -1 does not wrap to the last
+    model, 1.7 is not truncated to 1, and True reads as 1."""
+
+    _CENTRAL = {"rho": 0.1, "gamma_cap": 0.5, "pi_star": 0.5}
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda s: pair_delta(s, 0, -1), InvalidInstanceError, "model index -1 out of range [0, 2)"),
+        (lambda s: pair_delta(s, 0, 9), InvalidInstanceError, "model index 9 out of range [0, 2)"),
+        (lambda s: pair_delta(s, "0", 1), InvalidInstanceError, "model index must be an integer (got '0')"),
+        (lambda s: platform_entry_check(s, (0, 1), 1.7), InvalidInstanceError,
+         "entrant model index must be an integer (got 1.7)"),
+        (lambda s: platform_entry_check(s, (0, 1), -1), InvalidInstanceError,
+         "entrant model index -1 out of range [0, 2)"),
+        (lambda s: check_homogeneous_condition(s, 1.0), InvalidInstanceError,
+         "model index must be an integer (got 1.0)"),
+        (lambda s: check_homogeneous_condition(s, -2), InvalidInstanceError,
+         "model index -2 out of range [0, 2)"),
+        (lambda s: two_player_conditions(s, 0, 1.0), InvalidInstanceError,
+         "model index must be an integer (got 1.0)"),
+        (lambda s: two_player_conditions(s, 0, 2), InvalidInstanceError, "model index 2 out of range [0, 2)"),
+        (lambda s: best_response(s, (0, 1), 1.0), InvalidProfileError,
+         "platform index must be an integer (got 1.0)"),
+        (lambda s: best_response(s, (0, 1), -1), InvalidProfileError, "platform index -1 out of range [0, 2)"),
+        (lambda s: run_dynamics(s, (0, 1), order=[1, 2]), InvalidParameterError,
+         "mover index 2 out of range [0, 2)"),
+        (lambda s: centralization_check(s, CentralizationParams(-1, 0, **TestIndexArguments._CENTRAL)),
+         InvalidInstanceError, "dominant type index -1 out of range [0, 2)"),
+        (lambda s: centralization_check(s, CentralizationParams(0, 0.0, **TestIndexArguments._CENTRAL)),
+         InvalidInstanceError, "dominant model index must be an integer (got 0.0)"),
+    ], ids=["pair-delta-negative", "pair-delta-past-end", "pair-delta-string", "entrant-float",
+            "entrant-negative", "homogeneous-float", "homogeneous-negative", "two-player-float",
+            "two-player-past-end", "best-response-float", "best-response-negative", "mover",
+            "dominant-type", "dominant-model"])
+    def test_a_bad_index_is_one_error_of_the_functions_class(self, fig2a, call, error, message):
+        with pytest.raises(error) as info:
+            call(fig2a)
+        assert str(info.value) == message
+
+    def test_a_bool_reads_as_its_int(self, fig2a):
+        assert check_homogeneous_condition(fig2a, True) == check_homogeneous_condition(fig2a, 1)
+        assert two_player_conditions(fig2a, 0, True) == two_player_conditions(fig2a, 0, 1)
+        assert pair_delta(fig2a, np.int64(0), True) == pair_delta(fig2a, 0, 1)
+        assert best_response(fig2a, (0, 1), True) == best_response(fig2a, (0, 1), 1)
