@@ -318,8 +318,7 @@ def _reinforce_gradients(gen: ToyGenerator, rewards: RewardTable, types: Sequenc
     stays unbiased); the call then folds each type's mean reward into its
     moving average.
     """
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be >= 1")
+    check(n_samples, PARAMS["eval_budget"], "n_samples", InvalidParameterError)
     types = np.asarray(types, dtype=np.intp)
     p = gen.probabilities()
     n_outcomes = gen.n_outcomes

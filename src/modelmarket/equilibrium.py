@@ -243,7 +243,8 @@ def best_response(spec: GameSpec, profile, platform: int) -> int:
     """
     prof = as_profile(spec, profile)
     platform = game._index(platform, spec.n_platforms, "platform index", InvalidProfileError)
-    values = game.deviation_values(spec, prof[:platform] + prof[platform + 1:])
+    # deviation_values without its check of the rivals, who come from a checked profile
+    values = game._deviation_block(spec, game._chosen_scores(spec, prof[:platform] + prof[platform + 1:]))
     best = values.max()
     if not _exceeds(best - values[prof[platform]]):
         return prof[platform]
@@ -260,7 +261,8 @@ def run_dynamics(
 
     Movers act in the given order (default round-robin from platform 0).  A
     turn with no strict improvement advances the mover without changing the
-    profile.  The run ends as ``equilibrium`` once a full pass changes
+    profile, and its step reuses the previous step's utilities, those of the
+    same profile.  The run ends as ``equilibrium`` once a full pass changes
     nothing, as ``cycle`` when a (profile, next-mover) state repeats, and as
     ``timeout`` when ``max_steps`` turns elapse first.
     """
@@ -291,6 +293,7 @@ def run_dynamics(
     trajectory: list[DynamicsStep] = []
     seen: dict[tuple[tuple[int, ...], int], int] = {}
     silent = 0
+    utilities: tuple[float, ...] | None = None
 
     for step in range(max_steps):
         state = (profile, pos)
@@ -307,6 +310,8 @@ def run_dynamics(
         chosen = best_response(spec, profile, mover)
         changed = chosen != profile[mover]
         after = profile[:mover] + (chosen,) + profile[mover + 1:]
+        if changed or utilities is None:
+            utilities = tuple(game.platform_utilities(spec, after).tolist())
         trajectory.append(
             DynamicsStep(
                 index=step,
@@ -315,7 +320,7 @@ def run_dynamics(
                 chosen=chosen,
                 changed=changed,
                 profile_after=after,
-                utilities=tuple(float(u) for u in game.platform_utilities(spec, after)),
+                utilities=utilities,
             )
         )
         profile = after

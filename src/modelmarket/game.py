@@ -222,7 +222,7 @@ def _index(value, n: int, name: str, error: type) -> int:
 
 def _model_indices(spec: GameSpec, profile, n: int) -> tuple[int, ...]:
     try:
-        choices = tuple(operator.index(c) for c in profile)
+        choices = tuple(map(operator.index, profile))
     except TypeError:
         raise InvalidProfileError(
             f"a profile must be a list of model indices (got {profile!r})"
@@ -254,7 +254,7 @@ class AllocationMatrix:
 
 
 def _chosen_scores(spec: GameSpec, profile: tuple[int, ...]) -> np.ndarray:
-    return spec.scores.scores[list(profile)]
+    return spec.scores.scores.take(profile, axis=0)
 
 
 def _shares(choice: ChoiceRule, chosen: np.ndarray) -> np.ndarray:
@@ -299,8 +299,7 @@ def deviation_values(spec: GameSpec, others) -> np.ndarray:
     their exponentials, shifted per model by max(S_g, rivals' max) / tau so
     that no share underflows to 0/0 at small tau.
     """
-    rivals = spec.scores.scores[list(_model_indices(spec, others, spec.n_platforms - 1))]
-    return _deviation_block(spec, rivals)
+    return _deviation_block(spec, _chosen_scores(spec, _model_indices(spec, others, spec.n_platforms - 1)))
 
 
 def _deviation_block(spec: GameSpec, rivals: np.ndarray) -> np.ndarray:
@@ -314,8 +313,9 @@ def _deviation_block(spec: GameSpec, rivals: np.ndarray) -> np.ndarray:
     s = spec.scores.scores
     if spec.choice.kind == "hardmax":
         top = rivals.max(axis=-2, keepdims=True, initial=-np.inf)
-        ties = (rivals == top).sum(axis=-2, keepdims=True)
-        share = np.where(s > top, 1.0, np.where(s == top, 1.0 / (ties + 1), 0.0))
+        ties = (rivals == top).sum(axis=-2, keepdims=True, dtype=float)
+        # 1 / (ties + 1) for a tying model, else 1.0 or 0.0 from the bool
+        share = np.where(s == top, 1.0 / (ties + 1.0), s > top)
     else:
         z = s / spec.choice.tau
         rival_z = rivals / spec.choice.tau

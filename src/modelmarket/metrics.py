@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _IDENTITY_TOL = 1e-12
+_HARDMAX = ChoiceRule.hardmax()  # the rule of coverage's cross-check, whatever the instance's
 
 PNE_BUDGET = 1_000_000  # profiles, for the PNE list of analyze
 OPTIMUM_BUDGET = 10_000_000  # multisets, for the social optimum
@@ -133,12 +134,12 @@ def coverage_value(spec: GameSpec, profile) -> float:
     call, with the hardmax deltas, within a tolerance relative to the value's
     size; the two routes agreeing is a structural invariant.
     """
-    prof = list(as_profile(spec, profile))
-    chosen = spec.scores.scores[prof]
+    prof = as_profile(spec, profile)
+    chosen = game._chosen_scores(spec, prof)
     weights = spec.population.weights
     value = float(chosen.max(axis=0) @ weights)
-    delta = game._deviation_advantage(ChoiceRule.hardmax(), chosen, weights)
-    decomposed = float((game.average_scores(spec)[prof] + delta).sum()) / spec.n_platforms
+    delta = game._deviation_advantage(_HARDMAX, chosen, weights)
+    decomposed = float((game.average_scores(spec).take(prof) + delta).sum()) / spec.n_platforms
     if not abs(value - decomposed) <= _IDENTITY_TOL * max(1.0, abs(value)):
         raise InvalidInstanceError(f"coverage decomposition mismatch: {value!r} vs {decomposed!r}")
     return value
@@ -149,7 +150,7 @@ def market_shares(spec: GameSpec, profile) -> MarketShares:
     prof = as_profile(spec, profile)
     mu = game._shares(spec.choice, game._chosen_scores(spec, prof)) @ spec.population.weights
     return MarketShares(
-        shares=tuple(float(x) for x in mu),
+        shares=tuple(mu.tolist()),
         hhi=float(mu @ mu),
         support=len(set(prof)),
     )

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import COMPONENT, GMM, KERNEL, check
+from .config import COMPONENT, GMM, KERNEL, RBF_GMM, check
 from .errors import InvalidInstanceError, InvalidParameterError
 from .game import WEIGHT_TOL, ScoreMatrix, UserPopulation, _frozen_array
 
@@ -46,6 +46,11 @@ class RbfKernel:
     width: float
 
     def __post_init__(self):
+        try:  # any sequence of numbers, checked as a list
+            center = list(self.center)
+        except TypeError:
+            center = self.center
+        check(center, KERNEL["center"], "kernel center", InvalidParameterError)
         for name in ("amplitude", "width"):
             check(getattr(self, name), KERNEL[name], f"kernel {name}", InvalidParameterError)
 
@@ -64,6 +69,7 @@ class RbfModelSpec:
         dims = {len(k.center) for k in ks}
         if len(dims) != 1:
             raise InvalidInstanceError("all kernel centers must share one dimension")
+        check(bias, RBF_GMM["models"].table["bias"], "model bias", InvalidParameterError)
         object.__setattr__(self, "bias", float(bias))
         object.__setattr__(self, "kernels", ks)
 
@@ -232,8 +238,7 @@ def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
         raise InvalidParameterError(
             f"points must be a non-empty n x d array with d >= 1 (got shape {points.shape})")
-    if k < 1:
-        raise InvalidParameterError(f"k must be at least 1 (got {k!r})")
+    check(k, GMM["k_types"], "k", InvalidParameterError)
     if iterations < 0:
         raise InvalidParameterError(f"iterations must be >= 0 (got {iterations!r})")
     n, dim = points.shape

@@ -29,12 +29,14 @@ from modelmarket.equilibrium import (
     ConditionReport,
     ConditionRow,
     Deviation,
+    DynamicsOutcome,
+    DynamicsStep,
     PneCheck,
     TwoPlayerConditions,
     pair_delta,
 )
 from modelmarket.errors import BudgetExceededError, InvalidInstanceError
-from modelmarket.metrics import SocialOptimum
+from modelmarket.metrics import MarketShares, SocialOptimum
 from modelmarket.game import (
     ChoiceRule,
     GameSpec,
@@ -535,3 +537,90 @@ def reference_train_direct_gradient(dataset: EntryDataset, rewards: RewardTable,
         gen = candidate
         trace.append(row(epoch))
     return gen, trace
+
+
+# ---------------------------------------------------------------------------
+# the per-step dynamics path as the previous release wrote it: a nested
+# np.where hardmax kernel, shares divided per entry, and a utility evaluation
+# on every turn.  The faster path must reproduce each of these bit for bit.
+# ---------------------------------------------------------------------------
+
+def previous_deviation_block(spec: GameSpec, rivals: np.ndarray) -> np.ndarray:
+    """Hardmax utility of every model against each rival stack, (..., N-1, K) -> (..., M)."""
+    s = spec.scores.scores
+    top = rivals.max(axis=-2, keepdims=True, initial=-np.inf)
+    ties = (rivals == top).sum(axis=-2, keepdims=True)
+    share = np.where(s > top, 1.0, np.where(s == top, 1.0 / (ties + 1), 0.0))
+    return (share * s) @ spec.population.weights
+
+
+def previous_hardmax_shares(chosen: np.ndarray) -> np.ndarray:
+    winners = chosen == chosen.max(axis=-2, keepdims=True)
+    return winners / winners.sum(axis=-2, keepdims=True)
+
+
+def previous_utilities(spec: GameSpec, profile) -> tuple[float, ...]:
+    chosen = spec.scores.scores[list(as_profile(spec, profile))]
+    return tuple(float(u) for u in (previous_hardmax_shares(chosen) * chosen) @ spec.population.weights)
+
+
+def previous_best_response(spec: GameSpec, profile, platform: int) -> int:
+    prof = as_profile(spec, profile)
+    values = previous_deviation_block(spec, spec.scores.scores[list(prof[:platform] + prof[platform + 1:])])
+    best = values.max()
+    if not best - values[prof[platform]] > IMPROVEMENT_EPS:
+        return prof[platform]
+    return int(np.argmin(best - values > IMPROVEMENT_EPS))
+
+
+def previous_verify_pne(spec: GameSpec, profile) -> PneCheck:
+    prof = np.array(as_profile(spec, profile))
+    n = spec.n_platforms
+    rivals = np.tile(prof, (n, 1))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    values = previous_deviation_block(spec, spec.scores.scores[rivals])
+    gains = values - values[np.arange(n), prof][:, None]
+    better = np.argwhere(gains > IMPROVEMENT_EPS)
+    if not better.size:
+        return PneCheck(True)
+    i, g = better[0].tolist()
+    return PneCheck(False, Deviation(i, g, float(gains[i, g])))
+
+
+def previous_run_dynamics(spec: GameSpec, start, max_steps: int = 1000) -> DynamicsOutcome:
+    """Round-robin hardmax dynamics that evaluate the utilities of every turn's profile."""
+    start_prof = as_profile(spec, start)
+    n = spec.n_platforms
+    profile, pos, silent = start_prof, 0, 0
+    trajectory: list[DynamicsStep] = []
+    seen: dict = {}
+    for step in range(max_steps):
+        if (profile, pos) in seen:
+            segment = trajectory[seen[profile, pos]:]
+            profiles = [segment[0].profile_before] + [s.profile_after for s in segment if s.changed]
+            if len(profiles) > 1 and profiles[-1] == profiles[0]:
+                profiles.pop()
+            return DynamicsOutcome("cycle", tuple(trajectory), start_prof, tuple(profiles))
+        seen[profile, pos] = len(trajectory)
+        chosen = previous_best_response(spec, profile, pos)
+        after = profile[:pos] + (chosen,) + profile[pos + 1:]
+        changed = chosen != profile[pos]
+        trajectory.append(DynamicsStep(step, pos, profile, chosen, changed, after,
+                                       previous_utilities(spec, after)))
+        profile = after
+        silent = 0 if changed else silent + 1
+        if silent >= n:
+            return DynamicsOutcome("equilibrium", tuple(trajectory), start_prof,
+                                   equilibrium_profile=profile)
+        pos = (pos + 1) % n
+    return DynamicsOutcome("timeout", tuple(trajectory), start_prof)
+
+
+def previous_coverage_value(spec: GameSpec, profile) -> float:
+    prof = list(as_profile(spec, profile))
+    return float(spec.scores.scores[prof].max(axis=0) @ spec.population.weights)
+
+
+def previous_market_shares(spec: GameSpec, profile) -> MarketShares:
+    prof = as_profile(spec, profile)
+    mu = previous_hardmax_shares(spec.scores.scores[list(prof)]) @ spec.population.weights
+    return MarketShares(tuple(float(x) for x in mu), float(mu @ mu), len(set(prof)))

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from modelmarket import game
-from modelmarket.entry import (EntryDataset, RewardTable, TrainingConfig, adoption_gate,
-                               resample_weights)
+from modelmarket.entry import (EntryDataset, RewardBaseline, RewardTable, ToyGenerator, TrainingConfig,
+                               _reinforce_gradients, adoption_gate, grad_s_reinforce, resample_weights)
 from modelmarket.equilibrium import CentralizationParams, run_dynamics
 from modelmarket.errors import InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import AllocationMatrix, ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
 from modelmarket.metrics import GameAnalysis, MetricsRecord, ProfileScore, coverage_value
-from modelmarket.synthetic import GmmComponent, GmmPopulationSpec, RbfKernel
+from modelmarket.synthetic import GmmComponent, GmmPopulationSpec, RbfKernel, RbfModelSpec, seeded_kmeans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "modelmarket"
 NAN = float("nan")
@@ -96,6 +96,12 @@ def _central(**values):
                                    "gamma_cap": 0.0, "pi_star": 0.5, **values})
 
 
+def _reinforce_inputs(n_samples):
+    # (generator, rewards, type, n_samples, baseline, rng) for one REINFORCE estimate
+    return (ToyGenerator.from_distribution(["x1", "x2"], [0.5, 0.5]), RewardTable([[0.5, 0.5], [0.2, 0.8]]),
+            0, n_samples, RewardBaseline.zeros(2, 0.9), np.random.default_rng(0))
+
+
 def _gmm(**values):
     return GmmPopulationSpec([GmmComponent(1.0, [0.0], [[1.0]])], **{"k_types": 1, **values})
 
@@ -113,6 +119,8 @@ NUMBER_PARAMETERS = {
     "GmmComponent.weight": ("component weight", lambda v: GmmComponent(v, [0.0], [[1.0]])),
     "RbfKernel.width": ("kernel width", lambda v: RbfKernel((0.0,), 1.0, v)),
     "RbfKernel.amplitude": ("kernel amplitude", lambda v: RbfKernel((0.0,), v, 1.0)),
+    "RbfKernel.center": ("an entry of kernel center", lambda v: RbfKernel((0.0, v), 1.0, 1.0)),
+    "RbfModelSpec.bias": ("model bias", lambda v: RbfModelSpec(v, [RbfKernel((0.0,), 1.0, 1.0)])),
     "ChoiceRule.tau": ("tau", lambda v: ChoiceRule.softmax(v)),
     **{f"CentralizationParams.{name}": (name, lambda v, name=name: _central(**{name: v}))
        for name in ("rho", "gamma_cap", "pi_star")},
@@ -148,6 +156,27 @@ BOUND_CASES = {
                   lambda: run_dynamics(_market(), (0,), max_steps=2.5)),
     "max_steps at 0": (InvalidParameterError, "max_steps must be >= 1 (got 0)",
                        lambda: run_dynamics(_market(), (0,), max_steps=0)),
+    # library-only arguments, which read the field of the config value they stand for
+    "model bias string": (InvalidParameterError, "model bias must be a number (got '0.5')",
+                          lambda: RbfModelSpec("0.5", [RbfKernel((0.0,), 1.0, 1.0)])),
+    "model bias bool": (InvalidParameterError, "model bias must be a number (got True)",
+                        lambda: RbfModelSpec(True, [RbfKernel((0.0,), 1.0, 1.0)])),
+    "kernel center entry": (InvalidParameterError, "an entry of kernel center must be a number (got 'x')",
+                            lambda: RbfKernel(("x", 0.0), 1.0, 1.0)),
+    "kernel center bool": (InvalidParameterError, "an entry of kernel center must be a number (got True)",
+                           lambda: RbfKernel((0.0, True), 1.0, 1.0)),
+    "kernel center scalar": (InvalidParameterError, "kernel center must be a list (got 0.5)",
+                             lambda: RbfKernel(0.5, 1.0, 1.0)),
+    "k fraction": (InvalidParameterError, "k must be an integer (got 2.5)",
+                   lambda: seeded_kmeans(np.zeros((4, 1)), 2.5, np.random.default_rng(0))),
+    "k bool": (InvalidParameterError, "k must be an integer (got True)",
+               lambda: seeded_kmeans(np.zeros((4, 1)), True, np.random.default_rng(0))),
+    "n_samples fraction": (InvalidParameterError, "n_samples must be an integer (got 2.5)",
+                           lambda: grad_s_reinforce(*_reinforce_inputs(2.5))),
+    "n_samples bool": (InvalidParameterError, "n_samples must be an integer (got True)",
+                       lambda: grad_s_reinforce(*_reinforce_inputs(True))),
+    "n_samples at 0": (InvalidParameterError, "n_samples must be >= 1 (got 0)",
+                       lambda: _reinforce_gradients(*_reinforce_inputs(0))),
 }
 
 

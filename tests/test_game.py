@@ -83,6 +83,24 @@ class TestValidation:
     def test_numpy_integer_profile_entries_accepted(self, c1):
         assert as_profile(c1, np.array([1, 0])) == (1, 0)
         assert as_profile(c1, [np.int32(2), np.uint8(0)]) == (2, 0)
+        assert as_profile(c1, [True, np.int64(2)]) == (1, 2)
+        assert all(type(c) is int for c in as_profile(c1, [True, np.int64(2)]))
+
+    @pytest.mark.parametrize("profile, message", [
+        ((0, 1.5), "a profile must be a list of model indices (got (0, 1.5))"),
+        (5, "a profile must be a list of model indices (got 5)"),
+        # the entries are read before the length is checked, and the length before the range
+        ((1.5, 0, 0), "a profile must be a list of model indices (got (1.5, 0, 0))"),
+        ((0, 1, 2), "profile has 3 entries for 2 platforms"),
+        ((0, 9, 2), "profile has 3 entries for 2 platforms"),
+        ((-1, 7), "model index -1 out of range [0, 3)"),
+        ((7, -1), "model index 7 out of range [0, 3)"),
+        ((0, 3), "model index 3 out of range [0, 3)"),
+    ])
+    def test_profile_check_messages(self, c1, profile, message):
+        with pytest.raises(InvalidProfileError) as info:
+            as_profile(c1, profile)
+        assert str(info.value) == message
 
     def test_unpickled_spec_stays_frozen(self, c1):
         copy = pickle.loads(pickle.dumps(c1))
