@@ -268,7 +268,7 @@ def grad_f_exact(gen: ToyGenerator, rewards: RewardTable, market: GameSpec,
                  beta: float) -> np.ndarray:
     """Exact logit-gradient of the adoption-weighted objective."""
     p = gen.probabilities()
-    s = rewards.rewards @ p
+    s = entrant_scores(gen, rewards)
     sigma = adoption_gate(s, market, beta)
     coeff = _gate_coefficients(s, sigma, market.population.weights, beta)
     return _exact_gradient(p, rewards, s, coeff)

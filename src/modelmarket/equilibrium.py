@@ -8,6 +8,7 @@ passes ``verify_pne`` exactly when ``enumerate_pne`` lists it and dynamics stop 
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -181,12 +182,12 @@ def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[
     Platforms are interchangeable, so a profile is an equilibrium exactly when
     its model multiset is.  The best responses to every multiset R of N-1
     rival models are tabulated, a block of rival multisets per kernel call.
-    The largest model g of a stable sorted multiset is a best response to the
-    other N-1, so the candidates are the multisets R + (g,) with g >= max(R)
-    and g in BR(R); each candidate's other distinct models are then looked up
-    in the table, and every stable multiset is expanded to its distinct
-    orderings.  ``budget`` bounds the M^N profiles, which is also how many
-    entries the result can hold when scores tie.
+    Each pair (R, g), g a best response to R, is a row of the sorted multiset
+    R + (g,).  A multiset has one row per distinct model h that answers the
+    multiset without h, so it is stable exactly when its rows number its
+    distinct models; each stable one is expanded to its distinct orderings.
+    ``budget`` bounds the M^N profiles, which is also how many entries the
+    result can hold when scores tie.
     """
     m, n = spec.n_models, spec.n_platforms
     total = m ** n
@@ -197,28 +198,24 @@ def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[
             budget=budget,
         )
     s = spec.scores.scores
-    rivals = list(combinations_with_replacement(range(m), n - 1))
-    # best[r, g]: model g is a best response to the rival multiset rivals[r]
-    blocks = []
-    for block in game._multiset_blocks(rivals, s.size):
+    count = math.comb(m + n - 2, n - 1)
+    rivals = np.empty((count, n - 1), dtype=np.min_scalar_type(m - 1))
+    best = np.empty((count, m), dtype=bool)  # best[r, g]: g is a best response to rivals[r]
+    start = 0
+    for block in game._multiset_blocks(combinations_with_replacement(range(m), n - 1), s.size):
         values = game._deviation_block(spec, s[block])
-        blocks.append(~_exceeds(values.max(axis=1, keepdims=True) - values))
-    best = np.concatenate(blocks)
-    row = {r: i for i, r in enumerate(rivals)}
-    top = np.array([max(r, default=0) for r in rivals])
-    found: list[tuple[int, ...]] = []
-    for i, g in zip(*np.nonzero(best & (np.arange(m) >= top[:, None]))):
-        multiset = rivals[i] + (int(g),)
-        if all(best[row[multiset[:k] + multiset[k + 1:]], h]
-               for h, k in _first_positions(multiset) if h != g):
-            found.extend(_orderings(multiset))
-    found.sort()
-    return found
-
-
-def _first_positions(multiset: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(model, position of its first copy) for each distinct model of a sorted multiset."""
-    return [(g, k) for k, g in enumerate(multiset) if k == 0 or multiset[k - 1] != g]
+        rivals[start:start + len(block)] = block
+        best[start:start + len(block)] = ~_exceeds(values.max(axis=1, keepdims=True) - values)
+        start += len(block)
+    r, g = np.nonzero(best)
+    del best  # the largest array, now read out into r and g
+    pairs = np.sort(np.column_stack((rivals[r], g.astype(rivals.dtype))), axis=1)
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    # each multiset's rows run from one bound to the next
+    bounds = np.concatenate(([0], np.flatnonzero(np.any(pairs[1:] != pairs[:-1], axis=1)) + 1, [len(pairs)]))
+    multisets = pairs[bounds[:-1]]
+    stable = bounds[1:] - bounds[:-1] == 1 + (multisets[:, 1:] != multisets[:, :-1]).sum(axis=1)
+    return sorted(p for multiset in multisets[stable].tolist() for p in _orderings(tuple(multiset)))
 
 
 def _orderings(multiset: tuple[int, ...]):
@@ -226,9 +223,10 @@ def _orderings(multiset: tuple[int, ...]):
     if not multiset:
         yield ()
         return
-    for g, k in _first_positions(multiset):
-        for rest in _orderings(multiset[:k] + multiset[k + 1:]):
-            yield (g,) + rest
+    for k, g in enumerate(multiset):
+        if k == 0 or multiset[k - 1] != g:
+            for rest in _orderings(multiset[:k] + multiset[k + 1:]):
+                yield (g,) + rest
 
 
 # ---------------------------------------------------------------------------

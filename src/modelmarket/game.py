@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import CHOICE, N_PLATFORMS, check
+from .config import CHOICE, GMM, N_PLATFORMS, check
 from .errors import InvalidInstanceError, InvalidParameterError, InvalidProfileError
 
 __all__ = [
@@ -90,6 +90,7 @@ class UserPopulation:
 
     @staticmethod
     def uniform(k: int, prefix: str = "t") -> "UserPopulation":
+        check(k, GMM["k_types"], "k", InvalidInstanceError)
         return UserPopulation([f"{prefix}{i + 1}" for i in range(k)], np.full(k, 1.0 / k))
 
 

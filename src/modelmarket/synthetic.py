@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import COMPONENT, GMM, KERNEL, RBF_GMM, check
+from .config import COMPONENT, GMM, INT, KERNEL, RBF_GMM, Field, check
 from .errors import InvalidInstanceError, InvalidParameterError
 from .game import WEIGHT_TOL, ScoreMatrix, UserPopulation, _frozen_array
 
@@ -239,8 +239,7 @@ def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         raise InvalidParameterError(
             f"points must be a non-empty n x d array with d >= 1 (got shape {points.shape})")
     check(k, GMM["k_types"], "k", InvalidParameterError)
-    if iterations < 0:
-        raise InvalidParameterError(f"iterations must be >= 0 (got {iterations!r})")
+    check(iterations, Field(INT, minimum=0), "iterations", InvalidParameterError)
     n, dim = points.shape
     # every center lies in the points' box, so a squared distance is at most
     # 4 d bound^2 and the seeding total n times that: half the largest float

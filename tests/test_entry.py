@@ -787,6 +787,15 @@ class TestTrainingChecksOncePerRun:
                                match="^reward table and generator disagree on outcomes$"):
                 run()
 
+    def test_gradient_and_objective_refuse_other_outcomes_alike(self, toy):
+        # a 3-outcome generator against a 2-outcome table, before any matmul
+        gen = ToyGenerator.uniform(["x1", "x2", "x3"])
+        rewards = RewardTable(toy.rewards.rewards[:, :2])
+        for call in (objective_f, grad_f_exact):
+            with pytest.raises(InvalidInstanceError,
+                               match="^reward table and generator disagree on outcomes$"):
+                call(gen, rewards, toy.market, 4.0)
+
     def test_reward_table_with_other_types(self, toy):
         rewards = RewardTable(toy.rewards.rewards[:2])
         for run in self._mismatched(toy, rewards):

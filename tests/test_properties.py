@@ -175,6 +175,23 @@ def test_solvers_match_the_profile_by_profile_reference():
             spec = GameSpec(ScoreMatrix(scores), UserPopulation.uniform(40), 4, choice)
             assert math.comb(8 + 4 - 2, 4 - 1) > game._BLOCK_ELEMENTS // scores.size
             assert enumerate_pne(spec) == reference_enumerate_pne(spec), choice
+    for choice in (ChoiceRule.hardmax(), ChoiceRule.softmax(0.05)):
+        # all scores equal: every model answers every rival multiset, so every profile is listed
+        spec = GameSpec(ScoreMatrix(np.full((3, 2), 0.5)), UserPopulation.uniform(2), 3, choice)
+        assert enumerate_pne(spec) == reference_enumerate_pne(spec) == list(itertools.product(range(3), repeat=3))
+        # more platforms than models
+        spec = GameSpec(ScoreMatrix(rng.uniform(0.0, 1.0, size=(2, 3))), UserPopulation.uniform(3), 5, choice)
+        assert enumerate_pne(spec) == reference_enumerate_pne(spec), choice
+    # (0, 7, 7, 7) is stable, and the rival multisets of its two rows, (0, 7, 7)
+    # and (7, 7, 7), fall in different blocks of the best-response table
+    scores = np.full((8, 40), 0.5)
+    scores[0], scores[7] = np.arange(40) < 10, np.arange(40) >= 10
+    spec = GameSpec(ScoreMatrix(scores), UserPopulation.uniform(40), 4)
+    rivals = list(itertools.combinations_with_replacement(range(8), 3))
+    rows = game._BLOCK_ELEMENTS // scores.size
+    assert rivals.index((0, 7, 7)) // rows != rivals.index((7, 7, 7)) // rows
+    pne = enumerate_pne(spec)
+    assert (0, 7, 7, 7) in pne and pne == reference_enumerate_pne(spec)
 
 
 def test_social_optimum_matches_the_per_multiset_reference():
