@@ -20,7 +20,6 @@ from .errors import (
     TrainingDivergedError,
 )
 from .game import (
-    AllocationMatrix,
     ChoiceRule,
     GameSpec,
     ScoreMatrix,

@@ -173,8 +173,12 @@ class EntryDataset:
             raise InvalidInstanceError("counts must be one value per outcome")
         if np.any(c < 0) or not np.all(np.isfinite(c)):
             raise InvalidInstanceError("counts must be finite and non-negative")
-        if not float(c.sum()) > 0:
+        with np.errstate(over="ignore"):  # a total past the largest float is refused below
+            total = float(c.sum())
+        if not total > 0:
             raise InvalidInstanceError("dataset must contain at least one item")
+        if not np.isfinite(total):
+            raise InvalidInstanceError(f"counts must sum to a finite total (got {total!r})")
         attrs = None
         attr_labels = tuple(str(u) for u in attribute_labels)
         prefs = None
@@ -435,9 +439,11 @@ def train_resampling(dataset: EntryDataset, rewards: RewardTable, market: GameSp
     The surrogate gate reads only the market's population and best-incumbent
     row, not its platform count or choice rule.
     """
+    total = float(dataset.counts.sum())
+    if not 1 <= (draws := round(total)) < 2 ** 63:  # numpy takes a redraw's size as an int64
+        raise InvalidInstanceError(f"counts total must round into [1, 2**63 - 1] to resample (got {total!r})")
     rng = np.random.default_rng(config.seed)
     gen = _initial_generator(dataset, init)
-    total = int(round(float(dataset.counts.sum())))
 
     def trace_row(round_index: int) -> dict:
         s = entrant_scores(gen, rewards)
@@ -453,8 +459,8 @@ def train_resampling(dataset: EntryDataset, rewards: RewardTable, market: GameSp
         weights = resample_weights(
             dataset, s_hat, market, config.beta, config.gamma, rewards=rewards
         )
-        resampled = rng.multinomial(total, weights)
-        target = resampled / total
+        resampled = rng.multinomial(draws, weights)
+        target = resampled / draws
         p = gen.probabilities().copy()
         pull = config.blend * target
         for _ in range(config.inner_epochs):

@@ -2,8 +2,9 @@
 
 The improvement threshold ``IMPROVEMENT_EPS`` absorbs float noise under one rule,
 ``_exceeds``: a gain or a shortfall counts only when it exceeds the threshold.  Every
-threshold decision here and in ``metrics`` goes through it, so under hardmax a profile
-passes ``verify_pne`` exactly when ``enumerate_pne`` lists it and dynamics stop there.
+threshold decision here and in ``metrics`` goes through it, and every deviation value comes
+from ``game._deviation_block``, which sorts the rivals, so a profile passes ``verify_pne``
+exactly when ``enumerate_pne`` lists it and dynamics stop there.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def verify_pne(spec: GameSpec, profile) -> PneCheck:
     n = spec.n_platforms
     # row i: the profile without platform i
     rivals = np.tile(prof, (n, 1))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    values = game._deviation_block(spec, spec.scores.scores[rivals])
+    values = game._deviation_block(spec, rivals)
     gains = values - values[np.arange(n), prof][:, None]
     better = np.argwhere(_exceeds(gains))  # row-major: platform, then model
     if not better.size:
@@ -179,9 +180,10 @@ def verify_pne(spec: GameSpec, profile) -> PneCheck:
 def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[tuple[int, ...]]:
     """All pure Nash equilibrium profiles of the instance, in lexicographic order.
 
-    Platforms are interchangeable, so a profile is an equilibrium exactly when
-    its model multiset is.  The best responses to every multiset R of N-1
-    rival models are tabulated, a block of rival multisets per kernel call.
+    Platforms are interchangeable, which holds bit for bit because the
+    deviation kernel sorts the rivals, so a profile is an equilibrium exactly
+    when its model multiset is.  The best responses to every multiset R of
+    N-1 rival models are tabulated, a block of rival multisets per kernel call.
     Each pair (R, g), g a best response to R, is a row of the sorted multiset
     R + (g,).  A multiset has one row per distinct model h that answers the
     multiset without h, so it is stable exactly when its rows number its
@@ -203,7 +205,7 @@ def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[
     best = np.empty((count, m), dtype=bool)  # best[r, g]: g is a best response to rivals[r]
     start = 0
     for block in game._multiset_blocks(combinations_with_replacement(range(m), n - 1), s.size):
-        values = game._deviation_block(spec, s[block])
+        values = game._deviation_block(spec, block)
         rivals[start:start + len(block)] = block
         best[start:start + len(block)] = ~_exceeds(values.max(axis=1, keepdims=True) - values)
         start += len(block)
@@ -242,7 +244,7 @@ def best_response(spec: GameSpec, profile, platform: int) -> int:
     prof = as_profile(spec, profile)
     platform = game._index(platform, spec.n_platforms, "platform index", InvalidProfileError)
     # deviation_values without its check of the rivals, who come from a checked profile
-    values = game._deviation_block(spec, game._chosen_scores(spec, prof[:platform] + prof[platform + 1:]))
+    values = game._deviation_block(spec, prof[:platform] + prof[platform + 1:])
     best = values.max()
     if not _exceeds(best - values[prof[platform]]):
         return prof[platform]

@@ -33,7 +33,6 @@ __all__ = [
     "ScoreMatrix",
     "ChoiceRule",
     "GameSpec",
-    "AllocationMatrix",
     "allocate",
     "platform_utilities",
     "deviation_values",
@@ -237,23 +236,6 @@ def _model_indices(spec: GameSpec, profile, n: int) -> tuple[int, ...]:
     return choices
 
 
-@dataclass(frozen=True)
-class AllocationMatrix:
-    """Per-platform, per-type user shares (N rows, K columns; columns sum to 1)."""
-
-    p: np.ndarray
-
-    def __init__(self, p):
-        arr = _frozen_array(p)
-        if arr.ndim != 2:
-            raise InvalidInstanceError("allocation must be an N x K matrix")
-        if not np.all((arr >= -WEIGHT_TOL) & (arr <= 1 + WEIGHT_TOL)):
-            raise InvalidInstanceError("allocation entries must lie in [0, 1]")
-        if not np.all(np.abs(arr.sum(axis=0) - 1.0) <= WEIGHT_TOL):
-            raise InvalidInstanceError("allocation columns must sum to 1")
-        object.__setattr__(self, "p", arr)
-
-
 def _chosen_scores(spec: GameSpec, profile: tuple[int, ...]) -> np.ndarray:
     return spec.scores.scores.take(profile, axis=0)
 
@@ -274,14 +256,15 @@ def _deviation_advantage(choice: ChoiceRule, chosen: np.ndarray, weights: np.nda
     return ((chosen.shape[-2] * _shares(choice, chosen) - 1.0) * chosen) @ weights
 
 
-def allocate(spec: GameSpec, profile) -> AllocationMatrix:
-    """Per-platform, per-type user shares under the instance's choice rule.
+def allocate(spec: GameSpec, profile) -> np.ndarray:
+    """Per-platform, per-type user shares under the instance's choice rule, a
+    read-only (N, K) array whose columns sum to 1.
 
     Hardmax gives each type to the platforms with its top score and splits
     exact ties (equality of the stored score values) evenly; softmax shares
     each type in proportion to exp(score / tau), stabilized per type.
     """
-    return AllocationMatrix(_shares(spec.choice, _chosen_scores(spec, as_profile(spec, profile))))
+    return _frozen_array(_shares(spec.choice, _chosen_scores(spec, as_profile(spec, profile))))
 
 
 def platform_utilities(spec: GameSpec, profile) -> np.ndarray:
@@ -294,32 +277,38 @@ def deviation_values(spec: GameSpec, others) -> np.ndarray:
     """Utility of every model (shape (M,)) for one platform facing the N-1 rivals ``others``.
 
     Entry g equals ``platform_utilities(spec, (g,) + others)[0]`` up to float
-    rounding.  The rivals enter only through one summary per user type: under
-    hardmax their best score and how many of them tie on it (a model beating
-    it takes the type, a tying one an equal share); under softmax the sum of
-    their exponentials, shifted per model by max(S_g, rivals' max) / tau so
-    that no share underflows to 0/0 at small tau.
+    rounding, with the same bits in any order of ``others``.  The rivals enter
+    only through one summary per user type: under hardmax their best score and
+    how many of them tie on it (a model beating it takes the type, a tying one
+    an equal share); under softmax the sum of their exponentials, shifted per
+    model by max(S_g, rivals' max) / tau so that no share underflows to 0/0 at
+    small tau.
     """
-    return _deviation_block(spec, _chosen_scores(spec, _model_indices(spec, others, spec.n_platforms - 1)))
+    return _deviation_block(spec, _model_indices(spec, others, spec.n_platforms - 1))
 
 
-def _deviation_block(spec: GameSpec, rivals: np.ndarray) -> np.ndarray:
-    """``deviation_values`` against each of B rival stacks: (B, N-1, K) score rows -> (B, M).
+def _deviation_block(spec: GameSpec, rivals) -> np.ndarray:
+    """``deviation_values`` against each of B rival multisets: (B, N-1) model indices -> (B, M).
 
-    One stack of shape (N-1, K) gives shape (M,), which is ``deviation_values``.
-    Row b of a block is bit-equal to the one-stack call on ``rivals[b]``: the
-    final (B, M, K) @ w runs one gemv per stack, as the (M, K) @ w of one
-    stack does.
+    A tuple of N-1 indices gives shape (M,), which is ``deviation_values``.
+    This is the one place that orders rivals: they are sorted before their
+    score rows are gathered, so the softmax sum over them runs in one order
+    and every value is a function of the rival multiset.  Row b of a block is
+    bit-equal to the one-stack call on ``rivals[b]``: the final (B, M, K) @ w
+    runs one gemv per stack, as the (M, K) @ w of one stack does.
     """
     s = spec.scores.scores
+    # a tuple of rivals sorts faster as a list than as an array
+    order = np.sort(rivals, axis=-1) if isinstance(rivals, np.ndarray) else sorted(rivals)
+    chosen = s.take(order, axis=0)
     if spec.choice.kind == "hardmax":
-        top = rivals.max(axis=-2, keepdims=True, initial=-np.inf)
-        ties = (rivals == top).sum(axis=-2, keepdims=True, dtype=float)
+        top = chosen.max(axis=-2, keepdims=True, initial=-np.inf)
+        ties = (chosen == top).sum(axis=-2, keepdims=True, dtype=float)
         # 1 / (ties + 1) for a tying model, else 1.0 or 0.0 from the bool
         share = np.where(s == top, 1.0 / (ties + 1.0), s > top)
     else:
         z = s / spec.choice.tau
-        rival_z = rivals / spec.choice.tau
+        rival_z = chosen / spec.choice.tau
         rival_max = rival_z.max(axis=-2, keepdims=True, initial=-np.inf)
         shift = np.maximum(z, rival_max)
         own = np.exp(z - shift)

@@ -255,11 +255,11 @@ def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, analysis: GameAnal
     are scored once with ``coverage_value`` and ``market_shares`` and keep
     the utilities the trajectory recorded.  A cycle profile outside them is
     scored for its coverage alone, which is all its welfare average needs.
-    Under hardmax an equilibrium missing from a PNE list raises (see equilibrium).
+    An equilibrium missing from a PNE list raises, under either choice rule
+    (see equilibrium).
     """
     anchor = outcome.cycle_profiles[0] if outcome.kind == "cycle" else outcome.equilibrium_profile
-    if (spec.choice.kind == "hardmax" and outcome.kind == "equilibrium"
-            and analysis.pne is not None and anchor not in analysis.pne):
+    if outcome.kind == "equilibrium" and analysis.pne is not None and anchor not in analysis.pne:
         raise InvalidInstanceError("a dynamics equilibrium is missing from the PNE list")
     utilities = {step.profile_after: step.utilities for step in outcome.trajectory}
     scores: dict[tuple[int, ...], ProfileScore] = {}

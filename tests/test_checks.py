@@ -14,7 +14,7 @@ from modelmarket.entry import (EntryDataset, RewardBaseline, RewardTable, ToyGen
 from modelmarket.equilibrium import CentralizationParams, run_dynamics
 from modelmarket.errors import InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance
-from modelmarket.game import AllocationMatrix, ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
+from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
 from modelmarket.metrics import GameAnalysis, MetricsRecord, ProfileScore, coverage_value
 from modelmarket.synthetic import GmmComponent, GmmPopulationSpec, RbfKernel, RbfModelSpec, seeded_kmeans
 
@@ -56,8 +56,6 @@ def _coverage_with_nan_average_scores(monkeypatch):
 # (error, message, a call that feeds NaN to the check, or inf where NaN
 # already fails an earlier check of the same input)
 NON_FINITE_CASES = {
-    "allocation entries": (InvalidInstanceError, "allocation entries",
-                           lambda mp: AllocationMatrix([[NAN], [1.0]])),
     "training gamma": (InvalidParameterError, "gamma", lambda mp: TrainingConfig(gamma=NAN)),
     "training lambda": (InvalidParameterError, "lambda", lambda mp: TrainingConfig(lam=NAN)),
     "attribute preferences": (InvalidInstanceError, "attribute preferences", lambda mp: EntryDataset(

@@ -1404,6 +1404,16 @@ def _set(keys, value):
     return change
 
 
+def _resampling_counts(counts):
+    """A change to a full config: train by resampling on the given counts."""
+    def change(payload, _):
+        payload["training"]["method"] = "resampling"
+        payload["training"]["dataset"]["counts"] = counts
+    return change
+
+
+_REDRAW_SIZE = "counts total must round into [1, 2**63 - 1] to resample (got {})"
+
 # a full config's instance source, a change to it, and the error line it must
 # end in: the bounds of the table under their dotted paths, then the checks
 # that stay with the records, each reached from a config file
@@ -1433,6 +1443,12 @@ _CHECKS = {
                         "counts must be finite and non-negative"),
     "empty dataset": ("file", _set(("training", "dataset", "counts"), [0, 0]),
                       "dataset must contain at least one item"),
+    "counts total past the largest float": ("file", _set(("training", "dataset", "counts"), [1e308, 1e308]),
+                                            "counts must sum to a finite total (got inf)"),
+    "counts total below one redraw": ("file", _resampling_counts([0.2, 0.2]), _REDRAW_SIZE.format("0.4")),
+    "counts total past int64": ("file", _resampling_counts([1e19, 1]), _REDRAW_SIZE.format("1e+19")),
+    "counts total near the largest float": ("file", _resampling_counts([1e300, 1e300]),
+                                            _REDRAW_SIZE.format("2e+300")),
     "attributes length": ("file", _set(("training", "dataset", "attributes"), ["a"]),
                           "attributes must label every outcome"),
     "unknown attribute": ("file", _set(("training", "dataset", "attributes"), ["a", "c"]),

@@ -1,6 +1,7 @@
 """Entry-training: gates, objective, gradients, both training schemes, evaluation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,22 @@ class TestTrainResampling:
         p = gen.probabilities()
         assert 0 < p[1] == pytest.approx(1e-12, rel=1e-9)
         assert all(np.isfinite(row["objective"]) for row in trace)
+
+
+    @pytest.mark.parametrize("counts, total", [([0.2, 0.2], "0.4"), ([1e19, 1], "1e+19"),
+                                               ([1e300, 1e300], "2e+300")])
+    def test_a_counts_total_past_the_redraw_sizes_is_refused(self, counts, total):
+        # it rounds to no draw at all or past numpy's int64 draw count
+        dataset = EntryDataset(["x1", "x2"], counts)
+        message = f"counts total must round into [1, 2**63 - 1] to resample (got {total})"
+        with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+            train_resampling(dataset, RewardTable([[0.5, 0.5]]), _market([[0.5]]), TrainingConfig())
+
+
+def test_a_dataset_refuses_counts_whose_total_is_not_finite():
+    # each count is finite, but their sum overflows: the empirical distribution would be all zeros
+    with pytest.raises(InvalidInstanceError, match=r"^counts must sum to a finite total \(got inf\)$"):
+        EntryDataset(["x1", "x2"], [1e308, 1e308])
 
 
 class TestTrainDirectGradient:

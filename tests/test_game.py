@@ -129,7 +129,7 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="tau 1e-320 is too small for the score scale"):
             c1.with_choice(ChoiceRule.softmax(1e-320))
         spec = c1.with_choice(ChoiceRule.softmax(1e-300))
-        assert np.all(np.isfinite(allocate(spec, (0, 1)).p))
+        assert np.all(np.isfinite(allocate(spec, (0, 1))))
         assert np.all(np.isfinite(deviation_values(spec, (1,))))
 
     def test_platforms_times_the_largest_score_must_stay_within_the_limit(self):
@@ -155,17 +155,18 @@ class TestValidation:
 class TestHardmaxAllocation:
     def test_counterexample_type_a_goes_to_model_1(self, c1):
         # theta_A scores 0.2 vs 0.1, so platform 1 takes the whole type
-        p = allocate(c1, (0, 1)).p
+        p = allocate(c1, (0, 1))
         assert p[0, 0] == 1.0 and p[1, 0] == 0.0
+        assert not p.flags.writeable
 
     def test_single_platform_takes_everything(self, rng=np.random.default_rng(1)):
         spec = random_spec(rng, min_platforms=1, max_platforms=1)
-        p = allocate(spec, [0]).p
+        p = allocate(spec, [0])
         assert np.array_equal(p, np.ones((1, spec.population.n_types)))
 
     def test_full_tie_splits_three_ways(self, c1):
         spec = c1.with_platforms(3)
-        p = allocate(spec, (1, 1, 1)).p
+        p = allocate(spec, (1, 1, 1))
         assert np.allclose(p, 1 / 3)
 
     def test_columns_sum_to_one(self):
@@ -173,7 +174,7 @@ class TestHardmaxAllocation:
         for _ in range(50):
             spec = random_spec(rng, min_platforms=2)
             prof = rng.integers(0, spec.n_models, spec.n_platforms)
-            p = allocate(spec, prof).p
+            p = allocate(spec, prof)
             assert np.allclose(p.sum(axis=0), 1.0, atol=1e-9)
             assert np.all((p >= 0) & (p <= 1))
 
@@ -184,14 +185,14 @@ class TestHardmaxAllocation:
             scaled = GameSpec(ScoreMatrix(spec.scores.scores * c), spec.population,
                               spec.n_platforms, spec.choice)
             prof = rng.integers(0, spec.n_models, spec.n_platforms)
-            assert np.array_equal(allocate(spec, prof).p, allocate(scaled, prof).p)
+            assert np.array_equal(allocate(spec, prof), allocate(scaled, prof))
 
 
 class TestSoftmaxAllocation:
     def test_equal_scores_split_evenly(self):
         spec = GameSpec(ScoreMatrix([[0.4, 0.7]]), UserPopulation(["a", "b"], [0.5, 0.5]),
                         2, ChoiceRule.softmax(0.3))
-        p = allocate(spec, (0, 0)).p
+        p = allocate(spec, (0, 0))
         assert np.allclose(p, 0.5)
 
     def test_small_tau_matches_hardmax_on_tie_free_instances(self):
@@ -202,15 +203,15 @@ class TestSoftmaxAllocation:
                 if spec.n_models >= spec.n_platforms else None
             if prof is None:
                 continue
-            hard = allocate(spec, prof).p
-            soft = allocate(spec.with_choice(ChoiceRule.softmax(1e-6)), prof).p
+            hard = allocate(spec, prof)
+            soft = allocate(spec.with_choice(ChoiceRule.softmax(1e-6)), prof)
             assert np.allclose(hard, soft, atol=1e-6)
 
     def test_large_tau_is_uniform(self):
         rng = np.random.default_rng(5)
         spec = random_spec(rng, min_platforms=3, max_platforms=3)
         prof = rng.integers(0, spec.n_models, 3)
-        p = allocate(spec.with_choice(ChoiceRule.softmax(1e6)), prof).p
+        p = allocate(spec.with_choice(ChoiceRule.softmax(1e6)), prof)
         assert np.allclose(p, 1 / 3, atol=1e-6)
 
     def test_homogeneous_softmax_utilities_halve_the_average_score(self, c9):
@@ -218,7 +219,7 @@ class TestSoftmaxAllocation:
         assert np.allclose(u, 0.39175, atol=1e-9)
 
     def test_no_overflow_at_tiny_tau(self, c9):
-        p = allocate(c9.with_choice(ChoiceRule.softmax(0.001)), (0, 2)).p
+        p = allocate(c9.with_choice(ChoiceRule.softmax(0.001)), (0, 2))
         assert np.all(np.isfinite(p))
 
 
@@ -360,7 +361,7 @@ class TestDeviationBlock:
                 scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=spec.scores.scores.shape)
                 spec = GameSpec(ScoreMatrix(scores), spec.population, spec.n_platforms, choice)
             stacks = rng.integers(0, spec.n_models, size=(int(rng.integers(2, 9)), spec.n_platforms - 1))
-            block = game._deviation_block(spec, spec.scores.scores[stacks])
+            block = game._deviation_block(spec, stacks)
             assert block.shape == (len(stacks), spec.n_models), index
             for row, others in zip(block, stacks):
                 assert row.tobytes() == deviation_values(spec, others).tobytes(), index
@@ -381,5 +382,5 @@ class TestDeviationBlock:
             delta = game._deviation_advantage(choice, chosen, weights)
             assert delta.shape == profiles.shape, index
             for b, prof in enumerate(profiles):
-                assert shares[b].tobytes() == allocate(spec, prof).p.tobytes(), index
+                assert shares[b].tobytes() == allocate(spec, prof).tobytes(), index
                 assert delta[b].tobytes() == deviation_advantage(spec, prof).tobytes(), index

@@ -186,22 +186,19 @@ class TestUserWelfare:
         anchor = record.scores[record.anchor]
         assert anchor.hhi == pytest.approx(sum(s * s for s in anchor.shares), abs=1e-12)
 
-    def test_a_hardmax_equilibrium_missing_from_the_pne_list_raises(self):
-        spec = builtin_instance("fig2_a").spec
-        outcome = run_dynamics(spec, (0, 1))
-        assert outcome.kind == "equilibrium"
-        analysis = analyze(spec)
-        assert outcome.equilibrium_profile in analysis.pne
-        outcome_metrics(spec, outcome, analysis)
-        missing = dataclasses.replace(analysis, pne=())
-        with pytest.raises(InvalidInstanceError, match="missing from the PNE list"):
-            outcome_metrics(spec, outcome, missing)
-        # a refused list, or a softmax game, is not checked
-        outcome_metrics(spec, outcome, dataclasses.replace(analysis, pne=None, pne_note="refused"))
-        soft = spec.with_choice(ChoiceRule.softmax(0.1))
-        soft_outcome = run_dynamics(soft, (0, 1))
-        assert soft_outcome.kind == "equilibrium"
-        outcome_metrics(soft, soft_outcome, dataclasses.replace(analyze(soft), pne=()))
+    def test_an_equilibrium_missing_from_the_pne_list_raises_under_both_rules(self):
+        hard = builtin_instance("fig2_a").spec
+        for spec in (hard, hard.with_choice(ChoiceRule.softmax(0.1))):
+            outcome = run_dynamics(spec, (0, 1))
+            assert outcome.kind == "equilibrium"
+            analysis = analyze(spec)
+            assert outcome.equilibrium_profile in analysis.pne
+            outcome_metrics(spec, outcome, analysis)
+            missing = dataclasses.replace(analysis, pne=())
+            with pytest.raises(InvalidInstanceError, match="missing from the PNE list"):
+                outcome_metrics(spec, outcome, missing)
+            # a refused list is not checked
+            outcome_metrics(spec, outcome, dataclasses.replace(analysis, pne=None, pne_note="refused"))
 
 
 def _welfare_slack(spec, outcome):

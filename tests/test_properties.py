@@ -8,7 +8,9 @@ solvers in ``helpers``, on instances with exact ties, M=1, N=1, and softmax
 at temperatures where the exponentials underflow or flatten, and on
 instances with more multisets than one block of the blocked kernels.
 ``verify_pne`` and the closed-form checks are compared bit for bit with
-their loop forms in ``helpers``.
+their loop forms in ``helpers``.  Under softmax, verification agrees with
+enumeration on instances bisected to the threshold to the ulp, and no value
+or decision depends on the order in which the rivals are given.
 """
 
 from collections import Counter
@@ -76,7 +78,7 @@ def run_property_suite(n_instances: int, seed: int = 2024) -> int:
         n = spec.n_platforms
 
         # allocation columns sum to 1 under both rules
-        for alloc in (allocate(spec, prof).p, allocate(soft, prof).p):
+        for alloc in (allocate(spec, prof), allocate(soft, prof)):
             assert np.all(np.abs(alloc.sum(axis=0) - 1.0) <= 1e-9), index
             assert np.all((alloc >= 0.0) & (alloc <= 1.0)), index
 
@@ -416,3 +418,122 @@ def test_dynamics_verification_and_enumeration_agree_under_hardmax():
             if outcome.kind == "equilibrium":
                 assert verify_pne(spec, outcome.equilibrium_profile), index
                 assert outcome.equilibrium_profile in listed, index
+
+
+# the softmax instance (tau = 0.2, N = 4) on which verify_pne once rejected three
+# orderings of the listed multiset {1, 1, 3, 3}, adding the rivals' exponentials
+# in profile order where enumerate_pne added them sorted
+RIVAL_ORDER_INSTANCE = GameSpec(
+    ScoreMatrix([[0.3792938853014244, 0.10421019388155572, 0.9054290816103407],
+                 [0.025232939887885886, 0.22396692242099092, 0.9094703295567117],
+                 [0.2807764740442198, 0.27089834498352905, 0.6792624397768348],
+                 [0.8829032712488051, 0.2958443441484473, 0.37632881322022116]]),
+    UserPopulation(["t1", "t2", "t3"], [0.4400542636588001, 0.10303236554472871, 0.4569133707964711]),
+    4, ChoiceRule.softmax(0.2))
+
+
+def _with_score(spec: GameSpec, model: int, type_index: int, value: float) -> GameSpec:
+    scores = np.array(spec.scores.scores)
+    scores[model, type_index] = value
+    return GameSpec(ScoreMatrix(scores), spec.population, spec.n_platforms, spec.choice)
+
+
+def _excess(spec: GameSpec, profile: tuple[int, ...], model: int) -> float:
+    """Platform 0's gain from moving to ``model`` less the threshold, its rivals given in
+    profile order; positive exactly when the gain exceeds the threshold."""
+    values = game.deviation_values(spec, profile[1:])
+    return float(values[model] - values[profile[0]]) - IMPROVEMENT_EPS
+
+
+def _boundary_instance(rng: np.random.Generator):
+    """A softmax instance (M = N = 4, K = 3, tau = 0.2), a PNE p whose platform-0
+    rivals are unsorted, and platform 0's best alternative g, one of whose scores
+    is moved to where g's gain crosses the threshold: the instance, p, g, the
+    score's type and the float bits of the first score at which the gain exceeds it."""
+    while True:
+        population = UserPopulation(["t0", "t1", "t2"], rng.dirichlet(np.ones(3)))
+        spec = GameSpec(ScoreMatrix(rng.uniform(0.0, 1.0, size=(4, 3))), population, 4,
+                        ChoiceRule.softmax(0.2))
+        unsorted = [p for p in enumerate_pne(spec) if list(p[1:]) != sorted(p[1:])]
+        if not unsorted:
+            continue
+        p = unsorted[int(rng.integers(len(unsorted)))]
+        values = game.deviation_values(spec, p[1:])
+        values[p[0]] = -np.inf
+        g, k = int(np.argmax(values)), int(rng.integers(3))
+        excess = lambda x: _excess(_with_score(spec, g, k, x), p, g)  # noqa: E731
+        low, high = float(spec.scores.scores[g, k]), float(spec.scores.scores[g, k]) + 1.0
+        f_low, f_high = excess(low), excess(high)
+        if not f_high > 0:
+            continue
+        # the excess is within the threshold at low and above it at high: regula
+        # falsi narrows the bracket, halving the value kept at an end that stays
+        # twice (Illinois), then its float bits are bisected
+        kept = 0
+        for _ in range(20):
+            mid = low - f_low * (high - low) / (f_high - f_low)
+            if not low < mid < high:
+                break
+            f_mid = excess(mid)
+            if f_mid > 0:
+                high, f_high = mid, f_mid
+                f_low, kept = (f_low / 2 if kept < 0 else f_low), -1
+            else:
+                low, f_low = mid, f_mid
+                f_high, kept = (f_high / 2 if kept > 0 else f_high), 1
+        low_bits, high_bits = np.float64(low).view(np.int64), np.float64(high).view(np.int64)
+        while high_bits - low_bits > 1:
+            mid_bits = low_bits + (high_bits - low_bits) // 2
+            if excess(float(mid_bits.view(np.float64))) > 0:
+                high_bits = mid_bits
+            else:
+                low_bits = mid_bits
+        return spec, p, g, k, high_bits
+
+
+def test_softmax_verification_agrees_with_enumeration_at_the_threshold():
+    """verify_pne accepts exactly the profiles enumerate_pne lists under softmax,
+    on 400 instances whose deviation gain sits on the threshold to the ulp."""
+    spec = RIVAL_ORDER_INSTANCE
+    listed = enumerate_pne(spec)
+    assert len(listed) == 18 and (1, 3, 3, 1) in listed
+    assert [p for p in itertools.product(range(4), repeat=4) if verify_pne(spec, p)] == listed
+    assert run_dynamics(spec, (1, 3, 3, 1)).equilibrium_profile == (1, 3, 3, 1)
+    rng = np.random.default_rng(97)
+    for index in range(400):
+        spec, p, g, k, crossing = _boundary_instance(rng)
+        orderings = set(itertools.permutations(p))
+        # the crossing and 6 ulps on either side; every profile at the crossing
+        # of every 20th instance, and every ordering of p's multiset elsewhere
+        for bits in range(crossing - 6, crossing + 7):
+            moved = _with_score(spec, g, k, float(np.int64(bits).view(np.float64)))
+            listed = set(enumerate_pne(moved))
+            full = bits == crossing and index % 20 == 0
+            for q in itertools.product(range(4), repeat=4) if full else orderings:
+                assert verify_pne(moved, q).is_pne == (q in listed), (index, bits - crossing, q)
+
+
+def test_no_bit_depends_on_the_rivals_order():
+    """deviation_values, best_response and verify_pne, witness gain included,
+    give the same bits under every permutation of the rivals, under both rules."""
+    rng = np.random.default_rng(101)
+    for index in range(40):
+        tau = float(rng.choice([1e-4, 0.2, 1e3]))
+        choice = ChoiceRule.hardmax() if index % 2 else ChoiceRule.softmax(tau)
+        spec = random_spec(rng, max_models=5, min_platforms=4, max_platforms=5, choice=choice)
+        q = tuple(int(x) for x in rng.integers(0, spec.n_models, spec.n_platforms))
+        for i in range(spec.n_platforms):
+            orders = set(itertools.permutations(q[:i] + q[i + 1:]))
+            assert len({game.deviation_values(spec, r).tobytes() for r in orders}) == 1, index
+            assert len({best_response(spec, r[:i] + (q[i],) + r[i:], i) for r in orders}) == 1, index
+        # the lowest profitable model and its gain follow from the deviator's model alone
+        witnesses = {}
+        verdicts = set()
+        for r in set(itertools.permutations(q)):
+            check = verify_pne(spec, r)
+            verdicts.add(check.is_pne)
+            if check.witness is not None:
+                w = check.witness
+                found = (w.model, float.hex(w.gain))
+                assert witnesses.setdefault(r[w.platform], found) == found, index
+        assert len(verdicts) == 1, index

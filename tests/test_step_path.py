@@ -77,11 +77,12 @@ def test_deviation_block_matches_on_single_stacks_and_stacks(part):
     for index in range(part, N_INSTANCES, 4):
         spec = INSTANCES[index]
         stacks = rng.integers(0, spec.n_models, size=(int(rng.integers(1, 7)), spec.n_platforms - 1))
-        rivals = spec.scores.scores[stacks]  # (B, N-1, K), and rivals[0] one (N-1, K) stack
-        got = game._deviation_block(spec, rivals)
+        # the rivals' sorted score rows: (B, N-1, K), and rivals[0] one (N-1, K) stack
+        rivals = spec.scores.scores[np.sort(stacks, axis=-1)]
+        got = game._deviation_block(spec, stacks)
         assert got.tobytes() == previous_deviation_block(spec, rivals).tobytes(), index
         want = previous_deviation_block(spec, rivals[0]).tobytes()
-        assert game._deviation_block(spec, rivals[0]).tobytes() == want, index
+        assert game._deviation_block(spec, stacks[0]).tobytes() == want, index
         assert game.deviation_values(spec, stacks[0]).tobytes() == want, index
 
 
