@@ -102,6 +102,7 @@ PARAMS = {"beta": Field(NUMBER, OPTIONAL, above=0), "gamma": Field(NUMBER, OPTIO
           "baseline_decay": Field(NUMBER, OPTIONAL, minimum=0, below=1),
           "blend": Field(NUMBER, OPTIONAL, above=0, maximum=1), "seed": Field(INT, OPTIONAL, minimum=0)}
 
+BUDGET = Field(INT, minimum=0)  # enumerate_pne's count of profiles, social_optimum's of multisets
 DYNAMICS = {"start": Field(INTS, None),
             "order": Field(ENUM_OR_INTS, "round_robin", choices=("round_robin",)),
             "max_steps": Field(INT, 1000, minimum=1), "seed": Field(INT, 0, minimum=0)}

@@ -2,9 +2,13 @@
 
 The improvement threshold ``IMPROVEMENT_EPS`` absorbs float noise under one rule,
 ``_exceeds``: a gain or a shortfall counts only when it exceeds the threshold.  Every
-threshold decision here and in ``metrics`` goes through it, and every deviation value comes
-from ``game._deviation_block``, which sorts the rivals, so a profile passes ``verify_pne``
-exactly when ``enumerate_pne`` lists it and dynamics stop there.
+threshold decision here and in ``metrics`` goes through it.  Every deviation value comes
+from ``game._deviation_block``, which sorts the rivals, and becomes a decision in one place,
+``_best_responses``: a model is a best response when its shortfall from the best value does
+not exceed the threshold.  So a profile passes ``verify_pne`` exactly when every platform's
+model is a best response, and then ``enumerate_pne`` lists it.  Dynamics end at their first
+repeated (profile, next-mover) state, the one after the last allowed turn included: at an
+equilibrium when the turns since that state changed nothing, else in a cycle.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
 
-from .config import CENTRALIZATION, DYNAMICS, check
+from .config import BUDGET, CENTRALIZATION, DYNAMICS, check
 from .errors import (
     BudgetExceededError,
     InvalidInstanceError,
@@ -55,6 +60,14 @@ DEFAULT_PROFILE_BUDGET = 10_000_000
 
 def _exceeds(difference):  # a gain or shortfall, or an array of them
     return difference > IMPROVEMENT_EPS
+
+
+def _within_budget(required: int, budget, task: str, unit: str) -> None:
+    """Refuse a ``budget`` that is not a count, or one below the ``required`` count of ``unit``."""
+    check(budget, BUDGET, "budget", InvalidParameterError)
+    if required > budget:
+        raise BudgetExceededError(f"{task} needs {required} {unit} but the budget is {budget}",
+                                  required=required, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +109,13 @@ class DynamicsStep:
 class DynamicsOutcome:
     """Result of sequential best-response dynamics.
 
-    ``kind`` is ``equilibrium``, ``cycle``, or ``timeout``.  For cycles,
-    ``cycle_profiles`` holds the repeating segment: L profiles, each followed
-    by exactly one strategy change, with the (L+1)-th state equal to the first
-    (same profile and same next mover).
+    ``kind`` is ``equilibrium``, ``cycle``, or ``timeout``.  A run ends at its
+    first repeated (profile, next-mover) state, even the one after its last
+    allowed turn: as an equilibrium when the turns since that state changed
+    nothing, as a cycle otherwise; it times out only when the state after
+    ``max_steps`` turns is new.  ``cycle_profiles`` holds a cycle's repeating
+    segment: L profiles, each followed by exactly one strategy change, with
+    the (L+1)-th state equal to the first (same profile and same next mover).
     """
 
     kind: str
@@ -161,20 +177,35 @@ def verify_pne(spec: GameSpec, profile) -> PneCheck:
     """Check that no platform can gain more than the threshold by switching model.
 
     Every platform's deviation values come from one kernel call over the N
-    rival stacks.  On failure the returned witness names one profitable
-    deviation: the first such platform and its lowest-index profitable model.
+    rival stacks, and the profile passes when each platform's model is a best
+    response.  On failure the witness names the first platform that fails and
+    its lowest-index profitable model, which need not be a best response.
     """
     prof = np.array(as_profile(spec, profile))
     n = spec.n_platforms
-    # row i: the profile without platform i
-    rivals = np.tile(prof, (n, 1))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    values = game._deviation_block(spec, rivals)
-    gains = values - values[np.arange(n), prof][:, None]
-    better = np.argwhere(_exceeds(gains))  # row-major: platform, then model
-    if not better.size:
+    values, best = _best_responses(spec, prof[_others(n)])
+    stays = best[np.arange(n), prof]
+    if stays.all():
         return PneCheck(True)
-    i, g = better[0].tolist()
-    return PneCheck(False, Deviation(i, g, float(gains[i, g])))
+    i = int(stays.argmin())
+    gains = values[i] - values[i, prof[i]]
+    g = int(_exceeds(gains).argmax())
+    return PneCheck(False, Deviation(i, g, float(gains[g])))
+
+
+@lru_cache(maxsize=16)
+def _others(n: int) -> np.ndarray:
+    """Row i: the platforms other than i, a read-only (n, n-1) index array."""
+    j = np.arange(n - 1)
+    return game._frozen_array(j + (j >= np.arange(n)[:, None]), dtype=np.intp)
+
+
+def _best_responses(spec: GameSpec, rivals):
+    """The deviation values against ``rivals``, as ``game._deviation_block`` takes them,
+    and the boolean row of best responses: the models whose shortfall from the
+    best value does not exceed the threshold."""
+    values = game._deviation_block(spec, rivals)
+    return values, ~_exceeds(values.max(axis=-1, keepdims=True) - values)
 
 
 def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[tuple[int, ...]]:
@@ -192,22 +223,15 @@ def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[
     result can hold when scores tie.
     """
     m, n = spec.n_models, spec.n_platforms
-    total = m ** n
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {total} profiles but the budget is {budget}",
-            required=total,
-            budget=budget,
-        )
+    _within_budget(m ** n, budget, "enumeration", "profiles")
     s = spec.scores.scores
     count = math.comb(m + n - 2, n - 1)
     rivals = np.empty((count, n - 1), dtype=np.min_scalar_type(m - 1))
     best = np.empty((count, m), dtype=bool)  # best[r, g]: g is a best response to rivals[r]
     start = 0
     for block in game._multiset_blocks(combinations_with_replacement(range(m), n - 1), s.size):
-        values = game._deviation_block(spec, block)
         rivals[start:start + len(block)] = block
-        best[start:start + len(block)] = ~_exceeds(values.max(axis=1, keepdims=True) - values)
+        best[start:start + len(block)] = _best_responses(spec, block)[1]
         start += len(block)
     r, g = np.nonzero(best)
     del best  # the largest array, now read out into r and g
@@ -238,17 +262,16 @@ def _orderings(multiset: tuple[int, ...]):
 def best_response(spec: GameSpec, profile, platform: int) -> int:
     """The platform's utility-maximizing model against the others' fixed choices.
 
-    Keeps the current model unless its shortfall from the best value exceeds the
-    threshold, and otherwise returns the lowest-index model whose shortfall does not.
+    Keeps the current model when it is a best response (``_best_responses``),
+    and otherwise returns the lowest-index best response.
     """
     prof = as_profile(spec, profile)
     platform = game._index(platform, spec.n_platforms, "platform index", InvalidProfileError)
-    # deviation_values without its check of the rivals, who come from a checked profile
-    values = game._deviation_block(spec, prof[:platform] + prof[platform + 1:])
-    best = values.max()
-    if not _exceeds(best - values[prof[platform]]):
+    # the rivals come from a checked profile, so deviation_values' check is skipped
+    best = _best_responses(spec, prof[:platform] + prof[platform + 1:])[1]
+    if best[prof[platform]]:
         return prof[platform]
-    return int(np.argmin(_exceeds(best - values)))  # the first False
+    return int(best.argmax())  # the first True
 
 
 def run_dynamics(
@@ -257,14 +280,17 @@ def run_dynamics(
     order: str | Sequence[int] = "round_robin",
     max_steps: int = 1000,
 ) -> DynamicsOutcome:
-    """Sequential best-response dynamics with cycle detection.
+    """Sequential best-response dynamics, ended by the first repeated state.
 
-    Movers act in the given order (default round-robin from platform 0).  A
-    turn with no strict improvement advances the mover without changing the
-    profile, and its step reuses the previous step's utilities, those of the
-    same profile.  The run ends as ``equilibrium`` once a full pass changes
-    nothing, as ``cycle`` when a (profile, next-mover) state repeats, and as
-    ``timeout`` when ``max_steps`` turns elapse first.
+    Movers act in the given order (default round-robin from platform 0), each
+    playing ``best_response``, so a turn keeps the mover's model when it is a
+    best response.  Such a silent turn advances the mover, and its step reuses
+    the previous step's utilities, those of the same profile.  The run ends
+    at the first turn after which a (profile, next-mover) state repeats, the
+    last allowed turn included: as ``equilibrium`` when the turns since its
+    first visit, a full pass of the order, changed nothing, and as ``cycle``
+    otherwise.  It is ``timeout`` only when the state after ``max_steps``
+    turns is new.
     """
     check(max_steps, DYNAMICS["max_steps"], "max_steps", InvalidParameterError)
     start_prof = as_profile(spec, start)
@@ -288,24 +314,12 @@ def run_dynamics(
             # platform got a turn
             raise InvalidParameterError("mover order must cover every platform")
 
-    profile = start_prof
-    pos = 0
+    profile, pos = start_prof, 0
     trajectory: list[DynamicsStep] = []
-    seen: dict[tuple[tuple[int, ...], int], int] = {}
-    silent = 0
+    seen = {(profile, pos): 0}  # each state's index in the trajectory
     utilities: tuple[float, ...] | None = None
 
     for step in range(max_steps):
-        state = (profile, pos)
-        if state in seen:
-            segment = trajectory[seen[state]:]
-            return DynamicsOutcome(
-                kind="cycle",
-                trajectory=tuple(trajectory),
-                start=start_prof,
-                cycle_profiles=_cycle_profiles(segment),
-            )
-        seen[state] = len(trajectory)
         mover = mover_order[pos]
         chosen = best_response(spec, profile, mover)
         changed = chosen != profile[mover]
@@ -323,35 +337,17 @@ def run_dynamics(
                 utilities=utilities,
             )
         )
-        profile = after
-        silent = 0 if changed else silent + 1
-        if silent >= len(mover_order):
-            return DynamicsOutcome(
-                kind="equilibrium",
-                trajectory=tuple(trajectory),
-                start=start_prof,
-                equilibrium_profile=profile,
-            )
-        pos = (pos + 1) % len(mover_order)
+        profile, pos = after, (pos + 1) % len(mover_order)
+        first = seen.setdefault((profile, pos), len(trajectory))
+        if first < len(trajectory):
+            changes = [s.profile_after for s in trajectory[first:] if s.changed]
+            if not changes:
+                return DynamicsOutcome("equilibrium", tuple(trajectory), start_prof,
+                                       equilibrium_profile=profile)
+            # the segment starts at the repeated profile, to which its last change returns
+            return DynamicsOutcome("cycle", tuple(trajectory), start_prof, (profile,) + tuple(changes[:-1]))
 
     return DynamicsOutcome(kind="timeout", trajectory=tuple(trajectory), start=start_prof)
-
-
-def _cycle_profiles(segment: list[DynamicsStep]) -> tuple[tuple[int, ...], ...]:
-    """The L profiles of the repeating segment, one strategy change apiece.
-
-    Silent turns inside the segment are collapsed: the listed profiles are the
-    distinct consecutive states, and the state following the last one is the
-    first again.
-    """
-    profiles = [segment[0].profile_before]
-    for step in segment:
-        if step.changed:
-            profiles.append(step.profile_after)
-    # the final change closes the loop back to the first profile
-    if len(profiles) > 1 and profiles[-1] == profiles[0]:
-        profiles.pop()
-    return tuple(profiles)
 
 
 # ---------------------------------------------------------------------------

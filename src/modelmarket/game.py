@@ -195,7 +195,13 @@ class GameSpec:
         return GameSpec(self.scores, self.population, n, self.choice)
 
     def with_models(self, m: int) -> "GameSpec":
-        """Restrict the pool to the first m models (pool-size sweeps)."""
+        """The first m models only (pool-size sweeps), m read as an index argument is."""
+        try:
+            m = operator.index(m)
+        except TypeError:
+            raise InvalidInstanceError(f"model count must be an integer (got {m!r})") from None
+        if not 1 <= m <= self.n_models:
+            raise InvalidInstanceError(f"model count {m} out of range [1, {self.n_models}]")
         sub = ScoreMatrix(self.scores.scores[:m], self.scores.model_labels[:m])
         return GameSpec(sub, self.population, self.n_platforms, self.choice)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidInstanceError
 from . import game
-from .equilibrium import DynamicsOutcome, _exceeds, enumerate_pne, verify_pne
+from .equilibrium import DynamicsOutcome, _exceeds, _within_budget, enumerate_pne, verify_pne
 from .game import ChoiceRule, GameSpec, as_profile
 
 __all__ = [
@@ -164,13 +164,7 @@ def social_optimum(spec: GameSpec, budget: int = OPTIMUM_BUDGET) -> SocialOptimu
     block at a time, and the first maximiser in enumeration order is kept.
     """
     m, n = spec.n_models, spec.n_platforms
-    count = math.comb(m + n - 1, n)
-    if count > budget:
-        raise BudgetExceededError(
-            f"social optimum needs {count} multisets but the budget is {budget}",
-            required=count,
-            budget=budget,
-        )
+    _within_budget(math.comb(m + n - 1, n), budget, "social optimum", "multisets")
     s = spec.scores.scores
     w = spec.population.weights
     best_value = -np.inf

@@ -11,11 +11,11 @@ import pytest
 from modelmarket import game
 from modelmarket.entry import (EntryDataset, RewardBaseline, RewardTable, ToyGenerator, TrainingConfig,
                                _reinforce_gradients, adoption_gate, grad_s_reinforce, resample_weights)
-from modelmarket.equilibrium import CentralizationParams, run_dynamics
+from modelmarket.equilibrium import CentralizationParams, enumerate_pne, run_dynamics
 from modelmarket.errors import InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
-from modelmarket.metrics import GameAnalysis, MetricsRecord, ProfileScore, coverage_value
+from modelmarket.metrics import GameAnalysis, MetricsRecord, ProfileScore, coverage_value, social_optimum
 from modelmarket.synthetic import GmmComponent, GmmPopulationSpec, RbfKernel, RbfModelSpec, seeded_kmeans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "modelmarket"
@@ -154,6 +154,18 @@ BOUND_CASES = {
                   lambda: run_dynamics(_market(), (0,), max_steps=2.5)),
     "max_steps at 0": (InvalidParameterError, "max_steps must be >= 1 (got 0)",
                        lambda: run_dynamics(_market(), (0,), max_steps=0)),
+    "enumerate_pne budget string": (InvalidParameterError, "budget must be an integer (got '10')",
+                                    lambda: enumerate_pne(_market(), budget="10")),
+    "enumerate_pne budget float": (InvalidParameterError, "budget must be an integer (got 1000000000.0)",
+                                   lambda: enumerate_pne(_market(), budget=1e9)),
+    "enumerate_pne budget bool": (InvalidParameterError, "budget must be an integer (got True)",
+                                  lambda: enumerate_pne(_market(), budget=True)),
+    "social_optimum budget None": (InvalidParameterError, "budget must be an integer (got None)",
+                                   lambda: social_optimum(_market(), budget=None)),
+    "social_optimum budget bool": (InvalidParameterError, "budget must be an integer (got True)",
+                                   lambda: social_optimum(_market(), budget=True)),
+    "social_optimum budget at -1": (InvalidParameterError, "budget must be >= 0 (got -1)",
+                                    lambda: social_optimum(_market(), budget=-1)),
     # library-only arguments, which read the field of the config value they stand for
     "model bias string": (InvalidParameterError, "model bias must be a number (got '0.5')",
                           lambda: RbfModelSpec("0.5", [RbfKernel((0.0,), 1.0, 1.0)])),

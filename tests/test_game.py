@@ -121,6 +121,24 @@ class TestValidation:
         spec = c1.with_platforms(np.int64(3))
         assert spec.n_platforms == 3 and type(spec.n_platforms) is int
 
+    @pytest.mark.parametrize("m, message", [
+        (1.7, "model count must be an integer (got 1.7)"),
+        ("2", "model count must be an integer (got '2')"),
+        (-1, "model count -1 out of range [1, 3]"),
+        (0, "model count 0 out of range [1, 3]"),
+        (99, "model count 99 out of range [1, 3]"),
+    ])
+    def test_a_model_count_outside_the_pool_is_refused(self, c1, m, message):
+        # 1.7 used to end in a TypeError, -1 to drop the last model and 99 to keep all three
+        with pytest.raises(InvalidInstanceError) as info:
+            c1.with_models(m)
+        assert str(info.value) == message
+
+    def test_a_model_count_reads_as_an_index_argument(self, c1):
+        assert c1.with_models(True).scores.model_labels == ("g1",)
+        assert c1.with_models(np.int64(2)).scores.model_labels == ("g1", "g2")
+        assert np.array_equal(c1.with_models(3).scores.scores, c1.scores.scores)
+
     def test_softmax_needs_positive_tau(self):
         with pytest.raises(InvalidParameterError):
             ChoiceRule.softmax(0.0)

@@ -33,6 +33,8 @@ from modelmarket.game import (
 from modelmarket.equilibrium import (
     IMPROVEMENT_EPS,
     CentralizationParams,
+    Deviation,
+    PneCheck,
     best_response,
     centralization_check,
     check_differentiated_condition,
@@ -367,6 +369,41 @@ def test_equilibrium_checks_match_their_loop_forms():
         assert seen[key], (key, seen)
     two_model = {k[2] for k in seen if k[:2] == ("two_player", True)}
     assert len(two_model) >= 3, two_model
+
+
+def test_verification_and_best_responses_read_one_best_response_row():
+    """The witness is the lowest-index profitable model, which need not be a
+    best response; ``best_response`` answers the lowest-index best response.
+    At every N from 1, where the rival rows are empty, to 8, ``verify_pne``
+    keeps the full-utility reference's verdict, witness platform and model,
+    and the gain bits of the per-platform kernel reference (the full-utility
+    reference's one-row products may round the gain differently in its last
+    bit)."""
+    spec = GameSpec(ScoreMatrix([[0.0], [0.5], [1.0]]), UserPopulation(["t"], [1.0]), 1)
+    assert verify_pne(spec, (0,)) == PneCheck(False, Deviation(0, 1, 0.5))
+    assert best_response(spec, (0,), 0) == 2
+    rng = np.random.default_rng(97)
+    verdicts = Counter()
+    for n in range(1, 9):
+        for index in range(40):
+            m, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, k)) if index % 3 == 0 \
+                else rng.uniform(0.0, 1.0, size=(m, k))
+            population = UserPopulation([f"t{i}" for i in range(k)], rng.dirichlet(np.ones(k)))
+            spec = GameSpec(ScoreMatrix(scores), population, n)
+            if index % 2:
+                spec = spec.with_choice(ChoiceRule.softmax(float(rng.choice([0.05, 0.3, 2.0]))))
+            profiles = [tuple(int(x) for x in rng.integers(0, m, n)) for _ in range(3)] + [(0,) * n]
+            for prof in profiles:
+                got, want = verify_pne(spec, prof), reference_verify_pne(spec, prof)
+                assert repr(got) == repr(reference_verify_pne_by_platform(spec, prof)), (n, index)
+                assert got.is_pne == want.is_pne, (n, index)
+                if not got.is_pne:
+                    assert got.witness.platform == want.witness.platform, (n, index)
+                    assert got.witness.model == want.witness.model, (n, index)
+                    assert abs(got.witness.gain - want.witness.gain) < 1e-12, (n, index)
+                verdicts[n, got.is_pne] += 1
+    assert all(verdicts[n, False] and verdicts[n, True] for n in range(1, 9)), verdicts
 
 
 def _straddling_instance(rng: np.random.Generator, n: int) -> tuple[GameSpec, bool]:

@@ -4,15 +4,20 @@ The hardmax deviation kernel, the hardmax shares, best responses, the PNE
 witness, coverage, market shares and whole trajectories (whose silent turns
 reuse the previous turn's utilities) are compared with the ``previous_*``
 oracles of ``helpers`` by ``tobytes`` or ``repr``, so a sign of zero or a last
-bit that moves fails.  Both sides run in one process, so the comparisons hold
-under every BLAS kernel.
+bit that moves fails.  The end-of-run rule, a run ends at its first repeated
+state, is compared with ``helpers.reference_run_dynamics``, which ends a run
+by a silent-turn counter or a repeated state before a turn.  Both sides run
+in one process, so the comparisons hold under every BLAS kernel.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from modelmarket import equilibrium, game, metrics
 from modelmarket.equilibrium import best_response, run_dynamics, verify_pne
+from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 
 from helpers import (
@@ -23,6 +28,7 @@ from helpers import (
     previous_market_shares,
     previous_run_dynamics,
     previous_verify_pne,
+    reference_run_dynamics,
 )
 
 N_INSTANCES = 400
@@ -145,3 +151,60 @@ def test_a_silent_turn_reuses_the_utilities_of_its_unchanged_profile(monkeypatch
         for step in steps:
             want = tuple(platform_utilities(spec, step.profile_after).tolist())
             assert repr(step.utilities) == repr(want), index
+
+
+def _end_rule_case(rng: np.random.Generator, index: int):
+    """An instance with M in [1, 5], N in [1, 4] and K in [1, 4], a start and a
+    mover order.  Hardmax on even and softmax on odd indices; the scores a tie
+    grid, plain draws, or K rotations of one row (M = K), where best responses
+    cycle as in ``c1_rps``, by ``index % 3``; and round-robin or a shuffled
+    order that covers every platform and repeats some, by ``index % 4``."""
+    m, n, k = (int(x) for x in rng.integers(1, [6, 5, 5]))
+    if index % 3 == 0:
+        scores = rng.choice(GRID, size=(m, k))
+    elif index % 3 == 1:
+        scores = rng.uniform(0.0, 1.0, size=(m, k))
+    else:
+        row = rng.uniform(0.0, 1.0, size=k)
+        scores = np.array([np.roll(row, i) for i in range(k)])
+    choice = ChoiceRule.hardmax() if index % 2 == 0 else ChoiceRule.softmax(float(rng.choice([0.05, 0.2, 1.0])))
+    population = UserPopulation([f"t{i}" for i in range(k)], rng.dirichlet(np.ones(k)))
+    spec = GameSpec(ScoreMatrix(scores), population, n, choice)
+    order = "round_robin"
+    if index % 4 >= 2:
+        repeated = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+        order = [int(i) for i in rng.permutation(np.concatenate((np.arange(n), repeated)))]
+    return spec, tuple(int(g) for g in rng.integers(0, len(scores), size=n)), order
+
+
+def test_a_run_ends_at_its_first_repeated_state():
+    """``run_dynamics`` equals the two-rule reference field for field, utilities'
+    bits included, at every tested ``max_steps``.  The one exception is a run
+    whose last allowed turn reaches a repeated state across a change: the
+    reference reads timeout, and this run is the cycle the reference finds
+    when given one more turn, with the same trajectory."""
+    rng = np.random.default_rng(3)
+    kinds, late = Counter(), 0
+    for index in range(2000):
+        spec, start, order = _end_rule_case(rng, index)
+        n = spec.n_platforms
+        for max_steps in sorted({1, 2, 3, n, n + 1, 2 * n, 7, 50}):
+            got = run_dynamics(spec, start, order, max_steps)
+            want = reference_run_dynamics(spec, start, order, max_steps)
+            if got.kind == "cycle" and want.kind == "timeout":
+                want = reference_run_dynamics(spec, start, order, max_steps + 1)
+                late += 1
+            assert repr(got) == repr(want), (index, max_steps)
+            kinds[got.kind, spec.choice.kind, order == "round_robin"] += 1
+    assert len(kinds) == 12 and late >= 3, (kinds, late)
+
+
+@pytest.mark.parametrize("name, max_steps, kind, steps, cycle", [
+    ("c1_rps", 6, "timeout", 6, 0),
+    ("c1_rps", 7, "cycle", 7, 6),  # the 7th turn returns to the state after the first
+    ("fig2_a", 2, "timeout", 2, 0),
+    ("fig2_a", 3, "equilibrium", 3, 0),
+])
+def test_the_last_allowed_turn_ends_a_run_at_a_repeated_state(name, max_steps, kind, steps, cycle):
+    outcome = run_dynamics(builtin_instance(name).spec, (0, 0), max_steps=max_steps)
+    assert (outcome.kind, len(outcome.trajectory), len(outcome.cycle_profiles)) == (kind, steps, cycle)
