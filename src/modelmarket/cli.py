@@ -84,11 +84,6 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
 # single runs
 # ---------------------------------------------------------------------------
 
-def _draw_start(spec: GameSpec, seed: int) -> tuple[int, ...]:
-    rng = np.random.default_rng(seed)
-    return tuple(int(x) for x in rng.integers(0, spec.n_models, size=spec.n_platforms))
-
-
 def _dynamics_seed(cfg: dict, seed_override: int | None) -> int:
     """``dynamics.seed``, or ``--seed`` checked as that field is."""
     if seed_override is None:
@@ -96,9 +91,19 @@ def _dynamics_seed(cfg: dict, seed_override: int | None) -> int:
     return config_mod.check(seed_override, config_mod.DYNAMICS["seed"], "--seed")
 
 
-def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, run_id: str,
-                     seed: int, sweep_axis: str = "", sweep_value: str = "",
-                     repetition: int = 0) -> list[dict]:
+def _record_run(spec: GameSpec, analysis: GameAnalysis | None, start, dynamics: dict, run_id: str,
+                seed: int, instance_name: str,
+                sweep: tuple = ("", "", 0)) -> tuple[DynamicsOutcome, list[dict], dict]:
+    """One recorded run: the dynamics from ``start`` (None: drawn from
+    ``seed``), their outcome scored against ``analysis`` (None: the game is
+    analyzed after the dynamics, so a bad start or mover order fails before
+    any solve), its step rows at the ``sweep`` coordinates (axis, value,
+    repetition) and its summary."""
+    if start is None:
+        start = np.random.default_rng(seed).integers(0, spec.n_models, size=spec.n_platforms).tolist()
+    outcome = run_dynamics(spec, start, order=dynamics["order"], max_steps=dynamics["max_steps"])
+    record = outcome_metrics(spec, outcome, analysis or analyze(spec),
+                             [s.profile_after for s in outcome.trajectory])
     # dynamics revisit profiles (every silent turn repeats one), so each
     # distinct profile is formatted once
     cells = {profile: {"profile": "|".join(spec.profile_labels(profile)),
@@ -106,10 +111,10 @@ def _trajectory_rows(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRe
                        "coverage": _fmt(score.coverage), "hhi": _fmt(score.hhi),
                        "support": score.support}
              for profile, score in record.scores.items()}
-    run = {"run_id": run_id, "seed": seed, "sweep_axis": sweep_axis, "sweep_value": sweep_value,
-           "repetition": repetition}
-    return [{**run, "step": step.index, "mover": step.mover + 1, "changed": int(step.changed),
+    run = dict(zip(STEP_COLUMNS, (run_id, seed, *sweep)))  # the first five columns
+    rows = [{**run, "step": step.index, "mover": step.mover + 1, "changed": int(step.changed),
              **cells[step.profile_after]} for step in outcome.trajectory]
+    return outcome, rows, _summarize(spec, outcome, record, run_id, seed, instance_name)
 
 
 def _analysis_fields(spec: GameSpec, analysis: GameAnalysis) -> dict:
@@ -179,12 +184,8 @@ def cmd_run(args) -> int:
     spec, instance_name, notes = _build_instance(cfg, Path(args.config).parent)
     dynamics = cfg["dynamics"]
     seed = _dynamics_seed(cfg, args.seed)
-    start = tuple(dynamics["start"]) if dynamics["start"] is not None else _draw_start(spec, seed)
-    outcome = run_dynamics(spec, start, order=dynamics["order"], max_steps=dynamics["max_steps"])
     prefix = cfg["output"].get("prefix", f"run_{instance_name}")
-    record = outcome_metrics(spec, outcome, analyze(spec), [s.profile_after for s in outcome.trajectory])
-    rows = _trajectory_rows(spec, outcome, record, prefix, seed)
-    summary = _summarize(spec, outcome, record, prefix, seed, instance_name)
+    outcome, rows, summary = _record_run(spec, None, dynamics["start"], dynamics, prefix, seed, instance_name)
     if notes:
         summary["fixture_notes"] = notes
     out = _out_dir(args, cfg)
@@ -216,8 +217,6 @@ def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
 
 def _apply_axis(spec: GameSpec, axis: str, value) -> GameSpec:
     if axis == "models":
-        if not 1 <= value <= spec.n_models:
-            raise ConfigError(f"model-pool size {value} out of range [1, {spec.n_models}]")
         return spec.with_models(value)
     if axis == "platforms":
         return spec.with_platforms(value)
@@ -228,19 +227,13 @@ def _apply_axis(spec: GameSpec, axis: str, value) -> GameSpec:
 
 
 def _run_sweep_cell(payload: tuple) -> tuple[list[dict], dict]:
-    spec, analysis, instance_name, order, max_steps, cell = payload
-    start = _draw_start(spec, cell["seed"])
-    outcome = run_dynamics(spec, start, order=order, max_steps=max_steps)
-    run_id = f"{instance_name}_{cell['axis']}_{cell['value_index']}_r{cell['repetition']}"
-    value_str = json.dumps(cell["value"]) if isinstance(cell["value"], list) else str(cell["value"])
-    record = outcome_metrics(spec, outcome, analysis, [s.profile_after for s in outcome.trajectory])
-    rows = _trajectory_rows(spec, outcome, record, run_id, cell["seed"], cell["axis"],
-                            value_str, cell["repetition"])
-    summary = _summarize(spec, outcome, record, run_id, cell["seed"], instance_name)
-    summary["sweep_axis"] = cell["axis"]
-    summary["sweep_value"] = cell["value"]
-    summary["repetition"] = cell["repetition"]
-    return rows, summary
+    spec, analysis, instance_name, dynamics, cell = payload
+    axis, value, rep = cell["axis"], cell["value"], cell["repetition"]
+    run_id = f"{instance_name}_{axis}_{cell['value_index']}_r{rep}"
+    value_str = json.dumps(value) if isinstance(value, list) else str(value)
+    _, rows, summary = _record_run(spec, analysis, None, dynamics, run_id, cell["seed"], instance_name,
+                                   (axis, value_str, rep))
+    return rows, {**summary, "sweep_axis": axis, "sweep_value": value, "repetition": rep}
 
 
 def cmd_sweep(args) -> int:
@@ -249,7 +242,6 @@ def cmd_sweep(args) -> int:
     # one instance build per sweep; every value's spec is derived, and so
     # validated, here before any game is solved
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
-    dynamics = cfg["dynamics"]
     specs = [_apply_axis(spec, cfg["sweep"]["axis"], value) for value in cfg["sweep"]["values"]]
     # a worker per cell and per CPU at most: a fork-based pool starts every
     # worker it may use
@@ -262,7 +254,7 @@ def cmd_sweep(args) -> int:
         # every repetition of a value plays the same game, solved once
         analyses = list(pool_map(analyze, specs))
         payloads = [(specs[cell["value_index"]], analyses[cell["value_index"]], instance_name,
-                     dynamics["order"], dynamics["max_steps"], cell) for cell in cells]
+                     cfg["dynamics"], cell) for cell in cells]
         results = list(pool_map(_run_sweep_cell, payloads))
     # map keeps cell order, (value_index, repetition), with or without workers
     rows = [row for cell_rows, _ in results for row in cell_rows]
@@ -309,7 +301,7 @@ def cmd_entry(args) -> int:
     block = cfg["training"]
     ds = block["dataset"]
     dataset = entry_mod.EntryDataset(block["outcomes"], ds["counts"], attributes=ds["attributes"],
-                                     attribute_labels=ds["attribute_labels"] or (),
+                                     attribute_labels=ds["attribute_labels"],
                                      type_attribute_prefs=ds["type_preferences"])
     rewards = entry_mod.RewardTable(block["rewards"])
     config = entry_mod.TrainingConfig(**{config_mod.RENAMED.get(k, k): v

@@ -32,7 +32,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .equilibrium import DynamicsOutcome, run_dynamics
-from .game import _BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, ScoreMatrix, _frozen_array, _index
+from .game import _BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, ScoreMatrix, _frozen_array, _index, _labels
 from .metrics import MetricsRecord, analyze, outcome_metrics
 
 __all__ = [
@@ -62,13 +62,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToyGenerator:
-    """Finite-outcome distribution with logit parameters (all outcomes possible)."""
+    """Finite-outcome distribution with logit parameters (all outcomes possible)
+    over distinct outcome labels."""
 
     outcome_labels: tuple[str, ...]
     logits: np.ndarray
 
     def __init__(self, outcome_labels: Iterable[str], logits):
-        labels = tuple(str(x) for x in outcome_labels)
+        labels = _labels(outcome_labels, "outcome labels")
         phi = _frozen_array(logits)
         if phi.ndim != 1 or phi.shape[0] != len(labels):
             raise InvalidInstanceError("logits must be one value per outcome")
@@ -153,6 +154,7 @@ class TrainingConfig:
 class EntryDataset:
     """Training items, one bucket per outcome, with optional attribute structure.
 
+    Outcome labels and attribute labels are each distinct strings.
     ``counts`` are the empirical item counts per outcome.  When ``attributes``
     labels each outcome with one of the attribute values and
     ``type_attribute_prefs`` gives each user type a distribution over those
@@ -167,7 +169,7 @@ class EntryDataset:
 
     def __init__(self, outcome_labels, counts, attributes=None, attribute_labels=(),
                  type_attribute_prefs=None):
-        labels = tuple(str(x) for x in outcome_labels)
+        labels = _labels(outcome_labels, "outcome labels")
         c = _frozen_array(counts)
         if c.ndim != 1 or c.shape[0] != len(labels):
             raise InvalidInstanceError("counts must be one value per outcome")
@@ -180,7 +182,7 @@ class EntryDataset:
         if not np.isfinite(total):
             raise InvalidInstanceError(f"counts must sum to a finite total (got {total!r})")
         attrs = None
-        attr_labels = tuple(str(u) for u in attribute_labels)
+        attr_labels = _labels(attribute_labels, "attribute labels")
         prefs = None
         if attributes is not None:
             attrs = tuple(str(u) for u in attributes)

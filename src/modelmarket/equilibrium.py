@@ -14,10 +14,8 @@ equilibrium when the turns since that state changed nothing, else in a cycle.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -224,12 +222,11 @@ def enumerate_pne(spec: GameSpec, budget: int = DEFAULT_PROFILE_BUDGET) -> list[
     """
     m, n = spec.n_models, spec.n_platforms
     _within_budget(m ** n, budget, "enumeration", "profiles")
-    s = spec.scores.scores
     count = math.comb(m + n - 2, n - 1)
     rivals = np.empty((count, n - 1), dtype=np.min_scalar_type(m - 1))
     best = np.empty((count, m), dtype=bool)  # best[r, g]: g is a best response to rivals[r]
     start = 0
-    for block in game._multiset_blocks(combinations_with_replacement(range(m), n - 1), s.size):
+    for block in game._multiset_blocks(m, n - 1, spec.scores.scores.size):
         rivals[start:start + len(block)] = block
         best[start:start + len(block)] = _best_responses(spec, block)[1]
         start += len(block)
@@ -301,14 +298,13 @@ def run_dynamics(
             )
         mover_order: tuple[int, ...] = tuple(range(spec.n_platforms))
     else:
-        try:
-            mover_order = tuple(operator.index(i) for i in order)
+        try:  # _index names a bad entry; this catches an order that does not iterate
+            mover_order = tuple(game._index(i, spec.n_platforms, "mover index", InvalidParameterError)
+                                for i in order)
         except TypeError:
             raise InvalidParameterError(
                 f"mover order must be a list of platform indices (got {order!r})"
             ) from None
-        for i in mover_order:
-            game._index(i, spec.n_platforms, "mover index", InvalidParameterError)
         if set(mover_order) != set(range(spec.n_platforms)):
             # a silent full pass certifies an equilibrium only if every
             # platform got a turn

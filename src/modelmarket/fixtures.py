@@ -119,14 +119,15 @@ def game_spec(kind: str, block: dict) -> GameSpec:
     if kind == "synthetic":
         population, scores = rbf_gmm_instance(block)
         return GameSpec(scores, population, block["n_platforms"])
-    labels = block["type_labels"] or [f"t{i + 1}" for i in range(len(block["weights"]))]
+    # an empty list of type labels, as null, asks for the defaults
+    population = UserPopulation(block["type_labels"] or None, block["weights"])
     if kind == "preferences":
-        prefs = PreferenceTable(block["criteria"], labels, block["preference_weights"])
+        prefs = PreferenceTable(block["criteria"], population.type_labels, block["preference_weights"])
         scores = scores_from_preferences(block["performance"], prefs,
                                          model_labels=block["model_labels"])
     else:
         scores = ScoreMatrix(block["scores"], block["model_labels"])
-    return GameSpec(scores, UserPopulation(labels, block["weights"]), block["n_platforms"],
+    return GameSpec(scores, population, block["n_platforms"],
                     choice_from_block(block["choice"]) or ChoiceRule.hardmax())
 
 

@@ -15,7 +15,7 @@ frozen on construction, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 import math
 import operator
 import sys
@@ -56,20 +56,30 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _labels(labels, name: str, count: int = 0, prefix: str = "t") -> tuple[str, ...]:
+    """``labels`` as a tuple of distinct strings, or an InvalidInstanceError naming
+    them ``name``; None gives the defaults ``prefix`` 1, 2, ..., ``count``."""
+    if labels is None:
+        return tuple(f"{prefix}{i + 1}" for i in range(count))
+    labels = tuple(map(str, labels))
+    if len(set(labels)) != len(labels):
+        raise InvalidInstanceError(f"{name} must be unique")
+    return labels
+
+
 @dataclass(frozen=True)
 class UserPopulation:
-    """A finite set of user types with a probability weight per type."""
+    """A finite set of user types with a probability weight per type; labels
+    None are ``t1``, ``t2``, ..."""
 
     type_labels: tuple[str, ...]
     weights: np.ndarray
 
-    def __init__(self, type_labels: Iterable[str], weights: Iterable[float]):
-        labels = tuple(str(t) for t in type_labels)
+    def __init__(self, type_labels: Iterable[str] | None, weights: Iterable[float]):
         w = _frozen_array(weights)
+        labels = _labels(type_labels, "user type labels", w.size)
         if len(labels) == 0:
             raise InvalidInstanceError("population needs at least one user type")
-        if len(labels) != len(set(labels)):
-            raise InvalidInstanceError("user type labels must be unique")
         if w.ndim != 1 or w.shape[0] != len(labels):
             raise InvalidInstanceError("weights must be a vector matching type_labels")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -88,9 +98,9 @@ class UserPopulation:
         return len(self.type_labels)
 
     @staticmethod
-    def uniform(k: int, prefix: str = "t") -> "UserPopulation":
+    def uniform(k: int) -> "UserPopulation":
         check(k, GMM["k_types"], "k", InvalidInstanceError)
-        return UserPopulation([f"{prefix}{i + 1}" for i in range(k)], np.full(k, 1.0 / k))
+        return UserPopulation(None, np.full(k, 1.0 / k))
 
 
 @dataclass(frozen=True)
@@ -111,14 +121,9 @@ class ScoreMatrix:
             raise InvalidInstanceError("scores must be a non-empty M x K matrix")
         if not np.all(np.isfinite(s)) or np.any(s < 0):
             raise InvalidInstanceError("scores must be finite and non-negative")
-        if model_labels is None:
-            labels = tuple(f"g{j + 1}" for j in range(s.shape[0]))
-        else:
-            labels = tuple(str(m) for m in model_labels)
+        labels = _labels(model_labels, "model labels", s.shape[0], "g")
         if len(labels) != s.shape[0]:
             raise InvalidInstanceError("model_labels must match the number of score rows")
-        if len(labels) != len(set(labels)):
-            raise InvalidInstanceError("model labels must be unique")
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "model_labels", labels)
 
@@ -323,13 +328,18 @@ def _deviation_block(spec: GameSpec, rivals) -> np.ndarray:
     return (share * s) @ spec.population.weights
 
 
-def _multiset_blocks(multisets: Iterable[tuple[int, ...]], row_elements: int) -> Iterator[np.ndarray]:
-    """Consecutive equal-size multisets as (B, size) index arrays.
+def _multiset_blocks(m: int, size: int, row_elements: int) -> Iterator[np.ndarray]:
+    """Every multiset of ``size`` models out of ``m``, as (B, size) index arrays.
 
-    B is chosen so that a block's per-row intermediates of ``row_elements``
-    floats hold at most ``_BLOCK_ELEMENTS`` in all, whatever M, N and K are.
+    The multisets come as ``combinations_with_replacement(range(m), size)``
+    gives them: each a nondecreasing tuple, in lexicographic order, so the
+    concatenated blocks run through them in that order.  ``enumerate_pne``'s
+    table rows and ``social_optimum``'s first maximiser, its canonical
+    profile, follow this order.  B is chosen so that a block's per-row
+    intermediates of ``row_elements`` floats hold at most ``_BLOCK_ELEMENTS``
+    in all, whatever M, N and K are.
     """
-    it = iter(multisets)
+    it = combinations_with_replacement(range(m), size)
     rows = max(1, _BLOCK_ELEMENTS // row_elements)
     while batch := list(islice(it, rows)):
         yield np.array(batch, dtype=np.intp)

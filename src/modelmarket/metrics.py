@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Iterable
 
 import numpy as np
@@ -169,8 +168,7 @@ def social_optimum(spec: GameSpec, budget: int = OPTIMUM_BUDGET) -> SocialOptimu
     w = spec.population.weights
     best_value = -np.inf
     best_profile: tuple[int, ...] = ()
-    multisets = combinations_with_replacement(range(m), n)
-    for block in game._multiset_blocks(multisets, n * s.shape[1]):
+    for block in game._multiset_blocks(m, n, n * s.shape[1]):
         # (B, 1, K) @ w is one dot per multiset, bit-equal to the 1-D dot of
         # one multiset; a (B, K) @ w gemv is not
         values = (s[block].max(axis=1)[:, None, :] @ w)[:, 0]

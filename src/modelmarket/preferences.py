@@ -8,14 +8,15 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidInstanceError
-from .game import ScoreMatrix, _frozen_array
+from .game import ScoreMatrix, _frozen_array, _labels
 
 __all__ = ["PreferenceTable", "scores_from_preferences"]
 
 
 @dataclass(frozen=True)
 class PreferenceTable:
-    """Per-type non-negative weights over a shared list of criteria.
+    """Per-type non-negative weights over a shared list of criteria, the
+    criteria and the type labels each distinct strings.
 
     Weight vectors are used exactly as stored; ``scores_from_preferences``
     can normalize them.
@@ -26,8 +27,8 @@ class PreferenceTable:
     weights: np.ndarray  # K x C
 
     def __init__(self, criteria: Iterable[str], type_labels: Iterable[str], weights):
-        crit = tuple(str(c) for c in criteria)
-        labels = tuple(str(t) for t in type_labels)
+        crit = _labels(criteria, "preference criteria")
+        labels = _labels(type_labels, "user type labels")
         w = _frozen_array(weights)
         if w.ndim != 2 or w.shape != (len(labels), len(crit)):
             raise InvalidInstanceError("weights must be a K x C matrix matching labels and criteria")

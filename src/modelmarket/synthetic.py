@@ -321,9 +321,7 @@ def gmm_population(spec: GmmPopulationSpec) -> tuple[UserPopulation, np.ndarray]
     assignments = relabel[assignments]
 
     counts = np.bincount(assignments, minlength=spec.k_types).astype(float)
-    population = UserPopulation(
-        [f"t{i + 1}" for i in range(spec.k_types)], counts / counts.sum()
-    )
+    population = UserPopulation(None, counts / counts.sum())
     shift = np.zeros(spec.dim)
     shift[0] = spec.dx
     return population, centers + shift

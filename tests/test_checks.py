@@ -16,6 +16,7 @@ from modelmarket.errors import InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
 from modelmarket.metrics import GameAnalysis, MetricsRecord, ProfileScore, coverage_value, social_optimum
+from modelmarket.preferences import PreferenceTable
 from modelmarket.synthetic import GmmComponent, GmmPopulationSpec, RbfKernel, RbfModelSpec, seeded_kmeans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "modelmarket"
@@ -220,3 +221,35 @@ def test_config_imports_only_errors_from_the_package():
     imported = [node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert imported == ["errors"]
+
+
+# every record that takes a list of labels, given a repeated one; labels are
+# compared as the strings they are stored as
+DUPLICATE_LABEL_CASES = {
+    "population": ("user type labels", lambda: UserPopulation(["a", "a"], [0.5, 0.5])),
+    "score matrix": ("model labels", lambda: ScoreMatrix([[0.5], [0.2]], [1, "1"])),
+    "preference criteria": ("preference criteria",
+                            lambda: PreferenceTable(["c", "c"], ["a"], [[0.5, 0.5]])),
+    "preference types": ("user type labels", lambda: PreferenceTable(["c"], ["a", "a"], [[1.0], [1.0]])),
+    "generator outcomes": ("outcome labels", lambda: ToyGenerator(["x", "x"], [0.0, 0.0])),
+    "dataset outcomes": ("outcome labels", lambda: EntryDataset(["x", "x"], [1, 1])),
+    # read as it was, every "u2" named column 1, so x2's resampling weight was
+    # 0 where merging the two "u2" columns gives it 0.75
+    "dataset attributes": ("attribute labels", lambda: EntryDataset(
+        ["x1", "x2"], [1, 1], attributes=["u1", "u2"], attribute_labels=["u1", "u2", "u2"],
+        type_attribute_prefs=[[0.25, 0.0, 0.75]])),
+}
+
+
+@pytest.mark.parametrize("case", list(DUPLICATE_LABEL_CASES))
+def test_a_repeated_label_is_refused_naming_its_list(case):
+    name, call = DUPLICATE_LABEL_CASES[case]
+    with pytest.raises(InvalidInstanceError) as info:
+        call()
+    assert str(info.value) == f"{name} must be unique"
+
+
+def test_absent_labels_default_to_numbered_ones():
+    assert ScoreMatrix([[0.5], [0.2]]).model_labels == ("g1", "g2")
+    assert UserPopulation(None, [0.5, 0.5]).type_labels == ("t1", "t2")
+    assert UserPopulation.uniform(3).type_labels == ("t1", "t2", "t3")

@@ -69,6 +69,16 @@ class TestRun:
         assert summary["outcome_kind"] == "cycle"
         assert summary["pne_count"] == 0
 
+    def test_a_bad_start_or_mover_order_fails_before_the_game_is_solved(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        monkeypatch.setattr(cli_mod, "analyze", lambda spec: pytest.fail("the game was solved"))
+        for dynamics, message in (({"start": [0, 5]}, "model index 5 out of range [0, 2)"),
+                                  ({"order": [0, 0]}, "mover order must cover every platform")):
+            cfg = _write_config(tmp_path, {"instance": {"builtin": "fig2_a"}, "dynamics": dynamics})
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_cycle_summary_equals_the_single_figure_functions(self, tmp_path):
         spec = builtin_instance("c8_players_3").spec
         cfg = _write_config(tmp_path, {
@@ -499,7 +509,7 @@ class TestSweep:
         })
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
-        assert "model-pool size 9 out of range" in capsys.readouterr().err
+        assert "model count 9 out of range" in capsys.readouterr().err
         assert runs == []
         assert not out.exists()
 
@@ -588,6 +598,15 @@ class TestEntry:
         trace = _read_csv(tmp_path / "toy_trace_direct.csv")
         assert float(trace[-1]["objective"]) > float(trace[0]["objective"])
         assert len(_read_csv(tmp_path / "toy_trace_resampling.csv")) == 6  # init + 5 rounds
+
+    def test_a_repeated_attribute_label_is_one_error_and_writes_nothing(self, tmp_path, capsys,
+                                                                         entry_config):
+        payload = _read_json(entry_config)
+        payload["training"]["dataset"]["attribute_labels"] = ["art", "math", "math"]
+        out = tmp_path / "out"
+        assert main(["entry", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: attribute labels must be unique\n"
+        assert not out.exists()
 
     def test_past_both_budgets_writes_null_and_notes(self, tmp_path, monkeypatch):
         # M^N = 50^10 profiles and C(59, 10) multisets exceed both budgets
@@ -1388,7 +1407,8 @@ class TestConfigTable:
         documented = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
         fields = {path.replace("[0]", "[]") for _, _, path, _ in _CASES}
         assert len(documented) == len(set(documented))
-        assert set(documented) == fields
+        assert sorted(fields - set(documented)) == [], "fields missing from the README table"
+        assert sorted(set(documented) - fields) == [], "README rows that name no field"
 
 
 def _set(keys, value):

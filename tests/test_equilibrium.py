@@ -180,13 +180,18 @@ class TestRunDynamics:
         with pytest.raises(InvalidParameterError, match="cover every platform"):
             run_dynamics(c1, (0, 0), order=[0])
 
-    @pytest.mark.parametrize("order", ["10", "reverse", [0, "1"], [0.0, 1.0], 3],
-                             ids=["digit-string", "reverse", "string-mover", "float-movers",
-                                  "not-a-list"])
-    def test_mover_order_must_list_platform_indices(self, c1, order):
-        # "10" must not run as the movers (1, 0)
-        with pytest.raises(InvalidParameterError, match="mover order"):
+    @pytest.mark.parametrize("order, message", [
+        ("10", "unknown mover order '10': give 'round_robin' or a list of platform indices"),
+        ("reverse", "unknown mover order 'reverse': give 'round_robin' or a list of platform indices"),
+        ([0, "1"], "mover index must be an integer (got '1')"),
+        ([0.0, 1.0], "mover index must be an integer (got 0.0)"),
+        (3, "mover order must be a list of platform indices (got 3)"),
+    ], ids=["digit-string", "reverse", "string-mover", "float-movers", "not-a-list"])
+    def test_mover_order_must_list_platform_indices(self, c1, order, message):
+        # "10" must not run as the movers (1, 0); each entry is read as any index argument is
+        with pytest.raises(InvalidParameterError) as info:
             run_dynamics(c1, (0, 0), order=order)
+        assert str(info.value) == message
 
 
 class TestConditionCheckers:

@@ -1,5 +1,6 @@
 """Allocation, utility, and decomposition checks against hand-worked values."""
 
+from itertools import combinations_with_replacement
 import pickle
 
 import numpy as np
@@ -402,3 +403,18 @@ class TestDeviationBlock:
             for b, prof in enumerate(profiles):
                 assert shares[b].tobytes() == allocate(spec, prof).tobytes(), index
                 assert delta[b].tobytes() == deviation_advantage(spec, prof).tobytes(), index
+
+
+class TestMultisetBlocks:
+    @pytest.mark.parametrize("row_elements", [1, 7, 10 ** 6])
+    def test_the_blocks_walk_every_multiset_in_lexicographic_order(self, row_elements):
+        # enumerate_pne's table rows and social_optimum's canonical first
+        # maximiser follow this order
+        rows = max(1, game._BLOCK_ELEMENTS // row_elements)
+        for m in range(9):
+            for size in range(6):
+                blocks = list(game._multiset_blocks(m, size, row_elements))
+                assert all(b.dtype == np.intp and b.shape[1:] == (size,) for b in blocks), (m, size)
+                assert max((len(b) for b in blocks), default=0) <= rows, (m, size)
+                walked = [tuple(row) for b in blocks for row in b.tolist()]
+                assert walked == list(combinations_with_replacement(range(m), size)), (m, size)
