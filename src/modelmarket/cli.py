@@ -160,23 +160,28 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, 
     return summary
 
 
-def _out_dir(args, cfg: dict) -> Path:
-    path = Path(args.out or cfg["output"].get("dir") or os.environ.get(OUT_DIR_ENV, "out"))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _prefix(cfg: dict, default: str) -> str:
+    """``output.prefix``, read before any game is solved: it starts file names, so no separator."""
+    prefix = cfg["output"].get("prefix", default)
+    if {os.sep, os.altsep, "\0"} & set(prefix):
+        raise ConfigError(f"output.prefix must not hold a path separator or NUL (got {prefix!r})")
+    return prefix
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+def _write(args, cfg: dict, prefix: str, tables: dict, report_name: str, report, done: str) -> None:
+    """Writes each of ``tables`` (name: (columns, rows)) to ``<prefix>_<name>.csv`` and then
+    ``report`` to ``<prefix>_<report_name>.json`` in the output directory, made if missing."""
+    out = Path(args.out or cfg["output"].get("dir") or os.environ.get(OUT_DIR_ENV, "out"))
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (columns, rows) in tables.items():
+        with open(out / f"{prefix}_{name}.csv", "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=columns)
+            writer.writeheader()
+            writer.writerows(rows)
+    with open(out / f"{prefix}_{report_name}.json", "w") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    print(f"{prefix}: {done}; files in {out}")
 
 
 def cmd_run(args) -> int:
@@ -184,15 +189,12 @@ def cmd_run(args) -> int:
     spec, instance_name, notes = _build_instance(cfg, Path(args.config).parent)
     dynamics = cfg["dynamics"]
     seed = _dynamics_seed(cfg, args.seed)
-    prefix = cfg["output"].get("prefix", f"run_{instance_name}")
+    prefix = _prefix(cfg, f"run_{instance_name}")
     outcome, rows, summary = _record_run(spec, None, dynamics["start"], dynamics, prefix, seed, instance_name)
     if notes:
         summary["fixture_notes"] = notes
-    out = _out_dir(args, cfg)
-    _write_csv(out / f"{prefix}_steps.csv", STEP_COLUMNS, rows)
-    _write_json(out / f"{prefix}_summary.json", summary)
-    print(f"{prefix}: {outcome.kind} after {len(outcome.trajectory)} steps; "
-          f"welfare={summary.get('welfare')}; files in {out}")
+    _write(args, cfg, prefix, {"steps": (STEP_COLUMNS, rows)}, "summary", summary,
+           f"{outcome.kind} after {len(outcome.trajectory)} steps; welfare={summary.get('welfare')}")
     return 0
 
 
@@ -239,6 +241,7 @@ def _run_sweep_cell(payload: tuple) -> tuple[list[dict], dict]:
 def cmd_sweep(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     cells = _sweep_cells(cfg, _dynamics_seed(cfg, args.seed))
+    prefix = _prefix(cfg, "sweep")
     # one instance build per sweep; every value's spec is derived, and so
     # validated, here before any game is solved
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
@@ -259,11 +262,8 @@ def cmd_sweep(args) -> int:
     # map keeps cell order, (value_index, repetition), with or without workers
     rows = [row for cell_rows, _ in results for row in cell_rows]
     summaries = [summary for _, summary in results]
-    prefix = cfg["output"].get("prefix", "sweep")
-    out = _out_dir(args, cfg)
-    _write_csv(out / f"{prefix}_long.csv", STEP_COLUMNS, rows)
-    _write_json(out / f"{prefix}_summary.json", summaries)
-    print(f"{prefix}: {len(cells)} cells, {len(rows)} step rows; files in {out}")
+    _write(args, cfg, prefix, {"long": (STEP_COLUMNS, rows)}, "summary", summaries,
+           f"{len(cells)} cells, {len(rows)} step rows")
     return 0
 
 
@@ -298,6 +298,7 @@ def _trace_csv(trace: list[dict], type_labels: Sequence[str]) -> tuple[list[str]
 def cmd_entry(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
+    prefix = _prefix(cfg, f"entry_{instance_name}")
     block = cfg["training"]
     ds = block["dataset"]
     dataset = entry_mod.EntryDataset(block["outcomes"], ds["counts"], attributes=ds["attributes"],
@@ -325,16 +326,11 @@ def cmd_entry(args) -> int:
         else:
             gen, traces[method] = entry_mod.train_direct_gradient(
                 dataset, rewards, base_spec, config, estimator=block["estimator"])
-        report = entry_mod.evaluate_entrant(gen, rewards, base_spec,
-                                            entrant_label=f"entrant_{method}")
-        report_json[method] = _entry_market_section(report)
-    out = _out_dir(args, cfg)
-    prefix = cfg["output"].get("prefix", f"entry_{instance_name}")
-    for method, trace in traces.items():
-        _write_csv(out / f"{prefix}_trace_{method}.csv",
-                   *_trace_csv(trace, base_spec.population.type_labels))
-    _write_json(out / f"{prefix}_report.json", report_json)
-    print(f"{prefix}: trained {', '.join(traces)}; files in {out}")
+        report_json[method] = _entry_market_section(
+            entry_mod.evaluate_entrant(gen, rewards, base_spec, entrant_label=f"entrant_{method}"))
+    tables = {f"trace_{method}": _trace_csv(trace, base_spec.population.type_labels)
+              for method, trace in traces.items()}
+    _write(args, cfg, prefix, tables, "report", report_json, f"trained {', '.join(traces)}")
     return 0
 
 
@@ -394,11 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="parallel sweep workers (only sweep uses it; entry ignores it)")
         p.set_defaults(func=func)
 
-    p_verify = sub.add_parser("verify-fixtures", help="re-derive every built-in expectation record")
-    p_verify.set_defaults(func=cmd_verify_fixtures)
-
-    p_list = sub.add_parser("list-fixtures", help="list the built-in instances")
-    p_list.set_defaults(func=cmd_list_fixtures)
+    for name, func, about in (
+            ("verify-fixtures", cmd_verify_fixtures, "re-derive every built-in expectation record"),
+            ("list-fixtures", cmd_list_fixtures, "list the built-in instances")):
+        sub.add_parser(name, help=about).set_defaults(func=func)
     return parser
 
 
@@ -419,13 +414,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so caught ahead of the clause below
         # the reader stopped reading (`modelmarket list-fixtures | head -1`):
         # point stdout at /dev/null so the exit-time flush cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except OSError as exc:  # a path refused: a directory as config, a file as output directory
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -233,10 +233,12 @@ def walk(block, table: dict, path: str = "", name: str | None = None) -> dict:
 def load(path, table: dict, prefix: str = "", name: str | None = None) -> dict:
     """The JSON file ``name`` (a config file by default) at ``path``, walked against ``table``."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"{name or 'config file'} not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     return walk(data, table, prefix, name)

@@ -32,7 +32,8 @@ from .errors import (
     TrainingDivergedError,
 )
 from .equilibrium import DynamicsOutcome, run_dynamics
-from .game import _BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, ScoreMatrix, _frozen_array, _index, _labels
+from .game import (_BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, ScoreMatrix, _frozen_array, _index, _labels,
+                   _outcome_cdf)
 from .metrics import MetricsRecord, analyze, outcome_metrics
 
 __all__ = [
@@ -80,11 +81,13 @@ class ToyGenerator:
         object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "logits", phi)
         e = np.exp(phi - phi.max())
-        p = _frozen_array(e / e.sum())
+        exp_sum = e.sum()
+        p = _frozen_array(e / exp_sum)
         if not np.all(p > 0.0):
             raise InvalidInstanceError("logit spread too large: an outcome probability underflowed to 0")
-        # not a dataclass field: a function of the logits, computed once
+        # not dataclass fields: functions of the logits, computed once (_cross_entropy reads the sum)
         object.__setattr__(self, "_probabilities", p)
+        object.__setattr__(self, "_exp_sum", exp_sum)
 
     @property
     def n_outcomes(self) -> int:
@@ -280,14 +283,6 @@ def grad_f_exact(gen: ToyGenerator, rewards: RewardTable, market: GameSpec,
     return _exact_gradient(p, rewards, s, coeff)
 
 
-def _outcome_cdf(p: np.ndarray) -> np.ndarray:
-    """The cumulative distribution ``rng.choice`` inverts: running sums of
-    ``p``, scaled so the last is exactly 1."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return cdf
-
-
 def _outcome_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``cdf.searchsorted(u, side="right")`` for uniforms ``u`` in [0, 1), by a
     guide table (Chen & Asau 1974): ``guide[j]`` is the answer at ``j / g``, so
@@ -458,9 +453,7 @@ def train_resampling(dataset: EntryDataset, rewards: RewardTable, market: GameSp
     trace = [trace_row(0)]
     for t in range(1, config.outer_rounds + 1):
         s_hat = _estimate_scores(gen, rewards, config.eval_budget, rng)
-        weights = resample_weights(
-            dataset, s_hat, market, config.beta, config.gamma, rewards=rewards
-        )
+        weights = resample_weights(dataset, s_hat, market, config.beta, config.gamma, rewards=rewards)
         resampled = rng.multinomial(draws, weights)
         target = resampled / draws
         p = gen.probabilities().copy()
@@ -483,8 +476,7 @@ def train_resampling(dataset: EntryDataset, rewards: RewardTable, market: GameSp
 # ---------------------------------------------------------------------------
 
 def _cross_entropy(q_hat: np.ndarray, gen: ToyGenerator) -> float:
-    logp = gen.logits - gen.logits.max()
-    logp = logp - np.log(np.exp(logp).sum())
+    logp = gen.logits - gen.logits.max() - np.log(gen._exp_sum)
     return float(-(q_hat @ logp))
 
 

@@ -119,8 +119,7 @@ def game_spec(kind: str, block: dict) -> GameSpec:
     if kind == "synthetic":
         population, scores = rbf_gmm_instance(block)
         return GameSpec(scores, population, block["n_platforms"])
-    # an empty list of type labels, as null, asks for the defaults
-    population = UserPopulation(block["type_labels"] or None, block["weights"])
+    population = UserPopulation(block["type_labels"], block["weights"])
     if kind == "preferences":
         prefs = PreferenceTable(block["criteria"], population.type_labels, block["preference_weights"])
         scores = scores_from_preferences(block["performance"], prefs,

@@ -67,6 +67,13 @@ def _labels(labels, name: str, count: int = 0, prefix: str = "t") -> tuple[str, 
     return labels
 
 
+def _outcome_cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``rng.choice`` inverts: running sums of ``p``, the last exactly 1."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True)
 class UserPopulation:
     """A finite set of user types with a probability weight per type; labels
@@ -78,10 +85,10 @@ class UserPopulation:
     def __init__(self, type_labels: Iterable[str] | None, weights: Iterable[float]):
         w = _frozen_array(weights)
         labels = _labels(type_labels, "user type labels", w.size)
-        if len(labels) == 0:
-            raise InvalidInstanceError("population needs at least one user type")
         if w.ndim != 1 or w.shape[0] != len(labels):
             raise InvalidInstanceError("weights must be a vector matching type_labels")
+        if len(labels) == 0:
+            raise InvalidInstanceError("population needs at least one user type")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise InvalidInstanceError("weights must be finite and non-negative")
         if not abs(float(w.sum()) - 1.0) <= WEIGHT_TOL:

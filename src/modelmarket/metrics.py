@@ -126,6 +126,12 @@ class EntryCheck:
     extended_profile: tuple[int, ...]
 
 
+def _coverage(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Coverage of each (N, K) score stack of a (..., N, K) array.  (..., 1, K) @ w is
+    one dot per stack, bit-equal to one stack's 1-D dot; a (B, K) @ w gemv is not."""
+    return (stack.max(axis=-2, keepdims=True) @ weights)[..., 0]
+
+
 def coverage_value(spec: GameSpec, profile) -> float:
     """Population-weighted best available score under the profile.
 
@@ -136,7 +142,7 @@ def coverage_value(spec: GameSpec, profile) -> float:
     prof = as_profile(spec, profile)
     chosen = game._chosen_scores(spec, prof)
     weights = spec.population.weights
-    value = float(chosen.max(axis=0) @ weights)
+    value = float(_coverage(chosen, weights))
     delta = game._deviation_advantage(_HARDMAX, chosen, weights)
     decomposed = float((game.average_scores(spec).take(prof) + delta).sum()) / spec.n_platforms
     if not abs(value - decomposed) <= _IDENTITY_TOL * max(1.0, abs(value)):
@@ -165,13 +171,10 @@ def social_optimum(spec: GameSpec, budget: int = OPTIMUM_BUDGET) -> SocialOptimu
     m, n = spec.n_models, spec.n_platforms
     _within_budget(math.comb(m + n - 1, n), budget, "social optimum", "multisets")
     s = spec.scores.scores
-    w = spec.population.weights
     best_value = -np.inf
     best_profile: tuple[int, ...] = ()
     for block in game._multiset_blocks(m, n, n * s.shape[1]):
-        # (B, 1, K) @ w is one dot per multiset, bit-equal to the 1-D dot of
-        # one multiset; a (B, K) @ w gemv is not
-        values = (s[block].max(axis=1)[:, None, :] @ w)[:, 0]
+        values = _coverage(s[block], spec.population.weights)
         # the first maximiser in the block, and a later block only by strict >
         i = int(np.argmax(values))
         if values[i] > best_value:

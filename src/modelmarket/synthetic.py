@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import COMPONENT, GMM, INT, KERNEL, RBF_GMM, Field, check
 from .errors import InvalidInstanceError, InvalidParameterError
-from .game import WEIGHT_TOL, ScoreMatrix, UserPopulation, _frozen_array
+from .game import WEIGHT_TOL, ScoreMatrix, UserPopulation, _frozen_array, _outcome_cdf
 
 __all__ = [
     "RbfKernel",
@@ -260,9 +260,7 @@ def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
             centers[j] = points[int(rng.integers(n))]
         else:
             # rng.choice(n, p=nearest / total)'s own draw, without its per-call checks
-            cdf = np.cumsum(nearest / total)
-            cdf /= cdf[-1]
-            centers[j] = points[int(cdf.searchsorted(rng.random(), side="right"))]
+            centers[j] = points[int(_outcome_cdf(nearest / total).searchsorted(rng.random(), side="right"))]
         np.minimum(nearest, _distances_to(points, columns, centers[j], dists, squares), out=nearest)
     assignments = np.zeros(n, dtype=np.int64)
     closer = np.empty(n, dtype=bool)

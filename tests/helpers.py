@@ -14,7 +14,6 @@ from modelmarket.entry import (
     RewardTable,
     ToyGenerator,
     TrainingConfig,
-    _cross_entropy,
     adoption_gate,
     entrant_scores,
     grad_f_exact,
@@ -530,6 +529,14 @@ def masked_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def previous_cross_entropy(q_hat: np.ndarray, gen: ToyGenerator) -> float:
+    """``entry._cross_entropy`` as it was before the generator kept its
+    exponential sum: the log-normaliser exponentiates the logits again."""
+    logp = gen.logits - gen.logits.max()
+    logp = logp - np.log(np.exp(logp).sum())
+    return float(-(q_hat @ logp))
+
+
 def reference_train_direct_gradient(dataset: EntryDataset, rewards: RewardTable,
                                     market: GameSpec, config: TrainingConfig,
                                     estimator: str) -> tuple[ToyGenerator, list[dict]]:
@@ -545,7 +552,7 @@ def reference_train_direct_gradient(dataset: EntryDataset, rewards: RewardTable,
     beta, eta = config.beta, config.learning_rate
 
     def row(epoch):
-        ell = _cross_entropy(q_hat, gen)
+        ell = previous_cross_entropy(q_hat, gen)
         f = objective_f(gen, rewards, market, beta)
         return {"epoch": epoch, "cross_entropy": ell, "objective": f,
                 "loss": ell - config.lam * f,
@@ -566,7 +573,7 @@ def reference_train_direct_gradient(dataset: EntryDataset, rewards: RewardTable,
         step = (p - q_hat) - config.lam * grad_f
         candidate = ToyGenerator(dataset.outcome_labels, gen.logits - eta * step)
         while config.lam == 0 and \
-                _cross_entropy(q_hat, candidate) > _cross_entropy(q_hat, gen) + 1e-9:
+                previous_cross_entropy(q_hat, candidate) > previous_cross_entropy(q_hat, gen) + 1e-9:
             eta *= 0.5
             candidate = ToyGenerator(dataset.outcome_labels, gen.logits - eta * step)
         gen = candidate

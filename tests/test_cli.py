@@ -1626,6 +1626,125 @@ class TestAbnormalExits:
         assert done.returncode == 1
 
 
+def _command_payload(command):
+    """A small config ``command`` runs: fig2_a, with a one-cell sweep or one
+    short direct-gradient training."""
+    payload = {"instance": {"builtin": "fig2_a"}}
+    if command == "sweep":
+        payload["sweep"] = {"axis": "platforms", "values": [2], "repetitions": 1}
+    if command == "entry":
+        payload["training"] = {"outcomes": ["x1", "x2"], "rewards": [[0.5, 0.5], [0.2, 0.8]],
+                               "dataset": {"counts": [1, 1]}, "method": "direct",
+                               "params": {"inner_epochs": 2}}
+    return payload
+
+
+def _no_game_solved(monkeypatch):
+    """Makes solving a game or running dynamics fail the test."""
+    def solved(*args, **kwargs):
+        raise AssertionError("a game was solved")
+
+    monkeypatch.setattr(cli_mod, "analyze", solved)
+    monkeypatch.setattr(cli_mod, "run_dynamics", solved)
+
+
+class TestOutsideWorldFailures:
+    """A path the system refuses ends in one error line naming it, exit 2."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "entry"])
+    @pytest.mark.parametrize("source", ["--out", "output.dir"])
+    def test_an_output_directory_that_is_a_file(self, tmp_path, capsys, command, source):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        payload = _command_payload(command)
+        argv = [command, "--config", None]
+        if source == "--out":
+            argv += ["--out", str(taken)]
+        else:
+            payload["output"] = {"dir": str(taken)}
+        argv[2] = _write_config(tmp_path, payload)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {taken}: ") and err.count("\n") == 1, err
+        assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("out", ["file/sub", "/proc/modelmarket_out"])
+    def test_an_output_directory_that_cannot_be_made(self, tmp_path, capsys, out):
+        if out.startswith("/proc") and not os.path.isdir("/proc"):
+            pytest.skip("no /proc here")
+        (tmp_path / "file").write_text("")
+        out = out if out.startswith("/") else str(tmp_path / out)
+        assert main(["run", "--config", _write_config(tmp_path, _command_payload("run")),
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "entry"])
+    @pytest.mark.parametrize("prefix", ["a/b", "/abs", "a\0b"])
+    def test_a_prefix_with_a_separator_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                       command, prefix):
+        _no_game_solved(monkeypatch)
+        payload = {**_command_payload(command), "output": {"prefix": prefix}}
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output.prefix must not hold a path separator or NUL (got {prefix!r})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["config file", "instance file"])
+    def test_a_directory_as_a_config_or_instance_file(self, tmp_path, capsys, kind):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        cfg = str(folder)
+        if kind == "instance file":
+            cfg = _write_config(tmp_path, {"instance": {"file": "folder"}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {folder}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["config file", "instance file"])
+    def test_a_file_that_is_not_utf8(self, tmp_path, capsys, kind):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes('{"instance": {"builtin": "fig2_\u00e9"}}\n'.encode("latin-1"))
+        cfg = str(latin)
+        if kind == "instance file":
+            cfg = _write_config(tmp_path, {"instance": {"file": "latin.json"}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {latin}: not UTF-8 text (byte 31)\n"
+        assert not out.exists()
+
+
+class TestEmptyTypeLabels:
+    """Only null asks for the default type labels, as for model labels."""
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 0.5], "weights must be a vector matching type_labels"),
+        ([], "population needs at least one user type")])
+    def test_an_instance_file(self, tmp_path, capsys, weights, message):
+        scores = [[0.5, 0.2], [0.3, 0.6]] if weights else [[], []]
+        _write_config(tmp_path, {"scores": scores, "weights": weights, "n_platforms": 2,
+                                 "type_labels": []}, name="inst.json")
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, {"instance": {"file": "inst.json"}})
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_fixture_record(self, tmp_path, capsys, monkeypatch):
+        record = json.loads((fixtures_mod.DATA_DIR / "fig2_a.json").read_text())
+        record["explicit"]["type_labels"] = []
+        (tmp_path / "fig2_a.json").write_text(json.dumps(record))
+        monkeypatch.setattr(fixtures_mod, "DATA_DIR", tmp_path)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "fig2_a"}})
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: weights must be a vector matching type_labels\n"
+        assert not out.exists()
+
+
 class TestShippedConfigs:
     """The example configs under configs/ stay runnable."""
 

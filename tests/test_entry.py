@@ -39,6 +39,7 @@ from helpers import (
     grad_s_exact,
     loop_reinforce_epoch,
     masked_sigmoid,
+    previous_cross_entropy,
     reference_train_direct_gradient,
 )
 
@@ -760,6 +761,29 @@ class TestGuideTableSampler:
             got = entry_mod._outcome_index(entry_mod._outcome_cdf(p),
                                            np.random.default_rng(9).random((3, 200)))
             assert np.array_equal(got, want)
+
+
+class TestOneExponentialSum:
+    """The cross-entropy reads the generator's exponential sum and equals the
+    form that exponentiated the logits again, bit for bit."""
+
+    @staticmethod
+    def _logits(rng, family, n):
+        if family == "equal":
+            return np.full(n, float(rng.normal()) * 10.0 ** int(rng.integers(-3, 4)))
+        if family == "spread":  # up to 700 apart, short of the smallest probability's underflow
+            return rng.uniform(-350.0, 350.0, size=n)
+        return rng.normal(size=n) * float(rng.uniform(0.01, 20.0))
+
+    @pytest.mark.parametrize("family", ["equal", "spread", "random"])
+    def test_equals_the_previous_form(self, family):
+        rng = np.random.default_rng(len(family))
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            gen = ToyGenerator([f"x{i}" for i in range(n)], self._logits(rng, family, n))
+            q_hat = rng.dirichlet(np.full(n, float(rng.uniform(0.05, 2.0))))
+            got = entry_mod._cross_entropy(q_hat, gen)
+            assert np.float64(got).tobytes() == np.float64(previous_cross_entropy(q_hat, gen)).tobytes()
 
 
 def test_sigmoid_equals_the_masked_form_bit_for_bit():

@@ -1,11 +1,13 @@
 """Coverage, welfare, social optimum, concentration, and platform-entry checks."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from modelmarket import game
+from modelmarket import metrics as metrics_mod
 from modelmarket.errors import InvalidInstanceError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
@@ -85,6 +87,39 @@ class TestCoverage:
             prof = tuple(rng.integers(0, spec.n_models, spec.n_platforms))
             assert coverage_value(spec, prof) == pytest.approx(
                 spec.scores.scores[list(prof)].max(axis=0) @ spec.population.weights, rel=1e-15)
+
+
+def _coverage_instances(rng, count):
+    """Seeded instances, a quarter each: scores on a tie grid, one model, one
+    platform, and more platforms than models."""
+    for i in range(count):
+        family = i % 4
+        m = 1 if family == 1 else int(rng.integers(2, 5))
+        n = 1 if family == 2 else (m + int(rng.integers(1, 3)) if family == 3 else int(rng.integers(2, 4)))
+        k = int(rng.integers(1, 6))
+        scores = rng.integers(0, 3, size=(m, k)) / 2.0 if family == 0 else rng.uniform(size=(m, k))
+        yield GameSpec(ScoreMatrix(scores), UserPopulation(None, rng.dirichlet(np.ones(k))), n)
+
+
+class TestOneCoverageRule:
+    """``coverage_value`` and ``social_optimum`` score a stack with one function,
+    bit-equal to the 1-D dot of one stack's best scores."""
+
+    def test_every_profile_and_the_optimum(self):
+        rng = np.random.default_rng(40)
+        for spec in _coverage_instances(rng, 400):
+            w = spec.population.weights
+            profiles = list(itertools.product(range(spec.n_models), repeat=spec.n_platforms))
+            if len(profiles) > 40:
+                profiles = [profiles[j] for j in rng.choice(len(profiles), 40, replace=False)]
+            for profile in profiles:
+                stack = game._chosen_scores(spec, profile)
+                got = np.float64(coverage_value(spec, profile)).tobytes()
+                assert got == metrics_mod._coverage(stack, w).tobytes()
+                assert got == np.float64(stack.max(axis=0) @ w).tobytes()
+            optimum = social_optimum(spec)
+            assert (np.float64(optimum.value).tobytes()
+                    == np.float64(coverage_value(spec, optimum.profile)).tobytes())
 
 
 class TestMarketShares:
