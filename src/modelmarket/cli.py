@@ -69,7 +69,7 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
         fixture = builtin_instance(block["builtin"])
         spec, name, notes = fixture.spec, fixture.name, fixture.notes
     elif "file" in block:
-        path = Path(base_dir) / block["file"]
+        path = Path(base_dir) / _no_nul(block["file"], "instance.file")
         explicit = config_mod.load(path, config_mod.INSTANCE_FILE, "instance", "instance file")
         spec, name, notes = game_spec("explicit", explicit), path.stem, ""
     else:
@@ -160,27 +160,55 @@ def _summarize(spec: GameSpec, outcome: DynamicsOutcome, record: MetricsRecord, 
     return summary
 
 
-def _prefix(cfg: dict, default: str) -> str:
-    """``output.prefix``, read before any game is solved: it starts file names, so no separator."""
+def _no_nul(path: str | None, field: str) -> str | None:
+    """``path`` as given; one holding a NUL, which ``open`` refuses with a bare
+    ``ValueError``, is refused here by its ``field``."""
+    if path is not None and "\0" in path:
+        raise ConfigError(f"{field} must not hold a NUL (got {path!r})")
+    return path
+
+
+def _output(args, cfg: dict, default: str) -> tuple[Path, str]:
+    """The output directory and ``output.prefix``, read before any game is solved.
+    The prefix starts file names, so it holds no separator."""
     prefix = cfg["output"].get("prefix", default)
     if {os.sep, os.altsep, "\0"} & set(prefix):
         raise ConfigError(f"output.prefix must not hold a path separator or NUL (got {prefix!r})")
-    return prefix
+    out = _no_nul(cfg["output"].get("dir"), "output.dir")
+    return Path(args.out or out or os.environ.get(OUT_DIR_ENV, "out")), prefix
 
 
-def _write(args, cfg: dict, prefix: str, tables: dict, report_name: str, report, done: str) -> None:
+def _write(out: Path, prefix: str, tables: dict, report_name: str, report, done: str) -> None:
     """Writes each of ``tables`` (name: (columns, rows)) to ``<prefix>_<name>.csv`` and then
-    ``report`` to ``<prefix>_<report_name>.json`` in the output directory, made if missing."""
-    out = Path(args.out or cfg["output"].get("dir") or os.environ.get(OUT_DIR_ENV, "out"))
+    ``report`` to ``<prefix>_<report_name>.json`` in ``out``, made if missing.
+
+    All or nothing: each file is written under a temporary name in ``out``, and
+    all are renamed into place only after the last write succeeds.  On any
+    failure the temporaries and every file already renamed are removed."""
     out.mkdir(parents=True, exist_ok=True)
-    for name, (columns, rows) in tables.items():
-        with open(out / f"{prefix}_{name}.csv", "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=columns)
-            writer.writeheader()
-            writer.writerows(rows)
-    with open(out / f"{prefix}_{report_name}.json", "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    staged: list[tuple[Path, Path]] = []  # (temporary, file), in writing order
+    placed: list[Path] = []
+
+    def stage(name: str, **kwargs):
+        staged.append((out / f".{name}.{os.getpid()}.tmp", out / name))
+        return open(staged[-1][0], "w", **kwargs)
+
+    try:
+        for name, (columns, rows) in tables.items():
+            with stage(f"{prefix}_{name}.csv", newline="") as handle:
+                writer = csv.DictWriter(handle, fieldnames=columns)
+                writer.writeheader()
+                writer.writerows(rows)
+        with stage(f"{prefix}_{report_name}.json") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        for temporary, path in staged:
+            os.replace(temporary, path)
+            placed.append(path)
+    except BaseException:
+        for path in [temporary for temporary, _ in staged] + placed:
+            path.unlink(missing_ok=True)
+        raise
     print(f"{prefix}: {done}; files in {out}")
 
 
@@ -189,11 +217,11 @@ def cmd_run(args) -> int:
     spec, instance_name, notes = _build_instance(cfg, Path(args.config).parent)
     dynamics = cfg["dynamics"]
     seed = _dynamics_seed(cfg, args.seed)
-    prefix = _prefix(cfg, f"run_{instance_name}")
+    out, prefix = _output(args, cfg, f"run_{instance_name}")
     outcome, rows, summary = _record_run(spec, None, dynamics["start"], dynamics, prefix, seed, instance_name)
     if notes:
         summary["fixture_notes"] = notes
-    _write(args, cfg, prefix, {"steps": (STEP_COLUMNS, rows)}, "summary", summary,
+    _write(out, prefix, {"steps": (STEP_COLUMNS, rows)}, "summary", summary,
            f"{outcome.kind} after {len(outcome.trajectory)} steps; welfare={summary.get('welfare')}")
     return 0
 
@@ -241,7 +269,7 @@ def _run_sweep_cell(payload: tuple) -> tuple[list[dict], dict]:
 def cmd_sweep(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     cells = _sweep_cells(cfg, _dynamics_seed(cfg, args.seed))
-    prefix = _prefix(cfg, "sweep")
+    out, prefix = _output(args, cfg, "sweep")
     # one instance build per sweep; every value's spec is derived, and so
     # validated, here before any game is solved
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
@@ -262,7 +290,7 @@ def cmd_sweep(args) -> int:
     # map keeps cell order, (value_index, repetition), with or without workers
     rows = [row for cell_rows, _ in results for row in cell_rows]
     summaries = [summary for _, summary in results]
-    _write(args, cfg, prefix, {"long": (STEP_COLUMNS, rows)}, "summary", summaries,
+    _write(out, prefix, {"long": (STEP_COLUMNS, rows)}, "summary", summaries,
            f"{len(cells)} cells, {len(rows)} step rows")
     return 0
 
@@ -298,7 +326,7 @@ def _trace_csv(trace: list[dict], type_labels: Sequence[str]) -> tuple[list[str]
 def cmd_entry(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
-    prefix = _prefix(cfg, f"entry_{instance_name}")
+    out, prefix = _output(args, cfg, f"entry_{instance_name}")
     block = cfg["training"]
     ds = block["dataset"]
     dataset = entry_mod.EntryDataset(block["outcomes"], ds["counts"], attributes=ds["attributes"],
@@ -316,8 +344,7 @@ def cmd_entry(args) -> int:
         "config": dataclasses.asdict(config),
         "pre_entry": _analysis_fields(base_spec, analyze(base_spec)),
     }
-    # every method trains and is evaluated before any file is written, so a
-    # failing method leaves no partial output
+    # every method trains and is evaluated before any file is written
     traces = {}
     methods = ["resampling", "direct"] if block["method"] == "both" else [block["method"]]
     for method in methods:
@@ -330,7 +357,7 @@ def cmd_entry(args) -> int:
             entry_mod.evaluate_entrant(gen, rewards, base_spec, entrant_label=f"entrant_{method}"))
     tables = {f"trace_{method}": _trace_csv(trace, base_spec.population.type_labels)
               for method, trace in traces.items()}
-    _write(args, cfg, prefix, tables, "report", report_json, f"trained {', '.join(traces)}")
+    _write(out, prefix, tables, "report", report_json, f"trained {', '.join(traces)}")
     return 0
 
 
@@ -403,6 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1 (got {args.jobs})")
+        for flag in ("config", "out"):
+            _no_nul(getattr(args, flag, None), f"--{flag}")
         status = args.func(args)
         # a closed pipe shows up at the latest here, not at interpreter exit
         sys.stdout.flush()
@@ -422,7 +451,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.close(devnull)
         return 1
     except OSError as exc:  # a path refused: a directory as config, a file as output directory
-        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        # a failed os.replace names its source and then its target, the path refused
+        path = exc.filename2 or exc.filename
+        print(f"error: {path}: {exc.strerror}" if path else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -572,12 +572,12 @@ class EntrantReport:
 
 def evaluate_entrant(entrant: ToyGenerator, rewards: RewardTable, market: GameSpec,
                      entrant_label: str = "entrant",
-                     start: Sequence[int] | None = None,
                      max_steps: int = 1000) -> EntrantReport:
     """Append the entrant's exact score row to the market and re-analyze the game.
 
     The post-entry game keeps the market's population, platform count and
-    choice rule.  The entrant counts as adopted when its model index appears
+    choice rule, and its dynamics start with every platform on model 0.
+    The entrant counts as adopted when its model index appears
     in some pure equilibrium or, failing convergence, in the detected cycle's
     profiles.  When the PNE list is over its budget, adoption is read off the
     dynamics outcome alone: its equilibrium profile or its cycle.
@@ -593,8 +593,7 @@ def evaluate_entrant(entrant: ToyGenerator, rewards: RewardTable, market: GameSp
     spec = GameSpec(stacked, market.population, market.n_platforms, market.choice)
     entrant_index = incumbents.n_models
     analysis = analyze(spec)
-    outcome = run_dynamics(spec, tuple(start) if start is not None else (0,) * spec.n_platforms,
-                           max_steps=max_steps)
+    outcome = run_dynamics(spec, (0,) * spec.n_platforms, max_steps=max_steps)
     profiles = (analysis.pne or ()) + outcome.cycle_profiles
     if analysis.pne is None and outcome.kind == "equilibrium":
         profiles = (outcome.equilibrium_profile,)

@@ -18,8 +18,7 @@ class PreferenceTable:
     """Per-type non-negative weights over a shared list of criteria, the
     criteria and the type labels each distinct strings.
 
-    Weight vectors are used exactly as stored; ``scores_from_preferences``
-    can normalize them.
+    Weight vectors are used exactly as stored.
     """
 
     criteria: tuple[str, ...]
@@ -42,14 +41,12 @@ class PreferenceTable:
 def scores_from_preferences(
     performance,
     prefs: PreferenceTable,
-    normalize: bool = False,
     model_labels: Iterable[str] | None = None,
 ) -> ScoreMatrix:
     """S_j(theta) = sum_c theta_c * performance[j, c].
 
-    ``performance`` is a model x criterion matrix of non-negative entries.
-    With ``normalize`` the preference vectors are rescaled to sum to 1 first;
-    all-zero vectors are only valid unnormalized.
+    ``performance`` is a model x criterion matrix of non-negative entries;
+    the preference vectors are used as stored, not rescaled.
     """
     perf = np.asarray(performance, dtype=float)
     if perf.ndim != 2 or perf.shape[1] != len(prefs.criteria):
@@ -58,10 +55,4 @@ def scores_from_preferences(
         )
     if np.any(perf < 0) or not np.all(np.isfinite(perf)):
         raise InvalidInstanceError("performance entries must be finite and non-negative")
-    theta = prefs.weights
-    if normalize:
-        totals = theta.sum(axis=1, keepdims=True)
-        if not np.all(totals > 0):
-            raise InvalidInstanceError("cannot normalize an all-zero preference vector")
-        theta = theta / totals
-    return ScoreMatrix(perf @ theta.T, model_labels=model_labels)
+    return ScoreMatrix(perf @ prefs.weights.T, model_labels=model_labels)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import COMPONENT, GMM, INT, KERNEL, RBF_GMM, Field, check
+from .config import COMPONENT, GMM, KERNEL, RBF_GMM, check
 from .errors import InvalidInstanceError, InvalidParameterError
 from .game import WEIGHT_TOL, ScoreMatrix, UserPopulation, _frozen_array, _outcome_cdf
 
@@ -139,9 +139,9 @@ class GmmPopulationSpec:
         return len(self.components[0].mean)
 
 
-def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]],
-               model_labels: Iterable[str] | None = None) -> ScoreMatrix:
-    """Evaluate every RBF model at every type point, clamping to [0, 1].
+def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]]) -> ScoreMatrix:
+    """Evaluate every RBF model at every type point, clamping to [0, 1], with
+    the default model labels.
 
     The clamp applies once, after the bias and all kernels are summed.
     Inputs that would overflow raise ``InvalidParameterError`` naming the
@@ -176,7 +176,7 @@ def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]],
                                             f"finite at every type point (width {k.width!r})")
             value = value + k.amplitude * np.exp(-exponent)
         rows.append(np.clip(value, 0.0, 1.0))
-    return ScoreMatrix(np.vstack(rows), model_labels=model_labels)
+    return ScoreMatrix(np.vstack(rows))
 
 
 def _distances_to(points: np.ndarray, columns: np.ndarray, center: np.ndarray,
@@ -200,9 +200,8 @@ def _distances_to(points: np.ndarray, columns: np.ndarray, center: np.ndarray,
     return out
 
 
-def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-                  iterations: int = KMEANS_ITERATIONS) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd iterations with distance-weighted seeding, fixed iteration count.
+def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``KMEANS_ITERATIONS`` plain Lloyd iterations with distance-weighted seeding.
 
     Returns (centers, assignments); the assignments are those of the last
     iteration, made before its center update.  Deterministic given the
@@ -239,7 +238,6 @@ def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         raise InvalidParameterError(
             f"points must be a non-empty n x d array with d >= 1 (got shape {points.shape})")
     check(k, GMM["k_types"], "k", InvalidParameterError)
-    check(iterations, Field(INT, minimum=0), "iterations", InvalidParameterError)
     n, dim = points.shape
     # every center lies in the points' box, so a squared distance is at most
     # 4 d bound^2 and the seeding total n times that: half the largest float
@@ -264,7 +262,7 @@ def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         np.minimum(nearest, _distances_to(points, columns, centers[j], dists, squares), out=nearest)
     assignments = np.zeros(n, dtype=np.int64)
     closer = np.empty(n, dtype=bool)
-    for _ in range(iterations):
+    for _ in range(KMEANS_ITERATIONS):
         _distances_to(points, columns, centers[0], nearest, squares)
         assignments.fill(0)
         for j in range(1, k):

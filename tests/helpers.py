@@ -423,9 +423,9 @@ def reference_centralization_check(spec: GameSpec,
     return CentralizationResult(threshold, bool(satisfied), confirmed)
 
 
-def reference_seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-                            iterations: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd iterations with distance-weighted seeding, fixed iteration count.
+def reference_seeded_kmeans(points: np.ndarray, k: int,
+                            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """20 plain Lloyd iterations with distance-weighted seeding.
 
     Returns (centers, assignments).  Deterministic given the generator state.
     """
@@ -441,7 +441,7 @@ def reference_seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator
             centers[j] = points[int(rng.choice(n, p=d2 / total))]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
     assignments = np.zeros(n, dtype=np.int64)
-    for _ in range(iterations):
+    for _ in range(20):
         dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assignments = dists.argmin(axis=1)
         for j in range(k):

@@ -182,10 +182,6 @@ BOUND_CASES = {
                    lambda: seeded_kmeans(np.zeros((4, 1)), 2.5, np.random.default_rng(0))),
     "k bool": (InvalidParameterError, "k must be an integer (got True)",
                lambda: seeded_kmeans(np.zeros((4, 1)), True, np.random.default_rng(0))),
-    "iterations fraction": (InvalidParameterError, "iterations must be an integer (got 2.5)",
-                            lambda: seeded_kmeans(np.zeros((4, 1)), 2, np.random.default_rng(0), 2.5)),
-    "iterations bool": (InvalidParameterError, "iterations must be an integer (got True)",
-                        lambda: seeded_kmeans(np.zeros((4, 1)), 2, np.random.default_rng(0), True)),
     "uniform k at 0": (InvalidInstanceError, "k must be >= 1 (got 0)", lambda: UserPopulation.uniform(0)),
     "uniform k at -1": (InvalidInstanceError, "k must be >= 1 (got -1)", lambda: UserPopulation.uniform(-1)),
     "uniform k fraction": (InvalidInstanceError, "k must be an integer (got 2.5)",

@@ -2,6 +2,9 @@
 
 import concurrent.futures
 import csv
+import ctypes
+import difflib
+import errno
 import os
 import re
 import subprocess
@@ -1691,6 +1694,63 @@ class TestOutsideWorldFailures:
             f"error: output.prefix must not hold a path separator or NUL (got {prefix!r})\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "entry"])
+    @pytest.mark.parametrize("field", ["--out", "--config", "output.dir", "instance.file"])
+    def test_a_nul_in_a_path_is_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                         command, field):
+        _no_game_solved(monkeypatch)
+        monkeypatch.chdir(tmp_path)  # where a relative output.dir would be made
+        payload = _command_payload(command)
+        if field == "output.dir":
+            payload["output"] = {"dir": "out\0put"}
+        if field == "instance.file":
+            payload["instance"] = {"file": "inst\0ance.json"}
+        cfg = _write_config(tmp_path, payload)
+        argv = [command, "--config", cfg]
+        if field == "--config":
+            argv[2] = cfg = cfg + "\0"
+        if field == "--out":
+            argv += ["--out", "out\0put"]
+        assert main(argv) == 2
+        value = {"--config": cfg, "output.dir": "out\0put", "instance.file": "inst\0ance.json",
+                 "--out": "out\0put"}[field]
+        assert capsys.readouterr().err == f"error: {field} must not hold a NUL (got {value!r})\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_a_directory_named_as_an_output_leaves_no_other_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "run_fig2_a_summary.json").mkdir(parents=True)
+        assert main(["run", "--config", _write_config(tmp_path, _command_payload("run")),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'run_fig2_a_summary.json'}: Is a directory\n"
+        assert [p.name for p in out.iterdir()] == ["run_fig2_a_summary.json"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "entry"])
+    @pytest.mark.parametrize("step", ["open", "replace"])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_a_failure_at_any_file_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                  command, step, at):
+        # each command writes two files here: a table and then its report
+        calls = []
+        real = {"open": open, "replace": os.replace}[step]
+
+        def failing(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == at + 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(*args, **kwargs)
+
+        if step == "open":
+            monkeypatch.setattr(cli_mod, "open", failing, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", failing)
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, _command_payload(command)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert len(calls) == at + 1
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("kind", ["config file", "instance file"])
     def test_a_directory_as_a_config_or_instance_file(self, tmp_path, capsys, kind):
         folder = tmp_path / "folder"
@@ -1799,6 +1859,75 @@ class TestShippedConfigs:
         for name in first:
             assert (tmp_path / "first" / name).read_bytes() == \
                 (tmp_path / "second" / name).read_bytes()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the OpenBLAS core and numpy's AVX512F flag that tests/golden was recorded under
+RECORDED_KERNEL = ("SkylakeX", True)
+
+
+def _blas_kernel() -> tuple[str | None, bool]:
+    """The core numpy's bundled OpenBLAS runs (None without one) and numpy's AVX512F flag."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_features__
+    core = None
+    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return core, bool(__cpu_features__.get("AVX512F"))
+
+
+class TestRecordedBytes:
+    """The shipped configs and the fixture commands give the bytes recorded
+    under tests/golden.  Dots in weighted sums round by the BLAS kernel, so
+    the bytes are compared only under the kernel they were recorded with."""
+
+    @pytest.fixture(autouse=True)
+    def _recorded_kernel(self):
+        core, avx512f = _blas_kernel()
+        if (core, avx512f) != RECORDED_KERNEL:
+            pytest.skip(f"tests/golden holds the bytes of OpenBLAS core {RECORDED_KERNEL[0]} with "
+                        f"AVX512F {RECORDED_KERNEL[1]}; this machine runs core {core} with "
+                        f"AVX512F {avx512f}")
+
+    @staticmethod
+    def _assert_recorded(name: str, actual: bytes) -> None:
+        recorded = (GOLDEN / name).read_bytes()
+        if actual != recorded:
+            core, avx512f = _blas_kernel()
+            diff = difflib.unified_diff(recorded.decode().splitlines(), actual.decode().splitlines(),
+                                        f"tests/golden/{name}", "this run", lineterm="", n=1)
+            pytest.fail(f"{name} differs from its recorded bytes (numpy {np.__version__}, "
+                        f"OpenBLAS core {core}, AVX512F {avx512f}):\n" + "\n".join(diff))
+
+    def test_shipped_configs(self, tmp_path):
+        runs = [("run", "run_reference_cycle"), ("sweep", "sweep_pool_growth"), ("sweep", "sweep_tau"),
+                ("entry", "entry_underserved_type"), ("entry", "entry_underserved_reinforce")]
+        for command, name in runs:
+            assert main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(p.name for p in GOLDEN.iterdir() if p.suffix != ".txt")
+        for name in written:
+            self._assert_recorded(name, (tmp_path / name).read_bytes())
+
+    def test_sweeps_through_workers(self, tmp_path):
+        for name in ("sweep_pool_growth", "sweep_tau"):
+            assert main(["sweep", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path),
+                         "--jobs", "2"]) == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["pool_growth_long.csv", "pool_growth_summary.json", "tau_long.csv",
+                           "tau_summary.json"]
+        for name in written:
+            self._assert_recorded(name, (tmp_path / name).read_bytes())
+
+    @pytest.mark.parametrize("command", ["verify-fixtures", "list-fixtures"])
+    def test_fixture_commands(self, capsys, command):
+        assert main([command]) == 0
+        self._assert_recorded(f"{command}.txt", capsys.readouterr().out.encode())
 
 
 class TestOneThresholdRule:

@@ -69,18 +69,8 @@ class TestScoresFromPreferences:
 
     def test_all_zero_preferences_give_zero_scores(self):
         prefs = PreferenceTable(["c1", "c2"], ["z"], [[0.0, 0.0]])
-        scores = scores_from_preferences([[0.4, 0.9], [0.1, 0.2]], prefs, normalize=False)
+        scores = scores_from_preferences([[0.4, 0.9], [0.1, 0.2]], prefs)
         assert np.all(scores.scores == 0.0)
-
-    def test_normalize_rescales_weights(self):
-        prefs = PreferenceTable(["c1", "c2"], ["t"], [[2.0, 2.0]])
-        scores = scores_from_preferences([[0.4, 0.8]], prefs, normalize=True)
-        assert scores.scores[0, 0] == pytest.approx(0.6, abs=1e-12)
-
-    def test_normalize_rejects_zero_vector(self):
-        prefs = PreferenceTable(["c1"], ["t"], [[0.0]])
-        with pytest.raises(InvalidInstanceError):
-            scores_from_preferences([[0.4]], prefs, normalize=True)
 
     def test_linearity_in_preferences(self):
         rng = np.random.default_rng(40)
@@ -265,8 +255,8 @@ class TestGmmPopulation:
         assert all(type(v) is int for v in (spec.k_types, spec.seed, spec.sample_size))
 
 
-def _kmeans_cloud(case: int) -> tuple[np.ndarray, int, int]:
-    """Points, cluster count and iteration count of one differential k-means case.
+def _kmeans_cloud(case: int) -> tuple[np.ndarray, int]:
+    """Points and cluster count of one differential k-means case.
 
     The case number cycles the dimension through (1, 2, 3, 7, 8), the cloud
     through plain, rounded to a 0.1-scale grid (exact distance ties) and half
@@ -283,23 +273,23 @@ def _kmeans_cloud(case: int) -> tuple[np.ndarray, int, int]:
     elif form == 2:
         points[n // 2:] = points[:n - n // 2]
     k = {0: 1, 1: n}.get(case // 15 % 4, int(rng.integers(1, min(n, 12) + 1)))
-    return points, k, 0 if case % 11 == 0 else 20
+    return points, k
 
 
 class TestSeededKmeans:
     def test_bit_identical_to_masked_lloyd(self):
         reseeded = 0
         for case in range(420):
-            points, k, iterations = _kmeans_cloud(case)
+            points, k = _kmeans_cloud(case)
             rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
-            centers, labels = seeded_kmeans(points, k, rng, iterations)
-            want_c, want_l = reference_seeded_kmeans(points, k, want_rng, iterations)
+            centers, labels = seeded_kmeans(points, k, rng)
+            want_c, want_l = reference_seeded_kmeans(points, k, want_rng)
             assert centers.tobytes() == want_c.tobytes(), case
             assert labels.dtype == want_l.dtype and labels.tobytes() == want_l.tobytes(), case
             assert rng.random() == want_rng.random(), case
             # fewer distinct points than clusters: the seeding repeats a point,
             # so the first iteration leaves a cluster empty
-            reseeded += iterations > 0 and len(np.unique(points, axis=0)) < k
+            reseeded += len(np.unique(points, axis=0)) < k
         assert reseeded >= 40
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
@@ -360,15 +350,14 @@ class TestSeededKmeans:
         want = reference_seeded_kmeans(points, 5, np.random.default_rng(2))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("points, k, iterations, match", [
-        (np.zeros((4, 2)), 0, 20, r"k must be >= 1 \(got 0\)"),
-        (np.zeros((0, 2)), 2, 20, r"shape \(0, 2\)"),
-        (np.arange(5.0), 2, 20, r"shape \(5,\)"),
-        (np.zeros((4, 2)), 2, -1, r"iterations must be >= 0 \(got -1\)"),
-    ], ids=["k=0", "no-points", "1-d-points", "negative-iterations"])
-    def test_bad_input_rejected(self, points, k, iterations, match):
+    @pytest.mark.parametrize("points, k, match", [
+        (np.zeros((4, 2)), 0, r"k must be >= 1 \(got 0\)"),
+        (np.zeros((0, 2)), 2, r"shape \(0, 2\)"),
+        (np.arange(5.0), 2, r"shape \(5,\)"),
+    ], ids=["k=0", "no-points", "1-d-points"])
+    def test_bad_input_rejected(self, points, k, match):
         with pytest.raises(InvalidParameterError, match=match):
-            seeded_kmeans(points, k, np.random.default_rng(0), iterations)
+            seeded_kmeans(points, k, np.random.default_rng(0))
 
 
 class TestFixtureRegistry:
