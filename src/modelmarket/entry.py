@@ -361,8 +361,7 @@ def grad_s_reinforce(gen: ToyGenerator, rewards: RewardTable, type_index: int,
 # ---------------------------------------------------------------------------
 
 def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
-                     beta: float, gamma: float,
-                     rewards: RewardTable | None = None) -> np.ndarray:
+                     beta: float, gamma: float, rewards: RewardTable) -> np.ndarray:
     """Per-item sampling probabilities that bias training toward valuable types.
 
     Type weights are alpha = pi * gate**gamma * best_incumbent_score.  In the
@@ -391,8 +390,6 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
             attr_mass[attr_index[nonempty]] * counts[nonempty] / attr_counts[attr_index[nonempty]]
         )
     else:
-        if rewards is None:
-            raise InvalidInstanceError("unstructured resampling needs a reward table")
         if rewards.n_outcomes != len(counts) or rewards.n_types != population.n_types:
             raise InvalidInstanceError("reward table does not match the dataset and population")
         totals = rewards.rewards.sum(axis=1, keepdims=True)

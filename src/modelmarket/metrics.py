@@ -93,12 +93,12 @@ class MetricsRecord:
     """Every figure of one dynamics outcome, each distinct profile scored once.
 
     ``anchor`` is the equilibrium profile, or the first profile of a cycle's
-    repeating segment; ``scores`` holds its ProfileScore and those of the
-    extra profiles the caller asked for.  ``welfare`` averages coverage over
-    the whole cycle (the anchor's figures describe one state of it).  Both
-    are None for a timeout.  ``analysis`` answers for the game itself.
-    ``weight_total`` is the population's weight sum, which the shares of
-    each profile split.
+    repeating segment; ``scores`` holds the ProfileScore of the anchor, of
+    each cycle profile and of each extra profile the caller asked for.
+    ``welfare`` averages coverage over the whole cycle (the anchor's figures
+    describe one state of it).  Both are None for a timeout.  ``analysis``
+    answers for the game itself.  ``weight_total`` is the population's
+    weight sum, which the shares of each profile split.
     """
 
     scores: dict[tuple[int, ...], ProfileScore]
@@ -246,11 +246,10 @@ def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, analysis: GameAnal
                     profiles: Iterable = ()) -> MetricsRecord:
     """The figures of a dynamics outcome (see MetricsRecord).
 
-    The anchor and each of ``profiles``, which must be trajectory profiles,
-    are scored once with ``coverage_value`` and ``market_shares`` and keep
-    the utilities the trajectory recorded.  A cycle profile outside them is
-    scored for its coverage alone, which is all its welfare average needs.
-    An equilibrium missing from a PNE list raises, under either choice rule
+    The anchor, each of ``profiles``, which must be trajectory profiles, and
+    each cycle profile are scored once with ``coverage_value`` and
+    ``market_shares`` and keep the utilities the trajectory recorded.  An
+    equilibrium missing from a PNE list raises, under either choice rule
     (see equilibrium).
     """
     anchor = outcome.cycle_profiles[0] if outcome.kind == "cycle" else outcome.equilibrium_profile
@@ -258,13 +257,10 @@ def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, analysis: GameAnal
         raise InvalidInstanceError("a dynamics equilibrium is missing from the PNE list")
     utilities = {step.profile_after: step.utilities for step in outcome.trajectory}
     scores: dict[tuple[int, ...], ProfileScore] = {}
-    for profile in ([] if anchor is None else [anchor]) + list(profiles):
+    for profile in ([] if anchor is None else [anchor]) + list(profiles) + list(outcome.cycle_profiles):
         if profile not in scores:
             shares = market_shares(spec, profile)
             scores[profile] = ProfileScore(coverage_value(spec, profile), shares.shares, shares.hhi,
                                            shares.support, utilities[profile])
-    coverage = {p: score.coverage for p, score in scores.items()}
-    for p in set(outcome.cycle_profiles) - coverage.keys():
-        coverage[p] = coverage_value(spec, p)
-    welfare = None if anchor is None else _welfare(outcome, coverage.__getitem__)
+    welfare = None if anchor is None else _welfare(outcome, lambda p: scores[p].coverage)
     return MetricsRecord(scores, anchor, welfare, analysis, float(spec.population.weights.sum()))

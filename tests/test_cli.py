@@ -61,15 +61,19 @@ def _synthetic_block(n_models=3):
 
 
 class TestRun:
-    def test_counterexample_run_reports_a_cycle(self, tmp_path, capsys):
+    # from (0, 0) the 7th turn returns to the state after the first, so the
+    # last allowed turn ends the run at its repeated state
+    @pytest.mark.parametrize("max_steps", [7, 100])
+    def test_counterexample_run_reports_a_cycle(self, tmp_path, capsys, max_steps):
         cfg = _write_config(tmp_path, {
             "instance": {"builtin": "c1_rps"},
-            "dynamics": {"start": [0, 0], "max_steps": 100},
+            "dynamics": {"start": [0, 0], "max_steps": max_steps},
             "output": {"prefix": "c1"},
         })
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
         summary = _read_json(tmp_path / "c1_summary.json")
         assert summary["outcome_kind"] == "cycle"
+        assert len(summary["cycle_profiles"]) == 6
         assert summary["pne_count"] == 0
 
     def test_a_bad_start_or_mover_order_fails_before_the_game_is_solved(self, tmp_path, capsys,
@@ -202,9 +206,10 @@ class TestRun:
         assert summary["equilibrium_profile"] in summary["pne"]
         assert capsys.readouterr().err == ""
 
-    def test_timeout_summary_has_no_welfare_and_no_outcome_profile(self, tmp_path):
+    @pytest.mark.parametrize("max_steps", [1, 6])  # 6: one turn short of the repeated state
+    def test_timeout_summary_has_no_welfare_and_no_outcome_profile(self, tmp_path, max_steps):
         cfg = _write_config(tmp_path, {"instance": {"builtin": "c1_rps"},
-                                       "dynamics": {"start": [0, 0], "max_steps": 1},
+                                       "dynamics": {"start": [0, 0], "max_steps": max_steps},
                                        "output": {"prefix": "c1"}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
         summary = _read_json(tmp_path / "c1_summary.json")
@@ -259,13 +264,15 @@ class TestRun:
         assert err.startswith("error: k-means points must be finite and at most 4.74038e+152 ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale", [1.0, 4.4e306])
-    def test_weights_within_tolerance_of_one_run(self, tmp_path, capsys, scale):
+    @pytest.mark.parametrize("scores", [[[1, 0.4], [0.55, 0.95], [1, 1]],
+                                        [[4.4e306, 1.76e306], [2.42e306, 4.18e306], [4.4e306, 4.4e306]]],
+                             ids=["1.0", "4.4e306"])
+    def test_weights_within_tolerance_of_one_run(self, tmp_path, capsys, scores):
         # the weights sum to 1 + 1e-9, which UserPopulation accepts; the share
         # check compared the shares' sum with 1 and refused them
         instance = _write_config(tmp_path, {
-            "scores": [[scale, 0.4 * scale], [0.55 * scale, 0.95 * scale], [scale, scale]],
-            "weights": [0.3, 0.7000000009999999], "n_platforms": 20}, name="weights.json")
+            "scores": scores, "weights": [0.3, 0.7000000009999999], "n_platforms": 20},
+            name="weights.json")
         cfg = _write_config(tmp_path, {"instance": {"file": instance}, "output": {"prefix": "w"}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
@@ -512,7 +519,7 @@ class TestSweep:
         })
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
-        assert "model count 9 out of range" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: model count 9 out of range [1, 3]\n"
         assert runs == []
         assert not out.exists()
 
@@ -1090,8 +1097,8 @@ class TestConfigValidation:
         cfg = _write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert (f"error: unknown key {key!r} in the {_PATHS.get(block, block)} block"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: unknown key {key!r} in the {_PATHS.get(block, block)} block\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, block, value", [
@@ -1290,7 +1297,7 @@ _NAN, _INF = float("nan"), float("inf")  # json.dump writes them as NaN and Infi
 # values of a wrong kind for a field of each kind, and non-finite numbers;
 # None is left out where a field takes null for its default
 _WRONG = {
-    config_mod.INT: [True, 2.5, "x", None, {}, [1]],
+    config_mod.INT: [True, 2.5, "x", "2", None, {}, [1]],
     config_mod.NUMBER: [True, "x", None, {}, [1], _NAN, _INF, -_INF],
     config_mod.STRING: [True, 3, None, {}, ["x"]],
     config_mod.ENUM: [True, 3, "x", None, {}, [1]],
@@ -1931,19 +1938,30 @@ class TestRecordedBytes:
 
 
 class TestOneThresholdRule:
-    def test_run_equilibrium_is_in_its_pne_list(self, tmp_path):
-        # an instance whose two values differ by just over the threshold
-        instance = {"scores": [[0.1317770745302126], [0.1317770745312126]],
-                    "weights": [1.0], "n_platforms": 1}
+    @pytest.mark.parametrize("instance, start, profile, pne_count", [
+        # two values that differ by just over the threshold
+        pytest.param({"scores": [[0.1317770745302126], [0.1317770745312126]],
+                      "weights": [1.0], "n_platforms": 1}, [0], ["g2"], 1, id="threshold"),
+        # a softmax deviation gain within ulps of the threshold, where adding the
+        # rivals' exponentials in profile order once rejected this listed start
+        pytest.param({"scores": [[0.3792938853014244, 0.10421019388155572, 0.9054290816103407],
+                                 [0.025232939887885886, 0.22396692242099092, 0.9094703295567117],
+                                 [0.2807764740442198, 0.27089834498352905, 0.6792624397768348],
+                                 [0.8829032712488051, 0.2958443441484473, 0.37632881322022116]],
+                      "weights": [0.4400542636588001, 0.10303236554472871, 0.4569133707964711],
+                      "n_platforms": 4, "choice": {"kind": "softmax", "tau": 0.2}},
+                     [1, 3, 3, 1], ["g2", "g4", "g4", "g2"], 18, id="rival-order"),
+    ])
+    def test_run_equilibrium_is_in_its_pne_list(self, tmp_path, instance, start, profile, pne_count):
         (tmp_path / "boundary.json").write_text(json.dumps(instance))
         cfg = _write_config(tmp_path, {"instance": {"file": "boundary.json"},
-                                       "dynamics": {"start": [0]},
+                                       "dynamics": {"start": start},
                                        "output": {"prefix": "boundary"}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         summary = _read_json(tmp_path / "out" / "boundary_summary.json")
         assert summary["outcome_kind"] == "equilibrium"
-        assert summary["equilibrium_profile"] == ["g2"]
-        assert summary["pne"] == [["g2"]]
+        assert summary["equilibrium_profile"] == profile
+        assert summary["equilibrium_profile"] in summary["pne"] and len(summary["pne"]) == pne_count
 
 
 class TestFixtureCommands:

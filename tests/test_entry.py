@@ -228,8 +228,8 @@ class TestResampleWeights:
     def test_gate_disabled_at_zero_gamma(self, toy):
         s_lo = np.array([0.0, 0.0, 0.0])
         s_hi = np.array([0.9, 0.9, 0.9])
-        w_lo = resample_weights(toy.dataset, s_lo, toy.market, 4.0, 0.0)
-        w_hi = resample_weights(toy.dataset, s_hi, toy.market, 4.0, 0.0)
+        w_lo = resample_weights(toy.dataset, s_lo, toy.market, 4.0, 0.0, toy.rewards)
+        w_hi = resample_weights(toy.dataset, s_hi, toy.market, 4.0, 0.0, toy.rewards)
         assert np.allclose(w_lo, w_hi, atol=1e-12)
 
     def test_single_type_concentrates_on_preferred_attribute(self):
@@ -239,7 +239,9 @@ class TestResampleWeights:
             type_attribute_prefs=[[1.0, 0.0]],
         )
         market = _market([[0.5]])
-        w = resample_weights(dataset, np.array([0.5]), market, 4.0, 1.0)
+        # a structured dataset weighs items by attribute, not by reward
+        w = resample_weights(dataset, np.array([0.5]), market, 4.0, 1.0,
+                             RewardTable([[0.2, 0.5, 0.9]]))
         assert w[2] == 0.0 and w[0] + w[1] == pytest.approx(1.0)
 
     def test_identity_preferences_reproduce_type_mass(self):
@@ -251,7 +253,8 @@ class TestResampleWeights:
         # alpha = (0.3, 0.7) once pi, gate, and best scores are folded together:
         # equal best scores and margins leave alpha proportional to pi.
         market = _market([[0.5, 0.5]], [0.3, 0.7])
-        w = resample_weights(dataset, np.array([0.5, 0.5]), market, 4.0, 1.0)
+        w = resample_weights(dataset, np.array([0.5, 0.5]), market, 4.0, 1.0,
+                             RewardTable([[0.9, 0.1], [0.4, 0.6]]))
         assert np.allclose(w, [0.3, 0.7], atol=1e-12)
 
     def test_unstructured_mode_uses_normalized_rewards(self, toy):

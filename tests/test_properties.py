@@ -237,7 +237,9 @@ def test_outcome_metrics_match_the_single_figure_functions():
         full = outcome_metrics(spec, outcome, analysis, trajectory)
         bare = outcome_metrics(spec, outcome, analysis)
         assert set(full.scores) == set(trajectory), index
-        assert set(bare.scores) == ({full.anchor} if full.anchor is not None else set()), index
+        # the anchor plus the cycle profiles
+        assert set(bare.scores) == (
+            {full.anchor} if full.anchor is not None else set()) | set(outcome.cycle_profiles), index
         assert analysis.optimum == social_optimum(spec), index
         assert analysis.pne == tuple(enumerate_pne(spec)), index
         for record in (full, bare):
