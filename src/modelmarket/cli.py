@@ -8,10 +8,10 @@ Subcommands:
 * ``verify-fixtures`` re-derive every built-in expectation record
 * ``list-fixtures``   show the fixture registry
 
-Configs are single JSON files with ``instance`` / ``choice`` / ``dynamics`` /
-``sweep`` / ``training`` / ``output`` blocks (see README for the schema and
-annotated examples).  Given the same config and seed, emitted CSV/JSON files
-are byte-for-byte identical; there are no timestamps in any output.
+Configs are single JSON files holding the blocks their command reads, as
+``config.COMMANDS`` lists them (see README for the schema and annotated examples).
+Given the same config and seed, emitted CSV/JSON files are byte-for-byte
+identical; there are no timestamps in any output.
 """
 
 from __future__ import annotations
@@ -85,10 +85,11 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
 # ---------------------------------------------------------------------------
 
 def _dynamics_seed(cfg: dict, seed_override: int | None) -> int:
-    """``dynamics.seed``, or ``--seed`` checked as that field is."""
+    """``dynamics.seed`` (0 when a sweep's is not given), or ``--seed`` checked as that field is."""
+    field = config_mod.DYNAMICS["seed"]
     if seed_override is None:
-        return cfg["dynamics"]["seed"]
-    return config_mod.check(seed_override, config_mod.DYNAMICS["seed"], "--seed")
+        return cfg["dynamics"].get("seed", field.default)
+    return config_mod.check(seed_override, field, "--seed")
 
 
 def _record_run(spec: GameSpec, analysis: GameAnalysis | None, start, dynamics: dict, run_id: str,
@@ -230,11 +231,14 @@ def cmd_run(args) -> int:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_cells(cfg: dict, base_seed: int) -> list[dict]:
+def _sweep_cells(cfg: dict, seed_override: int | None) -> list[dict]:
     sweep = cfg["sweep"]
     axis, reps, seeds = sweep["axis"], sweep["repetitions"], sweep["seeds"]
     if seeds is not None and len(seeds) != reps:
         raise ConfigError("sweep.seeds must list one seed per repetition")
+    if seeds is not None and (seed_override is not None or "seed" in cfg["dynamics"]):
+        raise ConfigError("sweep.seeds replaces the base seed: give neither --seed nor dynamics.seed with it")
+    base_seed = _dynamics_seed(cfg, seed_override)
     cells = []
     for vi, value in enumerate(sweep["values"]):
         config_mod.check(value, config_mod.SWEEP_VALUES[axis], f"sweep.values[{vi}]")
@@ -268,7 +272,7 @@ def _run_sweep_cell(payload: tuple) -> tuple[list[dict], dict]:
 
 def cmd_sweep(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
-    cells = _sweep_cells(cfg, _dynamics_seed(cfg, args.seed))
+    cells = _sweep_cells(cfg, args.seed)
     out, prefix = _output(args, cfg, "sweep")
     # one instance build per sweep; every value's spec is derived, and so
     # validated, here before any game is solved
@@ -409,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("entry", cmd_entry, "train an entrant and compare the market before/after")):
         p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        if name != "entry":  # entry runs no seeded dynamics
+        if "dynamics" in config_mod.COMMANDS[name]:  # --seed stands in for dynamics.seed
             p.add_argument("--seed", type=int, default=None, help="override the dynamics seed")
         p.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
         if name != "run":

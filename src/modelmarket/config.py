@@ -111,7 +111,8 @@ DYNAMICS = {"start": Field(INTS, None),
 CENTRALIZATION = {"rho": Field(NUMBER, above=0), "gamma_cap": Field(NUMBER, minimum=0),
                   "pi_star": Field(NUMBER, minimum=0, maximum=1)}
 
-RUN_CONFIG = {
+# every block of a run config; COMMANDS gives each command the ones it reads
+_BLOCKS = {
     "instance": Field(BLOCK, table={
         "builtin": Field(STRING, ONE_OF),
         "file": Field(STRING, ONE_OF),
@@ -119,13 +120,13 @@ RUN_CONFIG = {
     }),
     "choice": Field(BLOCK, None, table=CHOICE),
     "dynamics": Field(BLOCK, {}, table=DYNAMICS),
-    "sweep": Field(BLOCK, OPTIONAL, table={
+    "sweep": Field(BLOCK, table={
         "axis": Field(ENUM, choices=tuple(SWEEP_VALUES)),
         "values": Field(LIST),
         "repetitions": Field(INT, 1, minimum=1),
-        "seeds": Field(INTS, None, minimum=0),  # one per repetition
+        "seeds": Field(INTS, None, minimum=0),  # one per repetition, in place of the base seed
     }),
-    "training": Field(BLOCK, OPTIONAL, table={
+    "training": Field(BLOCK, table={
         "method": Field(ENUM, "both", choices=("resampling", "direct", "both")),
         "estimator": Field(ENUM, "exact", choices=("exact", "reinforce")),
         "outcomes": Field(STRINGS),
@@ -143,10 +144,16 @@ RUN_CONFIG = {
                                       "prefix": Field(STRING, OPTIONAL)}),
 }
 
-# each command's run config: the block the command works from is required
-COMMANDS = {"run": RUN_CONFIG, **{
-    command: {**RUN_CONFIG, block: RUN_CONFIG[block]._replace(default=REQUIRED)}
-    for command, block in (("sweep", "sweep"), ("entry", "training"))}}
+# each command's run config: the blocks it reads and no other
+COMMANDS = {command: {block: _BLOCKS[block] for block in blocks.split()} for command, blocks in (
+    ("run", "instance choice dynamics output"),
+    ("sweep", "instance choice dynamics sweep output"),
+    ("entry", "instance choice training output"))}
+# a sweep draws every cell's start from the cell's seed, and its dynamics.seed
+# fills no default, so that one given beside sweep.seeds is seen
+COMMANDS["sweep"]["dynamics"] = Field(BLOCK, {}, table={
+    "order": DYNAMICS["order"], "max_steps": DYNAMICS["max_steps"],
+    "seed": DYNAMICS["seed"]._replace(default=OPTIONAL)})
 
 
 # each bound as (its Field attribute, the test a value fails it by, the relation it states)

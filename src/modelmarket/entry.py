@@ -161,7 +161,8 @@ class EntryDataset:
     ``counts`` are the empirical item counts per outcome.  When ``attributes``
     labels each outcome with one of the attribute values and
     ``type_attribute_prefs`` gives each user type a distribution over those
-    values, the structured resampling mode is available.
+    values, the structured resampling mode is available; neither of the two
+    is taken without ``attributes``.
     """
 
     outcome_labels: tuple[str, ...]
@@ -187,6 +188,8 @@ class EntryDataset:
         attrs = None
         attr_labels = _labels(attribute_labels, "attribute labels")
         prefs = None
+        if attributes is None and (attr_labels or type_attribute_prefs is not None):
+            raise InvalidInstanceError("attribute_labels and type_attribute_prefs need attributes")
         if attributes is not None:
             attrs = tuple(str(u) for u in attributes)
             if len(attrs) != len(labels):

@@ -91,13 +91,9 @@ def fixture_names() -> list[str]:
 
 def choice_from_block(block: dict | None) -> ChoiceRule | None:
     """The choice rule a checked ``choice`` block names, or None when there is no block."""
-    if block is None:
-        return None
-    if block["kind"] == "hardmax":
-        return ChoiceRule.hardmax()
-    if "tau" not in block:
+    if block is not None and block["kind"] == "softmax" and "tau" not in block:
         raise ConfigError("missing 'tau' in a softmax choice block")
-    return ChoiceRule.softmax(block["tau"])
+    return None if block is None else ChoiceRule(**block)
 
 
 def rbf_gmm_instance(block: dict) -> tuple[UserPopulation, ScoreMatrix]:

@@ -149,7 +149,7 @@ class ScoreMatrix:
 
 @dataclass(frozen=True)
 class ChoiceRule:
-    """User choice rule: deterministic hardmax or temperature-tau softmax."""
+    """User choice rule: deterministic hardmax or temperature-tau softmax; only softmax has a tau."""
 
     kind: str
     tau: float | None = None
@@ -160,6 +160,8 @@ class ChoiceRule:
         if self.kind == "softmax":  # a float, so that outputs echo a tau of 1 as 1.0
             object.__setattr__(self, "tau", float(check(self.tau, CHOICE["tau"], "tau",
                                                         InvalidParameterError)))
+        elif self.tau is not None:
+            raise InvalidParameterError(f"a hardmax choice rule takes no tau (got {self.tau!r})")
 
     @staticmethod
     def hardmax() -> "ChoiceRule":

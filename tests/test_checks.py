@@ -147,6 +147,8 @@ BOUND_CASES = {
     "tau": (InvalidParameterError, "tau must be > 0 (got 0)", lambda: ChoiceRule.softmax(0)),
     "tau missing": (InvalidParameterError, "tau must be a number (got None)",
                     lambda: ChoiceRule("softmax")),
+    "tau under hardmax": (InvalidParameterError, "a hardmax choice rule takes no tau (got 0.5)",
+                          lambda: ChoiceRule("hardmax", 0.5)),
     "n_platforms": (InvalidInstanceError, "n_platforms must be >= 1 (got 0)",
                     lambda: _market().with_platforms(0)),
     "n_platforms bool": (InvalidInstanceError, "n_platforms must be an integer (got True)",

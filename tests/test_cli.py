@@ -393,14 +393,14 @@ class TestSweep:
     def test_distinct_seeds_vary_starts_and_jobs_match_serial(self, tmp_path):
         base = {
             "instance": {"builtin": "c8_players_2"},
-            "dynamics": {"max_steps": 400, "seed": 11},
+            "dynamics": {"max_steps": 400},
             "sweep": {"axis": "platforms", "values": [2], "repetitions": 3,
                       "seeds": [21, 22, 23]},
             "output": {"prefix": "par"},
         }
         cfg = _write_config(tmp_path, base)
-        main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")])
-        main(["sweep", "--config", cfg, "--out", str(tmp_path / "jobs"), "--jobs", "2"])
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "jobs"), "--jobs", "2"]) == 0
         serial = (tmp_path / "serial" / "par_long.csv").read_bytes()
         parallel = (tmp_path / "jobs" / "par_long.csv").read_bytes()
         assert serial == parallel
@@ -874,6 +874,71 @@ class TestConfigValidation:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: missing 'tau' in a softmax choice block\n"
 
+    @pytest.mark.parametrize("command, setting", [
+        ("run", "sweep"), ("run", "training"), ("sweep", "training"), ("entry", "dynamics"),
+        ("entry", "sweep"), ("sweep", "dynamics.start")])
+    def test_a_setting_the_command_does_not_read_is_one_error(self, tmp_path, capsys, monkeypatch,
+                                                              command, setting):
+        # each is valid where it is read; here it would do nothing, so it is refused unsolved
+        _no_game_solved(monkeypatch)
+        payload = self._every_block(command)
+        if setting == "dynamics.start":
+            payload["dynamics"]["start"] = [0, 0]
+            message = "unknown key 'start' in the dynamics block"
+        else:
+            reader = {"sweep": "sweep", "training": "entry", "dynamics": "run"}[setting]
+            payload[setting] = self._every_block(reader)[setting]
+            message = f"unknown key {setting!r} in the top-level block"
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_seed_flag_goes_to_the_commands_that_read_dynamics(self):
+        parser = cli_mod._build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        with_seed = [name for name, sub in commands.items()
+                     if any("--seed" in a.option_strings for a in sub._actions)]
+        assert with_seed == [name for name, table in config_mod.COMMANDS.items() if "dynamics" in table]
+
+    @pytest.mark.parametrize("document", ["config", "instance file", "fixture record"])
+    def test_a_hardmax_tau_is_one_error(self, tmp_path, capsys, monkeypatch, document):
+        # only softmax has a temperature; under hardmax a tau would do nothing
+        hardmax = {"kind": "hardmax", "tau": 0.3}
+        payload = {"instance": {"builtin": "fig2_a"}, "choice": hardmax}
+        if document == "instance file":
+            payload = {"instance": {"file": _write_config(tmp_path, {
+                "scores": [[0.5, 0.2], [0.3, 0.6]], "weights": [0.5, 0.5], "n_platforms": 2,
+                "choice": hardmax}, name="inst.json")}}
+        elif document == "fixture record":
+            record = json.loads((fixtures_mod.DATA_DIR / "fig2_a.json").read_text())
+            record["explicit"]["choice"] = hardmax
+            (tmp_path / "fig2_a.json").write_text(json.dumps(record))
+            monkeypatch.setattr(fixtures_mod, "DATA_DIR", tmp_path)
+            del payload["choice"]
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: a hardmax choice rule takes no tau (got 0.3)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base_seed", ["--seed", "dynamics.seed"])
+    def test_sweep_seeds_take_no_base_seed(self, tmp_path, capsys, monkeypatch, base_seed):
+        # sweep.seeds replaces the base seed, so one given beside it would do nothing
+        _no_game_solved(monkeypatch)
+        payload = {"instance": {"builtin": "c1_rps"}, "sweep": {
+            "axis": "platforms", "values": [2], "repetitions": 3, "seeds": [4, 5, 6]}}
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", None, "--out", str(out)]
+        if base_seed == "--seed":
+            argv += ["--seed", "99"]
+        else:
+            payload["dynamics"] = {"seed": 5}
+        argv[2] = _write_config(tmp_path, payload)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep.seeds replaces the base seed: give neither --seed nor dynamics.seed with it\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("outer_rounds", 2.5), ("inner_epochs", 3.5), ("eval_budget", 100.5), ("seed", "3"),
         ("seed", 3.7), ("beta", "4"), ("lambda", None), ("outer_rounds", True), ("beta", True),
@@ -906,7 +971,7 @@ class TestConfigValidation:
         ("entry", "training.n_platforms", 2.5),
     ])
     def test_integer_config_field_must_be_an_integer(self, tmp_path, capsys, command, field, value):
-        payload = self._every_block()
+        payload = self._every_block(command)
         block, _, key = field.rpartition(".")
         if block == "instance":
             payload["instance"] = {"file": _write_config(tmp_path, {
@@ -947,11 +1012,11 @@ class TestConfigValidation:
         ("run", "an entry of gmm component covariance", "0.05"),
     ])
     def test_float_config_field_must_be_a_number(self, tmp_path, capsys, command, field, value):
-        payload = self._every_block()
+        payload = self._every_block(command)
         payload["instance"] = {"synthetic": _synthetic_block()}
         synthetic = payload["instance"]["synthetic"]
         component = synthetic["gmm"]["components"][0]
-        training = payload["training"]
+        training = payload.get("training")
         if field.startswith("an entry of instance"):
             instance = {"scores": [[0.5, 0.2], [0.3, 0.6]], "weights": [0.5, 0.5], "n_platforms": 2}
             if field.endswith("scores"):
@@ -997,7 +1062,7 @@ class TestConfigValidation:
         ({"axis": "population", "values": [0.5]}, "sweep.values[0] must be a list (got 0.5)"),
     ])
     def test_sweep_lists_must_be_lists(self, tmp_path, capsys, sweep, message):
-        payload = self._every_block()
+        payload = self._every_block("sweep")
         payload["sweep"] = sweep
         out = tmp_path / "out"
         assert main(["sweep", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
@@ -1013,7 +1078,7 @@ class TestConfigValidation:
         ("entry", "a row of training.rewards", 0.2),
     ])
     def test_list_config_field_must_be_a_list(self, tmp_path, capsys, command, field, value):
-        payload = self._every_block()
+        payload = self._every_block(command)
         if field == "instance.weights":
             payload["instance"] = {"file": _write_config(tmp_path, {
                 "scores": [[0.5, 0.2], [0.3, 0.6]], "weights": value, "n_platforms": 2,
@@ -1038,8 +1103,9 @@ class TestConfigValidation:
         assert not out.exists()
 
     @staticmethod
-    def _every_block():
-        return {
+    def _every_block(command):
+        """A small config holding every block ``command`` reads, and no other."""
+        blocks = {
             "instance": {"builtin": "fig2_a"},
             "choice": {"kind": "hardmax"},
             "dynamics": {"max_steps": 50},
@@ -1051,6 +1117,7 @@ class TestConfigValidation:
             },
             "output": {"prefix": "p"},
         }
+        return {block: blocks[block] for block in config_mod.COMMANDS[command]}
 
     @pytest.mark.parametrize("command, block, key", [
         ("run", "dynamics", "max_step"),
@@ -1071,7 +1138,7 @@ class TestConfigValidation:
         pytest.param("run", "instance file", "model_label", id="run-instance_file-model_label"),
     ])
     def test_unknown_block_key_rejected(self, tmp_path, capsys, command, block, key):
-        payload = self._every_block()
+        payload = self._every_block(command)
         synthetic_paths = {
             "synthetic": (),
             "gmm": ("gmm",),
@@ -1111,7 +1178,7 @@ class TestConfigValidation:
         pytest.param("run", "top-level", [{"instance": {"builtin": "fig2_a"}}], id="top-level"),
     ])
     def test_block_that_is_not_an_object_rejected(self, tmp_path, capsys, command, block, value):
-        payload = self._every_block()
+        payload = self._every_block(command)
         if block == "top-level":
             payload = value
         else:
@@ -1152,7 +1219,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("order", [[True, False], [1, 0.0]])
     def test_mover_order_entries_must_be_integers(self, tmp_path, capsys, command, order):
-        payload = self._every_block()
+        payload = self._every_block(command)
         payload["dynamics"]["order"] = order
         out = tmp_path / "out"
         assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
@@ -1165,7 +1232,7 @@ class TestConfigValidation:
         ("instance.file", 5), ("output.dir", 5), ("output.prefix", ["a"]), ("output.dir", None),
     ])
     def test_path_fields_must_be_strings(self, tmp_path, capsys, field, value):
-        payload = self._every_block()
+        payload = self._every_block("run")
         block, _, key = field.partition(".")
         payload[block] = {key: value}
         out = tmp_path / "out"
@@ -1178,7 +1245,7 @@ class TestConfigValidation:
         ("run", "gmm component covariance"),
     ])
     def test_matrix_rows_must_have_equal_lengths(self, tmp_path, capsys, command, field):
-        payload = self._every_block()
+        payload = self._every_block(command)
         if field == "instance.scores":
             payload["instance"] = {"file": _write_config(tmp_path, {
                 "scores": [[0.5, 0.2], [0.3]], "weights": [0.5, 0.5], "n_platforms": 2,
@@ -1325,14 +1392,15 @@ def _wrong_values(field):
     return wrong
 
 
-def _full_config(source):
-    """A run config that sets every field of the table, taking its instance
-    from ``source``: builtin, file (``inst.json``) or synthetic."""
+def _full_config(command, source):
+    """A config of ``command`` that sets every field of its table, taking its
+    instance from ``source``: builtin, file (``inst.json``) or synthetic.  A
+    sweep's cells take their seeds from sweep.seeds, so it sets no dynamics.seed."""
     synthetic = _synthetic_block(2)
     synthetic["n_platforms"] = synthetic["gmm"]["k_types"] = 2
     instance = {"builtin": {"builtin": "fig2_a"}, "file": {"file": "inst.json"},
                 "synthetic": {"synthetic": synthetic}}[source]
-    return {
+    blocks = {
         "instance": instance,
         "choice": {"kind": "softmax", "tau": 0.5},
         "dynamics": {"start": [0, 1], "order": [1, 0], "max_steps": 20, "seed": 1},
@@ -1347,29 +1415,47 @@ def _full_config(source):
         },
         "output": {"dir": "out", "prefix": "p"},
     }
+    if command == "sweep":
+        blocks["dynamics"] = {"order": [1, 0], "max_steps": 20}
+    return {block: blocks[block] for block in config_mod.COMMANDS[command]}
 
 
 _INSTANCE_FILE = {"scores": [[0.5, 0.2], [0.3, 0.6]], "weights": [0.5, 0.5], "n_platforms": 2,
                   "model_labels": ["g1", "g2"], "type_labels": ["a", "b"],
                   "choice": {"kind": "hardmax"}}
 
-_CASES = ([("config", *case) for case in _table_fields(config_mod.RUN_CONFIG)]
-          + [("file", *case) for case in _table_fields(config_mod.INSTANCE_FILE, (), "instance")])
+
+def _readers():
+    """For each dotted path of a config field, the commands whose table holds it,
+    in table order; every path is first met under the first of its commands."""
+    readers = {}
+    for command, table in config_mod.COMMANDS.items():
+        for keys, path, field in _table_fields(table):
+            readers.setdefault(path, (keys, field, []))[2].append(command)
+    return readers
+
+
+# (document, the command it runs under, keys, path, field): each config field
+# under the first command that reads it, each instance-file field under run
+_CASES = ([("config", commands[0], keys, path, field)
+           for path, (keys, field, commands) in _readers().items()]
+          + [("file", "run", *case) for case in _table_fields(config_mod.INSTANCE_FILE, (), "instance")])
 
 
 class TestConfigTable:
-    """Every field of the config table, fed every wrong kind, fails in one
-    line that names it; README's reference names exactly the table's fields."""
+    """Every field of the command tables, fed every wrong kind, fails in one
+    line that names it; README's reference names exactly the tables' fields
+    and which commands read them."""
 
-    @pytest.mark.parametrize("document, keys, path, field",
-                             [pytest.param(*case, id=f"{case[0]}:{case[2]}") for case in _CASES
-                              if _wrong_values(case[3])])
+    @pytest.mark.parametrize("document, command, keys, path, field",
+                             [pytest.param(*case, id=f"{case[0]}:{case[3]}") for case in _CASES
+                              if _wrong_values(case[4])])
     def test_every_wrong_kind_is_one_error_naming_the_field(self, tmp_path, capsys, document,
-                                                            keys, path, field):
+                                                            command, keys, path, field):
         source = "file" if document == "file" else next(
             (k for k in ("synthetic", "file") if keys[:2] == ("instance", k)), "builtin")
         for value in _wrong_values(field):
-            payload = _full_config(source)
+            payload = _full_config(command, source)
             instance_file = json.loads(json.dumps(_INSTANCE_FILE))
             target = instance_file if document == "file" else payload
             for key in keys[:-1]:
@@ -1377,7 +1463,7 @@ class TestConfigTable:
             target[keys[-1]] = value
             _write_config(tmp_path, instance_file, name="inst.json")
             out = tmp_path / "out"
-            argv = ["run", "--config", _write_config(tmp_path, payload), "--out", str(out)]
+            argv = [command, "--config", _write_config(tmp_path, payload), "--out", str(out)]
             assert main(argv) == 2, value
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (value, err)
@@ -1387,8 +1473,8 @@ class TestConfigTable:
     def test_a_full_config_runs(self, tmp_path):
         for source in ("builtin", "file", "synthetic"):
             _write_config(tmp_path, _INSTANCE_FILE, name="inst.json")
-            cfg = _write_config(tmp_path, _full_config(source))
             for command in ("run", "sweep", "entry"):
+                cfg = _write_config(tmp_path, _full_config(command, source))
                 assert main([command, "--config", cfg, "--out", str(tmp_path / source)]) == 0
 
     @pytest.mark.parametrize("document, key, value, message", [
@@ -1399,11 +1485,11 @@ class TestConfigTable:
         ("config", "outcomes", [1, 2], "an entry of training.outcomes must be a string (got 1)"),
     ])
     def test_labels_must_be_strings(self, tmp_path, capsys, document, key, value, message):
-        payload = _full_config("file")
+        command = "run" if document == "file" else "entry"
+        payload = _full_config(command, "file")
         instance_file = dict(_INSTANCE_FILE)
         (instance_file if document == "file" else payload["training"])[key] = value
         _write_config(tmp_path, instance_file, name="inst.json")
-        command = "run" if document == "file" else "entry"
         out = tmp_path / "out"
         assert main([command, "--config", _write_config(tmp_path, payload),
                      "--out", str(out)]) == 2
@@ -1415,10 +1501,17 @@ class TestConfigTable:
         section = readme.split("### Config reference", 1)[1]
         table = section.split("| field | kind | default | bound |", 1)[1].split("\n\n", 1)[0]
         documented = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
-        fields = {path.replace("[0]", "[]") for _, _, path, _ in _CASES}
+        fields = {path.replace("[0]", "[]") for _, _, _, path, _ in _CASES}
         assert len(documented) == len(set(documented))
         assert sorted(fields - set(documented)) == [], "fields missing from the README table"
         assert sorted(set(documented) - fields) == [], "README rows that name no field"
+        # which commands read each block, and each field its block's commands do not all read
+        table = section.split("| block or field | read by |", 1)[1].split("\n\n", 1)[0]
+        documented = {path: re.findall(r"`([^`]+)`", commands) for path, commands
+                      in re.findall(r"^\| `([^`]+)` \|([^|]*)\|", table, flags=re.MULTILINE)}
+        readers = {path: commands for path, (_, _, commands) in _readers().items()}
+        assert documented == {path: commands for path, commands in readers.items()
+                              if commands != readers.get(path.rpartition(".")[0].removesuffix("[0]"))}
 
 
 def _set(keys, value):
@@ -1443,6 +1536,7 @@ def _resampling_counts(counts):
 
 
 _REDRAW_SIZE = "counts total must round into [1, 2**63 - 1] to resample (got {})"
+_NO_ATTRIBUTES = "attribute_labels and type_attribute_prefs need attributes"
 
 # a full config's instance source, a change to it, and the error line it must
 # end in: the bounds of the table under their dotted paths, then the checks
@@ -1485,6 +1579,10 @@ _CHECKS = {
                           "attributes must come from attribute_labels"),
     "attributes without preferences": ("file", _set(("training", "dataset", "type_preferences"), None),
                                        "structured datasets need type_attribute_prefs"),
+    "attribute labels without attributes": ("file", _set(("training", "dataset"), {
+        "counts": [1, 1], "attribute_labels": ["a", "b"]}), _NO_ATTRIBUTES),
+    "preferences without attributes": ("file", _set(("training", "dataset"), {
+        "counts": [1, 1], "type_preferences": [[1, 0], [0, 1]]}), _NO_ATTRIBUTES),
     "preference shape": ("file", _set(("training", "dataset", "type_preferences"), [[1, 0, 0], [0, 1, 0]]),
                          "type_attribute_prefs must be K x |attributes|"),
     "preference rows": ("file", lambda payload, _: payload["training"].update(
@@ -1534,7 +1632,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("case", list(_CHECKS))
     def test_one_error_line_and_no_output(self, tmp_path, capsys, case):
         source, change, message = _CHECKS[case]
-        payload = _full_config(source)
+        payload = _full_config("entry", source)
         instance_file = json.loads(json.dumps(_INSTANCE_FILE))
         change(payload, instance_file)
         _write_config(tmp_path, instance_file, name="inst.json")

@@ -330,6 +330,14 @@ def test_a_dataset_refuses_counts_whose_total_is_not_finite():
         EntryDataset(["x1", "x2"], [1e308, 1e308])
 
 
+@pytest.mark.parametrize("structure", [{"attribute_labels": ["u", "v"]}, {"type_attribute_prefs": [[1, 0]]}],
+                         ids=["attribute_labels", "type_attribute_prefs"])
+def test_a_dataset_refuses_structure_without_attributes(structure):
+    # without attributes there is no structured mode to read either one
+    with pytest.raises(InvalidInstanceError, match="^attribute_labels and type_attribute_prefs need attributes$"):
+        EntryDataset(["a", "b"], [1, 1], **structure)
+
+
 class TestTrainDirectGradient:
     def test_pure_mle_monotone_and_convergent(self, toy):
         config = TrainingConfig(lam=0.0, inner_epochs=60, seed=3)
