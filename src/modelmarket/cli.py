@@ -10,8 +10,8 @@ Subcommands:
 
 Configs are single JSON files holding the blocks their command reads, as
 ``config.COMMANDS`` lists them (see README for the schema and annotated examples).
-Given the same config and seed, emitted CSV/JSON files are byte-for-byte
-identical; there are no timestamps in any output.
+Given the same config, emitted CSV/JSON files are byte-for-byte identical;
+there are no timestamps in any output.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .fixtures import (
 )
 from . import config as config_mod
 from . import entry as entry_mod
-
-OUT_DIR_ENV = "MODELMARKET_OUT"
 
 STEP_COLUMNS = [
     "run_id", "seed", "sweep_axis", "sweep_value", "repetition", "step",
@@ -84,12 +82,11 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
 # single runs
 # ---------------------------------------------------------------------------
 
-def _dynamics_seed(cfg: dict, seed_override: int | None) -> int:
-    """``dynamics.seed`` (0 when a sweep's is not given), or ``--seed`` checked as that field is."""
-    field = config_mod.DYNAMICS["seed"]
-    if seed_override is None:
-        return cfg["dynamics"].get("seed", field.default)
-    return config_mod.check(seed_override, field, "--seed")
+def _base_seed(dynamics: dict, rival: str, rival_given: bool) -> int:
+    """``dynamics.seed``, 0 when not given; refused beside ``rival``, which fixes what it would draw."""
+    if rival_given and "seed" in dynamics:
+        raise ConfigError(f"{rival} leaves dynamics.seed nothing to draw: give one of the two")
+    return dynamics.get("seed", 0)
 
 
 def _record_run(spec: GameSpec, analysis: GameAnalysis | None, start, dynamics: dict, run_id: str,
@@ -169,14 +166,12 @@ def _no_nul(path: str | None, field: str) -> str | None:
     return path
 
 
-def _output(args, cfg: dict, default: str) -> tuple[Path, str]:
-    """The output directory and ``output.prefix``, read before any game is solved.
-    The prefix starts file names, so it holds no separator."""
+def _prefix(cfg: dict, default: str) -> str:
+    """``output.prefix``, read before any game is solved; it starts file names, so it holds no separator."""
     prefix = cfg["output"].get("prefix", default)
     if {os.sep, os.altsep, "\0"} & set(prefix):
         raise ConfigError(f"output.prefix must not hold a path separator or NUL (got {prefix!r})")
-    out = _no_nul(cfg["output"].get("dir"), "output.dir")
-    return Path(args.out or out or os.environ.get(OUT_DIR_ENV, "out")), prefix
+    return prefix
 
 
 def _write(out: Path, prefix: str, tables: dict, report_name: str, report, done: str) -> None:
@@ -215,14 +210,14 @@ def _write(out: Path, prefix: str, tables: dict, report_name: str, report, done:
 
 def cmd_run(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
-    spec, instance_name, notes = _build_instance(cfg, Path(args.config).parent)
     dynamics = cfg["dynamics"]
-    seed = _dynamics_seed(cfg, args.seed)
-    out, prefix = _output(args, cfg, f"run_{instance_name}")
+    seed = _base_seed(dynamics, "dynamics.start", dynamics["start"] is not None)
+    spec, instance_name, notes = _build_instance(cfg, Path(args.config).parent)
+    prefix = _prefix(cfg, f"run_{instance_name}")
     outcome, rows, summary = _record_run(spec, None, dynamics["start"], dynamics, prefix, seed, instance_name)
     if notes:
         summary["fixture_notes"] = notes
-    _write(out, prefix, {"steps": (STEP_COLUMNS, rows)}, "summary", summary,
+    _write(Path(args.out), prefix, {"steps": (STEP_COLUMNS, rows)}, "summary", summary,
            f"{outcome.kind} after {len(outcome.trajectory)} steps; welfare={summary.get('welfare')}")
     return 0
 
@@ -231,14 +226,14 @@ def cmd_run(args) -> int:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_cells(cfg: dict, seed_override: int | None) -> list[dict]:
+def _sweep_cells(cfg: dict) -> list[dict]:
     sweep = cfg["sweep"]
     axis, reps, seeds = sweep["axis"], sweep["repetitions"], sweep["seeds"]
+    if not sweep["values"]:
+        raise ConfigError("sweep.values must list at least one value")
     if seeds is not None and len(seeds) != reps:
         raise ConfigError("sweep.seeds must list one seed per repetition")
-    if seeds is not None and (seed_override is not None or "seed" in cfg["dynamics"]):
-        raise ConfigError("sweep.seeds replaces the base seed: give neither --seed nor dynamics.seed with it")
-    base_seed = _dynamics_seed(cfg, seed_override)
+    base_seed = _base_seed(cfg["dynamics"], "sweep.seeds", seeds is not None)
     cells = []
     for vi, value in enumerate(sweep["values"]):
         config_mod.check(value, config_mod.SWEEP_VALUES[axis], f"sweep.values[{vi}]")
@@ -272,8 +267,8 @@ def _run_sweep_cell(payload: tuple) -> tuple[list[dict], dict]:
 
 def cmd_sweep(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
-    cells = _sweep_cells(cfg, args.seed)
-    out, prefix = _output(args, cfg, "sweep")
+    cells = _sweep_cells(cfg)
+    prefix = _prefix(cfg, "sweep")
     # one instance build per sweep; every value's spec is derived, and so
     # validated, here before any game is solved
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
@@ -294,7 +289,7 @@ def cmd_sweep(args) -> int:
     # map keeps cell order, (value_index, repetition), with or without workers
     rows = [row for cell_rows, _ in results for row in cell_rows]
     summaries = [summary for _, summary in results]
-    _write(out, prefix, {"long": (STEP_COLUMNS, rows)}, "summary", summaries,
+    _write(Path(args.out), prefix, {"long": (STEP_COLUMNS, rows)}, "summary", summaries,
            f"{len(cells)} cells, {len(rows)} step rows")
     return 0
 
@@ -330,7 +325,7 @@ def _trace_csv(trace: list[dict], type_labels: Sequence[str]) -> tuple[list[str]
 def cmd_entry(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     spec, instance_name, _ = _build_instance(cfg, Path(args.config).parent)
-    out, prefix = _output(args, cfg, f"entry_{instance_name}")
+    prefix = _prefix(cfg, f"entry_{instance_name}")
     block = cfg["training"]
     ds = block["dataset"]
     dataset = entry_mod.EntryDataset(block["outcomes"], ds["counts"], attributes=ds["attributes"],
@@ -361,7 +356,7 @@ def cmd_entry(args) -> int:
             entry_mod.evaluate_entrant(gen, rewards, base_spec, entrant_label=f"entrant_{method}"))
     tables = {f"trace_{method}": _trace_csv(trace, base_spec.population.type_labels)
               for method, trace in traces.items()}
-    _write(out, prefix, tables, "report", report_json, f"trained {', '.join(traces)}")
+    _write(Path(args.out), prefix, tables, "report", report_json, f"trained {', '.join(traces)}")
     return 0
 
 
@@ -413,9 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("entry", cmd_entry, "train an entrant and compare the market before/after")):
         p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        if "dynamics" in config_mod.COMMANDS[name]:  # --seed stands in for dynamics.seed
-            p.add_argument("--seed", type=int, default=None, help="override the dynamics seed")
-        p.add_argument("--out", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
+        p.add_argument("--out", default="out", help="output directory (default: ./out)")
         if name != "run":
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel sweep workers (only sweep uses it; entry ignores it)")

@@ -105,7 +105,7 @@ PARAMS = {"beta": Field(NUMBER, OPTIONAL, above=0), "gamma": Field(NUMBER, OPTIO
 BUDGET = Field(INT, minimum=0)  # enumerate_pne's count of profiles, social_optimum's of multisets
 DYNAMICS = {"start": Field(INTS, None),
             "order": Field(ENUM_OR_INTS, "round_robin", choices=("round_robin",)),
-            "max_steps": Field(INT, 1000, minimum=1), "seed": Field(INT, 0, minimum=0)}
+            "max_steps": Field(INT, 1000, minimum=1), "seed": Field(INT, OPTIONAL, minimum=0)}
 
 # CentralizationParams' fields, which no config file sets
 CENTRALIZATION = {"rho": Field(NUMBER, above=0), "gamma_cap": Field(NUMBER, minimum=0),
@@ -140,8 +140,7 @@ _BLOCKS = {
         "params": Field(BLOCK, {}, table=PARAMS),
         "n_platforms": N_PLATFORMS._replace(default=3),
     }),
-    "output": Field(BLOCK, {}, table={"dir": Field(STRING, OPTIONAL),
-                                      "prefix": Field(STRING, OPTIONAL)}),
+    "output": Field(BLOCK, {}, table={"prefix": Field(STRING, OPTIONAL)}),
 }
 
 # each command's run config: the blocks it reads and no other
@@ -149,11 +148,9 @@ COMMANDS = {command: {block: _BLOCKS[block] for block in blocks.split()} for com
     ("run", "instance choice dynamics output"),
     ("sweep", "instance choice dynamics sweep output"),
     ("entry", "instance choice training output"))}
-# a sweep draws every cell's start from the cell's seed, and its dynamics.seed
-# fills no default, so that one given beside sweep.seeds is seen
+# a sweep draws every cell's start from the cell's seed
 COMMANDS["sweep"]["dynamics"] = Field(BLOCK, {}, table={
-    "order": DYNAMICS["order"], "max_steps": DYNAMICS["max_steps"],
-    "seed": DYNAMICS["seed"]._replace(default=OPTIONAL)})
+    key: field for key, field in DYNAMICS.items() if key != "start"})
 
 
 # each bound as (its Field attribute, the test a value fails it by, the relation it states)

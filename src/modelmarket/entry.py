@@ -161,8 +161,8 @@ class EntryDataset:
     ``counts`` are the empirical item counts per outcome.  When ``attributes``
     labels each outcome with one of the attribute values and
     ``type_attribute_prefs`` gives each user type a distribution over those
-    values, the structured resampling mode is available; neither of the two
-    is taken without ``attributes``.
+    values, the structured resampling mode is available; neither of the two,
+    not even an empty label list, is taken without ``attributes``.
     """
 
     outcome_labels: tuple[str, ...]
@@ -171,7 +171,7 @@ class EntryDataset:
     attribute_labels: tuple[str, ...] = ()
     type_attribute_prefs: np.ndarray | None = None  # K x |U|, rows sum to 1
 
-    def __init__(self, outcome_labels, counts, attributes=None, attribute_labels=(),
+    def __init__(self, outcome_labels, counts, attributes=None, attribute_labels=None,
                  type_attribute_prefs=None):
         labels = _labels(outcome_labels, "outcome labels")
         c = _frozen_array(counts)
@@ -188,13 +188,13 @@ class EntryDataset:
         attrs = None
         attr_labels = _labels(attribute_labels, "attribute labels")
         prefs = None
-        if attributes is None and (attr_labels or type_attribute_prefs is not None):
+        if attributes is None and (attribute_labels is not None or type_attribute_prefs is not None):
             raise InvalidInstanceError("attribute_labels and type_attribute_prefs need attributes")
         if attributes is not None:
             attrs = tuple(str(u) for u in attributes)
             if len(attrs) != len(labels):
                 raise InvalidInstanceError("attributes must label every outcome")
-            if not attr_labels:
+            if attribute_labels is None:
                 attr_labels = tuple(dict.fromkeys(attrs))
             if not set(attrs) <= set(attr_labels):
                 raise InvalidInstanceError("attributes must come from attribute_labels")

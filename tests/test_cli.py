@@ -151,15 +151,18 @@ class TestRun:
         summary = _read_json(tmp_path / "soft_summary.json")
         assert summary["choice"] == {"kind": "softmax", "tau": 0.5}
 
-    def test_env_var_sets_default_output_dir(self, tmp_path, monkeypatch):
+    def test_the_default_output_dir_is_out(self, tmp_path, monkeypatch):
+        # --out is the one source of the output directory; no variable stands in for it
         cfg = _write_config(tmp_path, {
             "instance": {"builtin": "fig2_b"},
             "dynamics": {"start": [0, 0], "max_steps": 50},
             "output": {"prefix": "envd"},
         })
         monkeypatch.setenv("MODELMARKET_OUT", str(tmp_path / "via_env"))
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", cfg]) == 0
-        assert (tmp_path / "via_env" / "envd_summary.json").exists()
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "cfg.json", "out", "out/envd_steps.csv", "out/envd_summary.json"]
 
     def test_optimum_over_budget_still_writes_the_summary(self, tmp_path):
         # C(50 + 10 - 1, 10) multisets exceed the optimum's budget of 10^7
@@ -845,11 +848,13 @@ class TestConfigValidation:
         assert capsys.readouterr().err == "error: unknown key 'lam' in the training.params block\n"
         assert not out.exists()
 
-    def test_entry_takes_no_seed_flag(self, tmp_path, capsys):
-        # entry runs no seeded dynamics; its training seed is training.params.seed
-        cfg = str(CONFIGS / "entry_underserved_type.json")
+    @pytest.mark.parametrize("command", ["run", "sweep", "entry"])
+    def test_no_command_takes_a_seed_flag(self, tmp_path, capsys, command):
+        # the config holds every seed: dynamics.seed or sweep.seeds, and training.params.seed
+        cfg = str(CONFIGS / {"run": "run_reference_cycle.json", "sweep": "sweep_pool_growth.json",
+                             "entry": "entry_underserved_type.json"}[command])
         with pytest.raises(SystemExit) as exc:
-            main(["entry", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "out")])
+            main([command, "--config", cfg, "--seed", "5", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -862,6 +867,16 @@ class TestConfigValidation:
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_readme_synopsis_lists_each_command_s_flags(self):
+        # the CLI block of README shows each subcommand with exactly the flags its parser takes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+        documented = {line.split()[1]: sorted(re.findall(r"--[a-z-]+", line)) for line in block.splitlines()}
+        commands = next(a for a in cli_mod._build_parser()._actions if a.dest == "command").choices
+        assert documented == {name: sorted(flag for action in sub._actions for flag in action.option_strings
+                                           if flag not in ("-h", "--help"))
+                              for name, sub in commands.items()}
 
     def test_sweep_seeds_must_match_the_repetitions(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"instance": {"builtin": "c1_rps"}, "sweep": {
@@ -876,15 +891,18 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command, setting", [
         ("run", "sweep"), ("run", "training"), ("sweep", "training"), ("entry", "dynamics"),
-        ("entry", "sweep"), ("sweep", "dynamics.start")])
+        ("entry", "sweep"), ("sweep", "dynamics.start"),
+        ("run", "output.dir"), ("sweep", "output.dir"), ("entry", "output.dir")])
     def test_a_setting_the_command_does_not_read_is_one_error(self, tmp_path, capsys, monkeypatch,
                                                               command, setting):
-        # each is valid where it is read; here it would do nothing, so it is refused unsolved
+        # each is valid where it is read (output.dir nowhere: --out names the output
+        # directory); here it would do nothing, so it is refused unsolved
         _no_game_solved(monkeypatch)
         payload = self._every_block(command)
-        if setting == "dynamics.start":
-            payload["dynamics"]["start"] = [0, 0]
-            message = "unknown key 'start' in the dynamics block"
+        if "." in setting:
+            block, _, key = setting.partition(".")
+            payload[block][key] = [0, 0] if key == "start" else "out"
+            message = f"unknown key {key!r} in the {block} block"
         else:
             reader = {"sweep": "sweep", "training": "entry", "dynamics": "run"}[setting]
             payload[setting] = self._every_block(reader)[setting]
@@ -893,13 +911,6 @@ class TestConfigValidation:
         assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-
-    def test_seed_flag_goes_to_the_commands_that_read_dynamics(self):
-        parser = cli_mod._build_parser()
-        commands = next(a for a in parser._actions if a.dest == "command").choices
-        with_seed = [name for name, sub in commands.items()
-                     if any("--seed" in a.option_strings for a in sub._actions)]
-        assert with_seed == [name for name, table in config_mod.COMMANDS.items() if "dynamics" in table]
 
     @pytest.mark.parametrize("document", ["config", "instance file", "fixture record"])
     def test_a_hardmax_tau_is_one_error(self, tmp_path, capsys, monkeypatch, document):
@@ -921,22 +932,30 @@ class TestConfigValidation:
         assert capsys.readouterr().err == "error: a hardmax choice rule takes no tau (got 0.3)\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("base_seed", ["--seed", "dynamics.seed"])
-    def test_sweep_seeds_take_no_base_seed(self, tmp_path, capsys, monkeypatch, base_seed):
-        # sweep.seeds replaces the base seed, so one given beside it would do nothing
+    @pytest.mark.parametrize("command, rival", [("sweep", "sweep.seeds"), ("run", "dynamics.start")])
+    def test_a_seed_that_draws_nothing_is_one_error(self, tmp_path, capsys, monkeypatch, command, rival):
+        # sweep.seeds draws every cell's start and dynamics.start is run's start, so a
+        # dynamics.seed given beside either would do nothing
         _no_game_solved(monkeypatch)
-        payload = {"instance": {"builtin": "c1_rps"}, "sweep": {
-            "axis": "platforms", "values": [2], "repetitions": 3, "seeds": [4, 5, 6]}}
-        out = tmp_path / "out"
-        argv = ["sweep", "--config", None, "--out", str(out)]
-        if base_seed == "--seed":
-            argv += ["--seed", "99"]
+        payload = {"instance": {"builtin": "c1_rps"}, "dynamics": {"seed": 5}}
+        if command == "sweep":
+            payload["sweep"] = {"axis": "platforms", "values": [2], "repetitions": 3, "seeds": [4, 5, 6]}
         else:
-            payload["dynamics"] = {"seed": 5}
-        argv[2] = _write_config(tmp_path, payload)
-        assert main(argv) == 2
+            payload["dynamics"]["start"] = [0, 0]
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: sweep.seeds replaces the base seed: give neither --seed nor dynamics.seed with it\n")
+            f"error: {rival} leaves dynamics.seed nothing to draw: give one of the two\n")
+        assert not out.exists()
+
+    def test_an_empty_sweep_is_one_error(self, tmp_path, capsys, monkeypatch):
+        # a sweep of no values would write a header-only table and an empty summary
+        _no_game_solved(monkeypatch)
+        monkeypatch.setattr(cli_mod, "_build_instance", lambda *a: pytest.fail("an instance was built"))
+        payload = {"instance": {"builtin": "c1_rps"}, "sweep": {"axis": "platforms", "values": []}}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sweep.values must list at least one value\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -1229,7 +1248,7 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("instance.file", 5), ("output.dir", 5), ("output.prefix", ["a"]), ("output.dir", None),
+        ("instance.file", 5), ("output.prefix", ["a"]),
     ])
     def test_path_fields_must_be_strings(self, tmp_path, capsys, field, value):
         payload = self._every_block("run")
@@ -1327,11 +1346,6 @@ class TestNegativeSeeds:
         self._assert_one_error(["sweep", "--config", cfg, "--out", str(tmp_path)], capsys,
                                "an entry of sweep.seeds must be >= 0 (got -3)")
 
-    def test_seed_flag_without_a_start_profile(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, {"instance": {"builtin": "c1_rps"}})
-        self._assert_one_error(["run", "--config", cfg, "--seed", "-2", "--out", str(tmp_path)],
-                               capsys, "--seed must be >= 0 (got -2)")
-
     def test_gmm_seed(self, tmp_path, capsys):
         block = _synthetic_block()
         block["gmm"]["seed"] = -4
@@ -1395,7 +1409,8 @@ def _wrong_values(field):
 def _full_config(command, source):
     """A config of ``command`` that sets every field of its table, taking its
     instance from ``source``: builtin, file (``inst.json``) or synthetic.  A
-    sweep's cells take their seeds from sweep.seeds, so it sets no dynamics.seed."""
+    seed beside a start or sweep.seeds would draw nothing, so neither command
+    sets dynamics.seed, and a sweep sets no start."""
     synthetic = _synthetic_block(2)
     synthetic["n_platforms"] = synthetic["gmm"]["k_types"] = 2
     instance = {"builtin": {"builtin": "fig2_a"}, "file": {"file": "inst.json"},
@@ -1403,7 +1418,7 @@ def _full_config(command, source):
     blocks = {
         "instance": instance,
         "choice": {"kind": "softmax", "tau": 0.5},
-        "dynamics": {"start": [0, 1], "order": [1, 0], "max_steps": 20, "seed": 1},
+        "dynamics": {"start": [0, 1], "order": [1, 0], "max_steps": 20},
         "sweep": {"axis": "models", "values": [2], "repetitions": 1, "seeds": [3]},
         "training": {
             "method": "direct", "estimator": "exact", "outcomes": ["x0", "x1"],
@@ -1413,7 +1428,7 @@ def _full_config(command, source):
             "params": {"inner_epochs": 1},
             "n_platforms": 2,
         },
-        "output": {"dir": "out", "prefix": "p"},
+        "output": {"prefix": "p"},
     }
     if command == "sweep":
         blocks["dynamics"] = {"order": [1, 0], "max_steps": 20}
@@ -1581,6 +1596,10 @@ _CHECKS = {
                                        "structured datasets need type_attribute_prefs"),
     "attribute labels without attributes": ("file", _set(("training", "dataset"), {
         "counts": [1, 1], "attribute_labels": ["a", "b"]}), _NO_ATTRIBUTES),
+    "empty attribute labels without attributes": ("builtin", _set(("training", "dataset"), {
+        "counts": [1, 1], "attribute_labels": []}), _NO_ATTRIBUTES),
+    "empty attribute labels with attributes": ("file", _set(("training", "dataset", "attribute_labels"), []),
+                                               "attributes must come from attribute_labels"),
     "preferences without attributes": ("file", _set(("training", "dataset"), {
         "counts": [1, 1], "type_preferences": [[1, 0], [0, 1]]}), _NO_ATTRIBUTES),
     "preference shape": ("file", _set(("training", "dataset", "type_preferences"), [[1, 0, 0], [0, 1, 0]]),
@@ -1760,18 +1779,11 @@ class TestOutsideWorldFailures:
     """A path the system refuses ends in one error line naming it, exit 2."""
 
     @pytest.mark.parametrize("command", ["run", "sweep", "entry"])
-    @pytest.mark.parametrize("source", ["--out", "output.dir"])
-    def test_an_output_directory_that_is_a_file(self, tmp_path, capsys, command, source):
+    def test_an_output_directory_that_is_a_file(self, tmp_path, capsys, command):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
-        payload = _command_payload(command)
-        argv = [command, "--config", None]
-        if source == "--out":
-            argv += ["--out", str(taken)]
-        else:
-            payload["output"] = {"dir": str(taken)}
-        argv[2] = _write_config(tmp_path, payload)
-        assert main(argv) == 2
+        cfg = _write_config(tmp_path, _command_payload(command))
+        assert main([command, "--config", cfg, "--out", str(taken)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {taken}: ") and err.count("\n") == 1, err
         assert taken.read_text() == "not a directory\n"
@@ -1800,14 +1812,12 @@ class TestOutsideWorldFailures:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep", "entry"])
-    @pytest.mark.parametrize("field", ["--out", "--config", "output.dir", "instance.file"])
+    @pytest.mark.parametrize("field", ["--out", "--config", "instance.file"])
     def test_a_nul_in_a_path_is_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                          command, field):
         _no_game_solved(monkeypatch)
-        monkeypatch.chdir(tmp_path)  # where a relative output.dir would be made
+        monkeypatch.chdir(tmp_path)  # where the default output directory would be made
         payload = _command_payload(command)
-        if field == "output.dir":
-            payload["output"] = {"dir": "out\0put"}
         if field == "instance.file":
             payload["instance"] = {"file": "inst\0ance.json"}
         cfg = _write_config(tmp_path, payload)
@@ -1817,7 +1827,7 @@ class TestOutsideWorldFailures:
         if field == "--out":
             argv += ["--out", "out\0put"]
         assert main(argv) == 2
-        value = {"--config": cfg, "output.dir": "out\0put", "instance.file": "inst\0ance.json",
+        value = {"--config": cfg, "instance.file": "inst\0ance.json",
                  "--out": "out\0put"}[field]
         assert capsys.readouterr().err == f"error: {field} must not hold a NUL (got {value!r})\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

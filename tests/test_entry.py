@@ -330,12 +330,22 @@ def test_a_dataset_refuses_counts_whose_total_is_not_finite():
         EntryDataset(["x1", "x2"], [1e308, 1e308])
 
 
-@pytest.mark.parametrize("structure", [{"attribute_labels": ["u", "v"]}, {"type_attribute_prefs": [[1, 0]]}],
-                         ids=["attribute_labels", "type_attribute_prefs"])
+@pytest.mark.parametrize("structure", [{"attribute_labels": ["u", "v"]}, {"attribute_labels": []},
+                                       {"type_attribute_prefs": [[1, 0]]}],
+                         ids=["attribute_labels", "empty attribute_labels", "type_attribute_prefs"])
 def test_a_dataset_refuses_structure_without_attributes(structure):
-    # without attributes there is no structured mode to read either one
+    # without attributes there is no structured mode to read either one, an empty label list included
     with pytest.raises(InvalidInstanceError, match="^attribute_labels and type_attribute_prefs need attributes$"):
         EntryDataset(["a", "b"], [1, 1], **structure)
+
+
+def test_an_empty_label_list_is_not_the_default_labels():
+    # only None asks for the attributes' own values; [] names no attribute at all
+    with pytest.raises(InvalidInstanceError, match="^attributes must come from attribute_labels$"):
+        EntryDataset(["a", "b"], [1, 1], attributes=["u", "v"], attribute_labels=[],
+                     type_attribute_prefs=[[]])
+    assert EntryDataset(["a", "b"], [1, 1], attributes=["v", "u"],
+                        type_attribute_prefs=[[1, 0]]).attribute_labels == ("v", "u")
 
 
 class TestTrainDirectGradient:
