@@ -82,10 +82,10 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
 # single runs
 # ---------------------------------------------------------------------------
 
-def _base_seed(dynamics: dict, rival: str, rival_given: bool) -> int:
-    """``dynamics.seed``, 0 when not given; refused beside ``rival``, which fixes what it would draw."""
-    if rival_given and "seed" in dynamics:
-        raise ConfigError(f"{rival} leaves dynamics.seed nothing to draw: give one of the two")
+def _base_seed(dynamics: dict) -> int:
+    """``dynamics.seed``, 0 when not given; refused beside a ``dynamics.start``, which fixes the start."""
+    if dynamics.get("start") is not None and "seed" in dynamics:
+        raise ConfigError("dynamics.start leaves dynamics.seed nothing to draw: give one of the two")
     return dynamics.get("seed", 0)
 
 
@@ -94,12 +94,11 @@ def _record_run(spec: GameSpec, analysis: GameAnalysis | None, start, dynamics: 
                 sweep: tuple = ("", "", 0)) -> tuple[DynamicsOutcome, list[dict], dict]:
     """One recorded run: the dynamics from ``start`` (None: drawn from
     ``seed``), their outcome scored against ``analysis`` (None: the game is
-    analyzed after the dynamics, so a bad start or mover order fails before
-    any solve), its step rows at the ``sweep`` coordinates (axis, value,
-    repetition) and its summary."""
+    analyzed after the dynamics, so a bad start fails before any solve), its
+    step rows at the ``sweep`` coordinates (axis, value, repetition) and its summary."""
     if start is None:
         start = np.random.default_rng(seed).integers(0, spec.n_models, size=spec.n_platforms).tolist()
-    outcome = run_dynamics(spec, start, order=dynamics["order"], max_steps=dynamics["max_steps"])
+    outcome = run_dynamics(spec, start, max_steps=dynamics["max_steps"])
     record = outcome_metrics(spec, outcome, analysis or analyze(spec),
                              [s.profile_after for s in outcome.trajectory])
     # dynamics revisit profiles (every silent turn repeats one), so each
@@ -211,7 +210,7 @@ def _write(out: Path, prefix: str, tables: dict, report_name: str, report, done:
 def cmd_run(args) -> int:
     cfg = config_mod.load(args.config, config_mod.COMMANDS[args.command])
     dynamics = cfg["dynamics"]
-    seed = _base_seed(dynamics, "dynamics.start", dynamics["start"] is not None)
+    seed = _base_seed(dynamics)
     spec, instance_name, notes = _build_instance(cfg, Path(args.config).parent)
     prefix = _prefix(cfg, f"run_{instance_name}")
     outcome, rows, summary = _record_run(spec, None, dynamics["start"], dynamics, prefix, seed, instance_name)
@@ -228,19 +227,16 @@ def cmd_run(args) -> int:
 
 def _sweep_cells(cfg: dict) -> list[dict]:
     sweep = cfg["sweep"]
-    axis, reps, seeds = sweep["axis"], sweep["repetitions"], sweep["seeds"]
+    axis, reps = sweep["axis"], sweep["repetitions"]
     if not sweep["values"]:
         raise ConfigError("sweep.values must list at least one value")
-    if seeds is not None and len(seeds) != reps:
-        raise ConfigError("sweep.seeds must list one seed per repetition")
-    base_seed = _base_seed(cfg["dynamics"], "sweep.seeds", seeds is not None)
+    base_seed = _base_seed(cfg["dynamics"])
     cells = []
     for vi, value in enumerate(sweep["values"]):
         config_mod.check(value, config_mod.SWEEP_VALUES[axis], f"sweep.values[{vi}]")
         for rep in range(reps):
-            seed = seeds[rep] if seeds is not None else base_seed + 1000 * vi + rep
             cells.append({"axis": axis, "value_index": vi, "value": value,
-                          "repetition": rep, "seed": seed})
+                          "repetition": rep, "seed": base_seed + 1000 * vi + rep})
     return cells
 
 

@@ -23,7 +23,7 @@ from .errors import ConfigError
 # kinds; a LIST's entries and an ANY value are checked where they are used
 INT, NUMBER, STRING, ENUM = "int", "number", "string", "enum"
 NUMBERS, MATRIX, STRINGS, INTS = "list of numbers", "matrix", "list of strings", "list of ints"
-ENUM_OR_INTS, LIST, ANY = "enum or list of ints", "list", "any"
+LIST, ANY = "list", "any"
 BLOCK, BLOCKS = "block", "list of blocks"
 
 # defaults that are not values; a field whose default is None takes a JSON
@@ -103,9 +103,8 @@ PARAMS = {"beta": Field(NUMBER, OPTIONAL, above=0), "gamma": Field(NUMBER, OPTIO
           "blend": Field(NUMBER, OPTIONAL, above=0, maximum=1), "seed": Field(INT, OPTIONAL, minimum=0)}
 
 BUDGET = Field(INT, minimum=0)  # enumerate_pne's count of profiles, social_optimum's of multisets
-DYNAMICS = {"start": Field(INTS, None),
-            "order": Field(ENUM_OR_INTS, "round_robin", choices=("round_robin",)),
-            "max_steps": Field(INT, 1000, minimum=1), "seed": Field(INT, OPTIONAL, minimum=0)}
+DYNAMICS = {"start": Field(INTS, None), "max_steps": Field(INT, 1000, minimum=1),
+            "seed": Field(INT, OPTIONAL, minimum=0)}
 
 # CentralizationParams' fields, which no config file sets
 CENTRALIZATION = {"rho": Field(NUMBER, above=0), "gamma_cap": Field(NUMBER, minimum=0),
@@ -124,7 +123,6 @@ _BLOCKS = {
         "axis": Field(ENUM, choices=tuple(SWEEP_VALUES)),
         "values": Field(LIST),
         "repetitions": Field(INT, 1, minimum=1),
-        "seeds": Field(INTS, None, minimum=0),  # one per repetition, in place of the base seed
     }),
     "training": Field(BLOCK, table={
         "method": Field(ENUM, "both", choices=("resampling", "direct", "both")),
@@ -189,13 +187,9 @@ def check(value, field: Field, path: str, error: type = ConfigError):
         return walk(value, field.table, path)
     if kind == BLOCKS:
         return [walk(v, field.table, f"{path}[{i}]") for i, v in enumerate(_list(value, path, error))]
-    if kind == ENUM_OR_INTS and isinstance(value, list):
-        kind = INTS
-    if kind in (ENUM, ENUM_OR_INTS):
+    if kind == ENUM:
         if value not in field.choices:
-            also = " or a list of integers" if kind == ENUM_OR_INTS else ""
-            raise error(f"{path} must be one of {', '.join(map(repr, field.choices))}"
-                        f"{also} (got {value!r})")
+            raise error(f"{path} must be one of {', '.join(map(repr, field.choices))} (got {value!r})")
     elif kind in _SCALARS:
         _scalar(value, kind, field, path, error)
     else:
@@ -238,11 +232,17 @@ def load(path, table: dict, prefix: str = "", name: str | None = None) -> dict:
     """The JSON file ``name`` (a config file by default) at ``path``, walked against ``table``."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except FileNotFoundError:
         raise ConfigError(f"{name or 'config file'} not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply to read") from None
+    except ValueError:  # json reads no integer past sys.get_int_max_str_digits() digits
+        raise ConfigError(f"{path}: an integer has too many digits to read") from None
     return walk(data, table, prefix, name)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -271,52 +270,27 @@ def best_response(spec: GameSpec, profile, platform: int) -> int:
     return int(best.argmax())  # the first True
 
 
-def run_dynamics(
-    spec: GameSpec,
-    start,
-    order: str | Sequence[int] = "round_robin",
-    max_steps: int = 1000,
-) -> DynamicsOutcome:
+def run_dynamics(spec: GameSpec, start, *, max_steps: int = 1000) -> DynamicsOutcome:
     """Sequential best-response dynamics, ended by the first repeated state.
 
-    Movers act in the given order (default round-robin from platform 0), each
+    Platforms move round-robin from platform 0 (0, 1, ..., N-1, 0, ...), each
     playing ``best_response``, so a turn keeps the mover's model when it is a
     best response.  Such a silent turn advances the mover, and its step reuses
     the previous step's utilities, those of the same profile.  The run ends
     at the first turn after which a (profile, next-mover) state repeats, the
     last allowed turn included: as ``equilibrium`` when the turns since its
-    first visit, a full pass of the order, changed nothing, and as ``cycle``
-    otherwise.  It is ``timeout`` only when the state after ``max_steps``
-    turns is new.
+    first visit, a full pass of the platforms, changed nothing, and as
+    ``cycle`` otherwise.  It is ``timeout`` only when the state after
+    ``max_steps`` turns is new.
     """
     check(max_steps, DYNAMICS["max_steps"], "max_steps", InvalidParameterError)
     start_prof = as_profile(spec, start)
-    if isinstance(order, str):
-        if order != "round_robin":
-            raise InvalidParameterError(
-                f"unknown mover order {order!r}: give 'round_robin' or a list of platform indices"
-            )
-        mover_order: tuple[int, ...] = tuple(range(spec.n_platforms))
-    else:
-        try:  # _index names a bad entry; this catches an order that does not iterate
-            mover_order = tuple(game._index(i, spec.n_platforms, "mover index", InvalidParameterError)
-                                for i in order)
-        except TypeError:
-            raise InvalidParameterError(
-                f"mover order must be a list of platform indices (got {order!r})"
-            ) from None
-        if set(mover_order) != set(range(spec.n_platforms)):
-            # a silent full pass certifies an equilibrium only if every
-            # platform got a turn
-            raise InvalidParameterError("mover order must cover every platform")
-
-    profile, pos = start_prof, 0
+    profile, mover = start_prof, 0
     trajectory: list[DynamicsStep] = []
-    seen = {(profile, pos): 0}  # each state's index in the trajectory
+    seen = {(profile, mover): 0}  # each state's index in the trajectory
     utilities: tuple[float, ...] | None = None
 
     for step in range(max_steps):
-        mover = mover_order[pos]
         chosen = best_response(spec, profile, mover)
         changed = chosen != profile[mover]
         after = profile[:mover] + (chosen,) + profile[mover + 1:]
@@ -333,8 +307,8 @@ def run_dynamics(
                 utilities=utilities,
             )
         )
-        profile, pos = after, (pos + 1) % len(mover_order)
-        first = seen.setdefault((profile, pos), len(trajectory))
+        profile, mover = after, (mover + 1) % spec.n_platforms
+        first = seen.setdefault((profile, mover), len(trajectory))
         if first < len(trajectory):
             changes = [s.profile_after for s in trajectory[first:] if s.changed]
             if not changes:

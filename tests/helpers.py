@@ -236,26 +236,25 @@ def reference_best_response(spec: GameSpec, profile, platform: int) -> int:
     raise AssertionError("the maximizer's shortfall is 0")
 
 
-def reference_run_dynamics(spec: GameSpec, start, order="round_robin", max_steps: int = 1000) -> DynamicsOutcome:
-    """Dynamics ended by two rules, as the previous release ran them: an
-    equilibrium once a full pass of the order changes nothing (a counter of
-    silent turns), a cycle when the state before a turn repeats.  So a repeat
-    that the last allowed turn reaches across a change reads as a timeout."""
+def reference_run_dynamics(spec: GameSpec, start, max_steps: int = 1000) -> DynamicsOutcome:
+    """Round-robin dynamics ended by two rules, as the previous release ran
+    them: an equilibrium once a full pass of the platforms changes nothing (a
+    counter of silent turns), a cycle when the state before a turn repeats.
+    So a repeat that the last allowed turn reaches across a change reads as a
+    timeout."""
     start_prof = as_profile(spec, start)
-    mover_order = tuple(range(spec.n_platforms)) if order == "round_robin" else tuple(order)
-    profile, pos, silent = start_prof, 0, 0
+    profile, mover, silent = start_prof, 0, 0
     trajectory: list[DynamicsStep] = []
     seen: dict = {}
     utilities = None
     for step in range(max_steps):
-        if (profile, pos) in seen:
-            segment = trajectory[seen[profile, pos]:]
+        if (profile, mover) in seen:
+            segment = trajectory[seen[profile, mover]:]
             profiles = [segment[0].profile_before] + [s.profile_after for s in segment if s.changed]
             if len(profiles) > 1 and profiles[-1] == profiles[0]:
                 profiles.pop()
             return DynamicsOutcome("cycle", tuple(trajectory), start_prof, tuple(profiles))
-        seen[profile, pos] = len(trajectory)
-        mover = mover_order[pos]
+        seen[profile, mover] = len(trajectory)
         chosen = best_response(spec, profile, mover)
         changed = chosen != profile[mover]
         after = profile[:mover] + (chosen,) + profile[mover + 1:]
@@ -264,9 +263,9 @@ def reference_run_dynamics(spec: GameSpec, start, order="round_robin", max_steps
         trajectory.append(DynamicsStep(step, mover, profile, chosen, changed, after, utilities))
         profile = after
         silent = 0 if changed else silent + 1
-        if silent >= len(mover_order):
+        if silent >= spec.n_platforms:
             return DynamicsOutcome("equilibrium", tuple(trajectory), start_prof, equilibrium_profile=profile)
-        pos = (pos + 1) % len(mover_order)
+        mover = (mover + 1) % spec.n_platforms
     return DynamicsOutcome("timeout", tuple(trajectory), start_prof)
 
 

@@ -76,14 +76,11 @@ class TestRun:
         assert len(summary["cycle_profiles"]) == 6
         assert summary["pne_count"] == 0
 
-    def test_a_bad_start_or_mover_order_fails_before_the_game_is_solved(self, tmp_path, capsys,
-                                                                        monkeypatch):
+    def test_a_bad_start_fails_before_the_game_is_solved(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli_mod, "analyze", lambda spec: pytest.fail("the game was solved"))
-        for dynamics, message in (({"start": [0, 5]}, "model index 5 out of range [0, 2)"),
-                                  ({"order": [0, 0]}, "mover order must cover every platform")):
-            cfg = _write_config(tmp_path, {"instance": {"builtin": "fig2_a"}, "dynamics": dynamics})
-            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
+        cfg = _write_config(tmp_path, {"instance": {"builtin": "fig2_a"}, "dynamics": {"start": [0, 5]}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: model index 5 out of range [0, 2)\n"
         assert not (tmp_path / "out").exists()
 
     def test_cycle_summary_equals_the_single_figure_functions(self, tmp_path):
@@ -396,9 +393,8 @@ class TestSweep:
     def test_distinct_seeds_vary_starts_and_jobs_match_serial(self, tmp_path):
         base = {
             "instance": {"builtin": "c8_players_2"},
-            "dynamics": {"max_steps": 400},
-            "sweep": {"axis": "platforms", "values": [2], "repetitions": 3,
-                      "seeds": [21, 22, 23]},
+            "dynamics": {"max_steps": 400, "seed": 21},
+            "sweep": {"axis": "platforms", "values": [2], "repetitions": 3},
             "output": {"prefix": "par"},
         }
         cfg = _write_config(tmp_path, base)
@@ -409,7 +405,7 @@ class TestSweep:
         assert serial == parallel
         starts = {s["start"][0] + s["start"][1]
                   for s in _read_json(tmp_path / "serial" / "par_summary.json")}
-        assert len(starts) > 1  # different seeds draw different start profiles
+        assert len(starts) > 1  # the repetitions' seeds draw different start profiles
 
     def test_instance_is_built_once_and_jobs_match_serial(self, tmp_path, monkeypatch):
         builds = []
@@ -767,7 +763,6 @@ _PATHS = {
     "gmm.seed": "instance.synthetic.gmm.seed",
     "gmm.sample_size": "instance.synthetic.gmm.sample_size",
     "gmm.dx": "instance.synthetic.gmm.dx",
-    "sweep.seeds": "an entry of sweep.seeds",
     "a models sweep value": "sweep.values[0]",
     "a platforms sweep value": "sweep.values[0]",
     "a population sweep weight": "an entry of sweep.values[0]",
@@ -850,7 +845,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command", ["run", "sweep", "entry"])
     def test_no_command_takes_a_seed_flag(self, tmp_path, capsys, command):
-        # the config holds every seed: dynamics.seed or sweep.seeds, and training.params.seed
+        # the config holds every seed: dynamics.seed and training.params.seed
         cfg = str(CONFIGS / {"run": "run_reference_cycle.json", "sweep": "sweep_pool_growth.json",
                              "entry": "entry_underserved_type.json"}[command])
         with pytest.raises(SystemExit) as exc:
@@ -878,12 +873,6 @@ class TestConfigValidation:
                                            if flag not in ("-h", "--help"))
                               for name, sub in commands.items()}
 
-    def test_sweep_seeds_must_match_the_repetitions(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, {"instance": {"builtin": "c1_rps"}, "sweep": {
-            "axis": "platforms", "values": [2], "repetitions": 2, "seeds": [1]}})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "error: sweep.seeds must list one seed per repetition\n"
-
     def test_softmax_choice_block_needs_tau(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"instance": {"builtin": "fig2_a"}, "choice": {"kind": "softmax"}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -892,16 +881,19 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, setting", [
         ("run", "sweep"), ("run", "training"), ("sweep", "training"), ("entry", "dynamics"),
         ("entry", "sweep"), ("sweep", "dynamics.start"),
-        ("run", "output.dir"), ("sweep", "output.dir"), ("entry", "output.dir")])
+        ("run", "output.dir"), ("sweep", "output.dir"), ("entry", "output.dir"),
+        ("run", "dynamics.order"), ("sweep", "dynamics.order"), ("sweep", "sweep.seeds")])
     def test_a_setting_the_command_does_not_read_is_one_error(self, tmp_path, capsys, monkeypatch,
                                                               command, setting):
         # each is valid where it is read (output.dir nowhere: --out names the output
-        # directory); here it would do nothing, so it is refused unsolved
+        # directory; dynamics.order and sweep.seeds nowhere: platforms move round-robin
+        # and dynamics.seed seeds every sweep cell); here it would do nothing, so it is
+        # refused unsolved
         _no_game_solved(monkeypatch)
         payload = self._every_block(command)
         if "." in setting:
             block, _, key = setting.partition(".")
-            payload[block][key] = [0, 0] if key == "start" else "out"
+            payload[block][key] = {"start": [0, 0], "order": "round_robin", "seeds": [1]}.get(key, "out")
             message = f"unknown key {key!r} in the {block} block"
         else:
             reader = {"sweep": "sweep", "training": "entry", "dynamics": "run"}[setting]
@@ -932,20 +924,43 @@ class TestConfigValidation:
         assert capsys.readouterr().err == "error: a hardmax choice rule takes no tau (got 0.3)\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, rival", [("sweep", "sweep.seeds"), ("run", "dynamics.start")])
-    def test_a_seed_that_draws_nothing_is_one_error(self, tmp_path, capsys, monkeypatch, command, rival):
-        # sweep.seeds draws every cell's start and dynamics.start is run's start, so a
-        # dynamics.seed given beside either would do nothing
+    def test_a_seed_that_draws_nothing_is_one_error(self, tmp_path, capsys, monkeypatch):
+        # dynamics.start is run's start, so a dynamics.seed given beside it would do nothing
         _no_game_solved(monkeypatch)
-        payload = {"instance": {"builtin": "c1_rps"}, "dynamics": {"seed": 5}}
-        if command == "sweep":
-            payload["sweep"] = {"axis": "platforms", "values": [2], "repetitions": 3, "seeds": [4, 5, 6]}
-        else:
-            payload["dynamics"]["start"] = [0, 0]
+        payload = {"instance": {"builtin": "c1_rps"}, "dynamics": {"seed": 5, "start": [0, 0]}}
         out = tmp_path / "out"
-        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert main(["run", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {rival} leaves dynamics.seed nothing to draw: give one of the two\n")
+            "error: dynamics.start leaves dynamics.seed nothing to draw: give one of the two\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", ["config", "instance file"])
+    @pytest.mark.parametrize("json_input", ["deep nesting", "long integer"])
+    def test_json_that_json_cannot_read_is_one_error(self, tmp_path, capsys, monkeypatch, document,
+                                                     json_input):
+        # json.load raises RecursionError past the recursion limit, and ValueError on an
+        # integer past sys.get_int_max_str_digits() digits
+        _no_game_solved(monkeypatch)
+        nested = "[" * 100_000 + "]" * 100_000
+        tau = '{"kind": "softmax", "tau": 1' + "0" * 4999 + "}"
+        text = {("config", "deep nesting"): '{"instance": ' + nested + "}",
+                ("config", "long integer"): '{"instance": {"builtin": "fig2_a"}, "choice": ' + tau + "}",
+                ("instance file", "deep nesting"): '{"scores": ' + nested + "}",
+                ("instance file", "long integer"): ('{"scores": [[0.5, 0.2], [0.3, 0.6]], "weights": [0.5, 0.5], '
+                                                    '"n_platforms": 2, "choice": ' + tau + "}")}
+        path = tmp_path / ("cfg.json" if document == "config" else "inst.json")
+        path.write_text(text[document, json_input])
+        cfg = str(path) if document == "config" else _write_config(tmp_path, {"instance": {"file": str(path)}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if json_input == "deep nesting":
+            assert err == f"error: {path}: nested too deeply to read\n"
+        elif 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+            assert err == f"error: {path}: an integer has too many digits to read\n"
+        else:  # a Python without the digit limit reads the integer and refuses it as a tau
+            field = "choice.tau" if document == "config" else "instance.choice.tau"
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {field} must be finite (got 1000")
         assert not out.exists()
 
     def test_an_empty_sweep_is_one_error(self, tmp_path, capsys, monkeypatch):
@@ -984,7 +999,6 @@ class TestConfigValidation:
         ("run", "dynamics.max_steps", True),
         ("run", "dynamics.seed", False),
         ("sweep", "sweep.repetitions", 1.5),
-        ("sweep", "sweep.seeds", 4.5),
         pytest.param("sweep", "a models sweep value", 2.9, id="sweep-models_value-2.9"),
         pytest.param("sweep", "a platforms sweep value", "3", id="sweep-platforms_value-3"),
         ("entry", "training.n_platforms", 2.5),
@@ -1000,8 +1014,6 @@ class TestConfigValidation:
             payload["instance"] = {"synthetic": _synthetic_block()}
             target = payload["instance"]["synthetic"]
             (target["gmm"] if block == "gmm" else target)[key] = value
-        elif field == "sweep.seeds":
-            payload["sweep"].update(repetitions=1, seeds=[value])
         elif field.endswith("sweep value"):
             payload["sweep"] = {"axis": field.split()[1], "values": [value]}
         else:
@@ -1076,7 +1088,6 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("sweep, message", [
-        ({"axis": "models", "values": [2], "seeds": 5}, "sweep.seeds must be a list (got 5)"),
         ({"axis": "models", "values": 5}, "sweep.values must be a list (got 5)"),
         ({"axis": "population", "values": [0.5]}, "sweep.values[0] must be a list (got 0.5)"),
     ])
@@ -1212,17 +1223,6 @@ class TestConfigValidation:
         assert f"error: the {block} block must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_mover_order_rejected(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, {
-            "instance": {"builtin": "c1_rps"},
-            "dynamics": {"order": "reverse"},
-        })
-        out = tmp_path / "out"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: dynamics.order must be one of 'round_robin' "
-                                           "or a list of integers (got 'reverse')\n")
-        assert not out.exists()
-
     @pytest.mark.parametrize("start", [[1.7, 0], ["1", 0], [True, False]])
     def test_start_entries_must_be_model_indices(self, tmp_path, capsys, start):
         cfg = _write_config(tmp_path, {
@@ -1233,18 +1233,6 @@ class TestConfigValidation:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: an entry of dynamics.start must be an integer (got {start[0]!r})\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("order", [[True, False], [1, 0.0]])
-    def test_mover_order_entries_must_be_integers(self, tmp_path, capsys, command, order):
-        payload = self._every_block(command)
-        payload["dynamics"]["order"] = order
-        out = tmp_path / "out"
-        assert main([command, "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
-        bad = next(i for i in order if isinstance(i, (bool, float)))
-        assert capsys.readouterr().err == (
-            f"error: an entry of dynamics.order must be an integer (got {bad!r})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -1338,14 +1326,6 @@ class TestNegativeSeeds:
         self._assert_one_error(["run", "--config", cfg, "--out", str(tmp_path)], capsys,
                                "dynamics.seed must be >= 0 (got -1)")
 
-    def test_sweep_seeds(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, {
-            "instance": {"builtin": "c1_rps"},
-            "sweep": {"axis": "models", "values": [2], "repetitions": 1, "seeds": [-3]},
-        })
-        self._assert_one_error(["sweep", "--config", cfg, "--out", str(tmp_path)], capsys,
-                               "an entry of sweep.seeds must be >= 0 (got -3)")
-
     def test_gmm_seed(self, tmp_path, capsys):
         block = _synthetic_block()
         block["gmm"]["seed"] = -4
@@ -1382,7 +1362,6 @@ _WRONG = {
     config_mod.NUMBER: [True, "x", None, {}, [1], _NAN, _INF, -_INF],
     config_mod.STRING: [True, 3, None, {}, ["x"]],
     config_mod.ENUM: [True, 3, "x", None, {}, [1]],
-    config_mod.ENUM_OR_INTS: [True, 3, "x", None, {}, [True], [2.5]],
     config_mod.NUMBERS: [3, "x", None, {}, [True], ["x"], [None], [[1]], [_NAN], [_INF]],
     config_mod.MATRIX: [3, "x", None, {}, [1], [[True]], [["x"]], [[_NAN]], [[-_INF]]],
     config_mod.STRINGS: [3, "x", None, {}, [1], [True], [None], [["x"]]],
@@ -1409,8 +1388,8 @@ def _wrong_values(field):
 def _full_config(command, source):
     """A config of ``command`` that sets every field of its table, taking its
     instance from ``source``: builtin, file (``inst.json``) or synthetic.  A
-    seed beside a start or sweep.seeds would draw nothing, so neither command
-    sets dynamics.seed, and a sweep sets no start."""
+    seed beside a start would draw nothing, so run sets no dynamics.seed, and
+    a sweep sets no start."""
     synthetic = _synthetic_block(2)
     synthetic["n_platforms"] = synthetic["gmm"]["k_types"] = 2
     instance = {"builtin": {"builtin": "fig2_a"}, "file": {"file": "inst.json"},
@@ -1418,8 +1397,8 @@ def _full_config(command, source):
     blocks = {
         "instance": instance,
         "choice": {"kind": "softmax", "tau": 0.5},
-        "dynamics": {"start": [0, 1], "order": [1, 0], "max_steps": 20},
-        "sweep": {"axis": "models", "values": [2], "repetitions": 1, "seeds": [3]},
+        "dynamics": {"start": [0, 1], "max_steps": 20},
+        "sweep": {"axis": "models", "values": [2], "repetitions": 1},
         "training": {
             "method": "direct", "estimator": "exact", "outcomes": ["x0", "x1"],
             "rewards": [[0.5, 0.5], [0.2, 0.8]],
@@ -1431,7 +1410,7 @@ def _full_config(command, source):
         "output": {"prefix": "p"},
     }
     if command == "sweep":
-        blocks["dynamics"] = {"order": [1, 0], "max_steps": 20}
+        blocks["dynamics"] = {"max_steps": 20, "seed": 3}
     return {block: blocks[block] for block in config_mod.COMMANDS[command]}
 
 

@@ -163,9 +163,9 @@ class TestRunDynamics:
         changed = [s for s in out.trajectory if s.changed]
         assert len(out.cycle_profiles) == 6
 
-    def test_deterministic_given_start_and_order(self, c1):
-        a = run_dynamics(c1, (1, 2), order=[1, 0])
-        b = run_dynamics(c1, (1, 2), order=[1, 0])
+    def test_deterministic_given_start(self, c1):
+        a = run_dynamics(c1, (1, 2))
+        b = run_dynamics(c1, (1, 2))
         assert a == b
 
     def test_timeout_is_reported(self, c1):
@@ -176,22 +176,10 @@ class TestRunDynamics:
         with pytest.raises(InvalidParameterError):
             run_dynamics(c1, (0, 0), max_steps=0)
 
-    def test_mover_order_must_cover_every_platform(self, c1):
-        with pytest.raises(InvalidParameterError, match="cover every platform"):
-            run_dynamics(c1, (0, 0), order=[0])
-
-    @pytest.mark.parametrize("order, message", [
-        ("10", "unknown mover order '10': give 'round_robin' or a list of platform indices"),
-        ("reverse", "unknown mover order 'reverse': give 'round_robin' or a list of platform indices"),
-        ([0, "1"], "mover index must be an integer (got '1')"),
-        ([0.0, 1.0], "mover index must be an integer (got 0.0)"),
-        (3, "mover order must be a list of platform indices (got 3)"),
-    ], ids=["digit-string", "reverse", "string-mover", "float-movers", "not-a-list"])
-    def test_mover_order_must_list_platform_indices(self, c1, order, message):
-        # "10" must not run as the movers (1, 0); each entry is read as any index argument is
-        with pytest.raises(InvalidParameterError) as info:
-            run_dynamics(c1, (0, 0), order=order)
-        assert str(info.value) == message
+    def test_a_third_positional_argument_is_a_type_error(self, c1):
+        # max_steps is keyword-only, so a call that still passes a mover order fails
+        with pytest.raises(TypeError):
+            run_dynamics(c1, (0, 0), [1, 0])
 
 
 class TestConditionCheckers:
@@ -412,15 +400,13 @@ class TestIndexArguments:
         (lambda s: best_response(s, (0, 1), 1.0), InvalidProfileError,
          "platform index must be an integer (got 1.0)"),
         (lambda s: best_response(s, (0, 1), -1), InvalidProfileError, "platform index -1 out of range [0, 2)"),
-        (lambda s: run_dynamics(s, (0, 1), order=[1, 2]), InvalidParameterError,
-         "mover index 2 out of range [0, 2)"),
         (lambda s: centralization_check(s, CentralizationParams(-1, 0, **TestIndexArguments._CENTRAL)),
          InvalidInstanceError, "dominant type index -1 out of range [0, 2)"),
         (lambda s: centralization_check(s, CentralizationParams(0, 0.0, **TestIndexArguments._CENTRAL)),
          InvalidInstanceError, "dominant model index must be an integer (got 0.0)"),
     ], ids=["pair-delta-negative", "pair-delta-past-end", "pair-delta-string", "entrant-float",
             "entrant-negative", "homogeneous-float", "homogeneous-negative", "two-player-float",
-            "two-player-past-end", "best-response-float", "best-response-negative", "mover",
+            "two-player-past-end", "best-response-float", "best-response-negative",
             "dominant-type", "dominant-model"])
     def test_a_bad_index_is_one_error_of_the_functions_class(self, fig2a, call, error, message):
         with pytest.raises(error) as info:

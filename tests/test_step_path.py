@@ -154,11 +154,10 @@ def test_a_silent_turn_reuses_the_utilities_of_its_unchanged_profile(monkeypatch
 
 
 def _end_rule_case(rng: np.random.Generator, index: int):
-    """An instance with M in [1, 5], N in [1, 4] and K in [1, 4], a start and a
-    mover order.  Hardmax on even and softmax on odd indices; the scores a tie
-    grid, plain draws, or K rotations of one row (M = K), where best responses
-    cycle as in ``c1_rps``, by ``index % 3``; and round-robin or a shuffled
-    order that covers every platform and repeats some, by ``index % 4``."""
+    """An instance with M in [1, 5], N in [1, 4] and K in [1, 4], and a start.
+    Hardmax on even and softmax on odd indices; the scores a tie grid, plain
+    draws, or K rotations of one row (M = K), where best responses cycle as in
+    ``c1_rps``, by ``index % 3``."""
     m, n, k = (int(x) for x in rng.integers(1, [6, 5, 5]))
     if index % 3 == 0:
         scores = rng.choice(GRID, size=(m, k))
@@ -170,11 +169,7 @@ def _end_rule_case(rng: np.random.Generator, index: int):
     choice = ChoiceRule.hardmax() if index % 2 == 0 else ChoiceRule.softmax(float(rng.choice([0.05, 0.2, 1.0])))
     population = UserPopulation([f"t{i}" for i in range(k)], rng.dirichlet(np.ones(k)))
     spec = GameSpec(ScoreMatrix(scores), population, n, choice)
-    order = "round_robin"
-    if index % 4 >= 2:
-        repeated = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
-        order = [int(i) for i in rng.permutation(np.concatenate((np.arange(n), repeated)))]
-    return spec, tuple(int(g) for g in rng.integers(0, len(scores), size=n)), order
+    return spec, tuple(int(g) for g in rng.integers(0, len(scores), size=n))
 
 
 def test_a_run_ends_at_its_first_repeated_state():
@@ -186,17 +181,17 @@ def test_a_run_ends_at_its_first_repeated_state():
     rng = np.random.default_rng(3)
     kinds, late = Counter(), 0
     for index in range(2000):
-        spec, start, order = _end_rule_case(rng, index)
+        spec, start = _end_rule_case(rng, index)
         n = spec.n_platforms
         for max_steps in sorted({1, 2, 3, n, n + 1, 2 * n, 7, 50}):
-            got = run_dynamics(spec, start, order, max_steps)
-            want = reference_run_dynamics(spec, start, order, max_steps)
+            got = run_dynamics(spec, start, max_steps=max_steps)
+            want = reference_run_dynamics(spec, start, max_steps)
             if got.kind == "cycle" and want.kind == "timeout":
-                want = reference_run_dynamics(spec, start, order, max_steps + 1)
+                want = reference_run_dynamics(spec, start, max_steps + 1)
                 late += 1
             assert repr(got) == repr(want), (index, max_steps)
-            kinds[got.kind, spec.choice.kind, order == "round_robin"] += 1
-    assert len(kinds) == 12 and late >= 3, (kinds, late)
+            kinds[got.kind, spec.choice.kind] += 1
+    assert len(kinds) == 6 and late >= 3, (kinds, late)
 
 
 @pytest.mark.parametrize("name, max_steps, kind, steps, cycle", [
