@@ -408,9 +408,11 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
 
 def _estimate_scores(gen: ToyGenerator, rewards: RewardTable, budget: int,
                      rng: np.random.Generator) -> np.ndarray:
-    draws = _outcome_index(_outcome_cdf(gen.probabilities()), rng.random(budget))
-    freq = np.bincount(draws, minlength=gen.n_outcomes) / budget
-    return rewards.rewards @ freq
+    cdf = _outcome_cdf(gen.probabilities())
+    # integer counts over one continuous stream, so the blocks move no bit
+    counts = sum(np.bincount(_outcome_index(cdf, rng.random(min(_BLOCK_ELEMENTS, budget - lo))),
+                             minlength=gen.n_outcomes) for lo in range(0, budget, _BLOCK_ELEMENTS))
+    return rewards.rewards @ (counts / budget)
 
 
 def _initial_generator(dataset: EntryDataset, init: ToyGenerator | None) -> ToyGenerator:

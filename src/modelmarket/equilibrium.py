@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -173,28 +172,19 @@ class CentralizationResult:
 def verify_pne(spec: GameSpec, profile) -> PneCheck:
     """Check that no platform can gain more than the threshold by switching model.
 
-    Every platform's deviation values come from one kernel call over the N
-    rival stacks, and the profile passes when each platform's model is a best
-    response.  On failure the witness names the first platform that fails and
-    its lowest-index profitable model, which need not be a best response.
+    Platforms are checked in index order, each by the one (M, K) kernel call
+    that ``best_response`` makes, up to the first whose model is not a best
+    response; the witness names that platform and its lowest-index profitable
+    model, which need not be a best response.
     """
-    prof = np.array(as_profile(spec, profile))
-    n = spec.n_platforms
-    values, best = _best_responses(spec, prof[_others(n)])
-    stays = best[np.arange(n), prof]
-    if stays.all():
-        return PneCheck(True)
-    i = int(stays.argmin())
-    gains = values[i] - values[i, prof[i]]
-    g = int(_exceeds(gains).argmax())
-    return PneCheck(False, Deviation(i, g, float(gains[g])))
-
-
-@lru_cache(maxsize=16)
-def _others(n: int) -> np.ndarray:
-    """Row i: the platforms other than i, a read-only (n, n-1) index array."""
-    j = np.arange(n - 1)
-    return game._frozen_array(j + (j >= np.arange(n)[:, None]), dtype=np.intp)
+    prof = as_profile(spec, profile)
+    for i, f in enumerate(prof):
+        values, best = _best_responses(spec, prof[:i] + prof[i + 1:])
+        if not best[f]:
+            gains = values - values[f]
+            g = int(_exceeds(gains).argmax())
+            return PneCheck(False, Deviation(i, g, float(gains[g])))
+    return PneCheck(True)
 
 
 def _best_responses(spec: GameSpec, rivals):
@@ -333,13 +323,18 @@ def _condition_report(spec: GameSpec, prof: tuple[int, ...], movers: np.ndarray,
                       base: np.ndarray) -> ConditionReport:
     """Rows T_{f_i} - T_g >= delta_i(f with i->g) - base[i] for each platform i
     of ``movers`` and each model g other than f_i, the deviations' advantages
-    from one kernel call over their stack."""
+    from one kernel call per block of deviation profiles, as many as keep
+    each (B, N, K) intermediate within ``game._BLOCK_ELEMENTS`` floats."""
     cur = np.array(prof)
     r, alt = np.nonzero(np.arange(spec.n_models) != cur[movers, None])
     mover = movers[r]
-    deviations = np.where(np.arange(len(cur)) == mover[:, None], alt[:, None], cur)
-    d_alt = game._deviation_advantage(spec.choice, spec.scores.scores[deviations],
-                                      spec.population.weights)[np.arange(len(r)), mover]
+    d_alt = np.empty(len(r))
+    size = max(1, game._BLOCK_ELEMENTS // (len(cur) * spec.scores.n_types))
+    for lo in range(0, len(r), size):
+        i, g = mover[lo:lo + size], alt[lo:lo + size]
+        deviations = np.where(np.arange(len(cur)) == i[:, None], g[:, None], cur)
+        d_alt[lo:lo + size] = game._deviation_advantage(spec.choice, spec.scores.scores[deviations],
+                                                        spec.population.weights)[np.arange(len(i)), i]
     t = game.average_scores(spec)
     lhs, rhs = t[cur[mover]] - t[alt], d_alt - base[mover]
     rows = tuple(ConditionRow(int(i), prof[i], int(g), float(a), float(b))

@@ -45,8 +45,10 @@ WEIGHT_TOL = 1e-9
 # sums over N platforms stay below N * max score (times a weight total within
 # WEIGHT_TOL of 1), so half the largest float leaves none of them overflowing.
 SCALE_LIMIT = sys.float_info.max / 2
-# Floats per array in one block of the multiset kernels (128 KiB), so their
-# memory stays bounded at any M, N and K.
+# Floats per array in one block (128 KiB), so memory stays bounded at any M, N and K.
+# The multiset kernels, margin reports and resampling estimate walk blocks; a best
+# response and ``verify_pne`` hold one (M, K) stack.  ``_reinforce_gradients`` keeps a
+# type's draws in one row past a block: splitting numpy's pairwise row sums moves bits.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -334,7 +336,8 @@ def _deviation_block(spec: GameSpec, rivals) -> np.ndarray:
         own = np.exp(z - shift)
         rest = np.exp(rival_z - rival_max).sum(axis=-2, keepdims=True) * np.exp(rival_max - shift)
         share = own / (own + rest)
-    return (share * s) @ spec.population.weights
+    # in place: one (M, K) array fewer, so back-to-back calls reuse freed pages
+    return np.multiply(share, s, out=share) @ spec.population.weights
 
 
 def _multiset_blocks(m: int, size: int, row_elements: int) -> Iterator[np.ndarray]:

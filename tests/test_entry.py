@@ -745,6 +745,20 @@ def _guide_distribution(rng, family, n_outcomes):
     return p / p.sum()
 
 
+def test_the_resampling_estimate_walks_blocks_of_one_stream():
+    """Past three blocks, the estimate counts the outcomes that one
+    ``rng.random(budget)`` array gives, and leaves the generator where that
+    array leaves it.  The identity reward table reads the frequencies out."""
+    budget = 3 * 2**14 + 5
+    assert budget > 3 * _BLOCK_ELEMENTS
+    gen, _, _, _ = _epoch_case(np.random.default_rng(12), 1, 9)
+    blocked, whole = np.random.default_rng(13), np.random.default_rng(13)
+    got = entry_mod._estimate_scores(gen, RewardTable(np.eye(9)), budget, blocked)
+    draws = entry_mod._outcome_index(entry_mod._outcome_cdf(gen.probabilities()), whole.random(budget))
+    assert got.tobytes() == (np.bincount(draws, minlength=9) / budget).tobytes()
+    assert blocked.random() == whole.random()
+
+
 class TestGuideTableSampler:
     """The uniform-to-outcome step equals ``cdf.searchsorted(u, side="right")``."""
 

@@ -33,6 +33,7 @@ from modelmarket.game import (
 from modelmarket.equilibrium import (
     IMPROVEMENT_EPS,
     CentralizationParams,
+    ConditionReport,
     Deviation,
     PneCheck,
     best_response,
@@ -310,9 +311,28 @@ def _centralization_case(rng: np.random.Generator, index: int,
     return central, CentralizationParams(k_star, dom, rho, gamma, pi_star)
 
 
-def test_equilibrium_checks_match_their_loop_forms():
+def _margin_reports_match(monkeypatch, spec, profiles, seen, index):
+    """Both margin reports on ``spec`` equal their loop forms at the default block
+    size and at blocks of 8 and of 1 floats, where a report spans many blocks
+    (a block holds at least one deviation profile)."""
+    default = game._BLOCK_ELEMENTS
+    for block in (default, 8, 1):
+        monkeypatch.setattr(game, "_BLOCK_ELEMENTS", block)
+        for model in range(spec.n_models):
+            got = _outcome(check_homogeneous_condition, spec, model)
+            assert got == _outcome(reference_check_homogeneous_condition, spec, model), (index, block)
+            seen["homogeneous", got[1][1]] += 1
+        for prof in profiles:
+            got = _outcome(check_differentiated_condition, spec, prof)
+            assert got == _outcome(reference_check_differentiated_condition, spec, prof), (index, block)
+            seen["differentiated", got[1][1] if got[0] == "ok" else got[0]] += 1
+    monkeypatch.setattr(game, "_BLOCK_ELEMENTS", default)
+
+
+def test_equilibrium_checks_match_their_loop_forms(monkeypatch):
     """verify_pne, both margin reports, the two-player tests and the centralization
-    check equal the loop forms in ``helpers`` bit for bit, errors included."""
+    check equal the loop forms in ``helpers`` bit for bit, errors included.  A
+    forced M = 1 instance, with no deviation rows, gives empty margin reports."""
     rng = np.random.default_rng(71)
     seen = Counter()
     for index in range(400):
@@ -339,15 +359,9 @@ def test_equilibrium_checks_match_their_loop_forms():
                 assert got == _outcome(reference_verify_pne_by_platform, game_spec, prof), index
                 seen[game_spec.choice.kind, got[1][1]] += 1
 
-        for model in range(m):
-            got = _outcome(check_homogeneous_condition, spec, model)
-            assert got == _outcome(reference_check_homogeneous_condition, spec, model), index
-            seen["homogeneous", got[1][1]] += 1
         distinct = tuple(int(x) for x in rng.permutation(m)[:n])
-        for prof in (distinct, tuple(int(x) for x in rng.integers(0, m, n))):
-            got = _outcome(check_differentiated_condition, spec, prof)
-            assert got == _outcome(reference_check_differentiated_condition, spec, prof), index
-            seen["differentiated", got[1][1] if got[0] == "ok" else got[0]] += 1
+        _margin_reports_match(monkeypatch, spec, (distinct, tuple(int(x) for x in rng.integers(0, m, n))),
+                              seen, index)
 
         pair_spec = spec.with_platforms(2)
         for i in range(m):
@@ -361,6 +375,10 @@ def test_equilibrium_checks_match_their_loop_forms():
         got = _outcome(centralization_check, central, params)
         assert got == _outcome(reference_centralization_check, central, params), index
         seen["centralization", got[0] if got[0] == "ok" else got[2].split()[0]] += 1
+
+    one_model = GameSpec(ScoreMatrix(rng.uniform(0.0, 1.0, size=(1, 5))), UserPopulation.uniform(5), 3)
+    _margin_reports_match(monkeypatch, one_model, [(0, 0, 0)], seen, "M = 1")
+    assert check_homogeneous_condition(one_model, 0) == ConditionReport(True, ())
 
     for kind in ("hardmax", "softmax"):
         assert seen[kind, True] and seen[kind, False], seen

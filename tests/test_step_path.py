@@ -8,15 +8,19 @@ bit that moves fails.  The end-of-run rule, a run ends at its first repeated
 state, is compared with ``helpers.reference_run_dynamics``, which ends a run
 by a silent-turn counter or a repeated state before a turn.  Both sides run
 in one process, so the comparisons hold under every BLAS kernel.
+``verify_pne``'s early exit and the traced memory of the equilibrium checks
+are pinned here as well, so that they run under every tested kernel too.
 """
 
 from collections import Counter
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from modelmarket import equilibrium, game, metrics
-from modelmarket.equilibrium import best_response, run_dynamics, verify_pne
+from modelmarket.equilibrium import (best_response, check_differentiated_condition,
+                                     check_homogeneous_condition, run_dynamics, verify_pne)
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 
@@ -110,6 +114,69 @@ def test_best_responses_and_pne_witnesses_match():
                 assert best_response(spec, profile, platform) == \
                     previous_best_response(spec, profile, platform), (index, profile, platform)
             assert repr(verify_pne(spec, profile)) == repr(previous_verify_pne(spec, profile)), index
+
+
+def test_verify_pne_stops_at_the_first_platform_that_fails(monkeypatch):
+    """One best-response row per platform checked: the witness's platform + 1
+    rows for a profile that fails, N at an equilibrium."""
+    calls = []
+
+    def counted(spec, rivals):
+        calls.append(rivals)
+        return best_responses(spec, rivals)
+
+    best_responses = equilibrium._best_responses
+    monkeypatch.setattr(equilibrium, "_best_responses", counted)
+    rng = np.random.default_rng(9)
+    seen = Counter()
+    for index, spec in enumerate(INSTANCES):
+        for profile in _profiles(rng, spec, 3) + equilibrium.enumerate_pne(spec)[:1]:
+            calls.clear()
+            check = verify_pne(spec, profile)
+            platforms = check.witness.platform + 1 if check.witness else spec.n_platforms
+            assert len(calls) == platforms, (index, profile)
+            seen[check.is_pne, platforms] += 1
+    assert seen[False, 1] >= 100 and sum(seen[True, n] for n in range(2, 7)) >= 100, seen
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that numpy and Python allocate during ``fn(*args)``, its result
+    included, after a first call has filled any cache."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _large_instance() -> GameSpec:
+    """M, N, K = 120, 10, 400, where model 0 beats every rival on every type,
+    so that every platform on model 0 is an equilibrium."""
+    scores = np.random.default_rng(10).uniform(0.0, 1.0, size=(120, 400))
+    scores[0] += 1.0
+    return GameSpec(ScoreMatrix(scores), UserPopulation.uniform(400), 10)
+
+
+def test_verify_pne_holds_one_rival_stack_at_a_time():
+    """Checked platform by platform, an equilibrium's check peaks below three
+    (M, K) float arrays, where N stacked rival sets would need N of them."""
+    spec = _large_instance()
+    m, k = spec.scores.scores.shape
+    equilibrium_profile = (0,) * spec.n_platforms
+    assert verify_pne(spec, equilibrium_profile)
+    assert _traced_peak(verify_pne, spec, equilibrium_profile) <= 3 * m * k * 8
+
+
+def test_margin_reports_walk_bounded_blocks():
+    """Both margin reports, their N(M-1) and M-1 rows included, peak below six
+    ``_BLOCK_ELEMENTS`` float arrays, where one stack of all their deviation
+    profiles would need hundreds."""
+    spec = _large_instance()
+    bound = 6 * game._BLOCK_ELEMENTS * 8
+    assert _traced_peak(check_differentiated_condition, spec, tuple(range(spec.n_platforms))) <= bound
+    assert _traced_peak(check_homogeneous_condition, spec, 1) <= bound
 
 
 def test_trajectories_and_their_scores_match():
