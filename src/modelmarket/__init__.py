@@ -41,7 +41,6 @@ from .equilibrium import (
     check_homogeneous_condition,
     enumerate_pne,
     run_dynamics,
-    two_player_conditions,
     verify_pne,
 )
 from .metrics import (

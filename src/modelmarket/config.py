@@ -107,8 +107,7 @@ DYNAMICS = {"start": Field(INTS, None), "max_steps": Field(INT, 1000, minimum=1)
             "seed": Field(INT, OPTIONAL, minimum=0)}
 
 # CentralizationParams' fields, which no config file sets
-CENTRALIZATION = {"rho": Field(NUMBER, above=0), "gamma_cap": Field(NUMBER, minimum=0),
-                  "pi_star": Field(NUMBER, minimum=0, maximum=1)}
+CENTRALIZATION = {"rho": Field(NUMBER, above=0), "gamma_cap": Field(NUMBER, minimum=0)}
 
 # every block of a run config; COMMANDS gives each command the ones it reads
 _BLOCKS = {

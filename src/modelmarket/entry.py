@@ -61,7 +61,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyGenerator:
     """Finite-outcome distribution with logit parameters (all outcomes possible)
     over distinct outcome labels."""
@@ -110,7 +110,7 @@ class ToyGenerator:
         return ToyGenerator(outcome_labels, np.log(p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RewardTable:
     """Per-type, per-outcome rewards in [0, 1]."""
 
@@ -153,7 +153,7 @@ class TrainingConfig:
             check(getattr(self, RENAMED.get(key, key)), field, key, InvalidParameterError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntryDataset:
     """Training items, one bucket per outcome, with optional attribute structure.
 

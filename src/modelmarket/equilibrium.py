@@ -36,7 +36,6 @@ __all__ = [
     "DynamicsOutcome",
     "ConditionRow",
     "ConditionReport",
-    "TwoPlayerConditions",
     "CentralizationParams",
     "CentralizationResult",
     "verify_pne",
@@ -45,7 +44,6 @@ __all__ = [
     "run_dynamics",
     "check_differentiated_condition",
     "check_homogeneous_condition",
-    "two_player_conditions",
     "centralization_check",
     "pair_delta",
 ]
@@ -137,21 +135,12 @@ class ConditionReport:
 
 
 @dataclass(frozen=True)
-class TwoPlayerConditions:
-    differentiated: bool
-    homogeneous_i: bool
-    homogeneous_j: bool
-
-
-@dataclass(frozen=True)
 class CentralizationParams:
     """Inputs for the dominant-type homogeneity threshold check."""
 
     dominant_type: int
-    dominant_model: int
     rho: float
     gamma_cap: float
-    pi_star: float
 
     def __post_init__(self):
         for name, field in CENTRALIZATION.items():
@@ -355,8 +344,6 @@ def check_differentiated_condition(spec: GameSpec, profile) -> ConditionReport:
         raise InvalidInstanceError("the differentiated condition needs at least two platforms")
     if len(set(prof)) != spec.n_platforms:
         raise InvalidInstanceError("profile must use distinct models on every platform")
-    if spec.n_models < spec.n_platforms:
-        raise InvalidInstanceError("needs at least as many models as platforms")
     return _condition_report(spec, prof, np.arange(spec.n_platforms),
                              game.deviation_advantage(spec, prof))
 
@@ -380,40 +367,23 @@ def pair_delta(spec: GameSpec, i: int, j: int) -> float:
                                            spec.population.weights)[0])
 
 
-def two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions:
-    """Closed-form equilibrium tests for the two-platform game on models i, j:
-    the differentiated condition on (i, j) and the homogeneous condition on
-    each of i and j, as the N-platform checks state them at N = 2."""
-    _hardmax_only(spec, "the two-player condition")
-    if spec.n_platforms != 2:
-        raise InvalidInstanceError("two_player_conditions requires exactly 2 platforms")
-    i, j = (game._index(g, spec.n_models, "model index", InvalidInstanceError) for g in (i, j))
-    if i == j:
-        raise InvalidInstanceError("models i and j must differ")
-    return TwoPlayerConditions(check_differentiated_condition(spec, (i, j)).holds,
-                               check_homogeneous_condition(spec, i).holds,
-                               check_homogeneous_condition(spec, j).holds)
-
-
 def centralization_check(spec: GameSpec, params: CentralizationParams) -> CentralizationResult:
     """Dominant-type threshold test for homogeneity on the dominant model.
 
-    Validates the premises first: the dominant model must beat every rival by
-    at least rho on the dominant type, and rival scores must stay within
-    gamma_cap of the dominant model's on every other type.  The threshold
-    1 - rho / (rho + 2 * gamma_cap) is compared against pi_star, and the
-    homogeneous profile is independently verified as a PNE.
+    The spec fixes the dominant model, the first with the top score on the
+    dominant type, and pi*, that type's weight; at rho <= ``IMPROVEMENT_EPS``
+    a rival within the threshold of the top also passes the margin premise,
+    and it is the first top model that is checked.  The premises come first:
+    the dominant model must beat every rival by at least rho on the dominant
+    type, and rival scores must stay within gamma_cap of the dominant
+    model's on every other type.  The threshold 1 - rho / (rho + 2 * gamma_cap)
+    is compared against pi*, and the homogeneous profile is verified as a PNE.
     """
     _hardmax_only(spec, "the centralization check")
     s = spec.scores.scores
     k_star = game._index(params.dominant_type, spec.scores.n_types, "dominant type index",
                          InvalidInstanceError)
-    m = game._index(params.dominant_model, spec.n_models, "dominant model index", InvalidInstanceError)
-    w_star = float(spec.population.weights[k_star])
-    if not abs(w_star - params.pi_star) <= game.WEIGHT_TOL:
-        raise InvalidInstanceError(
-            f"pi_star {params.pi_star} does not match the dominant type's weight {w_star}"
-        )
+    m = int(s[:, k_star].argmax())
     margin = s[m, k_star] - s[:, k_star]
     gap = np.abs(s - s[m])
     low_margin = _exceeds(params.rho - margin) & (np.arange(spec.n_models) != m)
@@ -433,6 +403,6 @@ def centralization_check(spec: GameSpec, params: CentralizationParams) -> Centra
             f"= {float(gap[j, k]):.6g} > gamma_cap={params.gamma_cap:.6g}"
         )
     threshold = 1.0 - params.rho / (params.rho + 2.0 * params.gamma_cap) if params.gamma_cap > 0 else 0.0
-    satisfied = params.pi_star >= threshold
+    satisfied = spec.population.weights[k_star] >= threshold
     confirmed = verify_pne(spec, [m] * spec.n_platforms).is_pne
     return CentralizationResult(threshold, bool(satisfied), confirmed)

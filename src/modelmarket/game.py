@@ -76,7 +76,7 @@ def _outcome_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserPopulation:
     """A finite set of user types with a probability weight per type; labels
     None are ``t1``, ``t2``, ..."""
@@ -112,7 +112,7 @@ class UserPopulation:
         return UserPopulation(None, np.full(k, 1.0 / k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Per-model, per-type expected quality scores (M rows, K columns).
 

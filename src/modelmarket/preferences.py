@@ -13,7 +13,7 @@ from .game import ScoreMatrix, _frozen_array, _labels
 __all__ = ["PreferenceTable", "scores_from_preferences"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreferenceTable:
     """Per-type non-negative weights over a shared list of criteria, the
     criteria and the type labels each distinct strings.

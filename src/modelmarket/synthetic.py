@@ -78,7 +78,7 @@ class RbfModelSpec:
         return len(self.kernels[0].center)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmComponent:
     weight: float
     mean: tuple[float, ...]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from modelmarket import game
 from modelmarket.equilibrium import (
     DEFAULT_PROFILE_BUDGET,
     IMPROVEMENT_EPS,
-    CentralizationParams,
     CentralizationResult,
     ConditionReport,
     ConditionRow,
@@ -31,11 +31,12 @@ from modelmarket.equilibrium import (
     DynamicsOutcome,
     DynamicsStep,
     PneCheck,
-    TwoPlayerConditions,
     best_response,
+    check_differentiated_condition,
+    check_homogeneous_condition,
     pair_delta,
 )
-from modelmarket.errors import BudgetExceededError, InvalidInstanceError
+from modelmarket.errors import BudgetExceededError, InvalidInstanceError, InvalidProfileError
 from modelmarket.metrics import MarketShares, SocialOptimum
 from modelmarket.game import (
     ChoiceRule,
@@ -300,8 +301,6 @@ def reference_check_differentiated_condition(spec: GameSpec, profile) -> Conditi
         raise InvalidInstanceError("the differentiated condition needs at least two platforms")
     if len(set(prof)) != spec.n_platforms:
         raise InvalidInstanceError("profile must use distinct models on every platform")
-    if spec.n_models < spec.n_platforms:
-        raise InvalidInstanceError("needs at least as many models as platforms")
     t = game.average_scores(spec)
     d_cur = game.deviation_advantage(spec, prof)
     rows = []
@@ -342,17 +341,31 @@ def reference_check_homogeneous_condition(spec: GameSpec, model: int) -> Conditi
     return ConditionReport(holds, tuple(rows))
 
 
+class TwoPlayerConditions(NamedTuple):
+    differentiated: bool
+    homogeneous_i: bool
+    homogeneous_j: bool
+
+
+def pair_conditions(spec: GameSpec, i: int, j: int) -> tuple[bool, bool, bool]:
+    """The two-platform game's verdicts on models i, j: the differentiated
+    condition on (i, j) and the homogeneous condition on each of i and j."""
+    return (check_differentiated_condition(spec, (i, j)).holds,
+            check_homogeneous_condition(spec, i).holds,
+            check_homogeneous_condition(spec, j).holds)
+
+
 def reference_two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayerConditions:
     """Two-platform tests with one ``pair_delta`` call per model pair, and a
-    separate formula for M = 2."""
-    _hardmax_only(spec, "the two-player condition")
+    separate formula for M = 2; its refusals are those of ``pair_conditions``."""
+    _hardmax_only(spec, "the differentiated-equilibrium condition")
     if spec.n_platforms != 2:
-        raise InvalidInstanceError("two_player_conditions requires exactly 2 platforms")
-    if i == j:
-        raise InvalidInstanceError("models i and j must differ")
+        raise InvalidInstanceError("the two-player conditions require exactly 2 platforms")
     for k in (i, j):
         if not 0 <= k < spec.n_models:
-            raise InvalidInstanceError(f"model index {k} out of range")
+            raise InvalidProfileError(f"model index {k} out of range [0, {spec.n_models})")
+    if i == j:
+        raise InvalidInstanceError("profile must use distinct models on every platform")
     t = game.average_scores(spec)
     d_ij = pair_delta(spec, i, j)
     d_ji = pair_delta(spec, j, i)
@@ -382,8 +395,19 @@ def reference_two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayer
     return TwoPlayerConditions(bool(differentiated), bool(homogeneous_i), bool(homogeneous_j))
 
 
+@dataclass(frozen=True)
+class CentralizationInputs:
+    """Every input the centralization formulas read, the dominant model and pi* too."""
+
+    dominant_type: int
+    dominant_model: int
+    rho: float
+    gamma_cap: float
+    pi_star: float
+
+
 def reference_centralization_check(spec: GameSpec,
-                                   params: CentralizationParams) -> CentralizationResult:
+                                   params: CentralizationInputs) -> CentralizationResult:
     """Centralization test whose premises are checked rival by rival, type by type."""
     _hardmax_only(spec, "the centralization check")
     s = spec.scores.scores

@@ -229,7 +229,7 @@ def test_criterion_09_centralization_threshold():
                 n,
             )
             result = centralization_check(
-                spec, CentralizationParams(0, dominant, rho, gamma_cap, pi_star))
+                spec, CentralizationParams(0, rho, gamma_cap))
             assert result.satisfied
             assert result.pne_confirmed
             confirmed += 1

@@ -10,14 +10,17 @@ import pytest
 
 from modelmarket import game
 from modelmarket.entry import (EntryDataset, RewardBaseline, RewardTable, ToyGenerator, TrainingConfig,
-                               _reinforce_gradients, adoption_gate, grad_s_reinforce, resample_weights)
-from modelmarket.equilibrium import CentralizationParams, enumerate_pne, run_dynamics
+                               _reinforce_gradients, adoption_gate, grad_s_reinforce, resample_weights,
+                               train_resampling)
+from modelmarket.equilibrium import (CentralizationParams, centralization_check, check_differentiated_condition,
+                                     check_homogeneous_condition, enumerate_pne, run_dynamics)
 from modelmarket.errors import InvalidInstanceError, InvalidParameterError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation
 from modelmarket.metrics import GameAnalysis, MetricsRecord, ProfileScore, coverage_value, social_optimum
-from modelmarket.preferences import PreferenceTable
-from modelmarket.synthetic import GmmComponent, GmmPopulationSpec, RbfKernel, RbfModelSpec, seeded_kmeans
+from modelmarket.preferences import PreferenceTable, scores_from_preferences
+from modelmarket.synthetic import (GmmComponent, GmmPopulationSpec, RbfKernel, RbfModelSpec, rbf_scores,
+                                   seeded_kmeans)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "modelmarket"
 NAN = float("nan")
@@ -73,7 +76,7 @@ NON_FINITE_CASES = {
     "component weight total": (InvalidInstanceError, "component weights must sum to 1",
                                lambda mp: _component_total_nan()),
     "gamma_cap": (InvalidParameterError, "gamma_cap", lambda mp: CentralizationParams(
-        dominant_type=0, dominant_model=0, rho=1.0, gamma_cap=NAN, pi_star=0.5)),
+        dominant_type=0, rho=1.0, gamma_cap=NAN)),
     "share sum": (InvalidInstanceError, "shares must sum to the population's weight total", lambda mp: _record((NAN,), 1.0)),
     "hhi identity": (InvalidInstanceError, "hhi must equal", lambda mp: _record((1.0,), NAN)),
     "coverage decomposition": (InvalidInstanceError, "coverage decomposition mismatch",
@@ -91,8 +94,7 @@ def test_a_non_finite_value_fails_the_check(case, monkeypatch):
 # the library's parameter checks that read a config.Field: the name each
 # message gives, and a call that feeds the parameter a value
 def _central(**values):
-    return CentralizationParams(**{"dominant_type": 0, "dominant_model": 0, "rho": 1.0,
-                                   "gamma_cap": 0.0, "pi_star": 0.5, **values})
+    return CentralizationParams(**{"dominant_type": 0, "rho": 1.0, "gamma_cap": 0.0, **values})
 
 
 def _reinforce_inputs(n_samples):
@@ -122,7 +124,7 @@ NUMBER_PARAMETERS = {
     "RbfModelSpec.bias": ("model bias", lambda v: RbfModelSpec(v, [RbfKernel((0.0,), 1.0, 1.0)])),
     "ChoiceRule.tau": ("tau", lambda v: ChoiceRule.softmax(v)),
     **{f"CentralizationParams.{name}": (name, lambda v, name=name: _central(**{name: v}))
-       for name in ("rho", "gamma_cap", "pi_star")},
+       for name in ("rho", "gamma_cap")},
 }
 
 
@@ -142,7 +144,7 @@ BOUND_CASES = {
                        lambda: TrainingConfig(baseline_decay=1)),
     "blend": (InvalidParameterError, "blend must be <= 1 (got 1.5)", lambda: TrainingConfig(blend=1.5)),
     "blend at 0": (InvalidParameterError, "blend must be > 0 (got 0.0)", lambda: TrainingConfig(blend=0.0)),
-    "pi_star": (InvalidParameterError, "pi_star must be <= 1 (got 1.5)", lambda: _central(pi_star=1.5)),
+    "rho": (InvalidParameterError, "rho must be > 0 (got 0)", lambda: _central(rho=0)),
     "k_types": (InvalidParameterError, "k_types must be >= 1 (got 0)", lambda: _gmm(k_types=0)),
     "tau": (InvalidParameterError, "tau must be > 0 (got 0)", lambda: ChoiceRule.softmax(0)),
     "tau missing": (InvalidParameterError, "tau must be a number (got None)",
@@ -200,6 +202,58 @@ BOUND_CASES = {
 @pytest.mark.parametrize("case", list(BOUND_CASES))
 def test_a_library_bound_is_one_error_naming_the_parameter(case):
     error, message, call = BOUND_CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def _softmax_pair():
+    return builtin_instance("fig2_a").spec.with_choice(ChoiceRule.softmax(0.5))
+
+
+# (error, message, a call) for each refusal of an input that no other test reaches
+REFUSALS = {
+    "negative population weight": (InvalidInstanceError, "weights must be finite and non-negative",
+                                   lambda: UserPopulation(["a", "b"], [1.5, -0.5])),
+    "NaN population weight": (InvalidInstanceError, "weights must be finite and non-negative",
+                              lambda: UserPopulation(["a", "b"], [NAN, 1.0])),
+    "unknown choice rule": (InvalidParameterError, "unknown choice rule 'maxmin'", lambda: ChoiceRule("maxmin")),
+    "preference weights shape": (InvalidInstanceError,
+                                 "weights must be a K x C matrix matching labels and criteria",
+                                 lambda: PreferenceTable(["c1", "c2"], ["a"], [0.5, 0.5])),
+    "negative preference weight": (InvalidInstanceError, "preference weights must be finite and non-negative",
+                                   lambda: PreferenceTable(["c1"], ["a"], [[-1.0]])),
+    "negative performance": (InvalidInstanceError, "performance entries must be finite and non-negative",
+                             lambda: scores_from_preferences([[-0.5]], PreferenceTable(["c1"], ["a"], [[1.0]]))),
+    "1-D rbf types": (InvalidInstanceError, "types must be a K x d array of coordinates",
+                      lambda: rbf_scores([RbfModelSpec(0.0, [RbfKernel((0.0,), 1.0, 1.0)])], [0.0, 1.0])),
+    "logits length": (InvalidInstanceError, "logits must be one value per outcome",
+                      lambda: ToyGenerator(["x1", "x2"], [0.0])),
+    "one outcome": (InvalidInstanceError, "a generator needs at least two outcomes",
+                    lambda: ToyGenerator(["x1"], [0.0])),
+    "zero probability": (InvalidInstanceError, "distribution must be strictly positive and sum to 1",
+                         lambda: ToyGenerator.from_distribution(["x1", "x2"], [1.0, 0.0])),
+    "reward table outcomes": (InvalidInstanceError, "reward table does not match the dataset and population",
+                              lambda: resample_weights(EntryDataset(["x1", "x2"], [1, 1]), np.zeros(2), _market(),
+                                                       4.0, 1.0, RewardTable([[0.5, 0.5, 0.5], [0.2, 0.8, 0.0]]))),
+    "init outcomes": (InvalidInstanceError, "initial generator does not match the dataset outcomes",
+                      lambda: train_resampling(EntryDataset(["x1", "x2"], [1, 1]),
+                                               RewardTable([[0.5, 0.5], [0.2, 0.8]]), _market(), TrainingConfig(),
+                                               init=ToyGenerator.uniform(["x1", "x2", "x3"]))),
+    "softmax differentiated": (InvalidInstanceError,
+                               "the differentiated-equilibrium condition is defined for hardmax instances",
+                               lambda: check_differentiated_condition(_softmax_pair(), (0, 1))),
+    "softmax homogeneous": (InvalidInstanceError,
+                            "the homogeneous-equilibrium condition is defined for hardmax instances",
+                            lambda: check_homogeneous_condition(_softmax_pair(), 0)),
+    "softmax centralization": (InvalidInstanceError, "the centralization check is defined for hardmax instances",
+                               lambda: centralization_check(_softmax_pair(), CentralizationParams(0, 0.1, 0.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_every_reachable_refusal_names_its_input(case):
+    error, message, call = REFUSALS[case]
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message

@@ -1722,9 +1722,7 @@ class TestAbnormalExits:
                                                           os.environ.get("PYTHONPATH")]))}
         try:
             done = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from modelmarket.cli import main; sys.exit(main())",
-                 "list-fixtures"],
+                [sys.executable, "-m", "modelmarket.cli", "list-fixtures"],
                 stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
         finally:
             os.close(write_end)

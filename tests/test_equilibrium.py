@@ -22,12 +22,11 @@ from modelmarket.equilibrium import (
     enumerate_pne,
     pair_delta,
     run_dynamics,
-    two_player_conditions,
     verify_pne,
 )
 from modelmarket.metrics import market_shares, platform_entry_check
 
-from helpers import random_spec
+from helpers import pair_conditions, random_spec
 
 
 @pytest.fixture
@@ -225,28 +224,25 @@ class TestConditionCheckers:
 
 
 class TestTwoPlayerConditions:
+    """The N-platform conditions at N = 2, on the pair (i, j) and on each of i and j."""
+
     def test_scenario_a_differentiates(self, fig2a):
-        res = two_player_conditions(fig2a, 0, 1)
-        assert res.differentiated
-        assert not res.homogeneous_i and not res.homogeneous_j
+        differentiated, homogeneous_i, homogeneous_j = pair_conditions(fig2a, 0, 1)
+        assert differentiated
+        assert not homogeneous_i and not homogeneous_j
 
     def test_scenario_b_consolidates(self, fig2b):
-        res = two_player_conditions(fig2b, 0, 1)
-        assert not res.differentiated
-        assert res.homogeneous_j  # model j = g2 wins the whole market
+        differentiated, _, homogeneous_j = pair_conditions(fig2b, 0, 1)
+        assert not differentiated
+        assert homogeneous_j  # model j = g2 wins the whole market
 
     def test_three_model_instance(self):
         spec = builtin_instance("c7_welfare_gap").spec
-        res = two_player_conditions(spec, 1, 2)
-        assert res.differentiated
+        assert check_differentiated_condition(spec, (1, 2)).holds
 
     def test_same_model_rejected(self, fig2a):
-        with pytest.raises(InvalidInstanceError):
-            two_player_conditions(fig2a, 1, 1)
-
-    def test_wrong_platform_count_rejected(self, fig2a):
-        with pytest.raises(InvalidInstanceError):
-            two_player_conditions(fig2a.with_platforms(3), 0, 1)
+        with pytest.raises(InvalidInstanceError, match="distinct models"):
+            check_differentiated_condition(fig2a, (1, 1))
 
     def test_matches_verification_on_random_instances(self):
         rng = np.random.default_rng(23)
@@ -255,10 +251,9 @@ class TestTwoPlayerConditions:
             if spec.n_models < 2:
                 continue
             i, j = (int(x) for x in rng.choice(spec.n_models, 2, replace=False))
-            res = two_player_conditions(spec, i, j)
-            assert res.differentiated == verify_pne(spec, (i, j)).is_pne
-            assert res.homogeneous_i == verify_pne(spec, (i, i)).is_pne
-            assert res.homogeneous_j == verify_pne(spec, (j, j)).is_pne
+            assert pair_conditions(spec, i, j) == (verify_pne(spec, (i, j)).is_pne,
+                                                   verify_pne(spec, (i, i)).is_pne,
+                                                   verify_pne(spec, (j, j)).is_pne)
 
 
 def _centralized_instance(rng: np.random.Generator):
@@ -287,7 +282,7 @@ def _centralized_instance(rng: np.random.Generator):
         UserPopulation([f"t{i}" for i in range(k_count)], weights),
         n,
     )
-    params = CentralizationParams(0, dominant_model, rho, gamma_cap, pi_star)
+    params = CentralizationParams(0, rho, gamma_cap)
     return spec, params
 
 
@@ -295,7 +290,7 @@ class TestCentralizationCheck:
     def test_zero_variation_gives_zero_threshold(self):
         scores = np.array([[0.9, 0.5, 0.6], [0.4, 0.5, 0.6]])
         spec = GameSpec(ScoreMatrix(scores), UserPopulation(["a", "b", "c"], [0.2, 0.4, 0.4]), 2)
-        res = centralization_check(spec, CentralizationParams(0, 0, 0.5, 0.0, 0.2))
+        res = centralization_check(spec, CentralizationParams(0, 0.5, 0.0))
         assert res.threshold == 0.0
         assert res.satisfied and res.pne_confirmed
 
@@ -303,21 +298,33 @@ class TestCentralizationCheck:
         # gamma_cap / rho = 1 puts the threshold at 2/3
         scores = np.array([[0.9, 0.5], [0.5, 0.6]])
         spec = GameSpec(ScoreMatrix(scores), UserPopulation(["a", "b"], [0.7, 0.3]), 2)
-        res = centralization_check(spec, CentralizationParams(0, 0, 0.1, 0.1, 0.7))
+        res = centralization_check(spec, CentralizationParams(0, 0.1, 0.1))
         assert res.threshold == pytest.approx(2 / 3)
         assert res.satisfied
+        # pi* is the dominant type's weight, here below the same threshold
+        lighter = GameSpec(ScoreMatrix(scores), UserPopulation(["a", "b"], [0.6, 0.4]), 2)
+        assert not centralization_check(lighter, CentralizationParams(0, 0.1, 0.1)).satisfied
+
+    def test_the_first_top_model_is_the_dominant_one(self):
+        # at rho <= IMPROVEMENT_EPS model 1, tied with model 0 on the dominant
+        # type, passes the margin premise; the gaps are measured from model 0
+        scores = np.array([[0.5, 0.2], [0.5, 0.9]])
+        spec = GameSpec(ScoreMatrix(scores), UserPopulation(["a", "b"], [0.7, 0.3]), 2)
+        with pytest.raises(InvalidInstanceError) as info:
+            centralization_check(spec, CentralizationParams(0, 1e-13, 0.1))
+        assert str(info.value) == "off-dominant variation violated: |S_1,1 - S_0,1| = 0.7 > gamma_cap=0.1"
 
     def test_premise_violation_is_named(self):
         scores = np.array([[0.9, 0.5], [0.85, 0.6]])
         spec = GameSpec(ScoreMatrix(scores), UserPopulation(["a", "b"], [0.7, 0.3]), 2)
         with pytest.raises(InvalidInstanceError, match="dominant-type margin"):
-            centralization_check(spec, CentralizationParams(0, 0, 0.3, 0.2, 0.7))
+            centralization_check(spec, CentralizationParams(0, 0.3, 0.2))
 
     def test_off_dominant_variation_violation_is_named(self):
         scores = np.array([[0.9, 0.5], [0.4, 0.9]])
         spec = GameSpec(ScoreMatrix(scores), UserPopulation(["a", "b"], [0.7, 0.3]), 2)
         with pytest.raises(InvalidInstanceError, match="off-dominant variation"):
-            centralization_check(spec, CentralizationParams(0, 0, 0.3, 0.1, 0.7))
+            centralization_check(spec, CentralizationParams(0, 0.3, 0.1))
 
     def test_satisfied_instances_confirm_equilibrium(self):
         rng = np.random.default_rng(24)
@@ -380,7 +387,7 @@ class TestIndexArguments:
     is: through operator.index and its range, so -1 does not wrap to the last
     model, 1.7 is not truncated to 1, and True reads as 1."""
 
-    _CENTRAL = {"rho": 0.1, "gamma_cap": 0.5, "pi_star": 0.5}
+    _CENTRAL = {"rho": 0.1, "gamma_cap": 0.5}
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda s: pair_delta(s, 0, -1), InvalidInstanceError, "model index -1 out of range [0, 2)"),
@@ -394,20 +401,14 @@ class TestIndexArguments:
          "model index must be an integer (got 1.0)"),
         (lambda s: check_homogeneous_condition(s, -2), InvalidInstanceError,
          "model index -2 out of range [0, 2)"),
-        (lambda s: two_player_conditions(s, 0, 1.0), InvalidInstanceError,
-         "model index must be an integer (got 1.0)"),
-        (lambda s: two_player_conditions(s, 0, 2), InvalidInstanceError, "model index 2 out of range [0, 2)"),
         (lambda s: best_response(s, (0, 1), 1.0), InvalidProfileError,
          "platform index must be an integer (got 1.0)"),
         (lambda s: best_response(s, (0, 1), -1), InvalidProfileError, "platform index -1 out of range [0, 2)"),
-        (lambda s: centralization_check(s, CentralizationParams(-1, 0, **TestIndexArguments._CENTRAL)),
+        (lambda s: centralization_check(s, CentralizationParams(-1, **TestIndexArguments._CENTRAL)),
          InvalidInstanceError, "dominant type index -1 out of range [0, 2)"),
-        (lambda s: centralization_check(s, CentralizationParams(0, 0.0, **TestIndexArguments._CENTRAL)),
-         InvalidInstanceError, "dominant model index must be an integer (got 0.0)"),
     ], ids=["pair-delta-negative", "pair-delta-past-end", "pair-delta-string", "entrant-float",
-            "entrant-negative", "homogeneous-float", "homogeneous-negative", "two-player-float",
-            "two-player-past-end", "best-response-float", "best-response-negative",
-            "dominant-type", "dominant-model"])
+            "entrant-negative", "homogeneous-float", "homogeneous-negative", "best-response-float",
+            "best-response-negative", "dominant-type"])
     def test_a_bad_index_is_one_error_of_the_functions_class(self, fig2a, call, error, message):
         with pytest.raises(error) as info:
             call(fig2a)
@@ -415,6 +416,6 @@ class TestIndexArguments:
 
     def test_a_bool_reads_as_its_int(self, fig2a):
         assert check_homogeneous_condition(fig2a, True) == check_homogeneous_condition(fig2a, 1)
-        assert two_player_conditions(fig2a, 0, True) == two_player_conditions(fig2a, 0, 1)
+        assert check_differentiated_condition(fig2a, (0, True)) == check_differentiated_condition(fig2a, (0, 1))
         assert pair_delta(fig2a, np.int64(0), True) == pair_delta(fig2a, 0, 1)
         assert best_response(fig2a, (0, 1), True) == best_response(fig2a, (0, 1), 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modelmarket import game
+from modelmarket.entry import EntryDataset, RewardTable, ToyGenerator, evaluate_entrant
 from modelmarket.errors import InvalidInstanceError, InvalidParameterError, InvalidProfileError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import (
@@ -22,7 +23,10 @@ from modelmarket.game import (
     platform_utilities,
 )
 
-from helpers import brute_force_deviation_advantage, brute_force_utilities, random_spec
+from modelmarket.preferences import PreferenceTable
+from modelmarket.synthetic import GmmComponent
+
+from helpers import brute_force_deviation_advantage, brute_force_utilities, entry_toy, random_spec
 
 
 def decomposed_utility(spec, profile):
@@ -418,3 +422,30 @@ class TestMultisetBlocks:
                 assert max((len(b) for b in blocks), default=0) <= rows, (m, size)
                 walked = [tuple(row) for b in blocks for row in b.tolist()]
                 assert walked == list(combinations_with_replacement(range(m), size)), (m, size)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: UserPopulation(["a"], [1.0]),
+    lambda: ScoreMatrix([[0.5]]),
+    lambda: ToyGenerator.uniform(["x1", "x2"]),
+    lambda: RewardTable([[0.5, 0.5]]),
+    lambda: EntryDataset(["x1", "x2"], [1, 1]),
+    lambda: GmmComponent(1.0, [0.0], [[1.0]]),
+    lambda: PreferenceTable(["c1"], ["a"], [[1.0]]),
+], ids=["UserPopulation", "ScoreMatrix", "ToyGenerator", "RewardTable", "EntryDataset", "GmmComponent",
+        "PreferenceTable"])
+def test_a_record_that_holds_arrays_compares_by_identity(make):
+    record, twin = make(), make()
+    assert record == record and record != twin
+    assert hash(record) == hash(record)
+
+
+def test_records_that_hold_array_records_compare_without_raising():
+    first, second = builtin_instance("fig2_a"), builtin_instance("fig2_a")
+    assert first.spec == first.spec and first.spec != second.spec
+    assert hash(first.spec) == hash(first.spec)
+    assert first != second
+    toy = entry_toy()
+    entrant = ToyGenerator.uniform(toy.outcome_labels)
+    report = evaluate_entrant(entrant, toy.rewards, toy.market)
+    assert report == report and report != evaluate_entrant(entrant, toy.rewards, toy.market)

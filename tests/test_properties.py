@@ -43,7 +43,6 @@ from modelmarket.equilibrium import (
     enumerate_pne,
     pair_delta,
     run_dynamics,
-    two_player_conditions,
     verify_pne,
 )
 from modelmarket.fixtures import builtin_instance
@@ -57,6 +56,8 @@ from modelmarket.metrics import (
 )
 
 from helpers import (
+    CentralizationInputs,
+    pair_conditions,
     random_spec,
     reference_best_response,
     reference_centralization_check,
@@ -305,10 +306,16 @@ def _centralization_case(rng: np.random.Generator, index: int,
                 scores[j, col] = base[col] + gamma + 0.01
             else:
                 scores[j, k_star] = base[k_star] - rho / 2
-    weights = spec.population.weights
-    pi_star = float(weights[k_star]) if index % 10 else min(1.0, float(weights[k_star]) + 0.1)
     central = GameSpec(ScoreMatrix(scores), spec.population, spec.n_platforms)
-    return central, CentralizationParams(k_star, dom, rho, gamma, pi_star)
+    return central, CentralizationParams(k_star, rho, gamma)
+
+
+def _reference_inputs(spec: GameSpec, params: CentralizationParams) -> CentralizationInputs:
+    """The reference's inputs: the first model with the top score on the
+    dominant type, and that type's weight as pi*."""
+    k = params.dominant_type
+    return CentralizationInputs(k, int(spec.scores.scores[:, k].argmax()), params.rho,
+                                params.gamma_cap, float(spec.population.weights[k]))
 
 
 def _margin_reports_match(monkeypatch, spec, profiles, seen, index):
@@ -330,9 +337,11 @@ def _margin_reports_match(monkeypatch, spec, profiles, seen, index):
 
 
 def test_equilibrium_checks_match_their_loop_forms(monkeypatch):
-    """verify_pne, both margin reports, the two-player tests and the centralization
-    check equal the loop forms in ``helpers`` bit for bit, errors included.  A
-    forced M = 1 instance, with no deviation rows, gives empty margin reports."""
+    """verify_pne, both margin reports, the two-player verdicts of those reports
+    at N = 2 and the centralization check equal the loop forms in ``helpers``
+    bit for bit, errors included; the centralization reference is given the
+    first top model on the dominant type and that type's weight.  A forced
+    M = 1 instance, with no deviation rows, gives empty margin reports."""
     rng = np.random.default_rng(71)
     seen = Counter()
     for index in range(400):
@@ -364,16 +373,19 @@ def test_equilibrium_checks_match_their_loop_forms(monkeypatch):
                               seen, index)
 
         pair_spec = spec.with_platforms(2)
-        for i in range(m):
-            for j in range(m):
-                got = _outcome(two_player_conditions, pair_spec, i, j)
+        for i in range(-1, m + 1):
+            for j in range(-1, m + 1):
+                got = _outcome(pair_conditions, pair_spec, i, j)
                 assert got == _outcome(reference_two_player_conditions, pair_spec, i, j), index
-                if got[0] == "ok":
-                    seen["two_player", m == 2, got[1][1:]] += 1
+                seen["two_player", m == 2, got[1]] += 1
+        soft_pair = soft.with_platforms(2)
+        got = _outcome(pair_conditions, soft_pair, 0, m - 1)
+        assert got == _outcome(reference_two_player_conditions, soft_pair, 0, m - 1), index
+        seen["two_player", "softmax", got[0]] += 1
 
         central, params = _centralization_case(rng, index, spec)
         got = _outcome(centralization_check, central, params)
-        assert got == _outcome(reference_centralization_check, central, params), index
+        assert got == _outcome(reference_centralization_check, central, _reference_inputs(central, params)), index
         seen["centralization", got[0] if got[0] == "ok" else got[2].split()[0]] += 1
 
     one_model = GameSpec(ScoreMatrix(rng.uniform(0.0, 1.0, size=(1, 5))), UserPopulation.uniform(5), 3)
@@ -385,9 +397,10 @@ def test_equilibrium_checks_match_their_loop_forms(monkeypatch):
     for key in (("homogeneous", True), ("homogeneous", False), ("differentiated", True),
                 ("differentiated", False), ("differentiated", "raised"),
                 ("centralization", "ok"), ("centralization", "dominant-type"),
-                ("centralization", "off-dominant"), ("centralization", "pi_star")):
+                ("centralization", "off-dominant"), ("two_player", False, "InvalidProfileError"),
+                ("two_player", False, "InvalidInstanceError"), ("two_player", "softmax", "raised")):
         assert seen[key], (key, seen)
-    two_model = {k[2] for k in seen if k[:2] == ("two_player", True)}
+    two_model = {k[2] for k in seen if k[:2] == ("two_player", True) and isinstance(k[2], tuple)}
     assert len(two_model) >= 3, two_model
 
 
