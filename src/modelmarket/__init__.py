@@ -10,15 +10,7 @@ reference and synthetic instances (``fixtures``, ``synthetic``,
 (``entry``).  The ``modelmarket`` CLI front end lives in ``cli``.
 """
 
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    InvalidInstanceError,
-    InvalidParameterError,
-    InvalidProfileError,
-    MarketGameError,
-    TrainingDivergedError,
-)
+from .errors import BudgetExceededError, MarketGameError, TrainingDivergedError
 from .game import (
     ChoiceRule,
     GameSpec,

@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MarketGameError
+from .errors import MarketGameError
 from .game import ChoiceRule, GameSpec, UserPopulation
 from .equilibrium import DynamicsOutcome, run_dynamics
 from .metrics import GameAnalysis, MetricsRecord, analyze, outcome_metrics
@@ -85,7 +85,7 @@ def _build_instance(cfg: dict, base_dir: str | Path = ".") -> tuple[GameSpec, st
 def _base_seed(dynamics: dict) -> int:
     """``dynamics.seed``, 0 when not given; refused beside a ``dynamics.start``, which fixes the start."""
     if dynamics.get("start") is not None and "seed" in dynamics:
-        raise ConfigError("dynamics.start leaves dynamics.seed nothing to draw: give one of the two")
+        raise MarketGameError("dynamics.start leaves dynamics.seed nothing to draw: give one of the two")
     return dynamics.get("seed", 0)
 
 
@@ -161,7 +161,7 @@ def _no_nul(path: str | None, field: str) -> str | None:
     """``path`` as given; one holding a NUL, which ``open`` refuses with a bare
     ``ValueError``, is refused here by its ``field``."""
     if path is not None and "\0" in path:
-        raise ConfigError(f"{field} must not hold a NUL (got {path!r})")
+        raise MarketGameError(f"{field} must not hold a NUL (got {path!r})")
     return path
 
 
@@ -169,7 +169,7 @@ def _prefix(cfg: dict, default: str) -> str:
     """``output.prefix``, read before any game is solved; it starts file names, so it holds no separator."""
     prefix = cfg["output"].get("prefix", default)
     if {os.sep, os.altsep, "\0"} & set(prefix):
-        raise ConfigError(f"output.prefix must not hold a path separator or NUL (got {prefix!r})")
+        raise MarketGameError(f"output.prefix must not hold a path separator or NUL (got {prefix!r})")
     return prefix
 
 
@@ -229,7 +229,7 @@ def _sweep_cells(cfg: dict) -> list[dict]:
     sweep = cfg["sweep"]
     axis, reps = sweep["axis"], sweep["repetitions"]
     if not sweep["values"]:
-        raise ConfigError("sweep.values must list at least one value")
+        raise MarketGameError("sweep.values must list at least one value")
     base_seed = _base_seed(cfg["dynamics"])
     cells = []
     for vi, value in enumerate(sweep["values"]):
@@ -331,7 +331,7 @@ def cmd_entry(args) -> int:
     config = entry_mod.TrainingConfig(**{config_mod.RENAMED.get(k, k): v
                                          for k, v in block["params"].items()})
     if spec.population.n_types != rewards.n_types:
-        raise ConfigError("training rewards and instance population disagree on user types")
+        raise MarketGameError("training rewards and instance population disagree on user types")
     base_spec = spec.with_platforms(block["n_platforms"])
     report_json: dict[str, Any] = {
         "instance": instance_name,
@@ -422,7 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
-            raise ConfigError(f"--jobs must be at least 1 (got {args.jobs})")
+            raise MarketGameError(f"--jobs must be at least 1 (got {args.jobs})")
         for flag in ("config", "out"):
             _no_nul(getattr(args, flag, None), f"--{flag}")
         status = args.func(args)

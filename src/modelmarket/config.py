@@ -4,9 +4,9 @@ Each table maps the keys of a block to a ``Field``: its kind, its default (or
 ``REQUIRED``) and its bounds.  ``walk`` checks a block against its table and
 returns a copy with the defaults filled in.  It converts no value, so
 ``"beta": 4`` stays the int 4 in the outputs that echo it.  A failed check
-raises ``ConfigError`` naming the field by its dotted path.  The library's
+raises ``MarketGameError`` naming the field by its dotted path.  The library's
 records check their scalar parameters with the same fields through ``check``,
-in their own error class, so each bound is written once.  Checks that depend
+and fail with the same error, so each bound is written once.  Checks that depend
 on other fields, on the instance or on whole arrays stay where the objects are built.
 """
 
@@ -18,7 +18,7 @@ import operator
 import sys
 from typing import Any, NamedTuple
 
-from .errors import ConfigError
+from .errors import MarketGameError
 
 # kinds; a LIST's entries and an ANY value are checked where they are used
 INT, NUMBER, STRING, ENUM = "int", "number", "string", "enum"
@@ -155,52 +155,53 @@ _BOUNDS = (("minimum", operator.lt, ">="), ("above", operator.le, ">"),
            ("maximum", operator.gt, "<="), ("below", operator.ge, "<"))
 
 
-def _scalar(value, kind: str, field: Field, name: str, error: type) -> None:
+def _scalar(value, kind: str, field: Field, name: str) -> None:
     types, noun = _SCALARS[kind]
     # a bool is an int to Python, but never a count, a weight or a label here
     if isinstance(value, bool) or not isinstance(value, types):
-        raise error(f"{name} must be {noun} (got {value!r})")
+        raise MarketGameError(f"{name} must be {noun} (got {value!r})")
     # json.load takes NaN, Infinity and ints too large for a float; any other
     # number is compared as a float, as numpy warns casting the bound to float32
     if kind == NUMBER and not abs(value if isinstance(value, int) else float(value)) <= sys.float_info.max:
-        raise error(f"{name} must be finite (got {value!r})")
+        raise MarketGameError(f"{name} must be finite (got {value!r})")
     for attribute, fails, relation in _BOUNDS:
         bound = getattr(field, attribute)
         if bound is not None and fails(value, bound):
-            raise error(f"{name} must be {relation} {bound} (got {value!r})")
+            raise MarketGameError(f"{name} must be {relation} {bound} (got {value!r})")
 
 
-def _list(value, name: str, error: type) -> list:
+def _list(value, name: str) -> list:
     if not isinstance(value, list):
-        raise error(f"{name} must be a list (got {value!r})")
+        raise MarketGameError(f"{name} must be a list (got {value!r})")
     return value
 
 
-def check(value, field: Field, path: str, error: type = ConfigError):
-    """``value`` once it has ``field``'s kind and bounds, or an ``error`` naming
-    ``path``.  A block comes back walked; any other value as it is."""
+def check(value, field: Field, path: str):
+    """``value`` once it has ``field``'s kind and bounds, or a ``MarketGameError``
+    naming ``path``.  A block comes back walked; any other value as it is."""
     kind = field.kind
     if (value is None and field.default is None) or kind == ANY:
         return value
     if kind == BLOCK:
         return walk(value, field.table, path)
     if kind == BLOCKS:
-        return [walk(v, field.table, f"{path}[{i}]") for i, v in enumerate(_list(value, path, error))]
+        return [walk(v, field.table, f"{path}[{i}]") for i, v in enumerate(_list(value, path))]
     if kind == ENUM:
         if value not in field.choices:
-            raise error(f"{path} must be one of {', '.join(map(repr, field.choices))} (got {value!r})")
+            choices = ", ".join(map(repr, field.choices))
+            raise MarketGameError(f"{path} must be one of {choices} (got {value!r})")
     elif kind in _SCALARS:
-        _scalar(value, kind, field, path, error)
+        _scalar(value, kind, field, path)
     else:
-        rows = [_list(value, path, error)]
+        rows = [_list(value, path)]
         if kind == MATRIX:
-            rows = [_list(row, f"a row of {path}", error) for row in value]
+            rows = [_list(row, f"a row of {path}") for row in value]
             if len({len(row) for row in rows}) > 1:
-                raise error(f"the rows of {path} must have equal lengths")
+                raise MarketGameError(f"the rows of {path} must have equal lengths")
         if kind != LIST:
             name = f"an entry of {path}"
             for entry in (entry for row in rows for entry in row):
-                _scalar(entry, _ENTRIES[kind], field, name, error)
+                _scalar(entry, _ENTRIES[kind], field, name)
     return value
 
 
@@ -210,17 +211,17 @@ def walk(block, table: dict, path: str = "", name: str | None = None) -> dict:
     ``name``, by default its path."""
     name = name or path or "top-level"
     if not isinstance(block, dict):
-        raise ConfigError(f"the {name} block must be a JSON object")
+        raise MarketGameError(f"the {name} block must be a JSON object")
     for key in block:
         if key not in table:
-            raise ConfigError(f"unknown key {key!r} in the {name} block")
+            raise MarketGameError(f"unknown key {key!r} in the {name} block")
     sources = [key for key, field in table.items() if field.default == ONE_OF]
     if sources and sum(key in block for key in sources) != 1:
-        raise ConfigError(f"{name} block needs exactly one of: {', '.join(sources)}")
+        raise MarketGameError(f"{name} block needs exactly one of: {', '.join(sources)}")
     checked = dict(block)
     for key, field in table.items():
         if key not in block and field.default == REQUIRED:
-            raise ConfigError(f"missing {key!r} in the {name} block")
+            raise MarketGameError(f"missing {key!r} in the {name} block")
         if key in block or field.default not in (OPTIONAL, ONE_OF):
             checked[key] = check(block.get(key, field.default), field,
                                  f"{path}.{key}" if path else key)
@@ -233,15 +234,15 @@ def load(path, table: dict, prefix: str = "", name: str | None = None) -> dict:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except FileNotFoundError:
-        raise ConfigError(f"{name or 'config file'} not found: {path}") from None
+        raise MarketGameError(f"{name or 'config file'} not found: {path}") from None
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        raise MarketGameError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        raise MarketGameError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except RecursionError:
-        raise ConfigError(f"{path}: nested too deeply to read") from None
+        raise MarketGameError(f"{path}: nested too deeply to read") from None
     except ValueError:  # json reads no integer past sys.get_int_max_str_digits() digits
-        raise ConfigError(f"{path}: an integer has too many digits to read") from None
+        raise MarketGameError(f"{path}: an integer has too many digits to read") from None
     return walk(data, table, prefix, name)

@@ -25,12 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import PARAMS, RENAMED, check
-from .errors import (
-    InvalidInstanceError,
-    InvalidParameterError,
-    MarketGameError,
-    TrainingDivergedError,
-)
+from .errors import MarketGameError, TrainingDivergedError
 from .equilibrium import DynamicsOutcome, run_dynamics
 from .game import (_BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, ScoreMatrix, _frozen_array, _index, _labels,
                    _outcome_cdf)
@@ -73,18 +68,18 @@ class ToyGenerator:
         labels = _labels(outcome_labels, "outcome labels")
         phi = _frozen_array(logits)
         if phi.ndim != 1 or phi.shape[0] != len(labels):
-            raise InvalidInstanceError("logits must be one value per outcome")
+            raise MarketGameError("logits must be one value per outcome")
         if not np.all(np.isfinite(phi)):
-            raise InvalidInstanceError("logits must be finite")
+            raise MarketGameError("logits must be finite")
         if len(labels) < 2:
-            raise InvalidInstanceError("a generator needs at least two outcomes")
+            raise MarketGameError("a generator needs at least two outcomes")
         object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "logits", phi)
         e = np.exp(phi - phi.max())
         exp_sum = e.sum()
         p = _frozen_array(e / exp_sum)
         if not np.all(p > 0.0):
-            raise InvalidInstanceError("logit spread too large: an outcome probability underflowed to 0")
+            raise MarketGameError("logit spread too large: an outcome probability underflowed to 0")
         # not dataclass fields: functions of the logits, computed once (_cross_entropy reads the sum)
         object.__setattr__(self, "_probabilities", p)
         object.__setattr__(self, "_exp_sum", exp_sum)
@@ -106,7 +101,7 @@ class ToyGenerator:
     def from_distribution(outcome_labels: Iterable[str], probabilities) -> "ToyGenerator":
         p = np.asarray(probabilities, dtype=float)
         if not (np.all(p > 0) and abs(p.sum() - 1.0) <= WEIGHT_TOL):
-            raise InvalidInstanceError("distribution must be strictly positive and sum to 1")
+            raise MarketGameError("distribution must be strictly positive and sum to 1")
         return ToyGenerator(outcome_labels, np.log(p))
 
 
@@ -119,9 +114,9 @@ class RewardTable:
     def __init__(self, rewards):
         r = _frozen_array(rewards)
         if r.ndim != 2:
-            raise InvalidInstanceError("rewards must be a K x |X| matrix")
+            raise MarketGameError("rewards must be a K x |X| matrix")
         if np.any(r < 0) or np.any(r > 1) or not np.all(np.isfinite(r)):
-            raise InvalidInstanceError("rewards must lie in [0, 1]")
+            raise MarketGameError("rewards must lie in [0, 1]")
         object.__setattr__(self, "rewards", r)
 
     @property
@@ -150,7 +145,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         for key, field in PARAMS.items():  # training.params, each under its config key
-            check(getattr(self, RENAMED.get(key, key)), field, key, InvalidParameterError)
+            check(getattr(self, RENAMED.get(key, key)), field, key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,35 +171,35 @@ class EntryDataset:
         labels = _labels(outcome_labels, "outcome labels")
         c = _frozen_array(counts)
         if c.ndim != 1 or c.shape[0] != len(labels):
-            raise InvalidInstanceError("counts must be one value per outcome")
+            raise MarketGameError("counts must be one value per outcome")
         if np.any(c < 0) or not np.all(np.isfinite(c)):
-            raise InvalidInstanceError("counts must be finite and non-negative")
+            raise MarketGameError("counts must be finite and non-negative")
         with np.errstate(over="ignore"):  # a total past the largest float is refused below
             total = float(c.sum())
         if not total > 0:
-            raise InvalidInstanceError("dataset must contain at least one item")
+            raise MarketGameError("dataset must contain at least one item")
         if not np.isfinite(total):
-            raise InvalidInstanceError(f"counts must sum to a finite total (got {total!r})")
+            raise MarketGameError(f"counts must sum to a finite total (got {total!r})")
         attrs = None
         attr_labels = _labels(attribute_labels, "attribute labels")
         prefs = None
         if attributes is None and (attribute_labels is not None or type_attribute_prefs is not None):
-            raise InvalidInstanceError("attribute_labels and type_attribute_prefs need attributes")
+            raise MarketGameError("attribute_labels and type_attribute_prefs need attributes")
         if attributes is not None:
             attrs = tuple(str(u) for u in attributes)
             if len(attrs) != len(labels):
-                raise InvalidInstanceError("attributes must label every outcome")
+                raise MarketGameError("attributes must label every outcome")
             if attribute_labels is None:
                 attr_labels = tuple(dict.fromkeys(attrs))
             if not set(attrs) <= set(attr_labels):
-                raise InvalidInstanceError("attributes must come from attribute_labels")
+                raise MarketGameError("attributes must come from attribute_labels")
             if type_attribute_prefs is None:
-                raise InvalidInstanceError("structured datasets need type_attribute_prefs")
+                raise MarketGameError("structured datasets need type_attribute_prefs")
             prefs = _frozen_array(type_attribute_prefs)
             if prefs.ndim != 2 or prefs.shape[1] != len(attr_labels):
-                raise InvalidInstanceError("type_attribute_prefs must be K x |attributes|")
+                raise MarketGameError("type_attribute_prefs must be K x |attributes|")
             if not (np.all(prefs >= 0) and np.all(np.abs(prefs.sum(axis=1) - 1.0) <= WEIGHT_TOL)):
-                raise InvalidInstanceError("each type's attribute preferences must sum to 1")
+                raise MarketGameError("each type's attribute preferences must sum to 1")
         object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "attributes", attrs)
@@ -219,7 +214,7 @@ class EntryDataset:
         return self.counts / self.counts.sum()
 
 
-@dataclass
+@dataclass(eq=False)
 class RewardBaseline:
     """Per-type moving-average reward baseline for the score-function estimator."""
 
@@ -243,16 +238,16 @@ class RewardBaseline:
 def entrant_scores(gen: ToyGenerator, rewards: RewardTable) -> np.ndarray:
     """Exact per-type expected reward of the generator."""
     if rewards.n_outcomes != gen.n_outcomes:
-        raise InvalidInstanceError("reward table and generator disagree on outcomes")
+        raise MarketGameError("reward table and generator disagree on outcomes")
     return rewards.rewards @ gen.probabilities()
 
 
 def adoption_gate(s_phi: np.ndarray, market: GameSpec, beta: float) -> np.ndarray:
     """Sigmoid gate on the entrant's margin over the market's best incumbent, per type."""
-    check(beta, PARAMS["beta"], "beta", InvalidParameterError)
+    check(beta, PARAMS["beta"], "beta")
     s = np.asarray(s_phi, dtype=float)
     if s.shape != (market.population.n_types,):
-        raise InvalidInstanceError("s_phi must have one entry per user type")
+        raise MarketGameError("s_phi must have one entry per user type")
     return _sigmoid(beta * (s - market.scores.scores.max(axis=0)))
 
 
@@ -322,7 +317,7 @@ def _reinforce_gradients(gen: ToyGenerator, rewards: RewardTable, types: Sequenc
     stays unbiased); the call then folds each type's mean reward into its
     moving average.
     """
-    check(n_samples, PARAMS["eval_budget"], "n_samples", InvalidParameterError)
+    check(n_samples, PARAMS["eval_budget"], "n_samples")
     types = np.asarray(types, dtype=np.intp)
     p = gen.probabilities()
     n_outcomes = gen.n_outcomes
@@ -355,7 +350,7 @@ def grad_s_reinforce(gen: ToyGenerator, rewards: RewardTable, type_index: int,
     Uses the baseline value from before this call (so the estimator stays
     unbiased) and then folds the batch's mean reward into the moving average.
     """
-    type_index = _index(type_index, rewards.n_types, "type index", InvalidParameterError)
+    type_index = _index(type_index, rewards.n_types, "type index")
     return _reinforce_gradients(gen, rewards, [type_index], n_samples, baseline, rng)[0]
 
 
@@ -373,7 +368,7 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
     In the unstructured mode items are weighted by the types' sum-normalized
     rewards instead.  The result sums to 1 over items with non-zero counts.
     """
-    check(gamma, PARAMS["gamma"], "gamma", InvalidParameterError)
+    check(gamma, PARAMS["gamma"], "gamma")
     population = market.population
     sigma = adoption_gate(np.asarray(s_phi, dtype=float), market, beta)
     alpha = population.weights * np.power(sigma, gamma) * market.scores.scores.max(axis=0)
@@ -383,7 +378,7 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
     if dataset.structured:
         prefs = dataset.type_attribute_prefs
         if prefs.shape[0] != population.n_types:
-            raise InvalidInstanceError("type_attribute_prefs rows must match the population")
+            raise MarketGameError("type_attribute_prefs rows must match the population")
         attr_mass = alpha @ prefs  # over attribute values
         attr_index = np.array([dataset.attribute_labels.index(u) for u in dataset.attributes])
         attr_counts = np.bincount(attr_index, weights=counts, minlength=len(dataset.attribute_labels))
@@ -394,7 +389,7 @@ def resample_weights(dataset: EntryDataset, s_phi: np.ndarray, market: GameSpec,
         )
     else:
         if rewards.n_outcomes != len(counts) or rewards.n_types != population.n_types:
-            raise InvalidInstanceError("reward table does not match the dataset and population")
+            raise MarketGameError("reward table does not match the dataset and population")
         totals = rewards.rewards.sum(axis=1, keepdims=True)
         v = np.divide(rewards.rewards, totals, out=np.zeros_like(rewards.rewards), where=totals > 0)
         w = alpha @ v
@@ -418,7 +413,7 @@ def _estimate_scores(gen: ToyGenerator, rewards: RewardTable, budget: int,
 def _initial_generator(dataset: EntryDataset, init: ToyGenerator | None) -> ToyGenerator:
     if init is not None:
         if init.n_outcomes != len(dataset.outcome_labels):
-            raise InvalidInstanceError("initial generator does not match the dataset outcomes")
+            raise MarketGameError("initial generator does not match the dataset outcomes")
         return init
     base = dataset.empirical_distribution()
     # zero-count outcomes get a vanishing floor so all logits stay finite
@@ -440,7 +435,7 @@ def train_resampling(dataset: EntryDataset, rewards: RewardTable, market: GameSp
     """
     total = float(dataset.counts.sum())
     if not 1 <= (draws := round(total)) < 2 ** 63:  # numpy takes a redraw's size as an int64
-        raise InvalidInstanceError(f"counts total must round into [1, 2**63 - 1] to resample (got {total!r})")
+        raise MarketGameError(f"counts total must round into [1, 2**63 - 1] to resample (got {total!r})")
     rng = np.random.default_rng(config.seed)
     gen = _initial_generator(dataset, init)
 
@@ -497,9 +492,9 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, market: G
     platform count or choice rule.
     """
     if estimator not in ("exact", "reinforce"):
-        raise InvalidParameterError(f"unknown estimator {estimator!r}")
+        raise MarketGameError(f"unknown estimator {estimator!r}")
     if config.inner_epochs < 1:
-        raise InvalidParameterError("direct-gradient training needs inner_epochs >= 1")
+        raise MarketGameError("direct-gradient training needs inner_epochs >= 1")
     rng = np.random.default_rng(config.seed)
     gen = _initial_generator(dataset, init)
     q_hat = dataset.empirical_distribution()
@@ -562,7 +557,7 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, market: G
 # post-training market evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntrantReport:
     spec: GameSpec
     entrant_index: int
@@ -585,7 +580,7 @@ def evaluate_entrant(entrant: ToyGenerator, rewards: RewardTable, market: GameSp
     dynamics outcome alone: its equilibrium profile or its cycle.
     """
     if rewards.n_types != market.population.n_types:
-        raise InvalidInstanceError("rewards and the market's population disagree on user types")
+        raise MarketGameError("rewards and the market's population disagree on user types")
     row = entrant_scores(entrant, rewards)
     incumbents = market.scores
     stacked = ScoreMatrix(

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BUDGET, CENTRALIZATION, DYNAMICS, check
-from .errors import (
-    BudgetExceededError,
-    InvalidInstanceError,
-    InvalidParameterError,
-    InvalidProfileError,
-)
+from .errors import BudgetExceededError, MarketGameError
 from . import game
 from .game import GameSpec, as_profile
 
@@ -58,7 +53,7 @@ def _exceeds(difference):  # a gain or shortfall, or an array of them
 
 def _within_budget(required: int, budget, task: str, unit: str) -> None:
     """Refuse a ``budget`` that is not a count, or one below the ``required`` count of ``unit``."""
-    check(budget, BUDGET, "budget", InvalidParameterError)
+    check(budget, BUDGET, "budget")
     if required > budget:
         raise BudgetExceededError(f"{task} needs {required} {unit} but the budget is {budget}",
                                   required=required, budget=budget)
@@ -144,7 +139,7 @@ class CentralizationParams:
 
     def __post_init__(self):
         for name, field in CENTRALIZATION.items():
-            check(getattr(self, name), field, name, InvalidParameterError)
+            check(getattr(self, name), field, name)
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,7 @@ def best_response(spec: GameSpec, profile, platform: int) -> int:
     and otherwise returns the lowest-index best response.
     """
     prof = as_profile(spec, profile)
-    platform = game._index(platform, spec.n_platforms, "platform index", InvalidProfileError)
+    platform = game._index(platform, spec.n_platforms, "platform index")
     # the rivals come from a checked profile, so deviation_values' check is skipped
     best = _best_responses(spec, prof[:platform] + prof[platform + 1:])[1]
     if best[prof[platform]]:
@@ -262,7 +257,7 @@ def run_dynamics(spec: GameSpec, start, *, max_steps: int = 1000) -> DynamicsOut
     ``cycle`` otherwise.  It is ``timeout`` only when the state after
     ``max_steps`` turns is new.
     """
-    check(max_steps, DYNAMICS["max_steps"], "max_steps", InvalidParameterError)
+    check(max_steps, DYNAMICS["max_steps"], "max_steps")
     start_prof = as_profile(spec, start)
     profile, mover = start_prof, 0
     trajectory: list[DynamicsStep] = []
@@ -305,7 +300,7 @@ def run_dynamics(spec: GameSpec, start, *, max_steps: int = 1000) -> DynamicsOut
 
 def _hardmax_only(spec: GameSpec, what: str) -> None:
     if spec.choice.kind != "hardmax":
-        raise InvalidInstanceError(f"{what} is defined for hardmax instances")
+        raise MarketGameError(f"{what} is defined for hardmax instances")
 
 
 def _condition_report(spec: GameSpec, prof: tuple[int, ...], movers: np.ndarray,
@@ -341,9 +336,9 @@ def check_differentiated_condition(spec: GameSpec, profile) -> ConditionReport:
     _hardmax_only(spec, "the differentiated-equilibrium condition")
     prof = as_profile(spec, profile)
     if spec.n_platforms < 2:
-        raise InvalidInstanceError("the differentiated condition needs at least two platforms")
+        raise MarketGameError("the differentiated condition needs at least two platforms")
     if len(set(prof)) != spec.n_platforms:
-        raise InvalidInstanceError("profile must use distinct models on every platform")
+        raise MarketGameError("profile must use distinct models on every platform")
     return _condition_report(spec, prof, np.arange(spec.n_platforms),
                              game.deviation_advantage(spec, prof))
 
@@ -355,14 +350,13 @@ def check_homogeneous_condition(spec: GameSpec, model: int) -> ConditionReport:
     deviation advantage is 0, so each row's rhs is the deviator's delta.
     """
     _hardmax_only(spec, "the homogeneous-equilibrium condition")
-    model = game._index(model, spec.n_models, "model index", InvalidInstanceError)
+    model = game._index(model, spec.n_models, "model index")
     return _condition_report(spec, (model,) * spec.n_platforms, np.zeros(1, dtype=int), np.zeros(1))
 
 
 def pair_delta(spec: GameSpec, i: int, j: int) -> float:
     """Two-platform deviation advantage of model i against model j."""
-    chosen = spec.scores.scores[[game._index(g, spec.n_models, "model index", InvalidInstanceError)
-                                 for g in (i, j)]]
+    chosen = spec.scores.scores[[game._index(g, spec.n_models, "model index") for g in (i, j)]]
     return float(game._deviation_advantage(game.ChoiceRule.hardmax(), chosen,
                                            spec.population.weights)[0])
 
@@ -381,8 +375,7 @@ def centralization_check(spec: GameSpec, params: CentralizationParams) -> Centra
     """
     _hardmax_only(spec, "the centralization check")
     s = spec.scores.scores
-    k_star = game._index(params.dominant_type, spec.scores.n_types, "dominant type index",
-                         InvalidInstanceError)
+    k_star = game._index(params.dominant_type, spec.scores.n_types, "dominant type index")
     m = int(s[:, k_star].argmax())
     margin = s[m, k_star] - s[:, k_star]
     gap = np.abs(s - s[m])
@@ -393,12 +386,12 @@ def centralization_check(spec: GameSpec, params: CentralizationParams) -> Centra
         # the first rival with a violation, its margin before its gaps
         j = int(violated.argmax())
         if low_margin[j]:
-            raise InvalidInstanceError(
+            raise MarketGameError(
                 f"dominant-type margin violated: model {j} is within "
                 f"{float(margin[j]):.6g} < rho={params.rho:.6g} of the dominant model"
             )
         k = int(wide_gap[j].argmax())
-        raise InvalidInstanceError(
+        raise MarketGameError(
             f"off-dominant variation violated: |S_{j},{k} - S_{m},{k}| "
             f"= {float(gap[j, k]):.6g} > gamma_cap={params.gamma_cap:.6g}"
         )

@@ -1,20 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refused input raises ``MarketGameError`` with one line that names the
+input; the CLI prints that line as its ``error:`` line.  The two subclasses
+exist only to carry data a caller reads."""
 
 
 class MarketGameError(ValueError):
-    """Base class for all invalid-input and configuration errors."""
-
-
-class InvalidProfileError(MarketGameError):
-    """A strategy profile does not fit the game (wrong length or model index)."""
-
-
-class InvalidParameterError(MarketGameError):
-    """A numeric parameter is outside its documented range."""
-
-
-class InvalidInstanceError(MarketGameError):
-    """A game instance violates a precondition of the requested analysis."""
+    """An input, parameter or config the package refuses, named in the message."""
 
 
 class BudgetExceededError(MarketGameError):
@@ -24,10 +16,6 @@ class BudgetExceededError(MarketGameError):
         super().__init__(message)
         self.required = required
         self.budget = budget
-
-
-class ConfigError(MarketGameError):
-    """A run configuration is malformed."""
 
 
 class TrainingDivergedError(MarketGameError):

@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import config as config_mod
-from .errors import ConfigError
+from .errors import MarketGameError
 from .game import (
     ChoiceRule,
     GameSpec,
@@ -66,7 +66,7 @@ _FIXTURE_NAMES = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fixture:
     name: str
     description: str
@@ -92,7 +92,7 @@ def fixture_names() -> list[str]:
 def choice_from_block(block: dict | None) -> ChoiceRule | None:
     """The choice rule a checked ``choice`` block names, or None when there is no block."""
     if block is not None and block["kind"] == "softmax" and "tau" not in block:
-        raise ConfigError("missing 'tau' in a softmax choice block")
+        raise MarketGameError("missing 'tau' in a softmax choice block")
     return None if block is None else ChoiceRule(**block)
 
 
@@ -130,7 +130,7 @@ def builtin_instance(name: str) -> Fixture:
     """Look up a registered fixture by name."""
     if name not in _FIXTURE_NAMES:
         known = ", ".join(sorted(_FIXTURE_NAMES))
-        raise ConfigError(f"unknown fixture {name!r}; known fixtures: {known}")
+        raise MarketGameError(f"unknown fixture {name!r}; known fixtures: {known}")
     # fields are named <name>.<key>, as fig2_a.explicit.scores
     record = config_mod.load(DATA_DIR / f"{name}.json", config_mod.FIXTURE_RECORD, name,
                              f"fixture record {name}")

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import CHOICE, GMM, N_PLATFORMS, check
-from .errors import InvalidInstanceError, InvalidParameterError, InvalidProfileError
+from .errors import MarketGameError
 
 __all__ = [
     "WEIGHT_TOL",
@@ -59,13 +59,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 def _labels(labels, name: str, count: int = 0, prefix: str = "t") -> tuple[str, ...]:
-    """``labels`` as a tuple of distinct strings, or an InvalidInstanceError naming
+    """``labels`` as a tuple of distinct strings, or a MarketGameError naming
     them ``name``; None gives the defaults ``prefix`` 1, 2, ..., ``count``."""
     if labels is None:
         return tuple(f"{prefix}{i + 1}" for i in range(count))
     labels = tuple(map(str, labels))
     if len(set(labels)) != len(labels):
-        raise InvalidInstanceError(f"{name} must be unique")
+        raise MarketGameError(f"{name} must be unique")
     return labels
 
 
@@ -88,13 +88,13 @@ class UserPopulation:
         w = _frozen_array(weights)
         labels = _labels(type_labels, "user type labels", w.size)
         if w.ndim != 1 or w.shape[0] != len(labels):
-            raise InvalidInstanceError("weights must be a vector matching type_labels")
+            raise MarketGameError("weights must be a vector matching type_labels")
         if len(labels) == 0:
-            raise InvalidInstanceError("population needs at least one user type")
+            raise MarketGameError("population needs at least one user type")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise InvalidInstanceError("weights must be finite and non-negative")
+            raise MarketGameError("weights must be finite and non-negative")
         if not abs(float(w.sum()) - 1.0) <= WEIGHT_TOL:
-            raise InvalidInstanceError(f"weights must sum to 1 (got {float(w.sum())!r})")
+            raise MarketGameError(f"weights must sum to 1 (got {float(w.sum())!r})")
         object.__setattr__(self, "type_labels", labels)
         object.__setattr__(self, "weights", w)
 
@@ -108,7 +108,7 @@ class UserPopulation:
 
     @staticmethod
     def uniform(k: int) -> "UserPopulation":
-        check(k, GMM["k_types"], "k", InvalidInstanceError)
+        check(k, GMM["k_types"], "k")
         return UserPopulation(None, np.full(k, 1.0 / k))
 
 
@@ -127,12 +127,12 @@ class ScoreMatrix:
     def __init__(self, scores, model_labels: Iterable[str] | None = None):
         s = _frozen_array(scores)
         if s.ndim != 2 or s.shape[0] < 1 or s.shape[1] < 1:
-            raise InvalidInstanceError("scores must be a non-empty M x K matrix")
+            raise MarketGameError("scores must be a non-empty M x K matrix")
         if not np.all(np.isfinite(s)) or np.any(s < 0):
-            raise InvalidInstanceError("scores must be finite and non-negative")
+            raise MarketGameError("scores must be finite and non-negative")
         labels = _labels(model_labels, "model labels", s.shape[0], "g")
         if len(labels) != s.shape[0]:
-            raise InvalidInstanceError("model_labels must match the number of score rows")
+            raise MarketGameError("model_labels must match the number of score rows")
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "model_labels", labels)
 
@@ -158,12 +158,11 @@ class ChoiceRule:
 
     def __post_init__(self):
         if self.kind not in ("hardmax", "softmax"):
-            raise InvalidParameterError(f"unknown choice rule {self.kind!r}")
+            raise MarketGameError(f"unknown choice rule {self.kind!r}")
         if self.kind == "softmax":  # a float, so that outputs echo a tau of 1 as 1.0
-            object.__setattr__(self, "tau", float(check(self.tau, CHOICE["tau"], "tau",
-                                                        InvalidParameterError)))
+            object.__setattr__(self, "tau", float(check(self.tau, CHOICE["tau"], "tau")))
         elif self.tau is not None:
-            raise InvalidParameterError(f"a hardmax choice rule takes no tau (got {self.tau!r})")
+            raise MarketGameError(f"a hardmax choice rule takes no tau (got {self.tau!r})")
 
     @staticmethod
     def hardmax() -> "ChoiceRule":
@@ -185,19 +184,19 @@ class GameSpec:
 
     def __post_init__(self):
         if self.scores.n_types != self.population.n_types:
-            raise InvalidInstanceError(
+            raise MarketGameError(
                 f"score matrix has {self.scores.n_types} type columns but the "
                 f"population has {self.population.n_types} types"
             )
-        n = operator.index(check(self.n_platforms, N_PLATFORMS, "n_platforms", InvalidInstanceError))
+        n = operator.index(check(self.n_platforms, N_PLATFORMS, "n_platforms"))
         # in Python floats, whose arithmetic overflows to inf without a numpy
         # warning; an int n above SCALE_LIMIT would not convert to a float
         largest = float(self.scores.scores.max())
         if not (n <= SCALE_LIMIT and n * largest <= SCALE_LIMIT):
-            raise InvalidInstanceError(
+            raise MarketGameError(
                 f"{n} platforms times the largest score {largest!r} exceeds {SCALE_LIMIT!r}")
         if self.choice.kind == "softmax" and not math.isfinite(largest / self.choice.tau):
-            raise InvalidParameterError(f"softmax tau {self.choice.tau!r} is too small for the score scale")
+            raise MarketGameError(f"softmax tau {self.choice.tau!r} is too small for the score scale")
         object.__setattr__(self, "n_platforms", n)
 
     @property
@@ -215,9 +214,9 @@ class GameSpec:
         try:
             m = operator.index(m)
         except TypeError:
-            raise InvalidInstanceError(f"model count must be an integer (got {m!r})") from None
+            raise MarketGameError(f"model count must be an integer (got {m!r})") from None
         if not 1 <= m <= self.n_models:
-            raise InvalidInstanceError(f"model count {m} out of range [1, {self.n_models}]")
+            raise MarketGameError(f"model count {m} out of range [1, {self.n_models}]")
         sub = ScoreMatrix(self.scores.scores[:m], self.scores.model_labels[:m])
         return GameSpec(sub, self.population, self.n_platforms, self.choice)
 
@@ -231,14 +230,14 @@ def as_profile(spec: GameSpec, profile) -> tuple[int, ...]:
     return _model_indices(spec, profile, spec.n_platforms)
 
 
-def _index(value, n: int, name: str, error: type) -> int:
-    """``value`` as an index in [0, n), read as a profile entry is, or an ``error`` naming it."""
+def _index(value, n: int, name: str) -> int:
+    """``value`` as an index in [0, n), read as a profile entry is, or a ``MarketGameError`` naming it."""
     try:
         i = operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer (got {value!r})") from None
+        raise MarketGameError(f"{name} must be an integer (got {value!r})") from None
     if not 0 <= i < n:
-        raise error(f"{name} {i} out of range [0, {n})")
+        raise MarketGameError(f"{name} {i} out of range [0, {n})")
     return i
 
 
@@ -246,15 +245,13 @@ def _model_indices(spec: GameSpec, profile, n: int) -> tuple[int, ...]:
     try:
         choices = tuple(map(operator.index, profile))
     except TypeError:
-        raise InvalidProfileError(
-            f"a profile must be a list of model indices (got {profile!r})"
-        ) from None
+        raise MarketGameError(f"a profile must be a list of model indices (got {profile!r})") from None
     if len(choices) != n:
-        raise InvalidProfileError(f"profile has {len(choices)} entries for {n} platforms")
+        raise MarketGameError(f"profile has {len(choices)} entries for {n} platforms")
     m = spec.n_models
     for c in choices:
         if not 0 <= c < m:
-            raise InvalidProfileError(f"model index {c} out of range [0, {m})")
+            raise MarketGameError(f"model index {c} out of range [0, {m})")
     return choices
 
 

@@ -8,7 +8,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInstanceError
+from .errors import BudgetExceededError, MarketGameError
 from . import game
 from .equilibrium import DynamicsOutcome, _exceeds, _within_budget, enumerate_pne, verify_pne
 from .game import ChoiceRule, GameSpec, as_profile
@@ -88,7 +88,7 @@ class ProfileScore:
     utilities: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsRecord:
     """Every figure of one dynamics outcome, each distinct profile scored once.
 
@@ -110,12 +110,12 @@ class MetricsRecord:
     def __post_init__(self):
         for score in self.scores.values():
             if not abs(sum(score.shares) - self.weight_total) <= game.WEIGHT_TOL:
-                raise InvalidInstanceError("market shares must sum to the population's weight total")
+                raise MarketGameError("market shares must sum to the population's weight total")
             if not abs(score.hhi - sum(m * m for m in score.shares)) <= _IDENTITY_TOL:
-                raise InvalidInstanceError("hhi must equal the sum of squared shares")
+                raise MarketGameError("hhi must equal the sum of squared shares")
         optimum = self.analysis.optimum
         if self.welfare and optimum and _exceeds(self.welfare.value - optimum.value):
-            raise InvalidInstanceError("welfare cannot exceed the social optimum")
+            raise MarketGameError("welfare cannot exceed the social optimum")
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def coverage_value(spec: GameSpec, profile) -> float:
     delta = game._deviation_advantage(_HARDMAX, chosen, weights)
     decomposed = float((game.average_scores(spec).take(prof) + delta).sum()) / spec.n_platforms
     if not abs(value - decomposed) <= _IDENTITY_TOL * max(1.0, abs(value)):
-        raise InvalidInstanceError(f"coverage decomposition mismatch: {value!r} vs {decomposed!r}")
+        raise MarketGameError(f"coverage decomposition mismatch: {value!r} vs {decomposed!r}")
     return value
 
 
@@ -196,7 +196,7 @@ def _welfare(outcome: DynamicsOutcome, coverage: Callable[[tuple[int, ...]], flo
             by_multiset[tuple(sorted(p))] = v
         multiset_avg = float(np.mean(list(by_multiset.values())))
         return WelfareFigures(state_avg, state_avg, multiset_avg, "cycle")
-    raise InvalidInstanceError(f"welfare is undefined for outcome kind {outcome.kind!r}")
+    raise MarketGameError(f"welfare is undefined for outcome kind {outcome.kind!r}")
 
 
 def welfare_figures(spec: GameSpec, outcome: DynamicsOutcome) -> WelfareFigures:
@@ -215,18 +215,18 @@ def platform_entry_check(spec: GameSpec, base_equilibrium, entrant_model: int) -
     checked.
     """
     prof = as_profile(spec, base_equilibrium)
-    entrant = game._index(entrant_model, spec.n_models, "entrant model index", InvalidInstanceError)
+    entrant = game._index(entrant_model, spec.n_models, "entrant model index")
     if not verify_pne(spec, prof).is_pne:
-        raise InvalidInstanceError("base profile is not a pure Nash equilibrium")
+        raise MarketGameError("base profile is not a pure Nash equilibrium")
     extended_spec = spec.with_platforms(spec.n_platforms + 1)
     extended = prof + (entrant,)
     is_eq = verify_pne(extended_spec, extended).is_pne
     welfare_delta = coverage_value(extended_spec, extended) - coverage_value(spec, prof)
     support_delta = len(set(extended)) - len(set(prof))
     if is_eq and _exceeds(-welfare_delta):
-        raise InvalidInstanceError("entry lowered welfare at an equilibrium")
+        raise MarketGameError("entry lowered welfare at an equilibrium")
     if is_eq and not support_delta >= 0:
-        raise InvalidInstanceError("entry lowered support")
+        raise MarketGameError("entry lowered support")
     return EntryCheck(is_eq, float(welfare_delta), int(support_delta), extended)
 
 
@@ -254,7 +254,7 @@ def outcome_metrics(spec: GameSpec, outcome: DynamicsOutcome, analysis: GameAnal
     """
     anchor = outcome.cycle_profiles[0] if outcome.kind == "cycle" else outcome.equilibrium_profile
     if outcome.kind == "equilibrium" and analysis.pne is not None and anchor not in analysis.pne:
-        raise InvalidInstanceError("a dynamics equilibrium is missing from the PNE list")
+        raise MarketGameError("a dynamics equilibrium is missing from the PNE list")
     utilities = {step.profile_after: step.utilities for step in outcome.trajectory}
     scores: dict[tuple[int, ...], ProfileScore] = {}
     for profile in ([] if anchor is None else [anchor]) + list(profiles) + list(outcome.cycle_profiles):

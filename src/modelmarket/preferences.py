@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidInstanceError
+from .errors import MarketGameError
 from .game import ScoreMatrix, _frozen_array, _labels
 
 __all__ = ["PreferenceTable", "scores_from_preferences"]
@@ -30,9 +30,9 @@ class PreferenceTable:
         labels = _labels(type_labels, "user type labels")
         w = _frozen_array(weights)
         if w.ndim != 2 or w.shape != (len(labels), len(crit)):
-            raise InvalidInstanceError("weights must be a K x C matrix matching labels and criteria")
+            raise MarketGameError("weights must be a K x C matrix matching labels and criteria")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise InvalidInstanceError("preference weights must be finite and non-negative")
+            raise MarketGameError("preference weights must be finite and non-negative")
         object.__setattr__(self, "criteria", crit)
         object.__setattr__(self, "type_labels", labels)
         object.__setattr__(self, "weights", w)
@@ -50,9 +50,9 @@ def scores_from_preferences(
     """
     perf = np.asarray(performance, dtype=float)
     if perf.ndim != 2 or perf.shape[1] != len(prefs.criteria):
-        raise InvalidInstanceError(
+        raise MarketGameError(
             f"performance must be M x {len(prefs.criteria)} to match the preference criteria"
         )
     if np.any(perf < 0) or not np.all(np.isfinite(perf)):
-        raise InvalidInstanceError("performance entries must be finite and non-negative")
+        raise MarketGameError("performance entries must be finite and non-negative")
     return ScoreMatrix(perf @ prefs.weights.T, model_labels=model_labels)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import COMPONENT, GMM, KERNEL, RBF_GMM, check
-from .errors import InvalidInstanceError, InvalidParameterError
+from .errors import MarketGameError
 from .game import WEIGHT_TOL, ScoreMatrix, UserPopulation, _frozen_array, _outcome_cdf
 
 __all__ = [
@@ -50,9 +50,9 @@ class RbfKernel:
             center = list(self.center)
         except TypeError:
             center = self.center
-        check(center, KERNEL["center"], "kernel center", InvalidParameterError)
+        check(center, KERNEL["center"], "kernel center")
         for name in ("amplitude", "width"):
-            check(getattr(self, name), KERNEL[name], f"kernel {name}", InvalidParameterError)
+            check(getattr(self, name), KERNEL[name], f"kernel {name}")
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,11 @@ class RbfModelSpec:
     def __init__(self, bias: float, kernels: Iterable[RbfKernel]):
         ks = tuple(kernels)
         if not ks:
-            raise InvalidInstanceError("an RBF model needs at least one kernel")
+            raise MarketGameError("an RBF model needs at least one kernel")
         dims = {len(k.center) for k in ks}
         if len(dims) != 1:
-            raise InvalidInstanceError("all kernel centers must share one dimension")
-        check(bias, RBF_GMM["models"].table["bias"], "model bias", InvalidParameterError)
+            raise MarketGameError("all kernel centers must share one dimension")
+        check(bias, RBF_GMM["models"].table["bias"], "model bias")
         object.__setattr__(self, "bias", float(bias))
         object.__setattr__(self, "kernels", ks)
 
@@ -87,17 +87,17 @@ class GmmComponent:
     def __init__(self, weight: float, mean: Sequence[float], covariance):
         cov = np.asarray(covariance, dtype=float)
         mean_t = tuple(float(x) for x in mean)
-        check(weight, COMPONENT["weight"], "component weight", InvalidParameterError)
+        check(weight, COMPONENT["weight"], "component weight")
         if not (np.all(np.isfinite(mean_t)) and np.all(np.isfinite(cov))):
-            raise InvalidInstanceError("component mean and covariance must be finite")
+            raise MarketGameError("component mean and covariance must be finite")
         if cov.shape != (len(mean_t), len(mean_t)):
-            raise InvalidInstanceError("covariance shape must match the mean dimension")
+            raise MarketGameError("covariance shape must match the mean dimension")
         if not np.allclose(cov, cov.T):
-            raise InvalidInstanceError("covariance must be symmetric")
+            raise MarketGameError("covariance must be symmetric")
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
-            raise InvalidInstanceError("covariance must be positive-definite") from exc
+            raise MarketGameError("covariance must be positive-definite") from exc
         object.__setattr__(self, "weight", float(weight))
         object.__setattr__(self, "mean", mean_t)
         object.__setattr__(self, "covariance", _frozen_array(cov))
@@ -117,17 +117,17 @@ class GmmPopulationSpec:
                  seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE):
         comps = tuple(components)
         if not comps:
-            raise InvalidInstanceError("a GMM needs at least one component")
+            raise MarketGameError("a GMM needs at least one component")
         total = sum(c.weight for c in comps)
         if not abs(total - 1.0) <= WEIGHT_TOL:
-            raise InvalidInstanceError(f"component weights must sum to 1 (got {total!r})")
+            raise MarketGameError(f"component weights must sum to 1 (got {total!r})")
         dims = {len(c.mean) for c in comps}
         if len(dims) != 1:
-            raise InvalidInstanceError("all component means must share one dimension")
+            raise MarketGameError("all component means must share one dimension")
         for name, value in zip(("k_types", "dx", "seed", "sample_size"), (k_types, dx, seed, sample_size)):
-            check(value, GMM[name], name, InvalidParameterError)
+            check(value, GMM[name], name)
         if sample_size < k_types:
-            raise InvalidParameterError("sample_size must be at least k_types")
+            raise MarketGameError("sample_size must be at least k_types")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "k_types", int(k_types))
         object.__setattr__(self, "dx", float(dx))
@@ -144,21 +144,21 @@ def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]])
     the default model labels.
 
     The clamp applies once, after the bias and all kernels are summed.
-    Inputs that would overflow raise ``InvalidParameterError`` naming the
+    Inputs that would overflow raise ``MarketGameError`` naming the
     model: one whose |bias| plus its kernels' |amplitude|s passes the largest
     float, and a kernel (named too) whose 2 * width**2 is not a positive
     finite float or whose squared distance over it is not finite at some point.
     """
     pts = np.asarray(types, dtype=float)
     if pts.ndim != 2:
-        raise InvalidInstanceError("types must be a K x d array of coordinates")
+        raise MarketGameError("types must be a K x d array of coordinates")
     rows = []
     for i, spec in enumerate(models):
         if spec.dim != pts.shape[1]:
-            raise InvalidInstanceError("model and type dimensions differ")
+            raise MarketGameError("model and type dimensions differ")
         if not math.isfinite(sum((abs(k.amplitude) for k in spec.kernels), abs(spec.bias))):
-            raise InvalidParameterError(f"models[{i}]: |bias| + the sum of its kernels' |amplitude| "
-                                        f"must be finite (bias {spec.bias!r})")
+            raise MarketGameError(f"models[{i}]: |bias| + the sum of its kernels' |amplitude| "
+                                  f"must be finite (bias {spec.bias!r})")
         value = np.full(pts.shape[0], spec.bias)
         for j, k in enumerate(spec.kernels):
             name = f"models[{i}].kernels[{j}]"
@@ -167,13 +167,13 @@ def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]])
             except OverflowError:  # a Python float's square past the largest float
                 spread = math.inf
             if not 0 < spread < math.inf:
-                raise InvalidParameterError(f"{name}: 2 * width**2 must be a positive finite float "
-                                            f"(got {spread!r} for width {k.width!r})")
+                raise MarketGameError(f"{name}: 2 * width**2 must be a positive finite float "
+                                      f"(got {spread!r} for width {k.width!r})")
             with np.errstate(over="ignore"):
                 exponent = ((pts - np.asarray(k.center)) ** 2).sum(axis=1) / spread
             if not np.isfinite(exponent).all():
-                raise InvalidParameterError(f"{name}: squared distance / (2 * width**2) must be "
-                                            f"finite at every type point (width {k.width!r})")
+                raise MarketGameError(f"{name}: squared distance / (2 * width**2) must be "
+                                      f"finite at every type point (width {k.width!r})")
             value = value + k.amplitude * np.exp(-exponent)
         rows.append(np.clip(value, 0.0, 1.0))
     return ScoreMatrix(np.vstack(rows))
@@ -224,7 +224,7 @@ def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple
 
     Points must be finite and no larger in absolute value than
     sqrt(float max / (8 n d)), so that no squared distance, seeding total or
-    cluster sum overflows; others raise ``InvalidParameterError``.
+    cluster sum overflows; others raise ``MarketGameError``.
 
     No (n, k) array is formed: one iteration takes each center's distances
     as an n-vector, keeps a running minimum over the centers, and sums the
@@ -235,16 +235,16 @@ def seeded_kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
-        raise InvalidParameterError(
+        raise MarketGameError(
             f"points must be a non-empty n x d array with d >= 1 (got shape {points.shape})")
-    check(k, GMM["k_types"], "k", InvalidParameterError)
+    check(k, GMM["k_types"], "k")
     n, dim = points.shape
     # every center lies in the points' box, so a squared distance is at most
     # 4 d bound^2 and the seeding total n times that: half the largest float
     bound = math.sqrt(sys.float_info.max / (8 * n * dim))
     largest = float(np.abs(points).max())
     if not largest <= bound:
-        raise InvalidParameterError(
+        raise MarketGameError(
             f"k-means points must be finite and at most {bound:.6g} in absolute value "
             f"for {n} points in {dim} dimensions (got {largest!r})")
     columns = np.ascontiguousarray(points.T)

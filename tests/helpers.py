@@ -36,7 +36,7 @@ from modelmarket.equilibrium import (
     check_homogeneous_condition,
     pair_delta,
 )
-from modelmarket.errors import BudgetExceededError, InvalidInstanceError, InvalidProfileError
+from modelmarket.errors import BudgetExceededError, MarketGameError
 from modelmarket.metrics import MarketShares, SocialOptimum
 from modelmarket.game import (
     ChoiceRule,
@@ -290,7 +290,7 @@ def reference_verify_pne_by_platform(spec: GameSpec, profile) -> PneCheck:
 
 def _hardmax_only(spec: GameSpec, what: str) -> None:
     if spec.choice.kind != "hardmax":
-        raise InvalidInstanceError(f"{what} is defined for hardmax instances")
+        raise MarketGameError(f"{what} is defined for hardmax instances")
 
 
 def reference_check_differentiated_condition(spec: GameSpec, profile) -> ConditionReport:
@@ -298,9 +298,9 @@ def reference_check_differentiated_condition(spec: GameSpec, profile) -> Conditi
     _hardmax_only(spec, "the differentiated-equilibrium condition")
     prof = as_profile(spec, profile)
     if spec.n_platforms < 2:
-        raise InvalidInstanceError("the differentiated condition needs at least two platforms")
+        raise MarketGameError("the differentiated condition needs at least two platforms")
     if len(set(prof)) != spec.n_platforms:
-        raise InvalidInstanceError("profile must use distinct models on every platform")
+        raise MarketGameError("profile must use distinct models on every platform")
     t = game.average_scores(spec)
     d_cur = game.deviation_advantage(spec, prof)
     rows = []
@@ -323,7 +323,7 @@ def reference_check_homogeneous_condition(spec: GameSpec, model: int) -> Conditi
     """Homogeneous margin rows with one ``deviation_advantage`` call per deviation."""
     _hardmax_only(spec, "the homogeneous-equilibrium condition")
     if not 0 <= model < spec.n_models:
-        raise InvalidInstanceError(f"model index {model} out of range")
+        raise MarketGameError(f"model index {model} out of range")
     prof = tuple([model] * spec.n_platforms)
     t = game.average_scores(spec)
     rows = []
@@ -360,12 +360,12 @@ def reference_two_player_conditions(spec: GameSpec, i: int, j: int) -> TwoPlayer
     separate formula for M = 2; its refusals are those of ``pair_conditions``."""
     _hardmax_only(spec, "the differentiated-equilibrium condition")
     if spec.n_platforms != 2:
-        raise InvalidInstanceError("the two-player conditions require exactly 2 platforms")
+        raise MarketGameError("the two-player conditions require exactly 2 platforms")
     for k in (i, j):
         if not 0 <= k < spec.n_models:
-            raise InvalidProfileError(f"model index {k} out of range [0, {spec.n_models})")
+            raise MarketGameError(f"model index {k} out of range [0, {spec.n_models})")
     if i == j:
-        raise InvalidInstanceError("profile must use distinct models on every platform")
+        raise MarketGameError("profile must use distinct models on every platform")
     t = game.average_scores(spec)
     d_ij = pair_delta(spec, i, j)
     d_ji = pair_delta(spec, j, i)
@@ -414,12 +414,12 @@ def reference_centralization_check(spec: GameSpec,
     k_star = params.dominant_type
     m = params.dominant_model
     if not 0 <= k_star < spec.scores.n_types:
-        raise InvalidInstanceError(f"dominant type index {k_star} out of range")
+        raise MarketGameError(f"dominant type index {k_star} out of range")
     if not 0 <= m < spec.n_models:
-        raise InvalidInstanceError(f"dominant model index {m} out of range")
+        raise MarketGameError(f"dominant model index {m} out of range")
     w_star = float(spec.population.weights[k_star])
     if abs(w_star - params.pi_star) > 1e-9:
-        raise InvalidInstanceError(
+        raise MarketGameError(
             f"pi_star {params.pi_star} does not match the dominant type's weight {w_star}"
         )
     for j in range(spec.n_models):
@@ -427,7 +427,7 @@ def reference_centralization_check(spec: GameSpec,
             continue
         margin = float(s[m, k_star] - s[j, k_star])
         if params.rho - margin > IMPROVEMENT_EPS:
-            raise InvalidInstanceError(
+            raise MarketGameError(
                 f"dominant-type margin violated: model {j} is within "
                 f"{margin:.6g} < rho={params.rho:.6g} of the dominant model"
             )
@@ -436,7 +436,7 @@ def reference_centralization_check(spec: GameSpec,
                 continue
             gap = abs(float(s[j, k] - s[m, k]))
             if gap - params.gamma_cap > IMPROVEMENT_EPS:
-                raise InvalidInstanceError(
+                raise MarketGameError(
                     f"off-dominant variation violated: |S_{j},{k} - S_{m},{k}| "
                     f"= {gap:.6g} > gamma_cap={params.gamma_cap:.6g}"
                 )

@@ -24,7 +24,7 @@ import modelmarket.fixtures as fixtures_mod
 import modelmarket.game as game_mod
 import modelmarket.metrics as metrics_mod
 from modelmarket.equilibrium import enumerate_pne, run_dynamics
-from modelmarket.errors import ConfigError
+from modelmarket.errors import MarketGameError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import platform_utilities
 from modelmarket.metrics import market_shares, welfare_figures
@@ -1646,7 +1646,7 @@ _RECORD_BASES = {"explicit": "fig2_a", "synthetic": "simu_appendix_d", "preferen
 
 class TestFixtureRecordTable:
     """Every field of a fixture record, fed every wrong kind, fails in one
-    ConfigError that names the record and the field's dotted path."""
+    MarketGameError that names the record and the field's dotted path."""
 
     @staticmethod
     def _load(tmp_path, monkeypatch, name, record):
@@ -1667,7 +1667,7 @@ class TestFixtureRecordTable:
             for key in keys[:-1]:
                 target = target[key]
             target[keys[-1]] = value
-            with pytest.raises(ConfigError) as info:
+            with pytest.raises(MarketGameError) as info:
                 self._load(tmp_path, monkeypatch, name, record)
             assert f"{name}.{path}" in str(info.value), value
 
@@ -1692,7 +1692,7 @@ class TestFixtureRecordTable:
         for game in games:
             record[game] = json.loads(
                 (fixtures_mod.DATA_DIR / f"{_RECORD_BASES[game]}.json").read_text())[game]
-        with pytest.raises(ConfigError, match="^fixture record fig2_a block needs exactly one "
+        with pytest.raises(MarketGameError, match="^fixture record fig2_a block needs exactly one "
                                               "of: explicit, synthetic, preferences$"):
             self._load(tmp_path, monkeypatch, "fig2_a", record)
 

@@ -6,12 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from modelmarket.errors import (
-    InvalidInstanceError,
-    InvalidParameterError,
-    MarketGameError,
-    TrainingDivergedError,
-)
+from modelmarket.errors import MarketGameError, TrainingDivergedError
 from modelmarket.equilibrium import check_homogeneous_condition, enumerate_pne
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation
 from modelmarket import config as config_mod
@@ -89,7 +84,7 @@ class TestAdoptionGate:
         assert np.all((sigma > 0) & (sigma < 1))
 
     def test_beta_must_be_positive(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(MarketGameError):
             adoption_gate(np.array([0.5]), _market([[0.4]]), beta=0.0)
 
 
@@ -161,7 +156,7 @@ class TestReinforceEstimator:
         # -1 would wrap to the last type and 1.0 index as 1
         gen = ToyGenerator.uniform(["a", "b"])
         baseline = RewardBaseline.zeros(2, 0.9)
-        with pytest.raises(InvalidParameterError) as info:
+        with pytest.raises(MarketGameError) as info:
             grad_s_reinforce(gen, RewardTable([[0.2, 0.4], [0.6, 0.8]]), type_index, 10, baseline,
                              np.random.default_rng(0))
         assert str(info.value) == message
@@ -320,13 +315,13 @@ class TestTrainResampling:
         # it rounds to no draw at all or past numpy's int64 draw count
         dataset = EntryDataset(["x1", "x2"], counts)
         message = f"counts total must round into [1, 2**63 - 1] to resample (got {total})"
-        with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(MarketGameError, match=f"^{re.escape(message)}$"):
             train_resampling(dataset, RewardTable([[0.5, 0.5]]), _market([[0.5]]), TrainingConfig())
 
 
 def test_a_dataset_refuses_counts_whose_total_is_not_finite():
     # each count is finite, but their sum overflows: the empirical distribution would be all zeros
-    with pytest.raises(InvalidInstanceError, match=r"^counts must sum to a finite total \(got inf\)$"):
+    with pytest.raises(MarketGameError, match=r"^counts must sum to a finite total \(got inf\)$"):
         EntryDataset(["x1", "x2"], [1e308, 1e308])
 
 
@@ -335,13 +330,13 @@ def test_a_dataset_refuses_counts_whose_total_is_not_finite():
                          ids=["attribute_labels", "empty attribute_labels", "type_attribute_prefs"])
 def test_a_dataset_refuses_structure_without_attributes(structure):
     # without attributes there is no structured mode to read either one, an empty label list included
-    with pytest.raises(InvalidInstanceError, match="^attribute_labels and type_attribute_prefs need attributes$"):
+    with pytest.raises(MarketGameError, match="^attribute_labels and type_attribute_prefs need attributes$"):
         EntryDataset(["a", "b"], [1, 1], **structure)
 
 
 def test_an_empty_label_list_is_not_the_default_labels():
     # only None asks for the attributes' own values; [] names no attribute at all
-    with pytest.raises(InvalidInstanceError, match="^attributes must come from attribute_labels$"):
+    with pytest.raises(MarketGameError, match="^attributes must come from attribute_labels$"):
         EntryDataset(["a", "b"], [1, 1], attributes=["u", "v"], attribute_labels=[],
                      type_attribute_prefs=[[]])
     assert EntryDataset(["a", "b"], [1, 1], attributes=["v", "u"],
@@ -442,11 +437,11 @@ class TestTrainDirectGradient:
         assert trace[-1]["objective"] > trace[0]["objective"]
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        with pytest.raises(MarketGameError, match="seed must be >= 0"):
             TrainingConfig(seed=-1)
 
     def test_unknown_estimator_rejected(self, toy):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(MarketGameError):
             train_direct_gradient(toy.dataset, toy.rewards, toy.market,
                                   TrainingConfig(), estimator="typo")
 
@@ -496,7 +491,7 @@ class TestEvaluateEntrant:
     def test_dimension_mismatch_rejected(self, toy):
         gen = ToyGenerator.uniform(["a", "b"])
         bad = RewardTable([[0.5, 0.5]])
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             evaluate_entrant(gen, bad, toy.market)
 
     def test_timed_out_market_has_no_welfare(self, toy):
@@ -859,7 +854,7 @@ class TestTrainingChecksOncePerRun:
     def test_reward_table_with_other_outcomes(self, toy):
         rewards = RewardTable(np.hstack([toy.rewards.rewards, toy.rewards.rewards[:, :1]]))
         for run in self._mismatched(toy, rewards):
-            with pytest.raises(InvalidInstanceError,
+            with pytest.raises(MarketGameError,
                                match="^reward table and generator disagree on outcomes$"):
                 run()
 
@@ -868,14 +863,14 @@ class TestTrainingChecksOncePerRun:
         gen = ToyGenerator.uniform(["x1", "x2", "x3"])
         rewards = RewardTable(toy.rewards.rewards[:, :2])
         for call in (objective_f, grad_f_exact):
-            with pytest.raises(InvalidInstanceError,
+            with pytest.raises(MarketGameError,
                                match="^reward table and generator disagree on outcomes$"):
                 call(gen, rewards, toy.market, 4.0)
 
     def test_reward_table_with_other_types(self, toy):
         rewards = RewardTable(toy.rewards.rewards[:2])
         for run in self._mismatched(toy, rewards):
-            with pytest.raises(InvalidInstanceError,
+            with pytest.raises(MarketGameError,
                                match="^s_phi must have one entry per user type$"):
                 run()
 
@@ -883,7 +878,7 @@ class TestTrainingChecksOncePerRun:
     @pytest.mark.parametrize("estimator", ["exact", "reinforce"])
     def test_a_step_that_underflows_an_outcome_is_refused(self, toy, estimator):
         config = TrainingConfig(lam=2.0, learning_rate=1e6, inner_epochs=3, eval_budget=50)
-        with pytest.raises(InvalidInstanceError, match="^logit spread too large"):
+        with pytest.raises(MarketGameError, match="^logit spread too large"):
             train_direct_gradient(toy.dataset, toy.rewards, toy.market, config,
                                   estimator=estimator)
 
@@ -900,9 +895,9 @@ class TestTrainingChecksOncePerRun:
         assert [row["epoch"] for row in info.value.trace] == [0]
 
     def test_generator_logits_are_checked(self):
-        with pytest.raises(InvalidInstanceError, match="^logits must be finite$"):
+        with pytest.raises(MarketGameError, match="^logits must be finite$"):
             ToyGenerator(["a", "b"], [0.0, np.inf])
-        with pytest.raises(InvalidInstanceError, match="^logit spread too large"):
+        with pytest.raises(MarketGameError, match="^logit spread too large"):
             ToyGenerator(["a", "b"], [0.0, -1e4])
 
 

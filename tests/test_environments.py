@@ -12,7 +12,7 @@ import pytest
 from modelmarket import fixtures as fixtures_mod
 from modelmarket.config import FIXTURE_RECORD, walk
 from modelmarket.equilibrium import DEFAULT_PROFILE_BUDGET
-from modelmarket.errors import ConfigError, InvalidInstanceError, InvalidParameterError
+from modelmarket.errors import MarketGameError
 from modelmarket.fixtures import builtin_instance, fixture_names, verify_fixture
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation
 from modelmarket.preferences import PreferenceTable, scores_from_preferences
@@ -87,7 +87,7 @@ class TestScoresFromPreferences:
 
     def test_dimension_mismatch(self):
         prefs = PreferenceTable(["c1", "c2"], ["t"], [[0.5, 0.5]])
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             scores_from_preferences([[0.4, 0.8, 0.1]], prefs)
 
 
@@ -137,7 +137,7 @@ class TestRbfScores:
         # numpy warnings are errors here, so the refusal must come before any
         models = [RbfModelSpec(0.0, [RbfKernel((0.5, 0.5), 1.0, 0.3)]),
                   RbfModelSpec(0.0, [RbfKernel((0.5, 0.5), 1.0, 0.3), RbfKernel(center, 1.0, width)])]
-        with pytest.raises(InvalidParameterError, match="^" + re.escape(f"models[1].kernels[1]: {message}")):
+        with pytest.raises(MarketGameError, match="^" + re.escape(f"models[1].kernels[1]: {message}")):
             rbf_scores(models, [(0.0, 0.0), (1.0, 2.0)])
 
     @pytest.mark.parametrize("bias, amplitudes", [
@@ -148,7 +148,7 @@ class TestRbfScores:
         # to 1; numpy warnings are errors here, so the refusal must come first
         models = [RbfModelSpec(0.0, [RbfKernel((0.5, 0.5), 1.0, 0.3)]),
                   RbfModelSpec(bias, [RbfKernel((0.0, 0.0), a, 1.0) for a in amplitudes])]
-        with pytest.raises(InvalidParameterError,
+        with pytest.raises(MarketGameError,
                            match="^" + re.escape("models[1]: |bias| + the sum of its kernels' |amplitude| "
                                                  "must be finite (bias ")):
             rbf_scores(models, [(0.0, 0.0), (1.0, 2.0)])
@@ -214,27 +214,27 @@ class TestGmmPopulation:
         assert np.array_equal(anchors_a, anchors_b)
 
     def test_degenerate_covariance_rejected(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             GmmComponent(1.0, (0.0, 0.0), [[1.0, 1.0], [1.0, 1.0]])
 
     def test_component_weights_must_sum_to_one(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             GmmPopulationSpec([GmmComponent(0.5, (0.0,), [[1.0]])], k_types=1)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        with pytest.raises(MarketGameError, match="seed must be >= 0"):
             GmmPopulationSpec([GmmComponent(1.0, (0.0,), [[1.0]])], k_types=1, seed=-1)
 
     @pytest.mark.parametrize("dx", [np.nan, np.inf, -np.inf])
     def test_non_finite_shift_rejected(self, dx):
-        with pytest.raises(InvalidParameterError, match=r"^dx must be finite \(got -?(nan|inf)\)"):
+        with pytest.raises(MarketGameError, match=r"^dx must be finite \(got -?(nan|inf)\)"):
             GmmPopulationSpec([GmmComponent(1.0, (0.0,), [[1.0]])], k_types=2, dx=dx, sample_size=50)
 
     def test_sample_too_large_for_kmeans_rejected(self):
         # finite draws near 1e308, whose squared distances overflow
         spec = GmmPopulationSpec([GmmComponent(1.0, (1e308, 0.0), [[1e308, 0.0], [0.0, 1.0]])],
                                  k_types=3, sample_size=50)
-        with pytest.raises(InvalidParameterError,
+        with pytest.raises(MarketGameError,
                            match=r"^k-means points must be finite and at most 4\.74038e\+152 "):
             gmm_population(spec)
 
@@ -245,7 +245,7 @@ class TestGmmPopulation:
     ])
     def test_non_integer_counts_and_seed_rejected(self, field, value):
         kwargs = {"k_types": 2, "seed": 0, "sample_size": 50, field: value}
-        with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer"):
+        with pytest.raises(MarketGameError, match=f"^{field} must be an integer"):
             GmmPopulationSpec([GmmComponent(1.0, (0.0,), [[1.0]])], **kwargs)
 
     def test_numpy_integers_accepted(self):
@@ -337,7 +337,7 @@ class TestSeededKmeans:
         bound = math.sqrt(sys.float_info.max / (8 * n * d))
         points = np.random.default_rng(0).standard_normal((n, d))
         points[7, 1] = math.nextafter(bound, math.inf) if bad == "above" else bad
-        with pytest.raises(InvalidParameterError,
+        with pytest.raises(MarketGameError,
                            match=re.escape(f"k-means points must be finite and at most {bound:.6g} "
                                            "in absolute value for 30 points in 3 dimensions (got ")):
             seeded_kmeans(points, 4, np.random.default_rng(0))
@@ -356,7 +356,7 @@ class TestSeededKmeans:
         (np.arange(5.0), 2, r"shape \(5,\)"),
     ], ids=["k=0", "no-points", "1-d-points"])
     def test_bad_input_rejected(self, points, k, match):
-        with pytest.raises(InvalidParameterError, match=match):
+        with pytest.raises(MarketGameError, match=match):
             seeded_kmeans(points, k, np.random.default_rng(0))
 
 
@@ -369,7 +369,7 @@ class TestFixtureRegistry:
         ]
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError, match="unknown fixture"):
+        with pytest.raises(MarketGameError, match="unknown fixture"):
             builtin_instance("nope")
 
     @pytest.mark.parametrize("n", [2.0, "2"])
@@ -378,7 +378,7 @@ class TestFixtureRegistry:
         record["explicit"]["n_platforms"] = n
         (tmp_path / "fig2_a.json").write_text(json.dumps(record))
         monkeypatch.setattr(fixtures_mod, "DATA_DIR", tmp_path)
-        with pytest.raises(ConfigError, match=r"^fig2_a\.explicit\.n_platforms must be an integer"):
+        with pytest.raises(MarketGameError, match=r"^fig2_a\.explicit\.n_platforms must be an integer"):
             builtin_instance("fig2_a")
 
     def test_counterexample_scores(self):

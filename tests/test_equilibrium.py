@@ -5,12 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from modelmarket.errors import (
-    BudgetExceededError,
-    InvalidInstanceError,
-    InvalidParameterError,
-    InvalidProfileError,
-)
+from modelmarket.errors import BudgetExceededError, MarketGameError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 from modelmarket.equilibrium import (
@@ -130,7 +125,7 @@ class TestBestResponse:
 
     @pytest.mark.parametrize("platform", [2, -1, 5])
     def test_platform_out_of_range_rejected(self, fig2a, platform):
-        with pytest.raises(InvalidProfileError, match=f"platform index {platform} out of range"):
+        with pytest.raises(MarketGameError, match=f"platform index {platform} out of range"):
             best_response(fig2a, (0, 1), platform)
 
 
@@ -172,7 +167,7 @@ class TestRunDynamics:
         assert out.kind == "timeout"
 
     def test_max_steps_validation(self, c1):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(MarketGameError):
             run_dynamics(c1, (0, 0), max_steps=0)
 
     def test_a_third_positional_argument_is_a_type_error(self, c1):
@@ -190,11 +185,11 @@ class TestConditionCheckers:
         assert not check_differentiated_condition(fig2b, (0, 1)).holds
 
     def test_non_distinct_profile_rejected(self, fig2a):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             check_differentiated_condition(fig2a, (0, 0))
 
     def test_single_platform_call_rejected(self, fig2a):
-        with pytest.raises(InvalidInstanceError, match="two platforms"):
+        with pytest.raises(MarketGameError, match="two platforms"):
             check_differentiated_condition(fig2a.with_platforms(1), (0,))
 
     def test_homogeneous_condition_scenario_b(self, fig2b):
@@ -241,7 +236,7 @@ class TestTwoPlayerConditions:
         assert check_differentiated_condition(spec, (1, 2)).holds
 
     def test_same_model_rejected(self, fig2a):
-        with pytest.raises(InvalidInstanceError, match="distinct models"):
+        with pytest.raises(MarketGameError, match="distinct models"):
             check_differentiated_condition(fig2a, (1, 1))
 
     def test_matches_verification_on_random_instances(self):
@@ -310,20 +305,20 @@ class TestCentralizationCheck:
         # type, passes the margin premise; the gaps are measured from model 0
         scores = np.array([[0.5, 0.2], [0.5, 0.9]])
         spec = GameSpec(ScoreMatrix(scores), UserPopulation(["a", "b"], [0.7, 0.3]), 2)
-        with pytest.raises(InvalidInstanceError) as info:
+        with pytest.raises(MarketGameError) as info:
             centralization_check(spec, CentralizationParams(0, 1e-13, 0.1))
         assert str(info.value) == "off-dominant variation violated: |S_1,1 - S_0,1| = 0.7 > gamma_cap=0.1"
 
     def test_premise_violation_is_named(self):
         scores = np.array([[0.9, 0.5], [0.85, 0.6]])
         spec = GameSpec(ScoreMatrix(scores), UserPopulation(["a", "b"], [0.7, 0.3]), 2)
-        with pytest.raises(InvalidInstanceError, match="dominant-type margin"):
+        with pytest.raises(MarketGameError, match="dominant-type margin"):
             centralization_check(spec, CentralizationParams(0, 0.3, 0.2))
 
     def test_off_dominant_variation_violation_is_named(self):
         scores = np.array([[0.9, 0.5], [0.4, 0.9]])
         spec = GameSpec(ScoreMatrix(scores), UserPopulation(["a", "b"], [0.7, 0.3]), 2)
-        with pytest.raises(InvalidInstanceError, match="off-dominant variation"):
+        with pytest.raises(MarketGameError, match="off-dominant variation"):
             centralization_check(spec, CentralizationParams(0, 0.3, 0.1))
 
     def test_satisfied_instances_confirm_equilibrium(self):
@@ -389,28 +384,23 @@ class TestIndexArguments:
 
     _CENTRAL = {"rho": 0.1, "gamma_cap": 0.5}
 
-    @pytest.mark.parametrize("call, error, message", [
-        (lambda s: pair_delta(s, 0, -1), InvalidInstanceError, "model index -1 out of range [0, 2)"),
-        (lambda s: pair_delta(s, 0, 9), InvalidInstanceError, "model index 9 out of range [0, 2)"),
-        (lambda s: pair_delta(s, "0", 1), InvalidInstanceError, "model index must be an integer (got '0')"),
-        (lambda s: platform_entry_check(s, (0, 1), 1.7), InvalidInstanceError,
-         "entrant model index must be an integer (got 1.7)"),
-        (lambda s: platform_entry_check(s, (0, 1), -1), InvalidInstanceError,
-         "entrant model index -1 out of range [0, 2)"),
-        (lambda s: check_homogeneous_condition(s, 1.0), InvalidInstanceError,
-         "model index must be an integer (got 1.0)"),
-        (lambda s: check_homogeneous_condition(s, -2), InvalidInstanceError,
-         "model index -2 out of range [0, 2)"),
-        (lambda s: best_response(s, (0, 1), 1.0), InvalidProfileError,
-         "platform index must be an integer (got 1.0)"),
-        (lambda s: best_response(s, (0, 1), -1), InvalidProfileError, "platform index -1 out of range [0, 2)"),
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: pair_delta(s, 0, -1), "model index -1 out of range [0, 2)"),
+        (lambda s: pair_delta(s, 0, 9), "model index 9 out of range [0, 2)"),
+        (lambda s: pair_delta(s, "0", 1), "model index must be an integer (got '0')"),
+        (lambda s: platform_entry_check(s, (0, 1), 1.7), "entrant model index must be an integer (got 1.7)"),
+        (lambda s: platform_entry_check(s, (0, 1), -1), "entrant model index -1 out of range [0, 2)"),
+        (lambda s: check_homogeneous_condition(s, 1.0), "model index must be an integer (got 1.0)"),
+        (lambda s: check_homogeneous_condition(s, -2), "model index -2 out of range [0, 2)"),
+        (lambda s: best_response(s, (0, 1), 1.0), "platform index must be an integer (got 1.0)"),
+        (lambda s: best_response(s, (0, 1), -1), "platform index -1 out of range [0, 2)"),
         (lambda s: centralization_check(s, CentralizationParams(-1, **TestIndexArguments._CENTRAL)),
-         InvalidInstanceError, "dominant type index -1 out of range [0, 2)"),
+         "dominant type index -1 out of range [0, 2)"),
     ], ids=["pair-delta-negative", "pair-delta-past-end", "pair-delta-string", "entrant-float",
             "entrant-negative", "homogeneous-float", "homogeneous-negative", "best-response-float",
             "best-response-negative", "dominant-type"])
-    def test_a_bad_index_is_one_error_of_the_functions_class(self, fig2a, call, error, message):
-        with pytest.raises(error) as info:
+    def test_a_bad_index_is_one_error_naming_the_index(self, fig2a, call, message):
+        with pytest.raises(MarketGameError) as info:
             call(fig2a)
         assert str(info.value) == message
 

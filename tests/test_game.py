@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from modelmarket import game
-from modelmarket.entry import EntryDataset, RewardTable, ToyGenerator, evaluate_entrant
-from modelmarket.errors import InvalidInstanceError, InvalidParameterError, InvalidProfileError
+from modelmarket.entry import EntryDataset, RewardBaseline, RewardTable, ToyGenerator, evaluate_entrant
+from modelmarket.errors import MarketGameError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import (
     ChoiceRule,
@@ -56,33 +56,33 @@ def c9():
 
 class TestValidation:
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             UserPopulation(["a", "b"], [0.5, 0.6])
 
     def test_duplicate_type_labels_rejected(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             UserPopulation(["a", "a"], [0.5, 0.5])
 
     def test_negative_scores_rejected(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             ScoreMatrix([[0.2, -0.1]])
 
     def test_score_population_shape_mismatch(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             GameSpec(ScoreMatrix([[0.2, 0.3]]), UserPopulation(["a"], [1.0]), 2)
 
     def test_profile_index_out_of_range(self, c1):
-        with pytest.raises(InvalidProfileError):
+        with pytest.raises(MarketGameError):
             platform_utilities(c1, (0, 5))
 
     def test_profile_wrong_length(self, c1):
-        with pytest.raises(InvalidProfileError):
+        with pytest.raises(MarketGameError):
             platform_utilities(c1, (0, 1, 2))
 
     @pytest.mark.parametrize("profile", [[1.7, 0], ["1", 0], [np.float64(1.0), 0], [None, 0]])
     def test_profile_entries_must_be_integers(self, c1, profile):
         # 1.7 and "1" must not run as the model index 1
-        with pytest.raises(InvalidProfileError, match="model indices"):
+        with pytest.raises(MarketGameError, match="model indices"):
             as_profile(c1, profile)
 
     def test_numpy_integer_profile_entries_accepted(self, c1):
@@ -103,7 +103,7 @@ class TestValidation:
         ((0, 3), "model index 3 out of range [0, 3)"),
     ])
     def test_profile_check_messages(self, c1, profile, message):
-        with pytest.raises(InvalidProfileError) as info:
+        with pytest.raises(MarketGameError) as info:
             as_profile(c1, profile)
         assert str(info.value) == message
 
@@ -119,7 +119,7 @@ class TestValidation:
     @pytest.mark.parametrize("n", [2.7, "2", None])
     def test_n_platforms_must_be_an_integer(self, c1, n):
         # 2.7 and "2" must not run as two platforms
-        with pytest.raises(InvalidInstanceError, match="n_platforms must be an integer"):
+        with pytest.raises(MarketGameError, match="n_platforms must be an integer"):
             c1.with_platforms(n)
 
     def test_numpy_integer_n_platforms_accepted(self, c1):
@@ -135,7 +135,7 @@ class TestValidation:
     ])
     def test_a_model_count_outside_the_pool_is_refused(self, c1, m, message):
         # 1.7 used to end in a TypeError, -1 to drop the last model and 99 to keep all three
-        with pytest.raises(InvalidInstanceError) as info:
+        with pytest.raises(MarketGameError) as info:
             c1.with_models(m)
         assert str(info.value) == message
 
@@ -145,11 +145,11 @@ class TestValidation:
         assert np.array_equal(c1.with_models(3).scores.scores, c1.scores.scores)
 
     def test_softmax_needs_positive_tau(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(MarketGameError):
             ChoiceRule.softmax(0.0)
 
     def test_softmax_tau_must_keep_the_largest_score_over_tau_finite(self, c1):
-        with pytest.raises(InvalidParameterError, match="tau 1e-320 is too small for the score scale"):
+        with pytest.raises(MarketGameError, match="tau 1e-320 is too small for the score scale"):
             c1.with_choice(ChoiceRule.softmax(1e-320))
         spec = c1.with_choice(ChoiceRule.softmax(1e-300))
         assert np.all(np.isfinite(allocate(spec, (0, 1))))
@@ -164,14 +164,14 @@ class TestValidation:
         for value in (*platform_utilities(spec, profile), *deviation_advantage(spec, profile),
                       *deviation_values(spec, profile[1:])):
             assert np.isfinite(value)
-        with pytest.raises(InvalidInstanceError, match=(
+        with pytest.raises(MarketGameError, match=(
                 r"^17 platforms times the largest score 5\.6177910464447366e\+306 "
                 r"exceeds 8\.988465674311579e\+307$")):
             spec.with_platforms(17)
-        with pytest.raises(InvalidInstanceError, match="^16 platforms times the largest score"):
+        with pytest.raises(MarketGameError, match="^16 platforms times the largest score"):
             GameSpec(ScoreMatrix([[np.nextafter(largest, np.inf)]]), UserPopulation(["a"], [1.0]), 16)
         # an N past the largest float was an OverflowError in the product
-        with pytest.raises(InvalidInstanceError, match=r"^10{400} platforms times the largest score"):
+        with pytest.raises(MarketGameError, match=r"^10{400} platforms times the largest score"):
             spec.with_platforms(10 ** 400)
 
 
@@ -432,8 +432,9 @@ class TestMultisetBlocks:
     lambda: EntryDataset(["x1", "x2"], [1, 1]),
     lambda: GmmComponent(1.0, [0.0], [[1.0]]),
     lambda: PreferenceTable(["c1"], ["a"], [[1.0]]),
+    lambda: RewardBaseline.zeros(2, 0.9),
 ], ids=["UserPopulation", "ScoreMatrix", "ToyGenerator", "RewardTable", "EntryDataset", "GmmComponent",
-        "PreferenceTable"])
+        "PreferenceTable", "RewardBaseline"])
 def test_a_record_that_holds_arrays_compares_by_identity(make):
     record, twin = make(), make()
     assert record == record and record != twin
@@ -444,8 +445,9 @@ def test_records_that_hold_array_records_compare_without_raising():
     first, second = builtin_instance("fig2_a"), builtin_instance("fig2_a")
     assert first.spec == first.spec and first.spec != second.spec
     assert hash(first.spec) == hash(first.spec)
-    assert first != second
+    assert first != second and hash(first) == hash(first)
     toy = entry_toy()
     entrant = ToyGenerator.uniform(toy.outcome_labels)
     report = evaluate_entrant(entrant, toy.rewards, toy.market)
     assert report == report and report != evaluate_entrant(entrant, toy.rewards, toy.market)
+    assert hash(report) == hash(report) and hash(report.metrics) == hash(report.metrics)

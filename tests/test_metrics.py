@@ -8,7 +8,7 @@ import pytest
 
 from modelmarket import game
 from modelmarket import metrics as metrics_mod
-from modelmarket.errors import InvalidInstanceError
+from modelmarket.errors import MarketGameError
 from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 from modelmarket.equilibrium import run_dynamics, verify_pne
@@ -73,7 +73,7 @@ class TestCoverage:
         spec = GameSpec(ScoreMatrix(c7.scores.scores * scale), c7.population, c7.n_platforms)
         exact = game.average_scores
         monkeypatch.setattr(game, "average_scores", lambda spec: exact(spec) + 1e-9 * scale)
-        with pytest.raises(InvalidInstanceError, match="coverage decomposition mismatch"):
+        with pytest.raises(MarketGameError, match="coverage decomposition mismatch"):
             coverage_value(spec, (0, 1))
 
     @pytest.mark.parametrize("scale", [1e4, 1e6, 1e9, 1e12])
@@ -203,7 +203,7 @@ class TestUserWelfare:
     def test_timeout_welfare_is_undefined(self):
         spec = builtin_instance("c1_rps").spec
         out = run_dynamics(spec, (0, 0), max_steps=2)
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             welfare_figures(spec, out).value
 
     def test_single_profile_cycle_equals_its_coverage(self):
@@ -230,7 +230,7 @@ class TestUserWelfare:
             assert outcome.equilibrium_profile in analysis.pne
             outcome_metrics(spec, outcome, analysis)
             missing = dataclasses.replace(analysis, pne=())
-            with pytest.raises(InvalidInstanceError, match="missing from the PNE list"):
+            with pytest.raises(MarketGameError, match="missing from the PNE list"):
                 outcome_metrics(spec, outcome, missing)
             # a refused list is not checked
             outcome_metrics(spec, outcome, dataclasses.replace(analysis, pne=None, pne_note="refused"))
@@ -266,7 +266,7 @@ class TestWelfareBound:
 class TestPlatformEntry:
     def test_base_profile_must_be_equilibrium(self):
         spec = builtin_instance("fig2_a").spec
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(MarketGameError):
             platform_entry_check(spec, (0, 0), 1)
 
     def test_duplicate_entrant_at_homogeneous_equilibrium(self):
