@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import json
 import os
@@ -336,7 +335,7 @@ def cmd_entry(args) -> int:
     report_json: dict[str, Any] = {
         "instance": instance_name,
         "n_platforms": base_spec.n_platforms,
-        "config": dataclasses.asdict(config),
+        "config": {name: getattr(config, name) for name in config.__match_args__},
         "pre_entry": _analysis_fields(base_spec, analyze(base_spec)),
     }
     # every method trains and is evaluated before any file is written

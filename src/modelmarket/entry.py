@@ -19,7 +19,6 @@ score-function estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,8 +26,8 @@ import numpy as np
 from .config import PARAMS, RENAMED, check
 from .errors import MarketGameError, TrainingDivergedError
 from .equilibrium import DynamicsOutcome, run_dynamics
-from .game import (_BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, ScoreMatrix, _frozen_array, _index, _labels,
-                   _outcome_cdf)
+from .game import (_BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, Record, ScoreMatrix, _frozen_array, _index,
+                   _labels, _outcome_cdf)
 from .metrics import MetricsRecord, analyze, outcome_metrics
 
 __all__ = [
@@ -56,8 +55,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-@dataclass(frozen=True, eq=False)
-class ToyGenerator:
+class ToyGenerator(Record, eq=False):
     """Finite-outcome distribution with logit parameters (all outcomes possible)
     over distinct outcome labels."""
 
@@ -80,7 +78,7 @@ class ToyGenerator:
         p = _frozen_array(e / exp_sum)
         if not np.all(p > 0.0):
             raise MarketGameError("logit spread too large: an outcome probability underflowed to 0")
-        # not dataclass fields: functions of the logits, computed once (_cross_entropy reads the sum)
+        # not fields: functions of the logits, computed once (_cross_entropy reads the sum)
         object.__setattr__(self, "_probabilities", p)
         object.__setattr__(self, "_exp_sum", exp_sum)
 
@@ -105,8 +103,7 @@ class ToyGenerator:
         return ToyGenerator(outcome_labels, np.log(p))
 
 
-@dataclass(frozen=True, eq=False)
-class RewardTable:
+class RewardTable(Record, eq=False):
     """Per-type, per-outcome rewards in [0, 1]."""
 
     rewards: np.ndarray  # K x |X|
@@ -128,8 +125,7 @@ class RewardTable:
         return self.rewards.shape[1]
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(Record):
     """Hyperparameters shared by both entry-training schemes."""
 
     beta: float = 4.0
@@ -148,8 +144,7 @@ class TrainingConfig:
             check(getattr(self, RENAMED.get(key, key)), field, key)
 
 
-@dataclass(frozen=True, eq=False)
-class EntryDataset:
+class EntryDataset(Record, eq=False):
     """Training items, one bucket per outcome, with optional attribute structure.
 
     Outcome labels and attribute labels are each distinct strings.
@@ -214,8 +209,7 @@ class EntryDataset:
         return self.counts / self.counts.sum()
 
 
-@dataclass(eq=False)
-class RewardBaseline:
+class RewardBaseline(Record, eq=False):
     """Per-type moving-average reward baseline for the score-function estimator."""
 
     values: np.ndarray
@@ -557,8 +551,7 @@ def train_direct_gradient(dataset: EntryDataset, rewards: RewardTable, market: G
 # post-training market evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class EntrantReport:
+class EntrantReport(Record, eq=False):
     spec: GameSpec
     entrant_index: int
     entrant_score_row: tuple[float, ...]

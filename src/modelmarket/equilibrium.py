@@ -14,14 +14,13 @@ equilibrium when the turns since that state changed nothing, else in a cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import BUDGET, CENTRALIZATION, DYNAMICS, check
 from .errors import BudgetExceededError, MarketGameError
 from . import game
-from .game import GameSpec, as_profile
+from .game import GameSpec, Record, as_profile
 
 __all__ = [
     "IMPROVEMENT_EPS",
@@ -55,16 +54,25 @@ def _within_budget(required: int, budget, task: str, unit: str) -> None:
     """Refuse a ``budget`` that is not a count, or one below the ``required`` count of ``unit``."""
     check(budget, BUDGET, "budget")
     if required > budget:
-        raise BudgetExceededError(f"{task} needs {required} {unit} but the budget is {budget}",
-                                  required=required, budget=budget)
+        raise BudgetExceededError(f"{task} needs {_count_text(required)} {unit} but the budget is "
+                                  f"{budget}", required=required, budget=budget)
+
+
+def _count_text(count: int) -> str:
+    """``count`` in decimal, or by its power of ten when it has more digits than ``str`` writes."""
+    try:
+        return str(count)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        k = int(math.log10(count))
+        k += (10 ** (k + 1) <= count) - (10 ** k > count)  # the float log10 may round across a power
+        return f"more than 10**{k}" if count > 10 ** k else f"10**{k}"
 
 
 # ---------------------------------------------------------------------------
 # result records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(Record):
     """A profitable unilateral deviation witnessing that a profile is not a PNE."""
 
     platform: int
@@ -72,8 +80,7 @@ class Deviation:
     gain: float
 
 
-@dataclass(frozen=True)
-class PneCheck:
+class PneCheck(Record):
     is_pne: bool
     witness: Deviation | None = None
 
@@ -81,8 +88,7 @@ class PneCheck:
         return self.is_pne
 
 
-@dataclass(frozen=True)
-class DynamicsStep:
+class DynamicsStep(Record):
     """One mover turn: the state acted on, the action, and the resulting state."""
 
     index: int
@@ -94,8 +100,7 @@ class DynamicsStep:
     utilities: tuple[float, ...]  # utilities of profile_after
 
 
-@dataclass(frozen=True)
-class DynamicsOutcome:
+class DynamicsOutcome(Record):
     """Result of sequential best-response dynamics.
 
     ``kind`` is ``equilibrium``, ``cycle``, or ``timeout``.  A run ends at its
@@ -114,8 +119,7 @@ class DynamicsOutcome:
     equilibrium_profile: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(Record):
     platform: int
     current_model: int
     alt_model: int
@@ -123,14 +127,12 @@ class ConditionRow:
     rhs: float
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     holds: bool
     rows: tuple[ConditionRow, ...]
 
 
-@dataclass(frozen=True)
-class CentralizationParams:
+class CentralizationParams(Record):
     """Inputs for the dominant-type homogeneity threshold check."""
 
     dominant_type: int
@@ -142,8 +144,7 @@ class CentralizationParams:
             check(getattr(self, name), field, name)
 
 
-@dataclass(frozen=True)
-class CentralizationResult:
+class CentralizationResult(Record):
     threshold: float
     satisfied: bool
     pne_confirmed: bool
@@ -270,17 +271,7 @@ def run_dynamics(spec: GameSpec, start, *, max_steps: int = 1000) -> DynamicsOut
         after = profile[:mover] + (chosen,) + profile[mover + 1:]
         if changed or utilities is None:
             utilities = tuple(game.platform_utilities(spec, after).tolist())
-        trajectory.append(
-            DynamicsStep(
-                index=step,
-                mover=mover,
-                profile_before=profile,
-                chosen=chosen,
-                changed=changed,
-                profile_after=after,
-                utilities=utilities,
-            )
-        )
+        trajectory.append(DynamicsStep(step, mover, profile, chosen, changed, after, utilities))
         profile, mover = after, (mover + 1) % spec.n_platforms
         first = seen.setdefault((profile, mover), len(trajectory))
         if first < len(trajectory):

@@ -18,7 +18,6 @@ implied by the stored inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -29,6 +28,7 @@ from .errors import MarketGameError
 from .game import (
     ChoiceRule,
     GameSpec,
+    Record,
     ScoreMatrix,
     UserPopulation,
     average_scores,
@@ -66,8 +66,7 @@ _FIXTURE_NAMES = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Fixture:
+class Fixture(Record, eq=False):
     name: str
     description: str
     spec: GameSpec
@@ -75,8 +74,7 @@ class Fixture:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     fixture: str
     name: str
     passed: bool

@@ -14,7 +14,6 @@ frozen on construction, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, islice
 import math
 import operator
@@ -29,6 +28,7 @@ from .errors import MarketGameError
 __all__ = [
     "WEIGHT_TOL",
     "SCALE_LIMIT",
+    "Record",
     "UserPopulation",
     "ScoreMatrix",
     "ChoiceRule",
@@ -76,8 +76,87 @@ def _outcome_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-@dataclass(frozen=True, eq=False)
-class UserPopulation:
+_MISSING = object()
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base of the package's frozen records, with methods written once and no generated code.
+
+    A subclass's own annotations, in order, are its fields and its
+    ``__match_args__``; a class attribute of a field's name is its default.
+    ``__init__`` takes positional arguments, then keywords, and refuses a
+    missing, unknown or repeated field with a ``MarketGameError`` naming the
+    record and the field; it stores each field with ``object.__setattr__``,
+    in field order, then calls ``__post_init__``.  A record that defines its
+    own ``__init__`` stores its fields the same way.  ``repr`` has the
+    dataclass format, ``==`` and ``hash`` read the field tuple, and a
+    subclass declared ``eq=False`` compares and hashes by identity instead.
+    Assigning or deleting an attribute raises ``MarketGameError``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True):
+        super().__init_subclass__()
+        cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = self._arguments(args, kwargs)
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in field order: ``args``, then ``kwargs``, then the defaults."""
+        names = cls.__match_args__
+        if len(args) > len(names):
+            raise MarketGameError(f"{cls.__name__} takes {len(names)} fields (got {len(args)})")
+        values = list(args)
+        for name in names[len(args):]:
+            value = kwargs.pop(name, _MISSING)
+            if value is _MISSING:
+                value = vars(cls).get(name, _MISSING)
+                if value is _MISSING:
+                    raise MarketGameError(f"{cls.__name__} is missing field {name!r}")
+            values.append(value)
+        for name in kwargs:
+            raise MarketGameError(f"{cls.__name__} got field {name!r} twice" if name in names
+                                  else f"{cls.__name__} has no field {name!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise MarketGameError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise MarketGameError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+
+class UserPopulation(Record, eq=False):
     """A finite set of user types with a probability weight per type; labels
     None are ``t1``, ``t2``, ..."""
 
@@ -112,8 +191,7 @@ class UserPopulation:
         return UserPopulation(None, np.full(k, 1.0 / k))
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreMatrix:
+class ScoreMatrix(Record, eq=False):
     """Per-model, per-type expected quality scores (M rows, K columns).
 
     Scores are accepted in any non-negative range; they are inputs, never
@@ -149,8 +227,7 @@ class ScoreMatrix:
         return self.scores.shape[1]
 
 
-@dataclass(frozen=True)
-class ChoiceRule:
+class ChoiceRule(Record):
     """User choice rule: deterministic hardmax or temperature-tau softmax; only softmax has a tau."""
 
     kind: str
@@ -173,14 +250,13 @@ class ChoiceRule:
         return ChoiceRule("softmax", tau)
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(Record):
     """A fully specified game instance: scores, population, N platforms, choice rule."""
 
     scores: ScoreMatrix
     population: UserPopulation
     n_platforms: int
-    choice: ChoiceRule = field(default_factory=ChoiceRule.hardmax)
+    choice: ChoiceRule = ChoiceRule("hardmax")
 
     def __post_init__(self):
         if self.scores.n_types != self.population.n_types:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from .errors import BudgetExceededError, MarketGameError
 from . import game
 from .equilibrium import DynamicsOutcome, _exceeds, _within_budget, enumerate_pne, verify_pne
-from .game import ChoiceRule, GameSpec, as_profile
+from .game import ChoiceRule, GameSpec, Record, as_profile
 
 __all__ = [
     "GameAnalysis",
@@ -37,21 +36,18 @@ PNE_BUDGET = 1_000_000  # profiles, for the PNE list of analyze
 OPTIMUM_BUDGET = 10_000_000  # multisets, for the social optimum
 
 
-@dataclass(frozen=True)
-class MarketShares:
+class MarketShares(Record):
     shares: tuple[float, ...]
     hhi: float
     support: int
 
 
-@dataclass(frozen=True)
-class SocialOptimum:
+class SocialOptimum(Record):
     value: float
     profile: tuple[int, ...]  # canonical sorted maximizer
 
 
-@dataclass(frozen=True)
-class GameAnalysis:
+class GameAnalysis(Record):
     """A game's PNE list and social optimum; each None, with a note, when its budget refuses."""
 
     pne: tuple[tuple[int, ...], ...] | None
@@ -60,8 +56,7 @@ class GameAnalysis:
     optimum_note: str | None
 
 
-@dataclass(frozen=True)
-class WelfareFigures:
+class WelfareFigures(Record):
     """Cycle welfare under both averaging conventions.
 
     ``state_average`` averages coverage over the L profiles of the repeating
@@ -77,8 +72,7 @@ class WelfareFigures:
     kind: str
 
 
-@dataclass(frozen=True)
-class ProfileScore:
+class ProfileScore(Record):
     """Coverage V(A), user mass per platform, HHI, distinct models and utilities of a profile."""
 
     coverage: float
@@ -88,8 +82,7 @@ class ProfileScore:
     utilities: tuple[float, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class MetricsRecord:
+class MetricsRecord(Record, eq=False):
     """Every figure of one dynamics outcome, each distinct profile scored once.
 
     ``anchor`` is the equilibrium profile, or the first profile of a cycle's
@@ -118,8 +111,7 @@ class MetricsRecord:
             raise MarketGameError("welfare cannot exceed the social optimum")
 
 
-@dataclass(frozen=True)
-class EntryCheck:
+class EntryCheck(Record):
     is_equilibrium: bool
     welfare_delta: float
     support_delta: int
@@ -154,11 +146,7 @@ def market_shares(spec: GameSpec, profile) -> MarketShares:
     """Per-platform user mass, its concentration (HHI), and distinct-model count."""
     prof = as_profile(spec, profile)
     mu = game._shares(spec.choice, game._chosen_scores(spec, prof)) @ spec.population.weights
-    return MarketShares(
-        shares=tuple(mu.tolist()),
-        hhi=float(mu @ mu),
-        support=len(set(prof)),
-    )
+    return MarketShares(tuple(mu.tolist()), float(mu @ mu), len(set(prof)))
 
 
 def social_optimum(spec: GameSpec, budget: int = OPTIMUM_BUDGET) -> SocialOptimum:

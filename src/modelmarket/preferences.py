@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import MarketGameError
-from .game import ScoreMatrix, _frozen_array, _labels
+from .game import Record, ScoreMatrix, _frozen_array, _labels
 
 __all__ = ["PreferenceTable", "scores_from_preferences"]
 
 
-@dataclass(frozen=True, eq=False)
-class PreferenceTable:
+class PreferenceTable(Record, eq=False):
     """Per-type non-negative weights over a shared list of criteria, the
     criteria and the type labels each distinct strings.
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import COMPONENT, GMM, KERNEL, RBF_GMM, check
 from .errors import MarketGameError
-from .game import WEIGHT_TOL, ScoreMatrix, UserPopulation, _frozen_array, _outcome_cdf
+from .game import WEIGHT_TOL, Record, ScoreMatrix, UserPopulation, _frozen_array, _outcome_cdf
 
 __all__ = [
     "RbfKernel",
@@ -39,8 +38,7 @@ DEFAULT_SAMPLE_SIZE = GMM["sample_size"].default
 KMEANS_ITERATIONS = 20
 
 
-@dataclass(frozen=True)
-class RbfKernel:
+class RbfKernel(Record):
     center: tuple[float, ...]
     amplitude: float
     width: float
@@ -55,8 +53,7 @@ class RbfKernel:
             check(getattr(self, name), KERNEL[name], f"kernel {name}")
 
 
-@dataclass(frozen=True)
-class RbfModelSpec:
+class RbfModelSpec(Record):
     """Bias plus Gaussian kernels; evaluations are truncated to [0, 1]."""
 
     bias: float
@@ -78,8 +75,7 @@ class RbfModelSpec:
         return len(self.kernels[0].center)
 
 
-@dataclass(frozen=True, eq=False)
-class GmmComponent:
+class GmmComponent(Record, eq=False):
     weight: float
     mean: tuple[float, ...]
     covariance: np.ndarray
@@ -103,8 +99,7 @@ class GmmComponent:
         object.__setattr__(self, "covariance", _frozen_array(cov))
 
 
-@dataclass(frozen=True)
-class GmmPopulationSpec:
+class GmmPopulationSpec(Record):
     """A GMM to sample, the number K of discrete types, an x-shift, and a seed."""
 
     components: tuple[GmmComponent, ...]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 import itertools
 import math
@@ -20,7 +21,13 @@ from modelmarket.entry import (
     grad_f_exact,
     objective_f,
 )
+from modelmarket import entry as entry_mod
+from modelmarket import equilibrium as equilibrium_mod
+from modelmarket import fixtures as fixtures_mod
 from modelmarket import game
+from modelmarket import metrics as metrics_mod
+from modelmarket import preferences as preferences_mod
+from modelmarket import synthetic as synthetic_mod
 from modelmarket.equilibrium import (
     DEFAULT_PROFILE_BUDGET,
     IMPROVEMENT_EPS,
@@ -689,3 +696,62 @@ def previous_market_shares(spec: GameSpec, profile) -> MarketShares:
     prof = as_profile(spec, profile)
     mu = previous_hardmax_shares(spec.scores.scores[list(prof)]) @ spec.population.weights
     return MarketShares(tuple(float(x) for x in mu), float(mu @ mu), len(set(prof)))
+
+
+# ---------------------------------------------------------------------------
+# dataclass twins of the records
+# ---------------------------------------------------------------------------
+
+def _twin(record: type, fields, eq: bool = True) -> type:
+    """The frozen dataclass a record would be: the record's name, ``fields`` (a name, a
+    (name, default) pair or a (name, dataclasses.field) pair), ``eq``, and the record's own
+    ``__init__`` or ``__post_init__``, which store fields with ``object.__setattr__``
+    and so run on the dataclass alike."""
+    namespace = {name: vars(record)[name] for name in ("__init__", "__post_init__") if name in vars(record)}
+    specs = [(f, object) if isinstance(f, str)
+             else (f[0], object, f[1] if isinstance(f[1], dataclasses.Field) else dataclasses.field(default=f[1]))
+             for f in fields]
+    return dataclasses.make_dataclass(record.__name__, specs, namespace=namespace, eq=eq, frozen=True)
+
+
+# every record of the package, with its reference dataclass
+RECORD_TWINS = {twin.__name__: twin for twin in [
+    _twin(game.UserPopulation, ["type_labels", "weights"], eq=False),
+    _twin(game.ScoreMatrix, ["scores", "model_labels"], eq=False),
+    _twin(ChoiceRule, ["kind", ("tau", None)]),
+    _twin(GameSpec, ["scores", "population", "n_platforms",
+                     ("choice", dataclasses.field(default_factory=ChoiceRule.hardmax))]),
+    _twin(Deviation, ["platform", "model", "gain"]),
+    _twin(PneCheck, ["is_pne", ("witness", None)]),
+    _twin(DynamicsStep, ["index", "mover", "profile_before", "chosen", "changed", "profile_after", "utilities"]),
+    _twin(DynamicsOutcome, ["kind", "trajectory", "start", ("cycle_profiles", ()), ("equilibrium_profile", None)]),
+    _twin(ConditionRow, ["platform", "current_model", "alt_model", "lhs", "rhs"]),
+    _twin(ConditionReport, ["holds", "rows"]),
+    _twin(equilibrium_mod.CentralizationParams, ["dominant_type", "rho", "gamma_cap"]),
+    _twin(CentralizationResult, ["threshold", "satisfied", "pne_confirmed"]),
+    _twin(MarketShares, ["shares", "hhi", "support"]),
+    _twin(SocialOptimum, ["value", "profile"]),
+    _twin(metrics_mod.GameAnalysis, ["pne", "pne_note", "optimum", "optimum_note"]),
+    _twin(metrics_mod.WelfareFigures, ["value", "state_average", "multiset_average", "kind"]),
+    _twin(metrics_mod.ProfileScore, ["coverage", "shares", "hhi", "support", "utilities"]),
+    _twin(metrics_mod.MetricsRecord, ["scores", "anchor", "welfare", "analysis", "weight_total"], eq=False),
+    _twin(metrics_mod.EntryCheck, ["is_equilibrium", "welfare_delta", "support_delta", "extended_profile"]),
+    _twin(ToyGenerator, ["outcome_labels", "logits"], eq=False),
+    _twin(RewardTable, ["rewards"], eq=False),
+    _twin(TrainingConfig, [("beta", 4.0), ("gamma", 1.0), ("lam", 0.4), ("outer_rounds", 5),
+                           ("inner_epochs", 50), ("eval_budget", 2000), ("learning_rate", 0.05),
+                           ("baseline_decay", 0.9), ("blend", 0.5), ("seed", 0)]),
+    _twin(EntryDataset, ["outcome_labels", "counts", ("attributes", None), ("attribute_labels", ()),
+                         ("type_attribute_prefs", None)], eq=False),
+    _twin(RewardBaseline, ["values", "decay"], eq=False),
+    _twin(entry_mod.EntrantReport, ["spec", "entrant_index", "entrant_score_row", "outcome", "metrics",
+                                    "adopted"], eq=False),
+    _twin(synthetic_mod.RbfKernel, ["center", "amplitude", "width"]),
+    _twin(synthetic_mod.RbfModelSpec, ["bias", "kernels"]),
+    _twin(synthetic_mod.GmmComponent, ["weight", "mean", "covariance"], eq=False),
+    _twin(synthetic_mod.GmmPopulationSpec, ["components", "k_types", ("dx", 0.0), ("seed", 0),
+                                            ("sample_size", 10_000)]),
+    _twin(fixtures_mod.Fixture, ["name", "description", "spec", "expected", ("notes", "")], eq=False),
+    _twin(fixtures_mod.Check, ["fixture", "name", "passed", "expected", "actual", ("tol", None)]),
+    _twin(preferences_mod.PreferenceTable, ["criteria", "type_labels", "weights"], eq=False),
+]}

@@ -36,6 +36,22 @@ def test_no_check_is_an_assert():
     assert found == []
 
 
+def test_no_code_is_generated():
+    """No module imports ``dataclasses`` or calls ``exec``, ``eval`` or ``compile``, so
+    importing the package builds no method from source text: records subclass ``game.Record``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(m is not None and m.split(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{path.name}:{node.lineno} imports dataclasses")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval", "compile")):
+                found.append(f"{path.name}:{node.lineno} calls {node.func.id}")
+    assert found == []
+
+
 ERROR_CLASSES = {"MarketGameError", "BudgetExceededError", "TrainingDivergedError"}
 
 

@@ -363,6 +363,19 @@ class TestSweep:
         assert all(w == pytest.approx(0.85, abs=1e-9) for w in by_value[2])
         assert all(w == pytest.approx(0.84, abs=1e-9) for w in by_value[3])
 
+    def test_a_count_past_the_int_str_limit_is_a_note(self, tmp_path):
+        # 3**10000 profiles has 4,772 digits, more than str(int) writes
+        cfg = _write_config(tmp_path, {
+            "instance": {"builtin": "fig3_b"},
+            "dynamics": {"max_steps": 1, "seed": 1},
+            "sweep": {"axis": "platforms", "values": [10000], "repetitions": 1},
+            "output": {"prefix": "wide"},
+        })
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        [summary] = _read_json(tmp_path / "wide_summary.json")
+        assert summary["pne"] is None
+        assert summary["pne_note"] == "enumeration needs more than 10**4771 profiles but the budget is 1000000"
+
     def test_single_platform_takes_best_average_model(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "instance": {"builtin": "fig3_b"},

@@ -10,6 +10,7 @@ from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 from modelmarket.equilibrium import (
     CentralizationParams,
+    _count_text,
     best_response,
     centralization_check,
     check_differentiated_condition,
@@ -88,6 +89,22 @@ class TestEnumeratePne:
         with pytest.raises(BudgetExceededError) as err:
             enumerate_pne(c1.with_platforms(20), budget=100)
         assert err.value.required == 3 ** 20
+
+    def test_a_count_past_the_int_str_limit_is_named_by_its_power_of_ten(self, c1):
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_pne(c1.with_platforms(10_000), budget=100)
+        assert err.value.required == 3 ** 10_000
+        assert str(err.value) == "enumeration needs more than 10**4771 profiles but the budget is 100"
+
+    @pytest.mark.parametrize("count, text", [
+        (12345, "12345"),
+        (10 ** 4299, "1" + "0" * 4299),
+        (10 ** 5000, "10**5000"),
+        (10 ** 5000 + 1, "more than 10**5000"),
+        (10 ** 5000 - 1, "more than 10**4999"),
+    ], ids=["fits", "widest-that-fits", "power-of-ten", "above-a-power", "below-a-power"])
+    def test_a_count_is_written_exactly_or_by_its_power_of_ten(self, count, text):
+        assert _count_text(count) == text
 
     def test_agrees_with_per_profile_verification(self):
         rng = np.random.default_rng(20)

@@ -1,6 +1,5 @@
 """Coverage, welfare, social optimum, concentration, and platform-entry checks."""
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -13,6 +12,7 @@ from modelmarket.fixtures import builtin_instance
 from modelmarket.game import ChoiceRule, GameSpec, ScoreMatrix, UserPopulation, platform_utilities
 from modelmarket.equilibrium import run_dynamics, verify_pne
 from modelmarket.metrics import (
+    GameAnalysis,
     analyze,
     coverage_value,
     market_shares,
@@ -178,6 +178,11 @@ class TestSocialOptimum:
         with pytest.raises(BudgetExceededError):
             social_optimum(spec, budget=1000)
 
+    def test_a_pne_count_past_the_int_str_limit_is_a_note(self):
+        analysis = analyze(builtin_instance("fig3_b").spec.with_platforms(10_000))
+        assert analysis.pne is None
+        assert analysis.pne_note.startswith("enumeration needs more than 10**4771 profiles")
+
 
 class TestUserWelfare:
     def test_equilibrium_welfare(self):
@@ -229,11 +234,12 @@ class TestUserWelfare:
             analysis = analyze(spec)
             assert outcome.equilibrium_profile in analysis.pne
             outcome_metrics(spec, outcome, analysis)
-            missing = dataclasses.replace(analysis, pne=())
+            missing = GameAnalysis((), analysis.pne_note, analysis.optimum, analysis.optimum_note)
             with pytest.raises(MarketGameError, match="missing from the PNE list"):
                 outcome_metrics(spec, outcome, missing)
             # a refused list is not checked
-            outcome_metrics(spec, outcome, dataclasses.replace(analysis, pne=None, pne_note="refused"))
+            refused = GameAnalysis(None, "refused", analysis.optimum, analysis.optimum_note)
+            outcome_metrics(spec, outcome, refused)
 
 
 def _welfare_slack(spec, outcome):

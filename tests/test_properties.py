@@ -270,10 +270,12 @@ def _bits(value):
         return float.hex(value)
     if isinstance(value, (tuple, list)):
         return tuple(_bits(v) for v in value)
-    if hasattr(value, "__dataclass_fields__"):
-        return (type(value).__name__,) + tuple(
-            _bits(getattr(value, f)) for f in value.__dataclass_fields__)
-    return value
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    fields = getattr(type(value), "__match_args__", None)
+    if not fields:  # anything else must be a record whose fields can be listed
+        raise TypeError(f"cannot read the bits of a {type(value).__name__}")
+    return (type(value).__name__,) + tuple(_bits(getattr(value, f)) for f in fields)
 
 
 def _outcome(fn, *args):
