@@ -16,7 +16,7 @@ import json
 import numbers
 import operator
 import sys
-from typing import Any, NamedTuple
+from typing import Any
 
 from .errors import MarketGameError
 
@@ -36,15 +36,25 @@ _SCALARS = {INT: ((numbers.Integral,), "an integer"), NUMBER: ((numbers.Real,), 
 _ENTRIES = {NUMBERS: NUMBER, MATRIX: NUMBER, STRINGS: STRING, INTS: INT}
 
 
-class Field(NamedTuple):
-    kind: str
-    default: Any = REQUIRED
-    minimum: float | None = None  # of the value, or of each entry of INTS
-    above: float | None = None  # an exclusive lower bound of a NUMBER
-    maximum: float | None = None  # an upper bound of a NUMBER
-    below: float | None = None  # an exclusive upper bound of a NUMBER
-    table: dict | None = None  # the fields of a BLOCK, or of each of BLOCKS
-    choices: tuple = ()  # the values of an ENUM
+class Field:
+    """A table entry: its kind, its default and its bounds; ``_replace`` copies
+    it with some of them changed.  A plain class, so that importing config
+    runs no generated source."""
+
+    __slots__ = ("kind", "default", "minimum", "above", "maximum", "below", "table", "choices")
+
+    def __init__(self, kind: str, default: Any = REQUIRED,
+                 minimum: float | None = None,  # of the value, or of each entry of INTS
+                 above: float | None = None,  # an exclusive lower bound of a NUMBER
+                 maximum: float | None = None,  # an upper bound of a NUMBER
+                 below: float | None = None,  # an exclusive upper bound of a NUMBER
+                 table: dict | None = None,  # the fields of a BLOCK, or of each of BLOCKS
+                 choices: tuple = ()):  # the values of an ENUM
+        self.kind, self.default, self.minimum, self.above = kind, default, minimum, above
+        self.maximum, self.below, self.table, self.choices = maximum, below, table, choices
+
+    def _replace(self, **changes) -> Field:
+        return Field(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
 
 
 N_PLATFORMS = Field(INT, minimum=1)  # GameSpec's; an instance's, a sweep's and training's

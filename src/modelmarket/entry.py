@@ -82,6 +82,10 @@ class ToyGenerator(Record, eq=False):
         object.__setattr__(self, "_probabilities", p)
         object.__setattr__(self, "_exp_sum", exp_sum)
 
+    def __reduce__(self):
+        # rebuild through __init__ so the unpickled logits and probabilities are frozen again
+        return ToyGenerator, (self.outcome_labels, self.logits)
+
     @property
     def n_outcomes(self) -> int:
         return len(self.outcome_labels)
@@ -115,6 +119,10 @@ class RewardTable(Record, eq=False):
         if np.any(r < 0) or np.any(r > 1) or not np.all(np.isfinite(r)):
             raise MarketGameError("rewards must lie in [0, 1]")
         object.__setattr__(self, "rewards", r)
+
+    def __reduce__(self):
+        # rebuild through __init__ so the unpickled rewards are frozen again
+        return RewardTable, (self.rewards,)
 
     @property
     def n_types(self) -> int:
@@ -200,6 +208,14 @@ class EntryDataset(Record, eq=False):
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "attribute_labels", attr_labels)
         object.__setattr__(self, "type_attribute_prefs", prefs)
+
+    def __reduce__(self):
+        # rebuild through __init__ so the unpickled arrays are frozen again; the
+        # attribute labels and preferences are taken only with attributes
+        if self.attributes is None:
+            return EntryDataset, (self.outcome_labels, self.counts)
+        return EntryDataset, (self.outcome_labels, self.counts, self.attributes, self.attribute_labels,
+                              self.type_attribute_prefs)
 
     @property
     def structured(self) -> bool:

@@ -35,6 +35,10 @@ class PreferenceTable(Record, eq=False):
         object.__setattr__(self, "type_labels", labels)
         object.__setattr__(self, "weights", w)
 
+    def __reduce__(self):
+        # rebuild through __init__ so the unpickled weights are frozen again
+        return PreferenceTable, (self.criteria, self.type_labels, self.weights)
+
 
 def scores_from_preferences(
     performance,

@@ -37,8 +37,9 @@ def test_no_check_is_an_assert():
 
 
 def test_no_code_is_generated():
-    """No module imports ``dataclasses`` or calls ``exec``, ``eval`` or ``compile``, so
-    importing the package builds no method from source text: records subclass ``game.Record``."""
+    """No module imports ``dataclasses``, ``NamedTuple`` or ``namedtuple`` or calls ``exec``,
+    ``eval`` or ``compile``, so importing the package builds no method from source text:
+    records subclass ``game.Record`` and ``config.Field`` is a plain class."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -46,6 +47,9 @@ def test_no_code_is_generated():
                        else [node.module] if isinstance(node, ast.ImportFrom) else [])
             if any(m is not None and m.split(".")[0] == "dataclasses" for m in modules):
                 found.append(f"{path.name}:{node.lineno} imports dataclasses")
+            named = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            found += [f"{path.name}:{node.lineno} reads {n}" for n in named if n in ("NamedTuple", "namedtuple")]
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id in ("exec", "eval", "compile")):
                 found.append(f"{path.name}:{node.lineno} calls {node.func.id}")

@@ -16,12 +16,14 @@ from modelmarket.errors import MarketGameError
 from modelmarket.fixtures import builtin_instance, fixture_names, verify_fixture
 from modelmarket.game import GameSpec, ScoreMatrix, UserPopulation
 from modelmarket.preferences import PreferenceTable, scores_from_preferences
+from modelmarket import synthetic
 from modelmarket.synthetic import (
     GmmComponent,
     GmmPopulationSpec,
     RbfKernel,
     RbfModelSpec,
     gmm_population,
+    _bounded_assign,
     _distances_to,
     rbf_scores,
     seeded_kmeans,
@@ -308,6 +310,9 @@ class TestSeededKmeans:
         (10_000, 100, 1, "plain", False),
         (10_000, 100, 2, "plain", False),
         (10_000, 100, 2, "halved", True),
+        # the bounded pass at every d it runs at
+        *[(10_000, 100, d, form, d % 2 == 0) for d in range(1, 8) for form in ("plain", "grid", "halved")
+          if (d, form) not in ((1, "plain"), (2, "plain"), (2, "halved"))],
     ])
     def test_bit_identical_at_benchmark_sizes(self, n, k, d, form, at_bound):
         # the sweep-pool (800 points, K=8) and dynamics-large (10,000, K=100)
@@ -322,6 +327,8 @@ class TestSeededKmeans:
         if at_bound:
             bound = math.sqrt(sys.float_info.max / (8 * n * d))
             points = np.clip(points * (bound / np.abs(points).max()), -bound, bound)
+            top = np.unravel_index(np.abs(points).argmax(), points.shape)
+            points[top] = math.copysign(bound, points[top])  # where the scaling rounded below it
             assert np.abs(points).max() == bound
         seed = n + d
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -330,6 +337,76 @@ class TestSeededKmeans:
         assert centers.tobytes() == want_c.tobytes()
         assert labels.tobytes() == want_l.tobytes()
         assert got_rng.random() == want_rng.random()
+
+    def test_the_bounded_pass_is_bit_identical_on_every_cloud(self, monkeypatch):
+        # the same clouds with the bounded pass at every k, k = 1 and k = n included
+        monkeypatch.setattr(synthetic, "_DENSE_K", 0)
+        for case in range(420):
+            points, k = _kmeans_cloud(case)
+            rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
+            centers, labels = seeded_kmeans(points, k, rng)
+            want_c, want_l = reference_seeded_kmeans(points, k, want_rng)
+            assert centers.tobytes() == want_c.tobytes(), case
+            assert labels.tobytes() == want_l.tobytes(), case
+            assert rng.random() == want_rng.random(), case
+
+    @pytest.mark.parametrize("route", ["shipped", "bounded"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("cloud", ["tiny", "subnormal", "mixed", "coinciding", "k=1", "k=n", "k>n", "sizes"])
+    def test_bit_identical_on_edge_clouds(self, monkeypatch, cloud, d, route):
+        # "tiny" and "subnormal": every squared distance is subnormal or 0, so most
+        # distances tie and the lowest-numbered center must win; "mixed": each
+        # dimension at its own scale, some squares underflowing; "coinciding": 12
+        # distinct points for 24 centers, and "k>n" 10 points for 30, so re-seeded
+        # centers coincide; "sizes": the sweep-pool instance size (800 points, K=8)
+        if route == "bounded":
+            monkeypatch.setattr(synthetic, "_DENSE_K", 0)
+        rng = np.random.default_rng([d, len(cloud)])
+        n, k = {"k=1": (60, 1), "k=n": (40, 40), "k>n": (10, 30), "sizes": (800, 8)}.get(cloud, (300, 24))
+        points = rng.standard_normal((n, d)) + rng.uniform(-3, 3, size=(4, d))[rng.integers(4, size=n)]
+        if cloud == "tiny":
+            points *= 1e-160
+        elif cloud == "subnormal":
+            points = np.round(points, 1) * 1e-162
+        elif cloud == "mixed":
+            points *= 10.0 ** rng.uniform(-170, 140, size=d)
+        elif cloud == "coinciding":
+            points = points[rng.integers(12, size=n)]
+        seed = 7 * d + len(cloud)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers, labels = seeded_kmeans(points, k, got_rng)
+        want_c, want_l = reference_seeded_kmeans(points, k, want_rng)
+        assert centers.tobytes() == want_c.tobytes()
+        assert labels.tobytes() == want_l.tobytes()
+        assert got_rng.random() == want_rng.random()
+        if cloud == "coinciding":
+            assert len(np.unique(centers, axis=0)) < k
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-162])
+    def test_the_bounded_pass_matches_the_dense_pass_near_every_bisector(self, d, scale):
+        # 12 far-apart pairs of near centers, and 6 centers that coincide with
+        # others.  Points lie within a few ulps of the midpoint of a pair and
+        # start at its higher-numbered center: where rounding ties the two
+        # distances, a bound without its slack keeps that center, and the
+        # dense pass takes the lower-numbered one
+        rng = np.random.default_rng([d, int(-math.log10(scale))])
+        n = 4000
+        base = rng.standard_normal((12, d)) * 100.0
+        centers = np.concatenate([base, base + rng.standard_normal((12, d)) * 10.0 ** rng.uniform(-2, 2, (12, 1))])
+        centers = np.concatenate([centers, centers[rng.integers(24, size=6)]]) * scale
+        pair = rng.integers(12, size=n)
+        near, far = centers[pair], centers[pair + 12]
+        t = 0.5 + rng.integers(-8, 9, size=(n, 1)) * 2.0 ** -54
+        points = near + (far - near) * t
+        points += rng.integers(-2, 3, size=(n, d)) * np.spacing(points)
+        previous = np.where(rng.random(n) < 0.8, pair + 12, rng.integers(30, size=n))
+        assignments, nearest = previous.astype(np.int64), np.empty(n)
+        _bounded_assign(np.ascontiguousarray(points.T), centers, assignments, nearest, np.empty(n), np.empty(n))
+        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        want = dists.argmin(axis=1)
+        assert assignments.tobytes() == want.tobytes()
+        assert nearest.tobytes() == dists[np.arange(n), want].tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "above"])
     def test_points_outside_the_bound_rejected(self, bad):
