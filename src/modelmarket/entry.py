@@ -27,7 +27,7 @@ from .config import PARAMS, RENAMED, check
 from .errors import MarketGameError, TrainingDivergedError
 from .equilibrium import DynamicsOutcome, run_dynamics
 from .game import (_BLOCK_ELEMENTS, WEIGHT_TOL, GameSpec, Record, ScoreMatrix, _frozen_array, _index,
-                   _labels, _outcome_cdf)
+                   _labels, _outcome_cdf, _set_field)
 from .metrics import MetricsRecord, analyze, outcome_metrics
 
 __all__ = [
@@ -62,29 +62,25 @@ class ToyGenerator(Record, eq=False):
     outcome_labels: tuple[str, ...]
     logits: np.ndarray
 
-    def __init__(self, outcome_labels: Iterable[str], logits):
-        labels = _labels(outcome_labels, "outcome labels")
-        phi = _frozen_array(logits)
+    def __post_init__(self):
+        labels = _labels(self.outcome_labels, "outcome labels")
+        phi = _frozen_array(self.logits)
         if phi.ndim != 1 or phi.shape[0] != len(labels):
             raise MarketGameError("logits must be one value per outcome")
         if not np.all(np.isfinite(phi)):
             raise MarketGameError("logits must be finite")
         if len(labels) < 2:
             raise MarketGameError("a generator needs at least two outcomes")
-        object.__setattr__(self, "outcome_labels", labels)
-        object.__setattr__(self, "logits", phi)
+        _set_field(self, "outcome_labels", labels)
+        _set_field(self, "logits", phi)
         e = np.exp(phi - phi.max())
         exp_sum = e.sum()
         p = _frozen_array(e / exp_sum)
         if not np.all(p > 0.0):
             raise MarketGameError("logit spread too large: an outcome probability underflowed to 0")
         # not fields: functions of the logits, computed once (_cross_entropy reads the sum)
-        object.__setattr__(self, "_probabilities", p)
-        object.__setattr__(self, "_exp_sum", exp_sum)
-
-    def __reduce__(self):
-        # rebuild through __init__ so the unpickled logits and probabilities are frozen again
-        return ToyGenerator, (self.outcome_labels, self.logits)
+        _set_field(self, "_probabilities", p)
+        _set_field(self, "_exp_sum", exp_sum)
 
     @property
     def n_outcomes(self) -> int:
@@ -112,17 +108,13 @@ class RewardTable(Record, eq=False):
 
     rewards: np.ndarray  # K x |X|
 
-    def __init__(self, rewards):
-        r = _frozen_array(rewards)
+    def __post_init__(self):
+        r = _frozen_array(self.rewards)
         if r.ndim != 2:
             raise MarketGameError("rewards must be a K x |X| matrix")
         if np.any(r < 0) or np.any(r > 1) or not np.all(np.isfinite(r)):
             raise MarketGameError("rewards must lie in [0, 1]")
-        object.__setattr__(self, "rewards", r)
-
-    def __reduce__(self):
-        # rebuild through __init__ so the unpickled rewards are frozen again
-        return RewardTable, (self.rewards,)
+        _set_field(self, "rewards", r)
 
     @property
     def n_types(self) -> int:
@@ -160,19 +152,19 @@ class EntryDataset(Record, eq=False):
     labels each outcome with one of the attribute values and
     ``type_attribute_prefs`` gives each user type a distribution over those
     values, the structured resampling mode is available; neither of the two,
-    not even an empty label list, is taken without ``attributes``.
+    not even an empty label list, is taken without ``attributes``, and
+    without it all three structure fields are None.
     """
 
     outcome_labels: tuple[str, ...]
     counts: np.ndarray
     attributes: tuple[str, ...] | None = None
-    attribute_labels: tuple[str, ...] = ()
+    attribute_labels: tuple[str, ...] | None = None
     type_attribute_prefs: np.ndarray | None = None  # K x |U|, rows sum to 1
 
-    def __init__(self, outcome_labels, counts, attributes=None, attribute_labels=None,
-                 type_attribute_prefs=None):
-        labels = _labels(outcome_labels, "outcome labels")
-        c = _frozen_array(counts)
+    def __post_init__(self):
+        labels = _labels(self.outcome_labels, "outcome labels")
+        c = _frozen_array(self.counts)
         if c.ndim != 1 or c.shape[0] != len(labels):
             raise MarketGameError("counts must be one value per outcome")
         if np.any(c < 0) or not np.all(np.isfinite(c)):
@@ -183,39 +175,30 @@ class EntryDataset(Record, eq=False):
             raise MarketGameError("dataset must contain at least one item")
         if not np.isfinite(total):
             raise MarketGameError(f"counts must sum to a finite total (got {total!r})")
-        attrs = None
-        attr_labels = _labels(attribute_labels, "attribute labels")
-        prefs = None
-        if attributes is None and (attribute_labels is not None or type_attribute_prefs is not None):
-            raise MarketGameError("attribute_labels and type_attribute_prefs need attributes")
-        if attributes is not None:
-            attrs = tuple(str(u) for u in attributes)
-            if len(attrs) != len(labels):
-                raise MarketGameError("attributes must label every outcome")
-            if attribute_labels is None:
-                attr_labels = tuple(dict.fromkeys(attrs))
-            if not set(attrs) <= set(attr_labels):
-                raise MarketGameError("attributes must come from attribute_labels")
-            if type_attribute_prefs is None:
-                raise MarketGameError("structured datasets need type_attribute_prefs")
-            prefs = _frozen_array(type_attribute_prefs)
-            if prefs.ndim != 2 or prefs.shape[1] != len(attr_labels):
-                raise MarketGameError("type_attribute_prefs must be K x |attributes|")
-            if not (np.all(prefs >= 0) and np.all(np.abs(prefs.sum(axis=1) - 1.0) <= WEIGHT_TOL)):
-                raise MarketGameError("each type's attribute preferences must sum to 1")
-        object.__setattr__(self, "outcome_labels", labels)
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "attributes", attrs)
-        object.__setattr__(self, "attribute_labels", attr_labels)
-        object.__setattr__(self, "type_attribute_prefs", prefs)
-
-    def __reduce__(self):
-        # rebuild through __init__ so the unpickled arrays are frozen again; the
-        # attribute labels and preferences are taken only with attributes
+        _set_field(self, "outcome_labels", labels)
+        _set_field(self, "counts", c)
+        attr_labels = _labels(self.attribute_labels, "attribute labels")
         if self.attributes is None:
-            return EntryDataset, (self.outcome_labels, self.counts)
-        return EntryDataset, (self.outcome_labels, self.counts, self.attributes, self.attribute_labels,
-                              self.type_attribute_prefs)
+            if self.attribute_labels is not None or self.type_attribute_prefs is not None:
+                raise MarketGameError("attribute_labels and type_attribute_prefs need attributes")
+            return
+        attrs = tuple(str(u) for u in self.attributes)
+        if len(attrs) != len(labels):
+            raise MarketGameError("attributes must label every outcome")
+        if self.attribute_labels is None:
+            attr_labels = tuple(dict.fromkeys(attrs))
+        if not set(attrs) <= set(attr_labels):
+            raise MarketGameError("attributes must come from attribute_labels")
+        if self.type_attribute_prefs is None:
+            raise MarketGameError("structured datasets need type_attribute_prefs")
+        prefs = _frozen_array(self.type_attribute_prefs)
+        if prefs.ndim != 2 or prefs.shape[1] != len(attr_labels):
+            raise MarketGameError("type_attribute_prefs must be K x |attributes|")
+        if not (np.all(prefs >= 0) and np.all(np.abs(prefs.sum(axis=1) - 1.0) <= WEIGHT_TOL)):
+            raise MarketGameError("each type's attribute preferences must sum to 1")
+        _set_field(self, "attributes", attrs)
+        _set_field(self, "attribute_labels", attr_labels)
+        _set_field(self, "type_attribute_prefs", prefs)
 
     @property
     def structured(self) -> bool:

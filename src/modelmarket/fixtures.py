@@ -174,8 +174,10 @@ def verify_fixture(fixture: Fixture | str) -> list[Check]:
     for i, j, want_d, tol in expected.get("pair_deltas", []):
         within(f"delta({i},{j})", eq.pair_delta(spec, i, j), want_d, tol)
 
-    if "welfare" in expected:
+    # welfare, hhi and support describe one equilibrium: canonical_pne, else the first PNE
+    if expected.keys() & {"welfare", "hhi", "support"}:
         anchor = expected.get("canonical_pne") or expected["pne"][0]
+    if "welfare" in expected:
         within("welfare", mt.coverage_value(spec, anchor), *expected["welfare"])
 
     if "social_optimum" in expected:
@@ -187,7 +189,7 @@ def verify_fixture(fixture: Fixture | str) -> list[Check]:
             add("social_optimum_profile", opt.profile == want_p, want_p, opt.profile)
 
     if "hhi" in expected or "support" in expected:
-        shares = mt.market_shares(spec, expected["canonical_pne"])
+        shares = mt.market_shares(spec, anchor)
     if "hhi" in expected:
         within("hhi", shares.hhi, *expected["hhi"])
     if "support" in expected:

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement, islice
 import math
 import operator
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -88,8 +88,9 @@ class Record:
     ``__init__`` takes positional arguments, then keywords, and refuses a
     missing, unknown or repeated field with a ``MarketGameError`` naming the
     record and the field; it stores each field with ``object.__setattr__``,
-    in field order, then calls ``__post_init__``.  A record that defines its
-    own ``__init__`` stores its fields the same way.  ``repr`` has the
+    in field order, then calls ``__post_init__``, which checks them and stores
+    what it normalizes the same way.  A ``pickle`` round trip or a copy
+    rebuilds a record through ``__init__`` from its fields.  ``repr`` has the
     dataclass format, ``==`` and ``hash`` read the field tuple, and a
     subclass declared ``eq=False`` compares and hashes by identity instead.
     Assigning or deleting an attribute raises ``MarketGameError``.
@@ -137,6 +138,9 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
 
+    def __reduce__(self):
+        return type(self), self._values()
+
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{type(self).__qualname__}({fields})"
@@ -163,9 +167,9 @@ class UserPopulation(Record, eq=False):
     type_labels: tuple[str, ...]
     weights: np.ndarray
 
-    def __init__(self, type_labels: Iterable[str] | None, weights: Iterable[float]):
-        w = _frozen_array(weights)
-        labels = _labels(type_labels, "user type labels", w.size)
+    def __post_init__(self):
+        w = _frozen_array(self.weights)
+        labels = _labels(self.type_labels, "user type labels", w.size)
         if w.ndim != 1 or w.shape[0] != len(labels):
             raise MarketGameError("weights must be a vector matching type_labels")
         if len(labels) == 0:
@@ -174,12 +178,8 @@ class UserPopulation(Record, eq=False):
             raise MarketGameError("weights must be finite and non-negative")
         if not abs(float(w.sum()) - 1.0) <= WEIGHT_TOL:
             raise MarketGameError(f"weights must sum to 1 (got {float(w.sum())!r})")
-        object.__setattr__(self, "type_labels", labels)
-        object.__setattr__(self, "weights", w)
-
-    def __reduce__(self):
-        # rebuild through __init__ so the unpickled weights are frozen again
-        return UserPopulation, (self.type_labels, self.weights)
+        _set_field(self, "type_labels", labels)
+        _set_field(self, "weights", w)
 
     @property
     def n_types(self) -> int:
@@ -196,27 +196,23 @@ class ScoreMatrix(Record, eq=False):
 
     Scores are accepted in any non-negative range; they are inputs, never
     recomputed, so exact equality between stored entries is meaningful and is
-    what hardmax tie detection uses.
+    what hardmax tie detection uses.  Model labels None are ``g1``, ``g2``, ...
     """
 
     scores: np.ndarray
-    model_labels: tuple[str, ...]
+    model_labels: tuple[str, ...] = None
 
-    def __init__(self, scores, model_labels: Iterable[str] | None = None):
-        s = _frozen_array(scores)
+    def __post_init__(self):
+        s = _frozen_array(self.scores)
         if s.ndim != 2 or s.shape[0] < 1 or s.shape[1] < 1:
             raise MarketGameError("scores must be a non-empty M x K matrix")
         if not np.all(np.isfinite(s)) or np.any(s < 0):
             raise MarketGameError("scores must be finite and non-negative")
-        labels = _labels(model_labels, "model labels", s.shape[0], "g")
+        labels = _labels(self.model_labels, "model labels", s.shape[0], "g")
         if len(labels) != s.shape[0]:
             raise MarketGameError("model_labels must match the number of score rows")
-        object.__setattr__(self, "scores", s)
-        object.__setattr__(self, "model_labels", labels)
-
-    def __reduce__(self):
-        # rebuild through __init__ so the unpickled scores are frozen again
-        return ScoreMatrix, (self.scores, self.model_labels)
+        _set_field(self, "scores", s)
+        _set_field(self, "model_labels", labels)
 
     @property
     def n_models(self) -> int:
@@ -237,7 +233,7 @@ class ChoiceRule(Record):
         if self.kind not in ("hardmax", "softmax"):
             raise MarketGameError(f"unknown choice rule {self.kind!r}")
         if self.kind == "softmax":  # a float, so that outputs echo a tau of 1 as 1.0
-            object.__setattr__(self, "tau", float(check(self.tau, CHOICE["tau"], "tau")))
+            _set_field(self, "tau", float(check(self.tau, CHOICE["tau"], "tau")))
         elif self.tau is not None:
             raise MarketGameError(f"a hardmax choice rule takes no tau (got {self.tau!r})")
 
@@ -273,7 +269,7 @@ class GameSpec(Record):
                 f"{n} platforms times the largest score {largest!r} exceeds {SCALE_LIMIT!r}")
         if self.choice.kind == "softmax" and not math.isfinite(largest / self.choice.tau):
             raise MarketGameError(f"softmax tau {self.choice.tau!r} is too small for the score scale")
-        object.__setattr__(self, "n_platforms", n)
+        _set_field(self, "n_platforms", n)
 
     @property
     def n_models(self) -> int:

@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import MarketGameError
-from .game import Record, ScoreMatrix, _frozen_array, _labels
+from .game import Record, ScoreMatrix, _frozen_array, _labels, _set_field
 
 __all__ = ["PreferenceTable", "scores_from_preferences"]
 
@@ -23,21 +23,17 @@ class PreferenceTable(Record, eq=False):
     type_labels: tuple[str, ...]
     weights: np.ndarray  # K x C
 
-    def __init__(self, criteria: Iterable[str], type_labels: Iterable[str], weights):
-        crit = _labels(criteria, "preference criteria")
-        labels = _labels(type_labels, "user type labels")
-        w = _frozen_array(weights)
+    def __post_init__(self):
+        crit = _labels(self.criteria, "preference criteria")
+        labels = _labels(self.type_labels, "user type labels")
+        w = _frozen_array(self.weights)
         if w.ndim != 2 or w.shape != (len(labels), len(crit)):
             raise MarketGameError("weights must be a K x C matrix matching labels and criteria")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise MarketGameError("preference weights must be finite and non-negative")
-        object.__setattr__(self, "criteria", crit)
-        object.__setattr__(self, "type_labels", labels)
-        object.__setattr__(self, "weights", w)
-
-    def __reduce__(self):
-        # rebuild through __init__ so the unpickled weights are frozen again
-        return PreferenceTable, (self.criteria, self.type_labels, self.weights)
+        _set_field(self, "criteria", crit)
+        _set_field(self, "type_labels", labels)
+        _set_field(self, "weights", w)
 
 
 def scores_from_preferences(

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import COMPONENT, GMM, KERNEL, RBF_GMM, check
 from .errors import MarketGameError
-from .game import _BLOCK_ELEMENTS, WEIGHT_TOL, Record, ScoreMatrix, UserPopulation, _frozen_array, _outcome_cdf
+from .game import (_BLOCK_ELEMENTS, WEIGHT_TOL, Record, ScoreMatrix, UserPopulation, _frozen_array,
+                   _outcome_cdf, _set_field)
 
 __all__ = [
     "RbfKernel",
@@ -59,16 +60,16 @@ class RbfModelSpec(Record):
     bias: float
     kernels: tuple[RbfKernel, ...]
 
-    def __init__(self, bias: float, kernels: Iterable[RbfKernel]):
-        ks = tuple(kernels)
+    def __post_init__(self):
+        ks = tuple(self.kernels)
         if not ks:
             raise MarketGameError("an RBF model needs at least one kernel")
         dims = {len(k.center) for k in ks}
         if len(dims) != 1:
             raise MarketGameError("all kernel centers must share one dimension")
-        check(bias, RBF_GMM["models"].table["bias"], "model bias")
-        object.__setattr__(self, "bias", float(bias))
-        object.__setattr__(self, "kernels", ks)
+        check(self.bias, RBF_GMM["models"].table["bias"], "model bias")
+        _set_field(self, "bias", float(self.bias))
+        _set_field(self, "kernels", ks)
 
     @property
     def dim(self) -> int:
@@ -80,13 +81,13 @@ class GmmComponent(Record, eq=False):
     mean: tuple[float, ...]
     covariance: np.ndarray
 
-    def __init__(self, weight: float, mean: Sequence[float], covariance):
-        cov = np.asarray(covariance, dtype=float)
-        mean_t = tuple(float(x) for x in mean)
-        check(weight, COMPONENT["weight"], "component weight")
-        if not (np.all(np.isfinite(mean_t)) and np.all(np.isfinite(cov))):
+    def __post_init__(self):
+        cov = np.asarray(self.covariance, dtype=float)
+        mean = tuple(float(x) for x in self.mean)
+        check(self.weight, COMPONENT["weight"], "component weight")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise MarketGameError("component mean and covariance must be finite")
-        if cov.shape != (len(mean_t), len(mean_t)):
+        if cov.shape != (len(mean), len(mean)):
             raise MarketGameError("covariance shape must match the mean dimension")
         if not np.allclose(cov, cov.T):
             raise MarketGameError("covariance must be symmetric")
@@ -94,13 +95,9 @@ class GmmComponent(Record, eq=False):
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise MarketGameError("covariance must be positive-definite") from exc
-        object.__setattr__(self, "weight", float(weight))
-        object.__setattr__(self, "mean", mean_t)
-        object.__setattr__(self, "covariance", _frozen_array(cov))
-
-    def __reduce__(self):
-        # rebuild through __init__ so the unpickled covariance is frozen again
-        return GmmComponent, (self.weight, self.mean, self.covariance)
+        _set_field(self, "weight", float(self.weight))
+        _set_field(self, "mean", mean)
+        _set_field(self, "covariance", _frozen_array(cov))
 
 
 class GmmPopulationSpec(Record):
@@ -112,9 +109,8 @@ class GmmPopulationSpec(Record):
     seed: int = 0
     sample_size: int = DEFAULT_SAMPLE_SIZE
 
-    def __init__(self, components: Iterable[GmmComponent], k_types: int, dx: float = 0.0,
-                 seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE):
-        comps = tuple(components)
+    def __post_init__(self):
+        comps = tuple(self.components)
         if not comps:
             raise MarketGameError("a GMM needs at least one component")
         total = sum(c.weight for c in comps)
@@ -123,15 +119,15 @@ class GmmPopulationSpec(Record):
         dims = {len(c.mean) for c in comps}
         if len(dims) != 1:
             raise MarketGameError("all component means must share one dimension")
-        for name, value in zip(("k_types", "dx", "seed", "sample_size"), (k_types, dx, seed, sample_size)):
-            check(value, GMM[name], name)
-        if sample_size < k_types:
+        for name in ("k_types", "dx", "seed", "sample_size"):
+            check(getattr(self, name), GMM[name], name)
+        if self.sample_size < self.k_types:
             raise MarketGameError("sample_size must be at least k_types")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "k_types", int(k_types))
-        object.__setattr__(self, "dx", float(dx))
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "sample_size", int(sample_size))
+        _set_field(self, "components", comps)
+        _set_field(self, "k_types", int(self.k_types))
+        _set_field(self, "dx", float(self.dx))
+        _set_field(self, "seed", int(self.seed))
+        _set_field(self, "sample_size", int(self.sample_size))
 
     @property
     def dim(self) -> int:
@@ -148,6 +144,8 @@ def rbf_scores(models: Sequence[RbfModelSpec], types: Sequence[Sequence[float]])
     float, and a kernel (named too) whose 2 * width**2 is not a positive
     finite float or whose squared distance over it is not finite at some point.
     """
+    if not models:
+        raise MarketGameError("an RBF score matrix needs at least one model")
     pts = np.asarray(types, dtype=float)
     if pts.ndim != 2:
         raise MarketGameError("types must be a K x d array of coordinates")

@@ -705,9 +705,9 @@ def previous_market_shares(spec: GameSpec, profile) -> MarketShares:
 def _twin(record: type, fields, eq: bool = True) -> type:
     """The frozen dataclass a record would be: the record's name, ``fields`` (a name, a
     (name, default) pair or a (name, dataclasses.field) pair), ``eq``, and the record's own
-    ``__init__`` or ``__post_init__``, which store fields with ``object.__setattr__``
-    and so run on the dataclass alike."""
-    namespace = {name: vars(record)[name] for name in ("__init__", "__post_init__") if name in vars(record)}
+    ``__post_init__``, which stores fields with ``object.__setattr__`` and so runs on the
+    dataclass alike."""
+    namespace = {"__post_init__": vars(record)["__post_init__"]} if "__post_init__" in vars(record) else {}
     specs = [(f, object) if isinstance(f, str)
              else (f[0], object, f[1] if isinstance(f[1], dataclasses.Field) else dataclasses.field(default=f[1]))
              for f in fields]
@@ -717,7 +717,7 @@ def _twin(record: type, fields, eq: bool = True) -> type:
 # every record of the package, with its reference dataclass
 RECORD_TWINS = {twin.__name__: twin for twin in [
     _twin(game.UserPopulation, ["type_labels", "weights"], eq=False),
-    _twin(game.ScoreMatrix, ["scores", "model_labels"], eq=False),
+    _twin(game.ScoreMatrix, ["scores", ("model_labels", None)], eq=False),
     _twin(ChoiceRule, ["kind", ("tau", None)]),
     _twin(GameSpec, ["scores", "population", "n_platforms",
                      ("choice", dataclasses.field(default_factory=ChoiceRule.hardmax))]),
@@ -741,7 +741,7 @@ RECORD_TWINS = {twin.__name__: twin for twin in [
     _twin(TrainingConfig, [("beta", 4.0), ("gamma", 1.0), ("lam", 0.4), ("outer_rounds", 5),
                            ("inner_epochs", 50), ("eval_budget", 2000), ("learning_rate", 0.05),
                            ("baseline_decay", 0.9), ("blend", 0.5), ("seed", 0)]),
-    _twin(EntryDataset, ["outcome_labels", "counts", ("attributes", None), ("attribute_labels", ()),
+    _twin(EntryDataset, ["outcome_labels", "counts", ("attributes", None), ("attribute_labels", None),
                          ("type_attribute_prefs", None)], eq=False),
     _twin(RewardBaseline, ["values", "decay"], eq=False),
     _twin(entry_mod.EntrantReport, ["spec", "entrant_index", "entrant_score_row", "outcome", "metrics",

@@ -1614,6 +1614,8 @@ _CHECKS = {
                             "model_labels must match the number of score rows"),
     "repeated model labels": ("file", _set(("file", "model_labels"), ["g", "g"]),
                               "model labels must be unique"),
+    "no models": ("synthetic", _set(("synthetic", "models"), []),
+                  "an RBF score matrix needs at least one model"),
     "no kernels": ("synthetic", _set(("synthetic", "models", 0, "kernels"), []),
                    "an RBF model needs at least one kernel"),
     "kernel dimensions": ("synthetic", _set(("synthetic", "models", 0, "kernels"), [

@@ -135,15 +135,30 @@ def _both(name: str):
     return _record(name), RECORD_TWINS[name]
 
 
-def test_every_record_has_a_twin_and_cases():
-    found, stack = set(), [Record]
+def _package_records() -> list[type]:
+    found, stack = [], [Record]
     while stack:
         for sub in stack.pop().__subclasses__():
             if sub.__module__.startswith("modelmarket."):
-                found.add(sub.__name__)
+                found.append(sub)
             stack.append(sub)
+    return found
+
+
+def test_every_record_has_a_twin_and_cases():
+    found = {sub.__name__ for sub in _package_records()}
     assert len(found) == 32
     assert found == set(RECORD_TWINS) == set(CASES)
+
+
+def test_every_record_is_built_and_rebuilt_by_record_alone():
+    # one constructor checks every argument list, and one reduction rebuilds every
+    # record through it; a record checks and normalizes its fields in __post_init__
+    assert "__init__" in vars(Record) and "__reduce__" in vars(Record)
+    records = _package_records()
+    assert len(records) == 32
+    assert [sub.__name__ for sub in records if "__init__" in vars(sub)] == []
+    assert [sub.__name__ for sub in records if "__reduce__" in vars(sub)] == []
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -179,7 +194,7 @@ def test_construction_matches_the_twin(name):
     assert _bits(positional) == _bits(twin(*args))
     keywords = dict(zip(names, args))
     assert _bits(record(**keywords)) == _bits(twin(**keywords)) == _bits(positional)
-    # a record's own __init__ may default a field that has no default of its own
+    # the required fields alone take every default
     required = len([f for f in dataclasses.fields(twin) if f.default is dataclasses.MISSING
                     and f.default_factory is dataclasses.MISSING])
     if required < len(names):
@@ -272,13 +287,35 @@ def test_a_round_trip_keeps_every_array_as_built(name, case):
         assert [a.flags.writeable for a in _arrays(value)] == [writeable] * len(_arrays(original))
 
 
+def _bad_fields(name: str) -> list:
+    """For one record: its first required field left out (if it has one), an
+    unknown keyword, and its first field given twice, each with its message."""
+    record, twin = _both(name)
+    args = CASES[name][0]
+    first = record.__match_args__[0]
+    cases = []
+    field = dataclasses.fields(twin)[0]  # a record with a required field has one first
+    if field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
+        rest = dict(zip(record.__match_args__[1:], args[1:]))
+        cases.append(pytest.param(lambda: record(**rest), f"{name} is missing field {first!r}",
+                                  id=f"{name}-missing"))
+    cases.append(pytest.param(lambda: record(*args, bogus=1), f"{name} has no field 'bogus'",
+                              id=f"{name}-unknown"))
+    cases.append(pytest.param(lambda: record(*args, **{first: args[0]}), f"{name} got field {first!r} twice",
+                              id=f"{name}-repeated"))
+    return cases
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: equilibrium.Deviation(0, 1), "Deviation is missing field 'gain'"),
-    (lambda: equilibrium.Deviation(0, 1, 0.5, 2), "Deviation takes 3 fields (got 4)"),
-    (lambda: equilibrium.Deviation(0, 1, gain=0.5, bogus=1), "Deviation has no field 'bogus'"),
-    (lambda: equilibrium.Deviation(0, 1, 0.5, platform=2), "Deviation got field 'platform' twice"),
-    (lambda: equilibrium.PneCheck(witness=None), "PneCheck is missing field 'is_pne'"),
-], ids=["missing", "too-many", "unknown", "repeated", "missing-before-a-default"])
+    pytest.param(lambda: equilibrium.Deviation(0, 1), "Deviation is missing field 'gain'", id="missing"),
+    pytest.param(lambda: equilibrium.Deviation(0, 1, 0.5, 2), "Deviation takes 3 fields (got 4)", id="too-many"),
+    pytest.param(lambda: equilibrium.Deviation(0, 1, gain=0.5, bogus=1), "Deviation has no field 'bogus'",
+                 id="unknown"),
+    pytest.param(lambda: equilibrium.Deviation(0, 1, 0.5, platform=2), "Deviation got field 'platform' twice",
+                 id="repeated"),
+    pytest.param(lambda: equilibrium.PneCheck(witness=None), "PneCheck is missing field 'is_pne'",
+                 id="missing-before-a-default"),
+] + [case for name in NAMES for case in _bad_fields(name)])
 def test_a_bad_field_is_refused_naming_the_record_and_the_field(call, message):
     with pytest.raises(MarketGameError) as err:
         call()
